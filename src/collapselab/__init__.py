@@ -6,13 +6,11 @@ from .manifold import (
     FiberTrace,
     GeodesicBall,
     PeriodicGrid,
-    TriMesh,
     ball_region,
     build_family,
     epsilon_proxy,
     extract_fiber,
     geodesic_ball,
-    load_off,
     ricci_lower_bound,
 )
 from .operators import (

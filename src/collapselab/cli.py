@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .estimates import (
-    SWEEP_CSV_HEADER,
     default_ball_center,
     default_resolution_rule,
     reports_to_json,
@@ -32,9 +30,8 @@ from .estimates import (
     sweep,
 )
 from .flow import fiber_apriori_check, flow_rate_bound, integrate_flow, tangential_projection
-from .manifold import FamilySpec, build_family, extract_fiber, geodesic_ball
+from .manifold import FamilySpec, build_family, extract_fiber
 from .spectral import eigenpairs, load_eigen_cache, save_eigen_cache
-from .splitting import jacobian_stats
 
 __all__ = ["main", "ExperimentConfig", "RunManifest", "load_config"]
 
@@ -46,7 +43,7 @@ _DEFAULTS = {
     "eig": {"count": 6, "theta_max": None},
     "sweep": {"epsilons": [0.2, 0.1, 0.05], "theta_max": 50.0},
     "flow": {"field": "fiber-sine", "start": None, "time_over_k": 10.0, "dt_factor": 1e-4},
-    "thresholds": {"lambda_min_rel": 1e-6, "level_tol": 1e-8, "dt_factor": 1e-4},
+    "thresholds": {"lambda_min_rel": 1e-6},
     "output_dir": "out",
     "cache": True,
     "seed": 0,
@@ -83,15 +80,12 @@ class ExperimentConfig:
         rule = default_resolution_rule(
             self.resolution["nodes_per_unit"], self.resolution["min_fiber_nodes"]
         )
-        resolution = rule(fam["kind"], eps)
-        k = 2 if fam["kind"] == "twisted-3-torus" else 1
         return FamilySpec(
             kind=fam["kind"],
             epsilon=eps,
             delta=fam.get("delta", 0.0),
             twist=fam.get("twist", 0.0),
-            resolution=resolution,
-            k=k,
+            resolution=rule(fam["kind"], eps),
         )
 
     def ball_center(self) -> tuple[float, ...]:
@@ -136,10 +130,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if not (isinstance(value, (int, float)) and value > 0):
             raise ValueError(f"config field thresholds.{name} must be positive")
     return cfg
-
-
-def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +248,7 @@ def cmd_build(cfg: ExperimentConfig, out: Path) -> int:
         "dim": M.dim,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
-    manifest = _new_manifest(cfg)
-    if cfg.cache:
-        cache_dir = out / "cache"
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        path = cache_dir / f"manifold_{cfg.config_hash()[:16]}.npz"
-        np.savez(path, metric=M.metric, volume_element=M.volume_element)
-        manifest.add(path, out)
-    manifest.write(out)
+    _new_manifest(cfg).write(out)
     return 0
 
 
@@ -370,9 +353,6 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
 
 def _sweep_result(cfg: ExperimentConfig, jobs: int):
     fam = cfg.family
-    rule = default_resolution_rule(
-        cfg.resolution["nodes_per_unit"], cfg.resolution["min_fiber_nodes"]
-    )
     return sweep(
         kind=fam["kind"],
         epsilons=cfg.sweep["epsilons"],
@@ -381,9 +361,11 @@ def _sweep_result(cfg: ExperimentConfig, jobs: int):
         delta=fam.get("delta", 0.0),
         twist=fam.get("twist", 0.0),
         ball_center=cfg.ball_center(),
-        resolution_rule=rule,
         eig_count=cfg.eig["count"],
         seed=cfg.seed,
+        nodes_per_unit=cfg.resolution["nodes_per_unit"],
+        min_fiber_nodes=cfg.resolution["min_fiber_nodes"],
+        lambda_threshold_rel=cfg.thresholds["lambda_min_rel"],
         jobs=jobs,
     )
 

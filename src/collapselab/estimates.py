@@ -39,7 +39,7 @@ from .operators import (
     region_average,
     region_sup,
 )
-from .spectral import EigenPair, cheng_yau_ratio, eigenpairs
+from .spectral import RESIDUAL_TOL, EigenPair, cheng_yau_ratio, eigenpairs
 from .splitting import Certificate, SplittingMap, certify, classify_regular, harmonic_coordinates, jacobian_stats
 from .flow import TangentialField, integrate_flow_ensemble, tangential_projection
 
@@ -369,7 +369,7 @@ def main_theorem_report(
     the singular volume excluded by the mask are reported alongside.
     """
     M = field.manifold
-    if eig.residual > 1e-8 * (1.0 + abs(eig.theta)):
+    if eig.residual > RESIDUAL_TOL * (1.0 + abs(eig.theta)):
         raise ValueError(f"eigenpair residual {eig.residual:.3e} too large for a certified report")
     r = ball_r.radius
     m = M.dim
@@ -542,8 +542,7 @@ def run_point(
     from .manifold import FamilySpec
 
     resolution = resolution_rule(kind, epsilon)
-    spec = FamilySpec(kind=kind, epsilon=epsilon, delta=delta, twist=twist, resolution=resolution, k=1 if kind != "twisted-3-torus" else 2)
-    M = build_family(spec)
+    M = build_family(FamilySpec(kind=kind, epsilon=epsilon, delta=delta, twist=twist, resolution=resolution))
     phi = harmonic_coordinates(M)
     stats = jacobian_stats(phi)
     mask = classify_regular(stats, max(lambda_threshold_rel * float(np.nanmedian(stats.Lam)), 1e-300))
@@ -615,6 +614,7 @@ def _sweep_point_task(task: dict) -> tuple[list, list]:
         task["theta_max"],
         task["eig_count"],
         task["seed"],
+        lambda_threshold_rel=task["lambda_threshold_rel"],
     )
     rows, reports = [], []
     for pair in point["pairs"]:
@@ -632,12 +632,12 @@ def sweep(
     delta: float = 0.0,
     twist: float = 0.0,
     ball_center: tuple[float, ...] | None = None,
-    resolution_rule=None,
     eig_count: int = 8,
     seed: int = 0,
     fiber_levels: int = 5,
     nodes_per_unit: int = 128,
     min_fiber_nodes: int = 16,
+    lambda_threshold_rel: float = 1e-6,
     jobs: int = 1,
 ) -> SweepResult:
     """Full pipeline per collapse parameter; scaling statistics on the rows.
@@ -647,18 +647,16 @@ def sweep(
     and the bounded-ratio spread.  With fewer than two informative rows the
     sweep is marked degenerate and the scaling checks pass vacuously.
 
-    ``jobs > 1`` runs the sweep points in separate processes; results merge
-    in epsilon order either way, so outputs are deterministic.
+    Each point resolves its grid with ``default_resolution_rule(nodes_per_unit,
+    min_fiber_nodes)``.  ``jobs > 1`` runs the sweep points in separate
+    processes; results merge in epsilon order either way, so outputs are
+    deterministic.
     """
     epsilons = sorted(float(e) for e in epsilons)
     if len(epsilons) < 3:
         raise ValueError(f"sweep needs at least 3 epsilon values, got {len(epsilons)}")
     if ball_center is None:
         ball_center = default_ball_center(kind)
-    if resolution_rule is not None:
-        rule = resolution_rule
-        if jobs > 1:
-            jobs = 1  # custom rules are not picklable across workers
     tasks = [
         {
             "kind": kind,
@@ -673,6 +671,7 @@ def sweep(
             "fiber_levels": fiber_levels,
             "nodes_per_unit": nodes_per_unit,
             "min_fiber_nodes": min_fiber_nodes,
+            "lambda_threshold_rel": lambda_threshold_rel,
         }
         for eps in epsilons
     ]
@@ -683,18 +682,6 @@ def sweep(
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_point_task, tasks))
-    elif resolution_rule is not None:
-        results = []
-        for task in tasks:
-            point = run_point(
-                kind, task["epsilon"], delta, twist, rule, ball_center, r, theta_max, eig_count, seed
-            )
-            point_rows, point_reports = [], []
-            for pair in point["pairs"]:
-                row, mode_reports = _mode_reports(point, pair, r, fiber_levels)
-                point_rows.append(row)
-                point_reports.extend(mode_reports)
-            results.append((point_rows, point_reports))
     else:
         results = [_sweep_point_task(task) for task in tasks]
     for point_rows, point_reports in results:

@@ -161,9 +161,7 @@ def _field_interpolators(field: TangentialField):
     grad_t = np.where(np.isnan(field.grad_t), np.nan, field.grad_t)
 
     def velocity(pts: np.ndarray) -> np.ndarray:
-        wrapped = M.grid.wrap(pts)
-        comps = [interp_scalar(M, grad_t[..., c], wrapped) for c in range(M.dim)]
-        return np.stack(comps, axis=-1)
+        return interp_scalar(M, grad_t, M.grid.wrap(pts))
 
     return velocity
 

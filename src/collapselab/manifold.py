@@ -1,5 +1,5 @@
-"""Discrete collapsing manifolds: periodic metric grids, triangle meshes,
-geodesic balls and fibers of splitting maps.
+"""Discrete collapsing manifolds: periodic metric grids, geodesic balls and
+fibers of splitting maps.
 
 Chart conventions
 -----------------
@@ -10,15 +10,11 @@ All node fields are periodic arrays of shape ``grid.shape``; the metric is a
 (such as the base coordinate ``x`` on a torus) are represented by a periodic
 residual plus an integer *winding* vector: the function increases by
 ``winding[i] * P_i`` around the i-th coordinate circle.
-
-A :class:`TriMesh` chart is an embedded surface (vertices in R^3, triangular
-faces).  Fields live on vertices; gradients are extrinsic 3-vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +23,6 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 __all__ = [
     "PeriodicGrid",
-    "TriMesh",
     "DiscreteManifold",
     "FamilySpec",
     "GeodesicBall",
@@ -39,10 +34,9 @@ __all__ = [
     "graph_distances",
     "extract_fiber",
     "epsilon_proxy",
-    "load_off",
 ]
 
-FAMILY_KINDS = ("flat-product-torus", "warped-torus", "twisted-3-torus", "imported-mesh")
+FAMILY_KINDS = ("flat-product-torus", "warped-torus", "twisted-3-torus")
 
 MIN_FIBER_NODES = 16
 
@@ -96,44 +90,14 @@ class PeriodicGrid:
 
 
 @dataclass(frozen=True)
-class TriMesh:
-    """Triangle mesh chart: embedded vertices and face index triples."""
-
-    vertices: np.ndarray  # (V, 3) float
-    faces: np.ndarray     # (F, 3) int
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
-        f = np.asarray(self.faces, dtype=int)
-        if v.ndim != 2 or v.shape[1] != 3:
-            raise ValueError("vertices must be (V, 3)")
-        if f.ndim != 2 or f.shape[1] != 3:
-            raise ValueError("faces must be (F, 3)")
-        if f.min(initial=0) < 0 or f.max(initial=-1) >= len(v):
-            raise ValueError("face indices out of range")
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "faces", f)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.vertices)
-
-    def face_areas(self) -> np.ndarray:
-        p = self.vertices[self.faces]
-        return 0.5 * np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
-
-
-@dataclass(frozen=True)
 class FamilySpec:
     """Parameters selecting one member of a collapsing family."""
 
     kind: str
     epsilon: float
     resolution: tuple[int, ...]
-    k: int = 1
     delta: float = 0.0
     twist: float = 0.0
-    mesh_path: str | None = None
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
@@ -141,37 +105,36 @@ class FamilySpec:
         if not (0.0 < self.epsilon <= 1.0):
             raise ValueError(f"collapse parameter epsilon must lie in (0, 1], got {self.epsilon}")
         m = self.dim
-        if self.kind != "imported-mesh":
-            if len(self.resolution) != m:
-                raise ValueError(f"{self.kind} needs {m} resolution entries, got {len(self.resolution)}")
-            if not (0 < self.k < m):
-                raise ValueError(f"base dimension k must satisfy 0 < k < {m}, got {self.k}")
-            for ax in range(self.k, m):
-                if self.resolution[ax] < MIN_FIBER_NODES:
-                    raise ValueError(
-                        f"fiber under-resolved: axis {ax} has {self.resolution[ax]} nodes, "
-                        f"need >= {MIN_FIBER_NODES}"
-                    )
+        if len(self.resolution) != m:
+            raise ValueError(f"{self.kind} needs {m} resolution entries, got {len(self.resolution)}")
+        if self.resolution[-1] < MIN_FIBER_NODES:
+            raise ValueError(
+                f"fiber under-resolved: axis {m - 1} has {self.resolution[-1]} nodes, "
+                f"need >= {MIN_FIBER_NODES}"
+            )
         object.__setattr__(self, "resolution", tuple(int(n) for n in self.resolution))
 
     @property
     def dim(self) -> int:
-        return {"flat-product-torus": 2, "warped-torus": 2, "twisted-3-torus": 3, "imported-mesh": 2}[self.kind]
+        return {"flat-product-torus": 2, "warped-torus": 2, "twisted-3-torus": 3}[self.kind]
+
+    @property
+    def k(self) -> int:
+        """Base dimension: every built-in family collapses one circle fiber."""
+        return self.dim - 1
 
 
 @dataclass(frozen=True)
 class DiscreteManifold:
-    """A discrete Riemannian manifold: chart + metric + volume element.
+    """A discrete Riemannian manifold: periodic grid chart + metric + volume element.
 
-    ``metric`` holds covariant components per node: ``(*shape, m, m)`` on a
-    grid, an orthonormal-frame identity stack ``(V, 2, 2)`` on a mesh (the
-    integration weights live in ``node_weights``).  ``christoffel`` is an
-    optional analytic closure mapping chart points ``(N, m)`` to
-    ``(N, m, m, m)`` symbols ``Gamma^i_{jk}``.
+    ``metric`` holds covariant components per node, ``(*shape, m, m)``.
+    ``christoffel`` is an optional analytic closure mapping chart points
+    ``(N, m)`` to ``(N, m, m, m)`` symbols ``Gamma^i_{jk}``.
     """
 
     dim: int
-    chart: PeriodicGrid | TriMesh
+    chart: PeriodicGrid
     metric: np.ndarray
     volume_element: np.ndarray
     christoffel: Callable[[np.ndarray], np.ndarray] | None = None
@@ -201,21 +164,12 @@ class DiscreteManifold:
 
     @property
     def grid(self) -> PeriodicGrid:
-        if not isinstance(self.chart, PeriodicGrid):
-            raise TypeError("operation requires a PeriodicGrid chart")
         return self.chart
-
-    @property
-    def is_grid(self) -> bool:
-        return isinstance(self.chart, PeriodicGrid)
 
     def node_weights(self) -> np.ndarray:
         """Integration weight (volume measure) attached to each node."""
         if "node_weights" not in self._cache:
-            if self.is_grid:
-                w = self.volume_element * self.chart.cell_volume
-            else:
-                w = _mesh_lumped_weights(self.chart)
+            w = self.volume_element * self.chart.cell_volume
             w.setflags(write=False)
             self._cache["node_weights"] = w
         return self._cache["node_weights"]
@@ -232,7 +186,7 @@ class DiscreteManifold:
 
     def positions(self) -> np.ndarray:
         if "positions" not in self._cache:
-            pos = self.chart.positions() if self.is_grid else self.chart.vertices
+            pos = self.chart.positions()
             pos.setflags(write=False)
             self._cache["positions"] = pos
         return self._cache["positions"]
@@ -240,9 +194,9 @@ class DiscreteManifold:
     @property
     def base_axes(self) -> tuple[int, ...]:
         """Axes of the collapsed-base coordinates (first k axes for families)."""
-        if self.family is not None and self.is_grid:
+        if self.family is not None:
             return tuple(range(self.family.k))
-        return tuple(range(self.dim)) if self.is_grid else ()
+        return tuple(range(self.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +215,9 @@ def _warp(delta: float):
 
 
 def build_family(spec: FamilySpec) -> DiscreteManifold:
-    """Construct one member of a built-in collapsing family (or import a mesh).
+    """Construct one member of a built-in collapsing family.
 
-    The three grid families come with exact metrics and analytic Christoffel
+    The three families come with exact metrics and analytic Christoffel
     closures:
 
     * ``flat-product-torus``: ``g = dx^2 + eps^2 dy^2`` on the unit chart;
@@ -275,11 +229,6 @@ def build_family(spec: FamilySpec) -> DiscreteManifold:
       coupling ``sigma = twist / (2 pi)``.
     """
     eps = spec.epsilon
-    if spec.kind == "imported-mesh":
-        if spec.mesh_path is None:
-            raise ValueError("imported-mesh family needs mesh_path")
-        return load_off(spec.mesh_path, family=spec)
-
     shape = spec.resolution
     if spec.kind == "flat-product-torus":
         grid = PeriodicGrid(shape, (1.0, 1.0))
@@ -369,9 +318,9 @@ class GeodesicBall:
     """Node set within chart-geodesic distance r of a center node."""
 
     manifold: DiscreteManifold
-    center: tuple[int, ...] | int
+    center: tuple[int, ...]
     radius: float
-    members: np.ndarray      # bool, grid-shaped (or (V,) on meshes)
+    members: np.ndarray      # bool, grid-shaped
     boundary: np.ndarray     # bool, members adjacent to non-members
     distances: np.ndarray    # same shape, np.inf outside computed range
     whole: bool = False      # True when the region is the whole-chart stand-in
@@ -380,8 +329,7 @@ class GeodesicBall:
         return float(self.manifold.node_weights()[self.members].sum())
 
     def center_position(self) -> np.ndarray:
-        pos = self.manifold.positions()
-        return pos[self.center] if isinstance(self.center, tuple) else pos[self.center]
+        return self.manifold.positions()[self.center]
 
 
 def _grid_neighbor_offsets(m: int) -> list[tuple[int, ...]]:
@@ -435,23 +383,9 @@ def _grid_adjacency(M: DiscreteManifold):
     return W
 
 
-def _mesh_adjacency(M: DiscreteManifold):
-    if "adjacency" in M._cache:
-        return M._cache["adjacency"]
-    mesh: TriMesh = M.chart  # type: ignore[assignment]
-    f = mesh.faces
-    e = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-    d = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
-    W = coo_matrix((np.concatenate([d, d]), (np.concatenate([e[:, 0], e[:, 1]]),
-                                             np.concatenate([e[:, 1], e[:, 0]]))),
-                   shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
-    M._cache["adjacency"] = W
-    return W
-
-
 def graph_distances(M: DiscreteManifold, sources: np.ndarray | Sequence[int]) -> np.ndarray:
     """Multi-source Dijkstra distances from flat node indices, flat output."""
-    W = _grid_adjacency(M) if M.is_grid else _mesh_adjacency(M)
+    W = _grid_adjacency(M)
     src = np.atleast_1d(np.asarray(sources, dtype=int))
     d = _csgraph_dijkstra(W, directed=False, indices=src, min_only=len(src) > 1)
     return d if d.ndim == 1 else d[0]
@@ -468,59 +402,45 @@ def base_period_lengths(M: DiscreteManifold) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _cut_locus_radius(M: DiscreteManifold) -> float:
+    """Half the smallest base period: balls this large touch the chart cut locus."""
+    return 0.5 * min(base_period_lengths(M))
+
+
+def _distances_from(M: DiscreteManifold, p: tuple[int, ...] | int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The center as a node tuple and the grid-shaped Dijkstra distances from it."""
+    grid = M.grid
+    p = p if isinstance(p, tuple) else tuple(np.unravel_index(int(p), grid.shape))
+    return p, graph_distances(M, [int(np.ravel_multi_index(p, grid.shape))]).reshape(grid.shape)
+
+
 def geodesic_ball(M: DiscreteManifold, p: tuple[int, ...] | int, r: float) -> GeodesicBall:
     """Geodesic ball by Dijkstra distance under the metric.
 
-    On periodic grids the radius must stay below half of the smallest base
-    period so the ball does not touch the chart cut locus (wrapping fully
-    around collapsed fiber axes is intended and allowed).
+    The radius must stay below half of the smallest base period so the ball
+    does not touch the chart cut locus (wrapping fully around collapsed fiber
+    axes is intended and allowed).
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    if M.is_grid:
-        grid = M.grid
-        if not isinstance(p, tuple):
-            p = tuple(np.unravel_index(int(p), grid.shape))
-        base = base_period_lengths(M)
-        if base and r >= 0.5 * min(base):
-            raise ValueError(
-                f"ball of radius {r} touches the chart cut locus "
-                f"(half smallest base period = {0.5 * min(base):.6g}); use a smaller r"
-            )
-        flat_p = int(np.ravel_multi_index(p, grid.shape))
-        dist = graph_distances(M, [flat_p]).reshape(grid.shape)
-        members = dist <= r + 1e-12
-        boundary = _boundary_of(members, periodic=True)
-        return GeodesicBall(M, p, r, members, boundary, dist)
-    # mesh chart
-    if isinstance(p, tuple):
-        raise TypeError("mesh ball center must be a vertex index")
-    dist = graph_distances(M, [int(p)])
+    limit = _cut_locus_radius(M)
+    if r >= limit:
+        raise ValueError(
+            f"ball of radius {r} touches the chart cut locus "
+            f"(half smallest base period = {limit:.6g}); use a smaller r"
+        )
+    p, dist = _distances_from(M, p)
     members = dist <= r + 1e-12
-    boundary = _mesh_boundary_of(M.chart, members)  # type: ignore[arg-type]
-    return GeodesicBall(M, int(p), r, members, boundary, dist)
+    return GeodesicBall(M, p, r, members, _boundary_of(members), dist)
 
 
-def _boundary_of(members: np.ndarray, periodic: bool) -> np.ndarray:
+def _boundary_of(members: np.ndarray) -> np.ndarray:
     if members.all():
         return np.zeros_like(members)
     out = np.zeros_like(members)
     for ax in range(members.ndim):
         for s in (1, -1):
             out |= members & ~np.roll(members, s, axis=ax)
-    return out
-
-
-def _mesh_boundary_of(mesh: TriMesh, members: np.ndarray) -> np.ndarray:
-    if members.all():
-        return np.zeros_like(members)
-    f = mesh.faces
-    e = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-    out = np.zeros_like(members)
-    keep = members[e[:, 0]] & ~members[e[:, 1]]
-    out[e[keep, 0]] = True
-    keep = members[e[:, 1]] & ~members[e[:, 0]]
-    out[e[keep, 1]] = True
     return out
 
 
@@ -531,16 +451,11 @@ def ball_region(M: DiscreteManifold, p: tuple[int, ...] | int, r: float) -> Geod
     limit on a closed torus; the whole chart then stands in for the larger
     ball (it contains it).
     """
-    try:
+    if r < _cut_locus_radius(M):
         return geodesic_ball(M, p, r)
-    except ValueError:
-        members = np.ones(M.grid.shape if M.is_grid else (M.chart.n_nodes,), dtype=bool)
-        if M.is_grid and not isinstance(p, tuple):
-            p = tuple(np.unravel_index(int(p), M.grid.shape))
-        flat_p = int(np.ravel_multi_index(p, M.grid.shape)) if M.is_grid else int(p)
-        dist = graph_distances(M, [flat_p])
-        dist = dist.reshape(M.grid.shape) if M.is_grid else dist
-        return GeodesicBall(M, p, r, members, np.zeros_like(members), dist, whole=True)
+    p, dist = _distances_from(M, p)
+    members = np.ones(M.grid.shape, dtype=bool)
+    return GeodesicBall(M, p, r, members, np.zeros_like(members), dist, whole=True)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +497,7 @@ def _polyline_metric_length(M: DiscreteManifold, pts: np.ndarray, closed: bool) 
     return float(seg.sum())
 
 
-def extract_fiber(phi, level, *, level_tol: float = 1e-8, lambda_threshold: float | None = None) -> FiberTrace:
+def extract_fiber(phi, level, *, lambda_threshold: float | None = None) -> FiberTrace:
     """Trace the fiber ``Phi^{-1}(level)`` as an ordered closed polyline.
 
     Supports one-dimensional fibers only (m - k = 1): marching squares on 2-d
@@ -595,8 +510,6 @@ def extract_fiber(phi, level, *, level_tol: float = 1e-8, lambda_threshold: floa
     if not isinstance(phi, SplittingMap):
         raise TypeError("extract_fiber expects a SplittingMap")
     M = phi.manifold
-    if not M.is_grid:
-        return _extract_fiber_mesh(phi, np.atleast_1d(np.asarray(level, float)), level_tol, lambda_threshold)
     m, k = M.dim, phi.k
     if m - k != 1:
         raise ValueError(f"fiber tracing supports m - k = 1 only (m={m}, k={k})")
@@ -806,85 +719,6 @@ def _nullspace_direction(jac: np.ndarray) -> np.ndarray:
     return tau / n
 
 
-def _extract_fiber_mesh(phi, level, level_tol, lambda_threshold) -> FiberTrace:
-    """Per-face linear level curve on a triangle mesh (k = 1)."""
-    from .splitting import jacobian_stats
-
-    M = phi.manifold
-    mesh: TriMesh = M.chart  # type: ignore[assignment]
-    f = phi.values_stack()[..., 0]
-    v = float(level[0])
-    if not (f.min() - 1e-12 <= v <= f.max() + 1e-12):
-        raise ValueError(f"level {v} outside the splitting map range")
-    d = f - v
-    segments = []
-    crossing = {}
-    for fi, tri in enumerate(mesh.faces):
-        keys = []
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            ia, ib = int(tri[a]), int(tri[b])
-            da, db = d[ia], d[ib]
-            if (da > 0) != (db > 0):
-                key = (min(ia, ib), max(ia, ib))
-                if key not in crossing:
-                    t = da / (da - db) if ia < ib else db / (db - da)
-                    pa, pb = mesh.vertices[key[0]], mesh.vertices[key[1]]
-                    tt = d[key[0]] / (d[key[0]] - d[key[1]])
-                    crossing[key] = tuple(pa + tt * (pb - pa))
-                keys.append(key)
-        if len(keys) == 2:
-            segments.append((keys[0], keys[1]))
-    if not segments:
-        raise ValueError(f"level {v} produced no fiber segments")
-    incident: dict[tuple, list[int]] = {}
-    for s, (a, b) in enumerate(segments):
-        incident.setdefault(a, []).append(s)
-        incident.setdefault(b, []).append(s)
-    used = [False] * len(segments)
-    chains = []
-    for s0 in range(len(segments)):
-        if used[s0]:
-            continue
-        chain = [segments[s0][0], segments[s0][1]]
-        used[s0] = True
-        grown = True
-        while grown:
-            grown = False
-            for s in incident.get(chain[-1], []):
-                if not used[s]:
-                    a, b = segments[s]
-                    chain.append(b if a == chain[-1] else a)
-                    used[s] = True
-                    grown = True
-                    break
-        chains.append(chain)
-    chain = max(chains, key=len)
-    closed = chain[0] == chain[-1] or len(incident.get(chain[0], [])) == 2
-    pts = np.array([crossing[k_] for k_ in (chain[:-1] if chain[0] == chain[-1] else chain)])
-    seg = np.diff(pts, axis=0)
-    length = float(np.linalg.norm(seg, axis=1).sum())
-    if closed and len(pts) > 1:
-        length += float(np.linalg.norm(pts[0] - pts[-1]))
-    stats = jacobian_stats(phi)
-    thr = lambda_threshold if lambda_threshold is not None else stats.default_threshold()
-    # nearest-vertex lambda along the trace
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(mesh.vertices)
-    _, nearest = tree.query(pts)
-    lam = stats.lam[nearest]
-    return FiberTrace(
-        level=np.asarray([v]),
-        points=pts,
-        closed=bool(closed),
-        regular=bool(lam.min() > thr),
-        length=length,
-        diameter=0.5 * length if closed else length,
-        min_lambda=float(lam.min()),
-        level_error=float(np.max(np.abs(f[nearest] - v))) if len(pts) else 0.0,
-    )
-
-
 def epsilon_proxy(
     M: DiscreteManifold,
     ball: GeodesicBall,
@@ -931,53 +765,3 @@ def _level_product(axes: list[np.ndarray]):
         grids = np.meshgrid(*axes, indexing="ij")
         stacked = np.stack([g.ravel() for g in grids], axis=-1)
         yield from stacked
-
-
-# ---------------------------------------------------------------------------
-# OFF ingestion
-# ---------------------------------------------------------------------------
-
-
-def load_off(path: str | Path, family: FamilySpec | None = None) -> DiscreteManifold:
-    """Read an ASCII OFF mesh and wrap it as a DiscreteManifold.
-
-    The embedding induces the metric; per-node tensors are stored as identity
-    blocks in orthonormal tangent frames and the integration weights carry the
-    geometry (lumped vertex areas).
-    """
-    text = Path(path).read_text().split("\n")
-    tokens: list[str] = []
-    for line in text:
-        line = line.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
-    if not tokens or tokens[0] != "OFF":
-        raise ValueError(f"{path}: not an ASCII OFF file")
-    nv, nf = int(tokens[1]), int(tokens[2])
-    cursor = 4
-    verts = np.array([float(t) for t in tokens[cursor : cursor + 3 * nv]]).reshape(nv, 3)
-    cursor += 3 * nv
-    faces = []
-    for _ in range(nf):
-        cnt = int(tokens[cursor])
-        if cnt != 3:
-            raise ValueError(f"{path}: only triangular faces are supported (got {cnt}-gon)")
-        faces.append([int(t) for t in tokens[cursor + 1 : cursor + 4]])
-        cursor += 1 + cnt
-    mesh = TriMesh(verts, np.array(faces, dtype=int))
-    ident = np.broadcast_to(np.eye(2), (nv, 2, 2)).copy()
-    return DiscreteManifold(
-        dim=2,
-        chart=mesh,
-        metric=ident,
-        volume_element=np.ones(nv),
-        christoffel=None,
-        family=family,
-    )
-
-
-def _mesh_lumped_weights(mesh: TriMesh) -> np.ndarray:
-    areas = mesh.face_areas()
-    w = np.zeros(mesh.n_nodes)
-    np.add.at(w, mesh.faces.ravel(), np.repeat(areas / 3.0, 3))
-    return w

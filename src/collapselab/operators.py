@@ -1,6 +1,6 @@
 """Discrete differential operators under the metric.
 
-Field shape conventions (grid charts): scalar fields are ``grid.shape``
+Field shape conventions: scalar fields are ``grid.shape``
 arrays, vector fields carry contravariant components in a trailing axis
 ``(*shape, m)``, tensor fields covariant components ``(*shape, m, m)``.
 Coordinate-like scalars pass an integer/float ``winding`` vector so that
@@ -11,6 +11,8 @@ The Laplace-Beltrami operator uses the sign convention ``Delta = -div grad``
 form with corner quadrature per cell, which makes it exactly symmetric,
 positive semidefinite, and zero-row-sum, with no spurious checkerboard kernel;
 on a flat metric it reduces to the classical compact second-order stencil.
+The stiffness action on a coordinate-like scalar is ``L`` applied to its
+periodic part plus one precomputed vector per winding axis.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .manifold import DiscreteManifold, PeriodicGrid, TriMesh
+from .manifold import DiscreteManifold, PeriodicGrid
 
 __all__ = [
     "gradient",
@@ -33,7 +35,6 @@ __all__ = [
     "region_average",
     "region_sup",
     "interp_scalar",
-    "interp_vector",
     "interp_metric",
 ]
 
@@ -43,8 +44,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _axis_diff(f: np.ndarray, axis: int, h: float, wrap_add: float) -> np.ndarray:
-    """Centered first difference along one periodic axis.
+def _seam_neighbors(f: np.ndarray, axis: int, wrap_add: float) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and backward neighbors along one periodic axis.
 
     ``wrap_add`` is the jump of the represented function across the period
     seam (winding * period); zero for ordinary periodic fields.
@@ -56,25 +57,19 @@ def _axis_diff(f: np.ndarray, axis: int, h: float, wrap_add: float) -> np.ndarra
         sl_last[axis] = -1
         sl_first = [slice(None)] * f.ndim
         sl_first[axis] = 0
-        fp = fp.copy()
-        fm = fm.copy()
         fp[tuple(sl_last)] += wrap_add
         fm[tuple(sl_first)] -= wrap_add
+    return fp, fm
+
+
+def _axis_diff(f: np.ndarray, axis: int, h: float, wrap_add: float) -> np.ndarray:
+    """Centered first difference along one periodic axis."""
+    fp, fm = _seam_neighbors(f, axis, wrap_add)
     return (fp - fm) / (2.0 * h)
 
 
 def _axis_diff2(f: np.ndarray, axis: int, h: float, wrap_add: float) -> np.ndarray:
-    fp = np.roll(f, -1, axis=axis)
-    fm = np.roll(f, +1, axis=axis)
-    if wrap_add:
-        sl_last = [slice(None)] * f.ndim
-        sl_last[axis] = -1
-        sl_first = [slice(None)] * f.ndim
-        sl_first[axis] = 0
-        fp = fp.copy()
-        fm = fm.copy()
-        fp[tuple(sl_last)] += wrap_add
-        fm[tuple(sl_first)] -= wrap_add
+    fp, fm = _seam_neighbors(f, axis, wrap_add)
     return (fp - 2.0 * f + fm) / h**2
 
 
@@ -89,22 +84,14 @@ def chart_gradient(M: DiscreteManifold, f: np.ndarray, winding=None) -> np.ndarr
 
 
 def gradient(M: DiscreteManifold, f: np.ndarray, winding=None) -> np.ndarray:
-    """Contravariant gradient ``g^{ij} d_j f``.
-
-    Grid charts use centered differences; mesh charts P1 face gradients
-    averaged to vertices (extrinsic 3-vectors).
-    """
-    if M.is_grid:
-        df = chart_gradient(M, f, winding)
-        return np.einsum("...ij,...j->...i", M.metric_inverse(), df)
-    return _mesh_gradient(M.chart, np.asarray(f, dtype=float))
+    """Contravariant gradient ``g^{ij} d_j f`` by centered differences."""
+    df = chart_gradient(M, f, winding)
+    return np.einsum("...ij,...j->...i", M.metric_inverse(), df)
 
 
 def metric_inner(M: DiscreteManifold, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Pointwise g(X, Y) for contravariant fields."""
-    if M.is_grid:
-        return np.einsum("...i,...ij,...j->...", X, M.metric, Y)
-    return np.einsum("...i,...i->...", X, Y)
+    return np.einsum("...i,...ij,...j->...", X, M.metric, Y)
 
 
 def gradient_norm_sq(M: DiscreteManifold, X: np.ndarray) -> np.ndarray:
@@ -116,8 +103,14 @@ def gradient_norm_sq(M: DiscreteManifold, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _grid_stiffness(M: DiscreteManifold) -> csr_matrix:
-    """Dirichlet-energy stiffness by corner quadrature over grid cells."""
+def _grid_stiffness(M: DiscreteManifold) -> tuple[csr_matrix, list[np.ndarray]]:
+    """Dirichlet-energy stiffness by corner quadrature over grid cells.
+
+    Also returns, per axis, the stiffness action on that chart coordinate,
+    unwrapped across its period seam, from the same cell loop.  A coordinate's
+    corner differences vanish exactly along the other axes, so these vectors
+    carry no cancellation noise from the stiff fiber terms of ``L``.
+    """
     grid = M.grid
     m = grid.dim
     shape = grid.shape
@@ -136,8 +129,15 @@ def _grid_stiffness(M: DiscreteManifold) -> csr_matrix:
             if d:
                 shifted = np.roll(shifted, -1, axis=ax)
         corner_idx[delta] = shifted.ravel()
+    # per axis: cell differences of the unwrapped chart coordinate along it
+    coord_diff = []
+    for ax, x in enumerate(np.moveaxis(grid.positions(), -1, 0)):
+        x_next = np.roll(x, -1, axis=ax)
+        x_next[(slice(None),) * ax + (-1,)] += grid.periods[ax]
+        coord_diff.append((x_next.ravel() - x.ravel()) / h[ax])
 
     rows, cols, vals = [], [], []
+    coord_actions = [np.zeros(n_nodes) for _ in range(m)]
     for delta in np.ndindex(*(2,) * m):
         nd = corner_idx[delta]
         coeff = q * w[nd]
@@ -154,36 +154,15 @@ def _grid_stiffness(M: DiscreteManifold) -> csr_matrix:
                 rows.extend((ia1, ia1, ia0, ia0))
                 cols.extend((ib1, ib0, ib1, ib0))
                 vals.extend((c, -c, -c, c))
+                cx = coeff * gab * coord_diff[b] / h[a]
+                coord_actions[b][ia1] += cx
+                coord_actions[b][ia0] -= cx
     L = coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_nodes, n_nodes),
     ).tocsr()
     L.sum_duplicates()
-    return L
-
-
-def _mesh_stiffness(mesh: TriMesh) -> csr_matrix:
-    """Cotangent-weight P1 stiffness."""
-    v, f = mesh.vertices, mesh.faces
-    n = mesh.n_nodes
-    rows, cols, vals = [], [], []
-    for c in range(3):
-        i = f[:, c]
-        j = f[:, (c + 1) % 3]
-        k = f[:, (c + 2) % 3]
-        e1 = v[i] - v[k]
-        e2 = v[j] - v[k]
-        cross = np.linalg.norm(np.cross(e1, e2), axis=1)
-        cot = np.einsum("ni,ni->n", e1, e2) / np.maximum(cross, 1e-300)
-        w = 0.5 * cot
-        rows.extend((i, j, i, j))
-        cols.extend((j, i, i, j))
-        vals.extend((-w, -w, w, w))
-    L = coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
-    L.sum_duplicates()
-    return L
+    return L, coord_actions
 
 
 def laplacian_matrix(M: DiscreteManifold, region: np.ndarray | None = None):
@@ -193,18 +172,7 @@ def laplacian_matrix(M: DiscreteManifold, region: np.ndarray | None = None):
     PSD with zero row sums on the closed chart.  ``region`` (boolean mask)
     restricts to an interior sub-block for Dirichlet problems.
     """
-    key = "stiffness"
-    if key not in M._cache:
-        if M.is_grid:
-            L = _grid_stiffness(M)
-        else:
-            L = _mesh_stiffness(M.chart)
-        bad = np.abs(L.diagonal()) <= 0
-        if bad.any():
-            node = int(np.argmax(bad))
-            raise ValueError(f"degenerate metric cell touching node {node}")
-        M._cache[key] = L
-    L = M._cache[key]
+    L = _stiffness_and_coordinate_actions(M)[0]
     mass = M.node_weights().ravel()
     if region is not None:
         idx = np.flatnonzero(region.ravel())
@@ -213,72 +181,38 @@ def laplacian_matrix(M: DiscreteManifold, region: np.ndarray | None = None):
     return L, mass
 
 
+def _stiffness_and_coordinate_actions(M: DiscreteManifold) -> tuple[csr_matrix, list[np.ndarray]]:
+    if "stiffness" not in M._cache:
+        L, coord_actions = _grid_stiffness(M)
+        bad = np.abs(L.diagonal()) <= 0
+        if bad.any():
+            node = int(np.argmax(bad))
+            raise ValueError(f"degenerate metric cell touching node {node}")
+        M._cache["stiffness"] = L
+        M._cache["coordinate_actions"] = coord_actions
+    return M._cache["stiffness"], M._cache["coordinate_actions"]
+
+
 def stiffness_apply(M: DiscreteManifold, f: np.ndarray, winding=None) -> np.ndarray:
     """Apply the stiffness to a (possibly winding) scalar field, grid-shaped result.
 
-    For winding fields the periodic seam contributions are corrected so the
-    result is the stiffness action on the unwrapped function.
+    A winding field is its periodic part ``f - x . winding`` plus a linear
+    combination of unwrapped chart coordinates; the result is the stiffness
+    action on the unwrapped function.
     """
-    grid = M.grid
-    if winding is None or not np.any(np.asarray(winding)):
-        L, _ = laplacian_matrix(M)
-        return (L @ f.ravel()).reshape(grid.shape)
-    return _stiffness_apply_winding(M, f, np.asarray(winding, dtype=float))
-
-
-def _stiffness_apply_winding(M: DiscreteManifold, f: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Cell-exact stiffness action on a field with winding (unwrapped corners)."""
-    grid = M.grid
-    m = grid.dim
-    shape = grid.shape
-    n_nodes = grid.n_nodes
-    h = grid.spacings
-    q = grid.cell_volume / (2**m)
-    idx = np.arange(n_nodes).reshape(shape)
-    ginv = M.metric_inverse().reshape(n_nodes, m, m)
-    wvol = M.volume_element.reshape(n_nodes)
-
-    corner_idx = {}
-    corner_val = {}
-    for delta in np.ndindex(*(2,) * m):
-        shifted = idx
-        vals = f
-        for ax, d in enumerate(delta):
-            if d:
-                shifted = np.roll(shifted, -1, axis=ax)
-                vals = np.roll(vals, -1, axis=ax)
-                if w[ax]:
-                    vals = vals.copy()
-                    sl = [slice(None)] * m
-                    sl[ax] = -1
-                    vals[tuple(sl)] += w[ax] * grid.periods[ax]
-        corner_idx[delta] = shifted.ravel()
-        corner_val[delta] = vals.ravel()
-
-    out = np.zeros(n_nodes)
-    for delta in np.ndindex(*(2,) * m):
-        nd = corner_idx[delta]
-        coeff = q * wvol[nd]
-        for a in range(m):
-            da1 = tuple(1 if ax == a else delta[ax] for ax in range(m))
-            da0 = tuple(0 if ax == a else delta[ax] for ax in range(m))
-            for b in range(m):
-                db1 = tuple(1 if ax == b else delta[ax] for ax in range(m))
-                db0 = tuple(0 if ax == b else delta[ax] for ax in range(m))
-                dbf = (corner_val[db1] - corner_val[db0]) / h[b]
-                c = coeff * ginv[nd, a, b] * dbf / h[a]
-                np.add.at(out, corner_idx[da1], c)
-                np.add.at(out, corner_idx[da0], -c)
-    return out.reshape(shape)
+    L, coord_actions = _stiffness_and_coordinate_actions(M)
+    if winding is None or not np.any(winding):
+        return (L @ f.ravel()).reshape(M.grid.shape)
+    w = np.asarray(winding, dtype=float)
+    out = L @ (f - M.positions() @ w).ravel()
+    for ax in np.flatnonzero(w):
+        out = out + w[ax] * coord_actions[ax]
+    return out.reshape(M.grid.shape)
 
 
 def laplace(M: DiscreteManifold, f: np.ndarray, winding=None) -> np.ndarray:
     """Pointwise ``Delta f = -div grad f`` (positive spectrum convention)."""
-    if M.is_grid:
-        Lf = stiffness_apply(M, f, winding)
-        return Lf / M.node_weights()
-    L, mass = laplacian_matrix(M)
-    return (L @ np.asarray(f, dtype=float)) / mass
+    return stiffness_apply(M, f, winding) / M.node_weights()
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +258,8 @@ def hessian(M: DiscreteManifold, f: np.ndarray, winding=None) -> np.ndarray:
     """Covariant Hessian ``Hess_ij = d_i d_j f - Gamma^k_ij d_k f``.
 
     Requires Christoffel data: the analytic closure when the manifold carries
-    one, otherwise finite differences of the metric field (grid charts only).
+    one, otherwise finite differences of the metric field.
     """
-    if not M.is_grid:
-        raise ValueError("covariant Hessian requires a grid chart (no Christoffel data on meshes)")
     grid = M.grid
     m = grid.dim
     w = np.zeros(m) if winding is None else np.asarray(winding, dtype=float)
@@ -408,62 +340,25 @@ def _interp_weights(grid: PeriodicGrid, pts: np.ndarray):
 
 
 def interp_scalar(M: DiscreteManifold, f: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Periodic multilinear interpolation of a node scalar field at chart points."""
+    """Periodic multilinear interpolation of a node field at chart points.
+
+    ``f`` has the grid shape, optionally followed by component axes (vector
+    or tensor fields), which carry through to the result ``(N, *components)``.
+    """
     grid = M.grid
     m = grid.dim
+    f = np.asarray(f)
     base, frac = _interp_weights(grid, pts)
-    out = np.zeros(len(base))
+    components = f.shape[m:]
+    out = np.zeros((len(base),) + components)
     for delta in np.ndindex(*(2,) * m):
         idx = tuple((base[:, ax] + delta[ax]) % grid.shape[ax] for ax in range(m))
         wgt = np.ones(len(base))
         for ax in range(m):
             wgt = wgt * (frac[:, ax] if delta[ax] else 1.0 - frac[:, ax])
-        out += wgt * f[idx]
+        out += wgt.reshape(wgt.shape + (1,) * len(components)) * f[idx]
     return out
-
-
-def interp_vector(M: DiscreteManifold, X: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    comps = [interp_scalar(M, X[..., c], pts) for c in range(X.shape[-1])]
-    return np.stack(comps, axis=-1)
 
 
 def interp_metric(M: DiscreteManifold, pts: np.ndarray) -> np.ndarray:
-    grid = M.grid
-    m = grid.dim
-    base, frac = _interp_weights(grid, pts)
-    out = np.zeros((len(base), m, m))
-    g = M.metric
-    for delta in np.ndindex(*(2,) * m):
-        idx = tuple((base[:, ax] + delta[ax]) % grid.shape[ax] for ax in range(m))
-        wgt = np.ones(len(base))
-        for ax in range(m):
-            wgt = wgt * (frac[:, ax] if delta[ax] else 1.0 - frac[:, ax])
-        out += wgt[:, None, None] * g[idx]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# mesh gradient
-# ---------------------------------------------------------------------------
-
-
-def _mesh_gradient(mesh: TriMesh, f: np.ndarray) -> np.ndarray:
-    """P1 face gradients averaged to vertices with area weights."""
-    v, faces = mesh.vertices, mesh.faces
-    p0, p1, p2 = v[faces[:, 0]], v[faces[:, 1]], v[faces[:, 2]]
-    n = np.cross(p1 - p0, p2 - p0)
-    a2 = np.linalg.norm(n, axis=1)  # 2 * area
-    nn = n / a2[:, None]
-    # gradient of P1: sum f_i * (n x e_opposite) / (2A)
-    g = (
-        f[faces[:, 0], None] * np.cross(nn, p2 - p1)
-        + f[faces[:, 1], None] * np.cross(nn, p0 - p2)
-        + f[faces[:, 2], None] * np.cross(nn, p1 - p0)
-    ) / a2[:, None]
-    areas = 0.5 * a2
-    out = np.zeros_like(v)
-    wsum = np.zeros(len(v))
-    for c in range(3):
-        np.add.at(out, faces[:, c], g * areas[:, None])
-        np.add.at(wsum, faces[:, c], areas)
-    return out / wsum[:, None]
+    return interp_scalar(M, M.metric, pts)

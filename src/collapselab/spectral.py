@@ -18,7 +18,7 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .manifold import DiscreteManifold, GeodesicBall, ball_region
-from .operators import gradient, l2_average, laplacian_matrix, metric_inner, region_sup
+from .operators import gradient, laplacian_matrix, metric_inner, region_sup
 
 __all__ = [
     "EigenPair",
@@ -87,7 +87,7 @@ def eigenpairs(
     vecs = vecs[:, order]
 
     total = float(mass.sum())
-    shape = M.grid.shape if M.is_grid else (M.chart.n_nodes,)
+    shape = M.grid.shape
     pairs: list[EigenPair] = []
     cluster = 0
     for i in range(count):
@@ -103,7 +103,7 @@ def eigenpairs(
             )
         if i > 0 and abs(th - pairs[-1].theta) >= CLUSTER_REL_GAP * max(abs(th), 1.0):
             cluster += 1
-        full = np.zeros(int(np.prod(shape)))
+        full = np.zeros(M.grid.n_nodes)
         if mask is not None:
             full[np.flatnonzero(mask.ravel())] = v
         else:
@@ -114,7 +114,7 @@ def eigenpairs(
 
 def _n_dof(M: DiscreteManifold, mask: np.ndarray | None) -> int:
     if mask is None:
-        return M.grid.n_nodes if M.is_grid else M.chart.n_nodes
+        return M.grid.n_nodes
     return int(np.asarray(mask).sum())
 
 
@@ -138,20 +138,21 @@ def cheng_yau_ratio(M: DiscreteManifold, u: np.ndarray, ball: GeodesicBall) -> f
 #   magic   4 bytes  b"EIGC"
 #   version u32      1
 #   m       u32      chart dimension
-#   counts  m x u32  node counts per axis (V for meshes, m = 1 entry? no: m, then counts)
+#   counts  m x u32  node counts per grid axis
 #   npairs  u32
 #   theta   npairs x f8
 #   u       npairs x N x f8   (C order, N = prod(counts))
 #
-# Loads validate shape metadata and recompute eigen-residuals; files that fail
-# either check are reported as corrupt so callers rebuild.
+# Loads validate shape metadata and recompute eigen-residuals against the same
+# RESIDUAL_TOL gate as the solver; files that fail either check are reported as
+# corrupt so callers rebuild.
 
 _MAGIC = b"EIGC"
 _VERSION = 1
 
 
 def save_eigen_cache(path: str | Path, M: DiscreteManifold, pairs: list[EigenPair]) -> None:
-    shape = M.grid.shape if M.is_grid else (M.chart.n_nodes,)
+    shape = M.grid.shape
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
@@ -168,8 +169,8 @@ def load_eigen_cache(path: str | Path, M: DiscreteManifold) -> list[EigenPair] |
     path = Path(path)
     if not path.exists():
         return None
-    shape = M.grid.shape if M.is_grid else (M.chart.n_nodes,)
-    n = int(np.prod(shape))
+    shape = M.grid.shape
+    n = M.grid.n_nodes
     try:
         with open(path, "rb") as fh:
             if fh.read(4) != _MAGIC:
@@ -196,7 +197,7 @@ def load_eigen_cache(path: str | Path, M: DiscreteManifold) -> list[EigenPair] |
     for i in range(npairs):
         v = us[i].ravel()
         res = float(np.sqrt(np.sum(mass * ((L @ v) / mass - theta[i] * v) ** 2) / total))
-        if not np.isfinite(res) or res > 1e-6 * (1.0 + abs(theta[i])):
+        if not np.isfinite(res) or res > RESIDUAL_TOL * (1.0 + abs(theta[i])):
             return None  # corrupt payload: semantic checksum failed
         if i > 0 and abs(theta[i] - pairs[-1].theta) >= CLUSTER_REL_GAP * max(abs(theta[i]), 1.0):
             cluster += 1

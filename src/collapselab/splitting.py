@@ -29,7 +29,7 @@ from .operators import (
     hessian,
     hessian_norm,
     interp_scalar,
-    interp_vector,
+    interp_metric,
     laplacian_matrix,
     metric_inner,
     region_average,
@@ -48,8 +48,6 @@ __all__ = [
     "jacobian_stats",
     "certify",
     "classify_regular",
-    "quantity_F",
-    "quantity_G",
     "morse_test_map",
 ]
 
@@ -94,13 +92,7 @@ class SplittingMap:
     def domain_mask(self) -> np.ndarray:
         if self.domain is not None:
             return self.domain.members
-        shape = self.manifold.grid.shape if self.manifold.is_grid else (self.manifold.chart.n_nodes,)
-        return np.ones(shape, dtype=bool)
-
-    def value_range(self) -> tuple[np.ndarray, np.ndarray]:
-        mask = self.domain_mask()
-        vals = self.values_stack()[mask].reshape(-1, self.k)
-        return vals.min(axis=0), vals.max(axis=0)
+        return np.ones(self.manifold.grid.shape, dtype=bool)
 
     # -- derived fields (cached) -------------------------------------------
 
@@ -162,7 +154,7 @@ class SplittingMap:
             ]
         rows = []
         for dpsi, w in zip(self._cache["psi_chart_grads"], self.windings):
-            rows.append(w[None, :] + interp_vector(M, dpsi, wrapped))
+            rows.append(w[None, :] + interp_scalar(M, dpsi, wrapped))
         return np.stack(rows, axis=1)
 
     def value_periods(self) -> np.ndarray:
@@ -204,7 +196,7 @@ class SplittingMap:
         """Newton reprojection onto the level set, stepping in the grad-Phi span."""
         M = self.manifold
         x = np.array(np.atleast_2d(pts), dtype=float)
-        ginv_at = lambda p: np.linalg.inv(_interp_metric_local(M, p))
+        ginv_at = lambda p: np.linalg.inv(interp_metric(M, M.grid.wrap(p)))
         for _ in range(max_iter):
             res = self.level_residual(x, level)
             if np.max(np.abs(res)) <= tol:
@@ -221,12 +213,6 @@ class SplittingMap:
                 f"Newton reprojection failed: residual {np.max(np.abs(res)):.3e} > {tol:.1e}"
             )
         return x
-
-
-def _interp_metric_local(M: DiscreteManifold, pts: np.ndarray) -> np.ndarray:
-    from .operators import interp_metric
-
-    return interp_metric(M, M.grid.wrap(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +547,3 @@ def quantities_FG(
     Ff[idx] = F
     Gf[idx] = G
     return Ff.reshape(shape), Gf.reshape(shape)
-
-
-def quantity_F(phi, stats, mask, grad_u, grad_t) -> np.ndarray:
-    return quantities_FG(phi, stats, mask, grad_u, grad_t)[0]
-
-
-def quantity_G(phi, stats, mask, grad_u, grad_t) -> np.ndarray:
-    return quantities_FG(phi, stats, mask, grad_u, grad_t)[1]

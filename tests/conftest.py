@@ -30,7 +30,7 @@ def warped_torus():
 @pytest.fixture(scope="session")
 def twisted_torus():
     return build_family(
-        FamilySpec(kind="twisted-3-torus", epsilon=0.25, twist=np.pi / 2, k=2, resolution=(24, 24, 16))
+        FamilySpec(kind="twisted-3-torus", epsilon=0.25, twist=np.pi / 2, resolution=(24, 24, 16))
     )
 
 

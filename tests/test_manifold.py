@@ -118,6 +118,11 @@ def test_ball_cut_locus_error(flat_torus):
         geodesic_ball(flat_torus, (0, 0), 0.5)
 
 
+def test_ball_region_rejects_negative_radius(flat_torus):
+    with pytest.raises(ValueError, match="nonnegative"):
+        ball_region(flat_torus, (0, 0), -1.0)
+
+
 def test_ball_boundary_nonempty_and_adjacent(flat_torus, flat_ball):
     assert flat_ball.boundary.any()
     # boundary nodes are members

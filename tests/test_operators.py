@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from collapselab import FamilySpec, build_family
+from collapselab import DiscreteManifold, FamilySpec, build_family
 from collapselab.operators import (
     chart_gradient,
     christoffel_fd,
@@ -16,6 +16,7 @@ from collapselab.operators import (
     laplacian_matrix,
     metric_inner,
     region_average,
+    stiffness_apply,
 )
 
 
@@ -99,6 +100,81 @@ def test_stiffness_row_sums_zero(warped_torus):
     L, _ = laplacian_matrix(warped_torus)
     ones = np.ones(L.shape[0])
     assert np.max(np.abs(L @ ones)) <= 1e-10
+
+
+def cell_loop_stiffness_apply(M, f, winding):
+    """Reference: corner quadrature cell by cell on the unwrapped field, whose
+    cell corners take the seam jump winding * period where a cell wraps."""
+    grid = M.grid
+    m, n, h = grid.dim, grid.n_nodes, grid.spacings
+    q = grid.cell_volume / 2**m
+    ginv = M.metric_inverse().reshape(n, m, m)
+    vol = M.volume_element.ravel()
+    corner_idx, corner_val = {}, {}
+    for delta in np.ndindex(*(2,) * m):
+        shifted, vals = np.arange(n).reshape(grid.shape), f
+        for ax, d in enumerate(delta):
+            if d:
+                shifted = np.roll(shifted, -1, axis=ax)
+                vals = np.roll(vals, -1, axis=ax)
+                vals[(slice(None),) * ax + (-1,)] += winding[ax] * grid.periods[ax]
+        corner_idx[delta], corner_val[delta] = shifted.ravel(), vals.ravel()
+    out = np.zeros(n)
+    for delta in np.ndindex(*(2,) * m):
+        nd = corner_idx[delta]
+        for a in range(m):
+            da1 = tuple(1 if ax == a else delta[ax] for ax in range(m))
+            da0 = tuple(0 if ax == a else delta[ax] for ax in range(m))
+            for b in range(m):
+                db1 = tuple(1 if ax == b else delta[ax] for ax in range(m))
+                db0 = tuple(0 if ax == b else delta[ax] for ax in range(m))
+                dbf = (corner_val[db1] - corner_val[db0]) / h[b]
+                c = q * vol[nd] * ginv[nd, a, b] * dbf / h[a]
+                out[corner_idx[da1]] += c  # each corner map is a permutation of the nodes
+                out[corner_idx[da0]] -= c
+    return out.reshape(grid.shape)
+
+
+@pytest.mark.parametrize("family", ["warped_torus", "twisted_torus"])
+def test_stiffness_apply_matches_cell_loop(request, family):
+    M = request.getfixturevalue(family)
+    L, _ = laplacian_matrix(M)
+    scale = float(np.max(np.abs(L.diagonal())))
+    pos = M.positions()
+    for ax in range(M.dim):
+        # a chart coordinate runs through the same arithmetic: equal bits, so
+        # harmonic coordinates stay exactly unchanged
+        w = np.eye(M.dim)[ax]
+        assert np.array_equal(
+            stiffness_apply(M, pos[..., ax], w), cell_loop_stiffness_apply(M, pos[..., ax], w)
+        )
+    w = np.array([2.0, -1.0, 1.0][: M.dim])
+    f = pos @ w + 0.1 * np.random.default_rng(5).standard_normal(M.grid.shape)
+    diff = stiffness_apply(M, f, w) - cell_loop_stiffness_apply(M, f, w)
+    assert np.max(np.abs(diff)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("s", [1, 37])
+def test_stiffness_apply_seam_invariance(warped_torus, s):
+    # moving the chart seam by s nodes along x must not change the stiffness
+    # action on a winding field: roll metric, volume and field together and
+    # unwrap the field on the rows that crossed the seam
+    M = warped_torus
+    rolled = DiscreteManifold(
+        dim=M.dim,
+        chart=M.grid,
+        metric=np.roll(M.metric, s, axis=0),
+        volume_element=np.roll(M.volume_element, s, axis=0),
+    )
+    w = np.array([2.0, -1.0])
+    rng = np.random.default_rng(3)
+    f = M.positions() @ w + 0.1 * rng.standard_normal(M.grid.shape)
+    f_rolled = np.roll(f, s, axis=0)
+    f_rolled[:s] -= w[0] * M.grid.periods[0]
+    L, _ = laplacian_matrix(M)
+    scale = float(np.max(np.abs(L.diagonal())))
+    expected = np.roll(stiffness_apply(M, f, w), s, axis=0)
+    assert np.max(np.abs(stiffness_apply(rolled, f_rolled, w) - expected)) <= 1e-12 * scale
 
 
 def test_hessian_flat_base_mode(flat_torus):
@@ -227,20 +303,3 @@ def test_hessian_norm_metric_weighting(flat_torus):
     H[..., 1, 1] = 1.0
     hn = hessian_norm(flat_torus, H)
     assert np.max(np.abs(hn - 1.0 / 0.1**2)) <= 1e-9
-
-
-def test_mesh_chart_rejects_hessian():
-    import io
-
-    from collapselab.manifold import load_off
-
-    off = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
-    import tempfile, os
-
-    with tempfile.TemporaryDirectory() as td:
-        path = os.path.join(td, "tri.off")
-        with open(path, "w") as fh:
-            fh.write(off)
-        M = load_off(path)
-    with pytest.raises(ValueError, match="Christoffel"):
-        hessian(M, np.zeros(3))

@@ -1,11 +1,13 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from collapselab import FamilySpec, build_family, geodesic_ball
-from collapselab.operators import gradient, metric_inner, region_sup
+from collapselab.operators import gradient, laplacian_matrix, metric_inner, region_sup
 from collapselab.spectral import (
+    RESIDUAL_TOL,
     EigenPair,
     cheng_yau_ratio,
     eigenpairs,
@@ -165,6 +167,21 @@ def test_eigen_cache_detects_corruption(tmp_path, flat_eig_torus):
     # thetas 5*8; offset lands inside u[0])
     data[24 + 40 + 8 * 100 + 7] ^= 0x7F
     path.write_bytes(bytes(data))
+    assert load_eigen_cache(path, flat_eig_torus) is None
+
+
+def test_eigen_cache_uses_solver_residual_gate(tmp_path, flat_eig_torus):
+    # a theta off by 1e-7 (1 + theta) leaves a residual between the solver's
+    # gate and 100x that gate: the cache must reject it rather than hand the
+    # reports a pair they refuse
+    pairs = eigenpairs(flat_eig_torus, 3)
+    bad = dataclasses.replace(pairs[2], theta=pairs[2].theta + 1e-7 * (1.0 + pairs[2].theta))
+    L, mass = laplacian_matrix(flat_eig_torus)
+    v = bad.u.ravel()
+    res = np.sqrt(np.sum(mass * ((L @ v) / mass - bad.theta * v) ** 2) / mass.sum())
+    assert RESIDUAL_TOL * (1.0 + bad.theta) < res < 100 * RESIDUAL_TOL * (1.0 + bad.theta)
+    path = tmp_path / "pairs.eigc"
+    save_eigen_cache(path, flat_eig_torus, pairs[:2] + [bad])
     assert load_eigen_cache(path, flat_eig_torus) is None
 
 
