@@ -738,10 +738,13 @@ def _mode_reports(point: dict, pair: EigenPair, r: float, fiber_levels: int):
 
         anchor = phi.evaluate(ball.center_position()[None, :])[0]
         lo, hi = phi.branch_range(ball.members, anchor)
-        levels = np.linspace(lo[0], hi[0], fiber_levels + 2)[1:-1]
-        for lv in levels:
-            trace = extract_fiber(phi, [lv])
-            if not trace.regular:
+        # k-component levels on the diagonal of the ball's value box; the
+        # fibers are judged by the configured mask, as the fields are
+        off_mask = np.where(field.mask, 0.0, np.nan)   # interpolates to NaN where a stencil leaves the mask
+        for lv in np.linspace(lo, hi, fiber_levels + 2)[1:-1]:
+            trace = extract_fiber(phi, lv, lambda_threshold=mask.threshold)
+            touched = interp_scalar(M, off_mask, M.grid.wrap(trace.points))
+            if not trace.regular or not np.isfinite(touched).all():
                 continue
             rep_f = fiber_apriori_check(trace, field, point["eps_hat"], r)
             apriori_pass &= rep_f.passed

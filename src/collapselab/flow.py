@@ -156,14 +156,41 @@ class FlowTrajectory:
         np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
-def _field_interpolators(field: TangentialField):
+def _flow_probe(field: TangentialField):
+    """Velocity (N, m) and periodic map parts (N, k) at chart points, from one
+    gather of the stacked node field ``[grad_t, psi_1..psi_k]``."""
     M = field.manifold
-    grad_t = np.where(np.isnan(field.grad_t), np.nan, field.grad_t)
+    m = M.dim
+    if "probe_field" not in field._cache:
+        parts = np.stack(field.phi.periodic_parts(), axis=-1)
+        field._cache["probe_field"] = np.concatenate([field.grad_t, parts], axis=-1)
+    stacked = field._cache["probe_field"]
 
-    def velocity(pts: np.ndarray) -> np.ndarray:
-        return interp_scalar(M, grad_t, M.grid.wrap(pts))
+    def probe(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        vals = interp_scalar(M, stacked, M.grid.wrap(pts))
+        return vals[:, :m], vals[:, m:]
 
-    return velocity
+    return probe
+
+
+def _rk4(velocity, x: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step from ``x`` whose first stage ``k1`` is known."""
+    k2 = velocity(x + 0.5 * dt * k1)
+    k3 = velocity(x + 0.5 * dt * k2)
+    k4 = velocity(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _reproject(phi: SplittingMap, probe, x_new: np.ndarray, level: np.ndarray):
+    """Project an RK4 step onto the level set; returns the projection and the
+    velocity at the projected points (the next step's first stage).  The
+    probe at the step supplies the residual, so only a Newton move re-probes.
+    """
+    v, parts = probe(x_new)
+    proj = phi.project_to_level(x_new, level, residual=phi.level_residual(x_new, level, periodic=parts))
+    if proj.newton_steps:
+        v = probe(proj.points)[0]
+    return proj, v
 
 
 def default_stability_rate(field: TangentialField) -> float:
@@ -195,8 +222,12 @@ def integrate_flow(
 
     The step size must resolve the field's exponential rate:
     ``dt * rate <= 0.1``.  Every step is reprojected onto the level set
-    ``{Phi = Phi(x0)}`` (tolerance 1e-10, at most 5 Newton iterations); if
-    reprojection fails the error carries the last valid partial trajectory.
+    ``{Phi = Phi(x0)}`` with the tolerance and iteration cap of
+    ``SplittingMap.project_to_level``; if reprojection fails, or a stage
+    velocity is not finite, the error carries the last valid partial
+    trajectory.  A step without a Newton move interpolates four times: three
+    stage velocities, and one probe at the new point that gives its residual,
+    its drift and the next step's first stage.
     """
     M = field.manifold
     if not field.mask[x0]:
@@ -209,48 +240,48 @@ def integrate_flow(
     n_steps = int(np.ceil(T / dt - 1e-12))
     pos = M.positions()[x0].astype(float)[None, :]
     level = field.phi.evaluate(pos)[0]
-    velocity = _field_interpolators(field)
+    probe = _flow_probe(field)
 
     times = [0.0]
     path = [M.grid.wrap(pos)[0].copy()]
     drifts = [0.0]
-    x = pos.copy()
+    t_now = 0.0
 
-    def vel(pts, t_now):
-        v = velocity(pts)
-        if not np.all(np.isfinite(v)):
+    def finite(v):
+        if not np.isfinite(v).all():
             raise FlowEscapeError(
                 f"flow left the regular region at t = {t_now:.6g}",
                 _assemble_trajectory(field, x0, level, times, path, drifts),
             )
         return v
 
+    def stage(pts):
+        return finite(probe(pts)[0])
+
+    x = pos.copy()
+    v = probe(x)[0]
     for i in range(n_steps):
         t_now = i * dt
-        k1 = vel(x, t_now)
-        k2 = vel(x + 0.5 * dt * k1, t_now)
-        k3 = vel(x + 0.5 * dt * k2, t_now)
-        k4 = vel(x + dt * k3, t_now)
-        x_new = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x_new = _rk4(stage, x, finite(v), dt)
         try:
-            x_new = field.phi.project_to_level(x_new, level)
+            proj, v = _reproject(field.phi, probe, x_new, level)
         except RuntimeError as exc:
             raise FlowEscapeError(
                 f"reprojection failed at t = {(i + 1) * dt:.6g}: {exc}",
                 _assemble_trajectory(field, x0, level, times, path, drifts),
             ) from exc
-        x = x_new
+        x = proj.points
         times.append((i + 1) * dt)
         path.append(M.grid.wrap(x)[0].copy())
-        drifts.append(float(np.max(np.abs(field.phi.level_residual(x, level)))))
+        drifts.append(float(np.max(np.abs(proj.residual))))
     return _assemble_trajectory(field, x0, level, times, path, drifts)
 
 
 def _assemble_trajectory(field, x0, level, times, path, drifts) -> FlowTrajectory:
     M = field.manifold
     pts = np.asarray(path)
-    u_vals = interp_scalar(M, field.u, pts)
-    w_vals = interp_scalar(M, np.where(np.isnan(field.speed_sq), 0.0, field.speed_sq), pts)
+    speed_sq = np.where(np.isnan(field.speed_sq), 0.0, field.speed_sq)
+    u_vals, w_vals = interp_scalar(M, np.stack([field.u, speed_sq], axis=-1), pts).T
     return FlowTrajectory(
         x0=tuple(int(i) for i in np.atleast_1d(x0)),
         level=np.asarray(level, dtype=float),
@@ -277,14 +308,15 @@ def integrate_flow_ensemble(
     n_steps = int(np.ceil(T / dt - 1e-12))
     x = np.array(starts, dtype=float)
     levels = field.phi.evaluate(x)
-    velocity = _field_interpolators(field)
+    probe = _flow_probe(field)
+
+    def velocity(pts):
+        return probe(pts)[0]
+
+    v = velocity(x)
     for _ in range(n_steps):
-        k1 = velocity(x)
-        k2 = velocity(x + 0.5 * dt * k1)
-        k3 = velocity(x + 0.5 * dt * k2)
-        k4 = velocity(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        x = field.phi.project_to_level(x, levels)
+        proj, v = _reproject(field.phi, probe, _rk4(velocity, x, v, dt), levels)
+        x = proj.points
     return x
 
 
@@ -353,13 +385,17 @@ def fiber_apriori_check(
         raise ValueError("fiber is not regular; a priori constants are undefined")
     pts = M.grid.wrap(fiber.points)
     stats = field.stats
-    lam = float(np.min(interp_scalar(M, np.where(stats.valid, stats.lam, np.nan), pts)))
-    Lam = float(np.max(interp_scalar(M, np.where(stats.valid, stats.Lam, np.nan), pts)))
+    # every field read on the fiber samples, from one stencil gather
+    fields = [np.where(stats.valid, stats.lam, np.nan), np.where(stats.valid, stats.Lam, np.nan)]
+    fields += [np.where(field.mask, field.speed_sq, np.nan), *field.phi.hessian_norms()]
+    lam_s, Lam_s, speed_sq, *hess_norms = interp_scalar(M, np.stack(fields, axis=-1), pts).T
+    lam = float(np.min(lam_s))
+    Lam = float(np.max(Lam_s))
     if not np.isfinite(lam) or lam <= 0:
         raise ValueError("fiber touches the singular region; lambda not positive")
     c0 = 0.0
-    for hn in field.phi.hessian_norms():
-        c0 = max(c0, float(np.max(interp_scalar(M, hn, pts) ** 2)) * r**2)
+    for hn in hess_norms:
+        c0 = max(c0, float(np.max(hn**2)) * r**2)
     # neighborhood B(fiber, 2 eps r) by multi-source Dijkstra from the samples
     flat_sources = _nearest_nodes(M, pts)
     dist = graph_distances(M, flat_sources).reshape(M.grid.shape)
@@ -369,7 +405,7 @@ def fiber_apriori_check(
     if not np.all(np.isfinite(gn[region])) or not np.all(np.isfinite(hn_u[region])):
         raise ValueError("fiber neighborhood exits the computed domain of u")
     K = region_sup(r * gn + r**2 * hn_u, region)
-    speed = np.sqrt(np.maximum(interp_scalar(M, np.where(field.mask, field.speed_sq, np.nan), pts), 0.0))
+    speed = np.sqrt(np.maximum(speed_sq, 0.0))
     if not np.all(np.isfinite(speed)):
         raise ValueError("fiber neighborhood exits the regular region of the tangential field")
     delta0 = float(np.max(speed))

@@ -684,7 +684,7 @@ def _trace_continuation(phi, level: np.ndarray, max_steps: int = 200_000) -> np.
     dist = np.linalg.norm(vals.reshape(-1, phi.k) - level, axis=1)
     seed_flat = int(np.argmin(dist))
     x = M.positions().reshape(-1, M.dim)[seed_flat].astype(float).copy()
-    x = phi.project_to_level(x[None, :], level)[0]
+    x = phi.project_to_level(x[None, :], level).points[0]
 
     pts = [x.copy()]
     prev_tau = None
@@ -696,7 +696,7 @@ def _trace_continuation(phi, level: np.ndarray, max_steps: int = 200_000) -> np.
             tau = -tau
         prev_tau = tau
         x_pred = pts[-1] + step * tau
-        x_new = phi.project_to_level(x_pred[None, :], level)[0]
+        x_new = phi.project_to_level(x_pred[None, :], level).points[0]
         pts.append(x_new)
         if it >= 3:
             gap = np.linalg.norm(grid.wrap_delta(x_new - start))

@@ -17,6 +17,8 @@ periodic part plus one precomputed vector per winding axis.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
@@ -330,13 +332,34 @@ def region_sup(f: np.ndarray, region: np.ndarray | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _interp_weights(grid: PeriodicGrid, pts: np.ndarray):
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    h = np.asarray(grid.spacings)
-    u = grid.wrap(pts) / h
-    base = np.floor(u).astype(int) % np.asarray(grid.shape)
-    frac = u - np.floor(u)
-    return base, frac
+# points per interpolation pass: keeps the per-corner temporaries cache-sized
+_INTERP_BLOCK = 2048
+
+
+@functools.lru_cache(maxsize=32)
+def _stencil_layout(grid: PeriodicGrid):
+    """Per-grid constants of the multilinear interpolation stencil.
+
+    Node total, periods, node counts ``(m, 1)``, spacings, flat node strides
+    ``(m, 1)``, and one index per axis.  That index takes the axis's
+    ``(lower, upper)`` pair from a ``(2, m, n)`` array and spreads it over the
+    axis's own dimension of a ``(2,) * m + (n,)`` block, so that the flattened
+    block lists the cell corners in ``np.ndindex`` order.
+    """
+    m = grid.dim
+    strides = [int(np.prod(grid.shape[ax + 1:])) for ax in range(m)]
+    spread = tuple(
+        tuple(slice(None) if a == ax else None for a in range(m)) + (ax, slice(None)) for ax in range(m)
+    )
+    arrays = (
+        np.asarray(grid.periods),
+        np.asarray(grid.shape)[:, None],
+        np.asarray(grid.spacings),
+        np.asarray(strides)[:, None],
+    )
+    for a in arrays:
+        a.setflags(write=False)      # shared by every caller through the cache
+    return (grid.n_nodes, *arrays, spread)
 
 
 def interp_scalar(M: DiscreteManifold, f: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -344,20 +367,43 @@ def interp_scalar(M: DiscreteManifold, f: np.ndarray, pts: np.ndarray) -> np.nda
 
     ``f`` has the grid shape, optionally followed by component axes (vector
     or tensor fields), which carry through to the result ``(N, *components)``.
+
+    The cell stencil of each point (its ``2^m`` flat corner indices and
+    weights) is built once per call and serves every component.  Fields
+    needed at the same points are therefore best stacked on one trailing axis
+    and interpolated together, e.g. ``np.concatenate([grad_t, psi[..., None]],
+    axis=-1)`` gives velocity and map values from one gather.  Each
+    component is accumulated corner by corner from zero, with weights
+    multiplied in axis order, so a stacked component is bit-identical to the
+    same field interpolated on its own.
     """
     grid = M.grid
-    m = grid.dim
+    n_nodes, periods, nodes, h, strides, spread = _stencil_layout(grid)
     f = np.asarray(f)
-    base, frac = _interp_weights(grid, pts)
-    components = f.shape[m:]
-    out = np.zeros((len(base),) + components)
-    for delta in np.ndindex(*(2,) * m):
-        idx = tuple((base[:, ax] + delta[ax]) % grid.shape[ax] for ax in range(m))
-        wgt = np.ones(len(base))
-        for ax in range(m):
-            wgt = wgt * (frac[:, ax] if delta[ax] else 1.0 - frac[:, ax])
-        out += wgt.reshape(wgt.shape + (1,) * len(components)) * f[idx]
-    return out
+    values = f.reshape(n_nodes, -1)
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    out = np.zeros((len(pts), values.shape[1]))
+    for start in range(0, len(pts), _INTERP_BLOCK):
+        block = pts[start:start + _INTERP_BLOCK]
+        n = len(block)
+        u = np.mod(block, periods) / h                            # the arithmetic of grid.wrap
+        cell = np.floor(u)
+        frac = (u - cell).T
+        # per axis (rows): the lower and upper neighbor's node index and 1-D weight
+        lower = cell.T.astype(np.intp, order="C") % nodes
+        upper = lower + 1
+        upper[upper == nodes] = 0
+        offsets = np.array([lower, upper]) * strides              # (2, m, n)
+        axis_wgt = np.array([1.0 - frac, frac])                   # (2, m, n)
+        flat, wgt = 0, 1.0
+        for sel in spread:
+            flat = flat + offsets[sel]
+            wgt = wgt * axis_wgt[sel]
+        corners = np.take(values, flat.reshape(-1, n), axis=0)   # (2^m, n, C)
+        acc = out[start:start + n]
+        for term in wgt.reshape(-1, n, 1) * corners:
+            acc += term
+    return out.reshape((len(pts),) + f.shape[grid.dim:])
 
 
 def interp_metric(M: DiscreteManifold, pts: np.ndarray) -> np.ndarray:

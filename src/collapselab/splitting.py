@@ -29,7 +29,6 @@ from .operators import (
     hessian,
     hessian_norm,
     interp_scalar,
-    interp_metric,
     laplacian_matrix,
     metric_inner,
     region_average,
@@ -39,6 +38,7 @@ from .operators import (
 
 __all__ = [
     "SplittingMap",
+    "LevelProjection",
     "JacobianStats",
     "Certificate",
     "RegularMask",
@@ -133,29 +133,43 @@ class SplittingMap:
 
     # -- pointwise evaluation off the lattice --------------------------------
 
+    def _stacked(self, name: str) -> np.ndarray:
+        """Cached node fields that are interpolated together: ``psi`` the
+        periodic parts ``(*shape, k)``, ``dpsi`` their chart gradients
+        ``(*shape, k, m)``, ``newton`` both plus the metric, flattened side by
+        side: all that one Newton iteration reads."""
+        key = f"stacked_{name}"
+        if key not in self._cache:
+            M = self.manifold
+            if name == "psi":
+                field = np.stack(self.periodic_parts(), axis=-1)
+            elif name == "dpsi":
+                field = np.stack([chart_gradient(M, psi, None) for psi in self.periodic_parts()], axis=-2)
+            else:
+                parts = (self._stacked("psi"), self._stacked("dpsi"), M.metric)
+                field = np.concatenate([p.reshape(M.grid.shape + (-1,)) for p in parts], axis=-1)
+            self._cache[key] = field
+        return self._cache[key]
+
+    def _values(self, pts: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """Map values at chart points (N, m) from their interpolated periodic parts (N, k)."""
+        return np.stack([pts @ w + psi[:, a] for a, w in enumerate(self.windings)], axis=-1)
+
+    def _jacobian(self, dpsi: np.ndarray) -> np.ndarray:
+        """Chart Jacobian (N, k, m) from interpolated periodic-part gradients (N, k, m)."""
+        return np.stack([w[None, :] + dpsi[:, a] for a, w in enumerate(self.windings)], axis=1)
+
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         """Map values at chart points (N, m) -> (N, k), continuous in pts."""
         M = self.manifold
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        wrapped = M.grid.wrap(pts)
-        cols = []
-        for psi, w in zip(self.periodic_parts(), self.windings):
-            cols.append(pts @ w + interp_scalar(M, psi, wrapped))
-        return np.stack(cols, axis=-1)
+        return self._values(pts, interp_scalar(M, self._stacked("psi"), M.grid.wrap(pts)))
 
     def chart_jacobian(self, pts: np.ndarray) -> np.ndarray:
         """Covariant chart derivatives d Phi^a_i at points: (N, k, m)."""
         M = self.manifold
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        wrapped = M.grid.wrap(pts)
-        if "psi_chart_grads" not in self._cache:
-            self._cache["psi_chart_grads"] = [
-                chart_gradient(M, psi, None) for psi in self.periodic_parts()
-            ]
-        rows = []
-        for dpsi, w in zip(self._cache["psi_chart_grads"], self.windings):
-            rows.append(w[None, :] + interp_scalar(M, dpsi, wrapped))
-        return np.stack(rows, axis=1)
+        return self._jacobian(interp_scalar(M, self._stacked("dpsi"), M.grid.wrap(pts)))
 
     def value_periods(self) -> np.ndarray:
         """Period of each component value around the chart (0 for plain fields)."""
@@ -182,27 +196,51 @@ class SplittingMap:
         dv = self.wrap_value_delta(vals - anchor)
         return anchor + dv.min(axis=0), anchor + dv.max(axis=0)
 
-    def level_residual(self, pts: np.ndarray, level: np.ndarray) -> np.ndarray:
-        """Phi(pts) - level, wrapped to the nearest branch for winding components."""
-        res = self.evaluate(pts) - np.asarray(level, dtype=float)
+    def level_residual(
+        self, pts: np.ndarray, level: np.ndarray, periodic: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Phi(pts) - level, wrapped to the nearest branch for winding components.
+
+        ``periodic``: the periodic parts already interpolated at ``pts`` (N, k),
+        used in place of the gather that ``evaluate`` makes.
+        """
+        if periodic is None:
+            values = self.evaluate(pts)
+        else:
+            values = self._values(np.atleast_2d(np.asarray(pts, dtype=float)), periodic)
+        res = values - np.asarray(level, dtype=float)
         for a, p in enumerate(self.value_periods()):
             if p > 0:
                 res[..., a] = (res[..., a] + p / 2) % p - p / 2
         return res
 
     def project_to_level(
-        self, pts: np.ndarray, level: np.ndarray, tol: float = 1e-10, max_iter: int = 5
-    ) -> np.ndarray:
-        """Newton reprojection onto the level set, stepping in the grad-Phi span."""
-        M = self.manifold
+        self,
+        pts: np.ndarray,
+        level: np.ndarray,
+        tol: float = 1e-10,
+        max_iter: int = 5,
+        residual: np.ndarray | None = None,
+    ) -> "LevelProjection":
+        """Newton reprojection onto the level set, stepping in the grad-Phi span.
+
+        Each iteration reads the residual, the chart Jacobian and the metric
+        from one interpolation of the stacked ``newton`` field.  ``residual``,
+        when given, is ``level_residual(pts, level)`` already computed by the
+        caller; points that meet the tolerance then cost no interpolation.
+        """
         x = np.array(np.atleast_2d(pts), dtype=float)
-        ginv_at = lambda p: np.linalg.inv(interp_metric(M, M.grid.wrap(p)))
-        for _ in range(max_iter):
-            res = self.level_residual(x, level)
+        if residual is not None and np.max(np.abs(residual)) <= tol:
+            return LevelProjection(x, residual, 0)
+        M = self.manifold
+        k, m = self.k, M.dim
+        for step in range(max_iter):
+            probe = interp_scalar(M, self._stacked("newton"), M.grid.wrap(x))
+            res = self.level_residual(x, level, periodic=probe[:, :k])
             if np.max(np.abs(res)) <= tol:
-                return x
-            jac = self.chart_jacobian(x)                      # (N, k, m)
-            ginv = ginv_at(x)                                 # (N, m, m)
+                return LevelProjection(x, res, step)
+            jac = self._jacobian(probe[:, k:k + k * m].reshape(-1, k, m))   # (N, k, m)
+            ginv = np.linalg.inv(probe[:, k + k * m:].reshape(-1, m, m))   # (N, m, m)
             jg = np.einsum("nkm,nml->nkl", jac, ginv)         # J g^{-1}
             gram = np.einsum("nkl,njl->nkj", jg, jac)         # J g^{-1} J^T
             lam = np.linalg.solve(gram, res[..., None])[..., 0]
@@ -212,7 +250,16 @@ class SplittingMap:
             raise RuntimeError(
                 f"Newton reprojection failed: residual {np.max(np.abs(res)):.3e} > {tol:.1e}"
             )
-        return x
+        return LevelProjection(x, res, max_iter)
+
+
+@dataclass(frozen=True)
+class LevelProjection:
+    """Points reprojected onto a level set, their residual and the Newton steps taken."""
+
+    points: np.ndarray      # (N, m)
+    residual: np.ndarray    # (N, k), level_residual at points
+    newton_steps: int
 
 
 # ---------------------------------------------------------------------------

@@ -63,3 +63,49 @@ def test_sweep_uses_config_regularity_threshold(tmp_path):
         if rep["name"] == "main-theorem-tangential-l2"
     ]
     assert excluded and all(0.0 < frac < 1.0 for frac in excluded)
+
+
+def count_fiber_checks(monkeypatch):
+    import collapselab.flow as flow_module
+
+    checked = []
+    check = flow_module.fiber_apriori_check
+
+    def counting(*args, **kwargs):
+        report = check(*args, **kwargs)
+        checked.append(report)
+        return report
+
+    monkeypatch.setattr(flow_module, "fiber_apriori_check", counting)
+    return checked
+
+
+def test_fibers_follow_the_configured_mask(tmp_path, monkeypatch):
+    # lambda_min_rel = 1.5 cuts the mask into the working ball: fibers whose
+    # stencils leave it are skipped like irregular traces, the rest are checked
+    checked = count_fiber_checks(monkeypatch)
+    cfg = {**SMALL_WARPED, "thresholds": {"lambda_min_rel": 1.5}}
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "verify")]) == 0
+    assert checked
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) in (0, 2)
+    swept = (tmp_path / "sweep" / "points" / "eps_0.1" / "reports.json").read_bytes()
+    assert swept == (tmp_path / "verify" / "estimate_reports.json").read_bytes()
+
+
+def test_verify_twisted_torus_checks_two_component_fibers(tmp_path, monkeypatch):
+    checked = count_fiber_checks(monkeypatch)
+    cfg = {
+        "family": {"kind": "twisted-3-torus", "epsilon": 0.25, "twist": 1.5707963267948966},
+        "resolution": {"nodes_per_unit": 64},
+        "ball": {"radius": 0.3},
+    }
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "verify")]) == 0
+    assert checked and all(len(rep.level) == 2 for rep in checked)
+    reports = json.loads((tmp_path / "verify" / "estimate_reports.json").read_text())
+    assert {rep["name"] for rep in reports} == {
+        "hessian-l1-average",
+        "interior-l2-tangential",
+        "main-theorem-tangential-l2",
+    }

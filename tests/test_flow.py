@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 from collapselab import extract_fiber, geodesic_ball
 from collapselab.flow import (
     FlowEscapeError,
+    default_stability_rate,
     fiber_apriori_check,
     flow_rate_bound,
     integrate_flow,
@@ -15,7 +16,7 @@ from collapselab.flow import (
     tangential_projection,
     verify_exponential_bound,
 )
-from collapselab.splitting import classify_regular, jacobian_stats
+from collapselab.splitting import SplittingMap, classify_regular, jacobian_stats
 
 
 EPS = 0.1
@@ -230,7 +231,71 @@ def test_ensemble_flow_matches_single(flat_setup):
     starts = M.positions()[[0, 3], [5, 9]].reshape(2, 2)
     final = integrate_flow_ensemble(field, starts, T=1e-3, dt=1e-5)
     traj = integrate_flow(field, (0, 5), T=1e-3, dt=1e-5)
-    assert np.max(np.abs(M.grid.wrap(final[0]) - traj.positions[-1])) <= 1e-12
+    assert np.array_equal(M.grid.wrap(final[0]), traj.positions[-1])
+
+
+@pytest.fixture(scope="module")
+def sheared_warped_field(warped_torus):
+    # A coordinate map with curved fibers x + 0.02 sin(2 pi y) = c on the
+    # warped metric, so that every flow step needs Newton reprojection (the
+    # harmonic coordinates of a warped product have straight fibers).
+    M = warped_torus
+    pos = M.positions()
+    phi = SplittingMap(M, (pos[..., 0] + 0.02 * np.sin(2 * np.pi * pos[..., 1]),), (np.array([1.0, 0.0]),))
+    stats = jacobian_stats(phi)
+    mask = classify_regular(stats, stats.default_threshold())
+    return tangential_projection(M, np.sin(2 * np.pi * pos[..., 1]), phi, stats, mask)
+
+
+@pytest.mark.parametrize("family", ["flat", "warped"])
+def test_drift_column_is_level_residual_at_recorded_positions(
+    monkeypatch, flat_setup, sheared_warped_field, family
+):
+    field = flat_setup[4] if family == "flat" else sheared_warped_field
+    steps = []
+    project = SplittingMap.project_to_level
+
+    def recording(self, *args, **kwargs):
+        proj = project(self, *args, **kwargs)
+        steps.append(proj.newton_steps)
+        return proj
+
+    monkeypatch.setattr(SplittingMap, "project_to_level", recording)
+    dt = 0.1 / default_stability_rate(field)
+    traj = integrate_flow(field, (5, 3), T=100 * dt, dt=dt)
+    recomputed = np.max(np.abs(field.phi.level_residual(traj.positions, traj.level)), axis=-1)
+    assert np.array_equal(traj.drift, recomputed)
+    assert len(steps) == len(traj.times) - 1
+    if family == "warped":
+        assert sum(steps) > len(steps)           # Newton moves the points
+        assert traj.drift.max() > 1e-12
+    else:
+        assert sum(steps) == 0
+
+
+def test_flat_flow_interpolates_at_most_four_times_per_step(monkeypatch, flat_setup):
+    import collapselab.flow as flow_module
+
+    field = flat_setup[4]
+    traj_ref = integrate_flow(field, (0, 0), T=2e-4, dt=1e-5)
+    calls = []
+    interp = flow_module.interp_scalar
+
+    def counting(M, f, pts):
+        calls.append(len(np.atleast_2d(pts)))
+        return interp(M, f, pts)
+
+    monkeypatch.setattr(flow_module, "interp_scalar", counting)
+    import collapselab.splitting as splitting_module
+
+    monkeypatch.setattr(splitting_module, "interp_scalar", counting)
+    traj = integrate_flow(field, (0, 0), T=2e-4, dt=1e-5)
+    n_steps = len(traj.times) - 1
+    assert n_steps == 20
+    # the level at the start, one probe before the first step, one gather for
+    # the recorded u and speed; everything else is per step
+    assert len(calls) <= 4 * n_steps + 3
+    assert np.array_equal(traj.positions, traj_ref.positions)
 
 
 def test_trajectory_csv_export(tmp_path, flat_setup):

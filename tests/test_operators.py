@@ -297,6 +297,74 @@ def test_interp_scalar_exact_on_nodes_and_linear(flat_torus):
     assert np.max(np.abs(interp_scalar(flat_torus, lin, mids)[inside] - expect[inside])) <= 1e-12
 
 
+def interp_per_corner(M, f, pts):
+    """Reference multilinear interpolation: one modulo index tuple per cell corner."""
+    grid = M.grid
+    m = grid.dim
+    f = np.asarray(f)
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    u = grid.wrap(pts) / np.asarray(grid.spacings)
+    base = np.floor(u).astype(int) % np.asarray(grid.shape)
+    frac = u - np.floor(u)
+    components = f.shape[m:]
+    out = np.zeros((len(base),) + components)
+    for delta in np.ndindex(*(2,) * m):
+        idx = tuple((base[:, ax] + delta[ax]) % grid.shape[ax] for ax in range(m))
+        wgt = np.ones(len(base))
+        for ax in range(m):
+            wgt = wgt * (frac[:, ax] if delta[ax] else 1.0 - frac[:, ax])
+        out += wgt.reshape(wgt.shape + (1,) * len(components)) * f[idx]
+    return out
+
+
+def interp_query_points(M, n_random):
+    """Nodes, seam points, points at exactly the period, negative and
+    multi-period coordinates, and uniform random points."""
+    grid = M.grid
+    periods = np.asarray(grid.periods)
+    nodes = M.positions().reshape(-1, grid.dim)[:: max(1, grid.n_nodes // 50)]
+    seam = nodes.copy()
+    seam[:, 0] = periods[0] - 0.5 * grid.spacings[0]
+    at_period = np.tile(periods, (3, 1))
+    at_period[1, 0] = 0.0
+    at_period[2] = -periods
+    shifted = nodes + np.array([-1, 3] + [-2] * (grid.dim - 2))[: grid.dim] * periods
+    rng = np.random.default_rng(7)
+    random = rng.uniform(-2.5, 2.5, size=(n_random, grid.dim)) * periods
+    return np.vstack([nodes, seam, at_period, -1e-17 * np.ones((1, grid.dim)), shifted, random])
+
+
+@pytest.mark.parametrize("family", ["flat_torus", "twisted_torus"])
+@pytest.mark.parametrize("components", ["scalar", "vector", "tensor"])
+def test_interp_scalar_matches_per_corner_loop(request, family, components):
+    M = request.getfixturevalue(family)
+    m = M.dim
+    rng = np.random.default_rng(3)
+    trailing = {"scalar": (), "vector": (m,), "tensor": (m, m)}[components]
+    f = rng.standard_normal(M.grid.shape + trailing)
+    f.reshape(-1)[::11] = -0.0
+    many = interp_query_points(M, 10_000)
+    singles = [p[None, :] for p in interp_query_points(M, 0)] + [many[-1]]   # N = 1, last one flat (m,)
+    for pts in [many] + singles:
+        got = interp_scalar(M, f, pts)
+        want = interp_per_corner(M, f, pts)
+        assert got.shape == want.shape == (len(np.atleast_2d(pts)),) + trailing
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_interp_scalar_stacked_fields_match_separate_calls(twisted_torus):
+    M = twisted_torus
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal(M.grid.shape)
+    b = rng.standard_normal(M.grid.shape + (3,))
+    b[0, 0, 0, 1] = np.nan
+    pts = interp_query_points(M, 5_000)
+    stacked = interp_scalar(M, np.concatenate([a[..., None], b], axis=-1), pts)
+    assert np.array_equal(stacked[:, 0], interp_scalar(M, a, pts))
+    assert np.array_equal(stacked[:, 1:], interp_scalar(M, b, pts), equal_nan=True)
+
+
 def test_hessian_norm_metric_weighting(flat_torus):
     # Hess = diag(0, 1) has g-norm g^{yy} = eps^-2 on the flat collapsed torus
     H = np.zeros(flat_torus.grid.shape + (2, 2))
