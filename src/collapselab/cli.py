@@ -25,6 +25,7 @@ from . import __version__
 from .estimates import (
     default_ball_center,
     default_resolution_rule,
+    point_reports,
     reports_to_json,
     run_point,
     sweep,
@@ -313,14 +314,16 @@ def cmd_flow(cfg: ExperimentConfig, out: Path) -> int:
     trace = extract_fiber(field.phi, level)
     report = fiber_apriori_check(trace, field, point["eps_hat"], cfg.ball["radius"])
     T = cfg.flow["time_over_k"] / report.K
-    dt = cfg.flow["dt_factor"] * cfg.family["epsilon"]
-    traj = integrate_flow(field, x0, T, dt, stability_rate=flow_rate_bound(report))
+    rate = flow_rate_bound(report)
+    # the configured step, cut to the stability gate dt * rate <= 0.1
+    dt = min(cfg.flow["dt_factor"] * cfg.family["epsilon"], 0.1 / rate)
+    traj = integrate_flow(field, x0, T, dt, stability_rate=rate)
     csv_path = out / "trajectory.csv"
     traj.to_csv(csv_path)
     rep_path = out / "fiber_bound_report.json"
     rep_path.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
     print(
-        f"flow from node {x0}: {len(traj.times)} samples, max drift {traj.drift.max():.3e}, "
+        f"flow from node {x0}: dt {dt:.6g}, {len(traj.times)} samples, max drift {traj.drift.max():.3e}, "
         f"a priori pass={report.passed}"
     )
     manifest = _new_manifest(cfg)
@@ -331,15 +334,7 @@ def cmd_flow(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
-    from .estimates import _mode_reports
-
-    point = _point(cfg)
-    rows = []
-    reports = []
-    for pair in point["pairs"]:
-        row, reps = _mode_reports(point, pair, cfg.ball["radius"], fiber_levels=5)
-        rows.append(row)
-        reports.extend(reps)
+    rows, reports = point_reports(_point(cfg), cfg.ball["radius"])
     path = out / "estimate_reports.json"
     reports_to_json(reports, path)
     ok = all(r.passed for r in reports) and all(row.passed for row in rows)

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import diags
 
 from .manifold import (
     DiscreteManifold,
     GeodesicBall,
-    ball_region,
     build_family,
     epsilon_proxy,
     extract_fiber,
@@ -28,6 +28,7 @@ from .manifold import (
     ricci_lower_bound,
 )
 from .operators import (
+    factorize,
     gradient,
     hessian,
     hessian_norm,
@@ -53,6 +54,7 @@ __all__ = [
     "interior_l2_report",
     "main_theorem_report",
     "change_integral_check",
+    "point_reports",
     "sweep",
     "c1_sup_bound",
     "w22_k_bound",
@@ -195,13 +197,9 @@ def build_cutoff(ball_r: GeodesicBall, ball_2r: GeodesicBall, eps_hat: float) ->
         )
     M = ball_r.manifold
     d = ball_2r.distances
-    from scipy.sparse import diags
-    from scipy.sparse.linalg import spsolve
-
     L, mass = laplacian_matrix(M)
     w_s = (r_out - r_in) / 8.0
-    A = (diags(mass) + w_s**2 * L).tocsc()
-    d_s = spsolve(A, mass * d.ravel()).reshape(d.shape)
+    d_s = factorize(diags(mass) + w_s**2 * L)(mass * d.ravel()).reshape(d.shape)
     inset = float(np.max(np.abs(d_s - d)))
     phi = _smoothstep((d_s - (r_in + inset)) / ((r_out - inset) - (r_in + inset)))
     g = gradient(M, phi)
@@ -317,7 +315,7 @@ def interior_l2_report(
     M = field.manifold
     r = ball_r.radius
     k = field.phi.k
-    inner = ball_region(M, ball_r.center, max(r * (1.0 - 4.0 * eps_hat), 1e-9))
+    inner = ball_r.concentric(max(r * (1.0 - 4.0 * eps_hat), 1e-9))
     anchor = field.phi.evaluate(ball_r.center_position()[None, :])[0]
     lo, hi = field.phi.branch_range(inner.members, anchor)
     dv = field.phi.wrap_value_delta(field.phi.values_stack() - anchor)
@@ -369,12 +367,12 @@ def main_theorem_report(
     the singular volume excluded by the mask are reported alongside.
     """
     M = field.manifold
-    if eig.residual > RESIDUAL_TOL * (1.0 + abs(eig.theta)):
+    if not eig.residual <= RESIDUAL_TOL * (1.0 + abs(eig.theta)):
         raise ValueError(f"eigenpair residual {eig.residual:.3e} too large for a certified report")
     r = ball_r.radius
     m = M.dim
     k = field.phi.k
-    outer = ball_region(M, ball_r.center, 2 * r)
+    outer = ball_r.concentric(2 * r)
     c_cy = cheng_yau_ratio(M, eig.u, ball_r)
     vol_ratio = outer.volume() / ball_r.volume()
     C2 = 48.0 * m * k**2 * cutoff.c_ctf * 2.0**k * vol_ratio
@@ -509,6 +507,9 @@ SWEEP_CSV_HEADER = "epsilon,epsilonHat,psi,theta,K,lhs,rhs,margin,pass"
 # rows with lhs below this fraction of rhs carry no scaling information
 DEGENERATE_LHS_FRACTION = 1e-8
 
+# fiber levels traced per eigenpair for the fiberwise a priori check
+FIBER_LEVELS = 5
+
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -548,7 +549,7 @@ def run_point(
     mask = classify_regular(stats, max(lambda_threshold_rel * float(np.nanmedian(stats.Lam)), 1e-300))
     p = _nearest_node(M, ball_center)
     ball = geodesic_ball(M, p, r)
-    ball2 = ball_region(M, p, 2 * r)
+    ball2 = ball.concentric(2 * r)
     eps_hat = epsilon_proxy(M, ball, phi)
     cert = certify(phi, ball, epsilon_hat=eps_hat)
     if pairs is None:
@@ -601,27 +602,21 @@ def default_resolution_rule(nodes_per_unit: int = 128, min_fiber_nodes: int = 16
     return rule
 
 
-def _sweep_point_task(task: dict) -> tuple[list, list]:
-    rule = default_resolution_rule(task["nodes_per_unit"], task["min_fiber_nodes"])
-    point = run_point(
-        task["kind"],
-        task["epsilon"],
-        task["delta"],
-        task["twist"],
-        rule,
-        task["ball_center"],
-        task["r"],
-        task["theta_max"],
-        task["eig_count"],
-        task["seed"],
-        lambda_threshold_rel=task["lambda_threshold_rel"],
-    )
+def point_reports(point: dict, r: float) -> tuple[list[SweepRow], list[EstimateReport]]:
+    """Sweep rows and estimate reports of every eigenpair of a ``run_point`` bundle."""
     rows, reports = [], []
     for pair in point["pairs"]:
-        row, mode_reports = _mode_reports(point, pair, task["r"], task["fiber_levels"])
+        row, mode_reports = _mode_reports(point, pair, r)
         rows.append(row)
         reports.extend(mode_reports)
     return rows, reports
+
+
+def _sweep_point_task(task: dict) -> tuple[list, list]:
+    """One sweep point from ``run_point``'s arguments, the resolution rule given by its two numbers."""
+    kwargs = dict(task)
+    rule = default_resolution_rule(kwargs.pop("nodes_per_unit"), kwargs.pop("min_fiber_nodes"))
+    return point_reports(run_point(resolution_rule=rule, **kwargs), task["r"])
 
 
 def sweep(
@@ -634,7 +629,6 @@ def sweep(
     ball_center: tuple[float, ...] | None = None,
     eig_count: int = 8,
     seed: int = 0,
-    fiber_levels: int = 5,
     nodes_per_unit: int = 128,
     min_fiber_nodes: int = 16,
     lambda_threshold_rel: float = 1e-6,
@@ -658,21 +652,9 @@ def sweep(
     if ball_center is None:
         ball_center = default_ball_center(kind)
     tasks = [
-        {
-            "kind": kind,
-            "epsilon": eps,
-            "delta": delta,
-            "twist": twist,
-            "ball_center": tuple(ball_center),
-            "r": r,
-            "theta_max": theta_max,
-            "eig_count": eig_count,
-            "seed": seed,
-            "fiber_levels": fiber_levels,
-            "nodes_per_unit": nodes_per_unit,
-            "min_fiber_nodes": min_fiber_nodes,
-            "lambda_threshold_rel": lambda_threshold_rel,
-        }
+        dict(kind=kind, epsilon=eps, delta=delta, twist=twist, ball_center=tuple(ball_center), r=r,
+             theta_max=theta_max, eig_count=eig_count, seed=seed, nodes_per_unit=nodes_per_unit,
+             min_fiber_nodes=min_fiber_nodes, lambda_threshold_rel=lambda_threshold_rel)
         for eps in epsilons
     ]
     rows: list[SweepRow] = []
@@ -714,7 +696,7 @@ def sweep(
     )
 
 
-def _mode_reports(point: dict, pair: EigenPair, r: float, fiber_levels: int):
+def _mode_reports(point: dict, pair: EigenPair, r: float):
     M = point["manifold"]
     phi = point["phi"]
     stats = point["stats"]
@@ -741,7 +723,7 @@ def _mode_reports(point: dict, pair: EigenPair, r: float, fiber_levels: int):
         # k-component levels on the diagonal of the ball's value box; the
         # fibers are judged by the configured mask, as the fields are
         off_mask = np.where(field.mask, 0.0, np.nan)   # interpolates to NaN where a stencil leaves the mask
-        for lv in np.linspace(lo, hi, fiber_levels + 2)[1:-1]:
+        for lv in np.linspace(lo, hi, FIBER_LEVELS + 2)[1:-1]:
             trace = extract_fiber(phi, lv, lambda_threshold=mask.threshold)
             touched = interp_scalar(M, off_mask, M.grid.wrap(trace.points))
             if not trace.regular or not np.isfinite(touched).all():

@@ -331,6 +331,10 @@ class GeodesicBall:
     def center_position(self) -> np.ndarray:
         return self.manifold.positions()[self.center]
 
+    def concentric(self, s: float) -> "GeodesicBall":
+        """``ball_region(M, center, s)`` from the stored distances, without a new Dijkstra."""
+        return _region(self.manifold, self.center, self.distances, s)
+
 
 def _grid_neighbor_offsets(m: int) -> list[tuple[int, ...]]:
     """Moore stencil plus knight moves: keeps graph-metrication error small."""
@@ -421,17 +425,13 @@ def geodesic_ball(M: DiscreteManifold, p: tuple[int, ...] | int, r: float) -> Ge
     does not touch the chart cut locus (wrapping fully around collapsed fiber
     axes is intended and allowed).
     """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
     limit = _cut_locus_radius(M)
     if r >= limit:
         raise ValueError(
             f"ball of radius {r} touches the chart cut locus "
             f"(half smallest base period = {limit:.6g}); use a smaller r"
         )
-    p, dist = _distances_from(M, p)
-    members = dist <= r + 1e-12
-    return GeodesicBall(M, p, r, members, _boundary_of(members), dist)
+    return _region(M, *_distances_from(M, p), r)
 
 
 def _boundary_of(members: np.ndarray) -> np.ndarray:
@@ -451,11 +451,18 @@ def ball_region(M: DiscreteManifold, p: tuple[int, ...] | int, r: float) -> Geod
     limit on a closed torus; the whole chart then stands in for the larger
     ball (it contains it).
     """
-    if r < _cut_locus_radius(M):
-        return geodesic_ball(M, p, r)
-    p, dist = _distances_from(M, p)
-    members = np.ones(M.grid.shape, dtype=bool)
-    return GeodesicBall(M, p, r, members, np.zeros_like(members), dist, whole=True)
+    return _region(M, *_distances_from(M, p), r)
+
+
+def _region(M: DiscreteManifold, p: tuple[int, ...], dist: np.ndarray, r: float) -> GeodesicBall:
+    """The ``ball_region`` rule on the Dijkstra distances from p."""
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    if r >= _cut_locus_radius(M):
+        members = np.ones(M.grid.shape, dtype=bool)
+        return GeodesicBall(M, p, r, members, np.zeros_like(members), dist, whole=True)
+    members = dist <= r + 1e-12
+    return GeodesicBall(M, p, r, members, _boundary_of(members), dist)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ form with corner quadrature per cell, which makes it exactly symmetric,
 positive semidefinite, and zero-row-sum, with no spurious checkerboard kernel;
 on a flat metric it reduces to the classical compact second-order stencil.
 The stiffness action on a coordinate-like scalar is ``L`` applied to its
-periodic part plus one precomputed vector per winding axis.
+periodic part plus one precomputed vector per winding axis.  Every sparse
+linear solve goes through :func:`factorize`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import functools
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.linalg import splu
 
 from .manifold import DiscreteManifold, PeriodicGrid
 
@@ -30,6 +32,7 @@ __all__ = [
     "metric_inner",
     "laplacian_matrix",
     "laplace",
+    "factorize",
     "hessian",
     "hessian_norm",
     "christoffel_fd",
@@ -215,6 +218,14 @@ def stiffness_apply(M: DiscreteManifold, f: np.ndarray, winding=None) -> np.ndar
 def laplace(M: DiscreteManifold, f: np.ndarray, winding=None) -> np.ndarray:
     """Pointwise ``Delta f = -div grad f`` (positive spectrum convention)."""
     return stiffness_apply(M, f, winding) / M.node_weights()
+
+
+def factorize(A):
+    """SuperLU (COLAMD) factorization of a square sparse matrix as the solve ``b -> x``.
+
+    The factor lives as long as the returned callable; factor once per matrix.
+    """
+    return splu(A.tocsc(), permc_spec="COLAMD").solve
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 from scipy.sparse import diags
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .manifold import DiscreteManifold, GeodesicBall, ball_region
-from .operators import gradient, laplacian_matrix, metric_inner, region_sup
+from .manifold import DiscreteManifold, GeodesicBall
+from .operators import factorize, gradient, laplacian_matrix, metric_inner, region_sup
 
 __all__ = [
     "EigenPair",
@@ -56,72 +56,74 @@ def eigenpairs(
     """Lowest eigenpairs of the Laplace-Beltrami operator.
 
     ``region`` switches to the Dirichlet problem on a ball (or boolean mask);
-    with ``theta_max`` given, the count grows until the spectrum is exhausted
-    up to the threshold and all eigenvalues <= theta_max are returned.
+    with ``theta_max`` given, the count doubles until the spectrum is
+    exhausted up to the threshold and all eigenvalues <= theta_max are
+    returned.  Every round reuses one factorization of ``L - sigma mass``.
     """
     mask = region.members & ~region.boundary if isinstance(region, GeodesicBall) else region
-    if theta_max is not None:
-        k = max(count, 8)
-        while True:
-            pairs = eigenpairs(M, k, None, region=region, seed=seed)
-            if pairs[-1].theta > theta_max or len(pairs) >= _n_dof(M, mask) - 2:
-                return [p for p in pairs if p.theta <= theta_max]
-            k = min(2 * k, _n_dof(M, mask) - 2)
-
     L, mass = laplacian_matrix(M, mask)
     n = L.shape[0]
-    if not (0 < count <= n - 2):
+    k = count if theta_max is None else max(count, 8)
+    if not (0 < k <= n - 2):
         raise ValueError(f"count must lie in [1, {n - 2}]")
+    A = L.tocsc()
     Mmat = diags(mass).tocsc()
     sigma = -max(1e-6 * _solver_scale(L, mass), 1e-9)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    try:
-        theta, vecs = eigsh(L.tocsc(), k=count, M=Mmat, sigma=sigma, which="LM", v0=v0, tol=0)
-    except ArpackNoConvergence as exc:
-        raise RuntimeError(
-            f"eigensolver failed to converge: got {len(exc.eigenvalues)} of {count} pairs"
-        ) from exc
-    order = np.argsort(theta)
-    theta = theta[order]
-    vecs = vecs[:, order]
+    OPinv = LinearOperator((n, n), matvec=factorize(A - sigma * Mmat), dtype=float)
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    dof = None if mask is None else np.flatnonzero(mask.ravel())
+    while True:
+        try:
+            theta, vecs = eigsh(A, k=k, M=Mmat, sigma=sigma, which="LM", v0=v0, tol=0, OPinv=OPinv)
+        except ArpackNoConvergence as exc:
+            raise RuntimeError(
+                f"eigensolver failed to converge: got {len(exc.eigenvalues)} of {k} pairs"
+            ) from exc
+        order = np.argsort(theta)
+        # M-orthonormal -> L2-average norm 1
+        pairs = _gated_pairs(M, L, mass, theta[order], (vecs[:, order] * np.sqrt(mass.sum())).T, dof)
+        if theta_max is None:
+            return pairs
+        if pairs[-1].theta > theta_max or k >= n - 2:
+            return [p for p in pairs if p.theta <= theta_max]
+        k = min(2 * k, n - 2)
 
+
+def _gated_pairs(M: DiscreteManifold, L, mass, theta, vecs, dof=None) -> list[EigenPair]:
+    """Eigenpairs from ascending ``theta`` and L2-average-normalized rows ``vecs``.
+
+    Clamps round-off negative eigenvalues to 0, makes each vector's largest
+    entry positive, applies the residual gate (RuntimeError, NaN included)
+    and numbers the clusters.  ``dof`` scatters Dirichlet vectors into the
+    full grid.
+    """
     total = float(mass.sum())
-    shape = M.grid.shape
+    scale = _solver_scale(L, mass)
     pairs: list[EigenPair] = []
     cluster = 0
-    for i in range(count):
-        th = float(max(theta[i], 0.0) if abs(theta[i]) < 1e-10 * _solver_scale(L, mass) else theta[i])
-        v = vecs[:, i] * np.sqrt(total)  # M-orthonormal -> L2-average norm 1
-        pivot = int(np.argmax(np.abs(v)))
-        if v[pivot] < 0:
+    for i, (th, v) in enumerate(zip(theta, vecs)):
+        th = float(max(th, 0.0) if abs(th) < 1e-10 * scale else th)
+        if v[int(np.argmax(np.abs(v)))] < 0:
             v = -v
         res = float(np.sqrt(np.sum(mass * ((L @ v) / mass - th * v) ** 2) / total))
-        if res > RESIDUAL_TOL * (1.0 + abs(th)):
+        if not res <= RESIDUAL_TOL * (1.0 + abs(th)):
             raise RuntimeError(
                 f"eigenpair {i} residual {res:.3e} exceeds {RESIDUAL_TOL:.0e} * (1 + theta)"
             )
         if i > 0 and abs(th - pairs[-1].theta) >= CLUSTER_REL_GAP * max(abs(th), 1.0):
             cluster += 1
-        full = np.zeros(M.grid.n_nodes)
-        if mask is not None:
-            full[np.flatnonzero(mask.ravel())] = v
-        else:
-            full = v
-        pairs.append(EigenPair(theta=th, u=full.reshape(shape), residual=res, cluster=cluster))
+        if dof is not None:
+            full = np.zeros(M.grid.n_nodes)
+            full[dof] = v
+            v = full
+        pairs.append(EigenPair(theta=th, u=v.reshape(M.grid.shape), residual=res, cluster=cluster))
     return pairs
-
-
-def _n_dof(M: DiscreteManifold, mask: np.ndarray | None) -> int:
-    if mask is None:
-        return M.grid.n_nodes
-    return int(np.asarray(mask).sum())
 
 
 def cheng_yau_ratio(M: DiscreteManifold, u: np.ndarray, ball: GeodesicBall) -> float:
     """Measured gradient-estimate ratio ``r sup_B(p,r) |grad u| / sup_B(p,2r) |u|``."""
     u = np.asarray(u, dtype=float)
-    outer = ball_region(M, ball.center, 2 * ball.radius)
+    outer = ball.concentric(2 * ball.radius)
     sup_u = region_sup(np.abs(u), outer.members)
     if sup_u == 0.0:
         raise ValueError("Cheng-Yau ratio undefined for u identically zero")
@@ -187,19 +189,10 @@ def load_eigen_cache(path: str | Path, M: DiscreteManifold) -> list[EigenPair] |
             us = np.fromfile(fh, dtype="<f8", count=npairs * n)
             if len(theta) != npairs or us.size != npairs * n:
                 return None
-        us = us.reshape(npairs, *shape)
     except (OSError, struct.error, ValueError):
         return None
     L, mass = laplacian_matrix(M)
-    total = float(mass.sum())
-    pairs = []
-    cluster = 0
-    for i in range(npairs):
-        v = us[i].ravel()
-        res = float(np.sqrt(np.sum(mass * ((L @ v) / mass - theta[i] * v) ** 2) / total))
-        if not np.isfinite(res) or res > RESIDUAL_TOL * (1.0 + abs(theta[i])):
-            return None  # corrupt payload: semantic checksum failed
-        if i > 0 and abs(theta[i] - pairs[-1].theta) >= CLUSTER_REL_GAP * max(abs(theta[i]), 1.0):
-            cluster += 1
-        pairs.append(EigenPair(theta=float(theta[i]), u=us[i], residual=res, cluster=cluster))
-    return pairs
+    try:
+        return _gated_pairs(M, L, mass, theta, us.reshape(npairs, n))
+    except RuntimeError:
+        return None  # corrupt payload: semantic checksum failed

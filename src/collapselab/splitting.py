@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse.linalg import spsolve
 
-from .manifold import DiscreteManifold, GeodesicBall, ball_region
+from .manifold import DiscreteManifold, GeodesicBall
 from .operators import (
     chart_gradient,
+    factorize,
     gradient,
     hessian,
     hessian_norm,
@@ -208,11 +208,7 @@ class SplittingMap:
             values = self.evaluate(pts)
         else:
             values = self._values(np.atleast_2d(np.asarray(pts, dtype=float)), periodic)
-        res = values - np.asarray(level, dtype=float)
-        for a, p in enumerate(self.value_periods()):
-            if p > 0:
-                res[..., a] = (res[..., a] + p / 2) % p - p / 2
-        return res
+        return self.wrap_value_delta(values - np.asarray(level, dtype=float))
 
     def project_to_level(
         self,
@@ -246,7 +242,7 @@ class SplittingMap:
             lam = np.linalg.solve(gram, res[..., None])[..., 0]
             x = x - np.einsum("nkm,nk->nm", jg, lam)
         res = self.level_residual(x, level)
-        if np.max(np.abs(res)) > tol:
+        if not np.max(np.abs(res)) <= tol:   # NaN fails too
             raise RuntimeError(
                 f"Newton reprojection failed: residual {np.max(np.abs(res)):.3e} > {tol:.1e}"
             )
@@ -317,7 +313,7 @@ def solve_harmonic(ball: GeodesicBall, boundary_data) -> SplittingMap:
     L, _ = laplacian_matrix(M)
     ii = np.flatnonzero(interior.ravel())
     bb = np.flatnonzero(fixed.ravel())
-    L_ii = L[ii][:, ii].tocsc()
+    solve = factorize(L[ii][:, ii])
     L_ib = L[ii][:, bb]
     comps, winds, resid = [], [], []
     mass = M.node_weights().ravel()
@@ -326,7 +322,7 @@ def solve_harmonic(ball: GeodesicBall, boundary_data) -> SplittingMap:
         x = np.full(M.grid.n_nodes, np.nan)
         x[bb] = vals.ravel()[bb]
         rhs = -L_ib @ x[bb]
-        x[ii] = spsolve(L_ii, rhs)
+        x[ii] = solve(rhs)
         sol = x.reshape(M.grid.shape)
         res_field = np.zeros_like(sol)
         res_field.ravel()[ii] = (L[ii] @ np.where(np.isnan(x), 0.0, x)) / mass[ii]
@@ -353,6 +349,7 @@ def harmonic_coordinates(M: DiscreteManifold, axes: Sequence[int] | None = None)
     L, _ = laplacian_matrix(M)
     mass = M.node_weights().ravel()
     comps, winds, resid = [], [], []
+    solve = None   # factored on the first axis that needs a solve
     for ax in axes:
         w = np.zeros(grid.dim)
         w[ax] = 1.0
@@ -361,13 +358,15 @@ def harmonic_coordinates(M: DiscreteManifold, axes: Sequence[int] | None = None)
         if np.max(np.abs(rhs)) < 1e-12 * np.max(np.abs(L.diagonal())):
             psi = np.zeros(grid.n_nodes)
         else:
-            A = L.tolil(copy=True)
-            A[0, :] = 0.0
-            A[:, 0] = 0.0
-            A[0, 0] = 1.0
+            if solve is None:
+                A = L.tolil(copy=True)   # pin node 0: psi is defined up to a constant
+                A[0, :] = 0.0
+                A[:, 0] = 0.0
+                A[0, 0] = 1.0
+                solve = factorize(A)
             b = rhs.copy()
             b[0] = 0.0
-            psi = spsolve(A.tocsc(), b)
+            psi = solve(b)
             psi -= (mass * psi).sum() / mass.sum()
         vals = coord + psi.reshape(grid.shape)
         res = (stiffness_apply(M, vals, w).ravel() / mass)
@@ -494,7 +493,7 @@ def certify(phi: SplittingMap, ball: GeodesicBall, epsilon_hat: float | None = N
     """
     M = phi.manifold
     r = ball.radius
-    region2 = ball_region(M, ball.center, 2 * r)
+    region2 = ball.concentric(2 * r)
     stats = jacobian_stats(phi)
     mask = region2.members & stats.valid
     if not mask.any():

@@ -109,3 +109,21 @@ def test_verify_twisted_torus_checks_two_component_fibers(tmp_path, monkeypatch)
         "interior-l2-tangential",
         "main-theorem-tangential-l2",
     }
+
+
+FAMILIES = {
+    "flat": {"family": {"kind": "flat-product-torus"}, "resolution": {"nodes_per_unit": 64}},
+    "warped": SMALL_WARPED,
+    "twisted": {
+        "family": {"kind": "twisted-3-torus", "epsilon": 0.25, "twist": 1.5707963267948966},
+        "resolution": {"nodes_per_unit": 64},
+        "ball": {"radius": 0.3},
+    },
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("verb", ["build", "eig", "split", "flow", "verify"])
+def test_every_verb_runs_on_every_family(tmp_path, verb, family):
+    path = write_config(tmp_path, FAMILIES[family])
+    assert main([verb, "--config", str(path), "--out", str(tmp_path / "out")]) in (0, 2)

@@ -136,6 +136,21 @@ def test_ball_region_whole_chart_standin(flat_torus):
     assert not region.boundary.any()
 
 
+@pytest.mark.parametrize("s", [0.0, 0.1, 0.25, 0.37, 0.5, 0.8])
+def test_concentric_equals_ball_region(warped_torus, s):
+    ball = geodesic_ball(warped_torus, (96, 3), 0.2)
+    want = ball_region(warped_torus, (96, 3), s)
+    got = ball.concentric(s)
+    assert (got.center, got.radius, got.whole) == (want.center, want.radius, want.whole)
+    for name in ("members", "boundary", "distances"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_concentric_rejects_negative_radius(flat_ball):
+    with pytest.raises(ValueError, match="nonnegative"):
+        flat_ball.concentric(-0.1)
+
+
 # ---------------------------------------------------------------------------
 # fibers
 # ---------------------------------------------------------------------------

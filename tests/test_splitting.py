@@ -38,6 +38,17 @@ def test_flat_ball_dirichlet_returns_coordinate(flat_torus, flat_ball):
     assert np.nanmax(np.abs(phi.values[0][inside] - data[0][0][inside])) <= 1e-10
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+def test_projection_off_the_map_domain_raises():
+    # outside the ball the Dirichlet map is NaN; Newton must fail, not return NaN points
+    M = build_family(FamilySpec(kind="flat-product-torus", epsilon=0.1, resolution=(64, 16)))
+    ball = geodesic_ball(M, (0, 0), 0.2)
+    phi = solve_harmonic(ball, coordinate_boundary_data(M, ball))
+    level = phi.evaluate(ball.center_position()[None, :])[0]
+    with pytest.raises(RuntimeError, match="residual nan"):
+        phi.project_to_level(np.array([[0.5, 0.5]]), level)
+
+
 def test_warped_ball_dirichlet_differs_from_coordinate(warped_torus):
     ball = geodesic_ball(warped_torus, (32, 0), 0.4)
     data = coordinate_boundary_data(warped_torus, ball)
