@@ -30,7 +30,7 @@ from .estimates import (
     run_point,
     sweep,
 )
-from .flow import fiber_apriori_check, flow_rate_bound, integrate_flow, tangential_projection
+from .flow import fiber_apriori_check, fiber_neighborhood, flow_rate_bound, integrate_flow, tangential_projection
 from .manifold import FamilySpec, build_family, extract_fiber
 from .spectral import eigenpairs, load_eigen_cache, save_eigen_cache
 
@@ -312,7 +312,9 @@ def cmd_flow(cfg: ExperimentConfig, out: Path) -> int:
     x0 = tuple(int(i) % n for i, n in zip(np.round(start_chart / h).astype(int), grid.shape))
     level = field.phi.evaluate(M.positions()[x0][None, :])[0]
     trace = extract_fiber(field.phi, level)
-    report = fiber_apriori_check(trace, field, point["eps_hat"], cfg.ball["radius"])
+    r = cfg.ball["radius"]
+    neighborhood = fiber_neighborhood(M, trace, 2.0 * point["eps_hat"] * r)
+    report = fiber_apriori_check(trace, field, point["eps_hat"], r, neighborhood)
     T = cfg.flow["time_over_k"] / report.K
     rate = flow_rate_bound(report)
     # the configured step, cut to the stability gate dt * rate <= 0.1

@@ -603,10 +603,15 @@ def default_resolution_rule(nodes_per_unit: int = 128, min_fiber_nodes: int = 16
 
 
 def point_reports(point: dict, r: float) -> tuple[list[SweepRow], list[EstimateReport]]:
-    """Sweep rows and estimate reports of every eigenpair of a ``run_point`` bundle."""
+    """Sweep rows and estimate reports of every eigenpair of a ``run_point`` bundle.
+
+    The fibers of the a priori check and their ``2 eps r`` neighborhoods
+    depend on the splitting map alone, so they are traced once per point.
+    """
+    fibers = _checked_fibers(point, r) if any(pair.theta > 0 for pair in point["pairs"]) else []
     rows, reports = [], []
     for pair in point["pairs"]:
-        row, mode_reports = _mode_reports(point, pair, r)
+        row, mode_reports = _mode_reports(point, pair, r, fibers)
         rows.append(row)
         reports.extend(mode_reports)
     return rows, reports
@@ -696,7 +701,33 @@ def sweep(
     )
 
 
-def _mode_reports(point: dict, pair: EigenPair, r: float):
+def _checked_fibers(point: dict, r: float) -> list[tuple]:
+    """``(trace, neighborhood)`` of the fibers checked for every eigenpair of a point.
+
+    The levels are k-component, on the diagonal of the working ball's value
+    box.  Fibers are judged by the configured mask, as the tangential fields
+    are: irregular traces and fibers whose stencils leave the mask are skipped.
+    """
+    from .flow import fiber_neighborhood
+
+    M = point["manifold"]
+    phi = point["phi"]
+    mask = point["mask"]
+    ball = point["ball"]
+    anchor = phi.evaluate(ball.center_position()[None, :])[0]
+    lo, hi = phi.branch_range(ball.members, anchor)
+    # the tangential fields' mask; interpolates to NaN where a stencil leaves it
+    off_mask = np.where(mask.regular & point["stats"].valid, 0.0, np.nan)
+    fibers = []
+    for lv in np.linspace(lo, hi, FIBER_LEVELS + 2)[1:-1]:
+        trace = extract_fiber(phi, lv, lambda_threshold=mask.threshold)
+        touched = interp_scalar(M, off_mask, M.grid.wrap(trace.points))
+        if trace.regular and np.isfinite(touched).all():
+            fibers.append((trace, fiber_neighborhood(M, trace, 2.0 * point["eps_hat"] * r)))
+    return fibers
+
+
+def _mode_reports(point: dict, pair: EigenPair, r: float, fibers: list[tuple]):
     M = point["manifold"]
     phi = point["phi"]
     stats = point["stats"]
@@ -718,17 +749,8 @@ def _mode_reports(point: dict, pair: EigenPair, r: float):
     if pair.theta > 0:
         from .flow import fiber_apriori_check
 
-        anchor = phi.evaluate(ball.center_position()[None, :])[0]
-        lo, hi = phi.branch_range(ball.members, anchor)
-        # k-component levels on the diagonal of the ball's value box; the
-        # fibers are judged by the configured mask, as the fields are
-        off_mask = np.where(field.mask, 0.0, np.nan)   # interpolates to NaN where a stencil leaves the mask
-        for lv in np.linspace(lo, hi, FIBER_LEVELS + 2)[1:-1]:
-            trace = extract_fiber(phi, lv, lambda_threshold=mask.threshold)
-            touched = interp_scalar(M, off_mask, M.grid.wrap(trace.points))
-            if not trace.regular or not np.isfinite(touched).all():
-                continue
-            rep_f = fiber_apriori_check(trace, field, point["eps_hat"], r)
+        for trace, neighborhood in fibers:
+            rep_f = fiber_apriori_check(trace, field, point["eps_hat"], r, neighborhood)
             apriori_pass &= rep_f.passed
     sup_u = region_sup(np.abs(pair.u), ball2.members)
     denom = sup_u * (np.sqrt(cert.epsilon_hat) + cert.psi)

@@ -37,6 +37,7 @@ __all__ = [
     "integrate_flow",
     "integrate_flow_ensemble",
     "verify_exponential_bound",
+    "fiber_neighborhood",
     "fiber_apriori_check",
     "FlowEscapeError",
 ]
@@ -368,17 +369,27 @@ def flow_rate_bound(report: FiberBoundReport) -> float:
     return 2.0 * (1.0 + np.sqrt(report.Lam * report.k) * report.c0 / report.lam) * report.K / report.r**2
 
 
+def fiber_neighborhood(M: DiscreteManifold, fiber: FiberTrace, radius: float) -> np.ndarray:
+    """Nodes within graph distance ``radius`` of a fiber: multi-source Dijkstra
+    from the nodes nearest its samples, as a grid-shaped boolean mask."""
+    dist = graph_distances(M, _nearest_nodes(M, M.grid.wrap(fiber.points))).reshape(M.grid.shape)
+    return dist <= radius + 1e-12
+
+
 def fiber_apriori_check(
     fiber: FiberTrace,
     field: TangentialField,
     eps_hat: float,
     r: float,
+    neighborhood: np.ndarray,
 ) -> FiberBoundReport:
     """Measure the fiberwise a priori bound ``r sup|grad^T u| <= RHS``.
 
     All constants come from the discrete fields: the Jacobian eigenvalue
-    range and Hessian sup on the fiber samples, and K on the Dijkstra
-    ``2 eps r``-neighborhood of the fiber.
+    range and Hessian sup on the fiber samples, and K on ``neighborhood``,
+    the fiber's ``fiber_neighborhood`` of radius ``2 eps r``.  The fiber and
+    its neighborhood depend only on the splitting map, so one pair serves
+    every field checked on that fiber.
     """
     M = field.manifold
     if not fiber.regular:
@@ -396,15 +407,11 @@ def fiber_apriori_check(
     c0 = 0.0
     for hn in hess_norms:
         c0 = max(c0, float(np.max(hn**2)) * r**2)
-    # neighborhood B(fiber, 2 eps r) by multi-source Dijkstra from the samples
-    flat_sources = _nearest_nodes(M, pts)
-    dist = graph_distances(M, flat_sources).reshape(M.grid.shape)
-    region = dist <= 2.0 * eps_hat * r + 1e-12
     gn = np.sqrt(np.maximum(metric_inner(M, field.grad_u, field.grad_u), 0.0))
     hn_u = field.hessian_u_norm()
-    if not np.all(np.isfinite(gn[region])) or not np.all(np.isfinite(hn_u[region])):
+    if not np.all(np.isfinite(gn[neighborhood])) or not np.all(np.isfinite(hn_u[neighborhood])):
         raise ValueError("fiber neighborhood exits the computed domain of u")
-    K = region_sup(r * gn + r**2 * hn_u, region)
+    K = region_sup(r * gn + r**2 * hn_u, neighborhood)
     speed = np.sqrt(np.maximum(speed_sq, 0.0))
     if not np.all(np.isfinite(speed)):
         raise ValueError("fiber neighborhood exits the regular region of the tangential field")

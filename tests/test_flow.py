@@ -9,6 +9,7 @@ from collapselab.flow import (
     FlowEscapeError,
     default_stability_rate,
     fiber_apriori_check,
+    fiber_neighborhood,
     flow_rate_bound,
     integrate_flow,
     integrate_flow_ensemble,
@@ -38,7 +39,7 @@ def flat_setup(flat_torus, flat_coordinates):
 def fiber_report(flat_setup):
     M, phi, stats, mask, field = flat_setup
     trace = extract_fiber(phi, [0.0])
-    return fiber_apriori_check(trace, field, EPS, R)
+    return fiber_apriori_check(trace, field, EPS, R, fiber_neighborhood(M, trace, 2 * EPS * R))
 
 
 def test_projection_orthogonality_and_pythagoras(flat_setup, warped_torus, warped_coordinates):
@@ -178,7 +179,7 @@ def test_apriori_check_trivial_mode(flat_torus, flat_coordinates):
     u = np.sin(2 * np.pi * pos[..., 0])
     field = tangential_projection(M, u, flat_coordinates, stats, mask)
     trace = extract_fiber(flat_coordinates, [0.5])
-    rep = fiber_apriori_check(trace, field, EPS, R)
+    rep = fiber_apriori_check(trace, field, EPS, R, fiber_neighborhood(M, trace, 2 * EPS * R))
     assert rep.delta0 <= 1e-10
     assert rep.passed
     assert rep.margin == np.inf
@@ -221,7 +222,7 @@ def test_counterexample_flag_fires_on_mismatched_inputs(flat_setup):
     # feeding an epsilon measured on the wrong region must trip the flag
     M, phi, stats, mask, field = flat_setup
     trace = extract_fiber(phi, [0.0])
-    rep = fiber_apriori_check(trace, field, eps_hat=1e-8, r=R)
+    rep = fiber_apriori_check(trace, field, eps_hat=1e-8, r=R, neighborhood=fiber_neighborhood(M, trace, 2e-8 * R))
     assert rep.counterexample
     assert not rep.passed
 
