@@ -24,7 +24,9 @@ import numpy as np
 from . import __version__
 from .estimates import (
     default_ball_center,
+    default_ball_radius,
     default_resolution_rule,
+    nearest_node,
     point_reports,
     reports_to_json,
     run_point,
@@ -40,7 +42,7 @@ __all__ = ["main", "ExperimentConfig", "RunManifest", "load_config"]
 _DEFAULTS = {
     "family": {"kind": "flat-product-torus", "epsilon": 0.1, "delta": 0.0, "twist": 0.0},
     "resolution": {"nodes_per_unit": 128, "min_fiber_nodes": 16},
-    "ball": {"center": None, "radius": 0.25},
+    "ball": {"center": None, "radius": None},
     "eig": {"count": 6, "theta_max": None},
     "sweep": {"epsilons": [0.2, 0.1, 0.05], "theta_max": 50.0},
     "flow": {"field": "fiber-sine", "start": None, "time_over_k": 10.0, "dt_factor": 1e-4},
@@ -126,6 +128,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ValueError(f"config root in {path} must be a JSON object")
     merged = _merge_checked(_DEFAULTS, raw)
+    if merged["ball"]["radius"] is None:
+        merged["ball"]["radius"] = default_ball_radius(merged["family"]["kind"])
     cfg = ExperimentConfig(**merged)
     for name, value in cfg.thresholds.items():
         if not (isinstance(value, (int, float)) and value > 0):
@@ -303,18 +307,11 @@ def cmd_flow(cfg: ExperimentConfig, out: Path) -> int:
     point = _point(cfg, pairs=[])
     M = point["manifold"]
     field = _flow_field(cfg, point)
-    grid = M.grid
-    if cfg.flow["start"] is not None:
-        start_chart = np.asarray(cfg.flow["start"], dtype=float)
-    else:
-        start_chart = np.asarray(M.positions()[point["ball"].center], dtype=float)
-    h = np.asarray(grid.spacings)
-    x0 = tuple(int(i) % n for i, n in zip(np.round(start_chart / h).astype(int), grid.shape))
+    x0 = point["ball"].center if cfg.flow["start"] is None else nearest_node(M, cfg.flow["start"])
     level = field.phi.evaluate(M.positions()[x0][None, :])[0]
     trace = extract_fiber(field.phi, level)
-    r = cfg.ball["radius"]
-    neighborhood = fiber_neighborhood(M, trace, 2.0 * point["eps_hat"] * r)
-    report = fiber_apriori_check(trace, field, point["eps_hat"], r, neighborhood)
+    eps_hat, r = point["eps_hat"], cfg.ball["radius"]
+    report = fiber_apriori_check(trace, field, eps_hat, r, fiber_neighborhood(M, trace, 2.0 * eps_hat * r))
     T = cfg.flow["time_over_k"] / report.K
     rate = flow_rate_bound(report)
     # the configured step, cut to the stability gate dt * rate <= 0.1

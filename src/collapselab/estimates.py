@@ -20,6 +20,7 @@ from scipy.sparse import diags
 
 from .manifold import (
     DiscreteManifold,
+    FamilySpec,
     GeodesicBall,
     build_family,
     epsilon_proxy,
@@ -28,7 +29,7 @@ from .manifold import (
     ricci_lower_bound,
 )
 from .operators import (
-    factorize,
+    circulant_pcg,
     gradient,
     hessian,
     hessian_norm,
@@ -42,7 +43,7 @@ from .operators import (
 )
 from .spectral import RESIDUAL_TOL, EigenPair, cheng_yau_ratio, eigenpairs
 from .splitting import Certificate, SplittingMap, certify, classify_regular, harmonic_coordinates, jacobian_stats
-from .flow import TangentialField, integrate_flow_ensemble, tangential_projection
+from .flow import TangentialField, fiber_neighborhood, tangential_projection
 
 __all__ = [
     "CutoffFunction",
@@ -53,7 +54,6 @@ __all__ = [
     "hessian_l2_bound",
     "interior_l2_report",
     "main_theorem_report",
-    "change_integral_check",
     "point_reports",
     "sweep",
     "c1_sup_bound",
@@ -193,13 +193,14 @@ def build_cutoff(ball_r: GeodesicBall, ball_2r: GeodesicBall, eps_hat: float) ->
     r_out = ball_2r.radius
     if not r_in < r_out:
         raise ValueError(
-            f"cutoff radii overlap: inner r(1 + 4 eps) = {r_in:.6g} must be < outer {r_out:.6g}"
+            f"cutoff radii overlap: inner r(1 + 4 eps) = {r_in:.6g} must be < outer {r_out:.6g}, "
+            f"so eps_hat = {eps_hat:.6g} must stay below 1/4; use a larger ball radius (ball.radius)"
         )
     M = ball_r.manifold
     d = ball_2r.distances
     L, mass = laplacian_matrix(M)
     w_s = (r_out - r_in) / 8.0
-    d_s = factorize(diags(mass) + w_s**2 * L)(mass * d.ravel()).reshape(d.shape)
+    d_s = circulant_pcg(diags(mass) + w_s**2 * L, d.shape)(mass * d.ravel()).reshape(d.shape)
     inset = float(np.max(np.abs(d_s - d)))
     phi = _smoothstep((d_s - (r_in + inset)) / ((r_out - inset) - (r_in + inset)))
     g = gradient(M, phi)
@@ -415,59 +416,6 @@ def main_theorem_report(
 
 
 # ---------------------------------------------------------------------------
-# change-integral bound along one flow time
-# ---------------------------------------------------------------------------
-
-
-def change_integral_check(
-    field: TangentialField,
-    mask: np.ndarray,
-    ball_r: GeodesicBall,
-    K: float,
-    C0: float,
-    eps_hat: float,
-    dt_factor: float = 1e-2,
-) -> EstimateReport:
-    """Flow the regular ensemble for ``t = sqrt(eps) r^2 / K`` and bound the
-    change of ``int u |J_k|`` by ``4 k (1 + C0)^k |B(p,r)| K eps``."""
-    M = field.manifold
-    r = ball_r.radius
-    k = field.phi.k
-    t_flow = float(np.sqrt(max(eps_hat, 1e-16)) * r**2 / max(K, 1e-300))
-    from .flow import default_stability_rate
-
-    rate = default_stability_rate(field)
-    dt = min(t_flow / 8.0, (0.1 / rate) if rate > 0 else t_flow / 8.0, dt_factor * t_flow)
-    dom = ball_r.members & mask
-    w = M.node_weights()
-    starts = M.positions()[dom].reshape(-1, M.dim)
-    u0 = field.u[dom]
-    j0 = np.nan_to_num(field.stats.absdet)[dom]
-    before = float((w[dom] * u0 * j0).sum())
-    final = integrate_flow_ensemble(field, starts, t_flow, dt)
-    wrapped = M.grid.wrap(final)
-    u1 = interp_scalar(M, field.u, wrapped)
-    j1 = interp_scalar(M, np.nan_to_num(field.stats.absdet), wrapped)
-    after = float((w[dom] * u1 * j1).sum())
-    lhs = abs(after - before)
-    rhs = 4.0 * k * (1.0 + C0) ** k * ball_r.volume() * K * eps_hat
-    return EstimateReport(
-        name="change-integral-flow",
-        lhs=float(lhs),
-        rhs=float(rhs),
-        constants={
-            "C0": (C0, "measured"),
-            "K": (K, "measured (u W22 bound)"),
-            "ballVolume": (ball_r.volume(), "measured"),
-            "epsilonHat": (eps_hat, "measured"),
-            "flowTime": (t_flow, "formula sqrt(eps) r^2 / K"),
-            "k": (k, "input"),
-        },
-        notes=(PSI_NOTE,),
-    )
-
-
-# ---------------------------------------------------------------------------
 # epsilon sweep
 # ---------------------------------------------------------------------------
 
@@ -540,14 +488,12 @@ def run_point(
     pairs: list[EigenPair] | None = None,
 ):
     """Full pipeline at one collapse parameter; returns the per-point bundle."""
-    from .manifold import FamilySpec
-
     resolution = resolution_rule(kind, epsilon)
     M = build_family(FamilySpec(kind=kind, epsilon=epsilon, delta=delta, twist=twist, resolution=resolution))
     phi = harmonic_coordinates(M)
     stats = jacobian_stats(phi)
     mask = classify_regular(stats, max(lambda_threshold_rel * float(np.nanmedian(stats.Lam)), 1e-300))
-    p = _nearest_node(M, ball_center)
+    p = nearest_node(M, ball_center)
     ball = geodesic_ball(M, p, r)
     ball2 = ball.concentric(2 * r)
     eps_hat = epsilon_proxy(M, ball, phi)
@@ -573,7 +519,8 @@ def run_point(
     }
 
 
-def _nearest_node(M: DiscreteManifold, chart_point) -> tuple[int, ...]:
+def nearest_node(M: DiscreteManifold, chart_point) -> tuple[int, ...]:
+    """The grid node nearest a chart point, as an index tuple."""
     grid = M.grid
     h = np.asarray(grid.spacings)
     ij = np.round(np.asarray(chart_point, dtype=float) / h).astype(int) % np.asarray(grid.shape)
@@ -587,6 +534,12 @@ def default_ball_center(kind: str) -> tuple[float, ...]:
     if kind == "twisted-3-torus":
         return (0.25, 0.25, 0.0)
     return (0.25, 0.0)
+
+
+def default_ball_radius(kind: str) -> float:
+    """Working-ball radius: a ball of 0.25 on the twisted 3-torus measures
+    eps_hat = 1/4, where the cutoff plateau r(1 + 4 eps_hat) reaches 2r."""
+    return 0.3 if kind == "twisted-3-torus" else 0.25
 
 
 def default_resolution_rule(nodes_per_unit: int = 128, min_fiber_nodes: int = 16):
@@ -603,11 +556,7 @@ def default_resolution_rule(nodes_per_unit: int = 128, min_fiber_nodes: int = 16
 
 
 def point_reports(point: dict, r: float) -> tuple[list[SweepRow], list[EstimateReport]]:
-    """Sweep rows and estimate reports of every eigenpair of a ``run_point`` bundle.
-
-    The fibers of the a priori check and their ``2 eps r`` neighborhoods
-    depend on the splitting map alone, so they are traced once per point.
-    """
+    """Sweep rows and estimate reports of every eigenpair of a ``run_point`` bundle."""
     fibers = _checked_fibers(point, r) if any(pair.theta > 0 for pair in point["pairs"]) else []
     rows, reports = [], []
     for pair in point["pairs"]:
@@ -702,27 +651,16 @@ def sweep(
 
 
 def _checked_fibers(point: dict, r: float) -> list[tuple]:
-    """``(trace, neighborhood)`` of the fibers checked for every eigenpair of a point.
-
-    The levels are k-component, on the diagonal of the working ball's value
-    box.  Fibers are judged by the configured mask, as the tangential fields
-    are: irregular traces and fibers whose stencils leave the mask are skipped.
-    """
-    from .flow import fiber_neighborhood
-
-    M = point["manifold"]
-    phi = point["phi"]
-    mask = point["mask"]
-    ball = point["ball"]
+    """``(trace, 2 eps r neighborhood)`` of the fibers checked for every eigenpair:
+    regular ones at k-component levels on the diagonal of the ball's value box
+    whose stencils stay in the tangential fields' mask (the configured one)."""
+    M, phi, mask, ball = point["manifold"], point["phi"], point["mask"], point["ball"]
     anchor = phi.evaluate(ball.center_position()[None, :])[0]
-    lo, hi = phi.branch_range(ball.members, anchor)
-    # the tangential fields' mask; interpolates to NaN where a stencil leaves it
-    off_mask = np.where(mask.regular & point["stats"].valid, 0.0, np.nan)
+    off_mask = np.where(mask.regular & point["stats"].valid, 0.0, np.nan)   # NaN where a stencil leaves it
     fibers = []
-    for lv in np.linspace(lo, hi, FIBER_LEVELS + 2)[1:-1]:
+    for lv in np.linspace(*phi.branch_range(ball.members, anchor), FIBER_LEVELS + 2)[1:-1]:
         trace = extract_fiber(phi, lv, lambda_threshold=mask.threshold)
-        touched = interp_scalar(M, off_mask, M.grid.wrap(trace.points))
-        if trace.regular and np.isfinite(touched).all():
+        if trace.regular and np.isfinite(interp_scalar(M, off_mask, M.grid.wrap(trace.points))).all():
             fibers.append((trace, fiber_neighborhood(M, trace, 2.0 * point["eps_hat"] * r)))
     return fibers
 

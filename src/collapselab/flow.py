@@ -372,8 +372,10 @@ def flow_rate_bound(report: FiberBoundReport) -> float:
 def fiber_neighborhood(M: DiscreteManifold, fiber: FiberTrace, radius: float) -> np.ndarray:
     """Nodes within graph distance ``radius`` of a fiber: multi-source Dijkstra
     from the nodes nearest its samples, as a grid-shaped boolean mask."""
-    dist = graph_distances(M, _nearest_nodes(M, M.grid.wrap(fiber.points))).reshape(M.grid.shape)
-    return dist <= radius + 1e-12
+    grid = M.grid
+    ij = np.round(grid.wrap(fiber.points) / np.asarray(grid.spacings)).astype(int) % np.asarray(grid.shape)
+    dist = graph_distances(M, np.unique(np.ravel_multi_index(tuple(ij.T), grid.shape)))
+    return dist.reshape(grid.shape) <= radius + 1e-12
 
 
 def fiber_apriori_check(
@@ -387,8 +389,7 @@ def fiber_apriori_check(
 
     All constants come from the discrete fields: the Jacobian eigenvalue
     range and Hessian sup on the fiber samples, and K on ``neighborhood``,
-    the fiber's ``fiber_neighborhood`` of radius ``2 eps r``.  The fiber and
-    its neighborhood depend only on the splitting map, so one pair serves
+    the fiber's ``fiber_neighborhood`` of radius ``2 eps r``, which serves
     every field checked on that fiber.
     """
     M = field.manifold
@@ -437,14 +438,6 @@ def fiber_apriori_check(
         margin=margin,
         counterexample=not passed,
     )
-
-
-def _nearest_nodes(M: DiscreteManifold, pts: np.ndarray) -> np.ndarray:
-    grid = M.grid
-    h = np.asarray(grid.spacings)
-    ij = np.round(grid.wrap(pts) / h).astype(int) % np.asarray(grid.shape)
-    flat = np.ravel_multi_index(tuple(ij.T), grid.shape)
-    return np.unique(flat)
 
 
 @dataclass(frozen=True)

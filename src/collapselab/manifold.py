@@ -483,10 +483,6 @@ class FiberTrace:
     min_lambda: float              # smallest Jacobian eigenvalue seen along the trace
     level_error: float             # max |Phi(sample) - level|
 
-    @property
-    def n_samples(self) -> int:
-        return len(self.points)
-
 
 def _polyline_metric_length(M: DiscreteManifold, pts: np.ndarray, closed: bool) -> float:
     from .operators import interp_metric

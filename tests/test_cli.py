@@ -111,6 +111,21 @@ def test_verify_twisted_torus_checks_two_component_fibers(tmp_path, monkeypatch)
     }
 
 
+def test_twisted_torus_runs_with_its_default_ball_radius(tmp_path, capsys):
+    twisted = {
+        "family": {"kind": "twisted-3-torus", "epsilon": 0.25, "twist": 1.5707963267948966},
+        "resolution": {"nodes_per_unit": 64},
+    }
+    path = write_config(tmp_path, twisted)
+    assert load_config(path).ball["radius"] == 0.3
+    for verb in ("verify", "flow"):
+        assert main([verb, "--config", str(path), "--out", str(tmp_path / verb)]) == 0
+    # a ball of 0.25 measures eps_hat = 1/4, where the cutoff radii meet
+    path = write_config(tmp_path, {**twisted, "ball": {"radius": 0.25}}, "small_ball.json")
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "small")]) == 1
+    assert "use a larger ball radius (ball.radius)" in capsys.readouterr().err
+
+
 FAMILIES = {
     "flat": {"family": {"kind": "flat-product-torus"}, "resolution": {"nodes_per_unit": 64}},
     "warped": SMALL_WARPED,

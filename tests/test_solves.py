@@ -1,12 +1,15 @@
-"""Every sparse solve goes through ``operators.factorize``, once per matrix.
+"""Every sparse solve goes through ``operators.factorize``, once per matrix,
+or, for the cutoff mollifier, through ``operators.circulant_pcg``.
 
-The references are the solves the helper replaced: one ``spsolve`` per
-right-hand side, and ``eigsh`` factoring ``L - sigma mass`` itself.  Both must
-give the same bits as the shared factorization.
+The references are the solves the helpers replaced: one ``spsolve`` per
+right-hand side, and ``eigsh`` factoring ``L - sigma mass`` itself.  They must
+give the same bits as the shared factorization, and the cutoff built by
+preconditioned CG must agree with the direct solve to 1e-11.
 """
 
 import numpy as np
 import pytest
+from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh, spsolve
 
 import collapselab.estimates as estimates
@@ -90,15 +93,78 @@ def test_solve_harmonic_matches_spsolve(request, monkeypatch, family, center, r)
     assert_same_maps(got, solve_harmonic(ball, data))
 
 
-@pytest.mark.parametrize("family", ["flat_torus", "warped_torus"])
+CUTOFF_BALLS = {"flat_torus": ((32, 0), 0.2), "warped_torus": ((32, 0), 0.2), "small_twisted": ((4, 4, 0), 0.3)}
+
+
+@pytest.mark.parametrize("family", sorted(CUTOFF_BALLS))
 def test_cutoff_matches_spsolve(request, monkeypatch, family):
     M = request.getfixturevalue(family)
-    ball = geodesic_ball(M, (32, 0), 0.2)
-    got = estimates.build_cutoff(ball, ball.concentric(0.4), 0.05)
-    monkeypatch.setattr(estimates, "factorize", spsolve_factorize)
-    want = estimates.build_cutoff(ball, ball.concentric(0.4), 0.05)
-    assert np.array_equal(got.values, want.values)
-    assert got.c_ctf_measured == want.c_ctf_measured
+    center, r = CUTOFF_BALLS[family]
+    ball = geodesic_ball(M, center, r)
+    got = estimates.build_cutoff(ball, ball.concentric(2 * r), 0.05)
+    monkeypatch.setattr(estimates, "circulant_pcg", lambda A, shape: spsolve_factorize(A))
+    want = estimates.build_cutoff(ball, ball.concentric(2 * r), 0.05)
+    assert np.ptp(want.values) == 1.0
+    assert np.max(np.abs(got.values - want.values)) <= 1e-11
+    assert abs(got.c_ctf_measured - want.c_ctf_measured) <= 1e-11 * want.c_ctf_measured
+
+
+def mollifier(M, width=0.02):
+    """The cutoff's matrix ``mass + w^2 L`` and a right-hand side ``mass * d``."""
+    L, mass = operators.laplacian_matrix(M)
+    d = geodesic_ball(M, (0,) * M.dim, 0.4).distances
+    return diags(mass) + width**2 * L, mass * d.ravel()
+
+
+def watch_cg(monkeypatch):
+    """Iteration count and preconditioner of every CG run of ``circulant_pcg``."""
+    runs = []
+    cg = operators.cg
+
+    def watched(A, b, **kwargs):
+        run = {"preconditioner": kwargs["M"], "iterations": 0}
+        runs.append(run)
+        callback = kwargs["callback"]
+
+        def counting(xk):
+            run["iterations"] += 1
+            callback(xk)
+
+        return cg(A, b, **{**kwargs, "callback": counting})
+
+    monkeypatch.setattr(operators, "cg", watched)
+    return runs
+
+
+@pytest.mark.parametrize("family", ["small_flat", "small_twisted"])
+def test_circulant_preconditioner_is_exact_on_constant_coefficients(request, monkeypatch, family):
+    # a constant metric makes mass + w^2 L circulant: its optimal circulant is itself
+    M = request.getfixturevalue(family)
+    A, b = mollifier(M)
+    runs = watch_cg(monkeypatch)
+    x = operators.circulant_pcg(A, M.grid.shape)(b)
+    assert np.linalg.norm(A @ x - b) <= operators.CG_RTOL * np.linalg.norm(b)
+    assert len(runs) == 1 and 1 <= runs[0]["iterations"] <= 2
+    v = np.random.default_rng(0).standard_normal(b.size)
+    inverted = runs[0]["preconditioner"].matvec(A @ v)
+    assert np.max(np.abs(inverted - v)) <= 1e-12 * np.max(np.abs(v))
+
+
+def test_circulant_pcg_raises_at_the_iteration_cap(monkeypatch, warped_torus):
+    # the warped metric varies along the base: CG needs more than one step
+    A, b = mollifier(warped_torus)
+    monkeypatch.setattr(operators, "CG_MAX_ITER", 1)
+    with pytest.raises(RuntimeError, match="after 1 iterations: residual"):
+        operators.circulant_pcg(A, warped_torus.grid.shape)(b)
+
+
+def test_circulant_pcg_rejects_nan_and_indefinite_input(small_flat):
+    A, b = mollifier(small_flat)
+    b[3] = np.nan
+    with pytest.raises(RuntimeError, match="residual nan"):
+        operators.circulant_pcg(A, small_flat.grid.shape)(b)
+    with pytest.raises(ValueError, match="not positive definite"):
+        operators.circulant_pcg(-A, small_flat.grid.shape)
 
 
 @pytest.mark.parametrize(
