@@ -1,15 +1,18 @@
 """Tangential gradient projection and fiber-constrained flow dynamics.
 
 The integral curves of the tangential gradient stay inside one fiber of the
-splitting map; discrete integration enforces this with a Newton reprojection
-onto the level set after every step.  The module also measures the fiberwise
-a priori constants (lambda, Lambda, C0, K) and checks the exponential
-lower bound and the a priori sup bound with all constants measured from the
-discrete fields.
+splitting map.  Discrete integration steps one point in Python floats through
+a stencil probe of the node fields and projects a step back onto the level set
+by Newton whenever its level residual exceeds the tolerance (project after
+each step: Hairer, Lubich and Wanner, Geometric Numerical Integration,
+§IV.4).  The module also measures the fiberwise a priori constants (lambda,
+Lambda, C0, K) and checks the exponential lower bound and the a priori sup
+bound with all constants measured from the discrete fields.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,8 +27,9 @@ from .operators import (
     interp_scalar,
     metric_inner,
     region_sup,
+    stencil_probe,
 )
-from .splitting import JacobianStats, RegularMask, SplittingMap
+from .splitting import LEVEL_TOL, JacobianStats, RegularMask, SplittingMap, _max_abs
 
 __all__ = [
     "TangentialField",
@@ -35,7 +39,6 @@ __all__ = [
     "tangential_part",
     "tangential_projection",
     "integrate_flow",
-    "integrate_flow_ensemble",
     "verify_exponential_bound",
     "fiber_neighborhood",
     "fiber_apriori_check",
@@ -157,43 +160,6 @@ class FlowTrajectory:
         np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
-def _flow_probe(field: TangentialField):
-    """Velocity (N, m) and periodic map parts (N, k) at chart points, from one
-    gather of the stacked node field ``[grad_t, psi_1..psi_k]``."""
-    M = field.manifold
-    m = M.dim
-    if "probe_field" not in field._cache:
-        parts = np.stack(field.phi.periodic_parts(), axis=-1)
-        field._cache["probe_field"] = np.concatenate([field.grad_t, parts], axis=-1)
-    stacked = field._cache["probe_field"]
-
-    def probe(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vals = interp_scalar(M, stacked, M.grid.wrap(pts))
-        return vals[:, :m], vals[:, m:]
-
-    return probe
-
-
-def _rk4(velocity, x: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step from ``x`` whose first stage ``k1`` is known."""
-    k2 = velocity(x + 0.5 * dt * k1)
-    k3 = velocity(x + 0.5 * dt * k2)
-    k4 = velocity(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _reproject(phi: SplittingMap, probe, x_new: np.ndarray, level: np.ndarray):
-    """Project an RK4 step onto the level set; returns the projection and the
-    velocity at the projected points (the next step's first stage).  The
-    probe at the step supplies the residual, so only a Newton move re-probes.
-    """
-    v, parts = probe(x_new)
-    proj = phi.project_to_level(x_new, level, residual=phi.level_residual(x_new, level, periodic=parts))
-    if proj.newton_steps:
-        v = probe(proj.points)[0]
-    return proj, v
-
-
 def default_stability_rate(field: TangentialField) -> float:
     """Estimated sup of |d/dt log |grad^T u|^2| along the flow, from node fields."""
     M = field.manifold
@@ -222,15 +188,20 @@ def integrate_flow(
     """RK4 integration of ``gamma' = grad^T u`` with Newton reprojection.
 
     The step size must resolve the field's exponential rate:
-    ``dt * rate <= 0.1``.  Every step is reprojected onto the level set
-    ``{Phi = Phi(x0)}`` with the tolerance and iteration cap of
-    ``SplittingMap.project_to_level``; if reprojection fails, or a stage
-    velocity is not finite, the error carries the last valid partial
-    trajectory.  A step without a Newton move interpolates four times: three
-    stage velocities, and one probe at the new point that gives its residual,
-    its drift and the next step's first stage.
+    ``dt * rate <= 0.1``.  The state is one point in Python floats, and every
+    velocity comes from one ``stencil_probe`` of the stacked node field
+    ``[grad_t, psi_1..psi_k]``, which also gives the periodic map parts for
+    the level residual ``x . w + psi - Phi(x0)``.  A step whose residual
+    exceeds ``LEVEL_TOL`` is reprojected onto the level set by
+    ``SplittingMap.project_to_level``; a step within it costs four probes:
+    three stage velocities, and one at the new point that gives its residual,
+    its drift and the next step's first stage.  If reprojection fails, or a
+    stage velocity is not finite, the error carries the last valid partial
+    trajectory.
     """
     M = field.manifold
+    m = M.dim
+    phi = field.phi
     if not field.mask[x0]:
         raise ValueError(f"start node {x0} is not regular")
     rate = default_stability_rate(field) if stability_rate is None else float(stability_rate)
@@ -239,17 +210,23 @@ def integrate_flow(
             f"step size violation: dt * rate = {dt * rate:.3g} > 0.1; reduce dt below {0.1 / rate:.3g}"
         )
     n_steps = int(np.ceil(T / dt - 1e-12))
-    pos = M.positions()[x0].astype(float)[None, :]
-    level = field.phi.evaluate(pos)[0]
-    probe = _flow_probe(field)
+    pos = M.positions()[x0].astype(float)
+    level = phi.evaluate(pos[None, :])[0]
+    if "velocity_probe" not in field._cache:
+        parts = np.stack(phi.periodic_parts(), axis=-1)
+        field._cache["velocity_probe"] = stencil_probe(M, np.concatenate([field.grad_t, parts], axis=-1))
+    probe = field._cache["velocity_probe"]
+    periods = [float(p) for p in M.grid.periods]
+    level_f = level.tolist()
 
+    x = pos.tolist()
     times = [0.0]
-    path = [M.grid.wrap(pos)[0].copy()]
+    path = [[xi % p for xi, p in zip(x, periods)]]
     drifts = [0.0]
     t_now = 0.0
 
     def finite(v):
-        if not np.isfinite(v).all():
+        if not all(map(math.isfinite, v)):
             raise FlowEscapeError(
                 f"flow left the regular region at t = {t_now:.6g}",
                 _assemble_trajectory(field, x0, level, times, path, drifts),
@@ -257,24 +234,32 @@ def integrate_flow(
         return v
 
     def stage(pts):
-        return finite(probe(pts)[0])
+        return finite(probe(pts)[0][:m])
 
-    x = pos.copy()
-    v = probe(x)[0]
+    half, sixth = 0.5 * dt, dt / 6.0
+    vals = probe(x)[0]
     for i in range(n_steps):
         t_now = i * dt
-        x_new = _rk4(stage, x, finite(v), dt)
-        try:
-            proj, v = _reproject(field.phi, probe, x_new, level)
-        except RuntimeError as exc:
-            raise FlowEscapeError(
-                f"reprojection failed at t = {(i + 1) * dt:.6g}: {exc}",
-                _assemble_trajectory(field, x0, level, times, path, drifts),
-            ) from exc
-        x = proj.points
+        k1 = finite(vals[:m])
+        k2 = stage([a + half * b for a, b in zip(x, k1)])
+        k3 = stage([a + half * b for a, b in zip(x, k2)])
+        k4 = stage([a + dt * b for a, b in zip(x, k3)])
+        x = [a + sixth * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+        vals = probe(x)[0]
+        res = phi._point_residual(x, vals[m:], level_f)
+        if not _max_abs(res) <= LEVEL_TOL:    # NaN fails too
+            try:
+                proj = phi.project_to_level(x, level_f)
+            except RuntimeError as exc:
+                raise FlowEscapeError(
+                    f"reprojection failed at t = {(i + 1) * dt:.6g}: {exc}",
+                    _assemble_trajectory(field, x0, level, times, path, drifts),
+                ) from exc
+            x, res = proj.point, proj.residual
+            vals = probe(x)[0]
         times.append((i + 1) * dt)
-        path.append(M.grid.wrap(x)[0].copy())
-        drifts.append(float(np.max(np.abs(proj.residual))))
+        path.append([xi % p for xi, p in zip(x, periods)])
+        drifts.append(_max_abs(res))
     return _assemble_trajectory(field, x0, level, times, path, drifts)
 
 
@@ -292,33 +277,6 @@ def _assemble_trajectory(field, x0, level, times, path, drifts) -> FlowTrajector
         speed_sq=w_vals,
         drift=np.asarray(drifts),
     )
-
-
-def integrate_flow_ensemble(
-    field: TangentialField,
-    starts: np.ndarray,
-    T: float,
-    dt: float,
-    stability_rate: float | None = None,
-) -> np.ndarray:
-    """Final positions of the flow from many start points (no per-step records)."""
-    M = field.manifold
-    rate = default_stability_rate(field) if stability_rate is None else float(stability_rate)
-    if dt * rate > 0.1 * (1 + 1e-9):
-        raise ValueError(f"step size violation: dt * rate = {dt * rate:.3g} > 0.1")
-    n_steps = int(np.ceil(T / dt - 1e-12))
-    x = np.array(starts, dtype=float)
-    levels = field.phi.evaluate(x)
-    probe = _flow_probe(field)
-
-    def velocity(pts):
-        return probe(pts)[0]
-
-    v = velocity(x)
-    for _ in range(n_steps):
-        proj, v = _reproject(field.phi, probe, _rk4(velocity, x, v, dt), levels)
-        x = proj.points
-    return x
 
 
 # ---------------------------------------------------------------------------

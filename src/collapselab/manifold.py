@@ -14,6 +14,7 @@ residual plus an integer *winding* vector: the function increases by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -677,49 +678,48 @@ def _chain_segments(grid: PeriodicGrid, segments, crossing) -> np.ndarray:
 
 
 def _trace_continuation(phi, level: np.ndarray, max_steps: int = 200_000) -> np.ndarray:
-    """Predictor-corrector tracing of a codimension-k curve fiber (m = k + 1)."""
+    """Predictor-corrector tracing of a curve fiber of a 3-d chart (k = 2).
+
+    Each step predicts along the null direction of the exact chart Jacobian
+    that the last Newton projection returns with its point, then projects the
+    prediction back onto the level set.
+    """
     M = phi.manifold
     grid = M.grid
     step = 0.5 * min(grid.spacings)
+    periods = [float(p) for p in grid.periods]
 
     # seed: node nearest the level, Newton-projected onto the fiber
     vals = phi.values_stack()
     dist = np.linalg.norm(vals.reshape(-1, phi.k) - level, axis=1)
     seed_flat = int(np.argmin(dist))
-    x = M.positions().reshape(-1, M.dim)[seed_flat].astype(float).copy()
-    x = phi.project_to_level(x[None, :], level).points[0]
+    proj = phi.project_to_level(M.positions().reshape(-1, M.dim)[seed_flat], level)
 
-    pts = [x.copy()]
+    start = proj.point
+    pts = [start]
     prev_tau = None
-    start = x.copy()
     for it in range(max_steps):
-        jac = phi.chart_jacobian(pts[-1][None, :])[0]  # (k, m)
-        tau = _nullspace_direction(jac)
-        if prev_tau is not None and float(tau @ prev_tau) < 0:
-            tau = -tau
+        tau = _nullspace_direction(proj.jacobian)
+        if prev_tau is not None and sum(a * b for a, b in zip(tau, prev_tau)) < 0:
+            tau = [-t for t in tau]
         prev_tau = tau
-        x_pred = pts[-1] + step * tau
-        x_new = phi.project_to_level(x_pred[None, :], level).points[0]
-        pts.append(x_new)
+        proj = phi.project_to_level([xi + step * t for xi, t in zip(pts[-1], tau)], level)
+        pts.append(proj.point)
         if it >= 3:
-            gap = np.linalg.norm(grid.wrap_delta(x_new - start))
-            if gap < 0.6 * step:
+            gap = [(a - b + p / 2) % p - p / 2 for a, b, p in zip(proj.point, start, periods)]
+            if math.hypot(*gap) < 0.6 * step:
                 return np.asarray(pts[:-1])
     raise RuntimeError(f"fiber trace at level {level} did not close after {max_steps} steps")
 
 
-def _nullspace_direction(jac: np.ndarray) -> np.ndarray:
-    if jac.shape == (1, 2):
-        tau = np.array([-jac[0, 1], jac[0, 0]])
-    elif jac.shape == (2, 3):
-        tau = np.cross(jac[0], jac[1])
-    else:
-        _, _, vt = np.linalg.svd(jac)
-        tau = vt[-1]
-    n = np.linalg.norm(tau)
+def _nullspace_direction(jac: list[list[float]]) -> list[float]:
+    """Unit null direction of a 2 x 3 chart Jacobian: its rows' cross product."""
+    (a1, a2, a3), (b1, b2, b3) = jac
+    tau = [a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
+    n = math.hypot(*tau)
     if n == 0:
         raise RuntimeError("singular point encountered while tracing fiber")
-    return tau / n
+    return [t / n for t in tau]
 
 
 def epsilon_proxy(

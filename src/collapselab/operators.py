@@ -22,6 +22,7 @@ SPD matrices over the whole periodic grid, such as the cutoff mollifier.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -44,6 +45,7 @@ __all__ = [
     "region_average",
     "region_sup",
     "interp_scalar",
+    "stencil_probe",
     "interp_metric",
 ]
 
@@ -430,7 +432,9 @@ def interp_scalar(M: DiscreteManifold, f: np.ndarray, pts: np.ndarray) -> np.nda
     axis=-1)`` gives velocity and map values from one gather.  Each
     component is accumulated corner by corner from zero, with weights
     multiplied in axis order, so a stacked component is bit-identical to the
-    same field interpolated on its own.
+    same field interpolated on its own.  Loops that query one point at a time
+    use a :func:`stencil_probe` of the field instead: the same arithmetic in
+    Python floats, without the array set-up that dominates a one-point call.
     """
     grid = M.grid
     n_nodes, periods, nodes, h, strides, spread = _stencil_layout(grid)
@@ -459,6 +463,73 @@ def interp_scalar(M: DiscreteManifold, f: np.ndarray, pts: np.ndarray) -> np.nda
         for term in wgt.reshape(-1, n, 1) * corners:
             acc += term
     return out.reshape((len(pts),) + f.shape[grid.dim:])
+
+
+def _dot(a, b) -> float:
+    """Sum of products accumulated from 0.0 in order, as ``interp_scalar`` sums corners."""
+    s = 0.0
+    for ai, bi in zip(a, b):
+        s += ai * bi
+    return s
+
+
+def stencil_probe(M: DiscreteManifold, f: np.ndarray, n_gradients: int = 0):
+    """The single-point form of :func:`interp_scalar`, built once per node field.
+
+    Returns ``probe(x) -> (values, gradients)`` for one chart point ``x`` (a
+    sequence of ``m`` floats): ``values`` lists the trailing components of
+    ``f`` flattened, in Python floats bit-identical to ``interp_scalar`` at
+    that point, and ``gradients`` holds, for each of the first
+    ``n_gradients`` components, its ``m`` chart derivatives in the cell of
+    ``x`` (the exact derivative of the multilinear form, one-sided on a cell
+    face).  A point that is not finite gives NaN throughout.  The probe keeps
+    the corner rows of the last cell it visited, so successive points in one
+    cell gather nothing.
+    """
+    grid = M.grid
+    m = grid.dim
+    values = np.asarray(f).reshape(grid.n_nodes, -1)
+    n_comp = values.shape[1]
+    strides = [int(np.prod(grid.shape[ax + 1:])) for ax in range(m)]
+    spacings = [float(h) for h in grid.spacings]
+    axes = list(zip([float(p) for p in grid.periods], spacings, grid.shape))
+    cell, columns = None, None
+
+    def corner_weights(factors):
+        # axis-order products from 1.0, corners in np.ndindex order
+        wgt = [1.0]
+        for lo, hi in factors:
+            wgt = [w * t for w in wgt for t in (lo, hi)]
+        return wgt
+
+    def probe(x):
+        nonlocal cell, columns
+        lower, frac = [], []
+        try:
+            for xi, (p, h, n) in zip(x, axes):
+                u = xi % p % p / h             # grid.wrap, then the mod inside interp_scalar
+                c = math.floor(u)
+                lower.append(c % n)
+                frac.append(u - c)
+        except (ValueError, OverflowError):    # NaN or infinite coordinate
+            return [math.nan] * n_comp, [[math.nan] * m for _ in range(n_gradients)]
+        if lower != cell:
+            flat = [0]
+            for ax, lo in enumerate(lower):
+                hi = lo + 1 if lo + 1 < axes[ax][2] else 0
+                flat = [i + j * strides[ax] for i in flat for j in (lo, hi)]
+            cell, columns = lower, list(zip(*values[flat].tolist()))
+        factors = [(1.0 - t, t) for t in frac]
+        wgt = corner_weights(factors)
+        vals = [_dot(wgt, col) for col in columns]
+        if not n_gradients:
+            return vals, []
+        # per axis: the corner weights with that axis's factor differentiated
+        dwgt = [corner_weights(factors[:ax] + [(-1.0, 1.0)] + factors[ax + 1:]) for ax in range(m)]
+        grads = [[_dot(w, col) / h for w, h in zip(dwgt, spacings)] for col in columns[:n_gradients]]
+        return vals, grads
+
+    return probe
 
 
 def interp_metric(M: DiscreteManifold, pts: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ suite as an oracle at well-conditioned points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .manifold import DiscreteManifold, GeodesicBall
 from .operators import (
-    chart_gradient,
+    _dot,
     factorize,
     gradient,
     hessian,
@@ -33,6 +34,7 @@ from .operators import (
     metric_inner,
     region_average,
     region_sup,
+    stencil_probe,
     stiffness_apply,
 )
 
@@ -50,6 +52,9 @@ __all__ = [
     "classify_regular",
     "morse_test_map",
 ]
+
+# absolute tolerance on each component of a level residual after Newton reprojection
+LEVEL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -104,13 +109,6 @@ class SplittingMap:
             ]
         return self._cache["gradients"]
 
-    def chart_gradients(self) -> list[np.ndarray]:
-        if "chart_gradients" not in self._cache:
-            self._cache["chart_gradients"] = [
-                chart_gradient(self.manifold, v, w) for v, w in zip(self.values, self.windings)
-            ]
-        return self._cache["chart_gradients"]
-
     def hessians(self) -> list[np.ndarray]:
         if "hessians" not in self._cache:
             self._cache["hessians"] = [
@@ -135,41 +133,25 @@ class SplittingMap:
 
     def _stacked(self, name: str) -> np.ndarray:
         """Cached node fields that are interpolated together: ``psi`` the
-        periodic parts ``(*shape, k)``, ``dpsi`` their chart gradients
-        ``(*shape, k, m)``, ``newton`` both plus the metric, flattened side by
-        side: all that one Newton iteration reads."""
+        periodic parts ``(*shape, k)``, ``newton`` the periodic parts and the
+        metric flattened side by side: all that one Newton iteration reads."""
         key = f"stacked_{name}"
         if key not in self._cache:
             M = self.manifold
+            psi = np.stack(self.periodic_parts(), axis=-1)
             if name == "psi":
-                field = np.stack(self.periodic_parts(), axis=-1)
-            elif name == "dpsi":
-                field = np.stack([chart_gradient(M, psi, None) for psi in self.periodic_parts()], axis=-2)
+                field = psi
             else:
-                parts = (self._stacked("psi"), self._stacked("dpsi"), M.metric)
-                field = np.concatenate([p.reshape(M.grid.shape + (-1,)) for p in parts], axis=-1)
+                field = np.concatenate([psi, M.metric.reshape(M.grid.shape + (-1,))], axis=-1)
             self._cache[key] = field
         return self._cache[key]
-
-    def _values(self, pts: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """Map values at chart points (N, m) from their interpolated periodic parts (N, k)."""
-        return np.stack([pts @ w + psi[:, a] for a, w in enumerate(self.windings)], axis=-1)
-
-    def _jacobian(self, dpsi: np.ndarray) -> np.ndarray:
-        """Chart Jacobian (N, k, m) from interpolated periodic-part gradients (N, k, m)."""
-        return np.stack([w[None, :] + dpsi[:, a] for a, w in enumerate(self.windings)], axis=1)
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         """Map values at chart points (N, m) -> (N, k), continuous in pts."""
         M = self.manifold
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self._values(pts, interp_scalar(M, self._stacked("psi"), M.grid.wrap(pts)))
-
-    def chart_jacobian(self, pts: np.ndarray) -> np.ndarray:
-        """Covariant chart derivatives d Phi^a_i at points: (N, k, m)."""
-        M = self.manifold
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self._jacobian(interp_scalar(M, self._stacked("dpsi"), M.grid.wrap(pts)))
+        psi = interp_scalar(M, self._stacked("psi"), M.grid.wrap(pts))
+        return np.stack([pts @ w + psi[:, a] for a, w in enumerate(self.windings)], axis=-1)
 
     def value_periods(self) -> np.ndarray:
         """Period of each component value around the chart (0 for plain fields)."""
@@ -196,66 +178,108 @@ class SplittingMap:
         dv = self.wrap_value_delta(vals - anchor)
         return anchor + dv.min(axis=0), anchor + dv.max(axis=0)
 
-    def level_residual(
-        self, pts: np.ndarray, level: np.ndarray, periodic: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Phi(pts) - level, wrapped to the nearest branch for winding components.
+    def level_residual(self, pts: np.ndarray, level: np.ndarray) -> np.ndarray:
+        """Phi(pts) - level, wrapped to the nearest branch for winding components."""
+        return self.wrap_value_delta(self.evaluate(pts) - np.asarray(level, dtype=float))
 
-        ``periodic``: the periodic parts already interpolated at ``pts`` (N, k),
-        used in place of the gather that ``evaluate`` makes.
-        """
-        if periodic is None:
-            values = self.evaluate(pts)
-        else:
-            values = self._values(np.atleast_2d(np.asarray(pts, dtype=float)), periodic)
-        return self.wrap_value_delta(values - np.asarray(level, dtype=float))
+    def _point_residual(self, x, psi, level) -> list[float]:
+        """``level_residual`` at one chart point in Python floats: ``x . w +
+        psi - level`` per component, from the periodic parts ``psi`` already
+        interpolated at ``x``, wrapped to the nearest branch."""
+        out = []
+        for (w, p), psi_a, level_a in zip(self._branches(), psi, level):
+            dv = _dot(x, w) + psi_a - level_a
+            out.append((dv + p / 2) % p - p / 2 if p > 0 else dv)
+        return out
+
+    def _branches(self) -> list[tuple[list[float], float]]:
+        """Winding vector and value period of each component, as floats."""
+        if "branches" not in self._cache:
+            self._cache["branches"] = [
+                (w.tolist(), float(p)) for w, p in zip(self.windings, self.value_periods())
+            ]
+        return self._cache["branches"]
 
     def project_to_level(
-        self,
-        pts: np.ndarray,
-        level: np.ndarray,
-        tol: float = 1e-10,
-        max_iter: int = 5,
-        residual: np.ndarray | None = None,
+        self, point, level, tol: float = LEVEL_TOL, max_iter: int = 5
     ) -> "LevelProjection":
-        """Newton reprojection onto the level set, stepping in the grad-Phi span.
+        """Newton reprojection of one chart point onto the level set, stepping
+        in the grad-Phi span: ``x -= g^-1 J^T (J g^-1 J^T)^-1 res``.
 
-        Each iteration reads the residual, the chart Jacobian and the metric
-        from one interpolation of the stacked ``newton`` field.  ``residual``,
-        when given, is ``level_residual(pts, level)`` already computed by the
-        caller; points that meet the tolerance then cost no interpolation.
+        ``J`` is the exact chart Jacobian of the map's multilinear
+        interpolant in the current cell (the winding vectors plus the cell
+        derivative of the periodic parts), so the iteration converges
+        quadratically to the level set that ``evaluate`` defines.  Each
+        iteration reads values, Jacobian and metric from one probe of the
+        stacked ``newton`` field; the small inverses are closed-form.  A
+        residual that misses ``tol`` after ``max_iter`` steps, or is NaN,
+        raises ``RuntimeError``.
         """
-        x = np.array(np.atleast_2d(pts), dtype=float)
-        if residual is not None and np.max(np.abs(residual)) <= tol:
-            return LevelProjection(x, residual, 0)
-        M = self.manifold
-        k, m = self.k, M.dim
-        for step in range(max_iter):
-            probe = interp_scalar(M, self._stacked("newton"), M.grid.wrap(x))
-            res = self.level_residual(x, level, periodic=probe[:, :k])
-            if np.max(np.abs(res)) <= tol:
-                return LevelProjection(x, res, step)
-            jac = self._jacobian(probe[:, k:k + k * m].reshape(-1, k, m))   # (N, k, m)
-            ginv = np.linalg.inv(probe[:, k + k * m:].reshape(-1, m, m))   # (N, m, m)
-            jg = np.einsum("nkm,nml->nkl", jac, ginv)         # J g^{-1}
-            gram = np.einsum("nkl,njl->nkj", jg, jac)         # J g^{-1} J^T
-            lam = np.linalg.solve(gram, res[..., None])[..., 0]
-            x = x - np.einsum("nkm,nk->nm", jg, lam)
-        res = self.level_residual(x, level)
-        if not np.max(np.abs(res)) <= tol:   # NaN fails too
-            raise RuntimeError(
-                f"Newton reprojection failed: residual {np.max(np.abs(res)):.3e} > {tol:.1e}"
-            )
-        return LevelProjection(x, res, max_iter)
+        if "newton_probe" not in self._cache:
+            self._cache["newton_probe"] = stencil_probe(self.manifold, self._stacked("newton"), self.k)
+        probe = self._cache["newton_probe"]
+        k, m = self.k, self.manifold.dim
+        x = np.ravel(np.asarray(point, dtype=float)).tolist()
+        level = np.ravel(np.asarray(level, dtype=float)).tolist()
+        for step in range(max_iter + 1):
+            vals, dpsi = probe(x)
+            res = self._point_residual(x, vals[:k], level)
+            jac = [[wi + di for wi, di in zip(w, d)] for (w, _), d in zip(self._branches(), dpsi)]
+            worst = _max_abs(res)
+            if worst <= tol:
+                return LevelProjection(x, res, step, jac)
+            if step == max_iter:
+                break
+            ginv = _inverse([vals[k + i * m:k + (i + 1) * m] for i in range(m)])
+            jg = [[_dot(row, col) for col in ginv] for row in jac]     # J g^-1 (g symmetric)
+            gram_inv = _inverse([[_dot(a, b) for b in jac] for a in jg])
+            if gram_inv is None:                                       # singular Jacobian
+                break
+            lam = [_dot(row, res) for row in gram_inv]
+            x = [xi - _dot(col, lam) for xi, col in zip(x, zip(*jg))]
+        raise RuntimeError(f"Newton reprojection failed: residual {worst:.3e} > {tol:.1e}")
+
+
+def _max_abs(values: list[float]) -> float:
+    """``max |v|`` that is NaN when any value is NaN, as ``np.max`` is; the
+    builtin ``max`` skips a NaN that does not come first."""
+    if any(v != v for v in values):
+        return math.nan
+    return max(abs(v) for v in values)
+
+
+def _inverse(A: list[list[float]]) -> list[list[float]] | None:
+    """Closed-form inverse of a 1x1, 2x2 or 3x3 matrix (adjugate over the
+    determinant); ``None`` when the determinant is exactly zero."""
+    n = len(A)
+    if n == 1:
+        det = A[0][0]
+        adj = [[1.0]]
+    elif n == 2:
+        (a, b), (c, d) = A
+        det = a * d - b * c
+        adj = [[d, -b], [-c, a]]
+    else:
+        (a, b, c), (d, e, f), (g, h, i) = A
+        adj = [
+            [e * i - f * h, c * h - b * i, b * f - c * e],
+            [f * g - d * i, a * i - c * g, c * d - a * f],
+            [d * h - e * g, b * g - a * h, a * e - b * d],
+        ]
+        det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    if det == 0:
+        return None
+    return [[v / det for v in row] for row in adj]
 
 
 @dataclass(frozen=True)
 class LevelProjection:
-    """Points reprojected onto a level set, their residual and the Newton steps taken."""
+    """One point reprojected onto a level set, in Python floats."""
 
-    points: np.ndarray      # (N, m)
-    residual: np.ndarray    # (N, k), level_residual at points
+    point: list[float]            # m chart coordinates (unwrapped)
+    residual: list[float]         # k components of level_residual at point
     newton_steps: int
+    jacobian: list[list[float]]   # k x m chart Jacobian of the map at point
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from collapselab import build_family
 from collapselab.cli import load_config, main
+from collapselab.splitting import harmonic_coordinates
 
 # a small warped sweep: 64 x 16 grids, three points, a few eigenpairs each
 SMALL_WARPED = {
@@ -124,6 +127,24 @@ def test_twisted_torus_runs_with_its_default_ball_radius(tmp_path, capsys):
     path = write_config(tmp_path, {**twisted, "ball": {"radius": 0.25}}, "small_ball.json")
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "small")]) == 1
     assert "use a larger ball radius (ball.radius)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["flat", "warped"])
+def test_flow_writes_an_evenly_sampled_trajectory_inside_its_fiber(tmp_path, family):
+    cfg = {"family": {"kind": "flat-product-torus"}} if family == "flat" else SMALL_WARPED
+    path = write_config(tmp_path, cfg)
+    assert main(["flow", "--config", str(path), "--out", str(tmp_path / "flow")]) == 0
+    data = np.loadtxt(tmp_path / "flow" / "trajectory.csv", delimiter=",", skiprows=1)
+    t, positions, drift = data[:, 0], data[:, 1:3], data[:, -1]
+    assert len(t) > 100 and t[0] == 0.0
+    assert np.allclose(np.diff(t), t[1], rtol=1e-9, atol=0.0)
+    # the drift column is the level residual of the harmonic coordinates
+    # recomputed at the recorded positions
+    phi = harmonic_coordinates(build_family(load_config(path).family_spec()))
+    level = phi.evaluate(positions[:1])[0]
+    recomputed = np.max(np.abs(phi.level_residual(positions, level)), axis=-1)
+    assert np.array_equal(drift, recomputed)
+    assert drift.max() <= 1e-10
 
 
 FAMILIES = {

@@ -12,7 +12,6 @@ from collapselab.flow import (
     fiber_neighborhood,
     flow_rate_bound,
     integrate_flow,
-    integrate_flow_ensemble,
     tangential_part,
     tangential_projection,
     verify_exponential_bound,
@@ -227,14 +226,6 @@ def test_counterexample_flag_fires_on_mismatched_inputs(flat_setup):
     assert not rep.passed
 
 
-def test_ensemble_flow_matches_single(flat_setup):
-    M, phi, stats, mask, field = flat_setup
-    starts = M.positions()[[0, 3], [5, 9]].reshape(2, 2)
-    final = integrate_flow_ensemble(field, starts, T=1e-3, dt=1e-5)
-    traj = integrate_flow(field, (0, 5), T=1e-3, dt=1e-5)
-    assert np.array_equal(M.grid.wrap(final[0]), traj.positions[-1])
-
-
 @pytest.fixture(scope="module")
 def sheared_warped_field(warped_torus):
     # A coordinate map with curved fibers x + 0.02 sin(2 pi y) = c on the
@@ -248,54 +239,88 @@ def sheared_warped_field(warped_torus):
     return tangential_projection(M, np.sin(2 * np.pi * pos[..., 1]), phi, stats, mask)
 
 
+def record_projections(monkeypatch):
+    """Newton steps of every projection, and how far each moved its point."""
+    steps, moves = [], []
+    project = SplittingMap.project_to_level
+
+    def recording(self, point, *args, **kwargs):
+        proj = project(self, point, *args, **kwargs)
+        steps.append(proj.newton_steps)
+        moves.append(float(np.max(np.abs(np.subtract(proj.point, point)))))
+        return proj
+
+    monkeypatch.setattr(SplittingMap, "project_to_level", recording)
+    return steps, moves
+
+
 @pytest.mark.parametrize("family", ["flat", "warped"])
 def test_drift_column_is_level_residual_at_recorded_positions(
     monkeypatch, flat_setup, sheared_warped_field, family
 ):
     field = flat_setup[4] if family == "flat" else sheared_warped_field
-    steps = []
-    project = SplittingMap.project_to_level
-
-    def recording(self, *args, **kwargs):
-        proj = project(self, *args, **kwargs)
-        steps.append(proj.newton_steps)
-        return proj
-
-    monkeypatch.setattr(SplittingMap, "project_to_level", recording)
+    steps, moves = record_projections(monkeypatch)
     dt = 0.1 / default_stability_rate(field)
     traj = integrate_flow(field, (5, 3), T=100 * dt, dt=dt)
     recomputed = np.max(np.abs(field.phi.level_residual(traj.positions, traj.level)), axis=-1)
     assert np.array_equal(traj.drift, recomputed)
-    assert len(steps) == len(traj.times) - 1
+    # Newton runs only on steps whose residual misses the tolerance, so at
+    # most once per step, and moves the point at least once when it runs
+    assert len(steps) <= len(traj.times) - 1
+    assert all(1 <= s <= 2 for s in steps)      # the exact Jacobian converges quadratically
     if family == "warped":
-        assert sum(steps) > len(steps)           # Newton moves the points
-        assert traj.drift.max() > 1e-12
+        assert sum(steps) > 0                    # Newton moves the points
+        assert max(moves) > 1e-12
+        assert traj.drift.max() > 0.0            # at round-off after an exact Newton step
     else:
-        assert sum(steps) == 0
+        assert steps == []
+
+
+def test_curved_fiber_flow_completes_at_the_step_gate(monkeypatch, sheared_warped_field):
+    # With the centered-difference Jacobian, Newton converged only linearly
+    # and this flow stopped after 7 steps at residual 3.03e-10 > 1e-10
+    field = sheared_warped_field
+    steps, _ = record_projections(monkeypatch)
+    dt = 0.1 / default_stability_rate(field)
+    traj = integrate_flow(field, (100, 7), T=200 * dt, dt=dt)
+    assert len(traj.times) == 201
+    assert traj.drift.max() <= 1e-10
+    assert steps and max(steps) <= 2
+
+
+def count_probe_evaluations(monkeypatch):
+    """Points evaluated by every stencil probe that the flow builds."""
+    import collapselab.flow as flow_module
+
+    calls = []
+    factory = flow_module.stencil_probe
+
+    def counting_factory(*args, **kwargs):
+        probe = factory(*args, **kwargs)
+
+        def counting(x):
+            calls.append(len(x))
+            return probe(x)
+
+        return counting
+
+    monkeypatch.setattr(flow_module, "stencil_probe", counting_factory)
+    return calls
 
 
 def test_flat_flow_interpolates_at_most_four_times_per_step(monkeypatch, flat_setup):
-    import collapselab.flow as flow_module
-
-    field = flat_setup[4]
-    traj_ref = integrate_flow(field, (0, 0), T=2e-4, dt=1e-5)
-    calls = []
-    interp = flow_module.interp_scalar
-
-    def counting(M, f, pts):
-        calls.append(len(np.atleast_2d(pts)))
-        return interp(M, f, pts)
-
-    monkeypatch.setattr(flow_module, "interp_scalar", counting)
-    import collapselab.splitting as splitting_module
-
-    monkeypatch.setattr(splitting_module, "interp_scalar", counting)
+    field = dataclasses.replace(flat_setup[4])     # a fresh probe cache
+    traj_ref = integrate_flow(flat_setup[4], (0, 0), T=2e-4, dt=1e-5)
+    calls = count_probe_evaluations(monkeypatch)
+    steps, _ = record_projections(monkeypatch)
     traj = integrate_flow(field, (0, 0), T=2e-4, dt=1e-5)
     n_steps = len(traj.times) - 1
     assert n_steps == 20
-    # the level at the start, one probe before the first step, one gather for
-    # the recorded u and speed; everything else is per step
-    assert len(calls) <= 4 * n_steps + 3
+    # one probe before the first step, then three stages and the new point;
+    # no step leaves the straight fiber, so Newton never runs
+    assert len(calls) == 4 * n_steps + 1
+    assert all(n == 2 for n in calls)
+    assert steps == []
     assert np.array_equal(traj.positions, traj_ref.positions)
 
 

@@ -16,6 +16,7 @@ from collapselab.operators import (
     laplacian_matrix,
     metric_inner,
     region_average,
+    stencil_probe,
     stiffness_apply,
 )
 
@@ -363,6 +364,69 @@ def test_interp_scalar_stacked_fields_match_separate_calls(twisted_torus):
     stacked = interp_scalar(M, np.concatenate([a[..., None], b], axis=-1), pts)
     assert np.array_equal(stacked[:, 0], interp_scalar(M, a, pts))
     assert np.array_equal(stacked[:, 1:], interp_scalar(M, b, pts), equal_nan=True)
+
+
+def probe_query_points(M):
+    """The interpolation query points plus the wrap edges of each axis:
+    -1e-20 and -0.0 (which wrap to the period, then to 0), the period
+    times 1 - 1e-17, and points a hair off the nodes."""
+    periods = np.asarray(M.grid.periods)
+    nodes = M.positions().reshape(-1, M.dim)[:: max(1, M.grid.n_nodes // 50)]
+    edges = [np.full((1, M.dim), v) for v in (-1e-20, -0.0, 1e-300)]
+    edges += [(periods * (1 - 1e-17))[None, :], (periods * (1 - 1e-16))[None, :], nodes + 1e-17, nodes - 1e-17]
+    return np.vstack([interp_query_points(M, 3_000), *edges])
+
+
+@pytest.mark.parametrize("family", ["warped_torus", "twisted_torus", "warped_93x49"])
+def test_stencil_probe_matches_interp_scalar(request, family):
+    # a stacked field of a scalar, a vector and a tensor, with NaN and -0.0 nodes;
+    # on 93 and 49 nodes per unit period / spacing is not the node count, so
+    # a point that wraps to the period must be wrapped again
+    if family == "warped_93x49":
+        M = build_family(FamilySpec(kind="warped-torus", epsilon=0.1, delta=0.3, resolution=(93, 49)))
+    else:
+        M = request.getfixturevalue(family)
+    m = M.dim
+    rng = np.random.default_rng(11)
+    f = np.concatenate([rng.standard_normal(M.grid.shape + (1,)),
+                        rng.standard_normal(M.grid.shape + (m,)),
+                        M.metric.reshape(M.grid.shape + (m * m,))], axis=-1)
+    f.reshape(-1)[::17] = np.nan
+    f.reshape(-1)[::13] = -0.0
+    pts = probe_query_points(M)
+    want = interp_scalar(M, f, M.grid.wrap(pts))
+    probe = stencil_probe(M, f)
+    got = np.array([probe(p)[0] for p in pts.tolist()])
+    assert np.array_equal(got, want, equal_nan=True)
+    finite = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
+    # a probe with gradients returns the same values
+    assert np.array_equal([stencil_probe(M, f, 2)(p)[0] for p in pts[:50].tolist()], want[:50], equal_nan=True)
+    assert np.isnan(probe([np.nan] * m)[0]).all()
+    assert np.isnan(probe([np.inf] * m)[0]).all()
+
+
+@pytest.mark.parametrize("family", ["warped_torus", "twisted_torus"])
+def test_stencil_probe_gradients_are_the_cell_derivative(request, family):
+    M = request.getfixturevalue(family)
+    m = M.dim
+    h = np.asarray(M.grid.spacings)
+    rng = np.random.default_rng(2)
+    f = rng.standard_normal(M.grid.shape + (2,))
+    probe = stencil_probe(M, f, 2)
+    for frac in rng.uniform(0.1, 0.9, size=(5, m)):
+        x = h * (np.asarray(M.grid.shape) // 3 + frac)
+        _, grads = probe(x.tolist())
+        for ax in range(m):
+            d = np.zeros(m)
+            d[ax] = 1e-6 * h[ax]
+            # the multilinear form is linear along each axis inside a cell
+            fd = (interp_scalar(M, f, x + d) - interp_scalar(M, f, x - d))[0] / (2 * d[ax])
+            assert np.allclose([g[ax] for g in grads], fd, rtol=1e-7, atol=1e-7)
+    # a chart-linear field has its slope as derivative
+    lin = M.positions() @ np.arange(1.0, m + 1)
+    _, grads = stencil_probe(M, lin[..., None], 1)((h * 2.5).tolist())
+    assert np.allclose(grads[0], np.arange(1.0, m + 1), rtol=1e-12)
 
 
 def test_hessian_norm_metric_weighting(flat_torus):

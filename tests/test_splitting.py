@@ -49,6 +49,44 @@ def test_projection_off_the_map_domain_raises():
         phi.project_to_level(np.array([[0.5, 0.5]]), level)
 
 
+def test_projection_nan_in_a_later_component_raises(twisted_torus):
+    # component 0 is met exactly and component 1 is NaN: the NaN must fail
+    # the tolerance however the residual components are ordered
+    M = twisted_torus
+    phi = harmonic_coordinates(M)
+    second = phi.values[1].copy()
+    second[:, :, 6:10] = np.nan
+    broken = SplittingMap(M, (phi.values[0], second), phi.windings)
+    good, bad = M.positions()[5, 7, 2], M.positions()[5, 7, 8]
+    level = broken.evaluate(good[None, :])[0]
+    assert np.isfinite(level).all()
+    assert broken._point_residual(bad.tolist(), [0.0, np.nan], level)[0] == 0.0
+    with pytest.raises(RuntimeError, match="residual nan"):
+        broken.project_to_level(bad, level)
+    assert broken.project_to_level(good, level).newton_steps == 0
+
+
+def test_projection_converges_quadratically_on_a_curved_level_set(warped_torus):
+    # x + 0.02 sin(2 pi y): from a 1e-3 offset, one step with the exact cell
+    # Jacobian lands on the level set (the centered-difference Jacobian
+    # converged only linearly on this map)
+    M = warped_torus
+    pos = M.positions()
+    phi = SplittingMap(M, (pos[..., 0] + 0.02 * np.sin(2 * np.pi * pos[..., 1]),), (np.array([1.0, 0.0]),))
+    start = pos[40, 5] + np.array([1e-3, 0.3 * M.grid.spacings[1]])
+    level = phi.evaluate(pos[40, 5][None, :])[0]
+    proj = phi.project_to_level(start, level)
+    assert proj.newton_steps == 1
+    assert abs(proj.residual[0]) <= 1e-14
+    assert np.array_equal(phi.level_residual(np.array([proj.point]), level)[0], proj.residual)
+    # the Jacobian is the derivative of the interpolant: compare with a
+    # centered difference inside the cell
+    h = 1e-7 * np.asarray(M.grid.spacings)
+    fd = [(phi.evaluate((proj.point + d)[None, :]) - phi.evaluate((proj.point - d)[None, :]))[0, 0] / (2 * d.sum())
+          for d in np.diag(h)]
+    assert np.allclose(proj.jacobian[0], fd, rtol=1e-6)
+
+
 def test_warped_ball_dirichlet_differs_from_coordinate(warped_torus):
     ball = geodesic_ball(warped_torus, (32, 0), 0.4)
     data = coordinate_boundary_data(warped_torus, ball)
