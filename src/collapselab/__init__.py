@@ -6,7 +6,6 @@ from .manifold import (
     FiberTrace,
     GeodesicBall,
     PeriodicGrid,
-    ball_region,
     build_family,
     epsilon_proxy,
     extract_fiber,
@@ -15,7 +14,6 @@ from .manifold import (
 )
 from .operators import (
     gradient,
-    gradient_norm_sq,
     hessian,
     hessian_norm,
     l2_average,

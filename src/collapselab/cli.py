@@ -109,9 +109,7 @@ def _merge_checked(defaults: dict, given: dict, path: str = "") -> dict:
             else:
                 out[key] = gval
         else:
-            out[key] = {k: v for k, v in dval.items()} if isinstance(dval, dict) else dval
-            if isinstance(dval, dict):
-                out[key] = _merge_checked(dval, {}, f"{path}{key}.")
+            out[key] = _merge_checked(dval, {}, f"{path}{key}.") if isinstance(dval, dict) else dval
     unknown = set(given) - set(defaults)
     if unknown:
         name = sorted(unknown)[0]
@@ -224,10 +222,7 @@ def _eigenpairs_cached(cfg: ExperimentConfig, M, out: Path):
         cached = load_eigen_cache(path, M)
         if cached is not None:
             return cached, path
-    if cfg.eig["theta_max"] is not None:
-        pairs = eigenpairs(M, cfg.eig["count"], theta_max=cfg.eig["theta_max"], seed=cfg.seed)
-    else:
-        pairs = eigenpairs(M, cfg.eig["count"], seed=cfg.seed)
+    pairs = eigenpairs(M, cfg.eig["count"], theta_max=cfg.eig["theta_max"], seed=cfg.seed)
     if cfg.cache:
         cache_dir.mkdir(parents=True, exist_ok=True)
         save_eigen_cache(path, M, pairs)

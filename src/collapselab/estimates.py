@@ -43,7 +43,7 @@ from .operators import (
 )
 from .spectral import RESIDUAL_TOL, EigenPair, cheng_yau_ratio, eigenpairs
 from .splitting import Certificate, SplittingMap, certify, classify_regular, harmonic_coordinates, jacobian_stats
-from .flow import TangentialField, fiber_neighborhood, tangential_projection
+from .flow import TangentialField, fiber_apriori_check, fiber_neighborhood, tangential_projection
 
 __all__ = [
     "CutoffFunction",
@@ -685,8 +685,6 @@ def _mode_reports(point: dict, pair: EigenPair, r: float, fibers: list[tuple]):
     ]
     apriori_pass = True
     if pair.theta > 0:
-        from .flow import fiber_apriori_check
-
         for trace, neighborhood in fibers:
             rep_f = fiber_apriori_check(trace, field, point["eps_hat"], r, neighborhood)
             apriori_pass &= rep_f.passed

@@ -89,11 +89,13 @@ def tangential_part(
     ``X_perp = sum_a <X, phi_a> / lambda_a * grad phi_a``; entries outside the
     regular mask are NaN.
     """
-    from .splitting import _rotated_quantities
-
-    m = M.dim
+    m, k = M.dim, stats.phi.k
     shape = stats.lam.shape
-    idx, eigs, rot_grads, _ = _rotated_quantities(stats.phi, stats, mask)
+    idx = np.flatnonzero(mask.ravel())
+    eigs = stats.eigs.reshape(-1, k)[idx]
+    V = stats.frames.reshape(-1, k, k)[idx]
+    grads = np.stack([g.reshape(-1, m) for g in stats.phi.gradients()], axis=1)[idx]   # (N, k, m)
+    rot_grads = np.einsum("nba,nbm->nam", V, grads)
     g = M.metric.reshape(-1, m, m)[idx]
     Xn = X.reshape(-1, m)[idx]
     inner = np.einsum("ni,nij,naj->na", Xn, g, rot_grads)
@@ -301,7 +303,6 @@ class FiberBoundReport:
     rhs: float                 # 2 (1 + lam^-1 sqrt(Lam k) c0)^(1/2) K sqrt(eps_hat)
     passed: bool
     margin: float              # rhs / lhs (inf when lhs = 0)
-    counterexample: bool       # time-bound contradiction flag (== not passed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -318,7 +319,7 @@ class FiberBoundReport:
             "rhs": self.rhs,
             "pass": bool(self.passed),
             "margin": self.margin,
-            "counterexample": bool(self.counterexample),
+            "counterexample": not self.passed,   # the time-bound contradiction flag
         }
 
 
@@ -394,7 +395,6 @@ def fiber_apriori_check(
         rhs=float(rhs),
         passed=passed,
         margin=margin,
-        counterexample=not passed,
     )
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "build_family",
     "ricci_lower_bound",
     "geodesic_ball",
-    "ball_region",
     "graph_distances",
     "extract_fiber",
     "epsilon_proxy",
@@ -129,13 +128,13 @@ class FamilySpec:
 class DiscreteManifold:
     """A discrete Riemannian manifold: periodic grid chart + metric + volume element.
 
-    ``metric`` holds covariant components per node, ``(*shape, m, m)``.
+    ``metric`` holds covariant components per node, ``(*grid.shape, m, m)``,
+    and ``volume_element`` one value per node, ``grid.shape``.
     ``christoffel`` is an optional analytic closure mapping chart points
     ``(N, m)`` to ``(N, m, m, m)`` symbols ``Gamma^i_{jk}``.
     """
 
-    dim: int
-    chart: PeriodicGrid
+    grid: PeriodicGrid
     metric: np.ndarray
     volume_element: np.ndarray
     christoffel: Callable[[np.ndarray], np.ndarray] | None = None
@@ -145,6 +144,11 @@ class DiscreteManifold:
     def __post_init__(self):
         g = np.asarray(self.metric, dtype=float)
         w = np.asarray(self.volume_element, dtype=float)
+        shape, m = self.grid.shape, self.grid.dim
+        if g.shape != shape + (m, m):
+            raise ValueError(f"metric shape {g.shape} does not match the grid: expected {shape + (m, m)}")
+        if w.shape != shape:
+            raise ValueError(f"volume_element shape {w.shape} does not match the grid: expected {shape}")
         if not np.all(np.isfinite(g)):
             raise ValueError("metric contains non-finite entries")
         if np.max(np.abs(g - np.swapaxes(g, -1, -2))) > 0:
@@ -164,13 +168,13 @@ class DiscreteManifold:
     # -- basic measure ------------------------------------------------------
 
     @property
-    def grid(self) -> PeriodicGrid:
-        return self.chart
+    def dim(self) -> int:
+        return self.grid.dim
 
     def node_weights(self) -> np.ndarray:
         """Integration weight (volume measure) attached to each node."""
         if "node_weights" not in self._cache:
-            w = self.volume_element * self.chart.cell_volume
+            w = self.volume_element * self.grid.cell_volume
             w.setflags(write=False)
             self._cache["node_weights"] = w
         return self._cache["node_weights"]
@@ -187,7 +191,7 @@ class DiscreteManifold:
 
     def positions(self) -> np.ndarray:
         if "positions" not in self._cache:
-            pos = self.chart.positions()
+            pos = self.grid.positions()
             pos.setflags(write=False)
             self._cache["positions"] = pos
         return self._cache["positions"]
@@ -262,9 +266,7 @@ def build_family(spec: FamilySpec) -> DiscreteManifold:
         raise ValueError(spec.kind)
 
     vol = np.sqrt(np.linalg.det(g))
-    return DiscreteManifold(
-        dim=grid.dim, chart=grid, metric=g, volume_element=vol, christoffel=gamma, family=spec
-    )
+    return DiscreteManifold(grid=grid, metric=g, volume_element=vol, christoffel=gamma, family=spec)
 
 
 def _flat_christoffel(m: int):
@@ -316,13 +318,13 @@ def ricci_lower_bound(M: DiscreteManifold) -> float:
 
 @dataclass(frozen=True)
 class GeodesicBall:
-    """Node set within chart-geodesic distance r of a center node."""
+    """Node set within chart-geodesic distance r of a center node, or the
+    whole chart standing in for a ball that reaches the cut locus (``whole``)."""
 
     manifold: DiscreteManifold
     center: tuple[int, ...]
     radius: float
     members: np.ndarray      # bool, grid-shaped
-    boundary: np.ndarray     # bool, members adjacent to non-members
     distances: np.ndarray    # same shape, np.inf outside computed range
     whole: bool = False      # True when the region is the whole-chart stand-in
 
@@ -333,7 +335,8 @@ class GeodesicBall:
         return self.manifold.positions()[self.center]
 
     def concentric(self, s: float) -> "GeodesicBall":
-        """``ball_region(M, center, s)`` from the stored distances, without a new Dijkstra."""
+        """The region of radius ``s`` about the same center (see ``_region``),
+        from the stored distances, without a new Dijkstra."""
         return _region(self.manifold, self.center, self.distances, s)
 
 
@@ -435,35 +438,19 @@ def geodesic_ball(M: DiscreteManifold, p: tuple[int, ...] | int, r: float) -> Ge
     return _region(M, *_distances_from(M, p), r)
 
 
-def _boundary_of(members: np.ndarray) -> np.ndarray:
-    if members.all():
-        return np.zeros_like(members)
-    out = np.zeros_like(members)
-    for ax in range(members.ndim):
-        for s in (1, -1):
-            out |= members & ~np.roll(members, s, axis=ax)
-    return out
-
-
-def ball_region(M: DiscreteManifold, p: tuple[int, ...] | int, r: float) -> GeodesicBall:
-    """Ball when it fits the chart, otherwise the whole-chart stand-in.
+def _region(M: DiscreteManifold, p: tuple[int, ...], dist: np.ndarray, r: float) -> GeodesicBall:
+    """Ball of radius r on the Dijkstra distances from p when it fits the
+    chart, otherwise the whole-chart stand-in.
 
     2r- and 4r-regions of the estimates routinely exceed the chart cut-locus
     limit on a closed torus; the whole chart then stands in for the larger
     ball (it contains it).
     """
-    return _region(M, *_distances_from(M, p), r)
-
-
-def _region(M: DiscreteManifold, p: tuple[int, ...], dist: np.ndarray, r: float) -> GeodesicBall:
-    """The ``ball_region`` rule on the Dijkstra distances from p."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if r >= _cut_locus_radius(M):
-        members = np.ones(M.grid.shape, dtype=bool)
-        return GeodesicBall(M, p, r, members, np.zeros_like(members), dist, whole=True)
-    members = dist <= r + 1e-12
-    return GeodesicBall(M, p, r, members, _boundary_of(members), dist)
+        return GeodesicBall(M, p, r, np.ones(M.grid.shape, dtype=bool), dist, whole=True)
+    return GeodesicBall(M, p, r, dist <= r + 1e-12, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +473,7 @@ class FiberTrace:
 
 
 def _polyline_metric_length(M: DiscreteManifold, pts: np.ndarray, closed: bool) -> float:
-    from .operators import interp_metric
+    from .operators import interp_scalar
 
     if len(pts) < 2:
         return 0.0
@@ -496,7 +483,7 @@ def _polyline_metric_length(M: DiscreteManifold, pts: np.ndarray, closed: bool) 
         d_close = M.grid.wrap_delta(pts[0] - pts[-1])
         deltas = np.vstack([deltas, d_close])
         mids = np.vstack([mids, pts[-1] + 0.5 * d_close])
-    g = interp_metric(M, M.grid.wrap(mids))
+    g = interp_scalar(M, M.metric, M.grid.wrap(mids))
     seg = np.sqrt(np.einsum("ni,nij,nj->n", deltas, g, deltas))
     return float(seg.sum())
 
@@ -521,10 +508,10 @@ def extract_fiber(phi, level, *, lambda_threshold: float | None = None) -> Fiber
     if level.shape != (k,):
         raise ValueError(f"level must have {k} components")
 
-    lo, hi = phi.branch_range(phi.domain_mask())
+    lo, hi = phi.branch_range(np.ones(M.grid.shape, dtype=bool))
     periods = phi.value_periods()
     for a in range(k):
-        if periods[a] > 0 and phi.domain is None:
+        if periods[a] > 0:
             continue  # degree-one circle-valued component on the closed chart: surjective
         if not (lo[a] - 1e-12 <= level[a] <= hi[a] + 1e-12):
             raise ValueError(
@@ -677,7 +664,11 @@ def _chain_segments(grid: PeriodicGrid, segments, crossing) -> np.ndarray:
     return np.vstack([pts[:1], pts[:1] + np.cumsum(deltas, axis=0)])
 
 
-def _trace_continuation(phi, level: np.ndarray, max_steps: int = 200_000) -> np.ndarray:
+# continuation steps after which a fiber trace that has not closed is abandoned
+TRACE_MAX_STEPS = 200_000
+
+
+def _trace_continuation(phi, level: np.ndarray) -> np.ndarray:
     """Predictor-corrector tracing of a curve fiber of a 3-d chart (k = 2).
 
     Each step predicts along the null direction of the exact chart Jacobian
@@ -698,7 +689,7 @@ def _trace_continuation(phi, level: np.ndarray, max_steps: int = 200_000) -> np.
     start = proj.point
     pts = [start]
     prev_tau = None
-    for it in range(max_steps):
+    for it in range(TRACE_MAX_STEPS):
         tau = _nullspace_direction(proj.jacobian)
         if prev_tau is not None and sum(a * b for a, b in zip(tau, prev_tau)) < 0:
             tau = [-t for t in tau]
@@ -709,7 +700,7 @@ def _trace_continuation(phi, level: np.ndarray, max_steps: int = 200_000) -> np.
             gap = [(a - b + p / 2) % p - p / 2 for a, b, p in zip(proj.point, start, periods)]
             if math.hypot(*gap) < 0.6 * step:
                 return np.asarray(pts[:-1])
-    raise RuntimeError(f"fiber trace at level {level} did not close after {max_steps} steps")
+    raise RuntimeError(f"fiber trace at level {level} did not close after {TRACE_MAX_STEPS} steps")
 
 
 def _nullspace_direction(jac: list[list[float]]) -> list[float]:
@@ -722,28 +713,27 @@ def _nullspace_direction(jac: list[list[float]]) -> list[float]:
     return [t / n for t in tau]
 
 
-def epsilon_proxy(
-    M: DiscreteManifold,
-    ball: GeodesicBall,
-    phi,
-    *,
-    n_levels: int = 33,
-    margin: float = 0.05,
-) -> float:
+# levels epsilon_proxy samples (their k-th root per component), and the
+# fraction of the value range it trims at each end
+PROXY_LEVELS = 33
+PROXY_MARGIN = 0.05
+
+
+def epsilon_proxy(M: DiscreteManifold, ball: GeodesicBall, phi) -> float:
     """Measured collapse scale: max regular-fiber intrinsic diameter over 2r.
 
     Levels are sampled uniformly (per component) across the splitting map's
-    range over the ball interior, trimmed by ``margin`` at both ends.
+    range over the ball interior, trimmed by ``PROXY_MARGIN`` at both ends.
     """
     if ball.radius <= 0:
         raise ValueError("epsilon proxy needs a ball of positive radius")
     anchor = phi.evaluate(ball.center_position()[None, :])[0]
     lo, hi = phi.branch_range(ball.members, anchor)
     span = hi - lo
-    lo = lo + margin * span
-    hi = hi - margin * span
-    axes = [np.linspace(lo[a], hi[a], n_levels if phi.k == 1 else max(3, int(round(n_levels ** (1 / phi.k)))))
-            for a in range(phi.k)]
+    lo = lo + PROXY_MARGIN * span
+    hi = hi - PROXY_MARGIN * span
+    n = PROXY_LEVELS if phi.k == 1 else max(3, int(round(PROXY_LEVELS ** (1 / phi.k))))
+    axes = [np.linspace(lo[a], hi[a], n) for a in range(phi.k)]
     best = -np.inf
     found = False
     for level in _level_product(axes):

@@ -32,7 +32,6 @@ from .manifold import DiscreteManifold, PeriodicGrid
 
 __all__ = [
     "gradient",
-    "gradient_norm_sq",
     "metric_inner",
     "laplacian_matrix",
     "laplace",
@@ -46,7 +45,6 @@ __all__ = [
     "region_sup",
     "interp_scalar",
     "stencil_probe",
-    "interp_metric",
 ]
 
 
@@ -103,10 +101,6 @@ def gradient(M: DiscreteManifold, f: np.ndarray, winding=None) -> np.ndarray:
 def metric_inner(M: DiscreteManifold, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Pointwise g(X, Y) for contravariant fields."""
     return np.einsum("...i,...ij,...j->...", X, M.metric, Y)
-
-
-def gradient_norm_sq(M: DiscreteManifold, X: np.ndarray) -> np.ndarray:
-    return metric_inner(M, X, X)
 
 
 # ---------------------------------------------------------------------------
@@ -176,20 +170,13 @@ def _grid_stiffness(M: DiscreteManifold) -> tuple[csr_matrix, list[np.ndarray]]:
     return L, coord_actions
 
 
-def laplacian_matrix(M: DiscreteManifold, region: np.ndarray | None = None):
-    """Stiffness matrix and mass weights of ``Delta = -div grad``.
+def laplacian_matrix(M: DiscreteManifold):
+    """Stiffness matrix and mass weights of ``Delta = -div grad`` on the closed chart.
 
     Returns ``(L, mass)`` with ``Delta f = (L f) / mass``; ``L`` is symmetric
-    PSD with zero row sums on the closed chart.  ``region`` (boolean mask)
-    restricts to an interior sub-block for Dirichlet problems.
+    PSD with zero row sums.
     """
-    L = _stiffness_and_coordinate_actions(M)[0]
-    mass = M.node_weights().ravel()
-    if region is not None:
-        idx = np.flatnonzero(region.ravel())
-        L = L[idx][:, idx].tocsr()
-        mass = mass[idx]
-    return L, mass
+    return _stiffness_and_coordinate_actions(M)[0], M.node_weights().ravel()
 
 
 def _stiffness_and_coordinate_actions(M: DiscreteManifold) -> tuple[csr_matrix, list[np.ndarray]]:
@@ -531,6 +518,3 @@ def stencil_probe(M: DiscreteManifold, f: np.ndarray, n_gradients: int = 0):
 
     return probe
 
-
-def interp_metric(M: DiscreteManifold, pts: np.ndarray) -> np.ndarray:
-    return interp_scalar(M, M.metric, pts)

@@ -50,18 +50,15 @@ def eigenpairs(
     M: DiscreteManifold,
     count: int,
     theta_max: float | None = None,
-    region: np.ndarray | GeodesicBall | None = None,
     seed: int = 0,
 ) -> list[EigenPair]:
-    """Lowest eigenpairs of the Laplace-Beltrami operator.
+    """Lowest eigenpairs of the Laplace-Beltrami operator on the closed chart.
 
-    ``region`` switches to the Dirichlet problem on a ball (or boolean mask);
-    with ``theta_max`` given, the count doubles until the spectrum is
+    With ``theta_max`` given, the count doubles until the spectrum is
     exhausted up to the threshold and all eigenvalues <= theta_max are
     returned.  Every round reuses one factorization of ``L - sigma mass``.
     """
-    mask = region.members & ~region.boundary if isinstance(region, GeodesicBall) else region
-    L, mass = laplacian_matrix(M, mask)
+    L, mass = laplacian_matrix(M)
     n = L.shape[0]
     k = count if theta_max is None else max(count, 8)
     if not (0 < k <= n - 2):
@@ -71,7 +68,6 @@ def eigenpairs(
     sigma = -max(1e-6 * _solver_scale(L, mass), 1e-9)
     OPinv = LinearOperator((n, n), matvec=factorize(A - sigma * Mmat), dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(n)
-    dof = None if mask is None else np.flatnonzero(mask.ravel())
     while True:
         try:
             theta, vecs = eigsh(A, k=k, M=Mmat, sigma=sigma, which="LM", v0=v0, tol=0, OPinv=OPinv)
@@ -81,7 +77,7 @@ def eigenpairs(
             ) from exc
         order = np.argsort(theta)
         # M-orthonormal -> L2-average norm 1
-        pairs = _gated_pairs(M, L, mass, theta[order], (vecs[:, order] * np.sqrt(mass.sum())).T, dof)
+        pairs = _gated_pairs(M, L, mass, theta[order], (vecs[:, order] * np.sqrt(mass.sum())).T)
         if theta_max is None:
             return pairs
         if pairs[-1].theta > theta_max or k >= n - 2:
@@ -89,13 +85,12 @@ def eigenpairs(
         k = min(2 * k, n - 2)
 
 
-def _gated_pairs(M: DiscreteManifold, L, mass, theta, vecs, dof=None) -> list[EigenPair]:
+def _gated_pairs(M: DiscreteManifold, L, mass, theta, vecs) -> list[EigenPair]:
     """Eigenpairs from ascending ``theta`` and L2-average-normalized rows ``vecs``.
 
     Clamps round-off negative eigenvalues to 0, makes each vector's largest
     entry positive, applies the residual gate (RuntimeError, NaN included)
-    and numbers the clusters.  ``dof`` scatters Dirichlet vectors into the
-    full grid.
+    and numbers the clusters.
     """
     total = float(mass.sum())
     scale = _solver_scale(L, mass)
@@ -112,10 +107,6 @@ def _gated_pairs(M: DiscreteManifold, L, mass, theta, vecs, dof=None) -> list[Ei
             )
         if i > 0 and abs(th - pairs[-1].theta) >= CLUSTER_REL_GAP * max(abs(th), 1.0):
             cluster += 1
-        if dof is not None:
-            full = np.zeros(M.grid.n_nodes)
-            full[dof] = v
-            v = full
         pairs.append(EigenPair(theta=th, u=v.reshape(M.grid.shape), residual=res, cluster=cluster))
     return pairs
 

@@ -2,23 +2,19 @@
 
 A :class:`SplittingMap` bundles k scalar components, each a periodic node
 array plus a winding vector (circle-valued coordinates wind once around a
-base axis).  Maps come from two constructions: a Dirichlet solve on a
-geodesic ball with prescribed boundary values, or the global degree-one
-harmonic coordinates of a periodic family (the discrete analogue of the
-coordinate projection; exact on flat families).
+base axis).  Maps come from one construction, the global degree-one harmonic
+coordinates of a periodic family (the discrete analogue of the coordinate
+projection; exact on flat families).
 
-The pointwise analytics (Gram matrix J, its eigenvalue fields, the Jacobian
-density |J_k| = sqrt(det J), and the multilinear quantities F and G) are all
-assembled in the pointwise eigenbasis of J, so only nonnegative powers of the
-small eigenvalues enter; a direct inverse-based evaluation exists in the test
-suite as an oracle at well-conditioned points.
+The pointwise analytics are the Gram matrix J of the component gradients,
+its eigenvalue fields and eigenframes, and the Jacobian density
+|J_k| = sqrt(det J) taken from the nonnegative eigenvalues.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -44,17 +40,16 @@ __all__ = [
     "JacobianStats",
     "Certificate",
     "RegularMask",
-    "solve_harmonic",
     "harmonic_coordinates",
-    "coordinate_boundary_data",
     "jacobian_stats",
     "certify",
     "classify_regular",
-    "morse_test_map",
 ]
 
 # absolute tolerance on each component of a level residual after Newton reprojection
 LEVEL_TOL = 1e-10
+# Newton steps project_to_level takes before it gives up
+NEWTON_MAX_ITER = 5
 
 
 @dataclass(frozen=True)
@@ -64,7 +59,6 @@ class SplittingMap:
     manifold: DiscreteManifold
     values: tuple[np.ndarray, ...]         # principal values at nodes, one per component
     windings: tuple[np.ndarray, ...]       # (m,) float winding vectors
-    domain: GeodesicBall | None = None     # None: whole chart
     residuals: tuple[float, ...] = ()
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -93,11 +87,6 @@ class SplittingMap:
 
     def values_stack(self) -> np.ndarray:
         return np.stack(self.values, axis=-1)
-
-    def domain_mask(self) -> np.ndarray:
-        if self.domain is not None:
-            return self.domain.members
-        return np.ones(self.manifold.grid.shape, dtype=bool)
 
     # -- derived fields (cached) -------------------------------------------
 
@@ -200,9 +189,7 @@ class SplittingMap:
             ]
         return self._cache["branches"]
 
-    def project_to_level(
-        self, point, level, tol: float = LEVEL_TOL, max_iter: int = 5
-    ) -> "LevelProjection":
+    def project_to_level(self, point, level) -> "LevelProjection":
         """Newton reprojection of one chart point onto the level set, stepping
         in the grad-Phi span: ``x -= g^-1 J^T (J g^-1 J^T)^-1 res``.
 
@@ -212,8 +199,8 @@ class SplittingMap:
         quadratically to the level set that ``evaluate`` defines.  Each
         iteration reads values, Jacobian and metric from one probe of the
         stacked ``newton`` field; the small inverses are closed-form.  A
-        residual that misses ``tol`` after ``max_iter`` steps, or is NaN,
-        raises ``RuntimeError``.
+        residual that misses ``LEVEL_TOL`` after ``NEWTON_MAX_ITER`` steps, or
+        is NaN, raises ``RuntimeError``.
         """
         if "newton_probe" not in self._cache:
             self._cache["newton_probe"] = stencil_probe(self.manifold, self._stacked("newton"), self.k)
@@ -221,14 +208,14 @@ class SplittingMap:
         k, m = self.k, self.manifold.dim
         x = np.ravel(np.asarray(point, dtype=float)).tolist()
         level = np.ravel(np.asarray(level, dtype=float)).tolist()
-        for step in range(max_iter + 1):
+        for step in range(NEWTON_MAX_ITER + 1):
             vals, dpsi = probe(x)
             res = self._point_residual(x, vals[:k], level)
             jac = [[wi + di for wi, di in zip(w, d)] for (w, _), d in zip(self._branches(), dpsi)]
             worst = _max_abs(res)
-            if worst <= tol:
+            if worst <= LEVEL_TOL:
                 return LevelProjection(x, res, step, jac)
-            if step == max_iter:
+            if step == NEWTON_MAX_ITER:
                 break
             ginv = _inverse([vals[k + i * m:k + (i + 1) * m] for i in range(m)])
             jg = [[_dot(row, col) for col in ginv] for row in jac]     # J g^-1 (g symmetric)
@@ -237,7 +224,7 @@ class SplittingMap:
                 break
             lam = [_dot(row, res) for row in gram_inv]
             x = [xi - _dot(col, lam) for xi, col in zip(x, zip(*jg))]
-        raise RuntimeError(f"Newton reprojection failed: residual {worst:.3e} > {tol:.1e}")
+        raise RuntimeError(f"Newton reprojection failed: residual {worst:.3e} > {LEVEL_TOL:.1e}")
 
 
 def _max_abs(values: list[float]) -> float:
@@ -283,98 +270,24 @@ class LevelProjection:
 
 
 # ---------------------------------------------------------------------------
-# constructions
+# construction
 # ---------------------------------------------------------------------------
 
 
-def coordinate_boundary_data(
-    M: DiscreteManifold, ball: GeodesicBall, axes: Sequence[int] | None = None
-):
-    """Base coordinates, unwrapped around the ball center, as Dirichlet data."""
-    axes = list(M.base_axes if axes is None else axes)
-    pos = M.positions()
-    center = ball.center_position()
-    grid = M.grid
-    data = []
-    for ax in axes:
-        delta = grid.wrap_delta(pos - center)[..., ax]
-        w = np.zeros(grid.dim)
-        w[ax] = 1.0
-        data.append((center[ax] + delta, w))
-    return data
-
-
-def _stencil_interior(M: DiscreteManifold, members: np.ndarray) -> np.ndarray:
-    """Members all of whose stiffness-stencil neighbors are members."""
-    interior = members.copy()
-    m = members.ndim
-    for delta in np.ndindex(*(3,) * m):
-        d = tuple(x - 1 for x in delta)
-        if not any(d):
-            continue
-        interior &= np.roll(members, d, axis=tuple(range(m)))
-    return interior
-
-
-def solve_harmonic(ball: GeodesicBall, boundary_data) -> SplittingMap:
-    """Dirichlet problem on a geodesic ball: each component solves Delta u = 0.
-
-    ``boundary_data`` is a sequence of ``(values, winding)`` pairs defined at
-    least on the non-interior member nodes.  On flat uniform charts with
-    coordinate data the coordinate itself is returned (it is discretely
-    harmonic there).
-    """
-    M = ball.manifold
-    if len(boundary_data) == 0:
-        raise ValueError("boundary_data must contain k >= 1 components")
-    if not ball.boundary.any():
-        raise ValueError("ball has no boundary; use harmonic_coordinates for closed charts")
-    members = ball.members
-    interior = _stencil_interior(M, members)
-    fixed = members & ~interior
-    if not interior.any():
-        raise ValueError("ball interior is empty at this resolution")
-    L, _ = laplacian_matrix(M)
-    ii = np.flatnonzero(interior.ravel())
-    bb = np.flatnonzero(fixed.ravel())
-    solve = factorize(L[ii][:, ii])
-    L_ib = L[ii][:, bb]
-    comps, winds, resid = [], [], []
-    mass = M.node_weights().ravel()
-    for vals, w in boundary_data:
-        vals = np.asarray(vals, dtype=float)
-        x = np.full(M.grid.n_nodes, np.nan)
-        x[bb] = vals.ravel()[bb]
-        rhs = -L_ib @ x[bb]
-        x[ii] = solve(rhs)
-        sol = x.reshape(M.grid.shape)
-        res_field = np.zeros_like(sol)
-        res_field.ravel()[ii] = (L[ii] @ np.where(np.isnan(x), 0.0, x)) / mass[ii]
-        scale = max(1.0, float(np.nanmax(np.abs(sol))))
-        r = float(np.sqrt(np.sum(mass[ii] * res_field.ravel()[ii] ** 2) / mass[ii].sum()))
-        comps.append(sol)
-        winds.append(np.asarray(w, dtype=float))
-        resid.append(r / scale)
-    return SplittingMap(M, tuple(comps), tuple(winds), domain=ball, residuals=tuple(resid))
-
-
-def harmonic_coordinates(M: DiscreteManifold, axes: Sequence[int] | None = None) -> SplittingMap:
+def harmonic_coordinates(M: DiscreteManifold) -> SplittingMap:
     """Global degree-one harmonic coordinates on a closed periodic chart.
 
     Solves ``Delta (x_a + psi_a) = 0`` for a periodic correction psi_a with
-    mean zero; on flat families psi vanishes identically and the coordinate
-    is returned exactly.
+    mean zero, one component per base axis ``a``; on flat families psi
+    vanishes identically and the coordinate is returned exactly.
     """
-    axes = list(M.base_axes if axes is None else axes)
-    if not axes:
-        raise ValueError("need at least one axis for harmonic coordinates")
     grid = M.grid
     pos = M.positions()
     L, _ = laplacian_matrix(M)
     mass = M.node_weights().ravel()
     comps, winds, resid = [], [], []
     solve = None   # factored on the first axis that needs a solve
-    for ax in axes:
+    for ax in M.base_axes:
         w = np.zeros(grid.dim)
         w[ax] = 1.0
         coord = pos[..., ax]
@@ -398,14 +311,7 @@ def harmonic_coordinates(M: DiscreteManifold, axes: Sequence[int] | None = None)
         comps.append(vals)
         winds.append(w)
         resid.append(r)
-    return SplittingMap(M, tuple(comps), tuple(winds), domain=None, residuals=tuple(resid))
-
-
-def morse_test_map(M: DiscreteManifold) -> SplittingMap:
-    """Non-degenerate-critical test map sin(2 pi x) / 2 pi with singular circles."""
-    pos = M.positions()
-    vals = np.sin(2 * np.pi * pos[..., 0]) / (2 * np.pi)
-    return SplittingMap(M, (vals,), (np.zeros(M.grid.dim),), domain=None, residuals=(np.nan,))
+    return SplittingMap(M, tuple(comps), tuple(winds), residuals=tuple(resid))
 
 
 # ---------------------------------------------------------------------------
@@ -551,69 +457,3 @@ def certify(phi: SplittingMap, ball: GeodesicBall, epsilon_hat: float | None = N
         psi=float(psi),
         epsilon_hat=float(epsilon_hat),
     )
-
-
-# ---------------------------------------------------------------------------
-# multilinear quantities in the pointwise eigenbasis
-# ---------------------------------------------------------------------------
-
-
-def _rotated_quantities(phi: SplittingMap, stats: JacobianStats, mask: np.ndarray):
-    """Per regular node: eigenvalues, rotated gradients and Hessians."""
-    M = phi.manifold
-    k = phi.k
-    m = M.dim
-    idx = np.flatnonzero(mask.ravel())
-    eigs = stats.eigs.reshape(-1, k)[idx]
-    V = stats.frames.reshape(-1, k, k)[idx]
-    grads = np.stack([g.reshape(-1, m) for g in phi.gradients()], axis=1)[idx]      # (N, k, m)
-    hesss = np.stack([h.reshape(-1, m, m) for h in phi.hessians()], axis=1)[idx]    # (N, k, m, m)
-    rot_grads = np.einsum("nba,nbm->nam", V, grads)
-    rot_hess = np.einsum("nba,nbij->naij", V, hesss)
-    return idx, eigs, rot_grads, rot_hess
-
-
-def quantities_FG(
-    phi: SplittingMap,
-    stats: JacobianStats,
-    mask: np.ndarray,
-    grad_u: np.ndarray,
-    grad_t: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """F and G of the flow-variation identities, eigenbasis assembly.
-
-    ``F = sum_a c_a Hess_{phi^a}(T, T) prod_{b != a} sqrt(lambda_b)`` with
-    ``c_a`` the unit-direction pairing of grad u, and
-    ``G = sum_a Hess_{phi^a}(T, hat phi^a) prod_{b != a} sqrt(lambda_b)``;
-    both use only nonnegative powers of the eigenvalues.  NaN outside mask.
-    """
-    M = phi.manifold
-    k = phi.k
-    m = M.dim
-    shape = stats.lam.shape
-    idx, eigs, rot_grads, rot_hess = _rotated_quantities(phi, stats, mask)
-    gu = grad_u.reshape(-1, m)[idx]
-    gt = grad_t.reshape(-1, m)[idx]
-    g = M.metric.reshape(-1, m, m)[idx]
-    sq = np.sqrt(np.maximum(eigs, 0.0))
-    inner_u_phi = np.einsum("ni,nij,naj->na", gu, g, rot_grads)
-    hess_tt = np.einsum("naij,ni,nj->na", rot_hess, gt, gt)
-    hess_t_phi = np.einsum("naij,ni,naj->na", rot_hess, gt, rot_grads)
-    F = np.zeros(len(idx))
-    G = np.zeros(len(idx))
-    for a in range(k):
-        others = np.ones(len(idx))
-        for b in range(k):
-            if b != a:
-                others = others * sq[:, b]
-        # c_a = <grad u, grad phi^a> / sqrt(lambda_a); hess(T, hat phi^a) likewise
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c_a = np.where(sq[:, a] > 0, inner_u_phi[:, a] / sq[:, a], 0.0)
-            ht = np.where(sq[:, a] > 0, hess_t_phi[:, a] / sq[:, a], 0.0)
-        F += c_a * hess_tt[:, a] * others
-        G += ht * others
-    Ff = np.full(int(np.prod(shape)), np.nan)
-    Gf = np.full(int(np.prod(shape)), np.nan)
-    Ff[idx] = F
-    Gf[idx] = G
-    return Ff.reshape(shape), Gf.reshape(shape)

@@ -69,17 +69,17 @@ def test_sweep_uses_config_regularity_threshold(tmp_path):
 
 
 def count_fiber_checks(monkeypatch):
-    import collapselab.flow as flow_module
+    import collapselab.estimates as estimates_module
 
     checked = []
-    check = flow_module.fiber_apriori_check
+    check = estimates_module.fiber_apriori_check
 
     def counting(*args, **kwargs):
         report = check(*args, **kwargs)
         checked.append(report)
         return report
 
-    monkeypatch.setattr(flow_module, "fiber_apriori_check", counting)
+    monkeypatch.setattr(estimates_module, "fiber_apriori_check", counting)
     return checked
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+import collapselab.estimates as estimates
 import collapselab.flow as flow
 import collapselab.manifold as manifold
 from collapselab.estimates import (
@@ -46,7 +47,7 @@ def test_point_reports_trace_each_fiber_once(monkeypatch):
         default_ball_center("warped-torus"), 0.25, 50.0, 6, 0,
     )
     neighborhoods, checks = [], []
-    dijkstra, check = flow.graph_distances, flow.fiber_apriori_check
+    dijkstra, check = flow.graph_distances, estimates.fiber_apriori_check
 
     def counting_dijkstra(M, src):
         neighborhoods.append(len(src))
@@ -57,7 +58,7 @@ def test_point_reports_trace_each_fiber_once(monkeypatch):
         return check(*args, **kwargs)
 
     monkeypatch.setattr(flow, "graph_distances", counting_dijkstra)
-    monkeypatch.setattr(flow, "fiber_apriori_check", counting_check)
+    monkeypatch.setattr(estimates, "fiber_apriori_check", counting_check)
     rows, _ = point_reports(point, 0.25)
     positive = sum(pair.theta > 0 for pair in point["pairs"])
     assert positive >= 2

@@ -182,7 +182,7 @@ def test_apriori_check_trivial_mode(flat_torus, flat_coordinates):
     assert rep.delta0 <= 1e-10
     assert rep.passed
     assert rep.margin == np.inf
-    assert not rep.counterexample
+    assert rep.to_json_dict()["counterexample"] is False
 
 
 def test_apriori_check_fiber_mode_recomputed(flat_setup, fiber_report):
@@ -222,8 +222,8 @@ def test_counterexample_flag_fires_on_mismatched_inputs(flat_setup):
     M, phi, stats, mask, field = flat_setup
     trace = extract_fiber(phi, [0.0])
     rep = fiber_apriori_check(trace, field, eps_hat=1e-8, r=R, neighborhood=fiber_neighborhood(M, trace, 2e-8 * R))
-    assert rep.counterexample
     assert not rep.passed
+    assert rep.to_json_dict()["counterexample"] is True
 
 
 @pytest.fixture(scope="module")

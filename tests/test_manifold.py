@@ -9,7 +9,8 @@ from collapselab import (
     extract_fiber,
     geodesic_ball,
 )
-from collapselab.manifold import ball_region, base_period_lengths, ricci_lower_bound
+from collapselab.manifold import DiscreteManifold, PeriodicGrid, base_period_lengths, ricci_lower_bound
+from collapselab.splitting import SplittingMap
 from collapselab.splitting import harmonic_coordinates
 
 
@@ -64,10 +65,24 @@ def test_metric_invariants_checked():
     bad[..., 1, 1] = -1.0
     grid_spec = FamilySpec(kind="flat-product-torus", epsilon=0.5, resolution=(8, 16))
     M = build_family(grid_spec)
-    from collapselab.manifold import DiscreteManifold
-
     with pytest.raises(ValueError, match="positive definite"):
-        DiscreteManifold(dim=2, chart=M.chart, metric=bad, volume_element=np.ones((8, 16)))
+        DiscreteManifold(grid=M.grid, metric=bad, volume_element=np.ones((8, 16)))
+
+
+@pytest.mark.parametrize(
+    "metric_shape, volume_shape, field",
+    [((16, 2, 2), (8, 16), "metric"), ((8, 16, 3, 3), (8, 16), "metric"), ((8, 16, 2, 2), (16,), "volume_element")],
+    ids=["metric-one-axis", "metric-3x3", "volume-one-axis"],
+)
+def test_fields_must_match_the_grid(metric_shape, volume_shape, field):
+    # the dimension comes from the grid, and node fields of another shape
+    # are rejected even where NumPy would broadcast them
+    grid = PeriodicGrid((8, 16), (1.0, 1.0))
+    M = DiscreteManifold(grid=grid, metric=np.broadcast_to(np.eye(2), (8, 16, 2, 2)), volume_element=np.ones((8, 16)))
+    assert M.dim == 2
+    metric = np.broadcast_to(np.eye(metric_shape[-1]), metric_shape)
+    with pytest.raises(ValueError, match=f"{field} shape"):
+        DiscreteManifold(grid=grid, metric=metric, volume_element=np.ones(volume_shape))
 
 
 def test_periodicity_of_fields(warped_torus):
@@ -120,30 +135,35 @@ def test_ball_cut_locus_error(flat_torus):
 
 def test_ball_region_rejects_negative_radius(flat_torus):
     with pytest.raises(ValueError, match="nonnegative"):
-        ball_region(flat_torus, (0, 0), -1.0)
+        geodesic_ball(flat_torus, (0, 0), -1.0)
 
 
-def test_ball_boundary_nonempty_and_adjacent(flat_torus, flat_ball):
-    assert flat_ball.boundary.any()
-    # boundary nodes are members
-    assert np.all(flat_ball.members[flat_ball.boundary])
-
-
-def test_ball_region_whole_chart_standin(flat_torus):
-    region = ball_region(flat_torus, (0, 0), 0.5)
+def test_ball_region_whole_chart_standin(flat_ball):
+    # radius 0.5 reaches the cut locus (half the unit base period)
+    region = flat_ball.concentric(0.5)
     assert region.whole
     assert region.members.all()
-    assert not region.boundary.any()
+    assert region.distances is flat_ball.distances
 
 
 @pytest.mark.parametrize("s", [0.0, 0.1, 0.25, 0.37, 0.5, 0.8])
 def test_concentric_equals_ball_region(warped_torus, s):
+    # below the cut locus (0.5 on the unit base) a concentric region is the
+    # geodesic ball; from there on it is the whole-chart stand-in
     ball = geodesic_ball(warped_torus, (96, 3), 0.2)
-    want = ball_region(warped_torus, (96, 3), s)
     got = ball.concentric(s)
-    assert (got.center, got.radius, got.whole) == (want.center, want.radius, want.whole)
-    for name in ("members", "boundary", "distances"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert (got.center, got.radius) == ((96, 3), s)
+    assert np.array_equal(got.distances, ball.distances)
+    if s < 0.5:
+        want = geodesic_ball(warped_torus, (96, 3), s)
+        assert not got.whole and not want.whole
+        assert np.array_equal(got.members, want.members)
+        assert np.array_equal(got.distances, want.distances)
+    else:
+        with pytest.raises(ValueError, match="cut locus"):
+            geodesic_ball(warped_torus, (96, 3), s)
+        assert got.whole
+        assert got.members.all()
 
 
 def test_concentric_rejects_negative_radius(flat_ball):
@@ -172,11 +192,10 @@ def test_fiber_closure_endpoints(flat_coordinates):
     assert np.linalg.norm(gap) <= 2 * max(M.grid.spacings)
 
 
-def test_fiber_level_outside_range_errors(flat_torus, flat_coordinates):
-    ball = geodesic_ball(flat_torus, (0, 0), 0.25)
-    from collapselab.splitting import solve_harmonic, coordinate_boundary_data
-
-    phi = solve_harmonic(ball, coordinate_boundary_data(flat_torus, ball))
+def test_fiber_level_outside_range_errors(flat_torus):
+    # a plain (non-winding) component takes values in [-0.1, 0.1] only
+    x = flat_torus.positions()[..., 0]
+    phi = SplittingMap(flat_torus, (0.1 * np.sin(2 * np.pi * x),), (np.zeros(2),))
     with pytest.raises(ValueError, match="outside the splitting map range"):
         extract_fiber(phi, [0.9])
 

@@ -162,8 +162,7 @@ def test_stiffness_apply_seam_invariance(warped_torus, s):
     # unwrap the field on the rows that crossed the seam
     M = warped_torus
     rolled = DiscreteManifold(
-        dim=M.dim,
-        chart=M.grid,
+        grid=M.grid,
         metric=np.roll(M.metric, s, axis=0),
         volume_element=np.roll(M.volume_element, s, axis=0),
     )

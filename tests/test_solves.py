@@ -19,7 +19,7 @@ import collapselab.splitting as splitting
 from collapselab import FamilySpec, build_family, geodesic_ball
 from collapselab.manifold import DiscreteManifold, PeriodicGrid
 from collapselab.spectral import eigenpairs
-from collapselab.splitting import coordinate_boundary_data, harmonic_coordinates, solve_harmonic
+from collapselab.splitting import harmonic_coordinates
 
 
 def spsolve_factorize(A):
@@ -64,7 +64,7 @@ def doubly_warped():
     g = np.zeros(grid.shape + (2, 2))
     g[..., 0, 0] = (1.0 + 0.3 * np.sin(2 * np.pi * y)) ** 2
     g[..., 1, 1] = (0.5 + 0.1 * np.cos(2 * np.pi * x)) ** 2
-    return DiscreteManifold(dim=2, chart=grid, metric=g, volume_element=np.sqrt(np.linalg.det(g)))
+    return DiscreteManifold(grid=grid, metric=g, volume_element=np.sqrt(np.linalg.det(g)))
 
 
 def assert_same_maps(got, want):
@@ -81,16 +81,6 @@ def test_harmonic_coordinates_match_spsolve(request, monkeypatch, family):
     got = harmonic_coordinates(M)
     monkeypatch.setattr(splitting, "factorize", spsolve_factorize)
     assert_same_maps(got, harmonic_coordinates(M))
-
-
-@pytest.mark.parametrize("family, center, r", [("warped_torus", (96, 0), 0.2), ("twisted_torus", (6, 6, 0), 0.3)])
-def test_solve_harmonic_matches_spsolve(request, monkeypatch, family, center, r):
-    M = request.getfixturevalue(family)
-    ball = geodesic_ball(M, center, r)
-    data = coordinate_boundary_data(M, ball)
-    got = solve_harmonic(ball, data)
-    monkeypatch.setattr(splitting, "factorize", spsolve_factorize)
-    assert_same_maps(got, solve_harmonic(ball, data))
 
 
 CUTOFF_BALLS = {"flat_torus": ((32, 0), 0.2), "warped_torus": ((32, 0), 0.2), "small_twisted": ((4, 4, 0), 0.3)}
@@ -173,13 +163,10 @@ def test_circulant_pcg_rejects_nan_and_indefinite_input(small_flat):
         ("small_flat", {"count": 3, "theta_max": 700.0}),   # two rounds: 8 then 16 pairs
         ("warped_torus", {"count": 6}),
         ("small_twisted", {"count": 4, "theta_max": 50.0}),
-        ("flat_torus", {"count": 3, "region": "ball"}),
     ],
 )
 def test_eigenpairs_match_builtin_shift_invert(request, monkeypatch, family, kwargs):
     M = request.getfixturevalue(family)
-    if kwargs.get("region") == "ball":
-        kwargs = {**kwargs, "region": geodesic_ball(M, (0, 0), 0.2)}
     got = eigenpairs(M, **kwargs)
     monkeypatch.setattr(spectral, "eigsh", builtin_shift_invert)
     want = eigenpairs(M, **kwargs)
@@ -202,14 +189,6 @@ def test_theta_max_rounds_share_one_factorization(monkeypatch, small_flat):
     assert rounds == [8, 16]
     assert len(calls) == 1
     assert len(pairs) == 9
-
-
-def test_solve_harmonic_factors_once_for_all_components(monkeypatch, twisted_torus):
-    ball = geodesic_ball(twisted_torus, (6, 6, 0), 0.3)
-    calls = count_factorizations(monkeypatch)
-    phi = solve_harmonic(ball, coordinate_boundary_data(twisted_torus, ball))
-    assert phi.k == 2
-    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -112,14 +112,6 @@ def test_k_bound_reproducibility(flat_eig_torus):
     assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
-def test_dirichlet_ball_mode(flat_torus):
-    ball = geodesic_ball(flat_torus, (0, 0), 0.25)
-    pairs = eigenpairs(flat_torus, 2, region=ball)
-    assert pairs[0].theta > 0  # no constant mode with Dirichlet condition
-    outside = ~(ball.members & ~ball.boundary)
-    assert np.max(np.abs(pairs[0].u[outside])) == 0.0
-
-
 def test_cheng_yau_base_mode(flat_eig_torus):
     pos = flat_eig_torus.positions()
     u = np.sin(2 * np.pi * pos[..., 0])
