@@ -5,6 +5,10 @@ config file (nested keys, unknown keys rejected with their dotted path) and
 writing deterministic outputs into the output directory: identical config and
 seed give byte-identical CSV/JSON, timestamps live only in the run manifest.
 
+Every verb takes its pipeline inputs from ``ExperimentConfig.point_args``, and
+a sweep runs the same argument sets at each of its epsilons, so a sweep point
+is exactly the ``verify`` run at that epsilon.
+
 Exit codes: 0 all checks pass, 2 some estimate report failed, 1 execution or
 configuration error.
 """
@@ -15,7 +19,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -77,18 +81,34 @@ class ExperimentConfig:
 
     # -- derived pieces ------------------------------------------------------
 
-    def family_spec(self, epsilon: float | None = None) -> FamilySpec:
+    def point_args(self, epsilon: float | None = None) -> dict:
+        """``run_point`` keyword arguments at ``epsilon`` (the family's own by
+        default); the one place a config becomes pipeline inputs."""
         fam = self.family
-        eps = fam["epsilon"] if epsilon is None else epsilon
-        rule = default_resolution_rule(
-            self.resolution["nodes_per_unit"], self.resolution["min_fiber_nodes"]
-        )
+        return {
+            "kind": fam["kind"],
+            "epsilon": fam["epsilon"] if epsilon is None else float(epsilon),
+            "delta": fam["delta"],
+            "twist": fam["twist"],
+            "resolution_rule": default_resolution_rule(
+                self.resolution["nodes_per_unit"], self.resolution["min_fiber_nodes"]
+            ),
+            "ball_center": self.ball_center(),
+            "r": self.ball["radius"],
+            "theta_max": self.sweep["theta_max"] if self.eig["theta_max"] is None else self.eig["theta_max"],
+            "eig_count": self.eig["count"],
+            "seed": self.seed,
+            "lambda_threshold_rel": self.thresholds["lambda_min_rel"],
+        }
+
+    def family_spec(self, epsilon: float | None = None) -> FamilySpec:
+        a = self.point_args(epsilon)
         return FamilySpec(
-            kind=fam["kind"],
-            epsilon=eps,
-            delta=fam.get("delta", 0.0),
-            twist=fam.get("twist", 0.0),
-            resolution=rule(fam["kind"], eps),
+            kind=a["kind"],
+            epsilon=a["epsilon"],
+            delta=a["delta"],
+            twist=a["twist"],
+            resolution=a["resolution_rule"](a["kind"], a["epsilon"]),
         )
 
     def ball_center(self) -> tuple[float, ...]:
@@ -174,40 +194,9 @@ def _new_manifest(cfg: ExperimentConfig) -> RunManifest:
 # ---------------------------------------------------------------------------
 
 
-def _point(cfg: ExperimentConfig, epsilon: float | None = None, pairs=None):
-    fam = cfg.family
-    rule = default_resolution_rule(
-        cfg.resolution["nodes_per_unit"], cfg.resolution["min_fiber_nodes"]
-    )
-    eps = fam["epsilon"] if epsilon is None else epsilon
-    return run_point(
-        kind=fam["kind"],
-        epsilon=eps,
-        delta=fam.get("delta", 0.0),
-        twist=fam.get("twist", 0.0),
-        resolution_rule=rule,
-        ball_center=cfg.ball_center(),
-        r=cfg.ball["radius"],
-        theta_max=cfg.sweep["theta_max"] if cfg.eig["theta_max"] is None else cfg.eig["theta_max"],
-        eig_count=cfg.eig["count"],
-        seed=cfg.seed,
-        lambda_threshold_rel=cfg.thresholds["lambda_min_rel"],
-        pairs=pairs,
-    )
-
-
 def _eig_cache_key(cfg: ExperimentConfig, spec: FamilySpec) -> str:
     payload = json.dumps(
-        {
-            "kind": spec.kind,
-            "epsilon": spec.epsilon,
-            "delta": spec.delta,
-            "twist": spec.twist,
-            "resolution": list(spec.resolution),
-            "count": cfg.eig["count"],
-            "theta_max": cfg.eig["theta_max"],
-            "seed": cfg.seed,
-        },
+        {**asdict(spec), "count": cfg.eig["count"], "theta_max": cfg.eig["theta_max"], "seed": cfg.seed},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -238,11 +227,7 @@ def cmd_build(cfg: ExperimentConfig, out: Path) -> int:
     spec = cfg.family_spec()
     M = build_family(spec)
     summary = {
-        "kind": spec.kind,
-        "epsilon": spec.epsilon,
-        "delta": spec.delta,
-        "twist": spec.twist,
-        "resolution": list(spec.resolution),
+        **asdict(spec),
         "nodes": int(np.prod(spec.resolution)),
         "totalVolume": M.total_volume(),
         "dim": M.dim,
@@ -263,14 +248,14 @@ def cmd_eig(cfg: ExperimentConfig, out: Path) -> int:
     print(f"wrote {len(pairs)} eigenpairs to {csv_path}")
     manifest = _new_manifest(cfg)
     manifest.add(csv_path, out)
-    if cache_path is not None and cache_path.exists():
+    if cache_path is not None:
         manifest.add(cache_path, out)
     manifest.write(out)
     return 0
 
 
 def cmd_split(cfg: ExperimentConfig, out: Path) -> int:
-    point = _point(cfg, pairs=[])
+    point = run_point(**cfg.point_args(), pairs=[])
     cert = point["cert"]
     path = out / "certificate.json"
     path.write_text(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n")
@@ -281,27 +266,30 @@ def cmd_split(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _flow_field(cfg: ExperimentConfig, point):
+def _flow_field(cfg: ExperimentConfig, point, out: Path):
+    """The tangential field of the configured function, and the eigen cache
+    file it read or wrote (None for a closed-form function or with the cache off)."""
     M = point["manifold"]
     sel = cfg.flow["field"]
+    cache_path = None
     if sel == "fiber-sine":
         pos = M.positions()
         u = np.sin(2 * np.pi * pos[..., M.dim - 1])
     elif isinstance(sel, str) and sel.startswith("eigenmode:"):
         idx = int(sel.split(":", 1)[1])
-        pairs, _ = _eigenpairs_cached(cfg, M, Path(cfg.output_dir))
+        pairs, cache_path = _eigenpairs_cached(cfg, M, out)
         if idx >= len(pairs):
             raise ValueError(f"flow.field eigenmode index {idx} out of range ({len(pairs)} pairs)")
         u = pairs[idx].u
     else:
         raise ValueError(f"flow.field must be 'fiber-sine' or 'eigenmode:N', got {sel!r}")
-    return tangential_projection(M, u, point["phi"], point["stats"], point["mask"])
+    return tangential_projection(M, u, point["phi"], point["stats"], point["mask"]), cache_path
 
 
 def cmd_flow(cfg: ExperimentConfig, out: Path) -> int:
-    point = _point(cfg, pairs=[])
+    point = run_point(**cfg.point_args(), pairs=[])
     M = point["manifold"]
-    field = _flow_field(cfg, point)
+    field, cache_path = _flow_field(cfg, point, out)
     x0 = point["ball"].center if cfg.flow["start"] is None else nearest_node(M, cfg.flow["start"])
     level = field.phi.evaluate(M.positions()[x0][None, :])[0]
     trace = extract_fiber(field.phi, level)
@@ -310,7 +298,7 @@ def cmd_flow(cfg: ExperimentConfig, out: Path) -> int:
     T = cfg.flow["time_over_k"] / report.K
     rate = flow_rate_bound(report)
     # the configured step, cut to the stability gate dt * rate <= 0.1
-    dt = min(cfg.flow["dt_factor"] * cfg.family["epsilon"], 0.1 / rate)
+    dt = min(cfg.flow["dt_factor"] * M.family.epsilon, 0.1 / rate)
     traj = integrate_flow(field, x0, T, dt, stability_rate=rate)
     csv_path = out / "trajectory.csv"
     traj.to_csv(csv_path)
@@ -323,12 +311,14 @@ def cmd_flow(cfg: ExperimentConfig, out: Path) -> int:
     manifest = _new_manifest(cfg)
     manifest.add(csv_path, out)
     manifest.add(rep_path, out)
+    if cache_path is not None:
+        manifest.add(cache_path, out)
     manifest.write(out)
     return 0 if report.passed else 2
 
 
 def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
-    rows, reports = point_reports(_point(cfg), cfg.ball["radius"])
+    rows, reports = point_reports(run_point(**cfg.point_args()), cfg.ball["radius"])
     path = out / "estimate_reports.json"
     reports_to_json(reports, path)
     ok = all(r.passed for r in reports) and all(row.passed for row in rows)
@@ -340,27 +330,8 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
     return 0 if ok else 2
 
 
-def _sweep_result(cfg: ExperimentConfig, jobs: int):
-    fam = cfg.family
-    return sweep(
-        kind=fam["kind"],
-        epsilons=cfg.sweep["epsilons"],
-        theta_max=cfg.sweep["theta_max"],
-        r=cfg.ball["radius"],
-        delta=fam.get("delta", 0.0),
-        twist=fam.get("twist", 0.0),
-        ball_center=cfg.ball_center(),
-        eig_count=cfg.eig["count"],
-        seed=cfg.seed,
-        nodes_per_unit=cfg.resolution["nodes_per_unit"],
-        min_fiber_nodes=cfg.resolution["min_fiber_nodes"],
-        lambda_threshold_rel=cfg.thresholds["lambda_min_rel"],
-        jobs=jobs,
-    )
-
-
 def cmd_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
-    result = _sweep_result(cfg, jobs)
+    result = sweep([cfg.point_args(eps) for eps in cfg.sweep["epsilons"]], jobs)
     csv_path = out / "sweep.csv"
     result.to_csv(csv_path)
     plot_path = out / "plot_data.csv"
@@ -405,13 +376,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None or args.no_cache:
-            d = cfg.to_dict()
-            if args.seed is not None:
-                d["seed"] = args.seed
-            if args.no_cache:
-                d["cache"] = False
-            cfg = ExperimentConfig(**d)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        if args.no_cache:
+            cfg = replace(cfg, cache=False)
         out = Path(args.out if args.out is not None else cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         handler = {
@@ -420,9 +388,8 @@ def main(argv=None) -> int:
             "split": cmd_split,
             "flow": cmd_flow,
             "verify": cmd_verify,
+            "sweep": lambda cfg, out: cmd_sweep(cfg, out, jobs=args.jobs),
         }
-        if args.verb == "sweep":
-            return cmd_sweep(cfg, out, jobs=args.jobs)
         return handler[args.verb](cfg, out)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -542,17 +543,18 @@ def default_ball_radius(kind: str) -> float:
     return 0.3 if kind == "twisted-3-torus" else 0.25
 
 
+def _resolution(kind: str, epsilon: float, nodes_per_unit: int, min_fiber_nodes: int) -> tuple[int, ...]:
+    if kind == "twisted-3-torus":
+        base = max(min_fiber_nodes, nodes_per_unit // 4)
+        return (base, base, max(min_fiber_nodes, int(round(nodes_per_unit * epsilon))))
+    return (nodes_per_unit, max(min_fiber_nodes, int(round(nodes_per_unit * epsilon))))
+
+
 def default_resolution_rule(nodes_per_unit: int = 128, min_fiber_nodes: int = 16):
-    """Nodes per axis: metric period length times density, floored per axis."""
-
-    def rule(kind: str, epsilon: float) -> tuple[int, ...]:
-        if kind == "twisted-3-torus":
-            base = max(min_fiber_nodes, nodes_per_unit // 4)
-            return (base, base, max(min_fiber_nodes, int(round(nodes_per_unit * epsilon))))
-        fiber = max(min_fiber_nodes, int(round(nodes_per_unit * epsilon)))
-        return (nodes_per_unit, fiber)
-
-    return rule
+    """``rule(kind, epsilon)``: nodes per axis, metric period length times
+    density, floored per axis.  A partial of a module-level function, so the
+    rule pickles into sweep worker processes."""
+    return partial(_resolution, nodes_per_unit=nodes_per_unit, min_fiber_nodes=min_fiber_nodes)
 
 
 def point_reports(point: dict, r: float) -> tuple[list[SweepRow], list[EstimateReport]]:
@@ -566,60 +568,36 @@ def point_reports(point: dict, r: float) -> tuple[list[SweepRow], list[EstimateR
     return rows, reports
 
 
-def _sweep_point_task(task: dict) -> tuple[list, list]:
-    """One sweep point from ``run_point``'s arguments, the resolution rule given by its two numbers."""
-    kwargs = dict(task)
-    rule = default_resolution_rule(kwargs.pop("nodes_per_unit"), kwargs.pop("min_fiber_nodes"))
-    return point_reports(run_point(resolution_rule=rule, **kwargs), task["r"])
+def _sweep_point_task(args: dict) -> tuple[list, list]:
+    return point_reports(run_point(**args), args["r"])
 
 
-def sweep(
-    kind: str,
-    epsilons,
-    theta_max: float,
-    r: float,
-    delta: float = 0.0,
-    twist: float = 0.0,
-    ball_center: tuple[float, ...] | None = None,
-    eig_count: int = 8,
-    seed: int = 0,
-    nodes_per_unit: int = 128,
-    min_fiber_nodes: int = 16,
-    lambda_threshold_rel: float = 1e-6,
-    jobs: int = 1,
-) -> SweepResult:
-    """Full pipeline per collapse parameter; scaling statistics on the rows.
+def sweep(points, jobs: int = 1) -> SweepResult:
+    """The pipeline at every point; scaling statistics on the rows.
 
-    Rows whose LHS sits below the degeneracy floor (1e-8 of the RHS) carry no
-    scaling information: they are flagged and excluded from the log-log fit
-    and the bounded-ratio spread.  With fewer than two informative rows the
-    sweep is marked degenerate and the scaling checks pass vacuously.
+    ``points`` holds one ``run_point`` argument set per collapse parameter
+    (``ExperimentConfig.point_args``), so a sweep point is exactly the
+    single-point run at its epsilon.  Rows whose LHS sits below the
+    degeneracy floor (1e-8 of the RHS) carry no scaling information: they are
+    flagged and excluded from the log-log fit and the bounded-ratio spread.
+    With fewer than two informative rows the sweep is marked degenerate and
+    the scaling checks pass vacuously.
 
-    Each point resolves its grid with ``default_resolution_rule(nodes_per_unit,
-    min_fiber_nodes)``.  ``jobs > 1`` runs the sweep points in separate
-    processes; results merge in epsilon order either way, so outputs are
-    deterministic.
+    ``jobs > 1`` runs the points in separate processes; results merge in
+    epsilon order either way, so outputs are deterministic.
     """
-    epsilons = sorted(float(e) for e in epsilons)
-    if len(epsilons) < 3:
-        raise ValueError(f"sweep needs at least 3 epsilon values, got {len(epsilons)}")
-    if ball_center is None:
-        ball_center = default_ball_center(kind)
-    tasks = [
-        dict(kind=kind, epsilon=eps, delta=delta, twist=twist, ball_center=tuple(ball_center), r=r,
-             theta_max=theta_max, eig_count=eig_count, seed=seed, nodes_per_unit=nodes_per_unit,
-             min_fiber_nodes=min_fiber_nodes, lambda_threshold_rel=lambda_threshold_rel)
-        for eps in epsilons
-    ]
+    points = sorted(points, key=lambda args: args["epsilon"])
+    if len(points) < 3:
+        raise ValueError(f"sweep needs at least 3 epsilon values, got {len(points)}")
     rows: list[SweepRow] = []
     reports: list[EstimateReport] = []
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_point_task, tasks))
+            results = list(pool.map(_sweep_point_task, points))
     else:
-        results = [_sweep_point_task(task) for task in tasks]
+        results = [_sweep_point_task(args) for args in points]
     for point_rows, point_reports in results:
         rows.extend(point_rows)
         reports.extend(point_reports)
@@ -688,8 +666,7 @@ def _mode_reports(point: dict, pair: EigenPair, r: float, fibers: list[tuple]):
         for trace, neighborhood in fibers:
             rep_f = fiber_apriori_check(trace, field, point["eps_hat"], r, neighborhood)
             apriori_pass &= rep_f.passed
-    sup_u = region_sup(np.abs(pair.u), ball2.members)
-    denom = sup_u * (np.sqrt(cert.epsilon_hat) + cert.psi)
+    denom = rep_m.constants["supU"][0] * (np.sqrt(cert.epsilon_hat) + cert.psi)
     ratio = rep_m.lhs / denom if denom > 0 else np.inf
     degenerate = rep_m.lhs <= DEGENERATE_LHS_FRACTION * rep_m.rhs
     row = SweepRow(
@@ -697,7 +674,7 @@ def _mode_reports(point: dict, pair: EigenPair, r: float, fibers: list[tuple]):
         epsilon_hat=point["eps_hat"],
         psi=cert.psi,
         theta=pair.theta,
-        K=c1_sup_bound(M, pair.u, ball2.members, r),
+        K=rep_h.constants["K"][0],
         lhs=rep_m.lhs,
         rhs=rep_m.rhs,
         margin=rep_m.margin,

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -49,16 +50,22 @@ def test_sweep_outputs_identical_across_jobs(tmp_path):
     assert got_serial == got_parallel
 
 
+def swept_and_verified(tmp_path, cfg):
+    """The reports of the epsilon = 0.1 sweep point and of verify, as bytes."""
+    path = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) in (0, 2)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "verify")]) in (0, 2)
+    return (
+        (tmp_path / "sweep" / "points" / "eps_0.1" / "reports.json").read_bytes(),
+        (tmp_path / "verify" / "estimate_reports.json").read_bytes(),
+    )
+
+
 def test_sweep_uses_config_regularity_threshold(tmp_path):
     # lambda_min_rel = 1.2 marks the rim of the working ball, where the warp
     # is wider than ~0.91, as singular (the traced fibers stay regular); the
     # sweep point at epsilon = 0.1 must report exactly what verify reports
-    cfg = {**SMALL_WARPED, "thresholds": {"lambda_min_rel": 1.2}}
-    path = write_config(tmp_path, cfg)
-    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) in (0, 2)
-    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "verify")]) in (0, 2)
-    swept = (tmp_path / "sweep" / "points" / "eps_0.1" / "reports.json").read_bytes()
-    verified = (tmp_path / "verify" / "estimate_reports.json").read_bytes()
+    swept, verified = swept_and_verified(tmp_path, {**SMALL_WARPED, "thresholds": {"lambda_min_rel": 1.2}})
     assert swept == verified
     excluded = [
         rep["extras"]["excludedVolumeFraction"]
@@ -66,6 +73,74 @@ def test_sweep_uses_config_regularity_threshold(tmp_path):
         if rep["name"] == "main-theorem-tangential-l2"
     ]
     assert excluded and all(0.0 < frac < 1.0 for frac in excluded)
+
+
+def test_sweep_point_uses_config_eig_theta_max(tmp_path):
+    # eig.theta_max = 40 drops the mode at theta ~ 41.01 that the sweep's own
+    # theta_max of 50 keeps; the sweep point must drop it as verify does
+    swept, verified = swept_and_verified(tmp_path, {**SMALL_WARPED, "eig": {"theta_max": 40.0}})
+    assert swept == verified
+    assert max(rep["extras"]["theta"] for rep in json.loads(swept)) < 40.0
+
+
+def comparable(args):
+    """``point_args`` with its resolution rule as the partial's function and
+    bound values: partials compare by identity."""
+    rule = args["resolution_rule"]
+    return {**args, "resolution_rule": (rule.func, rule.args, rule.keywords)}
+
+
+POINT_KEYS = [
+    ("family", "kind", "warped-torus"),
+    ("family", "epsilon", 0.2),
+    ("family", "delta", 0.3),
+    ("family", "twist", 0.5),
+    ("resolution", "nodes_per_unit", 64),
+    ("resolution", "min_fiber_nodes", 20),
+    ("ball", "center", [0.5, 0.0]),
+    ("ball", "radius", 0.2),
+    ("eig", "count", 4),
+    ("eig", "theta_max", 40.0),
+    ("thresholds", "lambda_min_rel", 1e-3),
+    ("sweep", "theta_max", 60.0),
+    (None, "seed", 1),
+]
+
+
+def test_point_args_at_another_epsilon_differ_only_in_epsilon(tmp_path):
+    cfg = load_config(write_config(tmp_path, SMALL_WARPED))
+    base, other = cfg.point_args(), cfg.point_args(0.05)
+    assert other["epsilon"] == 0.05 and base["epsilon"] == 0.1
+    assert comparable({**other, "epsilon": 0.1}) == comparable(base)
+    assert cfg.family_spec(0.05).resolution == base["resolution_rule"](base["kind"], 0.05)
+    pickle.dumps(base)   # sweep workers receive the argument sets
+
+
+@pytest.mark.parametrize("section,key,value", POINT_KEYS, ids=lambda v: str(v))
+def test_every_pipeline_key_reaches_point_args(tmp_path, section, key, value):
+    base = comparable(load_config(write_config(tmp_path, {})).point_args())
+    changed = {key: value} if section is None else {section: {key: value}}
+    assert comparable(load_config(write_config(tmp_path, changed)).point_args()) != base
+
+
+def test_eig_theta_max_wins_over_the_sweeps(tmp_path):
+    pinned = {"eig": {"theta_max": 40.0}}
+    args = [
+        comparable(load_config(write_config(tmp_path, cfg)).point_args())
+        for cfg in (pinned, {**pinned, "sweep": {"theta_max": 60.0}})
+    ]
+    assert args[0] == args[1] and args[0]["theta_max"] == 40.0
+
+
+def test_flow_writes_its_eigen_cache_under_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = {**FAMILIES["flat"], "flow": {"field": "eigenmode:1", "time_over_k": 0.1}}
+    path = write_config(tmp_path, cfg)
+    assert main(["flow", "--config", str(path), "--out", "flowrun"]) == 0
+    assert not (tmp_path / "out").exists()
+    listed = [f["path"] for f in json.loads((tmp_path / "flowrun" / "run_manifest.json").read_text())["files"]]
+    cached = [name for name in listed if name.startswith("cache/eig_") and name.endswith(".eigc")]
+    assert len(cached) == 1 and (tmp_path / "flowrun" / cached[0]).is_file()
 
 
 def count_fiber_checks(monkeypatch):
@@ -159,7 +234,7 @@ FAMILIES = {
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize("verb", ["build", "eig", "split", "flow", "verify"])
+@pytest.mark.parametrize("verb", ["build", "eig", "split", "flow", "verify", "sweep"])
 def test_every_verb_runs_on_every_family(tmp_path, verb, family):
     path = write_config(tmp_path, FAMILIES[family])
     assert main([verb, "--config", str(path), "--out", str(tmp_path / "out")]) in (0, 2)
