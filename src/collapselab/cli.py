@@ -150,8 +150,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         merged["ball"]["radius"] = default_ball_radius(merged["family"]["kind"])
     cfg = ExperimentConfig(**merged)
     for name, value in cfg.thresholds.items():
-        if not (isinstance(value, (int, float)) and value > 0):
-            raise ValueError(f"config field thresholds.{name} must be positive")
+        # bool is an int subclass, and JSON's 1e400 parses as inf
+        if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value < float("inf")):
+            raise ValueError(f"config field thresholds.{name} must be a positive finite number, got {value!r}")
     return cfg
 
 
@@ -350,8 +351,16 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
         rpath = pdir / "reports.json"
         reports_to_json(reps, rpath)
         manifest.add(rpath, out)
-    manifest.add(csv_path, out)
-    manifest.add(plot_path, out)
+    summary_path = out / "sweep_summary.json"
+    summary = {
+        "exponent": result.exponent,
+        "ratioSpread": result.ratio_spread,
+        "degenerate": result.degenerate,
+        "allPassed": result.all_passed,
+    }
+    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    for path in (csv_path, plot_path, summary_path):
+        manifest.add(path, out)
     manifest.write(out)
     print(
         f"sweep: {len(result.rows)} rows, all_passed={result.all_passed}, "

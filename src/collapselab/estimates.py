@@ -39,10 +39,11 @@ from .operators import (
     laplace,
     laplacian_matrix,
     metric_inner,
+    norm_sq,
     region_average,
     region_sup,
 )
-from .spectral import RESIDUAL_TOL, EigenPair, cheng_yau_ratio, eigenpairs
+from .spectral import RESIDUAL_TOL, EigenPair, _cheng_yau_ratio, eigenpairs
 from .splitting import Certificate, SplittingMap, certify, classify_regular, harmonic_coordinates, jacobian_stats
 from .flow import TangentialField, fiber_apriori_check, fiber_neighborhood, tangential_projection
 
@@ -126,18 +127,21 @@ def _jsonable(obj):
 
 def c1_sup_bound(M: DiscreteManifold, u: np.ndarray, region: np.ndarray, r: float) -> float:
     """K with sup(|u| + r |grad u|) <= K on the region."""
-    g = gradient(M, u)
-    gn = np.sqrt(np.maximum(metric_inner(M, g, g), 0.0))
-    return region_sup(np.abs(u) + r * gn, region)
+    return _c1_sup(u, np.sqrt(norm_sq(M, gradient(M, u))), region, r)
+
+
+def _c1_sup(u, grad_norm, region, r) -> float:
+    return region_sup(np.abs(u) + r * grad_norm, region)
 
 
 def w22_k_bound(M: DiscreteManifold, u: np.ndarray, region: np.ndarray, r: float) -> float:
     """K with sup(|u|^2 + r^2|grad u|^2) + r^4 avg|Hess u|^2 <= K^2 on the region."""
-    g = gradient(M, u)
-    gsq = np.maximum(metric_inner(M, g, g), 0.0)
-    hn = hessian_norm(M, hessian(M, u))
-    sup_part = region_sup(np.abs(u) ** 2 + r**2 * gsq, region)
-    avg_part = region_average(M, hn**2, region)
+    return _w22_k(M, u, norm_sq(M, gradient(M, u)), hessian_norm(M, hessian(M, u)), region, r)
+
+
+def _w22_k(M, u, grad_sq, hess_norm, region, r) -> float:
+    sup_part = region_sup(np.abs(u) ** 2 + r**2 * grad_sq, region)
+    avg_part = region_average(M, hess_norm**2, region)
     return float(np.sqrt(sup_part + r**4 * avg_part))
 
 
@@ -146,7 +150,7 @@ def phi_c0_bound(phi: SplittingMap, region: np.ndarray, r: float) -> float:
     M = phi.manifold
     sup_grad = 0.0
     for g in phi.gradients():
-        gn = np.sqrt(np.maximum(metric_inner(M, g, g), 0.0))
+        gn = np.sqrt(norm_sq(M, g))
         sup_grad = max(sup_grad, region_sup(np.where(region, gn, np.nan), region))
     hess_term = r**2 * sum(
         region_average(M, np.where(region, hn**2, 0.0), region) for hn in phi.hessian_norms()
@@ -161,14 +165,19 @@ def phi_c0_bound(phi: SplittingMap, region: np.ndarray, r: float) -> float:
 
 @dataclass(frozen=True)
 class CutoffFunction:
-    """Quintic smoothstep of radial distance: 1 inside, 0 outside."""
+    """Quintic smoothstep of radial distance: 1 inside, 0 outside.
+
+    ``grad`` (contravariant) and ``lap_abs`` are the derivative fields that
+    ``build_cutoff`` measures ``C_ctf`` from; ``hessian_l2_bound`` reads them
+    for every eigenfunction of the point instead of differentiating again.
+    """
 
     values: np.ndarray
     inner_radius: float
     outer_radius: float
     c_ctf_measured: float    # (1/2) sup(r|grad phi| + r^2|Delta phi|)
     c_ctf: float             # max(measured, 1): the proof normalizes C_ctf > 1
-    grad_norm: np.ndarray
+    grad: np.ndarray
     lap_abs: np.ndarray
     r: float
 
@@ -205,7 +214,7 @@ def build_cutoff(ball_r: GeodesicBall, ball_2r: GeodesicBall, eps_hat: float) ->
     inset = float(np.max(np.abs(d_s - d)))
     phi = _smoothstep((d_s - (r_in + inset)) / ((r_out - inset) - (r_in + inset)))
     g = gradient(M, phi)
-    gn = np.sqrt(np.maximum(metric_inner(M, g, g), 0.0))
+    gn = np.sqrt(norm_sq(M, g))
     lap = np.abs(laplace(M, phi))
     measured = 0.5 * float(np.max(r * gn + r**2 * lap))
     return CutoffFunction(
@@ -214,7 +223,7 @@ def build_cutoff(ball_r: GeodesicBall, ball_2r: GeodesicBall, eps_hat: float) ->
         outer_radius=r_out,
         c_ctf_measured=measured,
         c_ctf=max(measured, 1.0),
-        grad_norm=gn,
+        grad=g,
         lap_abs=lap,
         r=r,
     )
@@ -226,37 +235,35 @@ def build_cutoff(ball_r: GeodesicBall, ball_2r: GeodesicBall, eps_hat: float) ->
 
 
 def hessian_l2_bound(
-    M: DiscreteManifold,
-    u: np.ndarray,
+    field: TangentialField,
     ball_r: GeodesicBall,
     ball_2r: GeodesicBall,
     cutoff: CutoffFunction,
     lambda_ric: float = 0.0,
 ) -> EstimateReport:
-    """Cutoff-tested Hessian energy bound and its L1 consequence.
+    """Cutoff-tested Hessian energy bound and its L1 consequence, for the
+    function ``field.u`` (its derivative fields are read from ``field``).
 
     The headline report checks the mean of |Hess u| on the inner ball against
     ``4 m C_ctf K r^-2 + 2 ||Delta u||``; the phi-weighted squared-energy
     inequality it derives from is nested under ``extras['intermediate']``.
     """
+    M, u = field.manifold, field.u
     r = ball_r.radius
     m = M.dim
     reg2 = ball_2r.members
-    K = c1_sup_bound(M, u, reg2, r)
+    K = _c1_sup(u, field.grad_norm(), reg2, r)
     du = laplace(M, u)
     du_l2 = l2_average(M, du, reg2)
-    hn = hessian_norm(M, hessian(M, u))
+    hn = field.hessian_u_norm()
     phi = cutoff.values
 
     lhs_int = region_average(M, phi * hn**2, reg2)
     rhs_int = (8.0 * cutoff.c_ctf / r**2 + (m - 1) * lambda_ric) * K**2 / r**2 + 1.5 * du_l2**2
 
-    g_u = gradient(M, u)
-    g_phi = gradient(M, phi)
-    cross = np.abs(du) * np.abs(metric_inner(M, g_phi, g_u))
-    gsq = np.maximum(metric_inner(M, g_u, g_u), 0.0)
+    cross = np.abs(du) * np.abs(metric_inner(M, cutoff.grad, field.grad_u))
     line1 = (
-        0.5 * region_average(M, (cutoff.lap_abs + 2.0 * lambda_ric * (m - 1)) * gsq, reg2)
+        0.5 * region_average(M, (cutoff.lap_abs + 2.0 * lambda_ric * (m - 1)) * field.grad_sq(), reg2)
         + region_average(M, du**2 * phi, reg2)
         + region_average(M, cross, reg2)
     )
@@ -375,7 +382,7 @@ def main_theorem_report(
     m = M.dim
     k = field.phi.k
     outer = ball_r.concentric(2 * r)
-    c_cy = cheng_yau_ratio(M, eig.u, ball_r)
+    c_cy = _cheng_yau_ratio(eig.u, field.grad_norm(), ball_r)
     vol_ratio = outer.volume() / ball_r.volume()
     C2 = 48.0 * m * k**2 * cutoff.c_ctf * 2.0**k * vol_ratio
     C = C2 * (1.0 + c_cy)
@@ -383,6 +390,11 @@ def main_theorem_report(
 
     w = M.node_weights()
     dom = ball_r.members & mask
+    if not dom.any():
+        raise ValueError(
+            "the regular mask leaves B(p, r) empty: no node of the ball has a Jacobian eigenvalue above "
+            "the regularity threshold; lower thresholds.lambda_min_rel"
+        )
     excluded = float(w[ball_r.members & ~mask].sum() / w[ball_r.members].sum())
     wsum = float(w[dom].sum())
     speed = np.nan_to_num(field.speed_sq)
@@ -653,8 +665,8 @@ def _mode_reports(point: dict, pair: EigenPair, r: float, fibers: list[tuple]):
     cert: Certificate = point["cert"]
     cutoff: CutoffFunction = point["cutoff"]
     field = tangential_projection(M, pair.u, phi, stats, mask)
-    K_w22 = w22_k_bound(M, pair.u, ball2.members, r)
-    rep_h = hessian_l2_bound(M, pair.u, ball, ball2, cutoff, point["lambda_ric"])
+    K_w22 = _w22_k(M, field.u, field.grad_sq(), field.hessian_u_norm(), ball2.members, r)
+    rep_h = hessian_l2_bound(field, ball, ball2, cutoff, point["lambda_ric"])
     rep_i = interior_l2_report(field, mask.regular, ball, K_w22, point["C0"], point["eps_hat"])
     rep_m = main_theorem_report(pair, field, mask.regular, ball, cert, cutoff)
     tag = {"epsilon": M.family.epsilon, "theta": pair.theta}

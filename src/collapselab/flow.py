@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .manifold import DiscreteManifold, FiberTrace, graph_distances
+from .manifold import DiscreteManifold, FiberTrace, _cached, graph_distances
 from .operators import (
     chart_gradient,
     gradient,
@@ -26,6 +26,7 @@ from .operators import (
     hessian_norm,
     interp_scalar,
     metric_inner,
+    norm_sq,
     region_sup,
     stencil_probe,
 )
@@ -56,7 +57,15 @@ class FlowEscapeError(RuntimeError):
 
 @dataclass(frozen=True)
 class TangentialField:
-    """Splitting of grad u into fiber-tangential and normal parts (regular nodes)."""
+    """Splitting of grad u into fiber-tangential and normal parts (regular nodes).
+
+    It is also where the checks of one function read the derived fields of
+    u, each built once on first use and cached: ``grad_sq`` and ``grad_norm``
+    (|grad u|^2 and |grad u|, for the report pass's K, Cheng-Yau ratio and
+    cutoff terms and the fiber checks' K), ``hessian_u_norm`` (for the W22 K,
+    the Hessian bound and the fiber checks), and the stacked sample fields
+    and K field of ``fiber_apriori_check``, shared by every fiber checked.
+    """
 
     manifold: DiscreteManifold
     u: np.ndarray
@@ -69,15 +78,14 @@ class TangentialField:
     speed_sq: np.ndarray        # |grad^T u|^2, NaN on singular nodes
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def hessian_u(self) -> np.ndarray:
-        if "hess_u" not in self._cache:
-            self._cache["hess_u"] = hessian(self.manifold, self.u)
-        return self._cache["hess_u"]
+    def grad_sq(self) -> np.ndarray:
+        return _cached(self, "grad_sq", lambda: norm_sq(self.manifold, self.grad_u))
+
+    def grad_norm(self) -> np.ndarray:
+        return _cached(self, "grad_norm", lambda: np.sqrt(self.grad_sq()))
 
     def hessian_u_norm(self) -> np.ndarray:
-        if "hess_u_norm" not in self._cache:
-            self._cache["hess_u_norm"] = hessian_norm(self.manifold, self.hessian_u())
-        return self._cache["hess_u_norm"]
+        return _cached(self, "hess_u_norm", lambda: hessian_norm(self.manifold, hessian(self.manifold, self.u)))
 
 
 def tangential_part(
@@ -214,10 +222,8 @@ def integrate_flow(
     n_steps = int(np.ceil(T / dt - 1e-12))
     pos = M.positions()[x0].astype(float)
     level = phi.evaluate(pos[None, :])[0]
-    if "velocity_probe" not in field._cache:
-        parts = np.stack(phi.periodic_parts(), axis=-1)
-        field._cache["velocity_probe"] = stencil_probe(M, np.concatenate([field.grad_t, parts], axis=-1))
-    probe = field._cache["velocity_probe"]
+    probe = _cached(field, "velocity_probe", lambda: stencil_probe(
+        M, np.concatenate([field.grad_t, phi._stacked("psi")], axis=-1)))
     periods = [float(p) for p in M.grid.periods]
     level_f = level.tolist()
 
@@ -330,11 +336,17 @@ def flow_rate_bound(report: FiberBoundReport) -> float:
 
 def fiber_neighborhood(M: DiscreteManifold, fiber: FiberTrace, radius: float) -> np.ndarray:
     """Nodes within graph distance ``radius`` of a fiber: multi-source Dijkstra
-    from the nodes nearest its samples, as a grid-shaped boolean mask."""
+    from the nodes nearest its samples, as a grid-shaped boolean mask.
+
+    The search is capped just above ``radius``: distances under the cap are
+    exact, so the mask is the one an uncapped search gives, without the
+    distances to the rest of the chart.
+    """
     grid = M.grid
+    reach = radius + 1e-12
     ij = np.round(grid.wrap(fiber.points) / np.asarray(grid.spacings)).astype(int) % np.asarray(grid.shape)
-    dist = graph_distances(M, np.unique(np.ravel_multi_index(tuple(ij.T), grid.shape)))
-    return dist.reshape(grid.shape) <= radius + 1e-12
+    dist = graph_distances(M, np.unique(np.ravel_multi_index(tuple(ij.T), grid.shape)), limit=1.001 * reach)
+    return dist.reshape(grid.shape) <= reach
 
 
 def fiber_apriori_check(
@@ -354,12 +366,16 @@ def fiber_apriori_check(
     M = field.manifold
     if not fiber.regular:
         raise ValueError("fiber is not regular; a priori constants are undefined")
-    pts = M.grid.wrap(fiber.points)
     stats = field.stats
-    # every field read on the fiber samples, from one stencil gather
-    fields = [np.where(stats.valid, stats.lam, np.nan), np.where(stats.valid, stats.Lam, np.nan)]
-    fields += [np.where(field.mask, field.speed_sq, np.nan), *field.phi.hessian_norms()]
-    lam_s, Lam_s, speed_sq, *hess_norms = interp_scalar(M, np.stack(fields, axis=-1), pts).T
+    # every field read on the fiber samples, stacked for one stencil gather; built on the
+    # first fiber checked against this tangential field and reused for the others
+    samples = _cached(field, "fiber_samples", lambda: np.stack([
+        np.where(stats.valid, stats.lam, np.nan),
+        np.where(stats.valid, stats.Lam, np.nan),
+        np.where(field.mask, field.speed_sq, np.nan),
+        *field.phi.hessian_norms(),
+    ], axis=-1))
+    lam_s, Lam_s, speed_sq, *hess_norms = interp_scalar(M, samples, M.grid.wrap(fiber.points)).T
     lam = float(np.min(lam_s))
     Lam = float(np.max(Lam_s))
     if not np.isfinite(lam) or lam <= 0:
@@ -367,11 +383,10 @@ def fiber_apriori_check(
     c0 = 0.0
     for hn in hess_norms:
         c0 = max(c0, float(np.max(hn**2)) * r**2)
-    gn = np.sqrt(np.maximum(metric_inner(M, field.grad_u, field.grad_u), 0.0))
-    hn_u = field.hessian_u_norm()
+    gn, hn_u = field.grad_norm(), field.hessian_u_norm()
     if not np.all(np.isfinite(gn[neighborhood])) or not np.all(np.isfinite(hn_u[neighborhood])):
         raise ValueError("fiber neighborhood exits the computed domain of u")
-    K = region_sup(r * gn + r**2 * hn_u, neighborhood)
+    K = region_sup(_cached(field, ("apriori_K", r), lambda: r * gn + r**2 * hn_u), neighborhood)
     speed = np.sqrt(np.maximum(speed_sq, 0.0))
     if not np.all(np.isfinite(speed)):
         raise ValueError("fiber neighborhood exits the regular region of the tangential field")

@@ -41,6 +41,19 @@ FAMILY_KINDS = ("flat-product-torus", "warped-torus", "twisted-3-torus")
 MIN_FIBER_NODES = 16
 
 
+def _cached(owner, key, build):
+    """``owner._cache[key]``, made by ``build()`` on first use: how manifolds,
+    splitting maps and tangential fields compute each derived field once."""
+    if key not in owner._cache:
+        owner._cache[key] = build()
+    return owner._cache[key]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class PeriodicGrid:
     """Structured periodic chart: node counts and period lengths per axis."""
@@ -160,10 +173,8 @@ class DiscreteManifold:
         det = np.linalg.det(g)
         if np.max(np.abs(np.sqrt(det) - w)) > 1e-12 * max(1.0, float(np.max(w))):
             raise ValueError("volume_element inconsistent with sqrt(det(metric))")
-        g.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "metric", g)
-        object.__setattr__(self, "volume_element", w)
+        object.__setattr__(self, "metric", _read_only(g))
+        object.__setattr__(self, "volume_element", _read_only(w))
 
     # -- basic measure ------------------------------------------------------
 
@@ -173,28 +184,16 @@ class DiscreteManifold:
 
     def node_weights(self) -> np.ndarray:
         """Integration weight (volume measure) attached to each node."""
-        if "node_weights" not in self._cache:
-            w = self.volume_element * self.grid.cell_volume
-            w.setflags(write=False)
-            self._cache["node_weights"] = w
-        return self._cache["node_weights"]
+        return _cached(self, "node_weights", lambda: _read_only(self.volume_element * self.grid.cell_volume))
 
     def total_volume(self) -> float:
         return float(self.node_weights().sum())
 
     def metric_inverse(self) -> np.ndarray:
-        if "metric_inverse" not in self._cache:
-            ginv = np.linalg.inv(self.metric)
-            ginv.setflags(write=False)
-            self._cache["metric_inverse"] = ginv
-        return self._cache["metric_inverse"]
+        return _cached(self, "metric_inverse", lambda: _read_only(np.linalg.inv(self.metric)))
 
     def positions(self) -> np.ndarray:
-        if "positions" not in self._cache:
-            pos = self.grid.positions()
-            pos.setflags(write=False)
-            self._cache["positions"] = pos
-        return self._cache["positions"]
+        return _cached(self, "positions", lambda: _read_only(self.grid.positions()))
 
     @property
     def base_axes(self) -> tuple[int, ...]:
@@ -362,8 +361,6 @@ def _grid_neighbor_offsets(m: int) -> list[tuple[int, ...]]:
 
 def _grid_adjacency(M: DiscreteManifold):
     """Sparse symmetric graph of metric edge lengths between nearby nodes."""
-    if "adjacency" in M._cache:
-        return M._cache["adjacency"]
     grid = M.grid
     m = grid.dim
     n_nodes = grid.n_nodes
@@ -383,19 +380,18 @@ def _grid_adjacency(M: DiscreteManifold):
         rows.append(idx.ravel())
         cols.append(j)
         vals.append(ell)
-    W = coo_matrix(
+    return coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_nodes, n_nodes),
     ).tocsr()
-    M._cache["adjacency"] = W
-    return W
 
 
-def graph_distances(M: DiscreteManifold, sources: np.ndarray | Sequence[int]) -> np.ndarray:
-    """Multi-source Dijkstra distances from flat node indices, flat output."""
-    W = _grid_adjacency(M)
+def graph_distances(M: DiscreteManifold, sources: np.ndarray | Sequence[int], limit: float = np.inf) -> np.ndarray:
+    """Multi-source Dijkstra distances from flat node indices, flat output.
+    The search stops at ``limit``: farther nodes read inf, nearer ones exact."""
+    W = _cached(M, "adjacency", lambda: _grid_adjacency(M))
     src = np.atleast_1d(np.asarray(sources, dtype=int))
-    d = _csgraph_dijkstra(W, directed=False, indices=src, min_only=len(src) > 1)
+    d = _csgraph_dijkstra(W, directed=False, indices=src, min_only=len(src) > 1, limit=limit)
     return d if d.ndim == 1 else d[0]
 
 
@@ -508,7 +504,7 @@ def extract_fiber(phi, level, *, lambda_threshold: float | None = None) -> Fiber
     if level.shape != (k,):
         raise ValueError(f"level must have {k} components")
 
-    lo, hi = phi.branch_range(np.ones(M.grid.shape, dtype=bool))
+    lo, hi = _cached(phi, "chart_range", lambda: phi.branch_range(np.ones(M.grid.shape, dtype=bool)))
     periods = phi.value_periods()
     for a in range(k):
         if periods[a] > 0:
@@ -527,7 +523,7 @@ def extract_fiber(phi, level, *, lambda_threshold: float | None = None) -> Fiber
 
     stats = jacobian_stats(phi)
     if lambda_threshold is None:
-        lambda_threshold = stats.default_threshold()
+        lambda_threshold = _cached(phi, "default_threshold", stats.default_threshold)
     from .operators import interp_scalar
 
     lam = interp_scalar(M, stats.lam, M.grid.wrap(pts))

@@ -28,11 +28,12 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from .manifold import DiscreteManifold, PeriodicGrid
+from .manifold import DiscreteManifold, PeriodicGrid, _cached, _read_only
 
 __all__ = [
     "gradient",
     "metric_inner",
+    "norm_sq",
     "laplacian_matrix",
     "laplace",
     "factorize",
@@ -101,6 +102,11 @@ def gradient(M: DiscreteManifold, f: np.ndarray, winding=None) -> np.ndarray:
 def metric_inner(M: DiscreteManifold, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Pointwise g(X, Y) for contravariant fields."""
     return np.einsum("...i,...ij,...j->...", X, M.metric, Y)
+
+
+def norm_sq(M: DiscreteManifold, X: np.ndarray) -> np.ndarray:
+    """Pointwise |X|^2 = g(X, X), clipped at 0 against round-off."""
+    return np.maximum(metric_inner(M, X, X), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +295,12 @@ def christoffel_fd(M: DiscreteManifold) -> np.ndarray:
 
 
 def _christoffel_at_nodes(M: DiscreteManifold) -> np.ndarray:
-    if "christoffel_nodes" not in M._cache:
-        if M.christoffel is not None:
-            pos = M.positions().reshape(-1, M.dim)
-            gam = M.christoffel(pos).reshape(M.grid.shape + (M.dim,) * 3)
-        else:
-            gam = christoffel_fd(M)
-        gam.setflags(write=False)
-        M._cache["christoffel_nodes"] = gam
-    return M._cache["christoffel_nodes"]
+    def build():
+        if M.christoffel is None:
+            return christoffel_fd(M)
+        return M.christoffel(M.positions().reshape(-1, M.dim)).reshape(M.grid.shape + (M.dim,) * 3)
+
+    return _cached(M, "christoffel_nodes", lambda: _read_only(build()))
 
 
 def hessian(M: DiscreteManifold, f: np.ndarray, winding=None) -> np.ndarray:

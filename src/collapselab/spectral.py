@@ -18,7 +18,7 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .manifold import DiscreteManifold, GeodesicBall
-from .operators import factorize, gradient, laplacian_matrix, metric_inner, region_sup
+from .operators import factorize, gradient, laplacian_matrix, norm_sq, region_sup
 
 __all__ = [
     "EigenPair",
@@ -114,13 +114,15 @@ def _gated_pairs(M: DiscreteManifold, L, mass, theta, vecs) -> list[EigenPair]:
 def cheng_yau_ratio(M: DiscreteManifold, u: np.ndarray, ball: GeodesicBall) -> float:
     """Measured gradient-estimate ratio ``r sup_B(p,r) |grad u| / sup_B(p,2r) |u|``."""
     u = np.asarray(u, dtype=float)
+    return _cheng_yau_ratio(u, np.sqrt(norm_sq(M, gradient(M, u))), ball)
+
+
+def _cheng_yau_ratio(u: np.ndarray, grad_norm: np.ndarray, ball: GeodesicBall) -> float:
     outer = ball.concentric(2 * ball.radius)
     sup_u = region_sup(np.abs(u), outer.members)
     if sup_u == 0.0:
         raise ValueError("Cheng-Yau ratio undefined for u identically zero")
-    g = gradient(M, u)
-    gn = np.sqrt(np.maximum(metric_inner(M, g, g), 0.0))
-    return float(ball.radius * region_sup(gn, ball.members) / sup_u)
+    return float(ball.radius * region_sup(grad_norm, ball.members) / sup_u)
 
 
 # ---------------------------------------------------------------------------

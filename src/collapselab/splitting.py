@@ -17,8 +17,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
 
-from .manifold import DiscreteManifold, GeodesicBall
+from .manifold import DiscreteManifold, GeodesicBall, _cached, _read_only
 from .operators import (
     _dot,
     factorize,
@@ -28,6 +29,7 @@ from .operators import (
     interp_scalar,
     laplacian_matrix,
     metric_inner,
+    norm_sq,
     region_average,
     region_sup,
     stencil_probe,
@@ -65,18 +67,8 @@ class SplittingMap:
     def __post_init__(self):
         if len(self.values) == 0:
             raise ValueError("a splitting map needs at least one component (k = 0 rejected)")
-        vals = []
-        for v in self.values:
-            v = np.asarray(v, dtype=float)
-            v.setflags(write=False)
-            vals.append(v)
-        winds = []
-        for w in self.windings:
-            w = np.asarray(w, dtype=float)
-            w.setflags(write=False)
-            winds.append(w)
-        object.__setattr__(self, "values", tuple(vals))
-        object.__setattr__(self, "windings", tuple(winds))
+        object.__setattr__(self, "values", tuple(_read_only(np.asarray(v, dtype=float)) for v in self.values))
+        object.__setattr__(self, "windings", tuple(_read_only(np.asarray(w, dtype=float)) for w in self.windings))
 
     @property
     def k(self) -> int:
@@ -86,37 +78,27 @@ class SplittingMap:
         return self.values[a], self.windings[a]
 
     def values_stack(self) -> np.ndarray:
-        return np.stack(self.values, axis=-1)
+        """The component values side by side, ``(*shape, k)``; cached, read-only."""
+        return _cached(self, "values_stack", lambda: _read_only(np.stack(self.values, axis=-1)))
 
     # -- derived fields (cached) -------------------------------------------
 
     def gradients(self) -> list[np.ndarray]:
         """Contravariant gradients per component."""
-        if "gradients" not in self._cache:
-            self._cache["gradients"] = [
-                gradient(self.manifold, v, w) for v, w in zip(self.values, self.windings)
-            ]
-        return self._cache["gradients"]
+        M = self.manifold
+        return _cached(self, "gradients", lambda: [gradient(M, v, w) for v, w in zip(self.values, self.windings)])
 
     def hessians(self) -> list[np.ndarray]:
-        if "hessians" not in self._cache:
-            self._cache["hessians"] = [
-                hessian(self.manifold, v, w) for v, w in zip(self.values, self.windings)
-            ]
-        return self._cache["hessians"]
+        M = self.manifold
+        return _cached(self, "hessians", lambda: [hessian(M, v, w) for v, w in zip(self.values, self.windings)])
 
     def hessian_norms(self) -> list[np.ndarray]:
-        if "hessian_norms" not in self._cache:
-            self._cache["hessian_norms"] = [hessian_norm(self.manifold, H) for H in self.hessians()]
-        return self._cache["hessian_norms"]
+        M = self.manifold
+        return _cached(self, "hessian_norms", lambda: [hessian_norm(M, H) for H in self.hessians()])
 
     def periodic_parts(self) -> list[np.ndarray]:
-        if "periodic_parts" not in self._cache:
-            pos = self.manifold.positions()
-            self._cache["periodic_parts"] = [
-                v - pos @ w for v, w in zip(self.values, self.windings)
-            ]
-        return self._cache["periodic_parts"]
+        pos = self.manifold.positions()
+        return _cached(self, "periodic_parts", lambda: [v - pos @ w for v, w in zip(self.values, self.windings)])
 
     # -- pointwise evaluation off the lattice --------------------------------
 
@@ -124,16 +106,12 @@ class SplittingMap:
         """Cached node fields that are interpolated together: ``psi`` the
         periodic parts ``(*shape, k)``, ``newton`` the periodic parts and the
         metric flattened side by side: all that one Newton iteration reads."""
-        key = f"stacked_{name}"
-        if key not in self._cache:
-            M = self.manifold
-            psi = np.stack(self.periodic_parts(), axis=-1)
-            if name == "psi":
-                field = psi
-            else:
-                field = np.concatenate([psi, M.metric.reshape(M.grid.shape + (-1,))], axis=-1)
-            self._cache[key] = field
-        return self._cache[key]
+        M = self.manifold
+        psi = _cached(self, "stacked_psi", lambda: np.stack(self.periodic_parts(), axis=-1))
+        if name == "psi":
+            return psi
+        metric = M.metric.reshape(M.grid.shape + (-1,))
+        return _cached(self, "stacked_newton", lambda: np.concatenate([psi, metric], axis=-1))
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         """Map values at chart points (N, m) -> (N, k), continuous in pts."""
@@ -183,11 +161,9 @@ class SplittingMap:
 
     def _branches(self) -> list[tuple[list[float], float]]:
         """Winding vector and value period of each component, as floats."""
-        if "branches" not in self._cache:
-            self._cache["branches"] = [
-                (w.tolist(), float(p)) for w, p in zip(self.windings, self.value_periods())
-            ]
-        return self._cache["branches"]
+        return _cached(self, "branches", lambda: [
+            (w.tolist(), float(p)) for w, p in zip(self.windings, self.value_periods())
+        ])
 
     def project_to_level(self, point, level) -> "LevelProjection":
         """Newton reprojection of one chart point onto the level set, stepping
@@ -202,9 +178,7 @@ class SplittingMap:
         residual that misses ``LEVEL_TOL`` after ``NEWTON_MAX_ITER`` steps, or
         is NaN, raises ``RuntimeError``.
         """
-        if "newton_probe" not in self._cache:
-            self._cache["newton_probe"] = stencil_probe(self.manifold, self._stacked("newton"), self.k)
-        probe = self._cache["newton_probe"]
+        probe = _cached(self, "newton_probe", lambda: stencil_probe(self.manifold, self._stacked("newton"), self.k))
         k, m = self.k, self.manifold.dim
         x = np.ravel(np.asarray(point, dtype=float)).tolist()
         level = np.ravel(np.asarray(level, dtype=float)).tolist()
@@ -296,11 +270,7 @@ def harmonic_coordinates(M: DiscreteManifold) -> SplittingMap:
             psi = np.zeros(grid.n_nodes)
         else:
             if solve is None:
-                A = L.tolil(copy=True)   # pin node 0: psi is defined up to a constant
-                A[0, :] = 0.0
-                A[:, 0] = 0.0
-                A[0, 0] = 1.0
-                solve = factorize(A)
+                solve = factorize(_pin_first_node(L))   # psi is defined up to a constant
             b = rhs.copy()
             b[0] = 0.0
             psi = solve(b)
@@ -312,6 +282,18 @@ def harmonic_coordinates(M: DiscreteManifold) -> SplittingMap:
         winds.append(w)
         resid.append(r)
     return SplittingMap(M, tuple(comps), tuple(winds), residuals=tuple(resid))
+
+
+def _pin_first_node(L) -> coo_matrix:
+    """``L`` with row and column 0 replaced by the unit vector: every entry
+    of either dropped, then ``(0, 0) = 1``.  The other stored entries stay,
+    explicit zeros included: the sparsity structure sets SuperLU's column
+    ordering, and with it the round-off of psi."""
+    A = L.tocoo()
+    keep = (A.row != 0) & (A.col != 0)
+    return coo_matrix(
+        (np.append(A.data[keep], 1.0), (np.append(A.row[keep], 0), np.append(A.col[keep], 0))), shape=L.shape
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +320,10 @@ class JacobianStats:
 
 
 def jacobian_stats(phi: SplittingMap) -> JacobianStats:
-    if "jacobian_stats" in phi._cache:
-        return phi._cache["jacobian_stats"]
+    return _cached(phi, "jacobian_stats", lambda: _jacobian_stats(phi))
+
+
+def _jacobian_stats(phi: SplittingMap) -> JacobianStats:
     M = phi.manifold
     grads = phi.gradients()
     k = phi.k
@@ -354,7 +338,7 @@ def jacobian_stats(phi: SplittingMap) -> JacobianStats:
     eigs, frames = np.linalg.eigh(Jc)
     eigs = np.where(valid[..., None], eigs, np.nan)
     det = np.prod(np.maximum(eigs, 0.0), axis=-1)
-    stats = JacobianStats(
+    return JacobianStats(
         phi=phi,
         gram=np.where(valid[..., None, None], J, np.nan),
         lam=eigs[..., 0],
@@ -364,8 +348,6 @@ def jacobian_stats(phi: SplittingMap) -> JacobianStats:
         eigs=eigs,
         valid=valid,
     )
-    phi._cache["jacobian_stats"] = stats
-    return stats
 
 
 @dataclass(frozen=True)
@@ -430,7 +412,7 @@ def certify(phi: SplittingMap, ball: GeodesicBall, epsilon_hat: float | None = N
         raise ValueError("certificate region carries no valid derivative data")
     grads = phi.gradients()
     sup_grad = max(
-        region_sup(np.sqrt(np.maximum(metric_inner(M, g, g), 0.0)), mask) for g in grads
+        region_sup(np.sqrt(norm_sq(M, g)), mask) for g in grads
     )
     k = phi.k
     gram_dev = 0.0

@@ -23,7 +23,7 @@ def write_config(tmp_path, cfg, name="config.json"):
 
 
 def sweep_outputs(out):
-    files = ["sweep.csv", "plot_data.csv"] + sorted(
+    files = ["sweep.csv", "plot_data.csv", "sweep_summary.json"] + sorted(
         str(p.relative_to(out)) for p in out.glob("points/*/reports.json")
     )
     return {name: (out / name).read_bytes() for name in files}
@@ -36,6 +36,46 @@ def test_removed_threshold_keys_rejected(tmp_path, key):
         load_config(path)
 
 
+@pytest.mark.parametrize("value", ["true", "1e400", "Infinity", "NaN"])
+def test_threshold_values_must_be_positive_finite_numbers(tmp_path, value):
+    # true is an int to Python and 1e400 parses as inf: both used to be accepted
+    path = tmp_path / "config.json"
+    path.write_text('{"thresholds": {"lambda_min_rel": %s}}' % value)
+    with pytest.raises(ValueError, match="thresholds.lambda_min_rel must be a positive finite number"):
+        load_config(path)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+
+
+def test_an_empty_regular_ball_is_a_config_error(tmp_path, capsys):
+    # lambda_min_rel = 1e6 marks every node singular: the headline average
+    # over the regular part of B(p, r) has no nodes and must not read NaN
+    path = write_config(tmp_path, {**SMALL_WARPED, "thresholds": {"lambda_min_rel": 1e6}})
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "verify")]) == 1
+    err = capsys.readouterr().err
+    assert "regular mask leaves B(p, r) empty" in err and "lower thresholds.lambda_min_rel" in err
+
+
+def test_sweep_writes_its_scaling_statistics(tmp_path, monkeypatch):
+    import collapselab.cli as cli
+
+    results = []
+    sweep = cli.sweep
+    monkeypatch.setattr(cli, "sweep", lambda *args: results.append(sweep(*args)) or results[-1])
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(write_config(tmp_path, SMALL_WARPED)), "--out", str(out)])
+    result, = results
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert summary == {
+        "exponent": result.exponent,
+        "ratioSpread": result.ratio_spread,
+        "degenerate": result.degenerate,
+        "allPassed": result.all_passed,
+    }
+    assert code == (0 if result.all_passed else 2)
+    listed = {f["path"] for f in json.loads((out / "run_manifest.json").read_text())["files"]}
+    assert {"sweep_summary.json", "sweep.csv", "plot_data.csv"} <= listed
+
+
 def test_sweep_outputs_identical_across_jobs(tmp_path):
     cfg = write_config(tmp_path, SMALL_WARPED)
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
@@ -46,7 +86,7 @@ def test_sweep_outputs_identical_across_jobs(tmp_path):
     assert code_serial in (0, 2)
     assert code_serial == code_parallel
     got_serial, got_parallel = sweep_outputs(serial), sweep_outputs(parallel)
-    assert len(got_serial) == 2 + 3
+    assert len(got_serial) == 3 + 3
     assert got_serial == got_parallel
 
 

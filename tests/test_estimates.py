@@ -3,13 +3,26 @@ import pytest
 import collapselab.estimates as estimates
 import collapselab.flow as flow
 import collapselab.manifold as manifold
+import collapselab.operators as operators
+import collapselab.spectral as spectral
+import collapselab.splitting as splitting
 from collapselab.estimates import (
     FIBER_LEVELS,
+    c1_sup_bound,
     default_ball_center,
     default_resolution_rule,
     point_reports,
     run_point,
+    w22_k_bound,
 )
+from collapselab.spectral import cheng_yau_ratio
+
+
+def warped_point():
+    return run_point(
+        "warped-torus", 0.1, 0.3, 0.0, default_resolution_rule(64, 16),
+        default_ball_center("warped-torus"), 0.25, 50.0, 6, 0,
+    )
 
 
 @pytest.fixture
@@ -18,9 +31,9 @@ def dijkstra_sources(monkeypatch):
     sources = []
     dijkstra = manifold.graph_distances
 
-    def counting(M, src):
+    def counting(M, src, **kwargs):
         sources.append(len(src))
-        return dijkstra(M, src)
+        return dijkstra(M, src, **kwargs)
 
     monkeypatch.setattr(manifold, "graph_distances", counting)
     return sources
@@ -29,10 +42,7 @@ def dijkstra_sources(monkeypatch):
 def test_run_point_reuses_the_first_ball_distances(dijkstra_sources):
     # every concentric region (2r, the Cheng-Yau and main-theorem outer balls,
     # the interior-estimate inner ball) comes from the working ball's distances
-    point = run_point(
-        "warped-torus", 0.1, 0.3, 0.0, default_resolution_rule(64, 16),
-        default_ball_center("warped-torus"), 0.25, 50.0, 6, 0,
-    )
+    point = warped_point()
     assert dijkstra_sources == [1]
     rows, reports = point_reports(point, 0.25)
     assert len(rows) == len(point["pairs"]) and len(reports) == 3 * len(rows)
@@ -42,16 +52,13 @@ def test_run_point_reuses_the_first_ball_distances(dijkstra_sources):
 def test_point_reports_trace_each_fiber_once(monkeypatch):
     # the checked fibers and their 2 eps r neighborhoods depend on the
     # splitting map alone: one Dijkstra per fiber, one check per fiber and pair
-    point = run_point(
-        "warped-torus", 0.1, 0.3, 0.0, default_resolution_rule(64, 16),
-        default_ball_center("warped-torus"), 0.25, 50.0, 6, 0,
-    )
+    point = warped_point()
     neighborhoods, checks = [], []
     dijkstra, check = flow.graph_distances, estimates.fiber_apriori_check
 
-    def counting_dijkstra(M, src):
+    def counting_dijkstra(M, src, **kwargs):
         neighborhoods.append(len(src))
-        return dijkstra(M, src)
+        return dijkstra(M, src, **kwargs)
 
     def counting_check(*args, **kwargs):
         checks.append(args[0].level)
@@ -64,3 +71,42 @@ def test_point_reports_trace_each_fiber_once(monkeypatch):
     assert positive >= 2
     assert 0 < len(neighborhoods) <= FIBER_LEVELS
     assert len(checks) == positive * len(neighborhoods)
+
+
+def test_point_reports_differentiate_each_eigenfunction_once(monkeypatch):
+    # every module that differentiates goes through the counting wrappers;
+    # each eigenfunction gets one gradient, one Hessian and one Hessian norm,
+    # and the cutoff one gradient per point, in build_cutoff
+    calls = {"gradient": [], "hessian": [], "hessian_norm": []}
+
+    def counting(name):
+        original = getattr(operators, name)
+
+        def wrapped(M, f, *args, **kwargs):
+            calls[name].append(f)
+            return original(M, f, *args, **kwargs)
+
+        return wrapped
+
+    for module in (estimates, flow, spectral, splitting):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name))
+    point = warped_point()
+    cutoff, pairs = point["cutoff"], point["pairs"]
+    assert sum(f is cutoff.values for f in calls["gradient"]) == 1
+    for name in calls:
+        calls[name].clear()
+    rows, reports = point_reports(point, 0.25)
+    assert len(pairs) >= 3
+    for name in ("gradient", "hessian"):
+        assert [sum(f is pair.u for f in calls[name]) for pair in pairs] == [1] * len(pairs)
+        assert len(calls[name]) == len(pairs)
+    assert len(calls["hessian_norm"]) == len(pairs)
+    monkeypatch.undo()
+    # the values read from the cached fields are those of the public bounds
+    M, ball, ball2 = point["manifold"], point["ball"], point["ball2"]
+    for pair, (rep_h, rep_i, rep_m) in zip(pairs, zip(*[iter(reports)] * 3)):
+        assert rep_h.constants["K"][0] == c1_sup_bound(M, pair.u, ball2.members, 0.25)
+        assert rep_i.constants["K"][0] == w22_k_bound(M, pair.u, ball2.members, 0.25)
+        assert rep_m.constants["C_CY"][0] == cheng_yau_ratio(M, pair.u, ball)

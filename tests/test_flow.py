@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import collapselab.flow as flow
 from collapselab import extract_fiber, geodesic_ball
+from collapselab.manifold import graph_distances
 from collapselab.flow import (
     FlowEscapeError,
     default_stability_rate,
@@ -167,6 +169,32 @@ def test_flow_escape_carries_partial_trajectory(flat_setup):
         integrate_flow(broken, (0, 0), T=0.05, dt=1e-5, stability_rate=1.0)
     assert err.value.trajectory is not None
     assert len(err.value.trajectory.times) >= 1
+
+
+def test_capped_fiber_neighborhood_matches_the_uncapped_search(monkeypatch, warped_torus, warped_coordinates):
+    M, grid = warped_torus, warped_torus.grid
+    trace = extract_fiber(warped_coordinates, [0.6])
+    ij = np.round(grid.wrap(trace.points) / np.asarray(grid.spacings)).astype(int) % np.asarray(grid.shape)
+    dist = graph_distances(M, np.unique(np.ravel_multi_index(tuple(ij.T), grid.shape)))
+    assert np.isfinite(dist).all()
+    limits = []
+
+    def recording(M, sources, **kwargs):
+        limits.append(kwargs["limit"])
+        return graph_distances(M, sources, **kwargs)
+
+    monkeypatch.setattr(flow, "graph_distances", recording)
+    node = int(np.argsort(dist)[len(dist) // 10])       # a node off the fiber
+    # radii: below and above that node's distance, exactly at it, and with it
+    # on the mask's edge radius + 1e-12
+    for radius in (0.02, dist[node], dist[node] - 1e-12, 0.5):
+        got = fiber_neighborhood(M, trace, radius)
+        assert np.array_equal(got, dist.reshape(grid.shape) <= radius + 1e-12)
+        if radius == dist[node]:
+            assert got.ravel()[node]
+    assert all(np.isfinite(limit) for limit in limits) and len(limits) == 4
+    # the cap takes effect: a capped search leaves the far side of the chart at inf
+    assert np.isinf(graph_distances(M, [0], limit=limits[0])).any()
 
 
 def test_apriori_check_trivial_mode(flat_torus, flat_coordinates):

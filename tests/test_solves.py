@@ -27,6 +27,15 @@ def spsolve_factorize(A):
     return lambda b: spsolve(A.tocsc(), b)
 
 
+def lil_pin(L):
+    """The former pin of the harmonic-coordinate matrix: item assignment on a LIL copy."""
+    A = L.tolil(copy=True)
+    A[0, :] = 0.0
+    A[:, 0] = 0.0
+    A[0, 0] = 1.0
+    return A
+
+
 def builtin_shift_invert(*args, OPinv, **kwargs):
     """The former eigensolve: ``eigsh`` factors ``L - sigma mass`` itself."""
     return eigsh(*args, **kwargs)
@@ -81,6 +90,21 @@ def test_harmonic_coordinates_match_spsolve(request, monkeypatch, family):
     got = harmonic_coordinates(M)
     monkeypatch.setattr(splitting, "factorize", spsolve_factorize)
     assert_same_maps(got, harmonic_coordinates(M))
+
+
+@pytest.mark.parametrize("family", ["warped_torus", "doubly_warped"])
+def test_pinned_matrix_and_coordinates_match_the_lil_pin(request, monkeypatch, family):
+    # the compressed arrays SuperLU receives, explicit zeros of L included,
+    # and so the factor and psi, are those of the former LIL pin
+    M = request.getfixturevalue(family)
+    L, _ = operators.laplacian_matrix(M)
+    got, want = splitting._pin_first_node(L).tocsc(), lil_pin(L).tocsc()
+    assert np.any(want.data == 0.0)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    phi = harmonic_coordinates(M)
+    monkeypatch.setattr(splitting, "_pin_first_node", lil_pin)
+    assert_same_maps(phi, harmonic_coordinates(M))
 
 
 CUTOFF_BALLS = {"flat_torus": ((32, 0), 0.2), "warped_torus": ((32, 0), 0.2), "small_twisted": ((4, 4, 0), 0.3)}
