@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 __all__ = [
@@ -359,6 +359,21 @@ def _grid_neighbor_offsets(m: int) -> list[tuple[int, ...]]:
     return sorted(offsets)
 
 
+def _csr_from_rows(cols: np.ndarray, vals: np.ndarray):
+    """Square CSR matrix whose row ``r`` holds ``(cols[s, r], vals[s, r])`` for
+    ``s = 0, 1, ...`` in that order, duplicates summed.
+
+    This is the CSR that ``coo_matrix(...).tocsr()`` makes from blocks that
+    hold one entry per row, block ``s`` after block ``s - 1``: its counting
+    sort by row is stable, so each row lists its entries in block order, and
+    the index sort and duplicate sum then see the same input.
+    """
+    per_row, n = cols.shape
+    A = csr_matrix((vals.T.ravel(), cols.T.ravel(), np.arange(0, per_row * n + 1, per_row)), shape=(n, n))
+    A.sum_duplicates()
+    return A
+
+
 def _grid_adjacency(M: DiscreteManifold):
     """Sparse symmetric graph of metric edge lengths between nearby nodes."""
     grid = M.grid
@@ -367,8 +382,10 @@ def _grid_adjacency(M: DiscreteManifold):
     h = np.asarray(grid.spacings)
     idx = np.arange(n_nodes).reshape(grid.shape)
     g = M.metric.reshape(n_nodes, m, m)
-    rows, cols, vals = [], [], []
-    for off in _grid_neighbor_offsets(m):
+    offsets = _grid_neighbor_offsets(m)
+    cols = np.empty((len(offsets), n_nodes), dtype=np.int32)
+    vals = np.empty((len(offsets), n_nodes))
+    for s, off in enumerate(offsets):
         shifted = idx
         for ax, o in enumerate(off):
             if o:
@@ -376,14 +393,9 @@ def _grid_adjacency(M: DiscreteManifold):
         j = shifted.ravel()
         dx = np.asarray(off) * h
         gmid = 0.5 * (g + g[j])
-        ell = np.sqrt(np.einsum("i,nij,j->n", dx, gmid, dx))
-        rows.append(idx.ravel())
-        cols.append(j)
-        vals.append(ell)
-    return coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_nodes, n_nodes),
-    ).tocsr()
+        cols[s] = j
+        vals[s] = np.sqrt(np.einsum("i,nij,j->n", dx, gmid, dx))
+    return _csr_from_rows(cols, vals)
 
 
 def graph_distances(M: DiscreteManifold, sources: np.ndarray | Sequence[int], limit: float = np.inf) -> np.ndarray:
@@ -391,7 +403,8 @@ def graph_distances(M: DiscreteManifold, sources: np.ndarray | Sequence[int], li
     The search stops at ``limit``: farther nodes read inf, nearer ones exact."""
     W = _cached(M, "adjacency", lambda: _grid_adjacency(M))
     src = np.atleast_1d(np.asarray(sources, dtype=int))
-    d = _csgraph_dijkstra(W, directed=False, indices=src, min_only=len(src) > 1, limit=limit)
+    # W is exactly symmetric: a directed search skips the transpose an undirected one builds
+    d = _csgraph_dijkstra(W, directed=True, indices=src, min_only=len(src) > 1, limit=limit)
     return d if d.ndim == 1 else d[0]
 
 
@@ -542,21 +555,30 @@ def extract_fiber(phi, level, *, lambda_threshold: float | None = None) -> Fiber
 
 
 def _march_squares(phi, v: float) -> np.ndarray:
-    """Marching squares for one periodic scalar level set, chained by edge ids.
+    """Marching squares for one periodic scalar level set, chained by edge ids."""
+    segments, (edges, points) = _level_crossings(phi, v)
+    return _chain_segments(phi.manifold.grid, segments.tolist(), edges, points)
 
-    Edge keys: ``("h", i, j)`` runs from node (i, j) to (i+1, j) and
-    ``("v", i, j)`` from (i, j) to (i, j+1), indices wrapped.  Crossing
-    positions are stored once per edge, so adjacent cells chain exactly.
-    """
-    M = phi.manifold
-    grid = M.grid
-    n1, n2 = grid.shape
-    h1, h2 = grid.spacings
+
+# the edges of a cell in the order it registers them (bottom, top, left,
+# right): their corners among 00, 10, 01, 11, their first node relative to
+# the cell's base node, and the axis they run along
+_EDGE_CORNERS = np.array([[0, 1], [2, 3], [0, 2], [1, 3]])
+_EDGE_NODE = np.array([[0, 0], [0, 1], [0, 0], [1, 0]])
+_EDGE_AXIS = np.array([0, 0, 1, 1])
+# a cell's segments as offsets into its crossed edges: two crossings, or a
+# saddle that joins bottom to right or bottom to left (second row unused for two)
+_CELL_SEGMENTS = np.array([[[0, 1], [0, 1]], [[0, 3], [1, 2]], [[0, 2], [1, 3]]])
+
+
+def _cell_corners(phi) -> tuple[np.ndarray, np.ndarray, float]:
+    """The first component at the corners 00, 10, 01, 11 of every cell, on the
+    cell's side of the seam, ``(4, *shape)``; their mean; and the value
+    period that picks a cell's branch (0 for a plain field)."""
+    grid = phi.manifold.grid
     f, winding = phi.component_arrays(0)
-    p1, p2 = grid.periods
-    jump1 = winding[0] * p1
-    jump2 = winding[1] * p2
-
+    jump1 = winding[0] * grid.periods[0]
+    jump2 = winding[1] * grid.periods[1]
     c00 = f.copy()
     c10 = np.roll(f, -1, axis=0)
     c10[-1, :] += jump1
@@ -565,66 +587,53 @@ def _march_squares(phi, v: float) -> np.ndarray:
     c11 = np.roll(np.roll(f, -1, axis=0), -1, axis=1)
     c11[-1, :] += jump1
     c11[:, -1] += jump2
-
-    # pick the value branch nearest each cell (circle-valued maps)
     cmean = 0.25 * (c00 + c10 + c01 + c11)
-    branch = jump1 if jump1 != 0.0 else jump2
-    if branch != 0.0:
-        vloc = v + branch * np.round((cmean - v) / branch)
-    else:
-        vloc = np.full_like(cmean, v)
-    d00, d10, d01, d11 = c00 - vloc, c10 - vloc, c01 - vloc, c11 - vloc
-
-    segments: list[tuple[tuple, tuple]] = []
-    crossing: dict[tuple, tuple[float, float]] = {}
-
-    def register(key: tuple, a: float, b: float, cell_i: int, cell_j: int) -> None:
-        if key in crossing:
-            return
-        t = a / (a - b)
-        kind = key[0]
-        if kind == "h":
-            crossing[key] = (((cell_i + t) * h1) % p1, (key[2] * h2) % p2)
-        else:
-            crossing[key] = ((key[1] * h1) % p1, ((cell_j + t) * h2) % p2)
-
-    sgn = (d00 > 0, d10 > 0, d01 > 0, d11 > 0)
-    finite = np.isfinite(d00) & np.isfinite(d10) & np.isfinite(d01) & np.isfinite(d11)
-    active = finite & ~((sgn[0] == sgn[1]) & (sgn[1] == sgn[2]) & (sgn[2] == sgn[3]))
-    for i, j in zip(*np.nonzero(active)):
-        i, j = int(i), int(j)
-        kb = ("h", i, j)
-        kt = ("h", i, (j + 1) % n2)
-        kl = ("v", i, j)
-        kr = ("v", (i + 1) % n1, j)
-        crossed = []
-        for key, (a, b) in (
-            (kb, (d00[i, j], d10[i, j])),
-            (kt, (d01[i, j], d11[i, j])),
-            (kl, (d00[i, j], d01[i, j])),
-            (kr, (d10[i, j], d11[i, j])),
-        ):
-            if (a > 0) != (b > 0):
-                register(key, a, b, i, j)
-                crossed.append(key)
-        if len(crossed) == 2:
-            segments.append((crossed[0], crossed[1]))
-        elif len(crossed) == 4:
-            # saddle: connect according to the sign at the cell center
-            center = 0.25 * (d00[i, j] + d10[i, j] + d01[i, j] + d11[i, j])
-            if (center > 0) == bool(sgn[0][i, j]):
-                segments.append((kb, kr))
-                segments.append((kt, kl))
-            else:
-                segments.append((kb, kl))
-                segments.append((kt, kr))
-    return _chain_segments(grid, segments, crossing)
+    return _read_only(np.stack([c00, c10, c01, c11])), _read_only(cmean), jump1 if jump1 != 0.0 else jump2
 
 
-def _chain_segments(grid: PeriodicGrid, segments, crossing) -> np.ndarray:
+def _level_crossings(phi, v: float) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Marching-squares segments of one periodic level set of a 2-d map's first
+    component, and where each grid edge crosses it.
+
+    Edge ``a * n_nodes + i`` runs along axis ``a`` from flat node ``i`` to its
+    next neighbor, indices wrapped.  ``segments`` holds edge pairs, one per
+    active cell in row-major order, or two for a saddle, joined by the sign at
+    the cell center.  ``crossing`` is ``(edges, points)``: the sorted ids of
+    the crossed edges and where each crosses, interpolated in the first cell
+    in that order to cross it, so adjacent cells chain exactly.
+    """
+    grid = phi.manifold.grid
+    corners, cmean, branch = _cached(phi, "cell_corners", lambda: _cell_corners(phi))
+    # pick the value branch nearest each cell (circle-valued maps)
+    vloc = v + branch * np.round((cmean - v) / branch) if branch != 0.0 else v
+    d = corners - vloc
+    sgn = d > 0
+    active = np.isfinite(d).all(axis=0) & ~(sgn == sgn[0]).all(axis=0)
+    i, j = np.nonzero(active)
+    dc = d[:, i, j].T                                  # (cells, corners)
+    a, b = dc[:, _EDGE_CORNERS[:, 0]], dc[:, _EDGE_CORNERS[:, 1]]
+    crossed = (a > 0) != (b > 0)                       # (cells, edges): two or four per cell
+    cell, edge = np.nonzero(crossed)
+    node = (np.stack([i, j], axis=1)[cell] + _EDGE_NODE[edge]) % grid.shape
+    frac = np.zeros(node.shape)
+    frac[np.arange(len(edge)), _EDGE_AXIS[edge]] = a[crossed] / (a[crossed] - b[crossed])
+    points = (node + frac) * grid.spacings % grid.periods
+    ids = _EDGE_AXIS[edge] * grid.n_nodes + np.ravel_multi_index(tuple(node.T), grid.shape)
+    edges, first = np.unique(ids, return_index=True)
+
+    count = crossed.sum(axis=1)
+    center = 0.25 * (dc[:, 0] + dc[:, 1] + dc[:, 2] + dc[:, 3])
+    kind = np.where(count == 4, np.where((center > 0) == (dc[:, 0] > 0), 1, 2), 0)
+    seg = (np.cumsum(count) - count)[:, None, None] + _CELL_SEGMENTS[kind]
+    return ids[seg[np.stack([np.ones(len(kind), dtype=bool), kind > 0], axis=1)]], (edges, points[first])
+
+
+def _chain_segments(grid: PeriodicGrid, segments: list, edges: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The longest chain of segments (edge pairs) as a polyline through the
+    crossing ``points`` of the sorted ``edges``, unwrapped along the chain."""
     if not segments:
         return np.zeros((0, grid.dim))
-    incident: dict[tuple, list[int]] = {}
+    incident: dict[int, list[int]] = {}
     for s, (a, b) in enumerate(segments):
         incident.setdefault(a, []).append(s)
         incident.setdefault(b, []).append(s)
@@ -654,7 +663,7 @@ def _chain_segments(grid: PeriodicGrid, segments, crossing) -> np.ndarray:
     closed = chain[0] == chain[-1]
     if closed:
         chain = chain[:-1]
-    pts = np.array([crossing[key] for key in chain])
+    pts = points[np.searchsorted(edges, chain)]
     # unwrap along the chain so consecutive deltas are the nearest representatives
     deltas = grid.wrap_delta(np.diff(pts, axis=0))
     return np.vstack([pts[:1], pts[:1] + np.cumsum(deltas, axis=0)])

@@ -25,10 +25,10 @@ import functools
 import math
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from .manifold import DiscreteManifold, PeriodicGrid, _cached, _read_only
+from .manifold import DiscreteManifold, PeriodicGrid, _cached, _csr_from_rows, _read_only
 
 __all__ = [
     "gradient",
@@ -101,7 +101,13 @@ def gradient(M: DiscreteManifold, f: np.ndarray, winding=None) -> np.ndarray:
 
 def metric_inner(M: DiscreteManifold, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Pointwise g(X, Y) for contravariant fields."""
-    return np.einsum("...i,...ij,...j->...", X, M.metric, Y)
+    # accumulated from zero over i, j in order: the bits of
+    # einsum("...i,...ij,...j->..."), without its generic loop
+    g = M.metric
+    out = np.zeros(np.broadcast_shapes(X.shape[:-1], g.shape[:-2], Y.shape[:-1]))
+    for i, j in np.ndindex(*g.shape[-2:]):
+        out += X[..., i] * g[..., i, j] * Y[..., j]
+    return out
 
 
 def norm_sq(M: DiscreteManifold, X: np.ndarray) -> np.ndarray:
@@ -121,6 +127,12 @@ def _grid_stiffness(M: DiscreteManifold) -> tuple[csr_matrix, list[np.ndarray]]:
     unwrapped across its period seam, from the same cell loop.  A coordinate's
     corner differences vanish exactly along the other axes, so these vectors
     carry no cancellation noise from the stiff fiber terms of ``L``.
+
+    Each ``(corner, a, b)`` term adds four blocks of one entry per cell, whose
+    rows are a corner map of the cells: a permutation of the nodes.  Gathered
+    through its inverse, block ``s`` gives row ``r`` its ``s``-th entry, which
+    is where the stable row sort of a COO scatter of the blocks in this order
+    puts it, so ``_csr_from_rows`` sums the same entries in the same order.
     """
     grid = M.grid
     m = grid.dim
@@ -132,14 +144,17 @@ def _grid_stiffness(M: DiscreteManifold) -> tuple[csr_matrix, list[np.ndarray]]:
     ginv = M.metric_inverse().reshape(n_nodes, m, m)
     w = M.volume_element.reshape(n_nodes)
 
-    # node index of cell corner delta relative to the cell's base node
-    corner_idx = {}
+    # node index of cell corner delta relative to the cell's base node, and
+    # the cell whose corner delta each node is (its inverse)
+    corner_idx, corner_cell = {}, {}
     for delta in np.ndindex(*(2,) * m):
         shifted = idx
         for ax, d in enumerate(delta):
             if d:
                 shifted = np.roll(shifted, -1, axis=ax)
         corner_idx[delta] = shifted.ravel()
+        corner_cell[delta] = np.empty(n_nodes, dtype=np.intp)
+        corner_cell[delta][corner_idx[delta]] = np.arange(n_nodes)
     # per axis: cell differences of the unwrapped chart coordinate along it
     coord_diff = []
     for ax, x in enumerate(np.moveaxis(grid.positions(), -1, 0)):
@@ -147,7 +162,9 @@ def _grid_stiffness(M: DiscreteManifold) -> tuple[csr_matrix, list[np.ndarray]]:
         x_next[(slice(None),) * ax + (-1,)] += grid.periods[ax]
         coord_diff.append((x_next.ravel() - x.ravel()) / h[ax])
 
-    rows, cols, vals = [], [], []
+    cols = np.empty((2**m * m * m * 4, n_nodes), dtype=np.int32)
+    vals = np.empty(cols.shape)
+    s = 0
     coord_actions = [np.zeros(n_nodes) for _ in range(m)]
     for delta in np.ndindex(*(2,) * m):
         nd = corner_idx[delta]
@@ -162,18 +179,16 @@ def _grid_stiffness(M: DiscreteManifold) -> tuple[csr_matrix, list[np.ndarray]]:
                 db1 = tuple(1 if ax == b else delta[ax] for ax in range(m))
                 db0 = tuple(0 if ax == b else delta[ax] for ax in range(m))
                 ib1, ib0 = corner_idx[db1], corner_idx[db0]
-                rows.extend((ia1, ia1, ia0, ia0))
-                cols.extend((ib1, ib0, ib1, ib0))
-                vals.extend((c, -c, -c, c))
+                # blocks (ia1, ib1, c), (ia1, ib0, -c), (ia0, ib1, -c), (ia0, ib0, c)
+                for cell, v in ((corner_cell[da1], c), (corner_cell[da0], -c)):
+                    cols[s], cols[s + 1] = ib1[cell], ib0[cell]
+                    vals[s] = v[cell]
+                    np.negative(vals[s], out=vals[s + 1])
+                    s += 2
                 cx = coeff * gab * coord_diff[b] / h[a]
                 coord_actions[b][ia1] += cx
                 coord_actions[b][ia0] -= cx
-    L = coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_nodes, n_nodes),
-    ).tocsr()
-    L.sum_duplicates()
-    return L, coord_actions
+    return _csr_from_rows(cols, vals), coord_actions
 
 
 def laplacian_matrix(M: DiscreteManifold):
@@ -330,7 +345,11 @@ def hessian(M: DiscreteManifold, f: np.ndarray, winding=None) -> np.ndarray:
 def hessian_norm(M: DiscreteManifold, H: np.ndarray) -> np.ndarray:
     """Full metric norm ``|Hess| = sqrt(g^{ik} g^{jl} H_ij H_kl)``."""
     ginv = M.metric_inverse()
-    sq = np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, H, H)
+    # accumulated from zero over i, j, k, l in order: the bits of
+    # einsum("...ik,...jl,...ij,...kl->..."), without its generic loop
+    sq = np.zeros(H.shape[:-2])
+    for i, j, k, l in np.ndindex(*(M.dim,) * 4):
+        sq += ginv[..., i, k] * ginv[..., j, l] * H[..., i, j] * H[..., k, l]
     return np.sqrt(np.maximum(sq, 0.0))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pickle
 
@@ -209,6 +210,27 @@ def test_fibers_follow_the_configured_mask(tmp_path, monkeypatch):
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) in (0, 2)
     swept = (tmp_path / "sweep" / "points" / "eps_0.1" / "reports.json").read_bytes()
     assert swept == (tmp_path / "verify" / "estimate_reports.json").read_bytes()
+
+
+def test_a_headline_rhs_below_its_lhs_fails_verify(tmp_path, monkeypatch):
+    # negative control: with the main theorem's RHS scaled to half its LHS,
+    # the headline check must fail in the reports and in the exit code
+    import collapselab.estimates as estimates_module
+
+    path = write_config(tmp_path, SMALL_WARPED)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "honest")]) == 0
+    report = estimates_module.main_theorem_report
+
+    def shrunk(*args, **kwargs):
+        rep = report(*args, **kwargs)
+        assert rep.lhs > 0
+        return dataclasses.replace(rep, rhs=0.5 * rep.lhs)
+
+    monkeypatch.setattr(estimates_module, "main_theorem_report", shrunk)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "verify")]) == 2
+    reports = json.loads((tmp_path / "verify" / "estimate_reports.json").read_text())
+    headline = [rep for rep in reports if rep["name"] == "main-theorem-tangential-l2"]
+    assert headline and all(rep["pass"] is False and rep["rhs"] < rep["lhs"] for rep in headline)
 
 
 def test_verify_twisted_torus_checks_two_component_fibers(tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from collapselab import (
     FamilySpec,
@@ -9,7 +11,17 @@ from collapselab import (
     extract_fiber,
     geodesic_ball,
 )
-from collapselab.manifold import DiscreteManifold, PeriodicGrid, base_period_lengths, ricci_lower_bound
+from collapselab.manifold import (
+    DiscreteManifold,
+    PeriodicGrid,
+    _grid_adjacency,
+    _grid_neighbor_offsets,
+    _level_crossings,
+    _march_squares,
+    base_period_lengths,
+    graph_distances,
+    ricci_lower_bound,
+)
 from collapselab.splitting import SplittingMap
 from collapselab.splitting import harmonic_coordinates
 
@@ -107,6 +119,53 @@ def test_ricci_lower_bound_values(flat_torus, warped_torus, twisted_torus):
 # ---------------------------------------------------------------------------
 # geodesic balls
 # ---------------------------------------------------------------------------
+
+
+def coo_scatter_adjacency(M):
+    """Reference: one block of edges per neighbor offset, scattered as COO
+    triplets and compressed by ``tocsr`` (the COO assembly)."""
+    grid = M.grid
+    m, n_nodes = grid.dim, grid.n_nodes
+    h = np.asarray(grid.spacings)
+    idx = np.arange(n_nodes).reshape(grid.shape)
+    g = M.metric.reshape(n_nodes, m, m)
+    rows, cols, vals = [], [], []
+    for off in _grid_neighbor_offsets(m):
+        shifted = idx
+        for ax, o in enumerate(off):
+            if o:
+                shifted = np.roll(shifted, -o, axis=ax)
+        j = shifted.ravel()
+        dx = np.asarray(off) * h
+        gmid = 0.5 * (g + g[j])
+        rows.append(idx.ravel())
+        cols.append(j)
+        vals.append(np.sqrt(np.einsum("i,nij,j->n", dx, gmid, dx)))
+    return coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n_nodes, n_nodes)
+    ).tocsr()
+
+
+@pytest.mark.parametrize("family", ["flat_eig_torus", "warped_torus", "twisted_torus"])
+def test_adjacency_matches_coo_assembly_bit_for_bit(request, family):
+    M = request.getfixturevalue(family)
+    W, ref = _grid_adjacency(M), coo_scatter_adjacency(M)
+    for a, b in ((W.indptr, ref.indptr), (W.indices, ref.indices), (W.data, ref.data)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("family", ["flat_torus", "warped_torus", "twisted_torus"])
+def test_directed_search_on_the_symmetric_adjacency(request, family):
+    # graph_distances runs a directed Dijkstra, which needs W exactly symmetric
+    M = request.getfixturevalue(family)
+    W = _grid_adjacency(M)
+    assert (W != W.T).nnz == 0
+    n = M.grid.n_nodes
+    for sources in ([0], [0, n // 3, n - 1]):
+        for limit in (np.inf, 0.2):
+            undirected = dijkstra(W, directed=False, indices=sources, min_only=len(sources) > 1, limit=limit)
+            expected = undirected if undirected.ndim == 1 else undirected[0]
+            assert np.array_equal(graph_distances(M, sources, limit), expected)
 
 
 def test_ball_volume_against_brute_force_oracle(flat_torus, flat_ball):
@@ -216,6 +275,142 @@ def test_twisted_fiber_continuation(twisted_torus):
     assert trace.regular
     # fiber is the collapsed circle of metric length eps
     assert trace.length == pytest.approx(0.25, rel=1e-3)
+
+
+def per_cell_march_squares(phi, v):
+    """Reference: marching squares cell by cell, edge keys ``("h", i, j)`` from
+    node (i, j) to (i+1, j) and ``("v", i, j)`` to (i, j+1); the first active
+    cell in row-major order to cross an edge sets its crossing.  Returns the
+    chained polyline, the segments, the crossings and the number of saddle cells."""
+    M = phi.manifold
+    grid = M.grid
+    n1, n2 = grid.shape
+    h1, h2 = grid.spacings
+    f, winding = phi.component_arrays(0)
+    p1, p2 = grid.periods
+    jump1 = winding[0] * p1
+    jump2 = winding[1] * p2
+
+    c00 = f.copy()
+    c10 = np.roll(f, -1, axis=0)
+    c10[-1, :] += jump1
+    c01 = np.roll(f, -1, axis=1)
+    c01[:, -1] += jump2
+    c11 = np.roll(np.roll(f, -1, axis=0), -1, axis=1)
+    c11[-1, :] += jump1
+    c11[:, -1] += jump2
+
+    cmean = 0.25 * (c00 + c10 + c01 + c11)
+    branch = jump1 if jump1 != 0.0 else jump2
+    if branch != 0.0:
+        vloc = v + branch * np.round((cmean - v) / branch)
+    else:
+        vloc = np.full_like(cmean, v)
+    d00, d10, d01, d11 = c00 - vloc, c10 - vloc, c01 - vloc, c11 - vloc
+
+    segments, crossing, saddles = [], {}, 0
+
+    def register(key, a, b, cell_i, cell_j):
+        if key in crossing:
+            return
+        t = a / (a - b)
+        if key[0] == "h":
+            crossing[key] = (((cell_i + t) * h1) % p1, (key[2] * h2) % p2)
+        else:
+            crossing[key] = ((key[1] * h1) % p1, ((cell_j + t) * h2) % p2)
+
+    sgn = (d00 > 0, d10 > 0, d01 > 0, d11 > 0)
+    finite = np.isfinite(d00) & np.isfinite(d10) & np.isfinite(d01) & np.isfinite(d11)
+    active = finite & ~((sgn[0] == sgn[1]) & (sgn[1] == sgn[2]) & (sgn[2] == sgn[3]))
+    for i, j in zip(*np.nonzero(active)):
+        i, j = int(i), int(j)
+        kb, kt = ("h", i, j), ("h", i, (j + 1) % n2)
+        kl, kr = ("v", i, j), ("v", (i + 1) % n1, j)
+        crossed = []
+        for key, (a, b) in (
+            (kb, (d00[i, j], d10[i, j])),
+            (kt, (d01[i, j], d11[i, j])),
+            (kl, (d00[i, j], d01[i, j])),
+            (kr, (d10[i, j], d11[i, j])),
+        ):
+            if (a > 0) != (b > 0):
+                register(key, a, b, i, j)
+                crossed.append(key)
+        if len(crossed) == 2:
+            segments.append((crossed[0], crossed[1]))
+        elif len(crossed) == 4:
+            saddles += 1
+            center = 0.25 * (d00[i, j] + d10[i, j] + d01[i, j] + d11[i, j])
+            if (center > 0) == bool(sgn[0][i, j]):
+                segments += [(kb, kr), (kt, kl)]
+            else:
+                segments += [(kb, kl), (kt, kr)]
+    if not segments:
+        return np.zeros((0, 2)), segments, crossing, saddles
+
+    incident = {}
+    for s, (a, b) in enumerate(segments):
+        incident.setdefault(a, []).append(s)
+        incident.setdefault(b, []).append(s)
+    used = [False] * len(segments)
+    chains = []
+    for s0 in range(len(segments)):
+        if used[s0]:
+            continue
+        chain = [segments[s0][0], segments[s0][1]]
+        used[s0] = True
+        grown = True
+        while grown:
+            grown = False
+            for s in incident.get(chain[-1], []):
+                if not used[s]:
+                    a, b = segments[s]
+                    chain.append(b if a == chain[-1] else a)
+                    used[s] = grown = True
+                    break
+        chains.append(chain)
+    chain = max(chains, key=len)
+    if chain[0] == chain[-1]:
+        chain = chain[:-1]
+    pts = np.array([crossing[key] for key in chain])
+    deltas = grid.wrap_delta(np.diff(pts, axis=0))
+    return np.vstack([pts[:1], pts[:1] + np.cumsum(deltas, axis=0)]), segments, crossing, saddles
+
+
+def march_squares_cases(warped):
+    """(map, levels) on a warped map, a plain field with saddles and a NaN
+    node, and a curved circle-valued component, with levels on the seam."""
+    M = build_family(FamilySpec(kind="flat-product-torus", epsilon=0.2, resolution=(48, 16)))
+    x, y = np.moveaxis(M.positions(), -1, 0)
+    plain = np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) + 0.5 * np.random.default_rng(1).standard_normal(x.shape)
+    plain[7, 3] = np.nan
+    curved = x + 0.02 * np.sin(2 * np.pi * y)
+    return [
+        (warped, [0.0, 1e-4, 0.37, 0.5, 0.999, -0.25]),
+        (SplittingMap(M, (plain,), (np.zeros(2),)), [0.0, 0.2, -0.45, 0.7]),
+        (SplittingMap(M, (curved,), (np.array([1.0, 0.0]),)), [0.0, 0.01, 0.5, 0.995, 1.3]),
+    ]
+
+
+def test_level_crossings_match_per_cell_loop(warped_coordinates):
+    saddles = seams = 0
+    for phi, levels in march_squares_cases(warped_coordinates):
+        grid = phi.manifold.grid
+
+        def edge(key):    # the edge id of a reference key
+            return (key[0] == "v") * grid.n_nodes + key[1] * grid.shape[1] + key[2]
+
+        for v in levels:
+            ref_pts, ref_segments, ref_crossing, n_saddles = per_cell_march_squares(phi, v)
+            segments, (edges, points) = _level_crossings(phi, v)
+            assert segments.tolist() == [[edge(a), edge(b)] for a, b in ref_segments]
+            keys = sorted(ref_crossing, key=edge)
+            assert edges.tolist() == [edge(k) for k in keys]
+            assert points.tobytes() == np.array([ref_crossing[k] for k in keys]).reshape(-1, 2).tobytes()
+            assert _march_squares(phi, v).tobytes() == ref_pts.tobytes()
+            saddles += n_saddles
+            seams += any(k[0] == "h" and k[1] == grid.shape[0] - 1 for k in ref_crossing)
+    assert saddles and seams
 
 
 # ---------------------------------------------------------------------------
