@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .estimates import (
+    certify_point,
     default_ball_center,
     default_ball_radius,
     default_resolution_rule,
@@ -256,8 +257,9 @@ def cmd_eig(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_split(cfg: ExperimentConfig, out: Path) -> int:
-    point = run_point(**cfg.point_args(), pairs=[])
-    cert = point["cert"]
+    # the certificate needs no eigenpairs, cutoff or curvature bound
+    eigen_inputs = ("theta_max", "eig_count", "seed")
+    cert = certify_point(**{k: v for k, v in cfg.point_args().items() if k not in eigen_inputs})["cert"]
     path = out / "certificate.json"
     path.write_text(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n")
     print(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True))
@@ -304,7 +306,7 @@ def cmd_flow(cfg: ExperimentConfig, out: Path) -> int:
     csv_path = out / "trajectory.csv"
     traj.to_csv(csv_path)
     rep_path = out / "fiber_bound_report.json"
-    rep_path.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    rep_path.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n")
     print(
         f"flow from node {x0}: dt {dt:.6g}, {len(traj.times)} samples, max drift {traj.drift.max():.3e}, "
         f"a priori pass={report.passed}"

@@ -53,6 +53,7 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "build_cutoff",
+    "certify_point",
     "hessian_l2_bound",
     "interior_l2_report",
     "main_theorem_report",
@@ -96,7 +97,7 @@ class EstimateReport:
             "name": self.name,
             "lhs": self.lhs,
             "rhs": self.rhs,
-            "margin": self.margin,
+            "margin": _jsonable(self.margin),
             "pass": self.passed,
             "constants": {
                 k: {"value": v, "provenance": p} for k, (v, p) in sorted(self.constants.items())
@@ -486,6 +487,41 @@ class SweepResult:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
+def certify_point(
+    kind: str,
+    epsilon: float,
+    delta: float,
+    twist: float,
+    resolution_rule,
+    ball_center: tuple[float, ...],
+    r: float,
+    lambda_threshold_rel: float = 1e-6,
+) -> dict:
+    """The front of ``run_point``, which is all that ``split`` needs: the chart,
+    its harmonic coordinates and regular mask, the working balls and the
+    certificate."""
+    resolution = resolution_rule(kind, epsilon)
+    M = build_family(FamilySpec(kind=kind, epsilon=epsilon, delta=delta, twist=twist, resolution=resolution))
+    phi = harmonic_coordinates(M)
+    stats = jacobian_stats(phi)
+    mask = classify_regular(stats, max(lambda_threshold_rel * float(np.nanmedian(stats.Lam)), 1e-300))
+    p = nearest_node(M, ball_center)
+    ball = geodesic_ball(M, p, r)
+    ball2 = ball.concentric(2 * r)
+    eps_hat = epsilon_proxy(M, ball, phi)
+    cert = certify(phi, ball, epsilon_hat=eps_hat)
+    return {
+        "manifold": M,
+        "phi": phi,
+        "stats": stats,
+        "mask": mask,
+        "ball": ball,
+        "ball2": ball2,
+        "eps_hat": eps_hat,
+        "cert": cert,
+    }
+
+
 def run_point(
     kind: str,
     epsilon: float,
@@ -501,34 +537,16 @@ def run_point(
     pairs: list[EigenPair] | None = None,
 ):
     """Full pipeline at one collapse parameter; returns the per-point bundle."""
-    resolution = resolution_rule(kind, epsilon)
-    M = build_family(FamilySpec(kind=kind, epsilon=epsilon, delta=delta, twist=twist, resolution=resolution))
-    phi = harmonic_coordinates(M)
-    stats = jacobian_stats(phi)
-    mask = classify_regular(stats, max(lambda_threshold_rel * float(np.nanmedian(stats.Lam)), 1e-300))
-    p = nearest_node(M, ball_center)
-    ball = geodesic_ball(M, p, r)
-    ball2 = ball.concentric(2 * r)
-    eps_hat = epsilon_proxy(M, ball, phi)
-    cert = certify(phi, ball, epsilon_hat=eps_hat)
+    point = certify_point(kind, epsilon, delta, twist, resolution_rule, ball_center, r, lambda_threshold_rel)
+    M = point["manifold"]
     if pairs is None:
         pairs = eigenpairs(M, eig_count, theta_max=theta_max, seed=seed)
-    cutoff = build_cutoff(ball, ball2, eps_hat)
-    lam_ric = ricci_lower_bound(M)
-    C0 = phi_c0_bound(phi, np.ones_like(mask.regular), r)
     return {
-        "manifold": M,
-        "phi": phi,
-        "stats": stats,
-        "mask": mask,
-        "ball": ball,
-        "ball2": ball2,
-        "eps_hat": eps_hat,
-        "cert": cert,
+        **point,
         "pairs": pairs,
-        "cutoff": cutoff,
-        "lambda_ric": lam_ric,
-        "C0": C0,
+        "cutoff": build_cutoff(point["ball"], point["ball2"], point["eps_hat"]),
+        "lambda_ric": ricci_lower_bound(M),
+        "C0": phi_c0_bound(point["phi"], np.ones_like(point["mask"].regular), r),
     }
 
 
@@ -698,5 +716,6 @@ def _mode_reports(point: dict, pair: EigenPair, r: float, fibers: list[tuple]):
 
 
 def reports_to_json(reports, path: str | Path) -> None:
+    """Strict JSON: an infinite margin is written ``"inf"``, and a NaN raises."""
     payload = [rep.to_json_dict() for rep in reports]
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")

@@ -324,7 +324,7 @@ class FiberBoundReport:
             "lhs": self.lhs,
             "rhs": self.rhs,
             "pass": bool(self.passed),
-            "margin": self.margin,
+            "margin": "inf" if np.isinf(self.margin) else self.margin,
             "counterexample": not self.passed,   # the time-bound contradiction flag
         }
 

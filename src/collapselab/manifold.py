@@ -528,11 +528,13 @@ def extract_fiber(phi, level, *, lambda_threshold: float | None = None) -> Fiber
             )
 
     if m == 2:
-        pts = _march_squares(phi, float(level[0]))
+        pts, closed = _march_squares(phi, float(level[0]))
     else:
-        pts = _trace_continuation(phi, level)
+        pts, closed = _trace_continuation(phi, level), True
     if len(pts) < 3:
         raise ValueError(f"fiber at level {level} is under-resolved (got {len(pts)} samples)")
+    if not closed:
+        raise ValueError(f"fiber at level {level} is open: its longest chain of level crossings does not close")
 
     stats = jacobian_stats(phi)
     if lambda_threshold is None:
@@ -554,8 +556,9 @@ def extract_fiber(phi, level, *, lambda_threshold: float | None = None) -> Fiber
     )
 
 
-def _march_squares(phi, v: float) -> np.ndarray:
-    """Marching squares for one periodic scalar level set, chained by edge ids."""
+def _march_squares(phi, v: float) -> tuple[np.ndarray, bool]:
+    """Marching squares for one periodic scalar level set, chained by edge ids;
+    the polyline and whether its chain closed."""
     segments, (edges, points) = _level_crossings(phi, v)
     return _chain_segments(phi.manifold.grid, segments.tolist(), edges, points)
 
@@ -628,11 +631,14 @@ def _level_crossings(phi, v: float) -> tuple[np.ndarray, tuple[np.ndarray, np.nd
     return ids[seg[np.stack([np.ones(len(kind), dtype=bool), kind > 0], axis=1)]], (edges, points[first])
 
 
-def _chain_segments(grid: PeriodicGrid, segments: list, edges: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _chain_segments(
+    grid: PeriodicGrid, segments: list, edges: np.ndarray, points: np.ndarray
+) -> tuple[np.ndarray, bool]:
     """The longest chain of segments (edge pairs) as a polyline through the
-    crossing ``points`` of the sorted ``edges``, unwrapped along the chain."""
+    crossing ``points`` of the sorted ``edges``, unwrapped along the chain,
+    and whether that chain closed (its last edge is its first)."""
     if not segments:
-        return np.zeros((0, grid.dim))
+        return np.zeros((0, grid.dim)), False
     incident: dict[int, list[int]] = {}
     for s, (a, b) in enumerate(segments):
         incident.setdefault(a, []).append(s)
@@ -666,7 +672,7 @@ def _chain_segments(grid: PeriodicGrid, segments: list, edges: np.ndarray, point
     pts = points[np.searchsorted(edges, chain)]
     # unwrap along the chain so consecutive deltas are the nearest representatives
     deltas = grid.wrap_delta(np.diff(pts, axis=0))
-    return np.vstack([pts[:1], pts[:1] + np.cumsum(deltas, axis=0)])
+    return np.vstack([pts[:1], pts[:1] + np.cumsum(deltas, axis=0)]), closed
 
 
 # continuation steps after which a fiber trace that has not closed is abandoned

@@ -5,6 +5,13 @@ shift-invert Lanczos with a sparse factorization and a deterministic
 (seeded) start vector, so repeated runs are bit-reproducible.  Eigenvalues
 follow the ``Delta = -div grad`` convention (theta >= 0, constants in the
 kernel on closed charts).
+
+The factorization depends on the chart.  Where the metric varies (the warped
+torus), the harmonic coordinates factor the stiffness with node 0 pinned, and
+the eigensolve reuses that one cached factor at shift 0 on the
+mass-orthogonal complement of the constants; the constant pair is exact.
+Where the metric is constant (flat and twisted tori), the harmonic
+coordinates need no solve, and the eigensolve factors ``L - sigma mass``.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .manifold import DiscreteManifold, GeodesicBall
-from .operators import factorize, gradient, laplacian_matrix, norm_sq, region_sup
+from .operators import factorize, gradient, laplacian_matrix, norm_sq, pinned_stiffness_solve, region_sup
 
 __all__ = [
     "EigenPair",
@@ -56,7 +63,16 @@ def eigenpairs(
 
     With ``theta_max`` given, the count doubles until the spectrum is
     exhausted up to the threshold and all eigenvalues <= theta_max are
-    returned.  Every round reuses one factorization of ``L - sigma mass``.
+    returned.  Every round reuses one factorization.
+
+    Which factorization depends on the metric.  Where it varies over the
+    chart, the harmonic coordinates need the pinned stiffness factor anyway,
+    so Lanczos runs at ``sigma = 0`` through it
+    (:func:`~collapselab.operators.pinned_stiffness_solve`): on the
+    mass-orthogonal complement of the constants it applies ``L^-1``, so the
+    solver is asked for the other ``count - 1`` pairs and the exact constant
+    pair (theta = 0, u = 1) comes first.  A constant metric needs no harmonic
+    solve, and there ``L - sigma mass`` (sigma slightly negative) is factored.
     """
     L, mass = laplacian_matrix(M)
     n = L.shape[0]
@@ -65,24 +81,45 @@ def eigenpairs(
         raise ValueError(f"count must lie in [1, {n - 2}]")
     A = L.tocsc()
     Mmat = diags(mass).tocsc()
-    sigma = -max(1e-6 * _solver_scale(L, mass), 1e-9)
-    OPinv = LinearOperator((n, n), matvec=factorize(A - sigma * Mmat), dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(n)
+    total = mass.sum()
+    if _metric_varies(M):
+        sigma, constants = 0.0, 1
+        pinned = pinned_stiffness_solve(M)
+        # ARPACK hands OPinv the vector mass * x: projecting it to zero sum
+        # takes the constant part out of x
+        OPinv = LinearOperator((n, n), matvec=lambda b: pinned(b - mass * (b.sum() / total)), dtype=float)
+        v0 -= (mass * v0).sum() / total
+    else:
+        sigma, constants = -max(1e-6 * _solver_scale(L, mass), 1e-9), 0
+        OPinv = LinearOperator((n, n), matvec=factorize(A - sigma * Mmat), dtype=float)
     while True:
-        try:
-            theta, vecs = eigsh(A, k=k, M=Mmat, sigma=sigma, which="LM", v0=v0, tol=0, OPinv=OPinv)
-        except ArpackNoConvergence as exc:
-            raise RuntimeError(
-                f"eigensolver failed to converge: got {len(exc.eigenvalues)} of {k} pairs"
-            ) from exc
-        order = np.argsort(theta)
-        # M-orthonormal -> L2-average norm 1
-        pairs = _gated_pairs(M, L, mass, theta[order], (vecs[:, order] * np.sqrt(mass.sum())).T)
+        theta, vecs = np.zeros(0), np.zeros((0, n))
+        if k > constants:
+            try:
+                theta, vecs = eigsh(A, k=k - constants, M=Mmat, sigma=sigma, which="LM", v0=v0, tol=0,
+                                    OPinv=OPinv)
+            except ArpackNoConvergence as exc:
+                raise RuntimeError(
+                    f"eigensolver failed to converge: got {len(exc.eigenvalues)} of {k - constants} pairs"
+                ) from exc
+            order = np.argsort(theta)
+            # M-orthonormal -> L2-average norm 1
+            theta, vecs = theta[order], (vecs[:, order] * np.sqrt(total)).T
+        if constants:
+            theta, vecs = np.append(0.0, theta), np.vstack([np.ones(n), vecs])
+        pairs = _gated_pairs(M, L, mass, theta, vecs)
         if theta_max is None:
             return pairs
         if pairs[-1].theta > theta_max or k >= n - 2:
             return [p for p in pairs if p.theta <= theta_max]
         k = min(2 * k, n - 2)
+
+
+def _metric_varies(M: DiscreteManifold) -> bool:
+    """Whether the metric differs between nodes (warped charts; not flat or twisted ones)."""
+    g = M.metric.reshape(-1, M.dim * M.dim)
+    return bool((g != g[0]).any())
 
 
 def _gated_pairs(M: DiscreteManifold, L, mass, theta, vecs) -> list[EigenPair]:
@@ -131,7 +168,7 @@ def _cheng_yau_ratio(u: np.ndarray, grad_norm: np.ndarray, ball: GeodesicBall) -
 #
 # Binary layout (all little-endian):
 #   magic   4 bytes  b"EIGC"
-#   version u32      1
+#   version u32      2
 #   m       u32      chart dimension
 #   counts  m x u32  node counts per grid axis
 #   npairs  u32
@@ -140,10 +177,12 @@ def _cheng_yau_ratio(u: np.ndarray, grad_norm: np.ndarray, ball: GeodesicBall) -
 #
 # Loads validate shape metadata and recompute eigen-residuals against the same
 # RESIDUAL_TOL gate as the solver; files that fail either check are reported as
-# corrupt so callers rebuild.
+# corrupt so callers rebuild.  Version 2 marks pairs of charts with a varying
+# metric solved through the pinned stiffness factor; version-1 files, whose
+# pairs came from the shifted factor, are rebuilt rather than mixed in.
 
 _MAGIC = b"EIGC"
-_VERSION = 1
+_VERSION = 2
 
 
 def save_eigen_cache(path: str | Path, M: DiscreteManifold, pairs: list[EigenPair]) -> None:

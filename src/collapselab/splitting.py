@@ -17,12 +17,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
 
 from .manifold import DiscreteManifold, GeodesicBall, _cached, _read_only
 from .operators import (
     _dot,
-    factorize,
     gradient,
     hessian,
     hessian_norm,
@@ -30,6 +28,7 @@ from .operators import (
     laplacian_matrix,
     metric_inner,
     norm_sq,
+    pinned_stiffness_solve,
     region_average,
     region_sup,
     stencil_probe,
@@ -253,14 +252,16 @@ def harmonic_coordinates(M: DiscreteManifold) -> SplittingMap:
 
     Solves ``Delta (x_a + psi_a) = 0`` for a periodic correction psi_a with
     mean zero, one component per base axis ``a``; on flat families psi
-    vanishes identically and the coordinate is returned exactly.
+    vanishes identically and the coordinate is returned exactly.  Every axis
+    that needs a solve uses the manifold's one cached pinned stiffness factor
+    (:func:`~collapselab.operators.pinned_stiffness_solve`), which the
+    eigensolve of a chart with a varying metric reuses.
     """
     grid = M.grid
     pos = M.positions()
     L, _ = laplacian_matrix(M)
     mass = M.node_weights().ravel()
     comps, winds, resid = [], [], []
-    solve = None   # factored on the first axis that needs a solve
     for ax in M.base_axes:
         w = np.zeros(grid.dim)
         w[ax] = 1.0
@@ -269,12 +270,7 @@ def harmonic_coordinates(M: DiscreteManifold) -> SplittingMap:
         if np.max(np.abs(rhs)) < 1e-12 * np.max(np.abs(L.diagonal())):
             psi = np.zeros(grid.n_nodes)
         else:
-            if solve is None:
-                solve = factorize(_pin_first_node(L))   # psi is defined up to a constant
-            b = rhs.copy()
-            b[0] = 0.0
-            psi = solve(b)
-            psi -= (mass * psi).sum() / mass.sum()
+            psi = pinned_stiffness_solve(M)(rhs)
         vals = coord + psi.reshape(grid.shape)
         res = (stiffness_apply(M, vals, w).ravel() / mass)
         r = float(np.sqrt((mass * res**2).sum() / mass.sum()))
@@ -282,18 +278,6 @@ def harmonic_coordinates(M: DiscreteManifold) -> SplittingMap:
         winds.append(w)
         resid.append(r)
     return SplittingMap(M, tuple(comps), tuple(winds), residuals=tuple(resid))
-
-
-def _pin_first_node(L) -> coo_matrix:
-    """``L`` with row and column 0 replaced by the unit vector: every entry
-    of either dropped, then ``(0, 0) = 1``.  The other stored entries stay,
-    explicit zeros included: the sparsity structure sets SuperLU's column
-    ordering, and with it the round-off of psi."""
-    A = L.tocoo()
-    keep = (A.row != 0) & (A.col != 0)
-    return coo_matrix(
-        (np.append(A.data[keep], 1.0), (np.append(A.row[keep], 0), np.append(A.col[keep], 0))), shape=L.shape
-    )
 
 
 # ---------------------------------------------------------------------------

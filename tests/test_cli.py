@@ -7,6 +7,7 @@ import pytest
 
 from collapselab import build_family
 from collapselab.cli import load_config, main
+from collapselab.spectral import eigenpairs, load_eigen_cache
 from collapselab.splitting import harmonic_coordinates
 
 # a small warped sweep: 64 x 16 grids, three points, a few eigenpairs each
@@ -184,6 +185,29 @@ def test_flow_writes_its_eigen_cache_under_out(tmp_path, monkeypatch):
     assert len(cached) == 1 and (tmp_path / "flowrun" / cached[0]).is_file()
 
 
+def test_a_version_1_eigen_cache_is_recomputed(tmp_path, monkeypatch):
+    # version-1 files hold pairs of the former shifted solve: they must be
+    # solved again, not served beside pairs of the current one
+    import collapselab.cli as cli
+
+    path = write_config(tmp_path, SMALL_WARPED)
+    assert main(["eig", "--config", str(path), "--out", str(tmp_path / "eig")]) == 0
+    cache, = (tmp_path / "eig" / "cache").glob("eig_*.eigc")
+    values = (tmp_path / "eig" / "eigenvalues.csv").read_bytes()
+    data = bytearray(cache.read_bytes())
+    assert data[4:8] == (2).to_bytes(4, "little")
+    data[4:8] = (1).to_bytes(4, "little")
+    cache.write_bytes(bytes(data))
+    M = build_family(load_config(path).family_spec())
+    assert load_eigen_cache(cache, M) is None
+    solves = []
+    monkeypatch.setattr(cli, "eigenpairs", lambda *args, **kwargs: solves.append(1) or eigenpairs(*args, **kwargs))
+    assert main(["eig", "--config", str(path), "--out", str(tmp_path / "eig")]) == 0
+    assert solves == [1]
+    assert cache.read_bytes()[4:8] == (2).to_bytes(4, "little")
+    assert (tmp_path / "eig" / "eigenvalues.csv").read_bytes() == values
+
+
 def count_fiber_checks(monkeypatch):
     import collapselab.estimates as estimates_module
 
@@ -213,8 +237,9 @@ def test_fibers_follow_the_configured_mask(tmp_path, monkeypatch):
 
 
 def test_a_headline_rhs_below_its_lhs_fails_verify(tmp_path, monkeypatch):
-    # negative control: with the main theorem's RHS scaled to half its LHS,
-    # the headline check must fail in the reports and in the exit code
+    # negative control: with the main theorem's RHS scaled to half its LHS
+    # wherever that LHS is positive, the headline check must fail in the
+    # reports and in the exit code; the exact constant mode has LHS 0
     import collapselab.estimates as estimates_module
 
     path = write_config(tmp_path, SMALL_WARPED)
@@ -223,14 +248,53 @@ def test_a_headline_rhs_below_its_lhs_fails_verify(tmp_path, monkeypatch):
 
     def shrunk(*args, **kwargs):
         rep = report(*args, **kwargs)
-        assert rep.lhs > 0
-        return dataclasses.replace(rep, rhs=0.5 * rep.lhs)
+        return dataclasses.replace(rep, rhs=0.5 * rep.lhs) if rep.lhs > 0 else rep
 
     monkeypatch.setattr(estimates_module, "main_theorem_report", shrunk)
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "verify")]) == 2
     reports = json.loads((tmp_path / "verify" / "estimate_reports.json").read_text())
     headline = [rep for rep in reports if rep["name"] == "main-theorem-tangential-l2"]
-    assert headline and all(rep["pass"] is False and rep["rhs"] < rep["lhs"] for rep in headline)
+    constant = [rep for rep in headline if rep["extras"]["theta"] == 0.0]
+    positive = [rep for rep in headline if rep["lhs"] > 0]
+    assert len(constant) == 1 and constant[0]["lhs"] == 0.0
+    assert len(positive) == len(headline) - 1 >= 1
+    assert all(rep["pass"] is False and rep["rhs"] < rep["lhs"] for rep in positive)
+
+
+def test_split_stops_after_the_certificate(tmp_path, monkeypatch):
+    # split writes the certificate alone: no eigenpairs, cutoff, curvature
+    # bound or C0, so none of their failures can stop it
+    import collapselab.estimates as estimates_module
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("split ran a stage past the certificate")
+
+    for name in ("eigenpairs", "build_cutoff", "ricci_lower_bound", "phi_c0_bound"):
+        monkeypatch.setattr(estimates_module, name, unreached)
+    path = write_config(tmp_path, SMALL_WARPED)
+    assert main(["split", "--config", str(path), "--out", str(tmp_path / "split")]) == 0
+    cert = json.loads((tmp_path / "split" / "certificate.json").read_text())
+    assert cert["rangeOk"] is True and cert["psi"] > 0
+
+
+def strict_json(path):
+    """``path`` parsed as JSON proper: ``Infinity``, ``-Infinity`` and ``NaN`` are errors."""
+
+    def reject(token):
+        raise ValueError(f"{path.name}: {token} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_report_files_are_strict_json(tmp_path):
+    # the exact constant mode has LHS 0, so its headline margin is infinite
+    path = write_config(tmp_path, SMALL_WARPED)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "verify")]) == 0
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) in (0, 2)
+    files = [tmp_path / "verify" / "estimate_reports.json", *sorted((tmp_path / "sweep").glob("points/*/reports.json"))]
+    assert len(files) == 4
+    margins = [rep["margin"] for f in files for rep in strict_json(f) if rep["lhs"] == 0.0]
+    assert margins and all(margin == "inf" for margin in margins)
 
 
 def test_verify_twisted_torus_checks_two_component_fibers(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 import collapselab.estimates as estimates
 import collapselab.flow as flow
@@ -110,3 +112,28 @@ def test_point_reports_differentiate_each_eigenfunction_once(monkeypatch):
         assert rep_h.constants["K"][0] == c1_sup_bound(M, pair.u, ball2.members, 0.25)
         assert rep_i.constants["K"][0] == w22_k_bound(M, pair.u, ball2.members, 0.25)
         assert rep_m.constants["C_CY"][0] == cheng_yau_ratio(M, pair.u, ball)
+
+
+def test_the_cutoff_solves_where_the_residual_gate_is_out_of_reach(monkeypatch):
+    # flat default at 846 nodes per unit, the coarsest grid where CG cannot
+    # bring the cutoff's true residual under 1e-13 |b|: its last iterate is
+    # accepted by backward error and agrees with the direct solve
+    solves = []
+    pcg = estimates.circulant_pcg
+
+    def recording(A, shape):
+        solve = pcg(A, shape)
+        return lambda b: solves.append((A, b, solve(b))) or solves[-1][2]
+
+    monkeypatch.setattr(estimates, "circulant_pcg", recording)
+    point = run_point(
+        "flat-product-torus", 0.1, 0.0, 0.0, default_resolution_rule(846, 16),
+        default_ball_center("flat-product-torus"), 0.25, 50.0, 6, 0, pairs=[],
+    )
+    assert point["manifold"].grid.shape == (846, 85)
+    (A, b, x), = solves
+    residual = np.linalg.norm(A @ x - b)
+    assert residual > operators.CG_RTOL * np.linalg.norm(b)
+    assert residual <= operators.CG_BACKWARD_TOL * (np.linalg.norm(abs(A) @ np.abs(x)) + np.linalg.norm(b))
+    direct = spsolve(A.tocsc(), b)
+    assert np.max(np.abs(x - direct)) <= 1e-11 * np.max(np.abs(direct))

@@ -407,10 +407,25 @@ def test_level_crossings_match_per_cell_loop(warped_coordinates):
             keys = sorted(ref_crossing, key=edge)
             assert edges.tolist() == [edge(k) for k in keys]
             assert points.tobytes() == np.array([ref_crossing[k] for k in keys]).reshape(-1, 2).tobytes()
-            assert _march_squares(phi, v).tobytes() == ref_pts.tobytes()
+            assert _march_squares(phi, v)[0].tobytes() == ref_pts.tobytes()
             saddles += n_saddles
             seams += any(k[0] == "h" and k[1] == grid.shape[0] - 1 for k in ref_crossing)
     assert saddles and seams
+
+
+def test_an_open_chain_is_not_returned_as_a_closed_fiber():
+    # level 0 of x + 0.02 sin(2 pi y): node (0, 8) holds 2.4e-18, which the
+    # seam cell's (f + 1) - 1 rounds to 0, so the crossings chain into an
+    # open arc of 10 points; a level off that node closes
+    M = build_family(FamilySpec(kind="flat-product-torus", epsilon=0.2, resolution=(48, 16)))
+    x, y = np.moveaxis(M.positions(), -1, 0)
+    phi = SplittingMap(M, (x + 0.02 * np.sin(2 * np.pi * y),), (np.array([1.0, 0.0]),))
+    pts, closed = _march_squares(phi, 0.0)
+    assert not closed and len(pts) == 10
+    with pytest.raises(ValueError, match="is open"):
+        extract_fiber(phi, 0.0)
+    trace = extract_fiber(phi, 1e-9)
+    assert trace.closed and trace.length == pytest.approx(0.2183, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------

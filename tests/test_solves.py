@@ -4,8 +4,12 @@ or, for the cutoff mollifier, through ``operators.circulant_pcg``.
 The references are the solves the helpers replaced: one ``spsolve`` per
 right-hand side, and ``eigsh`` factoring ``L - sigma mass`` itself.  They must
 give the same bits as the shared factorization, and the cutoff built by
-preconditioned CG must agree with the direct solve to 1e-11.
+preconditioned CG must agree with the direct solve to 1e-11.  On a chart with
+a varying metric the eigensolve runs through the harmonic coordinates' pinned
+stiffness factor instead, which agrees with ``L - sigma mass`` to round-off.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,7 +19,6 @@ from scipy.sparse.linalg import eigsh, spsolve
 import collapselab.estimates as estimates
 import collapselab.operators as operators
 import collapselab.spectral as spectral
-import collapselab.splitting as splitting
 from collapselab import FamilySpec, build_family, geodesic_ball
 from collapselab.manifold import DiscreteManifold, PeriodicGrid
 from collapselab.spectral import eigenpairs
@@ -76,6 +79,11 @@ def doubly_warped():
     return DiscreteManifold(grid=grid, metric=g, volume_element=np.sqrt(np.linalg.det(g)))
 
 
+def fresh(M):
+    """A copy of ``M`` without its cached fields, the pinned stiffness factor included."""
+    return dataclasses.replace(M)
+
+
 def assert_same_maps(got, want):
     assert got.k == want.k
     for a in range(got.k):
@@ -87,9 +95,9 @@ def assert_same_maps(got, want):
 @pytest.mark.parametrize("family", ["warped_torus", "doubly_warped"])
 def test_harmonic_coordinates_match_spsolve(request, monkeypatch, family):
     M = request.getfixturevalue(family)
-    got = harmonic_coordinates(M)
-    monkeypatch.setattr(splitting, "factorize", spsolve_factorize)
-    assert_same_maps(got, harmonic_coordinates(M))
+    got = harmonic_coordinates(fresh(M))
+    monkeypatch.setattr(operators, "factorize", spsolve_factorize)
+    assert_same_maps(got, harmonic_coordinates(fresh(M)))
 
 
 @pytest.mark.parametrize("family", ["warped_torus", "doubly_warped"])
@@ -98,13 +106,13 @@ def test_pinned_matrix_and_coordinates_match_the_lil_pin(request, monkeypatch, f
     # and so the factor and psi, are those of the former LIL pin
     M = request.getfixturevalue(family)
     L, _ = operators.laplacian_matrix(M)
-    got, want = splitting._pin_first_node(L).tocsc(), lil_pin(L).tocsc()
+    got, want = operators._pin_first_node(L).tocsc(), lil_pin(L).tocsc()
     assert np.any(want.data == 0.0)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
-    phi = harmonic_coordinates(M)
-    monkeypatch.setattr(splitting, "_pin_first_node", lil_pin)
-    assert_same_maps(phi, harmonic_coordinates(M))
+    phi = harmonic_coordinates(fresh(M))
+    monkeypatch.setattr(operators, "_pin_first_node", lil_pin)
+    assert_same_maps(phi, harmonic_coordinates(fresh(M)))
 
 
 CUTOFF_BALLS = {"flat_torus": ((32, 0), 0.2), "warped_torus": ((32, 0), 0.2), "small_twisted": ((4, 4, 0), 0.3)}
@@ -190,14 +198,30 @@ def test_circulant_pcg_rejects_nan_and_indefinite_input(small_flat):
     ],
 )
 def test_eigenpairs_match_builtin_shift_invert(request, monkeypatch, family, kwargs):
+    # constant metrics: the same bits as eigsh factoring L - sigma mass itself;
+    # the warped chart's sigma = 0 solve through the pinned factor agrees with
+    # that path to round-off
     M = request.getfixturevalue(family)
-    got = eigenpairs(M, **kwargs)
+    varies = spectral._metric_varies(M)
+    got = eigenpairs(fresh(M), **kwargs)
     monkeypatch.setattr(spectral, "eigsh", builtin_shift_invert)
-    want = eigenpairs(M, **kwargs)
+    monkeypatch.setattr(spectral, "_metric_varies", lambda M: False)
+    want = eigenpairs(fresh(M), **kwargs)
     assert len(got) == len(want) > 0
+    assert varies == (family == "warped_torus")
     for p, q in zip(got, want):
-        assert p.theta == q.theta and p.residual == q.residual and p.cluster == q.cluster
-        assert np.array_equal(p.u, q.u)
+        if not varies:
+            assert p.theta == q.theta and p.residual == q.residual and p.cluster == q.cluster
+            assert np.array_equal(p.u, q.u)
+            continue
+        assert abs(p.theta - q.theta) <= 1e-10 * max(abs(q.theta), 1.0)
+        assert p.cluster == q.cluster
+        assert p.residual <= spectral.RESIDUAL_TOL * (1.0 + p.theta)
+        # the largest entry sets the sign, and a mode can peak twice to round-off
+        sign = np.sign(np.vdot(p.u, q.u))
+        assert np.max(np.abs(sign * p.u - q.u)) <= 1e-8 * np.max(np.abs(q.u))
+    if varies:
+        assert got[0].theta == 0.0 and np.all(got[0].u == 1.0)
 
 
 def test_theta_max_rounds_share_one_factorization(monkeypatch, small_flat):
@@ -219,10 +243,33 @@ def test_theta_max_rounds_share_one_factorization(monkeypatch, small_flat):
     "family, solves", [("flat_torus", 0), ("warped_torus", 1), ("twisted_torus", 0), ("doubly_warped", 1)]
 )
 def test_harmonic_coordinates_factor_at_most_once(request, monkeypatch, family, solves):
-    M = request.getfixturevalue(family)
+    M = fresh(request.getfixturevalue(family))
     calls = count_factorizations(monkeypatch)
     phi = harmonic_coordinates(M)
     assert len(calls) == solves
     if family == "doubly_warped":
         # both axes were solved for, from the one factorization
         assert phi.k == 2 and all(np.ptp(v - M.positions()[..., a]) > 1e-3 for a, v in enumerate(phi.values))
+
+
+@pytest.mark.parametrize("family", ["warped_torus", "doubly_warped"])
+def test_a_varying_chart_factors_once_for_coordinates_and_pairs(request, monkeypatch, family):
+    # the eigensolve reuses the harmonic coordinates' pinned factor, and the
+    # other way round: one factorization per chart in either call order
+    M = request.getfixturevalue(family)
+    calls = count_factorizations(monkeypatch)
+    results = []
+    for coordinates_first in (True, False):
+        chart = fresh(M)
+        if coordinates_first:
+            phi, pairs = harmonic_coordinates(chart), eigenpairs(chart, 3, theta_max=700.0)
+        else:
+            pairs, phi = eigenpairs(chart, 3, theta_max=700.0), harmonic_coordinates(chart)
+        results.append((phi, pairs))
+        assert len(calls) == len(results)
+    (phi, pairs), (phi_later, pairs_later) = results
+    assert_same_maps(phi_later, phi)
+    assert len(pairs) == len(pairs_later) > 8   # more than one theta_max round
+    for p, q in zip(pairs, pairs_later):
+        assert p.theta == q.theta and p.residual == q.residual and p.cluster == q.cluster
+        assert np.array_equal(p.u, q.u)

@@ -187,3 +187,36 @@ def test_eigen_cache_wrong_shape_rejected(tmp_path, flat_eig_torus, flat_torus):
 def test_count_out_of_range(flat_eig_torus):
     with pytest.raises(ValueError, match="count"):
         eigenpairs(flat_eig_torus, 0)
+
+
+def sturm_liouville_limit(delta: float, n: int = 16384, count: int = 2) -> np.ndarray:
+    """Lowest positive eigenvalues of -(w u')' / w = theta u on the unit circle,
+    w = 1 + delta sin(2 pi x): the fiber-constant modes of the warped torus at
+    every epsilon.  Conservative differences with w at the half nodes."""
+    from scipy.sparse import diags as sparse_diags
+    from scipy.sparse.linalg import eigsh as sparse_eigsh
+
+    h = 1.0 / n
+    x = np.arange(n) * h
+    w_half = 1.0 + delta * np.sin(2 * np.pi * (x + 0.5 * h))     # w between node i and i + 1
+    K = sparse_diags([w_half + np.roll(w_half, 1), -w_half[:-1], -w_half[:-1]], [0, 1, -1], format="lil")
+    K[0, n - 1] = K[n - 1, 0] = -w_half[-1]
+    W = sparse_diags((1.0 + delta * np.sin(2 * np.pi * x)) * h**2)
+    theta = sparse_eigsh(K.tocsc(), k=count + 1, M=W.tocsc(), sigma=-1.0, which="LM", return_eigenvectors=False)
+    return np.sort(theta)[1:]
+
+
+def test_warped_base_modes_converge_to_the_sturm_liouville_limit():
+    # the 2-D theta_1, theta_2 at eps = 0.1 approach the 1-D limit at order h^2
+    limit = sturm_liouville_limit(0.3)
+    assert limit == pytest.approx([39.171109, 41.041718], abs=2e-6)
+    errors = []
+    for resolution in ((128, 16), (256, 26)):
+        M = build_family(FamilySpec(kind="warped-torus", epsilon=0.1, delta=0.3, resolution=resolution))
+        pairs = eigenpairs(M, 3)
+        assert pairs[0].theta == 0.0
+        errors.append(limit - np.array([p.theta for p in pairs[1:]]))
+    coarse, fine = errors
+    assert np.all(coarse > 0) and np.all(fine > 0)
+    assert coarse[0] == pytest.approx(7.36e-3, rel=0.01) and fine[0] == pytest.approx(1.84e-3, rel=0.01)
+    assert np.all(np.abs(np.log2(coarse / fine) - 2.0) <= 0.1)
