@@ -5,9 +5,11 @@ config file (nested keys, unknown keys rejected with their dotted path) and
 writing deterministic outputs into the output directory: identical config and
 seed give byte-identical CSV/JSON, timestamps live only in the run manifest.
 
-Every verb takes its pipeline inputs from ``ExperimentConfig.point_args``, and
-a sweep runs the same argument sets at each of its epsilons, so a sweep point
-is exactly the ``verify`` run at that epsilon.
+Every verb takes its pipeline inputs from ``ExperimentConfig.point_args``:
+``split`` and ``flow`` certify the point with all but its eigen inputs,
+``eig`` and ``flow eigenmode:N`` solve for the pairs ``verify`` reports on,
+and a sweep runs the same argument sets at each of its epsilons, so a sweep
+point is exactly the ``verify`` run at that epsilon.
 
 Exit codes: 0 all checks pass, 2 some estimate report failed, 1 execution or
 configuration error.
@@ -19,7 +21,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,7 +31,6 @@ from . import __version__
 from .estimates import (
     certify_point,
     default_ball_center,
-    default_ball_radius,
     default_resolution_rule,
     nearest_node,
     point_reports,
@@ -38,10 +39,10 @@ from .estimates import (
     sweep,
 )
 from .flow import fiber_apriori_check, fiber_neighborhood, flow_rate_bound, integrate_flow, tangential_projection
-from .manifold import FamilySpec, build_family, extract_fiber
+from .manifold import FAMILIES, FamilySpec, build_family, extract_fiber
 from .spectral import eigenpairs, load_eigen_cache, save_eigen_cache
 
-__all__ = ["main", "ExperimentConfig", "RunManifest", "load_config"]
+__all__ = ["main", "ExperimentConfig", "load_config"]
 
 
 _DEFAULTS = {
@@ -148,7 +149,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ValueError(f"config root in {path} must be a JSON object")
     merged = _merge_checked(_DEFAULTS, raw)
     if merged["ball"]["radius"] is None:
-        merged["ball"]["radius"] = default_ball_radius(merged["family"]["kind"])
+        merged["ball"]["radius"] = FAMILIES[merged["family"]["kind"]].ball_radius
     cfg = ExperimentConfig(**merged)
     for name, value in cfg.thresholds.items():
         # bool is an int subclass, and JSON's 1e400 parses as inf
@@ -162,33 +163,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunManifest:
-    config_hash: str
-    artifact_version: str
-    created_at: str
-    files: list = field(default_factory=list)
-
-    def add(self, path: Path, root: Path) -> None:
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        self.files.append({"path": str(path.relative_to(root)), "sha256": digest})
-
-    def write(self, root: Path) -> None:
-        payload = {
-            "configHash": self.config_hash,
-            "artifactVersion": self.artifact_version,
-            "createdAt": self.created_at,
-            "files": sorted(self.files, key=lambda f: f["path"]),
-        }
-        (root / "run_manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _new_manifest(cfg: ExperimentConfig) -> RunManifest:
-    return RunManifest(
-        config_hash=cfg.config_hash(),
-        artifact_version=__version__,
-        created_at=datetime.now(timezone.utc).isoformat(),
-    )
+def _write_manifest(cfg: ExperimentConfig, out: Path, paths) -> None:
+    """``run_manifest.json``: the config hash, the version, the time and the
+    sha256 of each written file under ``out`` (``None`` entries are skipped)."""
+    files = [
+        {"path": str(path.relative_to(out)), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+        for path in paths
+        if path is not None
+    ]
+    payload = {
+        "configHash": cfg.config_hash(),
+        "artifactVersion": __version__,
+        "createdAt": datetime.now(timezone.utc).isoformat(),
+        "files": sorted(files, key=lambda f: f["path"]),
+    }
+    (out / "run_manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -196,28 +185,31 @@ def _new_manifest(cfg: ExperimentConfig) -> RunManifest:
 # ---------------------------------------------------------------------------
 
 
-def _eig_cache_key(cfg: ExperimentConfig, spec: FamilySpec) -> str:
-    payload = json.dumps(
-        {**asdict(spec), "count": cfg.eig["count"], "theta_max": cfg.eig["theta_max"], "seed": cfg.seed},
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+def _certified_point(cfg: ExperimentConfig) -> dict:
+    """``certify_point`` at the config's point: the certificate needs no
+    eigenpairs, cutoff or curvature bound, so the eigen inputs stay out."""
+    eigen_inputs = ("theta_max", "eig_count", "seed")
+    return certify_point(**{k: v for k, v in cfg.point_args().items() if k not in eigen_inputs})
 
 
 def _eigenpairs_cached(cfg: ExperimentConfig, M, out: Path):
-    spec = M.family
-    cache_dir = out / "cache"
-    key = _eig_cache_key(cfg, spec)
-    path = cache_dir / f"eig_{key}.eigc"
+    """The eigenpairs ``run_point`` solves for at the config's point, and the
+    cache file under ``out`` they were read from or written to (None with the
+    cache off)."""
+    a = cfg.point_args()
+    solve = {"count": a["eig_count"], "theta_max": a["theta_max"], "seed": a["seed"]}
+    key = hashlib.sha256(json.dumps({**asdict(M.family), **solve}, sort_keys=True).encode()).hexdigest()[:16]
+    path = out / "cache" / f"eig_{key}.eigc"
     if cfg.cache:
         cached = load_eigen_cache(path, M)
         if cached is not None:
             return cached, path
-    pairs = eigenpairs(M, cfg.eig["count"], theta_max=cfg.eig["theta_max"], seed=cfg.seed)
-    if cfg.cache:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        save_eigen_cache(path, M, pairs)
-    return pairs, (path if cfg.cache else None)
+    pairs = eigenpairs(M, solve["count"], theta_max=solve["theta_max"], seed=solve["seed"])
+    if not cfg.cache:
+        return pairs, None
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_eigen_cache(path, M, pairs)
+    return pairs, path
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +227,7 @@ def cmd_build(cfg: ExperimentConfig, out: Path) -> int:
         "dim": M.dim,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
-    _new_manifest(cfg).write(out)
+    _write_manifest(cfg, out, [])
     return 0
 
 
@@ -248,24 +240,16 @@ def cmd_eig(cfg: ExperimentConfig, out: Path) -> int:
     csv_path = out / "eigenvalues.csv"
     csv_path.write_text("\n".join(lines) + "\n")
     print(f"wrote {len(pairs)} eigenpairs to {csv_path}")
-    manifest = _new_manifest(cfg)
-    manifest.add(csv_path, out)
-    if cache_path is not None:
-        manifest.add(cache_path, out)
-    manifest.write(out)
+    _write_manifest(cfg, out, [csv_path, cache_path])
     return 0
 
 
 def cmd_split(cfg: ExperimentConfig, out: Path) -> int:
-    # the certificate needs no eigenpairs, cutoff or curvature bound
-    eigen_inputs = ("theta_max", "eig_count", "seed")
-    cert = certify_point(**{k: v for k, v in cfg.point_args().items() if k not in eigen_inputs})["cert"]
+    cert = _certified_point(cfg)["cert"]
     path = out / "certificate.json"
     path.write_text(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n")
     print(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True))
-    manifest = _new_manifest(cfg)
-    manifest.add(path, out)
-    manifest.write(out)
+    _write_manifest(cfg, out, [path])
     return 0
 
 
@@ -290,7 +274,7 @@ def _flow_field(cfg: ExperimentConfig, point, out: Path):
 
 
 def cmd_flow(cfg: ExperimentConfig, out: Path) -> int:
-    point = run_point(**cfg.point_args(), pairs=[])
+    point = _certified_point(cfg)
     M = point["manifold"]
     field, cache_path = _flow_field(cfg, point, out)
     x0 = point["ball"].center if cfg.flow["start"] is None else nearest_node(M, cfg.flow["start"])
@@ -311,12 +295,7 @@ def cmd_flow(cfg: ExperimentConfig, out: Path) -> int:
         f"flow from node {x0}: dt {dt:.6g}, {len(traj.times)} samples, max drift {traj.drift.max():.3e}, "
         f"a priori pass={report.passed}"
     )
-    manifest = _new_manifest(cfg)
-    manifest.add(csv_path, out)
-    manifest.add(rep_path, out)
-    if cache_path is not None:
-        manifest.add(cache_path, out)
-    manifest.write(out)
+    _write_manifest(cfg, out, [csv_path, rep_path, cache_path])
     return 0 if report.passed else 2
 
 
@@ -327,9 +306,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
     ok = all(r.passed for r in reports) and all(row.passed for row in rows)
     for rep in reports:
         print(f"{rep.name}: lhs={rep.lhs:.6g} rhs={rep.rhs:.6g} pass={rep.passed}")
-    manifest = _new_manifest(cfg)
-    manifest.add(path, out)
-    manifest.write(out)
+    _write_manifest(cfg, out, [path])
     return 0 if ok else 2
 
 
@@ -342,7 +319,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
     for row in result.rows:
         lines.append(f"{row.epsilon_hat:.17g},{row.lhs:.17g},{row.rhs:.17g}")
     plot_path.write_text("\n".join(lines) + "\n")
-    manifest = _new_manifest(cfg)
+    written = [csv_path, plot_path]
     by_eps: dict[float, list] = {}
     for rep in result.reports:
         by_eps.setdefault(float(rep.extras["epsilon"]), []).append(rep)
@@ -352,7 +329,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
         pdir.mkdir(parents=True, exist_ok=True)
         rpath = pdir / "reports.json"
         reports_to_json(reps, rpath)
-        manifest.add(rpath, out)
+        written.append(rpath)
     summary_path = out / "sweep_summary.json"
     summary = {
         "exponent": result.exponent,
@@ -361,9 +338,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
         "allPassed": result.all_passed,
     }
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    for path in (csv_path, plot_path, summary_path):
-        manifest.add(path, out)
-    manifest.write(out)
+    _write_manifest(cfg, out, [*written, summary_path])
     print(
         f"sweep: {len(result.rows)} rows, all_passed={result.all_passed}, "
         f"degenerate={result.degenerate}, ratio_spread={result.ratio_spread}"

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.sparse import diags
 
 from .manifold import (
+    FAMILIES,
     DiscreteManifold,
     FamilySpec,
     GeodesicBall,
@@ -497,9 +498,9 @@ def certify_point(
     r: float,
     lambda_threshold_rel: float = 1e-6,
 ) -> dict:
-    """The front of ``run_point``, which is all that ``split`` needs: the chart,
-    its harmonic coordinates and regular mask, the working balls and the
-    certificate."""
+    """The front of ``run_point``, which is all that ``split`` and ``flow``
+    need: the chart, its harmonic coordinates and regular mask, the working
+    balls and the certificate."""
     resolution = resolution_rule(kind, epsilon)
     M = build_family(FamilySpec(kind=kind, epsilon=epsilon, delta=delta, twist=twist, resolution=resolution))
     phi = harmonic_coordinates(M)
@@ -534,16 +535,13 @@ def run_point(
     eig_count: int,
     seed: int,
     lambda_threshold_rel: float = 1e-6,
-    pairs: list[EigenPair] | None = None,
 ):
     """Full pipeline at one collapse parameter; returns the per-point bundle."""
     point = certify_point(kind, epsilon, delta, twist, resolution_rule, ball_center, r, lambda_threshold_rel)
     M = point["manifold"]
-    if pairs is None:
-        pairs = eigenpairs(M, eig_count, theta_max=theta_max, seed=seed)
     return {
         **point,
-        "pairs": pairs,
+        "pairs": eigenpairs(M, eig_count, theta_max=theta_max, seed=seed),
         "cutoff": build_cutoff(point["ball"], point["ball2"], point["eps_hat"]),
         "lambda_ric": ricci_lower_bound(M),
         "C0": phi_c0_bound(point["phi"], np.ones_like(point["mask"].regular), r),
@@ -559,31 +557,22 @@ def nearest_node(M: DiscreteManifold, chart_point) -> tuple[int, ...]:
 
 
 def default_ball_center(kind: str) -> tuple[float, ...]:
-    """Working-ball center: the thinnest fibers (best GH approximation) on warps."""
-    if kind == "warped-torus":
-        return (0.75, 0.0)
-    if kind == "twisted-3-torus":
-        return (0.25, 0.25, 0.0)
-    return (0.25, 0.0)
-
-
-def default_ball_radius(kind: str) -> float:
-    """Working-ball radius: a ball of 0.25 on the twisted 3-torus measures
-    eps_hat = 1/4, where the cutoff plateau r(1 + 4 eps_hat) reaches 2r."""
-    return 0.3 if kind == "twisted-3-torus" else 0.25
+    """Working-ball center of a built-in kind (``FAMILIES``)."""
+    return FAMILIES[kind].ball_center
 
 
 def _resolution(kind: str, epsilon: float, nodes_per_unit: int, min_fiber_nodes: int) -> tuple[int, ...]:
-    if kind == "twisted-3-torus":
-        base = max(min_fiber_nodes, nodes_per_unit // 4)
-        return (base, base, max(min_fiber_nodes, int(round(nodes_per_unit * epsilon))))
-    return (nodes_per_unit, max(min_fiber_nodes, int(round(nodes_per_unit * epsilon))))
+    k = FAMILIES[kind].dim - 1
+    base = nodes_per_unit if k == 1 else max(min_fiber_nodes, nodes_per_unit // 4)
+    return (base,) * k + (max(min_fiber_nodes, int(round(nodes_per_unit * epsilon))),)
 
 
 def default_resolution_rule(nodes_per_unit: int = 128, min_fiber_nodes: int = 16):
-    """``rule(kind, epsilon)``: nodes per axis, metric period length times
-    density, floored per axis.  A partial of a module-level function, so the
-    rule pickles into sweep worker processes."""
+    """``rule(kind, epsilon)``: nodes per axis.  The fiber, of length eps,
+    gets ``nodes_per_unit * eps`` nodes, floored at ``min_fiber_nodes``; a
+    base axis gets ``nodes_per_unit`` on a 2-D chart and a quarter of it,
+    floored alike, on a 3-D one.  A partial of a module-level function, so
+    the rule pickles into sweep worker processes."""
     return partial(_resolution, nodes_per_unit=nodes_per_unit, min_fiber_nodes=min_fiber_nodes)
 
 

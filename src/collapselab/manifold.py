@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -25,6 +25,7 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 __all__ = [
     "PeriodicGrid",
     "DiscreteManifold",
+    "FAMILIES",
     "FamilySpec",
     "GeodesicBall",
     "FiberTrace",
@@ -36,7 +37,36 @@ __all__ = [
     "epsilon_proxy",
 ]
 
-FAMILY_KINDS = ("flat-product-torus", "warped-torus", "twisted-3-torus")
+
+class FamilyKind(NamedTuple):
+    """What a built-in kind fixes of the one family metric (see ``build_family``)."""
+
+    dim: int                          # chart dimension k + 1; the last axis is the fiber
+    parameter: str | None             # the FamilySpec field it reads: "delta", "twist" or None
+    ball_center: tuple[float, ...]    # default working-ball center
+    ball_radius: float                # default working-ball radius
+
+
+class _KindTable(dict):
+    """``FAMILIES[kind]`` of any value other than a built-in kind raises ValueError."""
+
+    def __getitem__(self, kind):
+        if isinstance(kind, str) and kind in self.keys():
+            return super().__getitem__(kind)
+        raise ValueError(f"unknown family kind {kind!r}; expected one of {tuple(self)}")
+
+
+# Every per-kind fact.  The warped torus's ball sits where its fibers are
+# thinnest (x = 3/4), its best GH approximation.  A ball of 0.25 on the
+# twisted 3-torus measures eps_hat = 1/4, where the cutoff plateau
+# r (1 + 4 eps_hat) reaches 2r, so its ball is 0.3.
+FAMILIES = _KindTable(
+    {
+        "flat-product-torus": FamilyKind(2, None, (0.25, 0.0), 0.25),
+        "warped-torus": FamilyKind(2, "delta", (0.75, 0.0), 0.25),
+        "twisted-3-torus": FamilyKind(3, "twist", (0.25, 0.25, 0.0), 0.3),
+    }
+)
 
 MIN_FIBER_NODES = 16
 
@@ -104,7 +134,14 @@ class PeriodicGrid:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Parameters selecting one member of a collapsing family."""
+    """Parameters selecting one member of a collapsing family.
+
+    ``warped-torus`` reads ``delta`` (the warp amplitude) and
+    ``twisted-3-torus`` reads ``twist`` (the fiber holonomy angle);
+    ``flat-product-torus`` reads neither (``FAMILIES[kind].parameter``).
+    A nonzero value that the kind does not read is an error: in the one
+    family metric of ``build_family`` it would change the metric.
+    """
 
     kind: str
     epsilon: float
@@ -113,10 +150,12 @@ class FamilySpec:
     twist: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}; expected one of {FAMILY_KINDS}")
+        reads = FAMILIES[self.kind].parameter
         if not (0.0 < self.epsilon <= 1.0):
             raise ValueError(f"collapse parameter epsilon must lie in (0, 1], got {self.epsilon}")
+        for name in ("delta", "twist"):
+            if name != reads and getattr(self, name) != 0:
+                raise ValueError(f"{self.kind} does not read family.{name}; set it to 0, got {getattr(self, name)}")
         m = self.dim
         if len(self.resolution) != m:
             raise ValueError(f"{self.kind} needs {m} resolution entries, got {len(self.resolution)}")
@@ -129,7 +168,7 @@ class FamilySpec:
 
     @property
     def dim(self) -> int:
-        return {"flat-product-torus": 2, "warped-torus": 2, "twisted-3-torus": 3}[self.kind]
+        return FAMILIES[self.kind].dim
 
     @property
     def k(self) -> int:
@@ -221,59 +260,42 @@ def _warp(delta: float):
 def build_family(spec: FamilySpec) -> DiscreteManifold:
     """Construct one member of a built-in collapsing family.
 
-    The three families come with exact metrics and analytic Christoffel
-    closures:
+    Every kind is one metric on the unit chart ``(x_0, ..., x_{k-1}, y)``:
 
-    * ``flat-product-torus``: ``g = dx^2 + eps^2 dy^2`` on the unit chart;
-    * ``warped-torus``: ``g = dx^2 + eps^2 w(x)^2 dy^2``,
-      ``w(x) = 1 + delta sin(2 pi x)``;
-    * ``twisted-3-torus``: unit 2-torus base with an eps-circle fiber whose
-      holonomy around the first base circle is the twist angle.  In the
-      sheared periodic chart the metric is constant with off-diagonal
-      coupling ``sigma = twist / (2 pi)``.
+        g = sum_{a<k} dx_a^2 + eps^2 (w(x_0) dy + sigma dx_0)^2,
+        w(x) = 1 + delta sin(2 pi x),   sigma = twist / (2 pi),
+
+    a circle fiber of length eps w over a flat k-torus, whose holonomy around
+    the first base circle is the twist angle (sigma shears the periodic
+    chart).  Each kind is a special case (``FAMILIES``):
+
+    * ``flat-product-torus``: k = 1, delta = sigma = 0: ``g = dx^2 + eps^2 dy^2``;
+    * ``warped-torus``: k = 1, sigma = 0: ``g = dx^2 + eps^2 w(x)^2 dy^2``;
+    * ``twisted-3-torus``: k = 2, delta = 0: a constant metric whose
+      off-diagonal entry ``eps^2 sigma`` couples x_0 and the fiber.
+
+    A warped metric (delta != 0) carries its analytic Christoffel closure.
+    A constant one (delta = 0, w = 1) carries none: ``christoffel_fd`` gives
+    its symbols, exact zeros.
     """
-    eps = spec.epsilon
-    shape = spec.resolution
-    if spec.kind == "flat-product-torus":
-        grid = PeriodicGrid(shape, (1.0, 1.0))
-        g = np.zeros(shape + (2, 2))
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = eps**2
-        gamma = _flat_christoffel(2)
-    elif spec.kind == "warped-torus":
-        grid = PeriodicGrid(shape, (1.0, 1.0))
-        w, wp = _warp(spec.delta)
-        x = grid.axes()[0][:, None]
-        wx = np.broadcast_to(w(x), shape)
-        g = np.zeros(shape + (2, 2))
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = (eps * wx) ** 2
+    eps, shape, m = spec.epsilon, spec.resolution, spec.dim
+    grid = PeriodicGrid(shape, (1.0,) * m)
+    sigma = spec.twist / (2 * np.pi)
+    if spec.delta:
+        w, _ = _warp(spec.delta)
+        wx = np.broadcast_to(w(grid.axes()[0].reshape((-1,) + (1,) * (m - 1))), shape)
         gamma = _warped_christoffel(eps, spec.delta)
-    elif spec.kind == "twisted-3-torus":
-        grid = PeriodicGrid(shape, (1.0, 1.0, 1.0))
-        sigma = spec.twist / (2 * np.pi)
-        gc = np.array(
-            [
-                [1.0 + (eps * sigma) ** 2, 0.0, eps**2 * sigma],
-                [0.0, 1.0, 0.0],
-                [eps**2 * sigma, 0.0, eps**2],
-            ]
-        )
-        g = np.broadcast_to(gc, shape + (3, 3)).copy()
-        gamma = _flat_christoffel(3)
-    else:  # pragma: no cover - guarded by FamilySpec
-        raise ValueError(spec.kind)
-
+    else:
+        # a Python float: the constant entries keep the bits of eps**2, which
+        # NumPy's square of an array differs from by an ulp at some eps
+        wx, gamma = 1.0, None
+    g = np.empty(shape + (m, m))
+    g[...] = np.eye(m)
+    g[..., 0, 0] = 1.0 + (eps * sigma) ** 2
+    g[..., 0, -1] = g[..., -1, 0] = eps**2 * sigma * wx
+    g[..., -1, -1] = (eps * wx) ** 2
     vol = np.sqrt(np.linalg.det(g))
     return DiscreteManifold(grid=grid, metric=g, volume_element=vol, christoffel=gamma, family=spec)
-
-
-def _flat_christoffel(m: int):
-    def gamma(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.zeros(pts.shape[:-1] + (m, m, m))
-
-    return gamma
 
 
 def _warped_christoffel(eps: float, delta: float):
@@ -294,20 +316,19 @@ def _warped_christoffel(eps: float, delta: float):
 def ricci_lower_bound(M: DiscreteManifold) -> float:
     """Analytic lambda with Ric >= -(m-1) lambda g for the built-in families.
 
-    Flat and twisted families are flat (0); the warped torus has Gaussian
-    curvature -w''/w whose most negative value sets the bound.
+    Only the warp curves the family metric: its Gaussian curvature is
+    -w''/w, whose most negative value sets the bound (exactly 0 at
+    delta = 0, where w'' vanishes).
     """
-    fam = M.family
-    if fam is None or fam.kind in ("flat-product-torus", "twisted-3-torus"):
+    if M.family is None:
         return 0.0
-    if fam.kind == "warped-torus":
-        # K_G = -w''/w with w'' = -delta (2 pi)^2 sin(2 pi x); scan the chart.
-        x = np.linspace(0.0, 1.0, 4097)
-        w = 1.0 + fam.delta * np.sin(2 * np.pi * x)
-        wpp = -fam.delta * (2 * np.pi) ** 2 * np.sin(2 * np.pi * x)
-        kg = -wpp / w
-        return float(max(0.0, -kg.min()))
-    return 0.0
+    # K_G = -w''/w with w'' = -delta (2 pi)^2 sin(2 pi x); scan the chart.
+    delta = M.family.delta
+    x = np.linspace(0.0, 1.0, 4097)
+    w = 1.0 + delta * np.sin(2 * np.pi * x)
+    wpp = -delta * (2 * np.pi) ** 2 * np.sin(2 * np.pi * x)
+    kg = -wpp / w
+    return float(max(0.0, -kg.min()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import pickle
 
@@ -7,6 +8,8 @@ import pytest
 
 from collapselab import build_family
 from collapselab.cli import load_config, main
+from collapselab.estimates import run_point
+from collapselab.manifold import FAMILIES
 from collapselab.spectral import eigenpairs, load_eigen_cache
 from collapselab.splitting import harmonic_coordinates
 
@@ -74,8 +77,11 @@ def test_sweep_writes_its_scaling_statistics(tmp_path, monkeypatch):
         "allPassed": result.all_passed,
     }
     assert code == (0 if result.all_passed else 2)
-    listed = {f["path"] for f in json.loads((out / "run_manifest.json").read_text())["files"]}
-    assert {"sweep_summary.json", "sweep.csv", "plot_data.csv"} <= listed
+    files = json.loads((out / "run_manifest.json").read_text())["files"]
+    listed = [f["path"] for f in files]
+    assert listed == sorted(sweep_outputs(out))
+    for f in files:
+        assert f["sha256"] == hashlib.sha256((out / f["path"]).read_bytes()).hexdigest()
 
 
 def test_sweep_outputs_identical_across_jobs(tmp_path):
@@ -176,7 +182,7 @@ def test_eig_theta_max_wins_over_the_sweeps(tmp_path):
 
 def test_flow_writes_its_eigen_cache_under_out(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    cfg = {**FAMILIES["flat"], "flow": {"field": "eigenmode:1", "time_over_k": 0.1}}
+    cfg = {**FAMILY_CONFIGS["flat"], "flow": {"field": "eigenmode:1", "time_over_k": 0.1}}
     path = write_config(tmp_path, cfg)
     assert main(["flow", "--config", str(path), "--out", "flowrun"]) == 0
     assert not (tmp_path / "out").exists()
@@ -261,20 +267,23 @@ def test_a_headline_rhs_below_its_lhs_fails_verify(tmp_path, monkeypatch):
     assert all(rep["pass"] is False and rep["rhs"] < rep["lhs"] for rep in positive)
 
 
-def test_split_stops_after_the_certificate(tmp_path, monkeypatch):
-    # split writes the certificate alone: no eigenpairs, cutoff, curvature
-    # bound or C0, so none of their failures can stop it
+@pytest.mark.parametrize("verb", ["split", "flow"])
+def test_split_stops_after_the_certificate(tmp_path, monkeypatch, verb):
+    # split writes the certificate alone and flow traces a closed-form field:
+    # neither builds eigenpairs, the cutoff, the curvature bound or C0, so
+    # none of their failures can stop them
     import collapselab.estimates as estimates_module
 
     def unreached(*args, **kwargs):
-        raise AssertionError("split ran a stage past the certificate")
+        raise AssertionError(f"{verb} ran a stage past the certificate")
 
     for name in ("eigenpairs", "build_cutoff", "ricci_lower_bound", "phi_c0_bound"):
         monkeypatch.setattr(estimates_module, name, unreached)
     path = write_config(tmp_path, SMALL_WARPED)
-    assert main(["split", "--config", str(path), "--out", str(tmp_path / "split")]) == 0
-    cert = json.loads((tmp_path / "split" / "certificate.json").read_text())
-    assert cert["rangeOk"] is True and cert["psi"] > 0
+    assert main([verb, "--config", str(path), "--out", str(tmp_path / verb)]) == 0
+    if verb == "split":
+        cert = json.loads((tmp_path / "split" / "certificate.json").read_text())
+        assert cert["rangeOk"] is True and cert["psi"] > 0
 
 
 def strict_json(path):
@@ -348,7 +357,7 @@ def test_flow_writes_an_evenly_sampled_trajectory_inside_its_fiber(tmp_path, fam
     assert drift.max() <= 1e-10
 
 
-FAMILIES = {
+FAMILY_CONFIGS = {
     "flat": {"family": {"kind": "flat-product-torus"}, "resolution": {"nodes_per_unit": 64}},
     "warped": SMALL_WARPED,
     "twisted": {
@@ -359,8 +368,40 @@ FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_built_in_kind_has_an_end_to_end_config():
+    # a new kind in the table must join test_every_verb_runs_on_every_family
+    assert sorted(cfg["family"]["kind"] for cfg in FAMILY_CONFIGS.values()) == sorted(FAMILIES)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))
 @pytest.mark.parametrize("verb", ["build", "eig", "split", "flow", "verify", "sweep"])
 def test_every_verb_runs_on_every_family(tmp_path, verb, family):
-    path = write_config(tmp_path, FAMILIES[family])
+    path = write_config(tmp_path, FAMILY_CONFIGS[family])
     assert main([verb, "--config", str(path), "--out", str(tmp_path / "out")]) in (0, 2)
+
+
+def test_eig_and_flow_solve_for_the_pairs_verify_reports_on(tmp_path, monkeypatch):
+    # eig.theta_max unset falls back to sweep.theta_max in point_args: eig
+    # must write verify's pairs, and eigenmode:1 must be verify's pair 1
+    import collapselab.cli as cli
+
+    cfg = {**FAMILY_CONFIGS["flat"], "flow": {"field": "eigenmode:1", "time_over_k": 0.1}}
+    path = write_config(tmp_path, cfg)
+    pairs = run_point(**load_config(path).point_args())["pairs"]
+    assert main(["eig", "--config", str(path), "--out", str(tmp_path / "eig")]) == 0
+    thetas = np.loadtxt(tmp_path / "eig" / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)[:, 1]
+    assert thetas.tolist() == [pair.theta for pair in pairs]
+    fields = []
+    project = cli.tangential_projection
+    monkeypatch.setattr(cli, "tangential_projection", lambda M, u, *args: fields.append(u) or project(M, u, *args))
+    for extra in ([], ["--no-cache"]):   # read from eig's cache, then solved again
+        assert main(["flow", "--config", str(path), "--out", str(tmp_path / "eig"), *extra]) == 0
+    assert len(fields) == 2
+    assert all(u.tobytes() == pairs[1].u.tobytes() for u in fields)
+
+
+def test_a_parameter_the_kind_does_not_read_is_a_config_error(tmp_path, capsys):
+    cfg = {"family": {"kind": "flat-product-torus", "twist": 0.5}, "resolution": {"nodes_per_unit": 64}}
+    path = write_config(tmp_path, cfg)
+    assert main(["build", "--config", str(path), "--out", str(tmp_path / "build")]) == 1
+    assert "flat-product-torus does not read family.twist" in capsys.readouterr().err

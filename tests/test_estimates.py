@@ -10,7 +10,9 @@ import collapselab.spectral as spectral
 import collapselab.splitting as splitting
 from collapselab.estimates import (
     FIBER_LEVELS,
+    build_cutoff,
     c1_sup_bound,
+    certify_point,
     default_ball_center,
     default_resolution_rule,
     point_reports,
@@ -126,11 +128,12 @@ def test_the_cutoff_solves_where_the_residual_gate_is_out_of_reach(monkeypatch):
         return lambda b: solves.append((A, b, solve(b))) or solves[-1][2]
 
     monkeypatch.setattr(estimates, "circulant_pcg", recording)
-    point = run_point(
+    point = certify_point(
         "flat-product-torus", 0.1, 0.0, 0.0, default_resolution_rule(846, 16),
-        default_ball_center("flat-product-torus"), 0.25, 50.0, 6, 0, pairs=[],
+        default_ball_center("flat-product-torus"), 0.25,
     )
     assert point["manifold"].grid.shape == (846, 85)
+    build_cutoff(point["ball"], point["ball2"], point["eps_hat"])
     (A, b, x), = solves
     residual = np.linalg.norm(A @ x - b)
     assert residual > operators.CG_RTOL * np.linalg.norm(b)

@@ -12,6 +12,7 @@ from collapselab import (
     geodesic_ball,
 )
 from collapselab.manifold import (
+    FAMILIES,
     DiscreteManifold,
     PeriodicGrid,
     _grid_adjacency,
@@ -113,7 +114,72 @@ def test_base_period_lengths(warped_torus):
 def test_ricci_lower_bound_values(flat_torus, warped_torus, twisted_torus):
     assert ricci_lower_bound(flat_torus) == 0.0
     assert ricci_lower_bound(twisted_torus) == 0.0
+    assert not np.signbit(ricci_lower_bound(flat_torus)) and not np.signbit(ricci_lower_bound(twisted_torus))
     assert ricci_lower_bound(warped_torus) == pytest.approx(0.3 * 4 * np.pi**2 / 0.7, rel=1e-6)
+
+
+def per_kind_metric(spec):
+    """The metric of ``spec`` as built kind by kind before the one family
+    formula: the byte oracle of ``build_family``."""
+    eps, shape = spec.epsilon, spec.resolution
+    if spec.kind == "flat-product-torus":
+        g = np.zeros(shape + (2, 2))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = eps**2
+    elif spec.kind == "warped-torus":
+        x = PeriodicGrid(shape, (1.0, 1.0)).axes()[0][:, None]
+        wx = np.broadcast_to(1.0 + spec.delta * np.sin(2 * np.pi * x), shape)
+        g = np.zeros(shape + (2, 2))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = (eps * wx) ** 2
+    else:
+        sigma = spec.twist / (2 * np.pi)
+        gc = np.array(
+            [
+                [1.0 + (eps * sigma) ** 2, 0.0, eps**2 * sigma],
+                [0.0, 1.0, 0.0],
+                [eps**2 * sigma, 0.0, eps**2],
+            ]
+        )
+        g = np.broadcast_to(gc, shape + (3, 3)).copy()
+    return g, np.sqrt(np.linalg.det(g))
+
+
+# 0.1176 and 0.0397 are among the epsilons whose libm eps**2 is an ulp off
+# eps * eps: a constant metric must keep the former
+ORACLE_EPSILONS = [1.0, 0.5, 0.25, 0.2, 0.1176, 0.1, 0.05, 0.0397, 0.025, 0.013]
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_one_family_formula_keeps_the_per_kind_metrics(kind):
+    rng = np.random.default_rng(7)
+    params = {"flat-product-torus": [{}], "warped-torus": [{"delta": 0.3}, {"delta": 0.17}, {"delta": -0.6}],
+              "twisted-3-torus": [{"twist": np.pi / 2}, {"twist": 1.234}, {"twist": 0.0}, {"twist": -2.5}]}[kind]
+    resolution = (6,) * (FAMILIES[kind].dim - 1) + (16,)
+    for eps in ORACLE_EPSILONS + rng.uniform(0.01, 1.0, 20).tolist():
+        for param in params:
+            spec = FamilySpec(kind=kind, epsilon=eps, resolution=resolution, **param)
+            M = build_family(spec)
+            g, vol = per_kind_metric(spec)
+            assert M.metric.tobytes() == g.tobytes(), (eps, param)
+            assert M.volume_element.tobytes() == vol.tobytes(), (eps, param)
+            assert (M.christoffel is None) == (spec.delta == 0)
+
+
+@pytest.mark.parametrize("kind,name", [
+    ("flat-product-torus", "delta"),
+    ("flat-product-torus", "twist"),
+    ("warped-torus", "twist"),
+    ("twisted-3-torus", "delta"),
+])
+def test_a_parameter_the_kind_does_not_read_is_rejected(kind, name):
+    # under the one family formula it would change the metric
+    resolution = (8,) * (FAMILIES[kind].dim - 1) + (16,)
+    with pytest.raises(ValueError, match=f"{kind} does not read family.{name}"):
+        FamilySpec(kind=kind, epsilon=0.25, resolution=resolution, **{name: 0.5})
+    read = FAMILIES[kind].parameter
+    if read is not None:
+        assert getattr(FamilySpec(kind=kind, epsilon=0.25, resolution=resolution, **{read: 0.5}), read) == 0.5
 
 
 # ---------------------------------------------------------------------------

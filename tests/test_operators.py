@@ -294,6 +294,20 @@ def test_hessian_warped_christoffel_vs_fd():
     assert np.log2(errs[0] / errs[1]) >= 1.8
 
 
+@pytest.mark.parametrize("name", ["flat_eig_torus", "flat_torus", "twisted_torus"])
+def test_constant_metrics_take_exact_zero_christoffels_from_differences(request, name):
+    # flat and twisted charts carry no closure: differences of a constant
+    # metric are +0.0, so their Hessians keep the bits of an all-zero closure
+    M = request.getfixturevalue(name)
+    assert M.christoffel is None
+    gam = christoffel_fd(M)
+    assert not np.any(gam) and not np.any(np.signbit(gam))
+    m = M.dim
+    zero = dataclasses.replace(M, christoffel=lambda pts: np.zeros(np.shape(pts)[:-1] + (m, m, m)))
+    f = np.random.default_rng(3).standard_normal(M.grid.shape)
+    assert hessian(M, f).tobytes() == hessian(zero, f).tobytes()
+
+
 def test_christoffel_fd_matches_closure(warped_torus):
     gam_fd = christoffel_fd(warped_torus)
     gam = warped_torus.christoffel(warped_torus.positions().reshape(-1, 2)).reshape(gam_fd.shape)
