@@ -140,7 +140,9 @@ class FamilySpec:
     ``twisted-3-torus`` reads ``twist`` (the fiber holonomy angle);
     ``flat-product-torus`` reads neither (``FAMILIES[kind].parameter``).
     A nonzero value that the kind does not read is an error: in the one
-    family metric of ``build_family`` it would change the metric.
+    family metric of ``build_family`` it would change the metric.  So is
+    ``|delta| >= 1``: the warp ``1 + delta sin 2 pi x`` then reaches zero and
+    the fiber collapses to a point.
     """
 
     kind: str
@@ -156,6 +158,8 @@ class FamilySpec:
         for name in ("delta", "twist"):
             if name != reads and getattr(self, name) != 0:
                 raise ValueError(f"{self.kind} does not read family.{name}; set it to 0, got {getattr(self, name)}")
+        if not abs(self.delta) < 1.0:
+            raise ValueError(f"family.delta must lie in (-1, 1), where the warp stays positive, got {self.delta}")
         m = self.dim
         if len(self.resolution) != m:
             raise ValueError(f"{self.kind} needs {m} resolution entries, got {len(self.resolution)}")

@@ -7,11 +7,12 @@ follow the ``Delta = -div grad`` convention (theta >= 0, constants in the
 kernel on closed charts).
 
 The factorization depends on the chart.  Where the metric varies (the warped
-torus), the harmonic coordinates factor the stiffness with node 0 pinned, and
-the eigensolve reuses that one cached factor at shift 0 on the
-mass-orthogonal complement of the constants; the constant pair is exact.
-Where the metric is constant (flat and twisted tori), the harmonic
-coordinates need no solve, and the eigensolve factors ``L - sigma mass``.
+torus), the eigensolve factors the stiffness with node 0 pinned, its stored
+zeros dropped and its columns in minimum-degree order, and runs at shift 0 on
+the mass-orthogonal complement of the constants; the constant pair is exact.
+The harmonic coordinates factor the same pinned matrix apart, in COLAMD order
+on its stored structure, which fixes their bits.  Where the metric is
+constant (flat and twisted tori), the eigensolve factors ``L - sigma mass``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,15 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .manifold import DiscreteManifold, GeodesicBall
-from .operators import factorize, gradient, laplacian_matrix, norm_sq, pinned_stiffness_solve, region_sup
+from .operators import (
+    factorize,
+    factorize_symmetric,
+    gradient,
+    laplacian_matrix,
+    norm_sq,
+    pinned_stiffness_solve,
+    region_sup,
+)
 
 __all__ = [
     "EigenPair",
@@ -66,13 +75,14 @@ def eigenpairs(
     returned.  Every round reuses one factorization.
 
     Which factorization depends on the metric.  Where it varies over the
-    chart, the harmonic coordinates need the pinned stiffness factor anyway,
-    so Lanczos runs at ``sigma = 0`` through it
-    (:func:`~collapselab.operators.pinned_stiffness_solve`): on the
+    chart, Lanczos runs at ``sigma = 0`` through the pinned stiffness
+    (:func:`~collapselab.operators.pinned_stiffness_solve`), factored by
+    :func:`~collapselab.operators.factorize_symmetric`: on the
     mass-orthogonal complement of the constants it applies ``L^-1``, so the
     solver is asked for the other ``count - 1`` pairs and the exact constant
-    pair (theta = 0, u = 1) comes first.  A constant metric needs no harmonic
-    solve, and there ``L - sigma mass`` (sigma slightly negative) is factored.
+    pair (theta = 0, u = 1) comes first.  Where the metric is constant,
+    ``L - sigma mass`` (sigma slightly negative) is factored by
+    :func:`~collapselab.operators.factorize`.
     """
     L, mass = laplacian_matrix(M)
     n = L.shape[0]
@@ -85,7 +95,7 @@ def eigenpairs(
     total = mass.sum()
     if _metric_varies(M):
         sigma, constants = 0.0, 1
-        pinned = pinned_stiffness_solve(M)
+        pinned = pinned_stiffness_solve(M, factorize_symmetric)
         # ARPACK hands OPinv the vector mass * x: projecting it to zero sum
         # takes the constant part out of x
         OPinv = LinearOperator((n, n), matvec=lambda b: pinned(b - mass * (b.sum() / total)), dtype=float)
@@ -125,9 +135,9 @@ def _metric_varies(M: DiscreteManifold) -> bool:
 def _gated_pairs(M: DiscreteManifold, L, mass, theta, vecs) -> list[EigenPair]:
     """Eigenpairs from ascending ``theta`` and L2-average-normalized rows ``vecs``.
 
-    Clamps round-off negative eigenvalues to 0, makes each vector's largest
-    entry positive, applies the residual gate (RuntimeError, NaN included)
-    and numbers the clusters.
+    Clamps round-off negative eigenvalues to 0, signs each vector (see
+    :func:`_sign_anchor`), applies the residual gate (RuntimeError, NaN
+    included) and numbers the clusters.
     """
     total = float(mass.sum())
     scale = _solver_scale(L, mass)
@@ -135,7 +145,7 @@ def _gated_pairs(M: DiscreteManifold, L, mass, theta, vecs) -> list[EigenPair]:
     cluster = 0
     for i, (th, v) in enumerate(zip(theta, vecs)):
         th = float(max(th, 0.0) if abs(th) < 1e-10 * scale else th)
-        if v[int(np.argmax(np.abs(v)))] < 0:
+        if v[_sign_anchor(v)] < 0:
             v = -v
         res = float(np.sqrt(np.sum(mass * ((L @ v) / mass - th * v) ** 2) / total))
         if not res <= RESIDUAL_TOL * (1.0 + abs(th)):
@@ -146,6 +156,18 @@ def _gated_pairs(M: DiscreteManifold, L, mass, theta, vecs) -> list[EigenPair]:
             cluster += 1
         pairs.append(EigenPair(theta=th, u=v.reshape(M.grid.shape), residual=res, cluster=cluster))
     return pairs
+
+
+def _sign_anchor(v: np.ndarray) -> int:
+    """The node whose entry is made positive: the first, in C order, with
+    ``|v| >= max|v| / 2``.  The largest entry would do only up to round-off:
+    the warped theta ~ 39.17 mode peaks at +-1.42388373581 on two fiber
+    columns, equal to about 4e-12, and round-off then picks the sign.  On the
+    warped sweep grids (512 nodes per unit, eps 0.2 to 0.05) no entry of a
+    pair comes closer to half its peak than 1.7e-3 of the peak, far above
+    round-off."""
+    a = np.abs(v)
+    return int(np.argmax(a >= 0.5 * a.max()))
 
 
 def cheng_yau_ratio(M: DiscreteManifold, u: np.ndarray, ball: GeodesicBall) -> float:
@@ -177,12 +199,14 @@ def _cheng_yau_ratio(u: np.ndarray, grad_norm: np.ndarray, ball: GeodesicBall) -
 #
 # Loads validate shape metadata and recompute eigen-residuals against the same
 # RESIDUAL_TOL gate as the solver; files that fail either check are reported as
-# corrupt so callers rebuild.  Version 2 marks pairs of charts with a varying
-# metric solved through the pinned stiffness factor; version-1 files, whose
-# pairs came from the shifted factor, are rebuilt rather than mixed in.
+# corrupt so callers rebuild.  Version 3 marks pairs of charts with a varying
+# metric solved through the minimum-degree pinned factor and signed by
+# _sign_anchor; files of earlier versions, whose pairs came from other factors
+# (version 2: the COLAMD pinned factor; version 1: the shifted one), are
+# rebuilt rather than mixed in.
 
 _MAGIC = b"EIGC"
-_VERSION = 2
+_VERSION = 3
 
 
 def save_eigen_cache(path: str | Path, M: DiscreteManifold, pairs: list[EigenPair]) -> None:

@@ -252,16 +252,18 @@ def harmonic_coordinates(M: DiscreteManifold) -> SplittingMap:
 
     Solves ``Delta (x_a + psi_a) = 0`` for a periodic correction psi_a with
     mean zero, one component per base axis ``a``; on flat families psi
-    vanishes identically and the coordinate is returned exactly.  Every axis
-    that needs a solve uses the manifold's one cached pinned stiffness factor
-    (:func:`~collapselab.operators.pinned_stiffness_solve`), which the
-    eigensolve of a chart with a varying metric reuses.
+    vanishes identically and the coordinate is returned exactly.  The axes
+    that need a solve share one pinned stiffness factor
+    (:func:`~collapselab.operators.pinned_stiffness_solve`), made on the first
+    of them and dropped on return.  It is COLAMD on the stored structure
+    (:func:`~collapselab.operators.factorize`), whose round-off the
+    references pin.
     """
     grid = M.grid
     pos = M.positions()
     L, _ = laplacian_matrix(M)
     mass = M.node_weights().ravel()
-    comps, winds, resid = [], [], []
+    comps, winds, resid, pinned = [], [], [], None
     for ax in M.base_axes:
         w = np.zeros(grid.dim)
         w[ax] = 1.0
@@ -270,7 +272,8 @@ def harmonic_coordinates(M: DiscreteManifold) -> SplittingMap:
         if np.max(np.abs(rhs)) < 1e-12 * np.max(np.abs(L.diagonal())):
             psi = np.zeros(grid.n_nodes)
         else:
-            psi = pinned_stiffness_solve(M)(rhs)
+            pinned = pinned or pinned_stiffness_solve(M)
+            psi = pinned(rhs)
         vals = coord + psi.reshape(grid.shape)
         res = (stiffness_apply(M, vals, w).ravel() / mass)
         r = float(np.sqrt((mass * res**2).sum() / mass.sum()))

@@ -192,8 +192,9 @@ def test_flow_writes_its_eigen_cache_under_out(tmp_path, monkeypatch):
 
 
 def test_a_version_1_eigen_cache_is_recomputed(tmp_path, monkeypatch):
-    # version-1 files hold pairs of the former shifted solve: they must be
-    # solved again, not served beside pairs of the current one
+    # version-1 files hold pairs of the former shifted solve (and version-2
+    # files those of the COLAMD pinned factor): they must be solved again, not
+    # served beside pairs of the current one
     import collapselab.cli as cli
 
     path = write_config(tmp_path, SMALL_WARPED)
@@ -201,7 +202,7 @@ def test_a_version_1_eigen_cache_is_recomputed(tmp_path, monkeypatch):
     cache, = (tmp_path / "eig" / "cache").glob("eig_*.eigc")
     values = (tmp_path / "eig" / "eigenvalues.csv").read_bytes()
     data = bytearray(cache.read_bytes())
-    assert data[4:8] == (2).to_bytes(4, "little")
+    assert data[4:8] == (3).to_bytes(4, "little")
     data[4:8] = (1).to_bytes(4, "little")
     cache.write_bytes(bytes(data))
     M = build_family(load_config(path).family_spec())
@@ -210,7 +211,7 @@ def test_a_version_1_eigen_cache_is_recomputed(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "eigenpairs", lambda *args, **kwargs: solves.append(1) or eigenpairs(*args, **kwargs))
     assert main(["eig", "--config", str(path), "--out", str(tmp_path / "eig")]) == 0
     assert solves == [1]
-    assert cache.read_bytes()[4:8] == (2).to_bytes(4, "little")
+    assert cache.read_bytes()[4:8] == (3).to_bytes(4, "little")
     assert (tmp_path / "eig" / "eigenvalues.csv").read_bytes() == values
 
 
@@ -405,3 +406,11 @@ def test_a_parameter_the_kind_does_not_read_is_a_config_error(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["build", "--config", str(path), "--out", str(tmp_path / "build")]) == 1
     assert "flat-product-torus does not read family.twist" in capsys.readouterr().err
+
+
+def test_a_warp_that_reaches_zero_is_a_config_error(tmp_path, capsys):
+    # at delta = 1.5, build used to exit 0 with totalVolume 0.1177 instead of epsilon
+    cfg = {"family": {"kind": "warped-torus", "epsilon": 0.1, "delta": 1.5}, "resolution": {"nodes_per_unit": 64}}
+    path = write_config(tmp_path, cfg)
+    assert main(["build", "--config", str(path), "--out", str(tmp_path / "build")]) == 1
+    assert "family.delta must lie in (-1, 1)" in capsys.readouterr().err

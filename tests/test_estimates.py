@@ -119,15 +119,17 @@ def test_point_reports_differentiate_each_eigenfunction_once(monkeypatch):
 def test_the_cutoff_solves_where_the_residual_gate_is_out_of_reach(monkeypatch):
     # flat default at 846 nodes per unit, the coarsest grid where CG cannot
     # bring the cutoff's true residual under 1e-13 |b|: its last iterate is
-    # accepted by backward error and agrees with the direct solve
-    solves = []
-    pcg = estimates.circulant_pcg
+    # accepted by backward error once a restart stalls, and agrees with the
+    # direct solve
+    solves, runs = [], []
+    pcg, cg = estimates.circulant_pcg, operators.cg
 
     def recording(A, shape):
         solve = pcg(A, shape)
         return lambda b: solves.append((A, b, solve(b))) or solves[-1][2]
 
     monkeypatch.setattr(estimates, "circulant_pcg", recording)
+    monkeypatch.setattr(operators, "cg", lambda *args, **kwargs: runs.append(None) or cg(*args, **kwargs))
     point = certify_point(
         "flat-product-torus", 0.1, 0.0, 0.0, default_resolution_rule(846, 16),
         default_ball_center("flat-product-torus"), 0.25,
@@ -135,6 +137,7 @@ def test_the_cutoff_solves_where_the_residual_gate_is_out_of_reach(monkeypatch):
     assert point["manifold"].grid.shape == (846, 85)
     build_cutoff(point["ball"], point["ball2"], point["eps_hat"])
     (A, b, x), = solves
+    assert 1 < len(runs) <= 5
     residual = np.linalg.norm(A @ x - b)
     assert residual > operators.CG_RTOL * np.linalg.norm(b)
     assert residual <= operators.CG_BACKWARD_TOL * (np.linalg.norm(abs(A) @ np.abs(x)) + np.linalg.norm(b))

@@ -182,6 +182,14 @@ def test_a_parameter_the_kind_does_not_read_is_rejected(kind, name):
         assert getattr(FamilySpec(kind=kind, epsilon=0.25, resolution=resolution, **{read: 0.5}), read) == 0.5
 
 
+@pytest.mark.parametrize("delta", [1.0, -1.0, 1.5, float("nan")])
+def test_a_warp_that_reaches_zero_is_rejected(delta):
+    # w = 1 + delta sin 2 pi x vanishes somewhere once |delta| >= 1
+    with pytest.raises(ValueError, match="family.delta must lie in"):
+        FamilySpec(kind="warped-torus", epsilon=0.1, resolution=(64, 16), delta=delta)
+    assert FamilySpec(kind="warped-torus", epsilon=0.1, resolution=(64, 16), delta=-0.99).delta == -0.99
+
+
 # ---------------------------------------------------------------------------
 # geodesic balls
 # ---------------------------------------------------------------------------

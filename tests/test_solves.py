@@ -1,12 +1,14 @@
-"""Every sparse solve goes through ``operators.factorize``, once per matrix,
-or, for the cutoff mollifier, through ``operators.circulant_pcg``.
+"""Every sparse solve goes through ``operators.factorize`` or
+``operators.factorize_symmetric``, once per matrix and call, or, for the
+cutoff mollifier, through ``operators.circulant_pcg``.
 
 The references are the solves the helpers replaced: one ``spsolve`` per
 right-hand side, and ``eigsh`` factoring ``L - sigma mass`` itself.  They must
-give the same bits as the shared factorization, and the cutoff built by
+give the same bits as ``factorize`` (COLAMD), and the cutoff built by
 preconditioned CG must agree with the direct solve to 1e-11.  On a chart with
-a varying metric the eigensolve runs through the harmonic coordinates' pinned
-stiffness factor instead, which agrees with ``L - sigma mass`` to round-off.
+a varying metric the eigensolve runs through its own minimum-degree factor of
+the pinned stiffness instead, which agrees with ``L - sigma mass`` and with
+the harmonic coordinates' COLAMD factor to round-off.
 """
 
 import dataclasses
@@ -45,12 +47,14 @@ def builtin_shift_invert(*args, OPinv, **kwargs):
 
 
 def count_factorizations(monkeypatch):
+    """The matrix and the factor of every ``splu`` call, in order."""
     calls = []
     splu = operators.splu
 
     def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return splu(*args, **kwargs)
+        factor = splu(*args, **kwargs)
+        calls.append((args[0], factor))
+        return factor
 
     monkeypatch.setattr(operators, "splu", counting)
     return calls
@@ -80,7 +84,7 @@ def doubly_warped():
 
 
 def fresh(M):
-    """A copy of ``M`` without its cached fields, the pinned stiffness factor included."""
+    """A copy of ``M`` without its cached fields."""
     return dataclasses.replace(M)
 
 
@@ -200,7 +204,7 @@ def test_circulant_pcg_rejects_nan_and_indefinite_input(small_flat):
 def test_eigenpairs_match_builtin_shift_invert(request, monkeypatch, family, kwargs):
     # constant metrics: the same bits as eigsh factoring L - sigma mass itself;
     # the warped chart's sigma = 0 solve through the pinned factor agrees with
-    # that path to round-off
+    # that path to round-off, with the same signs
     M = request.getfixturevalue(family)
     varies = spectral._metric_varies(M)
     got = eigenpairs(fresh(M), **kwargs)
@@ -217,9 +221,7 @@ def test_eigenpairs_match_builtin_shift_invert(request, monkeypatch, family, kwa
         assert abs(p.theta - q.theta) <= 1e-10 * max(abs(q.theta), 1.0)
         assert p.cluster == q.cluster
         assert p.residual <= spectral.RESIDUAL_TOL * (1.0 + p.theta)
-        # the largest entry sets the sign, and a mode can peak twice to round-off
-        sign = np.sign(np.vdot(p.u, q.u))
-        assert np.max(np.abs(sign * p.u - q.u)) <= 1e-8 * np.max(np.abs(q.u))
+        assert np.max(np.abs(p.u - q.u)) <= 1e-8 * np.max(np.abs(q.u))
     if varies:
         assert got[0].theta == 0.0 and np.all(got[0].u == 1.0)
 
@@ -254,22 +256,32 @@ def test_harmonic_coordinates_factor_at_most_once(request, monkeypatch, family, 
 
 @pytest.mark.parametrize("family", ["warped_torus", "doubly_warped"])
 def test_a_varying_chart_factors_once_for_coordinates_and_pairs(request, monkeypatch, family):
-    # the eigensolve reuses the harmonic coordinates' pinned factor, and the
-    # other way round: one factorization per chart in either call order
+    # once per call each: the harmonic coordinates factor the pinned stiffness
+    # in COLAMD order on its stored structure, so psi keeps spsolve's bits; the
+    # eigensolve factors it without the stored zeros in minimum-degree order,
+    # with at most half the fill, and its pairs agree with the COLAMD factor's
     M = request.getfixturevalue(family)
     calls = count_factorizations(monkeypatch)
-    results = []
-    for coordinates_first in (True, False):
-        chart = fresh(M)
-        if coordinates_first:
-            phi, pairs = harmonic_coordinates(chart), eigenpairs(chart, 3, theta_max=700.0)
-        else:
-            pairs, phi = eigenpairs(chart, 3, theta_max=700.0), harmonic_coordinates(chart)
-        results.append((phi, pairs))
-        assert len(calls) == len(results)
-    (phi, pairs), (phi_later, pairs_later) = results
-    assert_same_maps(phi_later, phi)
-    assert len(pairs) == len(pairs_later) > 8   # more than one theta_max round
-    for p, q in zip(pairs, pairs_later):
-        assert p.theta == q.theta and p.residual == q.residual and p.cluster == q.cluster
-        assert np.array_equal(p.u, q.u)
+    phi = harmonic_coordinates(fresh(M))
+    assert len(calls) == 1
+    pairs = eigenpairs(fresh(M), 3, theta_max=700.0)
+    assert len(calls) == 2 and len(pairs) > 8   # more than one theta_max round
+    (colamd_matrix, colamd), (matrix, factor) = calls
+    assert np.any(colamd_matrix.data == 0.0) and not np.any(matrix.data == 0.0)
+    assert matrix.nnz < colamd_matrix.nnz
+    assert factor.L.nnz + factor.U.nnz <= 0.5 * (colamd.L.nnz + colamd.U.nnz)
+    monkeypatch.setattr(spectral, "factorize_symmetric", operators.factorize)
+    want = eigenpairs(fresh(M), 3, theta_max=700.0)
+    monkeypatch.setattr(operators, "factorize", spsolve_factorize)
+    assert_same_maps(phi, harmonic_coordinates(fresh(M)))
+    assert [p.cluster for p in pairs] == [q.cluster for q in want]
+    for p, q in zip(pairs, want):
+        assert abs(p.theta - q.theta) <= 1e-10 * max(abs(q.theta), 1.0)
+    for c in range(want[-1].cluster + 1):
+        got = np.stack([p.u.ravel() for p in pairs if p.cluster == c], axis=1)
+        basis = np.stack([q.u.ravel() for q in want if q.cluster == c], axis=1)
+        if basis.shape[1] > 1:
+            # a cluster's vectors are fixed only up to a basis of its span
+            # (Davis and Kahan 1970; warped theta ~ 630: two within 7.8e-5)
+            basis = basis @ np.linalg.lstsq(basis, got, rcond=None)[0]
+        assert np.max(np.abs(got - basis)) <= 1e-8 * np.max(np.abs(basis))

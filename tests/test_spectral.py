@@ -8,6 +8,7 @@ from collapselab import FamilySpec, build_family, geodesic_ball
 from collapselab.operators import gradient, laplacian_matrix, metric_inner, region_sup
 from collapselab.spectral import (
     RESIDUAL_TOL,
+    _gated_pairs,
     EigenPair,
     cheng_yau_ratio,
     eigenpairs,
@@ -220,3 +221,20 @@ def test_warped_base_modes_converge_to_the_sturm_liouville_limit():
     assert np.all(coarse > 0) and np.all(fine > 0)
     assert coarse[0] == pytest.approx(7.36e-3, rel=0.01) and fine[0] == pytest.approx(1.84e-3, rel=0.01)
     assert np.all(np.abs(np.log2(coarse / fine) - 2.0) <= 0.1)
+
+
+def test_round_off_at_a_tied_peak_keeps_the_sign(warped_torus):
+    # the warped theta ~ 39.16 mode is odd about x = 1/4: it peaks at + and -
+    # the same magnitude, up to round-off, so its largest entry cannot set its sign
+    L, mass = laplacian_matrix(warped_torus)
+    pair = eigenpairs(warped_torus, 2)[1]
+    u = pair.u.ravel()
+    top, bottom = int(np.argmax(u)), int(np.argmin(u))
+    assert abs(u[top] + u[bottom]) <= 1e-12 * u[top]
+    for node in (top, bottom):
+        for change in (1e-12, -1e-12):
+            v = u.copy()
+            v[node] += np.sign(v[node]) * change
+            for w in (v, -v):
+                (signed,) = _gated_pairs(warped_torus, L, mass, [pair.theta], w[None, :])
+                assert np.array_equal(signed.u.ravel(), v)
