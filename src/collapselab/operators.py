@@ -23,10 +23,11 @@ shift-invert eigensolve and the harmonic coordinates use it, and their bits
 are pinned by that ordering.  :func:`factorize_symmetric` drops stored zeros
 and orders by minimum degree on ``A^T + A``, which suits a symmetric matrix:
 on the warped 512 x 102 pinned stiffness it keeps 2.8M factor entries where
-COLAMD, zeros included, keeps 8.9M.  The singular stiffness is solved through
-:func:`pinned_stiffness_solve`, which takes either.  Its callers factor once
-per call and cache nothing on the manifold, so a factor lives only as long as
-the call that made it.
+COLAMD, zeros included, keeps 8.9M.  A singular stiffness, of the whole
+chart or of a warped product's base block, is solved through
+:func:`pinned_stiffness_solve`, which takes the matrix, its mass and either
+factor.  Its callers factor once per call and cache nothing on the manifold,
+so a factor lives only as long as the call that made it.
 """
 
 from __future__ import annotations
@@ -270,19 +271,19 @@ def factorize_symmetric(A):
     return splu(A, permc_spec="MMD_AT_PLUS_A").solve
 
 
-def pinned_stiffness_solve(M: DiscreteManifold, factor=None):
-    """The solve ``b -> x`` of ``L x = b`` on the closed chart, for ``b`` of zero sum.
+def pinned_stiffness_solve(L, mass: np.ndarray, factor):
+    """The solve ``b -> x`` of ``L x = b`` for a stiffness ``L`` whose kernel
+    is the constants, for ``b`` of zero sum.
 
-    ``L`` is singular (constants span its kernel), so row and column 0 are
-    pinned to the unit vector, ``b[0]`` is dropped (the row-0 equation follows
-    from the others when ``b`` sums to zero) and ``x`` is returned with
-    mass-weighted mean zero.  ``factor`` factors the pinned matrix once,
-    here: :func:`factorize` by default (the harmonic coordinates), or
-    :func:`factorize_symmetric` (the eigensolve).  The factor lives as long
-    as the returned callable; nothing is cached on the manifold.
+    Row and column 0 are pinned to the unit vector, ``b[0]`` is dropped (the
+    row-0 equation follows from the others when ``b`` sums to zero) and ``x``
+    is returned with ``mass``-weighted mean zero.  ``factor`` factors the
+    pinned matrix once, here: :func:`factorize` for the harmonic coordinates,
+    whose bits its COLAMD order fixes, and :func:`factorize_symmetric` for the
+    eigensolve, on the whole chart or on the base block of a warped product.
+    The factor lives as long as the returned callable; nothing is cached.
     """
-    solve = (factor or factorize)(_pin_first_node(laplacian_matrix(M)[0]))
-    mass = M.node_weights().ravel()
+    solve = factor(_pin_first_node(L))
 
     def pinned(b: np.ndarray) -> np.ndarray:
         b = b.copy()

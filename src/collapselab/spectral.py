@@ -6,13 +6,21 @@ shift-invert Lanczos with a sparse factorization and a deterministic
 follow the ``Delta = -div grad`` convention (theta >= 0, constants in the
 kernel on closed charts).
 
-The factorization depends on the chart.  Where the metric varies (the warped
-torus), the eigensolve factors the stiffness with node 0 pinned, its stored
-zeros dropped and its columns in minimum-degree order, and runs at shift 0 on
-the mass-orthogonal complement of the constants; the constant pair is exact.
-The harmonic coordinates factor the same pinned matrix apart, in COLAMD order
-on its stored structure, which fixes their bits.  Where the metric is
-constant (flat and twisted tori), the eigensolve factors ``L - sigma mass``.
+The factorization depends on the chart.  Where the metric is constant (flat
+and twisted tori), the eigensolve factors ``L - sigma mass``.  Where it
+varies, it factors a stiffness with node 0 pinned, its stored zeros dropped
+and its columns in minimum-degree order, and runs at shift 0 on the
+mass-orthogonal complement of the constants; the constant pair is exact.
+That stiffness is the base block when the chart is a warped product over its
+fiber axis (the warped torus) and the pairs asked for lie below the fiber gap
+gamma: the fiber modes of such a chart have Rayleigh quotients of at least
+gamma, so every pair below it is constant along the fiber and solves the base
+block, the discrete form of Fukaya's limit problem on the collapsed base.  On
+512 x 102 that is a 512-node solve in place of a 52,224-node one.  Other
+varying charts (a metric that changes along the fiber, a cross term), and
+warped products asked for pairs at or past gamma, factor the whole pinned
+stiffness.  The harmonic coordinates factor the whole pinned matrix apart, in
+COLAMD order on its stored structure, which fixes their bits.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import diags
+from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .manifold import DiscreteManifold, GeodesicBall
@@ -74,36 +82,82 @@ def eigenpairs(
     exhausted up to the threshold and all eigenvalues <= theta_max are
     returned.  Every round reuses one factorization.
 
-    Which factorization depends on the metric.  Where it varies over the
-    chart, Lanczos runs at ``sigma = 0`` through the pinned stiffness
+    Which factorization depends on the metric.  Where it is constant (flat and
+    twisted tori), ``L - sigma mass`` (sigma slightly negative) is factored by
+    :func:`~collapselab.operators.factorize`.  Where it varies, Lanczos runs
+    at ``sigma = 0`` through the pinned stiffness
     (:func:`~collapselab.operators.pinned_stiffness_solve`), factored by
     :func:`~collapselab.operators.factorize_symmetric`: on the
     mass-orthogonal complement of the constants it applies ``L^-1``, so the
     solver is asked for the other ``count - 1`` pairs and the exact constant
-    pair (theta = 0, u = 1) comes first.  Where the metric is constant,
-    ``L - sigma mass`` (sigma slightly negative) is factored by
-    :func:`~collapselab.operators.factorize`.
+    pair (theta = 0, u = 1) comes first.
+
+    On a warped product over the fiber axis (:func:`_fiber_base`: the warped
+    torus) that solve runs on the base block, whose pairs, repeated along the
+    fiber, are pairs of ``L``.  Every pair of ``L`` below the fiber gap gamma
+    is one of them, so the base block answers exactly when ``theta_max <
+    gamma``, or without ``theta_max``, when its ``count``-th theta is below
+    gamma; otherwise, and on every other varying chart, the pinned solve runs
+    on the whole of ``L``.  Either way the residual gate reads the whole
+    ``L``.
     """
     L, mass = laplacian_matrix(M)
     n = L.shape[0]
     k = count if theta_max is None else max(count, 8)
     if not (0 < k <= n - 2):
         raise ValueError(f"count must lie in [1, {n - 2}]")
-    A = L.tocsc()
+    if not _metric_varies(M):
+        pairs = _lowest_pairs(M, L, mass, _shift_invert(L, mass, seed, pinned=False), k, n - 2, theta_max)
+    else:
+        pairs = (_base_block_pairs(M, L, mass, k, theta_max, seed)
+                 or _lowest_pairs(M, L, mass, _shift_invert(L, mass, seed, pinned=True), k, n - 2, theta_max))
+    return pairs if theta_max is None else [p for p in pairs if p.theta <= theta_max]
+
+
+def _base_block_pairs(M: DiscreteManifold, L, mass, k: int, theta_max: float | None,
+                      seed: int) -> list[EigenPair] | None:
+    """The pairs of ``L`` from its base block (:func:`_fiber_base`), or None
+    where the chart is no warped product or they might not be the lowest."""
+    base = _fiber_base(M, L, mass)
+    if base is None:
+        return None
+    L0, m0, gamma = base
+    n0 = L0.shape[0]
+    if k > n0 - 2 or (theta_max is not None and not theta_max < gamma):
+        return None
+    pairs = _lowest_pairs(M, L, mass, _shift_invert(L0, m0, seed, pinned=True), k, n0 - 2, theta_max,
+                          lift=lambda vecs: np.repeat(vecs, L.shape[0] // n0, axis=1))
+    exact = pairs[-1].theta < gamma if theta_max is None else pairs[-1].theta > theta_max
+    return pairs if exact else None
+
+
+def _shift_invert(A, mass: np.ndarray, seed: int, pinned: bool):
+    """``lowest(k)``: the ``k`` lowest pairs of ``A u = theta mass u`` as
+    ascending thetas and L2-average-normalized rows, by shift-invert Lanczos
+    from a start vector seeded by ``seed``.
+
+    ``pinned`` runs at ``sigma = 0`` through the pinned, minimum-degree factor
+    of a stiffness ``A`` whose kernel is the constants, and prepends the exact
+    constant pair; otherwise ``A - sigma mass`` is factored, sigma slightly
+    negative.  The factor is made here, once for every ``k``.
+    """
+    n = A.shape[0]
+    A = A.tocsc()
     Mmat = diags(mass).tocsc()
     v0 = np.random.default_rng(seed).standard_normal(n)
     total = mass.sum()
-    if _metric_varies(M):
+    if pinned:
         sigma, constants = 0.0, 1
-        pinned = pinned_stiffness_solve(M, factorize_symmetric)
+        solve = pinned_stiffness_solve(A, mass, factorize_symmetric)
         # ARPACK hands OPinv the vector mass * x: projecting it to zero sum
         # takes the constant part out of x
-        OPinv = LinearOperator((n, n), matvec=lambda b: pinned(b - mass * (b.sum() / total)), dtype=float)
+        OPinv = LinearOperator((n, n), matvec=lambda b: solve(b - mass * (b.sum() / total)), dtype=float)
         v0 -= (mass * v0).sum() / total
     else:
-        sigma, constants = -max(1e-6 * _solver_scale(L, mass), 1e-9), 0
+        sigma, constants = -max(1e-6 * _solver_scale(A, mass), 1e-9), 0
         OPinv = LinearOperator((n, n), matvec=factorize(A - sigma * Mmat), dtype=float)
-    while True:
+
+    def lowest(k: int) -> tuple[np.ndarray, np.ndarray]:
         theta, vecs = np.zeros(0), np.zeros((0, n))
         if k > constants:
             try:
@@ -118,18 +172,60 @@ def eigenpairs(
             theta, vecs = theta[order], (vecs[:, order] * np.sqrt(total)).T
         if constants:
             theta, vecs = np.append(0.0, theta), np.vstack([np.ones(n), vecs])
-        pairs = _gated_pairs(M, L, mass, theta, vecs)
-        if theta_max is None:
+        return theta, vecs
+
+    return lowest
+
+
+def _lowest_pairs(M: DiscreteManifold, L, mass, lowest, k: int, k_max: int, theta_max: float | None,
+                  lift=None) -> list[EigenPair]:
+    """The gated pairs of ``lowest(k)``; with ``theta_max``, of the first
+    round whose top theta exceeds it, ``k`` doubling up to ``k_max``.
+    ``lift`` maps the rows of ``lowest`` to nodes of ``M``."""
+    while True:
+        theta, vecs = lowest(k)
+        pairs = _gated_pairs(M, L, mass, theta, vecs if lift is None else lift(vecs))
+        if theta_max is None or pairs[-1].theta > theta_max or k >= k_max:
             return pairs
-        if pairs[-1].theta > theta_max or k >= n - 2:
-            return [p for p in pairs if p.theta <= theta_max]
-        k = min(2 * k, n - 2)
+        k = min(2 * k, k_max)
 
 
 def _metric_varies(M: DiscreteManifold) -> bool:
     """Whether the metric differs between nodes (warped charts; not flat or twisted ones)."""
     g = M.metric.reshape(-1, M.dim * M.dim)
     return bool((g != g[0]).any())
+
+
+def _fiber_base(M: DiscreteManifold, L, mass: np.ndarray):
+    """``(L0, m0, gamma)`` where the chart is a warped product over its fiber
+    (last) axis, else None.
+
+    Warped product means, exactly: metric and mass do not change along the
+    fiber axis and the metric has no base-fiber cross term.  The corner
+    stiffness then splits as ``L = L_base + L_fib``, both PSD: ``L_base``
+    couples nodes of one fiber slice, the same block in every slice, and
+    ``L_fib`` couples each node to its two fiber neighbours with a weight
+    ``a_b = -L[(b, 0), (b, 1)]`` of its base node ``b``.  ``L`` commutes with
+    the fiber shift, so its pairs are fiber Fourier modes, and a mode of
+    fiber frequency q != 0 has Rayleigh quotient at least
+    ``gamma = (2 - 2 cos(2 pi / N_y)) min_b a_b / m_b``.  Every pair below
+    gamma is therefore constant along the fiber, ``u = P v`` with ``P`` the
+    0/1 fiber-repeat matrix, and ``v`` is a pair of the base block
+    ``L0 = L[slice 0] P`` with mass ``m0 = mass[slice 0]``.  Needs at least 3
+    fiber nodes, so that the two fiber neighbours differ.
+    """
+    n_fib = M.grid.shape[-1]
+    g, m = M.metric, mass.reshape(-1, n_fib)
+    if (n_fib < 3 or (g != g[..., :1, :, :]).any() or (m != m[:, :1]).any()
+            or (g[..., :-1, -1] != 0).any()):
+        return None
+    nodes = np.arange(L.shape[0]).reshape(-1, n_fib)
+    m0 = m[:, 0]
+    a = -np.asarray(L[nodes[:, 0], nodes[:, 1]]).ravel()
+    gamma = float((2.0 - 2.0 * np.cos(2 * np.pi / n_fib)) * np.min(a / m0))
+    repeat = csr_matrix((np.ones(L.shape[0]), (nodes.ravel(), np.repeat(np.arange(len(m0)), n_fib))),
+                        shape=(L.shape[0], len(m0)))
+    return L[nodes[:, 0]] @ repeat, m0, gamma
 
 
 def _gated_pairs(M: DiscreteManifold, L, mass, theta, vecs) -> list[EigenPair]:
@@ -190,7 +286,7 @@ def _cheng_yau_ratio(u: np.ndarray, grad_norm: np.ndarray, ball: GeodesicBall) -
 #
 # Binary layout (all little-endian):
 #   magic   4 bytes  b"EIGC"
-#   version u32      2
+#   version u32      _VERSION (4)
 #   m       u32      chart dimension
 #   counts  m x u32  node counts per grid axis
 #   npairs  u32
@@ -199,14 +295,16 @@ def _cheng_yau_ratio(u: np.ndarray, grad_norm: np.ndarray, ball: GeodesicBall) -
 #
 # Loads validate shape metadata and recompute eigen-residuals against the same
 # RESIDUAL_TOL gate as the solver; files that fail either check are reported as
-# corrupt so callers rebuild.  Version 3 marks pairs of charts with a varying
-# metric solved through the minimum-degree pinned factor and signed by
-# _sign_anchor; files of earlier versions, whose pairs came from other factors
-# (version 2: the COLAMD pinned factor; version 1: the shifted one), are
-# rebuilt rather than mixed in.
+# corrupt so callers rebuild.  Version 4 marks pairs of warped products below
+# the fiber gap solved on the base block (see _fiber_base), and the pairs of
+# other charts with a varying metric solved through the minimum-degree pinned
+# factor, all signed by _sign_anchor.  Files of earlier versions, whose pairs
+# came from other factors (version 3: the whole-chart minimum-degree factor,
+# warped products included; version 2: the COLAMD pinned factor; version 1:
+# the shifted one), are rebuilt rather than mixed in.
 
 _MAGIC = b"EIGC"
-_VERSION = 3
+_VERSION = 4
 
 
 def save_eigen_cache(path: str | Path, M: DiscreteManifold, pairs: list[EigenPair]) -> None:

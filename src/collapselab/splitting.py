@@ -21,6 +21,7 @@ import numpy as np
 from .manifold import DiscreteManifold, GeodesicBall, _cached, _read_only
 from .operators import (
     _dot,
+    factorize,
     gradient,
     hessian,
     hessian_norm,
@@ -272,7 +273,7 @@ def harmonic_coordinates(M: DiscreteManifold) -> SplittingMap:
         if np.max(np.abs(rhs)) < 1e-12 * np.max(np.abs(L.diagonal())):
             psi = np.zeros(grid.n_nodes)
         else:
-            pinned = pinned or pinned_stiffness_solve(M)
+            pinned = pinned or pinned_stiffness_solve(L, mass, factorize)
             psi = pinned(rhs)
         vals = coord + psi.reshape(grid.shape)
         res = (stiffness_apply(M, vals, w).ravel() / mass)

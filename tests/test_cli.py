@@ -192,8 +192,9 @@ def test_flow_writes_its_eigen_cache_under_out(tmp_path, monkeypatch):
 
 
 def test_a_version_1_eigen_cache_is_recomputed(tmp_path, monkeypatch):
-    # version-1 files hold pairs of the former shifted solve (and version-2
-    # files those of the COLAMD pinned factor): they must be solved again, not
+    # version-1 files hold pairs of the former shifted solve (version-2 files
+    # those of the COLAMD pinned factor, version-3 files those of the
+    # whole-chart factor on warped products): they must be solved again, not
     # served beside pairs of the current one
     import collapselab.cli as cli
 
@@ -202,7 +203,7 @@ def test_a_version_1_eigen_cache_is_recomputed(tmp_path, monkeypatch):
     cache, = (tmp_path / "eig" / "cache").glob("eig_*.eigc")
     values = (tmp_path / "eig" / "eigenvalues.csv").read_bytes()
     data = bytearray(cache.read_bytes())
-    assert data[4:8] == (3).to_bytes(4, "little")
+    assert data[4:8] == (4).to_bytes(4, "little")
     data[4:8] = (1).to_bytes(4, "little")
     cache.write_bytes(bytes(data))
     M = build_family(load_config(path).family_spec())
@@ -211,7 +212,7 @@ def test_a_version_1_eigen_cache_is_recomputed(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "eigenpairs", lambda *args, **kwargs: solves.append(1) or eigenpairs(*args, **kwargs))
     assert main(["eig", "--config", str(path), "--out", str(tmp_path / "eig")]) == 0
     assert solves == [1]
-    assert cache.read_bytes()[4:8] == (3).to_bytes(4, "little")
+    assert cache.read_bytes()[4:8] == (4).to_bytes(4, "little")
     assert (tmp_path / "eig" / "eigenvalues.csv").read_bytes() == values
 
 

@@ -8,7 +8,9 @@ give the same bits as ``factorize`` (COLAMD), and the cutoff built by
 preconditioned CG must agree with the direct solve to 1e-11.  On a chart with
 a varying metric the eigensolve runs through its own minimum-degree factor of
 the pinned stiffness instead, which agrees with ``L - sigma mass`` and with
-the harmonic coordinates' COLAMD factor to round-off.
+the harmonic coordinates' COLAMD factor to round-off.  On a warped product
+below its fiber gap it factors the pinned base block, whose pairs agree with
+the whole chart's to round-off.
 """
 
 import dataclasses
@@ -203,8 +205,8 @@ def test_circulant_pcg_rejects_nan_and_indefinite_input(small_flat):
 )
 def test_eigenpairs_match_builtin_shift_invert(request, monkeypatch, family, kwargs):
     # constant metrics: the same bits as eigsh factoring L - sigma mass itself;
-    # the warped chart's sigma = 0 solve through the pinned factor agrees with
-    # that path to round-off, with the same signs
+    # the warped chart's sigma = 0 solve through the pinned base block agrees
+    # with that path to round-off, with the same signs
     M = request.getfixturevalue(family)
     varies = spectral._metric_varies(M)
     got = eigenpairs(fresh(M), **kwargs)
@@ -254,34 +256,159 @@ def test_harmonic_coordinates_factor_at_most_once(request, monkeypatch, family, 
         assert phi.k == 2 and all(np.ptp(v - M.positions()[..., a]) > 1e-3 for a, v in enumerate(phi.values))
 
 
-@pytest.mark.parametrize("family", ["warped_torus", "doubly_warped"])
-def test_a_varying_chart_factors_once_for_coordinates_and_pairs(request, monkeypatch, family):
-    # once per call each: the harmonic coordinates factor the pinned stiffness
-    # in COLAMD order on its stored structure, so psi keeps spsolve's bits; the
-    # eigensolve factors it without the stored zeros in minimum-degree order,
-    # with at most half the fill, and its pairs agree with the COLAMD factor's
-    M = request.getfixturevalue(family)
-    calls = count_factorizations(monkeypatch)
-    phi = harmonic_coordinates(fresh(M))
-    assert len(calls) == 1
-    pairs = eigenpairs(fresh(M), 3, theta_max=700.0)
-    assert len(calls) == 2 and len(pairs) > 8   # more than one theta_max round
-    (colamd_matrix, colamd), (matrix, factor) = calls
-    assert np.any(colamd_matrix.data == 0.0) and not np.any(matrix.data == 0.0)
-    assert matrix.nnz < colamd_matrix.nnz
-    assert factor.L.nnz + factor.U.nnz <= 0.5 * (colamd.L.nnz + colamd.U.nnz)
-    monkeypatch.setattr(spectral, "factorize_symmetric", operators.factorize)
-    want = eigenpairs(fresh(M), 3, theta_max=700.0)
-    monkeypatch.setattr(operators, "factorize", spsolve_factorize)
-    assert_same_maps(phi, harmonic_coordinates(fresh(M)))
-    assert [p.cluster for p in pairs] == [q.cluster for q in want]
-    for p, q in zip(pairs, want):
+def assert_pairs_agree(got, want):
+    """Thetas to 1e-10 max(theta, 1) and vectors to 1e-8 of their peak; inside
+    a cluster only the span, as its vectors are fixed only up to a basis of it
+    (Davis and Kahan 1970; warped theta ~ 630: two within 7.8e-5)."""
+    assert [p.cluster for p in got] == [q.cluster for q in want]
+    for p, q in zip(got, want):
         assert abs(p.theta - q.theta) <= 1e-10 * max(abs(q.theta), 1.0)
     for c in range(want[-1].cluster + 1):
-        got = np.stack([p.u.ravel() for p in pairs if p.cluster == c], axis=1)
+        vecs = np.stack([p.u.ravel() for p in got if p.cluster == c], axis=1)
         basis = np.stack([q.u.ravel() for q in want if q.cluster == c], axis=1)
         if basis.shape[1] > 1:
-            # a cluster's vectors are fixed only up to a basis of its span
-            # (Davis and Kahan 1970; warped theta ~ 630: two within 7.8e-5)
-            basis = basis @ np.linalg.lstsq(basis, got, rcond=None)[0]
-        assert np.max(np.abs(got - basis)) <= 1e-8 * np.max(np.abs(basis))
+            basis = basis @ np.linalg.lstsq(basis, vecs, rcond=None)[0]
+        assert np.max(np.abs(vecs - basis)) <= 1e-8 * np.max(np.abs(basis))
+
+
+def fiber_variation(u):
+    """Largest change of ``u`` along the fiber (last) axis, over its peak."""
+    return np.max(np.abs(u - u[..., :1])) / np.max(np.abs(u))
+
+
+def factored_sizes(calls):
+    return [matrix.shape[0] for matrix, _ in calls]
+
+
+@pytest.fixture(scope="module")
+def thick_warped():
+    """A warped torus whose fiber gap (gamma ~ 256) lies among its base modes."""
+    return build_family(FamilySpec(kind="warped-torus", epsilon=0.3, delta=0.3, resolution=(64, 16)))
+
+
+@pytest.fixture(scope="module")
+def sheared_warped():
+    """g = dx^2 + eps^2 (w(x) dy + 2 dx)^2, eps = 0.3, w = 1 + 0.3 sin 2 pi x:
+    constant along the fiber, but with a base-fiber cross term."""
+    grid = PeriodicGrid((64, 16), (1.0, 1.0))
+    w = 1.0 + 0.3 * np.sin(2 * np.pi * grid.positions()[..., 0])
+    g = np.zeros(grid.shape + (2, 2))
+    g[..., 0, 0] = 1.0 + (0.3 * 2.0) ** 2
+    g[..., 0, 1] = g[..., 1, 0] = 0.3**2 * 2.0 * w
+    g[..., 1, 1] = (0.3 * w) ** 2
+    return DiscreteManifold(grid=grid, metric=g, volume_element=np.sqrt(np.linalg.det(g)))
+
+
+def fiber_gap(M):
+    L, mass = operators.laplacian_matrix(M)
+    return spectral._fiber_base(M, L, mass)[2]
+
+
+@pytest.mark.parametrize(
+    "family, base_block", [("warped_torus", True), ("doubly_warped", False)], ids=["warped_torus", "doubly_warped"]
+)
+def test_a_varying_chart_factors_once_for_coordinates_and_pairs(request, monkeypatch, family, base_block):
+    # once per call each: the harmonic coordinates factor the whole pinned
+    # stiffness in COLAMD order on its stored structure, so psi keeps spsolve's
+    # bits.  The eigensolve factors without the stored zeros, in minimum-degree
+    # order: the pinned base block on the warped torus, a warped product whose
+    # fiber gap (gamma ~ 2306) lies above theta_max; the whole pinned stiffness
+    # on the doubly warped chart, whose metric varies along the fiber, with at
+    # most half the fill and pairs that agree with the COLAMD factor's
+    M = request.getfixturevalue(family)
+    n = M.grid.n_nodes
+    calls = count_factorizations(monkeypatch)
+    phi = harmonic_coordinates(fresh(M))
+    assert factored_sizes(calls) == [n]
+    pairs = eigenpairs(fresh(M), 3, theta_max=700.0)
+    assert len(pairs) > 8   # more than one theta_max round
+    assert factored_sizes(calls) == [n, n // M.grid.shape[-1] if base_block else n]
+    (colamd_matrix, colamd), (matrix, factor) = calls
+    assert np.any(colamd_matrix.data == 0.0) and not np.any(matrix.data == 0.0)
+    if base_block:
+        assert all(fiber_variation(p.u) == 0.0 for p in pairs)
+    else:
+        assert matrix.nnz < colamd_matrix.nnz
+        assert factor.L.nnz + factor.U.nnz <= 0.5 * (colamd.L.nnz + colamd.U.nnz)
+        monkeypatch.setattr(spectral, "factorize_symmetric", operators.factorize)
+        assert_pairs_agree(pairs, eigenpairs(fresh(M), 3, theta_max=700.0))
+    monkeypatch.setattr(operators, "factorize", spsolve_factorize)
+    assert_same_maps(phi, harmonic_coordinates(fresh(M)))
+
+
+@pytest.mark.parametrize(
+    "family, kwargs",
+    [
+        ("warped_torus", {"count": 3, "theta_max": 700.0}),   # two rounds: 8 then 16 pairs
+        ("warped_torus", {"count": 6}),
+        ("thick_warped", {"count": 5}),                       # theta_5 ~ 158 < gamma ~ 256
+        ("thick_warped", {"count": 3, "theta_max": 250.0}),
+    ],
+)
+def test_base_block_pairs_match_the_whole_chart(request, monkeypatch, family, kwargs):
+    M = request.getfixturevalue(family)
+    n, fiber = M.grid.n_nodes, M.grid.shape[-1]
+    calls = count_factorizations(monkeypatch)
+    got = eigenpairs(fresh(M), **kwargs)
+    assert factored_sizes(calls) == [n // fiber]
+    monkeypatch.setattr(spectral, "_fiber_base", lambda *args: None)
+    want = eigenpairs(fresh(M), **kwargs)
+    assert factored_sizes(calls) == [n // fiber, n]
+    assert len(got) >= kwargs["count"]
+    assert_pairs_agree(got, want)
+    assert got[0].theta == 0.0 and np.all(got[0].u == 1.0)
+    assert all(p.residual <= spectral.RESIDUAL_TOL * (1.0 + p.theta) for p in got)
+
+
+@pytest.mark.parametrize("family, gap, first", [("warped_torus", 2306.13, 2449.16), ("thick_warped", 256.237, 302.776)])
+def test_the_fiber_gap_bounds_every_mode_that_varies_along_the_fiber(request, family, gap, first):
+    # the whole chart's pairs (theta_max above gamma) below gamma are constant
+    # along the fiber; the first that is not lies above gamma
+    M = request.getfixturevalue(family)
+    gamma = fiber_gap(M)
+    assert gamma == pytest.approx(gap, rel=1e-5)
+    pairs = eigenpairs(fresh(M), 3, theta_max=1.25 * gamma)
+    varying = [p.theta for p in pairs if fiber_variation(p.u) > 1e-8]
+    assert all(fiber_variation(p.u) <= 1e-12 for p in pairs if p.theta < gamma)
+    assert varying and varying[0] == pytest.approx(first, rel=1e-5)
+    assert varying[0] >= gamma
+
+
+def test_a_theta_max_at_the_fiber_gap_takes_the_whole_chart(monkeypatch, warped_torus):
+    # theta_max = gamma is not below the gap: the whole pinned stiffness is
+    # factored; the largest theta_max below it takes the base block, and both
+    # return the same pairs
+    gamma = fiber_gap(warped_torus)
+    n, fiber = warped_torus.grid.n_nodes, warped_torus.grid.shape[-1]
+    calls = count_factorizations(monkeypatch)
+    whole = eigenpairs(fresh(warped_torus), 3, theta_max=gamma)
+    assert factored_sizes(calls) == [n]
+    base = eigenpairs(fresh(warped_torus), 3, theta_max=np.nextafter(gamma, 0.0))
+    assert factored_sizes(calls) == [n, n // fiber]
+    assert len(base) > 8 and whole[-1].theta < gamma
+    assert_pairs_agree(base, whole)
+
+
+def test_a_count_past_the_fiber_gap_takes_the_whole_chart(monkeypatch, thick_warped):
+    # the base block's 6th theta (~ 355) is not below gamma ~ 256, so a fiber
+    # mode may come first: the whole chart is solved, and its 6th pair (~ 303)
+    # is one
+    n, fiber = thick_warped.grid.n_nodes, thick_warped.grid.shape[-1]
+    calls = count_factorizations(monkeypatch)
+    pairs = eigenpairs(fresh(thick_warped), 6)
+    assert factored_sizes(calls) == [n // fiber, n]
+    assert fiber_gap(thick_warped) < pairs[5].theta == pytest.approx(302.776, rel=1e-5)
+    assert fiber_variation(pairs[5].u) > 0.1
+    assert all(fiber_variation(p.u) <= 1e-12 for p in pairs[:5])
+
+
+def test_a_cross_term_takes_the_whole_chart(monkeypatch, sheared_warped):
+    # with a cross term the fiber-neighbour weights bound no fiber mode: they
+    # give (2 - 2 cos 2 pi / 16) min a_b / m_b ~ 348, yet a fiber mode sits at
+    # ~ 307.5, so the whole chart is solved and that mode is found
+    n = sheared_warped.grid.n_nodes
+    calls = count_factorizations(monkeypatch)
+    pairs = eigenpairs(fresh(sheared_warped), 3, theta_max=330.0)
+    varying = [p.theta for p in pairs if fiber_variation(p.u) > 0.1]
+    assert varying and varying[0] == pytest.approx(307.461, rel=1e-5)
+    assert factored_sizes(calls) == [n]

@@ -30,6 +30,54 @@ def torus_spectrum_oracle(eps: float, sigma: float = 0.0, count: int = 12, nmax:
     return np.sort(vals)[:count]
 
 
+def stencil_symbol(M, ginv) -> np.ndarray:
+    """Eigenvalues of the corner stiffness of a constant metric (inverse
+    ``ginv``) over its mass, one per integer frequency of the grid:
+    sum_a ginv_aa (2 - 2 cos t_a) / h_a^2 + sum_{a != b} ginv_ab sin t_a sin t_b / (h_a h_b),
+    t_a = 2 pi p_a / N_a.  The stiffness is circulant, so these are exact."""
+    t = np.meshgrid(*[2 * np.pi * np.arange(n) / n for n in M.grid.shape], indexing="ij")
+    h = M.grid.spacings
+    out = np.zeros(M.grid.shape)
+    for a, b in np.ndindex(M.dim, M.dim):
+        if a == b:
+            out += ginv[a, a] * (2.0 - 2.0 * np.cos(t[a])) / h[a] ** 2
+        else:
+            out += ginv[a, b] * np.sin(t[a]) * np.sin(t[b]) / (h[a] * h[b])
+    return out
+
+
+def twisted_metric_inverse(eps: float, twist: float) -> np.ndarray:
+    """Inverse of g = dx0^2 + dx1^2 + eps^2 (dy + sigma dx0)^2, sigma = twist / (2 pi)."""
+    sigma = twist / (2 * np.pi)
+    return np.array([[1.0, 0.0, -sigma], [0.0, 1.0, 0.0], [-sigma, 0.0, sigma**2 + 1.0 / eps**2]])
+
+
+def test_flat_spectrum_is_the_stencil_symbol(flat_eig_torus):
+    # (2 - 2 cos 2 pi p / N_x) / h_x^2 + (2 - 2 cos 2 pi q / N_y) / (eps^2 h_y^2)
+    pairs = eigenpairs(flat_eig_torus, 10)
+    exact = np.sort(stencil_symbol(flat_eig_torus, np.diag([1.0, 1.0 / 0.1**2])).ravel())[:10]
+    for p, e in zip(pairs, exact):
+        assert abs(p.theta - e) <= 1e-10 * max(e, 1.0)
+
+
+def test_twisted_stiffness_acts_by_its_symbol(twisted_torus):
+    # a cosine mode is an eigenvector whose eigenvalue is the symbol at its
+    # frequency; frequencies along both x0 and the fiber exercise the cross
+    # term 2 ginv_0y sin t_0 sin t_y / (h_0 h_y), -2.9 % of theta at (1, 0, 1)
+    L, mass = laplacian_matrix(twisted_torus)
+    ginv = twisted_metric_inverse(0.25, np.pi / 2)
+    symbol = stencil_symbol(twisted_torus, ginv)
+    shape = twisted_torus.grid.shape
+    phase = np.meshgrid(*[2 * np.pi * np.arange(n) / n for n in shape], indexing="ij")
+    for freq in ((1, 0, 1), (1, 2, -1), (3, 1, 2), (0, 2, 0)):
+        u = np.cos(sum(f * t for f, t in zip(freq, phase))).ravel()
+        value = symbol[tuple(f % n for f, n in zip(freq, shape))]
+        angle = 2 * np.pi * np.array(freq) / shape
+        cross = 2 * ginv[0, 2] * np.sin(angle[0]) * np.sin(angle[2]) * shape[0] * shape[2]
+        assert (abs(cross) > 1e-3 * value) == (freq[0] * freq[2] != 0)
+        assert np.max(np.abs(L @ u - value * mass * u)) <= 1e-10 * value * np.max(mass)
+
+
 def test_collapsed_spectrum_oracle(flat_eig_torus):
     pairs = eigenpairs(flat_eig_torus, 10)
     exact = torus_spectrum_oracle(0.1, count=10)
@@ -60,6 +108,10 @@ def test_twisted_spectrum_oracle(twisted_torus):
     exact = torus_spectrum_oracle(0.25, sigma=sigma, count=5)
     for p, e in zip(pairs, exact):
         assert abs(p.theta - e) <= 1e-2 * max(e, 1.0)
+    # the grid's own spectrum, the 4-fold cluster at theta ~ 39.25 included
+    symbol = np.sort(stencil_symbol(twisted_torus, twisted_metric_inverse(0.25, np.pi / 2)).ravel())[:5]
+    for p, e in zip(pairs, symbol):
+        assert abs(p.theta - e) <= 1e-10 * max(e, 1.0)
 
 
 def test_ground_state_constant(flat_eig_torus):

@@ -89,6 +89,20 @@ def test_warped_global_solve_matches_quadrature_oracle(warped_torus, warped_coor
     assert warped_coordinates.residuals[0] <= 1e-8
 
 
+def test_warped_coordinate_derivative_converges_at_order_two():
+    # d_x Phi = c / w, c = sqrt(1 - delta^2); at x = 0, w = 1.  The fiber
+    # stays at its 16-node floor: Phi does not vary along it
+    c = np.sqrt(1 - 0.3**2)
+    errors = []
+    for nodes in (128, 256, 512):
+        M = build_family(FamilySpec(kind="warped-torus", epsilon=0.1, delta=0.3, resolution=(nodes, 16)))
+        errors.append(harmonic_coordinates(M).gradients()[0][0, :, 0] - c)
+    assert all(np.ptp(e) <= 1e-12 for e in errors)
+    errors = np.array([e[0] for e in errors])
+    assert errors == pytest.approx([8.0e-5, 2.0e-5, 5.0e-6], rel=0.01)
+    assert np.all(np.abs(np.log2(errors[:-1] / errors[1:]) - 2.0) <= 0.1)
+
+
 def test_jacobian_identity_flat(flat_coordinates):
     stats = jacobian_stats(flat_coordinates)
     assert np.max(np.abs(stats.gram[..., 0, 0] - 1.0)) <= 1e-12
