@@ -155,7 +155,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
         # bool is an int subclass, and JSON's 1e400 parses as inf
         if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value < float("inf")):
             raise ValueError(f"config field thresholds.{name} must be a positive finite number, got {value!r}")
+    seen: dict[str, float] = {}
+    for eps in cfg.sweep["epsilons"]:
+        name = _point_dir(float(eps))
+        if name in seen:
+            raise ValueError(
+                f"config field sweep.epsilons holds {seen[name]!r} and {eps!r}, which share the "
+                f"output directory points/{name}; they must differ in their first 6 significant digits"
+            )
+        seen[name] = eps
     return cfg
+
+
+def _point_dir(eps: float) -> str:
+    """The directory under ``points/`` that holds a sweep point's reports."""
+    return f"eps_{eps:g}"
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +339,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
         by_eps.setdefault(float(rep.extras["epsilon"]), []).append(rep)
     points_dir = out / "points"
     for eps, reps in sorted(by_eps.items()):
-        pdir = points_dir / f"eps_{eps:g}"
+        pdir = points_dir / _point_dir(eps)
         pdir.mkdir(parents=True, exist_ok=True)
         rpath = pdir / "reports.json"
         reports_to_json(reps, rpath)
@@ -356,11 +370,19 @@ def main(argv=None) -> int:
     parser.add_argument("verb", choices=["build", "eig", "split", "flow", "verify", "sweep"])
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel sweep points")
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for sweep points, at least 1 (default 1: serial); at most one per "
+        "point is started, and points run most grid nodes first either way",
+    )
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--no-cache", action="store_true", help="disable the eigenpair cache")
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)

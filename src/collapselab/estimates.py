@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -602,21 +603,32 @@ def sweep(points, jobs: int = 1) -> SweepResult:
     With fewer than two informative rows the sweep is marked degenerate and
     the scaling checks pass vacuously.
 
-    ``jobs > 1`` runs the points in separate processes; results merge in
-    epsilon order either way, so outputs are deterministic.
+    Points run most grid nodes first, ties in epsilon order, whether serial
+    or with ``jobs > 1`` worker processes (at most one per point).  A point's
+    cost grows with its node count, so this is longest-processing-time-first
+    scheduling (Graham, SIAM J. Appl. Math. 1969): the largest point no
+    longer runs alone after the others, and no smaller point runs before it
+    in its process (a point that frees large arrays raises glibc's mmap
+    threshold, so a larger one after it grows the heap instead).  Results
+    merge in epsilon order either way, so outputs are deterministic.
     """
     points = sorted(points, key=lambda args: args["epsilon"])
     if len(points) < 3:
         raise ValueError(f"sweep needs at least 3 epsilon values, got {len(points)}")
     rows: list[SweepRow] = []
     reports: list[EstimateReport] = []
+    nodes = [math.prod(args["resolution_rule"](args["kind"], args["epsilon"])) for args in points]
+    order = sorted(range(len(points)), key=lambda i: -nodes[i])  # stable: ties keep epsilon order
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_point_task, points))
+        # the call queue is FIFO, so workers take the points in submit order
+        with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
+            futures = {i: pool.submit(_sweep_point_task, points[i]) for i in order}
+            results = [futures[i].result() for i in range(len(points))]
     else:
-        results = [_sweep_point_task(args) for args in points]
+        done = {i: _sweep_point_task(points[i]) for i in order}
+        results = [done[i] for i in range(len(points))]
     for point_rows, point_reports in results:
         rows.extend(point_rows)
         reports.extend(point_reports)

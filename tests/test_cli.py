@@ -98,6 +98,25 @@ def test_sweep_outputs_identical_across_jobs(tmp_path):
     assert got_serial == got_parallel
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_config_error(tmp_path, capsys, jobs):
+    # both used to run the sweep serially
+    path = write_config(tmp_path, SMALL_WARPED)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep"), "--jobs", jobs]) == 1
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+
+
+def test_sweep_epsilons_sharing_a_point_directory_are_a_config_error(tmp_path, capsys):
+    # 0.1000001 also formats as eps_0.1: the run used to exit 0 with only its
+    # reports in points/eps_0.1 and that path twice in the manifest
+    cfg = {"resolution": {"nodes_per_unit": 64}, "sweep": {"epsilons": [0.2, 0.1, 0.1000001]}}
+    path = write_config(tmp_path, cfg)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 1
+    err = capsys.readouterr().err
+    assert "sweep.epsilons holds 0.1 and 0.1000001" in err and "points/eps_0.1" in err
+    assert not (tmp_path / "sweep" / "points").exists()
+
+
 def swept_and_verified(tmp_path, cfg):
     """The reports of the epsilon = 0.1 sweep point and of verify, as bytes."""
     path = write_config(tmp_path, cfg)

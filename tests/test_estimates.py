@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
@@ -143,3 +145,77 @@ def test_the_cutoff_solves_where_the_residual_gate_is_out_of_reach(monkeypatch):
     assert residual <= operators.CG_BACKWARD_TOL * (np.linalg.norm(abs(A) @ np.abs(x)) + np.linalg.norm(b))
     direct = spsolve(A.tocsc(), b)
     assert np.max(np.abs(x - direct)) <= 1e-11 * np.max(np.abs(direct))
+
+
+# grid shape per epsilon: the 200-node points tie, and the order is not epsilon's
+SWEEP_NODES = {0.05: (10, 5), 0.1: (10, 20), 0.2: (20, 10), 0.4: (10, 10)}
+LARGEST_FIRST = [0.1, 0.2, 0.4, 0.05]
+
+
+def unsorted_sweep_points():
+    return [
+        {"kind": "warped-torus", "epsilon": eps, "resolution_rule": lambda kind, eps: SWEEP_NODES[eps]}
+        for eps in (0.2, 0.05, 0.4, 0.1)
+    ]
+
+
+@pytest.fixture
+def point_tasks(monkeypatch):
+    """The epsilon of every sweep point task, in call order; each task yields one informative row."""
+    calls = []
+
+    def task(args):
+        eps = args["epsilon"]
+        calls.append(eps)
+        row = estimates.SweepRow(
+            epsilon=eps, epsilon_hat=eps, psi=0.0, theta=1.0, K=1.0, lhs=eps, rhs=1.0,
+            margin=1.0 - eps, passed=True, degenerate=False, ratio=eps,
+        )
+        return [row], []
+
+    monkeypatch.setattr(estimates, "_sweep_point_task", task)
+    return calls
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every process pool a sweep opens, as a stand-in that records its size and
+    runs each task when it is submitted, as a FIFO call queue hands it out."""
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.submitted = []
+            opened.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, args):
+            self.submitted.append(args["epsilon"])
+            future = concurrent.futures.Future()
+            future.set_result(fn(args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return opened
+
+
+@pytest.mark.parametrize("jobs, workers", [(2, 2), (8, 4)])
+def test_sweep_pool_runs_the_largest_grid_first(point_tasks, pools, jobs, workers):
+    result = estimates.sweep(unsorted_sweep_points(), jobs)
+    pool, = pools
+    assert pool.max_workers == workers   # never a worker without a point
+    assert pool.submitted == LARGEST_FIRST
+    assert [row.epsilon for row in result.rows] == sorted(SWEEP_NODES)
+
+
+def test_serial_sweep_dispatches_in_the_pool_order(point_tasks, pools):
+    result = estimates.sweep(unsorted_sweep_points(), 1)
+    assert pools == []
+    assert point_tasks == LARGEST_FIRST
+    assert [row.epsilon for row in result.rows] == sorted(SWEEP_NODES)
