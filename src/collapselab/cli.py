@@ -2,8 +2,11 @@
 
 Verbs: ``build | eig | split | flow | verify | sweep``, each reading one JSON
 config file (nested keys, unknown keys rejected with their dotted path) and
-writing deterministic outputs into the output directory: identical config and
+writing deterministic outputs into the ``--out`` directory: identical config and
 seed give byte-identical CSV/JSON, timestamps live only in the run manifest.
+The config holds every pipeline input (``--seed`` overrides its seed); the
+flags say only where and how a run executes, and ``--no-cache`` stops ``eig``
+and ``flow eigenmode:N`` reading and writing eigenpairs in ``<out>/cache``.
 
 Every verb takes its pipeline inputs from ``ExperimentConfig.point_args``:
 ``split`` and ``flow`` certify the point with all but its eigen inputs,
@@ -49,14 +52,15 @@ _DEFAULTS = {
     "family": {"kind": "flat-product-torus", "epsilon": 0.1, "delta": 0.0, "twist": 0.0},
     "resolution": {"nodes_per_unit": 128, "min_fiber_nodes": 16},
     "ball": {"center": None, "radius": None},
-    "eig": {"count": 6, "theta_max": None},
-    "sweep": {"epsilons": [0.2, 0.1, 0.05], "theta_max": 50.0},
+    "eig": {"count": 6, "theta_max": 50.0},
+    "sweep": {"epsilons": [0.2, 0.1, 0.05]},
     "flow": {"field": "fiber-sine", "start": None, "time_over_k": 10.0, "dt_factor": 1e-4},
     "thresholds": {"lambda_min_rel": 1e-6},
-    "output_dir": "out",
-    "cache": True,
     "seed": 0,
 }
+
+# config fields that must hold a positive finite number
+_POSITIVE = [("family", "epsilon"), ("ball", "radius"), ("flow", "time_over_k"), ("flow", "dt_factor")]
 
 
 @dataclass(frozen=True)
@@ -68,18 +72,7 @@ class ExperimentConfig:
     sweep: dict
     flow: dict
     thresholds: dict
-    output_dir: str
-    cache: bool
     seed: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
     # -- derived pieces ------------------------------------------------------
 
@@ -97,7 +90,7 @@ class ExperimentConfig:
             ),
             "ball_center": self.ball_center(),
             "r": self.ball["radius"],
-            "theta_max": self.sweep["theta_max"] if self.eig["theta_max"] is None else self.eig["theta_max"],
+            "theta_max": self.eig["theta_max"],
             "eig_count": self.eig["count"],
             "seed": self.seed,
             "lambda_threshold_rel": self.thresholds["lambda_min_rel"],
@@ -148,13 +141,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ValueError(f"config root in {path} must be a JSON object")
     merged = _merge_checked(_DEFAULTS, raw)
+    family = FAMILIES[merged["family"]["kind"]]
     if merged["ball"]["radius"] is None:
-        merged["ball"]["radius"] = FAMILIES[merged["family"]["kind"]].ball_radius
+        merged["ball"]["radius"] = family.ball_radius
     cfg = ExperimentConfig(**merged)
-    for name, value in cfg.thresholds.items():
+    for section, name in _POSITIVE + [("thresholds", key) for key in cfg.thresholds]:
+        value = merged[section][name]
         # bool is an int subclass, and JSON's 1e400 parses as inf
         if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value < float("inf")):
-            raise ValueError(f"config field thresholds.{name} must be a positive finite number, got {value!r}")
+            raise ValueError(f"config field {section}.{name} must be a positive finite number, got {value!r}")
+    for section, name in (("ball", "center"), ("flow", "start")):
+        point = merged[section][name]
+        if point is not None and (not isinstance(point, list) or len(point) != family.dim):
+            raise ValueError(f"config field {section}.{name} must list {family.dim} coordinates, got {point!r}")
     seen: dict[str, float] = {}
     for eps in cfg.sweep["epsilons"]:
         name = _point_dir(float(eps))
@@ -185,8 +184,9 @@ def _write_manifest(cfg: ExperimentConfig, out: Path, paths) -> None:
         for path in paths
         if path is not None
     ]
+    canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
     payload = {
-        "configHash": cfg.config_hash(),
+        "configHash": hashlib.sha256(canonical.encode()).hexdigest(),
         "artifactVersion": __version__,
         "createdAt": datetime.now(timezone.utc).isoformat(),
         "files": sorted(files, key=lambda f: f["path"]),
@@ -206,7 +206,7 @@ def _certified_point(cfg: ExperimentConfig) -> dict:
     return certify_point(**{k: v for k, v in cfg.point_args().items() if k not in eigen_inputs})
 
 
-def _eigenpairs_cached(cfg: ExperimentConfig, M, out: Path):
+def _eigenpairs_cached(cfg: ExperimentConfig, M, out: Path, cache: bool):
     """The eigenpairs ``run_point`` solves for at the config's point, and the
     cache file under ``out`` they were read from or written to (None with the
     cache off)."""
@@ -214,12 +214,12 @@ def _eigenpairs_cached(cfg: ExperimentConfig, M, out: Path):
     solve = {"count": a["eig_count"], "theta_max": a["theta_max"], "seed": a["seed"]}
     key = hashlib.sha256(json.dumps({**asdict(M.family), **solve}, sort_keys=True).encode()).hexdigest()[:16]
     path = out / "cache" / f"eig_{key}.eigc"
-    if cfg.cache:
+    if cache:
         cached = load_eigen_cache(path, M)
         if cached is not None:
             return cached, path
     pairs = eigenpairs(M, solve["count"], theta_max=solve["theta_max"], seed=solve["seed"])
-    if not cfg.cache:
+    if not cache:
         return pairs, None
     path.parent.mkdir(parents=True, exist_ok=True)
     save_eigen_cache(path, M, pairs)
@@ -245,9 +245,9 @@ def cmd_build(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def cmd_eig(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_eig(cfg: ExperimentConfig, out: Path, cache: bool = True) -> int:
     M = build_family(cfg.family_spec())
-    pairs, cache_path = _eigenpairs_cached(cfg, M, out)
+    pairs, cache_path = _eigenpairs_cached(cfg, M, out, cache)
     lines = ["index,theta,residual,cluster"]
     for i, p in enumerate(pairs):
         lines.append(f"{i},{p.theta:.17g},{p.residual:.17g},{p.cluster}")
@@ -267,7 +267,7 @@ def cmd_split(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _flow_field(cfg: ExperimentConfig, point, out: Path):
+def _flow_field(cfg: ExperimentConfig, point, out: Path, cache: bool):
     """The tangential field of the configured function, and the eigen cache
     file it read or wrote (None for a closed-form function or with the cache off)."""
     M = point["manifold"]
@@ -278,7 +278,7 @@ def _flow_field(cfg: ExperimentConfig, point, out: Path):
         u = np.sin(2 * np.pi * pos[..., M.dim - 1])
     elif isinstance(sel, str) and sel.startswith("eigenmode:"):
         idx = int(sel.split(":", 1)[1])
-        pairs, cache_path = _eigenpairs_cached(cfg, M, out)
+        pairs, cache_path = _eigenpairs_cached(cfg, M, out, cache)
         if idx >= len(pairs):
             raise ValueError(f"flow.field eigenmode index {idx} out of range ({len(pairs)} pairs)")
         u = pairs[idx].u
@@ -287,13 +287,13 @@ def _flow_field(cfg: ExperimentConfig, point, out: Path):
     return tangential_projection(M, u, point["phi"], point["stats"], point["mask"]), cache_path
 
 
-def cmd_flow(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_flow(cfg: ExperimentConfig, out: Path, cache: bool = True) -> int:
     point = _certified_point(cfg)
     M = point["manifold"]
-    field, cache_path = _flow_field(cfg, point, out)
+    field, cache_path = _flow_field(cfg, point, out, cache)
     x0 = point["ball"].center if cfg.flow["start"] is None else nearest_node(M, cfg.flow["start"])
     level = field.phi.evaluate(M.positions()[x0][None, :])[0]
-    trace = extract_fiber(field.phi, level)
+    trace = extract_fiber(field.phi, level, lambda_threshold=point["mask"].threshold)
     eps_hat, r = point["eps_hat"], cfg.ball["radius"]
     report = fiber_apriori_check(trace, field, eps_hat, r, fiber_neighborhood(M, trace, 2.0 * eps_hat * r))
     T = cfg.flow["time_over_k"] / report.K
@@ -369,7 +369,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="collapselab", description=__doc__)
     parser.add_argument("verb", choices=["build", "eig", "split", "flow", "verify", "sweep"])
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
-    parser.add_argument("--out", default=None, help="output directory (default from config)")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument(
         "--jobs",
         type=int,
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
         "point is started, and points run most grid nodes first either way",
     )
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--no-cache", action="store_true", help="disable the eigenpair cache")
+    parser.add_argument("--no-cache", action="store_true", help="solve eigenpairs afresh; no <out>/cache files")
     args = parser.parse_args(argv)
     try:
         if args.jobs < 1:
@@ -386,15 +386,13 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        if args.no_cache:
-            cfg = replace(cfg, cache=False)
-        out = Path(args.out if args.out is not None else cfg.output_dir)
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         handler = {
             "build": cmd_build,
-            "eig": cmd_eig,
+            "eig": lambda cfg, out: cmd_eig(cfg, out, cache=not args.no_cache),
             "split": cmd_split,
-            "flow": cmd_flow,
+            "flow": lambda cfg, out: cmd_flow(cfg, out, cache=not args.no_cache),
             "verify": cmd_verify,
             "sweep": lambda cfg, out: cmd_sweep(cfg, out, jobs=args.jobs),
         }

@@ -46,7 +46,15 @@ from .operators import (
     region_sup,
 )
 from .spectral import RESIDUAL_TOL, EigenPair, _cheng_yau_ratio, eigenpairs
-from .splitting import Certificate, SplittingMap, certify, classify_regular, harmonic_coordinates, jacobian_stats
+from .splitting import (
+    Certificate,
+    SplittingMap,
+    _gradient_hessian_sizes,
+    certify,
+    classify_regular,
+    harmonic_coordinates,
+    jacobian_stats,
+)
 from .flow import TangentialField, fiber_apriori_check, fiber_neighborhood, tangential_projection
 
 __all__ = [
@@ -150,14 +158,7 @@ def _w22_k(M, u, grad_sq, hess_norm, region, r) -> float:
 
 def phi_c0_bound(phi: SplittingMap, region: np.ndarray, r: float) -> float:
     """C0 with sup|grad Phi^a| <= 1 + C0 and r^2 sum_b avg|Hess_Phi^b|^2 <= C0^2."""
-    M = phi.manifold
-    sup_grad = 0.0
-    for g in phi.gradients():
-        gn = np.sqrt(norm_sq(M, g))
-        sup_grad = max(sup_grad, region_sup(np.where(region, gn, np.nan), region))
-    hess_term = r**2 * sum(
-        region_average(M, np.where(region, hn**2, 0.0), region) for hn in phi.hessian_norms()
-    )
+    sup_grad, hess_term = _gradient_hessian_sizes(phi, region, r)
     return float(max(sup_grad - 1.0, np.sqrt(hess_term), 0.0))
 
 
@@ -392,12 +393,7 @@ def main_theorem_report(
     sup_u = region_sup(np.abs(eig.u), outer.members)
 
     w = M.node_weights()
-    dom = ball_r.members & mask
-    if not dom.any():
-        raise ValueError(
-            "the regular mask leaves B(p, r) empty: no node of the ball has a Jacobian eigenvalue above "
-            "the regularity threshold; lower thresholds.lambda_min_rel"
-        )
+    dom = ball_r.members & mask     # not empty: certify_point checks
     excluded = float(w[ball_r.members & ~mask].sum() / w[ball_r.members].sum())
     wsum = float(w[dom].sum())
     speed = np.nan_to_num(field.speed_sq)
@@ -509,9 +505,14 @@ def certify_point(
     mask = classify_regular(stats, max(lambda_threshold_rel * float(np.nanmedian(stats.Lam)), 1e-300))
     p = nearest_node(M, ball_center)
     ball = geodesic_ball(M, p, r)
+    if not (ball.members & mask.regular).any():
+        raise ValueError(
+            "the regular mask leaves B(p, r) empty: no node of the ball has a Jacobian eigenvalue above "
+            "the regularity threshold; lower thresholds.lambda_min_rel"
+        )
     ball2 = ball.concentric(2 * r)
-    eps_hat = epsilon_proxy(M, ball, phi)
-    cert = certify(phi, ball, epsilon_hat=eps_hat)
+    eps_hat = epsilon_proxy(M, ball, phi, mask.threshold)
+    cert = certify(phi, ball, eps_hat)
     return {
         "manifold": M,
         "phi": phi,

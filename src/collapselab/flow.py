@@ -6,8 +6,9 @@ a stencil probe of the node fields and projects a step back onto the level set
 by Newton whenever its level residual exceeds the tolerance (project after
 each step: Hairer, Lubich and Wanner, Geometric Numerical Integration,
 §IV.4).  The module also measures the fiberwise a priori constants (lambda,
-Lambda, C0, K) and checks the exponential lower bound and the a priori sup
-bound with all constants measured from the discrete fields.
+Lambda, C0, K), checks the a priori sup bound with all constants measured
+from the discrete fields, and turns them into the rate of the exponential
+lower bound that gates the flow's step size (``flow_rate_bound``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from .manifold import DiscreteManifold, FiberTrace, _cached, graph_distances
 from .operators import (
-    chart_gradient,
     gradient,
     hessian,
     hessian_norm,
@@ -36,11 +36,10 @@ __all__ = [
     "TangentialField",
     "FlowTrajectory",
     "FiberBoundReport",
-    "ExponentialBoundCheck",
     "tangential_part",
     "tangential_projection",
     "integrate_flow",
-    "verify_exponential_bound",
+    "flow_rate_bound",
     "fiber_neighborhood",
     "fiber_apriori_check",
     "FlowEscapeError",
@@ -170,36 +169,19 @@ class FlowTrajectory:
         np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
-def default_stability_rate(field: TangentialField) -> float:
-    """Estimated sup of |d/dt log |grad^T u|^2| along the flow, from node fields."""
-    M = field.manifold
-    W = field.speed_sq
-    V = field.grad_t
-    ok = field.mask & np.isfinite(W)
-    if not ok.any():
-        raise ValueError("tangential field has no regular nodes")
-    wmax = float(np.nanmax(W))
-    if wmax <= 0:
-        return 0.0
-    dW = chart_gradient(M, np.where(ok, W, 0.0))
-    advect = np.abs(np.einsum("...i,...i->...", np.where(np.isnan(V), 0.0, V), dW))
-    floor = 1e-9 * wmax
-    rate = np.where(ok & (W > floor), advect / np.maximum(W, floor), 0.0)
-    return float(np.nanmax(rate))
-
-
 def integrate_flow(
     field: TangentialField,
     x0: tuple[int, ...],
     T: float,
     dt: float,
-    stability_rate: float | None = None,
+    stability_rate: float,
 ) -> FlowTrajectory:
     """RK4 integration of ``gamma' = grad^T u`` with Newton reprojection.
 
     The step size must resolve the field's exponential rate:
-    ``dt * rate <= 0.1``.  The state is one point in Python floats, and every
-    velocity comes from one ``stencil_probe`` of the stacked node field
+    ``dt * stability_rate <= 0.1`` (``flow_rate_bound`` gives the rate).
+    The state is one point in Python floats, and every velocity comes from
+    one ``stencil_probe`` of the stacked node field
     ``[grad_t, psi_1..psi_k]``, which also gives the periodic map parts for
     the level residual ``x . w + psi - Phi(x0)``.  A step whose residual
     exceeds ``LEVEL_TOL`` is reprojected onto the level set by
@@ -214,10 +196,10 @@ def integrate_flow(
     phi = field.phi
     if not field.mask[x0]:
         raise ValueError(f"start node {x0} is not regular")
-    rate = default_stability_rate(field) if stability_rate is None else float(stability_rate)
-    if dt * rate > 0.1 * (1 + 1e-9):
+    if dt * stability_rate > 0.1 * (1 + 1e-9):
         raise ValueError(
-            f"step size violation: dt * rate = {dt * rate:.3g} > 0.1; reduce dt below {0.1 / rate:.3g}"
+            f"step size violation: dt * rate = {dt * stability_rate:.3g} > 0.1; "
+            f"reduce dt below {0.1 / stability_rate:.3g}"
         )
     n_steps = int(np.ceil(T / dt - 1e-12))
     pos = M.positions()[x0].astype(float)
@@ -411,28 +393,3 @@ def fiber_apriori_check(
         passed=passed,
         margin=margin,
     )
-
-
-@dataclass(frozen=True)
-class ExponentialBoundCheck:
-    margin: float
-    rate: float
-    passed: bool
-
-
-def verify_exponential_bound(
-    traj: FlowTrajectory, report: FiberBoundReport, tol: float = 1e-3
-) -> ExponentialBoundCheck:
-    """Check ``|grad^T u|^2(gamma(t)) >= exp(-C t) |grad^T u|^2(gamma(0))``.
-
-    Returns the minimum sampled ratio against the exponential floor; the
-    check passes when it stays above ``1 - tol``.
-    """
-    C = flow_rate_bound(report)
-    w0 = traj.speed_sq[0]
-    if w0 <= 0:
-        return ExponentialBoundCheck(margin=np.inf, rate=C, passed=True)
-    floor = np.exp(-C * traj.times) * w0
-    ratio = traj.speed_sq / floor
-    margin = float(np.min(ratio))
-    return ExponentialBoundCheck(margin=margin, rate=C, passed=bool(margin >= 1.0 - tol))

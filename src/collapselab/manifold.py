@@ -498,7 +498,6 @@ class FiberTrace:
 
     level: np.ndarray              # (k,)
     points: np.ndarray             # (n, m) chart coordinates, unwrapped along the chain
-    closed: bool
     regular: bool
     length: float                  # metric length of the polyline
     diameter: float                # intrinsic diameter along the polyline (= length/2 on loops)
@@ -506,23 +505,19 @@ class FiberTrace:
     level_error: float             # max |Phi(sample) - level|
 
 
-def _polyline_metric_length(M: DiscreteManifold, pts: np.ndarray, closed: bool) -> float:
+def _polyline_metric_length(M: DiscreteManifold, pts: np.ndarray) -> float:
+    """Metric length of a closed polyline, its closing segment included."""
     from .operators import interp_scalar
 
-    if len(pts) < 2:
-        return 0.0
-    deltas = np.diff(pts, axis=0)
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    if closed:
-        d_close = M.grid.wrap_delta(pts[0] - pts[-1])
-        deltas = np.vstack([deltas, d_close])
-        mids = np.vstack([mids, pts[-1] + 0.5 * d_close])
+    d_close = M.grid.wrap_delta(pts[0] - pts[-1])
+    deltas = np.vstack([np.diff(pts, axis=0), d_close])
+    mids = np.vstack([0.5 * (pts[:-1] + pts[1:]), pts[-1] + 0.5 * d_close])
     g = interp_scalar(M, M.metric, M.grid.wrap(mids))
     seg = np.sqrt(np.einsum("ni,nij,nj->n", deltas, g, deltas))
     return float(seg.sum())
 
 
-def extract_fiber(phi, level, *, lambda_threshold: float | None = None) -> FiberTrace:
+def extract_fiber(phi, level, *, lambda_threshold: float) -> FiberTrace:
     """Trace the fiber ``Phi^{-1}(level)`` as an ordered closed polyline.
 
     Supports one-dimensional fibers only (m - k = 1): marching squares on 2-d
@@ -561,18 +556,14 @@ def extract_fiber(phi, level, *, lambda_threshold: float | None = None) -> Fiber
     if not closed:
         raise ValueError(f"fiber at level {level} is open: its longest chain of level crossings does not close")
 
-    stats = jacobian_stats(phi)
-    if lambda_threshold is None:
-        lambda_threshold = _cached(phi, "default_threshold", stats.default_threshold)
     from .operators import interp_scalar
 
-    lam = interp_scalar(M, stats.lam, M.grid.wrap(pts))
+    lam = interp_scalar(M, jacobian_stats(phi).lam, M.grid.wrap(pts))
     err = float(np.max(np.abs(phi.level_residual(pts, level))))
-    length = _polyline_metric_length(M, pts, closed=True)
+    length = _polyline_metric_length(M, pts)
     return FiberTrace(
         level=level,
         points=pts,
-        closed=True,
         regular=bool(lam.min() > lambda_threshold),
         length=length,
         diameter=0.5 * length,
@@ -755,11 +746,13 @@ PROXY_LEVELS = 33
 PROXY_MARGIN = 0.05
 
 
-def epsilon_proxy(M: DiscreteManifold, ball: GeodesicBall, phi) -> float:
+def epsilon_proxy(M: DiscreteManifold, ball: GeodesicBall, phi, lambda_threshold: float) -> float:
     """Measured collapse scale: max regular-fiber intrinsic diameter over 2r.
 
     Levels are sampled uniformly (per component) across the splitting map's
     range over the ball interior, trimmed by ``PROXY_MARGIN`` at both ends.
+    A fiber counts when its least Jacobian eigenvalue stays above
+    ``lambda_threshold``, the regular mask's threshold.
     """
     if ball.radius <= 0:
         raise ValueError("epsilon proxy needs a ball of positive radius")
@@ -768,29 +761,17 @@ def epsilon_proxy(M: DiscreteManifold, ball: GeodesicBall, phi) -> float:
     span = hi - lo
     lo = lo + PROXY_MARGIN * span
     hi = hi - PROXY_MARGIN * span
-    n = PROXY_LEVELS if phi.k == 1 else max(3, int(round(PROXY_LEVELS ** (1 / phi.k))))
-    axes = [np.linspace(lo[a], hi[a], n) for a in range(phi.k)]
+    n = max(3, int(round(PROXY_LEVELS ** (1 / phi.k))))
+    axes = np.meshgrid(*[np.linspace(lo[a], hi[a], n) for a in range(phi.k)], indexing="ij")
     best = -np.inf
-    found = False
-    for level in _level_product(axes):
+    for level in np.stack([g.ravel() for g in axes], axis=-1):
         try:
-            trace = extract_fiber(phi, level)
+            trace = extract_fiber(phi, level, lambda_threshold=lambda_threshold)
         except (ValueError, RuntimeError):
             continue
-        if not trace.regular:
-            continue
-        found = True
-        best = max(best, trace.diameter)
-    if not found:
+        if trace.regular:
+            best = max(best, trace.diameter)
+    if best == -np.inf:
         raise ValueError("no regular fiber found while measuring the collapse proxy")
     return float(best / (2.0 * ball.radius))
 
-
-def _level_product(axes: list[np.ndarray]):
-    if len(axes) == 1:
-        for v in axes[0]:
-            yield np.array([v])
-    else:
-        grids = np.meshgrid(*axes, indexing="ij")
-        stacked = np.stack([g.ravel() for g in grids], axis=-1)
-        yield from stacked

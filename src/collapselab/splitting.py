@@ -302,10 +302,6 @@ class JacobianStats:
     eigs: np.ndarray       # (*shape, k) ascending
     valid: np.ndarray      # where all component gradients are defined
 
-    def default_threshold(self) -> float:
-        med = float(np.nanmedian(self.Lam[self.valid]))
-        return 1e-6 * med
-
 
 def jacobian_stats(phi: SplittingMap) -> JacobianStats:
     return _cached(phi, "jacobian_stats", lambda: _jacobian_stats(phi))
@@ -384,12 +380,13 @@ class Certificate:
         }
 
 
-def certify(phi: SplittingMap, ball: GeodesicBall, epsilon_hat: float | None = None) -> Certificate:
+def certify(phi: SplittingMap, ball: GeodesicBall, epsilon_hat: float) -> Certificate:
     """Measure the four splitting-map conclusions on B(p, 2r).
 
     sup-gradient of the components, L1-average Gram deviation from the
     identity, scaled Hessian energy, and the range-containment check; the
     smallness stand-in is ``psi = max(gramDev, sqrt(hessEnergy))``.
+    ``epsilon_hat`` is the measured collapse scale the certificate carries.
     """
     M = phi.manifold
     r = ball.radius
@@ -398,26 +395,16 @@ def certify(phi: SplittingMap, ball: GeodesicBall, epsilon_hat: float | None = N
     mask = region2.members & stats.valid
     if not mask.any():
         raise ValueError("certificate region carries no valid derivative data")
-    grads = phi.gradients()
-    sup_grad = max(
-        region_sup(np.sqrt(norm_sq(M, g)), mask) for g in grads
-    )
+    sup_grad, hess_energy = _gradient_hessian_sizes(phi, mask, r)
     k = phi.k
     gram_dev = 0.0
     for a in range(k):
         for b in range(k):
             dev = np.abs(stats.gram[..., a, b] - (1.0 if a == b else 0.0))
             gram_dev = max(gram_dev, region_average(M, np.where(mask, dev, 0.0), mask))
-    hess_energy = r**2 * sum(
-        region_average(M, np.where(mask, hn**2, 0.0), mask) for hn in phi.hessian_norms()
-    )
     center_val = phi.evaluate(ball.center_position()[None, :])[0]
     res = phi.level_residual(M.positions()[mask].reshape(-1, M.dim), center_val)
     range_ok = bool(np.all(np.linalg.norm(res, axis=-1) <= 2 * r + 1e-12))
-    if epsilon_hat is None:
-        from .manifold import epsilon_proxy
-
-        epsilon_hat = epsilon_proxy(M, ball, phi)
     psi = max(gram_dev, float(np.sqrt(hess_energy)))
     return Certificate(
         sup_grad=float(sup_grad),
@@ -427,3 +414,12 @@ def certify(phi: SplittingMap, ball: GeodesicBall, epsilon_hat: float | None = N
         psi=float(psi),
         epsilon_hat=float(epsilon_hat),
     )
+
+
+def _gradient_hessian_sizes(phi: SplittingMap, region: np.ndarray, r: float) -> tuple[float, float]:
+    """``max_a sup|grad Phi^a|`` and ``r^2 sum_b avg|Hess Phi^b|^2`` over a
+    region: what the certificate and the C0 bound of the estimates read."""
+    M = phi.manifold
+    sup_grad = max(region_sup(np.sqrt(norm_sq(M, g)), region) for g in phi.gradients())
+    hess = r**2 * sum(region_average(M, np.where(region, hn**2, 0.0), region) for hn in phi.hessian_norms())
+    return sup_grad, hess

@@ -6,12 +6,14 @@ import pickle
 import numpy as np
 import pytest
 
+import collapselab.cli as cli
+import collapselab.manifold as manifold
 from collapselab import build_family
 from collapselab.cli import load_config, main
 from collapselab.estimates import run_point
 from collapselab.manifold import FAMILIES
 from collapselab.spectral import eigenpairs, load_eigen_cache
-from collapselab.splitting import harmonic_coordinates
+from collapselab.splitting import harmonic_coordinates, jacobian_stats
 
 # a small warped sweep: 64 x 16 grids, three points, a few eigenpairs each
 SMALL_WARPED = {
@@ -51,6 +53,39 @@ def test_threshold_values_must_be_positive_finite_numbers(tmp_path, value):
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
 
 
+@pytest.mark.parametrize("key", ["sweep.theta_max", "cache", "output_dir"])
+def test_removed_setting_keys_rejected(tmp_path, capsys, key):
+    # each had a second source: eig.theta_max, --no-cache and --out
+    section, _, name = key.rpartition(".")
+    path = write_config(tmp_path, {section: {name: 1}} if section else {name: 1})
+    assert main(["build", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"unknown config key: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("flow", "dt_factor", 0),          # used to die with ZeroDivisionError
+        ("flow", "time_over_k", -1),       # used to exit 0 with one sample
+        ("family", "epsilon", "0.1"),      # used to die with TypeError
+        ("ball", "radius", float("nan")),
+    ],
+)
+def test_numeric_values_must_be_positive_finite_numbers(tmp_path, capsys, section, key, value):
+    path = write_config(tmp_path, {section: {key: value}})
+    assert main(["flow", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"config field {section}.{key} must be a positive finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key", [("ball", "center"), ("flow", "start")])
+@pytest.mark.parametrize("point", [[0.5], [0.5, 0.5, 0.5], 0.5])
+def test_a_point_needs_one_coordinate_per_chart_axis(tmp_path, capsys, section, key, point):
+    # [0.5] used to broadcast to node (64, 8), the point (0.5, 0.5), and exit 0
+    path = write_config(tmp_path, {section: {key: point}})
+    assert main(["flow", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert f"config field {section}.{key} must list 2 coordinates" in capsys.readouterr().err
+
+
 def test_an_empty_regular_ball_is_a_config_error(tmp_path, capsys):
     # lambda_min_rel = 1e6 marks every node singular: the headline average
     # over the regular part of B(p, r) has no nodes and must not read NaN
@@ -61,8 +96,6 @@ def test_an_empty_regular_ball_is_a_config_error(tmp_path, capsys):
 
 
 def test_sweep_writes_its_scaling_statistics(tmp_path, monkeypatch):
-    import collapselab.cli as cli
-
     results = []
     sweep = cli.sweep
     monkeypatch.setattr(cli, "sweep", lambda *args: results.append(sweep(*args)) or results[-1])
@@ -143,7 +176,7 @@ def test_sweep_uses_config_regularity_threshold(tmp_path):
 
 
 def test_sweep_point_uses_config_eig_theta_max(tmp_path):
-    # eig.theta_max = 40 drops the mode at theta ~ 41.01 that the sweep's own
+    # eig.theta_max = 40 drops the mode at theta ~ 41.01 that the default
     # theta_max of 50 keeps; the sweep point must drop it as verify does
     swept, verified = swept_and_verified(tmp_path, {**SMALL_WARPED, "eig": {"theta_max": 40.0}})
     assert swept == verified
@@ -169,7 +202,6 @@ POINT_KEYS = [
     ("eig", "count", 4),
     ("eig", "theta_max", 40.0),
     ("thresholds", "lambda_min_rel", 1e-3),
-    ("sweep", "theta_max", 60.0),
     (None, "seed", 1),
 ]
 
@@ -190,15 +222,6 @@ def test_every_pipeline_key_reaches_point_args(tmp_path, section, key, value):
     assert comparable(load_config(write_config(tmp_path, changed)).point_args()) != base
 
 
-def test_eig_theta_max_wins_over_the_sweeps(tmp_path):
-    pinned = {"eig": {"theta_max": 40.0}}
-    args = [
-        comparable(load_config(write_config(tmp_path, cfg)).point_args())
-        for cfg in (pinned, {**pinned, "sweep": {"theta_max": 60.0}})
-    ]
-    assert args[0] == args[1] and args[0]["theta_max"] == 40.0
-
-
 def test_flow_writes_its_eigen_cache_under_out(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = {**FAMILY_CONFIGS["flat"], "flow": {"field": "eigenmode:1", "time_over_k": 0.1}}
@@ -215,8 +238,6 @@ def test_a_version_1_eigen_cache_is_recomputed(tmp_path, monkeypatch):
     # those of the COLAMD pinned factor, version-3 files those of the
     # whole-chart factor on warped products): they must be solved again, not
     # served beside pairs of the current one
-    import collapselab.cli as cli
-
     path = write_config(tmp_path, SMALL_WARPED)
     assert main(["eig", "--config", str(path), "--out", str(tmp_path / "eig")]) == 0
     cache, = (tmp_path / "eig" / "cache").glob("eig_*.eigc")
@@ -248,6 +269,27 @@ def count_fiber_checks(monkeypatch):
 
     monkeypatch.setattr(estimates_module, "fiber_apriori_check", counting)
     return checked
+
+
+def test_epsilon_hat_and_the_flow_fiber_use_the_mask_threshold(tmp_path, monkeypatch):
+    # lambda_min_rel = 1.2 calls the rim of the working ball singular: the
+    # collapse scale counts only the fibers regular under that threshold, and
+    # flow traces its fiber against it; both used a fixed 1e-6 of the median
+    # Jacobian eigenvalue, and epsilon-hat read 0.09431 instead of 0.08851
+    thresholds = []
+    for module in (cli, manifold):
+        def recording(phi, level, *, lambda_threshold=None, trace=module.extract_fiber):
+            thresholds.append(lambda_threshold)
+            return trace(phi, level, lambda_threshold=lambda_threshold)
+
+        monkeypatch.setattr(module, "extract_fiber", recording)
+    path = write_config(tmp_path, {**SMALL_WARPED, "thresholds": {"lambda_min_rel": 1.2}})
+    assert main(["split", "--config", str(path), "--out", str(tmp_path / "split")]) == 0
+    eps_hat = json.loads((tmp_path / "split" / "certificate.json").read_text())["epsilonHat"]
+    assert eps_hat == pytest.approx(0.08851, abs=1e-5)
+    assert main(["flow", "--config", str(path), "--out", str(tmp_path / "flow")]) == 0
+    stats = jacobian_stats(harmonic_coordinates(build_family(load_config(path).family_spec())))
+    assert len(thresholds) > 2 and set(thresholds) == {1.2 * float(np.nanmedian(stats.Lam))}
 
 
 def test_fibers_follow_the_configured_mask(tmp_path, monkeypatch):
@@ -402,10 +444,7 @@ def test_every_verb_runs_on_every_family(tmp_path, verb, family):
 
 
 def test_eig_and_flow_solve_for_the_pairs_verify_reports_on(tmp_path, monkeypatch):
-    # eig.theta_max unset falls back to sweep.theta_max in point_args: eig
-    # must write verify's pairs, and eigenmode:1 must be verify's pair 1
-    import collapselab.cli as cli
-
+    # eig must write verify's pairs, and eigenmode:1 must be verify's pair 1
     cfg = {**FAMILY_CONFIGS["flat"], "flow": {"field": "eigenmode:1", "time_over_k": 0.1}}
     path = write_config(tmp_path, cfg)
     pairs = run_point(**load_config(path).point_args())["pairs"]

@@ -9,14 +9,12 @@ from collapselab import extract_fiber, geodesic_ball
 from collapselab.manifold import graph_distances
 from collapselab.flow import (
     FlowEscapeError,
-    default_stability_rate,
     fiber_apriori_check,
     fiber_neighborhood,
     flow_rate_bound,
     integrate_flow,
     tangential_part,
     tangential_projection,
-    verify_exponential_bound,
 )
 from collapselab.splitting import SplittingMap, classify_regular, jacobian_stats
 
@@ -25,11 +23,29 @@ EPS = 0.1
 R = 0.25
 
 
+def regular_mask(stats):
+    """The regular mask at the default thresholds.lambda_min_rel of 1e-6."""
+    return classify_regular(stats, 1e-6 * float(np.nanmedian(stats.Lam)))
+
+
+def fiber(phi, level):
+    """The fiber at ``level``, regular where the default mask calls it so."""
+    return extract_fiber(phi, level, lambda_threshold=regular_mask(jacobian_stats(phi)).threshold)
+
+
+def apriori_rate(field, x0):
+    """The step gate's rate as the ``flow`` verb takes it: ``flow_rate_bound``
+    of the a priori check on the fiber through the start node."""
+    M = field.manifold
+    trace = fiber(field.phi, field.phi.evaluate(M.positions()[x0][None, :])[0])
+    return flow_rate_bound(fiber_apriori_check(trace, field, EPS, R, fiber_neighborhood(M, trace, 2 * EPS * R)))
+
+
 @pytest.fixture(scope="module")
 def flat_setup(flat_torus, flat_coordinates):
     M = flat_torus
     stats = jacobian_stats(flat_coordinates)
-    mask = classify_regular(stats, stats.default_threshold())
+    mask = regular_mask(stats)
     pos = M.positions()
     u = np.sin(2 * np.pi * pos[..., 1])  # one oscillation around the fiber circle
     field = tangential_projection(M, u, flat_coordinates, stats, mask)
@@ -39,7 +55,7 @@ def flat_setup(flat_torus, flat_coordinates):
 @pytest.fixture(scope="module")
 def fiber_report(flat_setup):
     M, phi, stats, mask, field = flat_setup
-    trace = extract_fiber(phi, [0.0])
+    trace = fiber(phi, [0.0])
     return fiber_apriori_check(trace, field, EPS, R, fiber_neighborhood(M, trace, 2 * EPS * R))
 
 
@@ -61,7 +77,7 @@ def test_projection_base_mode_vanishes(flat_torus, flat_coordinates):
     # u constant along fibers: tangential part is zero
     M = flat_torus
     stats = jacobian_stats(flat_coordinates)
-    mask = classify_regular(stats, stats.default_threshold())
+    mask = regular_mask(stats)
     pos = M.positions()
     u = np.sin(2 * np.pi * pos[..., 0])
     field = tangential_projection(M, u, flat_coordinates, stats, mask)
@@ -80,7 +96,7 @@ def test_projection_idempotent(flat_setup, warped_torus, warped_coordinates):
     t2, p2 = tangential_part(M, stats, field.mask, np.nan_to_num(field.grad_t))
     assert np.nanmax(np.abs(t2 - field.grad_t)) <= 1e-12 * max(1.0, np.nanmax(np.abs(field.grad_t)))
     stats_w = jacobian_stats(warped_coordinates)
-    mask_w = classify_regular(stats_w, stats_w.default_threshold())
+    mask_w = regular_mask(stats_w)
     pos = warped_torus.positions()
     from collapselab.operators import gradient
 
@@ -93,15 +109,15 @@ def test_projection_idempotent(flat_setup, warped_torus, warped_coordinates):
 def test_fixed_point_flow(flat_torus, flat_coordinates):
     M = flat_torus
     stats = jacobian_stats(flat_coordinates)
-    mask = classify_regular(stats, stats.default_threshold())
+    mask = regular_mask(stats)
     pos = M.positions()
     u = np.sin(2 * np.pi * pos[..., 0])
     field = tangential_projection(M, u, flat_coordinates, stats, mask)
-    traj = integrate_flow(field, (5, 7), T=0.01, dt=1e-4)
+    traj = integrate_flow(field, (5, 7), T=0.01, dt=1e-4, stability_rate=apriori_rate(field, (5, 7)))
     assert np.max(np.abs(traj.positions - traj.positions[0])) == 0.0
 
 
-def test_flow_criterion_drift_monotone_exponential(flat_setup, fiber_report):
+def test_flow_criterion_drift_monotone(flat_setup, fiber_report):
     M, phi, stats, mask, field = flat_setup
     rep = fiber_report
     T = 10.0 / rep.K
@@ -113,13 +129,6 @@ def test_flow_criterion_drift_monotone_exponential(flat_setup, fiber_report):
     du = np.diff(traj.u_values)
     tol = dt * float(np.nanmax(field.speed_sq)) * 1e-8
     assert du.min() >= -tol
-    # (c) exponential lower bound margin
-    chk = verify_exponential_bound(traj, rep)
-    assert chk.passed
-    assert chk.margin >= 1.0 - 1e-3
-    # (d) negative control: artificially faster decay must fail
-    bad = dataclasses.replace(traj, speed_sq=traj.speed_sq * np.exp(-2.0 * chk.rate * traj.times))
-    assert not verify_exponential_bound(bad, rep).passed
 
 
 def test_flow_positions_match_ode_oracle(flat_setup, fiber_report):
@@ -145,10 +154,10 @@ def test_flow_positions_match_ode_oracle(flat_setup, fiber_report):
     assert traj.u_values[-1] <= 1.0
 
 
-def test_flow_step_size_violation(flat_setup):
+def test_flow_step_size_violation(flat_setup, fiber_report):
     M, phi, stats, mask, field = flat_setup
     with pytest.raises(ValueError, match="step size violation"):
-        integrate_flow(field, (0, 0), T=0.01, dt=1.0)
+        integrate_flow(field, (0, 0), T=0.01, dt=1.0, stability_rate=flow_rate_bound(fiber_report))
 
 
 def test_flow_requires_regular_start(flat_setup):
@@ -156,7 +165,7 @@ def test_flow_requires_regular_start(flat_setup):
     bad_mask = np.zeros_like(field.mask)
     broken = dataclasses.replace(field, mask=bad_mask)
     with pytest.raises(ValueError, match="not regular"):
-        integrate_flow(broken, (0, 0), T=0.001, dt=1e-5)
+        integrate_flow(broken, (0, 0), T=0.001, dt=1e-5, stability_rate=1.0)
 
 
 def test_flow_escape_carries_partial_trajectory(flat_setup):
@@ -173,7 +182,7 @@ def test_flow_escape_carries_partial_trajectory(flat_setup):
 
 def test_capped_fiber_neighborhood_matches_the_uncapped_search(monkeypatch, warped_torus, warped_coordinates):
     M, grid = warped_torus, warped_torus.grid
-    trace = extract_fiber(warped_coordinates, [0.6])
+    trace = fiber(warped_coordinates, [0.6])
     ij = np.round(grid.wrap(trace.points) / np.asarray(grid.spacings)).astype(int) % np.asarray(grid.shape)
     dist = graph_distances(M, np.unique(np.ravel_multi_index(tuple(ij.T), grid.shape)))
     assert np.isfinite(dist).all()
@@ -201,11 +210,11 @@ def test_apriori_check_trivial_mode(flat_torus, flat_coordinates):
     # u = sin(2 pi x): tangential gradient vanishes, infinite margin
     M = flat_torus
     stats = jacobian_stats(flat_coordinates)
-    mask = classify_regular(stats, stats.default_threshold())
+    mask = regular_mask(stats)
     pos = M.positions()
     u = np.sin(2 * np.pi * pos[..., 0])
     field = tangential_projection(M, u, flat_coordinates, stats, mask)
-    trace = extract_fiber(flat_coordinates, [0.5])
+    trace = fiber(flat_coordinates, [0.5])
     rep = fiber_apriori_check(trace, field, EPS, R, fiber_neighborhood(M, trace, 2 * EPS * R))
     assert rep.delta0 <= 1e-10
     assert rep.passed
@@ -248,7 +257,7 @@ def test_apriori_scaling_with_fiber_oscillation(flat_setup, fiber_report):
 def test_counterexample_flag_fires_on_mismatched_inputs(flat_setup):
     # feeding an epsilon measured on the wrong region must trip the flag
     M, phi, stats, mask, field = flat_setup
-    trace = extract_fiber(phi, [0.0])
+    trace = fiber(phi, [0.0])
     rep = fiber_apriori_check(trace, field, eps_hat=1e-8, r=R, neighborhood=fiber_neighborhood(M, trace, 2e-8 * R))
     assert not rep.passed
     assert rep.to_json_dict()["counterexample"] is True
@@ -263,7 +272,7 @@ def sheared_warped_field(warped_torus):
     pos = M.positions()
     phi = SplittingMap(M, (pos[..., 0] + 0.02 * np.sin(2 * np.pi * pos[..., 1]),), (np.array([1.0, 0.0]),))
     stats = jacobian_stats(phi)
-    mask = classify_regular(stats, stats.default_threshold())
+    mask = regular_mask(stats)
     return tangential_projection(M, np.sin(2 * np.pi * pos[..., 1]), phi, stats, mask)
 
 
@@ -288,8 +297,9 @@ def test_drift_column_is_level_residual_at_recorded_positions(
 ):
     field = flat_setup[4] if family == "flat" else sheared_warped_field
     steps, moves = record_projections(monkeypatch)
-    dt = 0.1 / default_stability_rate(field)
-    traj = integrate_flow(field, (5, 3), T=100 * dt, dt=dt)
+    rate = apriori_rate(field, (5, 3))
+    dt = 0.1 / rate
+    traj = integrate_flow(field, (5, 3), T=100 * dt, dt=dt, stability_rate=rate)
     recomputed = np.max(np.abs(field.phi.level_residual(traj.positions, traj.level)), axis=-1)
     assert np.array_equal(traj.drift, recomputed)
     # Newton runs only on steps whose residual misses the tolerance, so at
@@ -305,12 +315,14 @@ def test_drift_column_is_level_residual_at_recorded_positions(
 
 
 def test_curved_fiber_flow_completes_at_the_step_gate(monkeypatch, sheared_warped_field):
-    # With the centered-difference Jacobian, Newton converged only linearly
-    # and this flow stopped after 7 steps at residual 3.03e-10 > 1e-10
+    # With the former centered-difference Jacobian, Newton converged only
+    # linearly, and at the larger step of the former node-field rate this
+    # flow stopped after 7 steps at residual 3.03e-10 > 1e-10
     field = sheared_warped_field
     steps, _ = record_projections(monkeypatch)
-    dt = 0.1 / default_stability_rate(field)
-    traj = integrate_flow(field, (100, 7), T=200 * dt, dt=dt)
+    rate = apriori_rate(field, (100, 7))
+    dt = 0.1 / rate
+    traj = integrate_flow(field, (100, 7), T=200 * dt, dt=dt, stability_rate=rate)
     assert len(traj.times) == 201
     assert traj.drift.max() <= 1e-10
     assert steps and max(steps) <= 2
@@ -336,12 +348,13 @@ def count_probe_evaluations(monkeypatch):
     return calls
 
 
-def test_flat_flow_interpolates_at_most_four_times_per_step(monkeypatch, flat_setup):
+def test_flat_flow_interpolates_at_most_four_times_per_step(monkeypatch, flat_setup, fiber_report):
     field = dataclasses.replace(flat_setup[4])     # a fresh probe cache
-    traj_ref = integrate_flow(flat_setup[4], (0, 0), T=2e-4, dt=1e-5)
+    rate = flow_rate_bound(fiber_report)
+    traj_ref = integrate_flow(flat_setup[4], (0, 0), T=2e-4, dt=1e-5, stability_rate=rate)
     calls = count_probe_evaluations(monkeypatch)
     steps, _ = record_projections(monkeypatch)
-    traj = integrate_flow(field, (0, 0), T=2e-4, dt=1e-5)
+    traj = integrate_flow(field, (0, 0), T=2e-4, dt=1e-5, stability_rate=rate)
     n_steps = len(traj.times) - 1
     assert n_steps == 20
     # one probe before the first step, then three stages and the new point;
@@ -352,9 +365,9 @@ def test_flat_flow_interpolates_at_most_four_times_per_step(monkeypatch, flat_se
     assert np.array_equal(traj.positions, traj_ref.positions)
 
 
-def test_trajectory_csv_export(tmp_path, flat_setup):
+def test_trajectory_csv_export(tmp_path, flat_setup, fiber_report):
     M, phi, stats, mask, field = flat_setup
-    traj = integrate_flow(field, (0, 0), T=1e-3, dt=1e-5)
+    traj = integrate_flow(field, (0, 0), T=1e-3, dt=1e-5, stability_rate=flow_rate_bound(fiber_report))
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     header = path.read_text().splitlines()[0]

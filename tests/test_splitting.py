@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from collapselab import FamilySpec, build_family, geodesic_ball
+from collapselab import FamilySpec, build_family, epsilon_proxy, geodesic_ball
 from collapselab.operators import interp_scalar, metric_inner, region_sup
 from collapselab.splitting import (
     SplittingMap,
@@ -13,6 +13,17 @@ from collapselab.splitting import (
     jacobian_stats,
 )
 from collapselab.flow import tangential_part
+
+
+def regular_mask(stats):
+    """The regular mask at the default thresholds.lambda_min_rel of 1e-6."""
+    return classify_regular(stats, 1e-6 * float(np.nanmedian(stats.Lam)))
+
+
+def certified(phi, ball):
+    """The certificate with the collapse scale measured as ``certify_point`` does."""
+    threshold = regular_mask(jacobian_stats(phi)).threshold
+    return certify(phi, ball, epsilon_proxy(phi.manifold, ball, phi, threshold))
 
 
 def test_flat_global_coordinate_exact(flat_torus, flat_coordinates):
@@ -129,7 +140,7 @@ def test_determinant_identity(warped_coordinates, twisted_torus):
 
 def test_classify_regular_all_regular(flat_coordinates):
     stats = jacobian_stats(flat_coordinates)
-    mask = classify_regular(stats, stats.default_threshold())
+    mask = regular_mask(stats)
     assert mask.regular.all()
     assert mask.singular_fraction == 0.0
 
@@ -155,7 +166,7 @@ def test_morse_map_singular_fraction_refines():
         # sin(2 pi x) / 2 pi: non-degenerate critical circles
         x = M.positions()[..., 0]
         stats = jacobian_stats(SplittingMap(M, (np.sin(2 * np.pi * x) / (2 * np.pi),), (np.zeros(2),)))
-        mask = classify_regular(stats, stats.default_threshold())
+        mask = regular_mask(stats)
         fractions.append(mask.singular_fraction)
         assert mask.singular_fraction == pytest.approx(2.0 / n, abs=1e-12)
     assert fractions[0] > fractions[1] > fractions[2]
@@ -169,7 +180,7 @@ def test_morse_map_singular_fraction_refines():
 
 
 def test_certificate_flat_exact_splitting(flat_torus, flat_coordinates, flat_ball):
-    cert = certify(flat_coordinates, flat_ball)
+    cert = certified(flat_coordinates, flat_ball)
     assert cert.sup_grad == pytest.approx(1.0, abs=1e-12)
     assert cert.gram_dev <= 1e-10
     assert cert.hess_energy <= 1e-10
@@ -184,14 +195,14 @@ def test_certificate_unit_torus_identity():
     M = build_family(FamilySpec(kind="flat-product-torus", epsilon=1.0, resolution=(64, 64)))
     phi = harmonic_coordinates(M)
     ball = geodesic_ball(M, (0, 0), 0.25)
-    cert = certify(phi, ball)
+    cert = certified(phi, ball)
     assert cert.psi <= 1e-10
     assert cert.epsilon_hat == pytest.approx(1.0, rel=1e-6)
 
 
 def test_certificate_warped_regression_locked(warped_torus, warped_coordinates):
     ball = geodesic_ball(warped_torus, (32, 0), 0.25)
-    cert = certify(warped_coordinates, ball)
+    cert = certified(warped_coordinates, ball)
     assert cert.psi > 0.0
     assert np.isfinite(cert.psi)
     # pinned by the first run of this pipeline at resolution (128, 16)
@@ -220,7 +231,7 @@ def _field_pair(M, phi):
     pos = M.positions()
     u = np.sin(2 * np.pi * pos[..., M.dim - 1]) + 0.3 * np.sin(2 * np.pi * pos[..., 0])
     stats = jacobian_stats(phi)
-    mask = classify_regular(stats, stats.default_threshold())
+    mask = regular_mask(stats)
     from collapselab.operators import gradient
 
     grad_u = gradient(M, u)
