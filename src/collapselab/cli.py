@@ -59,8 +59,10 @@ _DEFAULTS = {
     "seed": 0,
 }
 
-# config fields that must hold a positive finite number
-_POSITIVE = [("family", "epsilon"), ("ball", "radius"), ("flow", "time_over_k"), ("flow", "dt_factor")]
+# config fields that must hold a positive finite number, and integer fields with their least value
+_POSITIVE = [("family", "epsilon"), ("ball", "radius"), ("eig", "theta_max"), ("flow", "time_over_k"),
+             ("flow", "dt_factor")]
+_INTEGERS = {"eig.count": 1, "resolution.nodes_per_unit": 1, "resolution.min_fiber_nodes": 1, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
         # bool is an int subclass, and JSON's 1e400 parses as inf
         if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value < float("inf")):
             raise ValueError(f"config field {section}.{name} must be a positive finite number, got {value!r}")
+    for key, least in _INTEGERS.items():
+        section, _, name = key.rpartition(".")
+        value = merged[section][name] if section else merged[name]
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ValueError(f"config field {key} must be {'a positive' if least else 'a non-negative'} integer, "
+                             f"got {value!r}")
     for section, name in (("ball", "center"), ("flow", "start")):
         point = merged[section][name]
         if point is not None and (not isinstance(point, list) or len(point) != family.dim):

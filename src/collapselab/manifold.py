@@ -180,6 +180,22 @@ class FamilySpec:
         return self.dim - 1
 
 
+def _metric_runs(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First node of each run of nodes (flat order) with equal metric bytes, and each node's run."""
+    words = np.ascontiguousarray(g).reshape(-1, g.shape[-1] ** 2).view(np.int64)
+    starts = np.ones(len(words), dtype=bool)
+    np.any(words[1:] != words[:-1], axis=1, out=starts[1:])
+    return np.flatnonzero(starts), np.cumsum(starts) - 1
+
+
+def _per_metric(fn, g: np.ndarray, runs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``fn(g)`` of a batched LAPACK function, such as ``np.linalg.inv``, from one metric per run
+    (``_metric_runs``): LAPACK works matrix by matrix, so every value keeps its bits."""
+    first, run = runs
+    out = fn(g.reshape((-1,) + g.shape[-2:])[first])[run]
+    return out.reshape(g.shape[:-2] + out.shape[1:])
+
+
 @dataclass(frozen=True)
 class DiscreteManifold:
     """A discrete Riemannian manifold: periodic grid chart + metric + volume element.
@@ -209,11 +225,12 @@ class DiscreteManifold:
             raise ValueError("metric contains non-finite entries")
         if np.max(np.abs(g - np.swapaxes(g, -1, -2))) > 0:
             raise ValueError("metric must be exactly symmetric")
-        eig = np.linalg.eigvalsh(g)
+        runs = self._cache["metric_runs"] = _metric_runs(g)
+        eig = _per_metric(np.linalg.eigvalsh, g, runs)
         if eig.min() <= 0:
-            bad = np.unravel_index(int(np.argmin(eig[..., 0])), eig[..., 0].shape)
+            bad = tuple(int(i) for i in np.unravel_index(int(np.argmin(eig[..., 0])), eig[..., 0].shape))
             raise ValueError(f"metric not positive definite at node {bad}")
-        det = np.linalg.det(g)
+        det = _per_metric(np.linalg.det, g, runs)
         if np.max(np.abs(np.sqrt(det) - w)) > 1e-12 * max(1.0, float(np.max(w))):
             raise ValueError("volume_element inconsistent with sqrt(det(metric))")
         object.__setattr__(self, "metric", _read_only(g))
@@ -233,7 +250,8 @@ class DiscreteManifold:
         return float(self.node_weights().sum())
 
     def metric_inverse(self) -> np.ndarray:
-        return _cached(self, "metric_inverse", lambda: _read_only(np.linalg.inv(self.metric)))
+        return _cached(self, "metric_inverse", lambda: _read_only(
+            _per_metric(np.linalg.inv, self.metric, self._cache["metric_runs"])))
 
     def positions(self) -> np.ndarray:
         return _cached(self, "positions", lambda: _read_only(self.grid.positions()))
@@ -298,7 +316,7 @@ def build_family(spec: FamilySpec) -> DiscreteManifold:
     g[..., 0, 0] = 1.0 + (eps * sigma) ** 2
     g[..., 0, -1] = g[..., -1, 0] = eps**2 * sigma * wx
     g[..., -1, -1] = (eps * wx) ** 2
-    vol = np.sqrt(np.linalg.det(g))
+    vol = np.sqrt(_per_metric(np.linalg.det, g, _metric_runs(g)))
     return DiscreteManifold(grid=grid, metric=g, volume_element=vol, christoffel=gamma, family=spec)
 
 
@@ -399,26 +417,27 @@ def _csr_from_rows(cols: np.ndarray, vals: np.ndarray):
     return A
 
 
+def _grid_roll(grid: PeriodicGrid, f: np.ndarray, shift: tuple[int, ...]) -> np.ndarray:
+    """A flat node field (then any component axes) rolled on the grid: node ``r`` gets node ``r - shift``."""
+    rolled = np.roll(f.reshape(grid.shape + f.shape[1:]), shift, axis=tuple(range(grid.dim)))
+    return rolled.reshape(f.shape)
+
+
 def _grid_adjacency(M: DiscreteManifold):
     """Sparse symmetric graph of metric edge lengths between nearby nodes."""
     grid = M.grid
     m = grid.dim
     n_nodes = grid.n_nodes
     h = np.asarray(grid.spacings)
-    idx = np.arange(n_nodes).reshape(grid.shape)
+    idx = np.arange(n_nodes, dtype=np.int32)
     g = M.metric.reshape(n_nodes, m, m)
     offsets = _grid_neighbor_offsets(m)
     cols = np.empty((len(offsets), n_nodes), dtype=np.int32)
     vals = np.empty((len(offsets), n_nodes))
     for s, off in enumerate(offsets):
-        shifted = idx
-        for ax, o in enumerate(off):
-            if o:
-                shifted = np.roll(shifted, -o, axis=ax)
-        j = shifted.ravel()
         dx = np.asarray(off) * h
-        gmid = 0.5 * (g + g[j])
-        cols[s] = j
+        gmid = 0.5 * (g + _grid_roll(grid, g, np.negative(off)))     # with node r + off
+        cols[s] = _grid_roll(grid, idx, np.negative(off))
         vals[s] = np.sqrt(np.einsum("i,nij,j->n", dx, gmid, dx))
     return _csr_from_rows(cols, vals)
 
@@ -590,24 +609,27 @@ _EDGE_AXIS = np.array([0, 0, 1, 1])
 _CELL_SEGMENTS = np.array([[[0, 1], [0, 1]], [[0, 3], [1, 2]], [[0, 2], [1, 3]]])
 
 
-def _cell_corners(phi) -> tuple[np.ndarray, np.ndarray, float]:
-    """The first component at the corners 00, 10, 01, 11 of every cell, on the
-    cell's side of the seam, ``(4, *shape)``; their mean; and the value
-    period that picks a cell's branch (0 for a plain field)."""
+def _cell_corners(phi) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Per cell, in row-major order: the first component at its corners 00,
+    10, 01, 11 on the cell's side of the seam, ``(n_nodes, 4)``; their mean;
+    a margin, twice the largest corner deviation from the mean (a level that
+    crosses the cell lies within it) plus ``4 eps (|mean| + period)`` for
+    round-off; and the value period that picks a cell's branch (0 for a plain field)."""
     grid = phi.manifold.grid
     f, winding = phi.component_arrays(0)
     jump1 = winding[0] * grid.periods[0]
     jump2 = winding[1] * grid.periods[1]
-    c00 = f.copy()
-    c10 = np.roll(f, -1, axis=0)
-    c10[-1, :] += jump1
-    c01 = np.roll(f, -1, axis=1)
-    c01[:, -1] += jump2
-    c11 = np.roll(np.roll(f, -1, axis=0), -1, axis=1)
-    c11[-1, :] += jump1
-    c11[:, -1] += jump2
-    cmean = 0.25 * (c00 + c10 + c01 + c11)
-    return _read_only(np.stack([c00, c10, c01, c11])), _read_only(cmean), jump1 if jump1 != 0.0 else jump2
+    c = []
+    for d2, d1 in np.ndindex(2, 2):                    # corners 00, 10, 01, 11
+        c.append(np.roll(f, (-d1, -d2), axis=(0, 1)))
+        c[-1][len(f) - d1:, :] += jump1                # the cells whose corner lies across a seam
+        c[-1][:, f.shape[1] - d2:] += jump2
+    cmean = 0.25 * (c[0] + c[1] + c[2] + c[3]).ravel()
+    corners = np.stack(c, axis=-1).reshape(-1, 4)
+    branch = jump1 if jump1 != 0.0 else jump2
+    margin = 2.0 * np.abs(corners - cmean[:, None]).max(axis=1)
+    margin += 4 * np.finfo(float).eps * (np.abs(cmean) + abs(branch))
+    return _read_only(corners), _read_only(cmean), _read_only(margin), branch
 
 
 def _level_crossings(phi, v: float) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -620,16 +642,19 @@ def _level_crossings(phi, v: float) -> tuple[np.ndarray, tuple[np.ndarray, np.nd
     the cell center.  ``crossing`` is ``(edges, points)``: the sorted ids of
     the crossed edges and where each crosses, interpolated in the first cell
     in that order to cross it, so adjacent cells chain exactly.
+    Only a cell whose corner mean on the level's branch lies within its margin
+    (``_cell_corners``), plus ``4 eps |v|``, of the level can cross it and is tested.
     """
     grid = phi.manifold.grid
-    corners, cmean, branch = _cached(phi, "cell_corners", lambda: _cell_corners(phi))
+    corners, cmean, margin, branch = _cached(phi, "cell_corners", lambda: _cell_corners(phi))
     # pick the value branch nearest each cell (circle-valued maps)
-    vloc = v + branch * np.round((cmean - v) / branch) if branch != 0.0 else v
-    d = corners - vloc
+    wraps = branch * np.round((cmean - v) / branch) if branch != 0.0 else np.zeros_like(cmean)
+    cand = np.flatnonzero(np.abs(cmean - v - wraps) - 4 * np.finfo(float).eps * abs(v) <= margin)
+    d = corners[cand] - (v + wraps[cand, None] if branch != 0.0 else v)     # (candidates, corners)
     sgn = d > 0
-    active = np.isfinite(d).all(axis=0) & ~(sgn == sgn[0]).all(axis=0)
-    i, j = np.nonzero(active)
-    dc = d[:, i, j].T                                  # (cells, corners)
+    active = np.isfinite(d).all(axis=1) & ~(sgn == sgn[:, :1]).all(axis=1)
+    i, j = np.unravel_index(cand[active], grid.shape)
+    dc = d[active]                                     # (cells, corners)
     a, b = dc[:, _EDGE_CORNERS[:, 0]], dc[:, _EDGE_CORNERS[:, 1]]
     crossed = (a > 0) != (b > 0)                       # (cells, edges): two or four per cell
     cell, edge = np.nonzero(crossed)

@@ -36,10 +36,10 @@ import functools
 import math
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from .manifold import DiscreteManifold, PeriodicGrid, _cached, _csr_from_rows, _read_only
+from .manifold import DiscreteManifold, PeriodicGrid, _cached, _csr_from_rows, _grid_roll, _read_only
 
 __all__ = [
     "gradient",
@@ -142,32 +142,23 @@ def _grid_stiffness(M: DiscreteManifold) -> tuple[csr_matrix, list[np.ndarray]]:
     carry no cancellation noise from the stiff fiber terms of ``L``.
 
     Each ``(corner, a, b)`` term adds four blocks of one entry per cell, whose
-    rows are a corner map of the cells: a permutation of the nodes.  Gathered
-    through its inverse, block ``s`` gives row ``r`` its ``s``-th entry, which
-    is where the stable row sort of a COO scatter of the blocks in this order
-    puts it, so ``_csr_from_rows`` sums the same entries in the same order.
+    rows are a corner map of the cells: on the periodic grid, a roll.  Block
+    ``s`` gives row ``r`` the entry of the cell with ``r`` at that corner, the
+    node coefficient ``F_ab = q w g^ab / (h_a h_b)`` and its column rolled into
+    place, where the stable row sort of a COO scatter of the blocks in this
+    order puts it, so ``_csr_from_rows`` sums the same entries in the same order.
     """
     grid = M.grid
     m = grid.dim
-    shape = grid.shape
     n_nodes = grid.n_nodes
     h = grid.spacings
     q = grid.cell_volume / (2**m)
-    idx = np.arange(n_nodes).reshape(shape)
     ginv = M.metric_inverse().reshape(n_nodes, m, m)
-    w = M.volume_element.reshape(n_nodes)
-
-    # node index of cell corner delta relative to the cell's base node, and
-    # the cell whose corner delta each node is (its inverse)
-    corner_idx, corner_cell = {}, {}
-    for delta in np.ndindex(*(2,) * m):
-        shifted = idx
-        for ax, d in enumerate(delta):
-            if d:
-                shifted = np.roll(shifted, -1, axis=ax)
-        corner_idx[delta] = shifted.ravel()
-        corner_cell[delta] = np.empty(n_nodes, dtype=np.intp)
-        corner_cell[delta][corner_idx[delta]] = np.arange(n_nodes)
+    qw = q * M.volume_element.reshape(n_nodes)
+    # per node and (a, b): the cell coefficient q w g^ab of that corner, and F_ab
+    G = {(a, b): qw * ginv[:, a, b] for a, b in np.ndindex(m, m)}
+    F = {(a, b): G[a, b] / (h[a] * h[b]) for a, b in np.ndindex(m, m)}
+    idx = np.arange(n_nodes, dtype=np.int32)
     # per axis: cell differences of the unwrapped chart coordinate along it
     coord_diff = []
     for ax, x in enumerate(np.moveaxis(grid.positions(), -1, 0)):
@@ -180,27 +171,23 @@ def _grid_stiffness(M: DiscreteManifold) -> tuple[csr_matrix, list[np.ndarray]]:
     s = 0
     coord_actions = [np.zeros(n_nodes) for _ in range(m)]
     for delta in np.ndindex(*(2,) * m):
-        nd = corner_idx[delta]
-        coeff = q * w[nd]
         for a in range(m):
             da1 = tuple(1 if ax == a else delta[ax] for ax in range(m))
             da0 = tuple(0 if ax == a else delta[ax] for ax in range(m))
-            ia1, ia0 = corner_idx[da1], corner_idx[da0]
             for b in range(m):
-                gab = ginv[nd, a, b]
-                c = coeff * gab / (h[a] * h[b])
                 db1 = tuple(1 if ax == b else delta[ax] for ax in range(m))
                 db0 = tuple(0 if ax == b else delta[ax] for ax in range(m))
-                ib1, ib0 = corner_idx[db1], corner_idx[db0]
-                # blocks (ia1, ib1, c), (ia1, ib0, -c), (ia0, ib1, -c), (ia0, ib0, c)
-                for cell, v in ((corner_cell[da1], c), (corner_cell[da0], -c)):
-                    cols[s], cols[s + 1] = ib1[cell], ib0[cell]
-                    vals[s] = v[cell]
+                # blocks (da1, db1, c), (da1, db0, -c), (da0, db1, -c), (da0, db0, c), c = F_ab
+                # at corner delta: row r's cell is r - da, its columns r - da + db
+                for da, sign in ((da1, np.positive), (da0, np.negative)):
+                    cols[s] = _grid_roll(grid, idx, np.subtract(da, db1))
+                    cols[s + 1] = _grid_roll(grid, idx, np.subtract(da, db0))
+                    sign(_grid_roll(grid, F[a, b], np.subtract(da, delta)), out=vals[s])
                     np.negative(vals[s], out=vals[s + 1])
                     s += 2
-                cx = coeff * gab * coord_diff[b] / h[a]
-                coord_actions[b][ia1] += cx
-                coord_actions[b][ia0] -= cx
+                cx = _grid_roll(grid, G[a, b], np.negative(delta)) * coord_diff[b] / h[a]
+                coord_actions[b] += _grid_roll(grid, cx, da1)
+                coord_actions[b] -= _grid_roll(grid, cx, da0)
     return _csr_from_rows(cols, vals), coord_actions
 
 
@@ -278,10 +265,11 @@ def pinned_stiffness_solve(L, mass: np.ndarray, factor):
     Row and column 0 are pinned to the unit vector, ``b[0]`` is dropped (the
     row-0 equation follows from the others when ``b`` sums to zero) and ``x``
     is returned with ``mass``-weighted mean zero.  ``factor`` factors the
-    pinned matrix once, here: :func:`factorize` for the harmonic coordinates,
-    whose bits its COLAMD order fixes, and :func:`factorize_symmetric` for the
-    eigensolve, on the whole chart or on the base block of a warped product.
-    The factor lives as long as the returned callable; nothing is cached.
+    pinned matrix, in CSC format (:func:`_pin_first_node`), once, here:
+    :func:`factorize` for the harmonic coordinates, whose bits its COLAMD
+    order fixes, and :func:`factorize_symmetric` for the eigensolve, on the
+    whole chart or on the base block of a warped product.  The factor lives
+    as long as the returned callable; nothing is cached.
     """
     solve = factor(_pin_first_node(L))
 
@@ -295,17 +283,18 @@ def pinned_stiffness_solve(L, mass: np.ndarray, factor):
     return pinned
 
 
-def _pin_first_node(L) -> coo_matrix:
-    """``L`` with row and column 0 replaced by the unit vector: every entry
-    of either dropped, then ``(0, 0) = 1``.  The other stored entries stay,
-    explicit zeros included: :func:`factorize` orders the columns by this
-    structure, and with it sets the round-off of the harmonic coordinates
-    (:func:`factorize_symmetric` drops the zeros itself)."""
-    A = L.tocoo()
-    keep = (A.row != 0) & (A.col != 0)
-    return coo_matrix(
-        (np.append(A.data[keep], 1.0), (np.append(A.row[keep], 0), np.append(A.col[keep], 0))), shape=L.shape
-    )
+def _pin_first_node(L) -> csc_matrix:
+    """``L`` in CSC format with row and column 0 replaced by the unit vector:
+    their stored entries dropped, then ``(0, 0) = 1``.  The other stored
+    entries keep their order, explicit zeros included: :func:`factorize`
+    orders the columns by this structure, and so sets the round-off of the
+    harmonic coordinates (:func:`factorize_symmetric` drops the zeros)."""
+    A = L.tocsc()
+    keep = A.indices != 0
+    keep[:A.indptr[1]] = False                 # column 0
+    indptr = np.zeros_like(A.indptr)           # the index arrays keep L's dtype
+    indptr[1:] = 1 + np.concatenate([[0], np.cumsum(keep)])[A.indptr[1:]]
+    return csc_matrix((np.insert(A.data[keep], 0, 1.0), np.insert(A.indices[keep], 0, 0), indptr), shape=L.shape)
 
 
 # CG iteration cap of circulant_pcg (the warped 512 x 102 cutoff takes 18)

@@ -77,6 +77,33 @@ def test_numeric_values_must_be_positive_finite_numbers(tmp_path, capsys, sectio
     assert f"config field {section}.{key} must be a positive finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "given,key,wanted",
+    [
+        ({"eig": {"count": 0}}, "eig.count", "a positive integer"),          # used to write 3 pairs
+        ({"eig": {"count": True}}, "eig.count", "a positive integer"),
+        ({"resolution": {"nodes_per_unit": 64.5}}, "resolution.nodes_per_unit", "a positive integer"),
+        ({"resolution": {"nodes_per_unit": "64"}}, "resolution.nodes_per_unit", "a positive integer"),
+        ({"resolution": {"min_fiber_nodes": -16}}, "resolution.min_fiber_nodes", "a positive integer"),
+        ({"seed": "3"}, "seed", "a non-negative integer"),
+        ({"seed": -1}, "seed", "a non-negative integer"),
+        ({"eig": {"theta_max": "50"}}, "eig.theta_max", "a positive finite number"),
+        ({"eig": {"theta_max": 0}}, "eig.theta_max", "a positive finite number"),
+    ],
+)
+def test_integer_fields_and_theta_max_are_checked(tmp_path, capsys, given, key, wanted):
+    # the string values used to die with a TypeError traceback
+    path = write_config(tmp_path, given)
+    assert main(["eig", "--config", str(path), "--out", str(tmp_path / "out"), "--no-cache"]) == 1
+    assert f"config field {key} must be {wanted}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "eigenvalues.csv").exists()
+
+
+def test_a_seed_of_zero_is_accepted(tmp_path):
+    cfg = load_config(write_config(tmp_path, {"seed": 0, "eig": {"count": 1}}))
+    assert (cfg.seed, cfg.eig["count"]) == (0, 1)
+
+
 @pytest.mark.parametrize("section,key", [("ball", "center"), ("flow", "start")])
 @pytest.mark.parametrize("point", [[0.5], [0.5, 0.5, 0.5], 0.5])
 def test_a_point_needs_one_coordinate_per_chart_axis(tmp_path, capsys, section, key, point):

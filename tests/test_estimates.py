@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 
 import numpy as np
 import pytest
@@ -11,17 +12,19 @@ import collapselab.operators as operators
 import collapselab.spectral as spectral
 import collapselab.splitting as splitting
 from collapselab.estimates import (
+    DEGENERATE_LHS_FRACTION,
     FIBER_LEVELS,
     build_cutoff,
     c1_sup_bound,
     certify_point,
     default_ball_center,
     default_resolution_rule,
+    main_theorem_report,
     point_reports,
     run_point,
     w22_k_bound,
 )
-from collapselab.spectral import cheng_yau_ratio
+from collapselab.spectral import EigenPair, cheng_yau_ratio
 
 
 def warped_point():
@@ -219,3 +222,47 @@ def test_serial_sweep_dispatches_in_the_pool_order(point_tasks, pools):
     assert pools == []
     assert point_tasks == LARGEST_FIRST
     assert [row.epsilon for row in result.rows] == sorted(SWEEP_NODES)
+
+
+# ---------------------------------------------------------------------------
+# the headline estimate on a pair past the fiber gap
+# ---------------------------------------------------------------------------
+
+
+def fiber_sine_report(epsilon: float, scale_certificate=None):
+    """The headline report of ``u = sqrt(2) sin 2 pi y`` on the flat torus at
+    128 nodes per unit, with the Rayleigh quotient as theta: a pair past the
+    fiber gap, whose tangential gradient has L2 average 2 pi / eps."""
+    point = certify_point("flat-product-torus", epsilon, 0.0, 0.0, default_resolution_rule(128),
+                          default_ball_center("flat-product-torus"), 0.25)
+    M, cert = point["manifold"], point["cert"]
+    u = np.sqrt(2.0) * np.sin(2 * np.pi * M.positions()[..., 1])
+    L, mass = operators.laplacian_matrix(M)
+    Lu = L @ u.ravel()
+    theta = float(u.ravel() @ Lu / (mass @ u.ravel() ** 2))
+    residual = float(np.sqrt(np.sum(mass * (Lu / mass - theta * u.ravel()) ** 2) / mass.sum()))
+    assert residual < 6e-11
+    if scale_certificate is not None:
+        cert = dataclasses.replace(cert, **{key: getattr(cert, key) * f for key, f in scale_certificate.items()})
+    field = flow.tangential_projection(M, u, point["phi"], point["stats"], point["mask"])
+    cutoff = build_cutoff(point["ball"], point["ball2"], point["eps_hat"])
+    return main_theorem_report(EigenPair(theta, u, residual), field, point["mask"].regular, point["ball"], cert,
+                               cutoff)
+
+
+def test_the_headline_is_informative_past_the_fiber_gap():
+    # r ||grad^T u|| = r 2 pi / eps, less the ball's discretization: 1.557,
+    # 1.529 and 1.532 times 1 / eps measured
+    scaled = []
+    for eps in (0.2, 0.1, 0.05):
+        rep = fiber_sine_report(eps)
+        assert rep.passed and rep.lhs > DEGENERATE_LHS_FRACTION * rep.rhs
+        scaled.append(rep.lhs * eps)
+    assert max(scaled) <= 1.05 * min(scaled)
+    assert scaled[0] == pytest.approx(np.pi / 2, rel=0.05)
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+def test_a_too_small_certificate_fails_the_headline(eps):
+    rep = fiber_sine_report(eps, scale_certificate={"epsilon_hat": 1e-12, "psi": 1e-6})
+    assert rep.lhs > rep.rhs and not rep.passed

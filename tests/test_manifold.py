@@ -19,6 +19,8 @@ from collapselab.manifold import (
     _grid_neighbor_offsets,
     _level_crossings,
     _march_squares,
+    _metric_runs,
+    _per_metric,
     base_period_lengths,
     graph_distances,
     ricci_lower_bound,
@@ -83,6 +85,37 @@ def test_metric_invariants_checked():
     M = build_family(grid_spec)
     with pytest.raises(ValueError, match="positive definite"):
         DiscreteManifold(grid=M.grid, metric=bad, volume_element=np.ones((8, 16)))
+
+
+@pytest.mark.parametrize(
+    "family, runs",
+    [("doubly_warped", 32 * 32), ("warped_torus", 128), ("twisted_torus", 1), ("flat_eig_torus", 1)],
+)
+def test_one_evaluation_per_distinct_metric_keeps_every_bit(request, family, runs):
+    # LAPACK works matrix by matrix: one call per run of equal metrics, gathered
+    # back, gives the bytes of the call on every node
+    M = request.getfixturevalue(family)
+    first, run = _metric_runs(M.metric)
+    assert len(first) == runs and run.shape == (M.grid.n_nodes,)
+    for fn in (np.linalg.inv, np.linalg.det, np.linalg.eigvalsh):
+        got, want = _per_metric(fn, M.metric, (first, run)), fn(M.metric)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert M.metric_inverse().tobytes() == np.linalg.inv(M.metric).tobytes()
+    if M.family is not None:
+        assert build_family(M.family).volume_element.tobytes() == np.sqrt(np.linalg.det(M.metric)).tobytes()
+
+
+@pytest.mark.parametrize("family", ["warped_torus", "flat_eig_torus"])
+def test_a_single_bad_node_is_named(request, family):
+    # the node sits inside a run of equal metrics along the fiber
+    M = request.getfixturevalue(family)
+    g, w = M.metric.copy(), M.volume_element.copy()
+    g[37, 5] = [[1.0, 0.0], [0.0, -1e-3]]
+    with pytest.raises(ValueError, match=r"not positive definite at node \(37, 5\)"):
+        DiscreteManifold(grid=M.grid, metric=g, volume_element=w)
+    w[37, 5] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="volume_element inconsistent"):
+        DiscreteManifold(grid=M.grid, metric=M.metric, volume_element=w)
 
 
 @pytest.mark.parametrize(
@@ -452,19 +485,36 @@ def per_cell_march_squares(phi, v):
     return np.vstack([pts[:1], pts[:1] + np.cumsum(deltas, axis=0)]), segments, crossing, saddles
 
 
+def tight_levels(phi):
+    """Levels where few cells cross or a cell's test is tight: the map's
+    extremes, node values (on the seam rows too) and, for a circle-valued map,
+    half a period from a cell's corner mean, where the branch choice ties."""
+    f = phi.values[0]
+    finite = f[np.isfinite(f)]
+    levels = [finite.min(), finite.max(), f[0, 0], f[-1, 3], f[5, -1], f[17, 9]]
+    period = phi.value_periods()[0]
+    if period:
+        mean = 0.25 * (f[9, 4] + f[10, 4] + f[9, 5] + f[10, 5])
+        for v in (mean + 0.5 * period, mean - 0.5 * period):
+            levels += [v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]
+    return [float(v) for v in levels]
+
+
 def march_squares_cases(warped):
     """(map, levels) on a warped map, a plain field with saddles and a NaN
-    node, and a curved circle-valued component, with levels on the seam."""
+    node, and a curved circle-valued component, with levels on the seam and
+    the ``tight_levels`` of each map."""
     M = build_family(FamilySpec(kind="flat-product-torus", epsilon=0.2, resolution=(48, 16)))
     x, y = np.moveaxis(M.positions(), -1, 0)
     plain = np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) + 0.5 * np.random.default_rng(1).standard_normal(x.shape)
     plain[7, 3] = np.nan
     curved = x + 0.02 * np.sin(2 * np.pi * y)
-    return [
+    cases = [
         (warped, [0.0, 1e-4, 0.37, 0.5, 0.999, -0.25]),
         (SplittingMap(M, (plain,), (np.zeros(2),)), [0.0, 0.2, -0.45, 0.7]),
         (SplittingMap(M, (curved,), (np.array([1.0, 0.0]),)), [0.0, 0.01, 0.5, 0.995, 1.3]),
     ]
+    return [(phi, levels + tight_levels(phi)) for phi, levels in cases]
 
 
 def test_level_crossings_match_per_cell_loop(warped_coordinates):

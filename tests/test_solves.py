@@ -74,17 +74,6 @@ def small_twisted():
     )
 
 
-@pytest.fixture(scope="module")
-def doubly_warped():
-    """Both chart coordinates need a harmonic correction: g = a(y)^2 dx^2 + b(x)^2 dy^2."""
-    grid = PeriodicGrid((32, 32), (1.0, 1.0))
-    x, y = np.moveaxis(grid.positions(), -1, 0)
-    g = np.zeros(grid.shape + (2, 2))
-    g[..., 0, 0] = (1.0 + 0.3 * np.sin(2 * np.pi * y)) ** 2
-    g[..., 1, 1] = (0.5 + 0.1 * np.cos(2 * np.pi * x)) ** 2
-    return DiscreteManifold(grid=grid, metric=g, volume_element=np.sqrt(np.linalg.det(g)))
-
-
 def fresh(M):
     """A copy of ``M`` without its cached fields."""
     return dataclasses.replace(M)
