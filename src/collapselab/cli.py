@@ -42,7 +42,7 @@ from .estimates import (
     sweep,
 )
 from .flow import fiber_apriori_check, fiber_neighborhood, flow_rate_bound, integrate_flow, tangential_projection
-from .manifold import FAMILIES, FamilySpec, build_family, extract_fiber
+from .manifold import FAMILIES, MIN_FIBER_NODES, FamilySpec, build_family, extract_fiber
 from .spectral import eigenpairs, load_eigen_cache, save_eigen_cache
 
 __all__ = ["main", "ExperimentConfig", "load_config"]
@@ -59,10 +59,12 @@ _DEFAULTS = {
     "seed": 0,
 }
 
-# config fields that must hold a positive finite number, and integer fields with their least value
+# config fields that must hold a positive finite number, and integer fields with their least value;
+# FamilySpec rejects a fiber axis of fewer than MIN_FIBER_NODES nodes, so no lower floor makes a chart
 _POSITIVE = [("family", "epsilon"), ("ball", "radius"), ("eig", "theta_max"), ("flow", "time_over_k"),
              ("flow", "dt_factor")]
-_INTEGERS = {"eig.count": 1, "resolution.nodes_per_unit": 1, "resolution.min_fiber_nodes": 1, "seed": 0}
+_INTEGERS = {"eig.count": 1, "resolution.nodes_per_unit": 1, "resolution.min_fiber_nodes": MIN_FIBER_NODES,
+             "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -156,8 +158,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         section, _, name = key.rpartition(".")
         value = merged[section][name] if section else merged[name]
         if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise ValueError(f"config field {key} must be {'a positive' if least else 'a non-negative'} integer, "
-                             f"got {value!r}")
+            wanted = {0: "a non-negative integer", 1: "a positive integer"}.get(least, f"a positive integer >= {least}")
+            raise ValueError(f"config field {key} must be {wanted}, got {value!r}")
     for section, name in (("ball", "center"), ("flow", "start")):
         point = merged[section][name]
         if point is not None and (not isinstance(point, list) or len(point) != family.dim):

@@ -14,6 +14,7 @@ residual plus an integer *winding* vector: the function increases by
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -384,35 +385,24 @@ class GeodesicBall:
 
 def _grid_neighbor_offsets(m: int) -> list[tuple[int, ...]]:
     """Moore stencil plus knight moves: keeps graph-metrication error small."""
-    offsets = set()
-    for delta in np.ndindex(*(3,) * m):
-        d = tuple(int(x) - 1 for x in delta)
-        if any(d):
-            offsets.add(d)
+    offsets = {tuple(int(x) - 1 for x in delta) for delta in np.ndindex(*(3,) * m)} - {(0,) * m}
     # knight moves on each axis pair
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            for si in (-1, 1):
-                for sj in (-2, 2):
-                    d = [0] * m
-                    d[i], d[j] = si, sj
-                    offsets.add(tuple(d))
+    offsets |= {tuple(si if a == i else sj if a == j else 0 for a in range(m))
+                for i, j, si, sj in itertools.product(range(m), range(m), (-1, 1), (-2, 2)) if i != j}
     return sorted(offsets)
 
 
-def _csr_from_rows(cols: np.ndarray, vals: np.ndarray):
-    """Square CSR matrix whose row ``r`` holds ``(cols[s, r], vals[s, r])`` for
-    ``s = 0, 1, ...`` in that order, duplicates summed.
+def _csr_from_rows(cols: np.ndarray, vals: np.ndarray, n: int):
+    """CSR matrix of ``n`` columns whose row ``r`` holds ``(cols[r, s], vals[r, s])``
+    for ``s = 0, 1, ...`` in that order, duplicates summed.
 
     This is the CSR that ``coo_matrix(...).tocsr()`` makes from blocks that
     hold one entry per row, block ``s`` after block ``s - 1``: its counting
     sort by row is stable, so each row lists its entries in block order, and
-    the index sort and duplicate sum then see the same input.
+    the index sort and duplicate sum then see the same input.  The row-major
+    ``(rows, blocks)`` arrays become the CSR's arrays without a copy.
     """
-    per_row, n = cols.shape
-    A = csr_matrix((vals.T.ravel(), cols.T.ravel(), np.arange(0, per_row * n + 1, per_row)), shape=(n, n))
+    A = csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, cols.size + 1, cols.shape[1])), shape=(len(cols), n))
     A.sum_duplicates()
     return A
 
@@ -432,14 +422,19 @@ def _grid_adjacency(M: DiscreteManifold):
     idx = np.arange(n_nodes, dtype=np.int32)
     g = M.metric.reshape(n_nodes, m, m)
     offsets = _grid_neighbor_offsets(m)
-    cols = np.empty((len(offsets), n_nodes), dtype=np.int32)
-    vals = np.empty((len(offsets), n_nodes))
+    cols = np.empty((n_nodes, len(offsets)), dtype=np.int32)
+    vals = np.empty(cols.shape)
     for s, off in enumerate(offsets):
         dx = np.asarray(off) * h
-        gmid = 0.5 * (g + _grid_roll(grid, g, np.negative(off)))     # with node r + off
-        cols[s] = _grid_roll(grid, idx, np.negative(off))
-        vals[s] = np.sqrt(np.einsum("i,nij,j->n", dx, gmid, dx))
-    return _csr_from_rows(cols, vals)
+        cols[:, s] = _grid_roll(grid, idx, np.negative(off))
+        # dx . (g + g at node r + off) / 2 . dx summed from 0.0 over i, j in C
+        # order, the bits of einsum("i,nij,j->n"); a term with dx_i dx_j = 0 adds +-0
+        length_sq = np.zeros(n_nodes)
+        for i, j in np.ndindex(m, m):
+            if off[i] and off[j]:
+                length_sq += dx[i] * (0.5 * (g[:, i, j] + _grid_roll(grid, g[:, i, j], np.negative(off)))) * dx[j]
+        np.sqrt(length_sq, out=vals[:, s])
+    return _csr_from_rows(cols, vals, n_nodes)
 
 
 def graph_distances(M: DiscreteManifold, sources: np.ndarray | Sequence[int], limit: float = np.inf) -> np.ndarray:
@@ -595,7 +590,7 @@ def _march_squares(phi, v: float) -> tuple[np.ndarray, bool]:
     """Marching squares for one periodic scalar level set, chained by edge ids;
     the polyline and whether its chain closed."""
     segments, (edges, points) = _level_crossings(phi, v)
-    return _chain_segments(phi.manifold.grid, segments.tolist(), edges, points)
+    return _chain_segments(phi.manifold.grid, segments, edges, points)
 
 
 # the edges of a cell in the order it registers them (bottom, top, left,
@@ -609,12 +604,14 @@ _EDGE_AXIS = np.array([0, 0, 1, 1])
 _CELL_SEGMENTS = np.array([[[0, 1], [0, 1]], [[0, 3], [1, 2]], [[0, 2], [1, 3]]])
 
 
-def _cell_corners(phi) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _cell_corners(phi):
     """Per cell, in row-major order: the first component at its corners 00,
     10, 01, 11 on the cell's side of the seam, ``(n_nodes, 4)``; their mean;
     a margin, twice the largest corner deviation from the mean (a level that
     crosses the cell lies within it) plus ``4 eps (|mean| + period)`` for
-    round-off; and the value period that picks a cell's branch (0 for a plain field)."""
+    round-off; the value period that picks a cell's branch (0 for a plain field);
+    and an index: the cells of finite margin sorted by their means (modulo the
+    period, if any), those sorted means, and the largest margin."""
     grid = phi.manifold.grid
     f, winding = phi.component_arrays(0)
     jump1 = winding[0] * grid.periods[0]
@@ -629,7 +626,11 @@ def _cell_corners(phi) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     branch = jump1 if jump1 != 0.0 else jump2
     margin = 2.0 * np.abs(corners - cmean[:, None]).max(axis=1)
     margin += 4 * np.finfo(float).eps * (np.abs(cmean) + abs(branch))
-    return _read_only(corners), _read_only(cmean), _read_only(margin), branch
+    live = np.flatnonzero(np.isfinite(margin))
+    keys = cmean[live] % abs(branch) if branch != 0.0 else cmean[live]
+    order = np.argsort(keys)
+    return (_read_only(corners), _read_only(cmean), _read_only(margin), branch,
+            _read_only(live[order]), _read_only(keys[order]), float(margin[live].max(initial=0.0)))
 
 
 def _level_crossings(phi, v: float) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -642,18 +643,30 @@ def _level_crossings(phi, v: float) -> tuple[np.ndarray, tuple[np.ndarray, np.nd
     the cell center.  ``crossing`` is ``(edges, points)``: the sorted ids of
     the crossed edges and where each crosses, interpolated in the first cell
     in that order to cross it, so adjacent cells chain exactly.
+
     Only a cell whose corner mean on the level's branch lies within its margin
-    (``_cell_corners``), plus ``4 eps |v|``, of the level can cross it and is tested.
+    (``_cell_corners``), plus ``4 eps |v|``, of the level can cross it and is
+    tested.  Binary search in the index finds a superset, the cells within twice
+    the largest margin plus ``8 eps (|v| + period)`` of the level (cyclically
+    on a circle-valued map), and tests it in row-major order as every cell.
     """
     grid = phi.manifold.grid
-    corners, cmean, margin, branch = _cached(phi, "cell_corners", lambda: _cell_corners(phi))
+    corners, cmean, margin, branch, cells, keys, reach = _cached(phi, "cell_corners", lambda: _cell_corners(phi))
+    period, eps = abs(branch), np.finfo(float).eps
+    width, t = 2.0 * reach + 8 * eps * (abs(v) + period), v % period if period else v
+    cells = np.unique(np.concatenate([
+        cells[np.searchsorted(keys, c - width):np.searchsorted(keys, c + width, side="right")]
+        for c in (t - period, t, t + period)
+    ]))
+    cmean = cmean[cells]
     # pick the value branch nearest each cell (circle-valued maps)
     wraps = branch * np.round((cmean - v) / branch) if branch != 0.0 else np.zeros_like(cmean)
-    cand = np.flatnonzero(np.abs(cmean - v - wraps) - 4 * np.finfo(float).eps * abs(v) <= margin)
-    d = corners[cand] - (v + wraps[cand, None] if branch != 0.0 else v)     # (candidates, corners)
+    test = np.abs(cmean - v - wraps) - 4 * eps * abs(v) <= margin[cells]
+    cand = cells[test]
+    d = corners[cand] - (v + wraps[test, None] if branch != 0.0 else v)     # (candidates, corners)
     sgn = d > 0
     active = np.isfinite(d).all(axis=1) & ~(sgn == sgn[:, :1]).all(axis=1)
-    i, j = np.unravel_index(cand[active], grid.shape)
+    i, j = np.divmod(cand[active], grid.shape[1])
     dc = d[active]                                     # (cells, corners)
     a, b = dc[:, _EDGE_CORNERS[:, 0]], dc[:, _EDGE_CORNERS[:, 1]]
     crossed = (a > 0) != (b > 0)                       # (cells, edges): two or four per cell
@@ -662,7 +675,7 @@ def _level_crossings(phi, v: float) -> tuple[np.ndarray, tuple[np.ndarray, np.nd
     frac = np.zeros(node.shape)
     frac[np.arange(len(edge)), _EDGE_AXIS[edge]] = a[crossed] / (a[crossed] - b[crossed])
     points = (node + frac) * grid.spacings % grid.periods
-    ids = _EDGE_AXIS[edge] * grid.n_nodes + np.ravel_multi_index(tuple(node.T), grid.shape)
+    ids = _EDGE_AXIS[edge] * grid.n_nodes + node[:, 0] * grid.shape[1] + node[:, 1]
     edges, first = np.unique(ids, return_index=True)
 
     count = crossed.sum(axis=1)
@@ -672,45 +685,36 @@ def _level_crossings(phi, v: float) -> tuple[np.ndarray, tuple[np.ndarray, np.nd
     return ids[seg[np.stack([np.ones(len(kind), dtype=bool), kind > 0], axis=1)]], (edges, points[first])
 
 
-def _chain_segments(
-    grid: PeriodicGrid, segments: list, edges: np.ndarray, points: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """The longest chain of segments (edge pairs) as a polyline through the
-    crossing ``points`` of the sorted ``edges``, unwrapped along the chain,
-    and whether that chain closed (its last edge is its first)."""
-    if not segments:
+def _chain_segments(grid: PeriodicGrid, segments: np.ndarray, edges: np.ndarray, points: np.ndarray):
+    """The longest chain of segments (edge pairs, ``(n, 2)``) as a polyline
+    through the crossing ``points`` of the sorted ``edges``, unwrapped along
+    the chain, and whether that chain closed (its last edge is its first).
+    A chain starts at the first segment no chain holds, and grows from its
+    last edge through the other segment there (an edge bounds two cells)."""
+    if not len(segments):
         return np.zeros((0, grid.dim)), False
-    incident: dict[int, list[int]] = {}
-    for s, (a, b) in enumerate(segments):
-        incident.setdefault(a, []).append(s)
-        incident.setdefault(b, []).append(s)
-    # walk the largest closed chain
-    used = [False] * len(segments)
-    chains = []
-    for s0 in range(len(segments)):
-        if used[s0]:
+    ends = np.searchsorted(edges, segments).ravel()    # end 2 s + k: edge k of segment s, as its index
+    by_edge = np.argsort(ends, kind="stable")
+    pair = np.flatnonzero(ends[by_edge[1:]] == ends[by_edge[:-1]])
+    across = np.full(len(ends), -1)                     # the other segment's end at the same edge
+    across[by_edge[pair]], across[by_edge[pair + 1]] = by_edge[pair + 1], by_edge[pair]
+    ends, across = ends.tolist(), across.tolist()
+    used, chain = [False] * len(segments), []
+    for s in range(len(segments)):
+        if used[s]:
             continue
-        chain = [segments[s0][0], segments[s0][1]]
-        used[s0] = True
-        grown = True
-        while grown:
-            grown = False
-            tail = chain[-1]
-            for s in incident.get(tail, []):
-                if used[s]:
-                    continue
-                a, b = segments[s]
-                nxt = b if a == tail else a
-                used[s] = True
-                chain.append(nxt)
-                grown = True
-                break
-        chains.append(chain)
-    chain = max(chains, key=len)
+        used[s] = True
+        grown, end = [ends[2 * s], ends[2 * s + 1]], 2 * s + 1
+        while across[end] >= 0 and not used[across[end] >> 1]:
+            end = across[end] ^ 1                       # leave the next segment by its other edge
+            used[end >> 1] = True
+            grown.append(ends[end])
+        if len(grown) > len(chain):
+            chain = grown
     closed = chain[0] == chain[-1]
     if closed:
         chain = chain[:-1]
-    pts = points[np.searchsorted(edges, chain)]
+    pts = points[chain]
     # unwrap along the chain so consecutive deltas are the nearest representatives
     deltas = grid.wrap_delta(np.diff(pts, axis=0))
     return np.vstack([pts[:1], pts[:1] + np.cumsum(deltas, axis=0)]), closed

@@ -33,6 +33,7 @@ so a factor lives only as long as the call that made it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -73,15 +74,10 @@ def _seam_neighbors(f: np.ndarray, axis: int, wrap_add: float) -> tuple[np.ndarr
     ``wrap_add`` is the jump of the represented function across the period
     seam (winding * period); zero for ordinary periodic fields.
     """
-    fp = np.roll(f, -1, axis=axis)
-    fm = np.roll(f, +1, axis=axis)
+    fp, fm = np.roll(f, -1, axis=axis), np.roll(f, 1, axis=axis)
     if wrap_add:
-        sl_last = [slice(None)] * f.ndim
-        sl_last[axis] = -1
-        sl_first = [slice(None)] * f.ndim
-        sl_first[axis] = 0
-        fp[tuple(sl_last)] += wrap_add
-        fm[tuple(sl_first)] -= wrap_add
+        fp[(slice(None),) * axis + (-1,)] += wrap_add
+        fm[(slice(None),) * axis + (0,)] -= wrap_add
     return fp, fm
 
 
@@ -143,13 +139,19 @@ def _grid_stiffness(M: DiscreteManifold) -> tuple[csr_matrix, list[np.ndarray]]:
 
     Each ``(corner, a, b)`` term adds four blocks of one entry per cell, whose
     rows are a corner map of the cells: on the periodic grid, a roll.  Block
-    ``s`` gives row ``r`` the entry of the cell with ``r`` at that corner, the
-    node coefficient ``F_ab = q w g^ab / (h_a h_b)`` and its column rolled into
-    place, where the stable row sort of a COO scatter of the blocks in this
-    order puts it, so ``_csr_from_rows`` sums the same entries in the same order.
+    ``s`` gives row ``r`` the entry ``+-F_ab`` (``F_ab = q w g^ab / (h_a h_b)``)
+    of the cell with ``r`` at that corner, in column ``r`` plus an offset in
+    ``{-1, 0, 1}^m``.  ``L`` is the CSR that a COO scatter of the blocks in
+    this order makes: each row lists its entries in block order, and
+    ``sum_duplicates`` sorts it by column, a permutation set by the column
+    order alone, then sums equal columns left to right.  Interior rows
+    (``1 <= i <= N - 2`` on every axis) share one column order, so the sort of
+    one such row orders every interior sum, added per offset over the whole
+    interior; the seam rows stage their blocks through ``_csr_from_rows``.
     """
     grid = M.grid
     m = grid.dim
+    shape = grid.shape
     n_nodes = grid.n_nodes
     h = grid.spacings
     q = grid.cell_volume / (2**m)
@@ -158,7 +160,6 @@ def _grid_stiffness(M: DiscreteManifold) -> tuple[csr_matrix, list[np.ndarray]]:
     # per node and (a, b): the cell coefficient q w g^ab of that corner, and F_ab
     G = {(a, b): qw * ginv[:, a, b] for a, b in np.ndindex(m, m)}
     F = {(a, b): G[a, b] / (h[a] * h[b]) for a, b in np.ndindex(m, m)}
-    idx = np.arange(n_nodes, dtype=np.int32)
     # per axis: cell differences of the unwrapped chart coordinate along it
     coord_diff = []
     for ax, x in enumerate(np.moveaxis(grid.positions(), -1, 0)):
@@ -166,9 +167,7 @@ def _grid_stiffness(M: DiscreteManifold) -> tuple[csr_matrix, list[np.ndarray]]:
         x_next[(slice(None),) * ax + (-1,)] += grid.periods[ax]
         coord_diff.append((x_next.ravel() - x.ravel()) / h[ax])
 
-    cols = np.empty((2**m * m * m * 4, n_nodes), dtype=np.int32)
-    vals = np.empty(cols.shape)
-    s = 0
+    blocks = []            # (shift, roll, (a, b), sign): row r's column r - shift, value sign F_ab[r - roll]
     coord_actions = [np.zeros(n_nodes) for _ in range(m)]
     for delta in np.ndindex(*(2,) * m):
         for a in range(m):
@@ -179,16 +178,48 @@ def _grid_stiffness(M: DiscreteManifold) -> tuple[csr_matrix, list[np.ndarray]]:
                 db0 = tuple(0 if ax == b else delta[ax] for ax in range(m))
                 # blocks (da1, db1, c), (da1, db0, -c), (da0, db1, -c), (da0, db0, c), c = F_ab
                 # at corner delta: row r's cell is r - da, its columns r - da + db
-                for da, sign in ((da1, np.positive), (da0, np.negative)):
-                    cols[s] = _grid_roll(grid, idx, np.subtract(da, db1))
-                    cols[s + 1] = _grid_roll(grid, idx, np.subtract(da, db0))
-                    sign(_grid_roll(grid, F[a, b], np.subtract(da, delta)), out=vals[s])
-                    np.negative(vals[s], out=vals[s + 1])
-                    s += 2
+                blocks += [(np.subtract(da, db), np.subtract(da, delta), (a, b), sa * sb)
+                           for da, sa in ((da1, 1), (da0, -1)) for db, sb in ((db1, 1), (db0, -1))]
                 cx = _grid_roll(grid, G[a, b], np.negative(delta)) * coord_diff[b] / h[a]
                 coord_actions[b] += _grid_roll(grid, cx, da1)
                 coord_actions[b] -= _grid_roll(grid, cx, da0)
-    return _csr_from_rows(cols, vals), coord_actions
+
+    interior = np.zeros(shape, dtype=bool)
+    interior[(slice(1, -1),) * m] = True
+    seam = np.flatnonzero(~interior)
+    seam_node = np.unravel_index(seam, shape)
+    # per shift in {-1, 0, 1}^m: the flat index of each seam node minus the shift, wrapped
+    at = {d: np.ravel_multi_index(np.subtract(seam_node, np.array(d)[:, None]), shape, mode="wrap")
+          for d in itertools.product((-1, 0, 1), repeat=m)}
+    cols = np.empty((len(seam), len(blocks)), dtype=np.int32)
+    vals = np.empty(cols.shape)
+    for s, (shift, roll, ab, sign) in enumerate(blocks):
+        cols[:, s], vals[:, s] = at[tuple(shift)], sign * F[ab][at[tuple(roll)]]
+    S = _csr_from_rows(cols, vals, n_nodes)
+    if not interior.any():                             # an axis of fewer than 3 nodes: every row is a seam row
+        return S, coord_actions
+    strides = np.array([math.prod(shape[ax + 1:]) for ax in range(m)])
+    rep = int(strides.sum())                           # node (1, ..., 1)
+    one = csr_matrix((np.arange(len(blocks), dtype=float), [rep - b[0] @ strides for b in blocks],
+                      [0, len(blocks)]), shape=(1, n_nodes))
+    one.has_sorted_indices = False                     # L's staged rows always sort: some are out of order
+    one.sort_indices()
+    starts = np.flatnonzero(np.diff(one.indices, prepend=-1))
+    # with 3 or more nodes per axis, every row holds each stencil offset once
+    inner, K = (slice(1, -1),) * m, len(starts)
+    data, indices = np.empty((n_nodes, K)), np.empty((n_nodes, K), dtype=S.indices.dtype)
+    data[seam], indices[seam] = S.data.reshape(-1, K), S.indices.reshape(-1, K)
+    node = np.arange(n_nodes).reshape(shape)[inner]
+    for k, (start, stop) in enumerate(zip(starts, [*starts[1:], len(blocks)])):
+        acc = None
+        for s in one.data[start:stop].astype(int):
+            _, roll, ab, sign = blocks[s]
+            f = F[ab].reshape(shape)[tuple(slice(1 - v, n - 1 - v) for v, n in zip(roll, shape))]
+            acc = sign * f if acc is None else (np.add if sign > 0 else np.subtract)(acc, f, out=acc)
+        data.reshape(shape + (K,))[inner + (k,)] = acc
+        indices.reshape(shape + (K,))[inner + (k,)] = node + (one.indices[start] - rep)
+    indptr = np.arange(0, K * n_nodes + 1, K, dtype=S.indptr.dtype)
+    return csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(n_nodes, n_nodes)), coord_actions
 
 
 def laplacian_matrix(M: DiscreteManifold):
@@ -310,11 +341,25 @@ CG_RTOL = 1e-13
 CG_BACKWARD_TOL = 1e-15
 
 
+def _circulant_symbol(A, shape: tuple[int, ...]) -> np.ndarray:
+    """Eigenvalues (``rfftn`` layout) of T. Chan's optimal circulant of a symmetric
+    matrix over the periodic grid ``shape`` (flat C order): per periodic stencil
+    offset (``col - row`` per axis, wrapped, from the CSR arrays in integers), the
+    mean of ``A``'s entries over all nodes, summed in CSR storage order."""
+    csr, n = A.tocsr(), A.shape[0]
+    offset, node, cols = np.zeros(csr.nnz, dtype=np.intp), np.arange(n), csr.indices.astype(np.intp)
+    for ax, N in enumerate(shape):
+        stride = math.prod(shape[ax + 1:])
+        offset += (cols // stride % N - np.repeat(node // stride % N, np.diff(csr.indptr))) % N * stride
+    means = np.bincount(offset, csr.data, n) / n
+    return np.fft.rfftn(means.reshape(shape)).real    # real as A is symmetric
+
+
 def circulant_pcg(A, shape: tuple[int, ...]):
     """CG on an SPD matrix over the periodic grid ``shape`` (flat C order) as
     the solve ``b -> x``, preconditioned by T. Chan's optimal circulant (SIAM
-    J. Sci. Stat. Comput. 1988): per periodic stencil offset, the mean of
-    ``A``'s entries over all nodes.  On a constant metric it is ``A`` itself.
+    J. Sci. Stat. Comput. 1988; :func:`_circulant_symbol`).  On a constant
+    metric it is ``A`` itself.
 
     A solve restarts CG from its last iterate and returns the first iterate
     whose true residual is within ``CG_RTOL |b|``.  Once a restart fails to
@@ -325,10 +370,8 @@ def circulant_pcg(A, shape: tuple[int, ...]):
     residuals fall returns the iterate it returned before the backward error
     was admitted.
     """
-    coo, n = A.tocoo(), A.shape[0]
-    offsets = np.subtract(np.unravel_index(coo.col, shape), np.unravel_index(coo.row, shape))
-    means = np.bincount(np.ravel_multi_index(tuple(offsets), shape, mode="wrap"), coo.data, n) / n
-    symbol = np.fft.rfftn(means.reshape(shape)).real    # its eigenvalues, real as A is symmetric
+    n = A.shape[0]
+    symbol = _circulant_symbol(A, shape)
     if not symbol.min() > 0:
         raise ValueError(f"circulant preconditioner is not positive definite: min eigenvalue {symbol.min():.3e}")
     axes = tuple(range(len(shape)))
@@ -374,21 +417,16 @@ def christoffel_fd(M: DiscreteManifold) -> np.ndarray:
     """Christoffel symbols from centered differences of the metric field."""
     grid = M.grid
     m = grid.dim
-    dg = np.stack(
-        [_axis_diff(M.metric, ax, grid.spacings[ax], 0.0) for ax in range(m)], axis=-1
-    )  # (..., i, j, partial_axis)
+    # (..., i, j, partial_axis)
+    dg = np.stack([_axis_diff(M.metric, ax, grid.spacings[ax], 0.0) for ax in range(m)], axis=-1)
     ginv = M.metric_inverse()
     # Gamma^i_{jk} = 1/2 g^{il} (d_j g_{lk} + d_k g_{lj} - d_l g_{jk})
     out = np.zeros(M.metric.shape[:-2] + (m, m, m))
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                s = 0.0
-                for l in range(m):
-                    s = s + ginv[..., i, l] * (
-                        dg[..., l, k, j] + dg[..., l, j, k] - dg[..., j, k, l]
-                    )
-                out[..., i, j, k] = 0.5 * s
+    for i, j, k in np.ndindex(m, m, m):
+        s = 0.0
+        for l in range(m):
+            s = s + ginv[..., i, l] * (dg[..., l, k, j] + dg[..., l, j, k] - dg[..., j, k, l])
+        out[..., i, j, k] = 0.5 * s
     return out
 
 
@@ -412,14 +450,12 @@ def hessian(M: DiscreteManifold, f: np.ndarray, winding=None) -> np.ndarray:
     w = np.zeros(m) if winding is None else np.asarray(winding, dtype=float)
     df = chart_gradient(M, f, winding)
     out = np.zeros(grid.shape + (m, m))
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                out[..., i, i] = _axis_diff2(f, i, grid.spacings[i], w[i] * grid.periods[i])
-            elif i < j:
-                dif = _axis_diff(f, i, grid.spacings[i], w[i] * grid.periods[i])
-                out[..., i, j] = _axis_diff(dif, j, grid.spacings[j], 0.0)
-                out[..., j, i] = out[..., i, j]
+    for i, j in np.ndindex(m, m):
+        if i == j:
+            out[..., i, i] = _axis_diff2(f, i, grid.spacings[i], w[i] * grid.periods[i])
+        elif i < j:
+            dif = _axis_diff(f, i, grid.spacings[i], w[i] * grid.periods[i])
+            out[..., i, j] = out[..., j, i] = _axis_diff(dif, j, grid.spacings[j], 0.0)
     gam = _christoffel_at_nodes(M)
     out -= np.einsum("...kij,...k->...ij", gam, df)
     return out
@@ -454,9 +490,7 @@ def l2_average(M: DiscreteManifold, f: np.ndarray, region: np.ndarray | None = N
     """Volume-weighted L2 average ``(sum w f^2 / sum w)^(1/2)`` over a region."""
     w, mask = _weights_for(M, region)
     f = np.asarray(f)
-    num = float((w[mask] * f[mask] ** 2).sum())
-    den = float(w[mask].sum())
-    return float(np.sqrt(num / den))
+    return float(np.sqrt(float((w[mask] * f[mask] ** 2).sum()) / float(w[mask].sum())))
 
 
 def region_average(M: DiscreteManifold, f: np.ndarray, region: np.ndarray | None = None) -> float:

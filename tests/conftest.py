@@ -46,6 +46,40 @@ def doubly_warped():
     return DiscreteManifold(grid=grid, metric=g, volume_element=np.sqrt(np.linalg.det(g)))
 
 
+def random_full_metric(shape, seed):
+    """A random positive definite metric with every component nonzero, on
+    random periods: a chart without the structure of a built-in family."""
+    rng = np.random.default_rng(seed)
+    m = len(shape)
+    a = 0.3 * rng.standard_normal(shape + (m, m))
+    g = np.eye(m) + a @ np.swapaxes(a, -1, -2)
+    g = 0.5 * (g + np.swapaxes(g, -1, -2))
+    grid = PeriodicGrid(shape, tuple(float(p) for p in rng.uniform(0.5, 2.0, m)))
+    return DiscreteManifold(grid=grid, metric=g, volume_element=np.sqrt(np.linalg.det(g)))
+
+
+# charts with 2 or 3 nodes along an axis, where every stencil row, or every
+# row but a thin slab, wraps around the seam
+@pytest.fixture(scope="session")
+def random_2x16():
+    return random_full_metric((2, 16), seed=1)
+
+
+@pytest.fixture(scope="session")
+def random_16x3():
+    return random_full_metric((16, 3), seed=2)
+
+
+@pytest.fixture(scope="session")
+def random_2x3x5():
+    return random_full_metric((2, 3, 5), seed=3)
+
+
+@pytest.fixture(scope="session")
+def random_3x6x4():
+    return random_full_metric((3, 6, 4), seed=4)
+
+
 @pytest.fixture(scope="session")
 def flat_coordinates(flat_torus):
     return harmonic_coordinates(flat_torus)

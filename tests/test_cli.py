@@ -89,6 +89,11 @@ def test_numeric_values_must_be_positive_finite_numbers(tmp_path, capsys, sectio
         ({"seed": -1}, "seed", "a non-negative integer"),
         ({"eig": {"theta_max": "50"}}, "eig.theta_max", "a positive finite number"),
         ({"eig": {"theta_max": 0}}, "eig.theta_max", "a positive finite number"),
+        # 8 used to exit with "fiber under-resolved: axis 1 has 13 nodes", naming no
+        # config field, and at 256 nodes per unit to act exactly like 16
+        ({"resolution": {"min_fiber_nodes": 1}}, "resolution.min_fiber_nodes", "a positive integer >= 16"),
+        ({"resolution": {"min_fiber_nodes": 8}}, "resolution.min_fiber_nodes", "a positive integer >= 16"),
+        ({"resolution": {"min_fiber_nodes": 15}}, "resolution.min_fiber_nodes", "a positive integer >= 16"),
     ],
 )
 def test_integer_fields_and_theta_max_are_checked(tmp_path, capsys, given, key, wanted):
@@ -97,6 +102,11 @@ def test_integer_fields_and_theta_max_are_checked(tmp_path, capsys, given, key, 
     assert main(["eig", "--config", str(path), "--out", str(tmp_path / "out"), "--no-cache"]) == 1
     assert f"config field {key} must be {wanted}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "eigenvalues.csv").exists()
+
+
+def test_the_chart_minimum_is_an_accepted_fiber_floor(tmp_path):
+    cfg = load_config(write_config(tmp_path, {"resolution": {"min_fiber_nodes": manifold.MIN_FIBER_NODES}}))
+    assert cfg.family_spec().resolution == (128, 16)
 
 
 def test_a_seed_of_zero_is_accepted(tmp_path):

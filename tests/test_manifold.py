@@ -256,7 +256,8 @@ def coo_scatter_adjacency(M):
     ).tocsr()
 
 
-@pytest.mark.parametrize("family", ["flat_eig_torus", "warped_torus", "twisted_torus"])
+@pytest.mark.parametrize("family", ["flat_eig_torus", "warped_torus", "twisted_torus", "doubly_warped",
+                                    "random_2x16", "random_16x3", "random_2x3x5", "random_3x6x4"])
 def test_adjacency_matches_coo_assembly_bit_for_bit(request, family):
     M = request.getfixturevalue(family)
     W, ref = _grid_adjacency(M), coo_scatter_adjacency(M)
@@ -500,10 +501,33 @@ def tight_levels(phi):
     return [float(v) for v in levels]
 
 
+def indexed_search_levels(phi):
+    """Levels for the index's binary search: a sweep past both ends of the
+    values, the extremes and their neighbors, node values, and on a
+    circle-valued map levels half a period (and an ulp either side) from
+    cell means and levels outside one period."""
+    f = phi.values[0]
+    finite = np.sort(f[np.isfinite(f)])
+    lo, hi = finite[0], finite[-1]
+    levels = list(np.linspace(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 15))
+    levels += [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf), np.nextafter(hi, np.inf)]
+    levels += list(finite[:: len(finite) // 9])
+    period = phi.value_periods()[0]
+    if period:
+        n1, n2 = f.shape
+        for i, j in ((0, 0), (n1 // 3, n2 // 2), (n1 - 1, n2 - 1), (n1 // 2, 0)):
+            i1, j1 = (i + 1) % n1, (j + 1) % n2
+            mean = 0.25 * (f[i, j] + f[i1, j] + f[i, j1] + f[i1, j1])
+            for v in (mean + 0.5 * period, mean - 0.5 * period):
+                levels += [v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]
+        levels += [f[5, 5] + period, f[9, 3] - 2 * period]
+    return [float(v) for v in levels]
+
+
 def march_squares_cases(warped):
     """(map, levels) on a warped map, a plain field with saddles and a NaN
-    node, and a curved circle-valued component, with levels on the seam and
-    the ``tight_levels`` of each map."""
+    node, and a curved circle-valued component, with levels on the seam, the
+    ``tight_levels`` and the ``indexed_search_levels`` of each map."""
     M = build_family(FamilySpec(kind="flat-product-torus", epsilon=0.2, resolution=(48, 16)))
     x, y = np.moveaxis(M.positions(), -1, 0)
     plain = np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) + 0.5 * np.random.default_rng(1).standard_normal(x.shape)
@@ -514,7 +538,7 @@ def march_squares_cases(warped):
         (SplittingMap(M, (plain,), (np.zeros(2),)), [0.0, 0.2, -0.45, 0.7]),
         (SplittingMap(M, (curved,), (np.array([1.0, 0.0]),)), [0.0, 0.01, 0.5, 0.995, 1.3]),
     ]
-    return [(phi, levels + tight_levels(phi)) for phi, levels in cases]
+    return [(phi, levels + tight_levels(phi) + indexed_search_levels(phi)) for phi, levels in cases]
 
 
 def test_level_crossings_match_per_cell_loop(warped_coordinates):

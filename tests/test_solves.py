@@ -167,6 +167,23 @@ def test_circulant_preconditioner_is_exact_on_constant_coefficients(request, mon
     assert np.max(np.abs(inverted - v)) <= 1e-12 * np.max(np.abs(v))
 
 
+def unravelled_symbol(A, shape):
+    """Reference: the circulant symbol from COO entries, each offset found by
+    ``unravel_index`` on both indices and ``ravel_multi_index(mode="wrap")``."""
+    coo, n = A.tocoo(), A.shape[0]
+    offsets = np.subtract(np.unravel_index(coo.col, shape), np.unravel_index(coo.row, shape))
+    means = np.bincount(np.ravel_multi_index(tuple(offsets), shape, mode="wrap"), coo.data, n) / n
+    return np.fft.rfftn(means.reshape(shape)).real
+
+
+@pytest.mark.parametrize("family", ["flat_eig_torus", "warped_torus", "twisted_torus", "doubly_warped"])
+def test_circulant_symbol_matches_the_unravelled_offsets_bit_for_bit(request, family):
+    M = request.getfixturevalue(family)
+    L, mass = operators.laplacian_matrix(M)
+    A = diags(mass) + 0.02**2 * L        # the cutoff's matrix
+    assert operators._circulant_symbol(A, M.grid.shape).tobytes() == unravelled_symbol(A, M.grid.shape).tobytes()
+
+
 def test_circulant_pcg_raises_at_the_iteration_cap(monkeypatch, warped_torus):
     # the warped metric varies along the base: CG needs more than one step
     A, b = mollifier(warped_torus)
