@@ -5,8 +5,9 @@ config file (nested keys, unknown keys rejected with their dotted path) and
 writing deterministic outputs into the ``--out`` directory: identical config and
 seed give byte-identical CSV/JSON, timestamps live only in the run manifest.
 The config holds every pipeline input (``--seed`` overrides its seed); the
-flags say only where and how a run executes, and ``--no-cache`` stops ``eig``
-and ``flow eigenmode:N`` reading and writing eigenpairs in ``<out>/cache``.
+flags say only where and how a run executes.  ``eig`` and ``flow eigenmode:N``
+keep each solve's pairs in one ``<out>/cache/eig_<key>.npy`` file, which
+``--no-cache`` neither reads nor writes.
 
 Every verb takes its pipeline inputs from ``ExperimentConfig.point_args``:
 ``split`` and ``flow`` certify the point with all but its eigen inputs,
@@ -23,6 +24,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
@@ -37,13 +40,14 @@ from .estimates import (
     default_resolution_rule,
     nearest_node,
     point_reports,
+    point_spec,
     reports_to_json,
     run_point,
     sweep,
 )
 from .flow import fiber_apriori_check, fiber_neighborhood, flow_rate_bound, integrate_flow, tangential_projection
 from .manifold import FAMILIES, MIN_FIBER_NODES, FamilySpec, build_family, extract_fiber
-from .spectral import eigenpairs, load_eigen_cache, save_eigen_cache
+from .spectral import cached_eigenpairs, eigenpairs
 
 __all__ = ["main", "ExperimentConfig", "load_config"]
 
@@ -102,13 +106,7 @@ class ExperimentConfig:
 
     def family_spec(self, epsilon: float | None = None) -> FamilySpec:
         a = self.point_args(epsilon)
-        return FamilySpec(
-            kind=a["kind"],
-            epsilon=a["epsilon"],
-            delta=a["delta"],
-            twist=a["twist"],
-            resolution=a["resolution_rule"](a["kind"], a["epsilon"]),
-        )
+        return point_spec(a["kind"], a["epsilon"], a["delta"], a["twist"], a["resolution_rule"])
 
     def ball_center(self) -> tuple[float, ...]:
         if self.ball["center"] is not None:
@@ -151,8 +149,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     cfg = ExperimentConfig(**merged)
     for section, name in _POSITIVE + [("thresholds", key) for key in cfg.thresholds]:
         value = merged[section][name]
-        # bool is an int subclass, and JSON's 1e400 parses as inf
-        if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value < float("inf")):
+        if not _finite(value, above=0):
             raise ValueError(f"config field {section}.{name} must be a positive finite number, got {value!r}")
     for key, least in _INTEGERS.items():
         section, _, name = key.rpartition(".")
@@ -162,8 +159,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ValueError(f"config field {key} must be {wanted}, got {value!r}")
     for section, name in (("ball", "center"), ("flow", "start")):
         point = merged[section][name]
-        if point is not None and (not isinstance(point, list) or len(point) != family.dim):
-            raise ValueError(f"config field {section}.{name} must list {family.dim} coordinates, got {point!r}")
+        if point is not None and (not isinstance(point, list) or len(point) != family.dim
+                                  or not all(map(_finite, point))):
+            raise ValueError(f"config field {section}.{name} must list {family.dim} coordinates, each a finite "
+                             f"number, got {point!r}")
+    epsilons = cfg.sweep["epsilons"]
+    if not (isinstance(epsilons, list) and all(_finite(eps, above=0) for eps in epsilons)):
+        raise ValueError(f"config field sweep.epsilons must list positive finite numbers, got {epsilons!r}")
+    field = cfg.flow["field"]
+    if not (isinstance(field, str) and re.fullmatch("fiber-sine|eigenmode:[0-9]+", field)):
+        raise ValueError(f"config field flow.field must be 'fiber-sine' or 'eigenmode:N' with N a non-negative "
+                         f"integer, got {field!r}")
     seen: dict[str, float] = {}
     for eps in cfg.sweep["epsilons"]:
         name = _point_dir(float(eps))
@@ -174,6 +180,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
             )
         seen[name] = eps
     return cfg
+
+
+def _finite(value, above: float = -math.inf) -> bool:
+    """Whether a config value is a finite number greater than ``above``: bool
+    is an int subclass, and JSON's 1e400 parses as inf."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and above < value < math.inf
 
 
 def _point_dir(eps: float) -> str:
@@ -218,22 +230,11 @@ def _certified_point(cfg: ExperimentConfig) -> dict:
 
 def _eigenpairs_cached(cfg: ExperimentConfig, M, out: Path, cache: bool):
     """The eigenpairs ``run_point`` solves for at the config's point, and the
-    cache file under ``out`` they were read from or written to (None with the
+    file under ``out/cache`` they were read from or written to (None with the
     cache off)."""
     a = cfg.point_args()
-    solve = {"count": a["eig_count"], "theta_max": a["theta_max"], "seed": a["seed"]}
-    key = hashlib.sha256(json.dumps({**asdict(M.family), **solve}, sort_keys=True).encode()).hexdigest()[:16]
-    path = out / "cache" / f"eig_{key}.eigc"
-    if cache:
-        cached = load_eigen_cache(path, M)
-        if cached is not None:
-            return cached, path
-    pairs = eigenpairs(M, solve["count"], theta_max=solve["theta_max"], seed=solve["seed"])
-    if not cache:
-        return pairs, None
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_eigen_cache(path, M, pairs)
-    return pairs, path
+    solve = (M, a["eig_count"], a["theta_max"], a["seed"])
+    return cached_eigenpairs(out / "cache", *solve) if cache else (eigenpairs(*solve), None)
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +287,12 @@ def _flow_field(cfg: ExperimentConfig, point, out: Path, cache: bool):
     if sel == "fiber-sine":
         pos = M.positions()
         u = np.sin(2 * np.pi * pos[..., M.dim - 1])
-    elif isinstance(sel, str) and sel.startswith("eigenmode:"):
+    else:   # eigenmode:N, as load_config admits no other value
         idx = int(sel.split(":", 1)[1])
         pairs, cache_path = _eigenpairs_cached(cfg, M, out, cache)
         if idx >= len(pairs):
             raise ValueError(f"flow.field eigenmode index {idx} out of range ({len(pairs)} pairs)")
         u = pairs[idx].u
-    else:
-        raise ValueError(f"flow.field must be 'fiber-sine' or 'eigenmode:N', got {sel!r}")
     return tangential_projection(M, u, point["phi"], point["stats"], point["mask"]), cache_path
 
 
@@ -387,12 +386,14 @@ def main(argv=None) -> int:
         help="worker processes for sweep points, at least 1 (default 1: serial); at most one per "
         "point is started, and points run most grid nodes first either way",
     )
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument("--no-cache", action="store_true", help="solve eigenpairs afresh; no <out>/cache files")
+    parser.add_argument("--seed", type=int, default=None, help="override config seed, at least 0")
+    parser.add_argument("--no-cache", action="store_true", help="solve eigenpairs afresh; no <out>/cache/eig_*.npy")
     args = parser.parse_args(argv)
     try:
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+        if args.seed is not None and args.seed < 0:
+            raise ValueError(f"--seed must be at least 0, got {args.seed}")
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)

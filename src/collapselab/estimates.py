@@ -485,6 +485,11 @@ class SweepResult:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
+def point_spec(kind: str, epsilon: float, delta: float, twist: float, resolution_rule) -> FamilySpec:
+    """The chart of a point's family inputs and resolution rule."""
+    return FamilySpec(kind=kind, epsilon=epsilon, delta=delta, twist=twist, resolution=resolution_rule(kind, epsilon))
+
+
 def certify_point(
     kind: str,
     epsilon: float,
@@ -498,8 +503,7 @@ def certify_point(
     """The front of ``run_point``, which is all that ``split`` and ``flow``
     need: the chart, its harmonic coordinates and regular mask, the working
     balls and the certificate."""
-    resolution = resolution_rule(kind, epsilon)
-    M = build_family(FamilySpec(kind=kind, epsilon=epsilon, delta=delta, twist=twist, resolution=resolution))
+    M = build_family(point_spec(kind, epsilon, delta, twist, resolution_rule))
     phi = harmonic_coordinates(M)
     stats = jacobian_stats(phi)
     mask = classify_regular(stats, max(lambda_threshold_rel * float(np.nanmedian(stats.Lam)), 1e-300))

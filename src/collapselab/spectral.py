@@ -21,12 +21,15 @@ varying charts (a metric that changes along the fiber, a cross term), and
 warped products asked for pairs at or past gamma, factor the whole pinned
 stiffness.  The harmonic coordinates factor the whole pinned matrix apart, in
 COLAMD order on its stored structure, which fixes their bits.
+:func:`cached_eigenpairs` keeps each solve's pairs in one ``.npy`` file.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
+import contextlib
+import hashlib
+import json
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +51,7 @@ __all__ = [
     "EigenPair",
     "eigenpairs",
     "cheng_yau_ratio",
-    "save_eigen_cache",
-    "load_eigen_cache",
+    "cached_eigenpairs",
 ]
 
 RESIDUAL_TOL = 1e-8
@@ -283,70 +285,28 @@ def _cheng_yau_ratio(u: np.ndarray, grad_norm: np.ndarray, ball: GeodesicBall) -
 # ---------------------------------------------------------------------------
 # eigenpair cache
 # ---------------------------------------------------------------------------
-#
-# Binary layout (all little-endian):
-#   magic   4 bytes  b"EIGC"
-#   version u32      _VERSION (4)
-#   m       u32      chart dimension
-#   counts  m x u32  node counts per grid axis
-#   npairs  u32
-#   theta   npairs x f8
-#   u       npairs x N x f8   (C order, N = prod(counts))
-#
-# Loads validate shape metadata and recompute eigen-residuals against the same
-# RESIDUAL_TOL gate as the solver; files that fail either check are reported as
-# corrupt so callers rebuild.  Version 4 marks pairs of warped products below
-# the fiber gap solved on the base block (see _fiber_base), and the pairs of
-# other charts with a varying metric solved through the minimum-degree pinned
-# factor, all signed by _sign_anchor.  Files of earlier versions, whose pairs
-# came from other factors (version 3: the whole-chart minimum-degree factor,
-# warped products included; version 2: the COLAMD pinned factor; version 1:
-# the shifted one), are rebuilt rather than mixed in.
 
-_MAGIC = b"EIGC"
-_VERSION = 4
+# Part of every cache key, so files written by earlier solvers are never looked up.
+_VERSION = 5
 
 
-def save_eigen_cache(path: str | Path, M: DiscreteManifold, pairs: list[EigenPair]) -> None:
-    shape = M.grid.shape
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<I", len(shape)))
-        fh.write(struct.pack(f"<{len(shape)}I", *shape))
-        fh.write(struct.pack("<I", len(pairs)))
-        np.asarray([p.theta for p in pairs], dtype="<f8").tofile(fh)
-        for p in pairs:
-            np.asarray(p.u, dtype="<f8").ravel().tofile(fh)
-
-
-def load_eigen_cache(path: str | Path, M: DiscreteManifold) -> list[EigenPair] | None:
-    """Read a cache file; returns None (caller rebuilds) on any corruption."""
-    path = Path(path)
-    if not path.exists():
-        return None
-    shape = M.grid.shape
-    n = M.grid.n_nodes
-    try:
-        with open(path, "rb") as fh:
-            if fh.read(4) != _MAGIC:
-                return None
-            (version,) = struct.unpack("<I", fh.read(4))
-            if version != _VERSION:
-                return None
-            (m,) = struct.unpack("<I", fh.read(4))
-            counts = struct.unpack(f"<{m}I", fh.read(4 * m))
-            if counts != tuple(shape):
-                return None
-            (npairs,) = struct.unpack("<I", fh.read(4))
-            theta = np.fromfile(fh, dtype="<f8", count=npairs)
-            us = np.fromfile(fh, dtype="<f8", count=npairs * n)
-            if len(theta) != npairs or us.size != npairs * n:
-                return None
-    except (OSError, struct.error, ValueError):
-        return None
-    L, mass = laplacian_matrix(M)
-    try:
-        return _gated_pairs(M, L, mass, theta, us.reshape(npairs, n))
-    except RuntimeError:
-        return None  # corrupt payload: semantic checksum failed
+def cached_eigenpairs(directory: str | Path, M: DiscreteManifold, count: int, theta_max: float | None = None,
+                      seed: int = 0) -> tuple[list[EigenPair], Path]:
+    """``eigenpairs(M, count, theta_max, seed)`` and the path of its file
+    ``<directory>/eig_<key>.npy``, keyed by a hash of the family, the solve
+    settings and ``_VERSION``: one float64 row per pair, theta and then ``u``
+    in C order.  A file that does not load as such rows, or whose pairs fail
+    the solver's residual gate (:func:`_gated_pairs`), is solved afresh and
+    overwritten."""
+    settings = {**asdict(M.family), "count": count, "theta_max": theta_max, "seed": seed, "version": _VERSION}
+    key = hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()[:16]
+    path = Path(directory) / f"eig_{key}.npy"
+    with contextlib.suppress(OSError, ValueError, EOFError, RuntimeError):   # unreadable, or failing the gate
+        rows = np.load(path)
+        # an .npz archive loads as a mapping, not an array
+        if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.shape[1:] == (1 + M.grid.n_nodes,):
+            return _gated_pairs(M, *laplacian_matrix(M), rows[:, 0], rows[:, 1:]), path
+    pairs = eigenpairs(M, count, theta_max=theta_max, seed=seed)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    np.save(path, np.array([np.append(p.theta, p.u.ravel()) for p in pairs]))
+    return pairs, path

@@ -8,11 +8,11 @@ import pytest
 
 import collapselab.cli as cli
 import collapselab.manifold as manifold
+import collapselab.spectral as spectral
 from collapselab import build_family
 from collapselab.cli import load_config, main
 from collapselab.estimates import run_point
 from collapselab.manifold import FAMILIES
-from collapselab.spectral import eigenpairs, load_eigen_cache
 from collapselab.splitting import harmonic_coordinates, jacobian_stats
 
 # a small warped sweep: 64 x 16 grids, three points, a few eigenpairs each
@@ -115,12 +115,74 @@ def test_a_seed_of_zero_is_accepted(tmp_path):
 
 
 @pytest.mark.parametrize("section,key", [("ball", "center"), ("flow", "start")])
-@pytest.mark.parametrize("point", [[0.5], [0.5, 0.5, 0.5], 0.5])
+@pytest.mark.parametrize(
+    "point", [[0.5], [0.5, 0.5, 0.5], 0.5, [float("inf"), 0.0], [float("nan"), 0.0], [False, 0.0], [0.5, "0"]]
+)
 def test_a_point_needs_one_coordinate_per_chart_axis(tmp_path, capsys, section, key, point):
-    # [0.5] used to broadcast to node (64, 8), the point (0.5, 0.5), and exit 0
+    # [0.5] used to broadcast to node (64, 8), the point (0.5, 0.5), and exit 0;
+    # a ball.center of [1e400, 0] let split exit 0 on a garbage node, and a
+    # flow.start of [NaN, 0] made flow exit 0 from node (0, 0)
     path = write_config(tmp_path, {section: {key: point}})
     assert main(["flow", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert f"config field {section}.{key} must list 2 coordinates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "epsilons",
+    [
+        0.1,            # used to die with a TypeError traceback
+        [0.2, "x"],     # used to fail with "could not convert string to float", naming no key
+        [0.2, True],
+        [0.2, float("inf")],
+        [0.2, -0.1],
+    ],
+)
+def test_sweep_epsilons_must_be_positive_finite_numbers(tmp_path, capsys, epsilons):
+    path = write_config(tmp_path, {"sweep": {"epsilons": epsilons}})
+    assert main(["split", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "config field sweep.epsilons must list positive finite numbers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", ["eigenmode:-1", "eigenmode:abc", "eigenmode:", "eigenmode:1.0", "fiber", 3, None])
+def test_flow_field_is_checked_when_the_config_loads(tmp_path, capsys, field):
+    # eigenmode:-1 used to flow the last pair and exit 0, and eigenmode:abc
+    # to fail after the harmonic solve with a message that named no key
+    path = write_config(tmp_path, {**FAMILY_CONFIGS["flat"], "flow": {"field": field}})
+    assert main(["flow", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "config field flow.field must be 'fiber-sine' or 'eigenmode:N'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_eigenmode_past_the_pairs_fails_at_run_time(tmp_path, capsys):
+    # the number of pairs depends on eig.theta_max, so only the run can tell
+    path = write_config(tmp_path, {**FAMILY_CONFIGS["flat"], "flow": {"field": "eigenmode:40"}})
+    assert load_config(path).flow["field"] == "eigenmode:40"
+    assert main(["flow", "--config", str(path), "--out", str(tmp_path / "out"), "--no-cache"]) == 1
+    assert "flow.field eigenmode index 40 out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_a_negative_seed_flag_is_an_error(tmp_path, capsys, seed):
+    # verify --seed -1 used to print only NumPy's "expected non-negative integer"
+    path = write_config(tmp_path, SMALL_WARPED)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out"), "--seed", seed]) == 1
+    assert f"--seed must be at least 0, got {seed}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_helper_builds_the_chart_of_every_point(tmp_path, monkeypatch):
+    # certify_point and ExperimentConfig.family_spec each used to build their own FamilySpec
+    import collapselab.estimates as estimates_module
+
+    built = []
+    build = estimates_module.point_spec
+    for module in (estimates_module, cli):
+        monkeypatch.setattr(module, "point_spec", lambda *args: built.append(args) or build(*args))
+    cfg = load_config(write_config(tmp_path, SMALL_WARPED))
+    spec = cfg.family_spec()
+    assert cli._certified_point(cfg)["manifold"].family == spec
+    assert [args[:4] for args in built] == [("warped-torus", 0.1, 0.3, 0.0)] * 2
 
 
 def test_an_empty_regular_ball_is_a_config_error(tmp_path, capsys):
@@ -266,31 +328,32 @@ def test_flow_writes_its_eigen_cache_under_out(tmp_path, monkeypatch):
     assert main(["flow", "--config", str(path), "--out", "flowrun"]) == 0
     assert not (tmp_path / "out").exists()
     listed = [f["path"] for f in json.loads((tmp_path / "flowrun" / "run_manifest.json").read_text())["files"]]
-    cached = [name for name in listed if name.startswith("cache/eig_") and name.endswith(".eigc")]
+    cached = [name for name in listed if name.startswith("cache/eig_") and name.endswith(".npy")]
     assert len(cached) == 1 and (tmp_path / "flowrun" / cached[0]).is_file()
 
 
 def test_a_version_1_eigen_cache_is_recomputed(tmp_path, monkeypatch):
-    # version-1 files hold pairs of the former shifted solve (version-2 files
-    # those of the COLAMD pinned factor, version-3 files those of the
-    # whole-chart factor on warped products): they must be solved again, not
-    # served beside pairs of the current one
+    # files of earlier versions hold pairs of other factors (version 1: the
+    # former shifted solve): the version is part of the key, so such a file is
+    # never looked up, and the pairs are solved again rather than served
     path = write_config(tmp_path, SMALL_WARPED)
-    assert main(["eig", "--config", str(path), "--out", str(tmp_path / "eig")]) == 0
-    cache, = (tmp_path / "eig" / "cache").glob("eig_*.eigc")
-    values = (tmp_path / "eig" / "eigenvalues.csv").read_bytes()
-    data = bytearray(cache.read_bytes())
-    assert data[4:8] == (4).to_bytes(4, "little")
-    data[4:8] = (1).to_bytes(4, "little")
-    cache.write_bytes(bytes(data))
-    M = build_family(load_config(path).family_spec())
-    assert load_eigen_cache(cache, M) is None
+    out = tmp_path / "eig"
+    monkeypatch.setattr(spectral, "_VERSION", 1)
+    assert main(["eig", "--config", str(path), "--out", str(out)]) == 0
+    stale, = (out / "cache").glob("eig_*.npy")
+    values = (out / "eigenvalues.csv").read_bytes()
+    monkeypatch.undo()
     solves = []
-    monkeypatch.setattr(cli, "eigenpairs", lambda *args, **kwargs: solves.append(1) or eigenpairs(*args, **kwargs))
-    assert main(["eig", "--config", str(path), "--out", str(tmp_path / "eig")]) == 0
-    assert solves == [1]
-    assert cache.read_bytes()[4:8] == (4).to_bytes(4, "little")
-    assert (tmp_path / "eig" / "eigenvalues.csv").read_bytes() == values
+    solve = spectral.eigenpairs
+    monkeypatch.setattr(spectral, "eigenpairs", lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
+    for _ in range(2):     # solved once, then a hit runs no solve
+        assert main(["eig", "--config", str(path), "--out", str(out)]) == 0
+        assert solves == [1]
+        assert (out / "eigenvalues.csv").read_bytes() == values
+    listed = [f["path"] for f in json.loads((out / "run_manifest.json").read_text())["files"]]
+    current = [name for name in listed if name.startswith("cache/")]
+    assert len(current) == 1 and current[0] != str(stale.relative_to(out))
+    assert sorted((out / "cache").iterdir()) == sorted([stale, out / current[0]])
 
 
 def count_fiber_checks(monkeypatch):

@@ -1,9 +1,11 @@
 import dataclasses
 import os
+import pickle
 
 import numpy as np
 import pytest
 
+import collapselab.spectral as spectral
 from collapselab import FamilySpec, build_family, geodesic_ball
 from collapselab.operators import gradient, laplacian_matrix, metric_inner, region_sup
 from collapselab.spectral import (
@@ -11,9 +13,8 @@ from collapselab.spectral import (
     _gated_pairs,
     EigenPair,
     cheng_yau_ratio,
+    cached_eigenpairs,
     eigenpairs,
-    load_eigen_cache,
-    save_eigen_cache,
 )
 
 
@@ -191,50 +192,106 @@ def test_cheng_yau_eigenmode_matches_base_mode(flat_eig_torus):
     assert cheng_yau_ratio(flat_eig_torus, pair.u, ball) == pytest.approx(np.pi / 2, rel=2e-2)
 
 
-def test_eigen_cache_roundtrip(tmp_path, flat_eig_torus):
-    pairs = eigenpairs(flat_eig_torus, 5)
-    path = tmp_path / "pairs.eigc"
-    save_eigen_cache(path, flat_eig_torus, pairs)
-    loaded = load_eigen_cache(path, flat_eig_torus)
-    assert loaded is not None
-    for a, b in zip(pairs, loaded):
-        assert a.theta == b.theta
-        assert np.array_equal(a.u, b.u)
-        assert a.cluster == b.cluster
+def count_solves(monkeypatch) -> list:
+    """One entry per ``eigenpairs`` solve that ``cached_eigenpairs`` runs."""
+    solves = []
+    solve = spectral.eigenpairs
+    monkeypatch.setattr(spectral, "eigenpairs", lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
+    return solves
 
 
-def test_eigen_cache_detects_corruption(tmp_path, flat_eig_torus):
-    pairs = eigenpairs(flat_eig_torus, 5)
-    path = tmp_path / "pairs.eigc"
-    save_eigen_cache(path, flat_eig_torus, pairs)
-    data = bytearray(path.read_bytes())
-    # flip the exponent byte of one eigenvector entry (header is 24 bytes,
-    # thetas 5*8; offset lands inside u[0])
-    data[24 + 40 + 8 * 100 + 7] ^= 0x7F
-    path.write_bytes(bytes(data))
-    assert load_eigen_cache(path, flat_eig_torus) is None
+def assert_same_pairs(a, b):
+    assert len(a) == len(b)
+    for p, q in zip(a, b):
+        assert (p.theta, p.residual, p.cluster) == (q.theta, q.residual, q.cluster)
+        assert p.u.tobytes() == q.u.tobytes()
 
 
-def test_eigen_cache_uses_solver_residual_gate(tmp_path, flat_eig_torus):
+def test_eigen_cache_roundtrip(tmp_path, flat_eig_torus, monkeypatch):
+    solves = count_solves(monkeypatch)
+    pairs, path = cached_eigenpairs(tmp_path, flat_eig_torus, 5)
+    assert solves == [1] and path.parent == tmp_path and path.name.startswith("eig_") and path.suffix == ".npy"
+    assert_same_pairs(pairs, eigenpairs(flat_eig_torus, 5))
+    # one float64 row per pair: theta, then u in C order
+    rows = np.load(path)
+    assert rows.dtype == np.float64 and rows.shape == (5, 1 + flat_eig_torus.grid.n_nodes)
+    assert rows[:, 0].tolist() == [p.theta for p in pairs]
+    assert rows[:, 1:].tobytes() == np.stack([p.u.ravel() for p in pairs]).tobytes()
+    loaded, again = cached_eigenpairs(tmp_path, flat_eig_torus, 5)
+    assert solves == [1] and again == path     # a hit runs no solve
+    assert_same_pairs(pairs, loaded)
+    # every solve setting has a file of its own
+    assert cached_eigenpairs(tmp_path, flat_eig_torus, 5, seed=1)[1] != path
+    assert cached_eigenpairs(tmp_path, flat_eig_torus, 5, theta_max=50.0)[1] != path
+    assert solves == [1, 1, 1]
+
+
+def corrupted(data: bytes, rows: np.ndarray, pairs, how: str, path) -> None:
+    """Write ``path`` as a damaged copy of the cache file ``data`` of ``rows``."""
+    if how == "truncated":
+        path.write_bytes(data[: len(data) // 2])
+    elif how == "empty":
+        path.write_bytes(b"")
+    elif how == "garbage":
+        path.write_bytes(bytes(range(256)) * 8)
+    elif how == "pickle":
+        path.write_bytes(pickle.dumps(pairs))
+    elif how == "object array":
+        np.save(path, np.array(pairs + [None], dtype=object), allow_pickle=True)
+    elif how == "npz":
+        with open(path, "wb") as fh:
+            np.savez(fh, rows=rows)
+    elif how == "float32":
+        np.save(path, rows.astype(np.float32))
+    elif how == "one row":
+        np.save(path, rows.ravel())
+    else:   # an exponent byte flipped inside the last pair's u
+        damaged = bytearray(data)
+        damaged[len(data) - 8 * 100 + 7] ^= 0x7F
+        path.write_bytes(bytes(damaged))
+
+
+def test_eigen_cache_detects_corruption(tmp_path, flat_eig_torus, monkeypatch):
+    pairs, path = cached_eigenpairs(tmp_path, flat_eig_torus, 5)
+    data = path.read_bytes()
+    solves = count_solves(monkeypatch)
+    kinds = ["truncated", "empty", "garbage", "pickle", "object array", "npz", "float32", "one row", "flipped"]
+    for n, how in enumerate(kinds, start=1):
+        corrupted(data, np.load(path), pairs, how, path)
+        assert path.read_bytes() != data, how
+        again, same_path = cached_eigenpairs(tmp_path, flat_eig_torus, 5)
+        assert len(solves) == n and same_path == path, how
+        assert_same_pairs(pairs, again)
+        assert path.read_bytes() == data, how    # overwritten by the fresh solve
+
+
+def test_eigen_cache_uses_solver_residual_gate(tmp_path, flat_eig_torus, monkeypatch):
     # a theta off by 1e-7 (1 + theta) leaves a residual between the solver's
     # gate and 100x that gate: the cache must reject it rather than hand the
     # reports a pair they refuse
-    pairs = eigenpairs(flat_eig_torus, 3)
+    pairs, path = cached_eigenpairs(tmp_path, flat_eig_torus, 3)
     bad = dataclasses.replace(pairs[2], theta=pairs[2].theta + 1e-7 * (1.0 + pairs[2].theta))
     L, mass = laplacian_matrix(flat_eig_torus)
     v = bad.u.ravel()
     res = np.sqrt(np.sum(mass * ((L @ v) / mass - bad.theta * v) ** 2) / mass.sum())
     assert RESIDUAL_TOL * (1.0 + bad.theta) < res < 100 * RESIDUAL_TOL * (1.0 + bad.theta)
-    path = tmp_path / "pairs.eigc"
-    save_eigen_cache(path, flat_eig_torus, pairs[:2] + [bad])
-    assert load_eigen_cache(path, flat_eig_torus) is None
+    rows = np.load(path)
+    rows[2, 0] = bad.theta
+    np.save(path, rows)
+    solves = count_solves(monkeypatch)
+    assert_same_pairs(pairs, cached_eigenpairs(tmp_path, flat_eig_torus, 3)[0])
+    assert solves == [1]
 
 
-def test_eigen_cache_wrong_shape_rejected(tmp_path, flat_eig_torus, flat_torus):
-    pairs = eigenpairs(flat_eig_torus, 3)
-    path = tmp_path / "pairs.eigc"
-    save_eigen_cache(path, flat_eig_torus, pairs)
-    assert load_eigen_cache(path, flat_torus) is None
+def test_eigen_cache_wrong_shape_rejected(tmp_path, flat_eig_torus, flat_torus, monkeypatch):
+    # the pairs of a 128 x 16 grid in the file of the 256 x 32 one
+    pairs, path = cached_eigenpairs(tmp_path, flat_torus, 3)
+    data = path.read_bytes()
+    other = cached_eigenpairs(tmp_path, flat_eig_torus, 3)[1]
+    path.write_bytes(other.read_bytes())
+    solves = count_solves(monkeypatch)
+    assert_same_pairs(pairs, cached_eigenpairs(tmp_path, flat_torus, 3)[0])
+    assert solves == [1] and path.read_bytes() == data
 
 
 def test_count_out_of_range(flat_eig_torus):
