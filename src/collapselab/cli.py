@@ -4,6 +4,8 @@ Verbs: ``build | eig | split | flow | verify | sweep``, each reading one JSON
 config file (nested keys, unknown keys rejected with their dotted path) and
 writing deterministic outputs into the ``--out`` directory: identical config and
 seed give byte-identical CSV/JSON, timestamps live only in the run manifest.
+Every CSV file is written by ``_write_csv`` (floats as ``.17g``) and every
+JSON file by ``_write_json`` (strict: infinity is ``"inf"``, a NaN exits 1).
 The config holds every pipeline input (``--seed`` overrides its seed); the
 flags say only where and how a run executes.  ``eig`` and ``flow eigenmode:N``
 keep each solve's pairs in one ``<out>/cache/eig_<key>.npy`` file, which
@@ -41,7 +43,6 @@ from .estimates import (
     nearest_node,
     point_reports,
     point_spec,
-    reports_to_json,
     run_point,
     sweep,
 )
@@ -166,6 +167,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     epsilons = cfg.sweep["epsilons"]
     if not (isinstance(epsilons, list) and all(_finite(eps, above=0) for eps in epsilons)):
         raise ValueError(f"config field sweep.epsilons must list positive finite numbers, got {epsilons!r}")
+    for key, values in (("family.epsilon", [cfg.family["epsilon"]]), ("sweep.epsilons", epsilons)):
+        if any(eps > 1 for eps in values):   # FamilySpec's range of the collapse parameter
+            raise ValueError(f"config field {key} must lie in (0, 1], got {max(values)!r}")
     field = cfg.flow["field"]
     if not (isinstance(field, str) and re.fullmatch("fiber-sine|eigenmode:[0-9]+", field)):
         raise ValueError(f"config field flow.field must be 'fiber-sine' or 'eigenmode:N' with N a non-negative "
@@ -194,8 +198,43 @@ def _point_dir(eps: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# run manifest
+# output files
 # ---------------------------------------------------------------------------
+
+
+def _write_csv(path: Path, header, rows) -> Path:
+    """A CSV file of the named columns: floats as ``.17g`` (infinity as
+    ``inf``), bools as ``1``/``0`` and ints as they are."""
+    def cell(v) -> str:
+        if isinstance(v, (bool, np.bool_)):
+            return "1" if v else "0"
+        return f"{v:.17g}" if isinstance(v, (float, np.floating)) else str(v)
+
+    path.write_text("".join(",".join(map(cell, row)) + "\n" for row in [header, *rows]))
+    return path
+
+
+def _jsonable(obj):
+    """``obj`` with NumPy scalars and arrays as Python values and an infinity
+    as the string ``"inf"`` (``"-inf"``), the spelling strict JSON allows."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    return str(obj) if isinstance(obj, float) and math.isinf(obj) else obj
+
+
+def _write_json(path: Path, obj) -> Path:
+    """``obj`` as strict JSON with sorted keys and a two-space indent.  A NaN
+    raises ValueError, and the file is not written."""
+    try:
+        text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path.name} would not be strict JSON: {exc}") from exc
+    path.write_text(text + "\n")
+    return path
 
 
 def _write_manifest(cfg: ExperimentConfig, out: Path, paths) -> None:
@@ -213,7 +252,7 @@ def _write_manifest(cfg: ExperimentConfig, out: Path, paths) -> None:
         "createdAt": datetime.now(timezone.utc).isoformat(),
         "files": sorted(files, key=lambda f: f["path"]),
     }
-    (out / "run_manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "run_manifest.json", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +298,8 @@ def cmd_build(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_eig(cfg: ExperimentConfig, out: Path, cache: bool = True) -> int:
     M = build_family(cfg.family_spec())
     pairs, cache_path = _eigenpairs_cached(cfg, M, out, cache)
-    lines = ["index,theta,residual,cluster"]
-    for i, p in enumerate(pairs):
-        lines.append(f"{i},{p.theta:.17g},{p.residual:.17g},{p.cluster}")
-    csv_path = out / "eigenvalues.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
+    csv_path = _write_csv(out / "eigenvalues.csv", ["index", "theta", "residual", "cluster"],
+                          [(i, p.theta, p.residual, p.cluster) for i, p in enumerate(pairs)])
     print(f"wrote {len(pairs)} eigenpairs to {csv_path}")
     _write_manifest(cfg, out, [csv_path, cache_path])
     return 0
@@ -271,9 +307,8 @@ def cmd_eig(cfg: ExperimentConfig, out: Path, cache: bool = True) -> int:
 
 def cmd_split(cfg: ExperimentConfig, out: Path) -> int:
     cert = _certified_point(cfg)["cert"]
-    path = out / "certificate.json"
-    path.write_text(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n")
-    print(json.dumps(cert.to_json_dict(), indent=2, sort_keys=True))
+    path = _write_json(out / "certificate.json", cert.to_json_dict())
+    print(path.read_text(), end="")
     _write_manifest(cfg, out, [path])
     return 0
 
@@ -301,8 +336,7 @@ def cmd_flow(cfg: ExperimentConfig, out: Path, cache: bool = True) -> int:
     M = point["manifold"]
     field, cache_path = _flow_field(cfg, point, out, cache)
     x0 = point["ball"].center if cfg.flow["start"] is None else nearest_node(M, cfg.flow["start"])
-    level = field.phi.evaluate(M.positions()[x0][None, :])[0]
-    trace = extract_fiber(field.phi, level, lambda_threshold=point["mask"].threshold)
+    trace = extract_fiber(field.phi, field.phi.node_value(x0), lambda_threshold=point["mask"].threshold)
     eps_hat, r = point["eps_hat"], cfg.ball["radius"]
     report = fiber_apriori_check(trace, field, eps_hat, r, fiber_neighborhood(M, trace, 2.0 * eps_hat * r))
     T = cfg.flow["time_over_k"] / report.K
@@ -310,10 +344,9 @@ def cmd_flow(cfg: ExperimentConfig, out: Path, cache: bool = True) -> int:
     # the configured step, cut to the stability gate dt * rate <= 0.1
     dt = min(cfg.flow["dt_factor"] * M.family.epsilon, 0.1 / rate)
     traj = integrate_flow(field, x0, T, dt, stability_rate=rate)
-    csv_path = out / "trajectory.csv"
-    traj.to_csv(csv_path)
-    rep_path = out / "fiber_bound_report.json"
-    rep_path.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n")
+    csv_path = _write_csv(out / "trajectory.csv", ["t", *"xyz"[:M.dim], "u", "tangential_speed_sq", "drift"],
+                          zip(traj.times, *traj.positions.T, traj.u_values, traj.speed_sq, traj.drift))
+    rep_path = _write_json(out / "fiber_bound_report.json", report.to_json_dict())
     print(
         f"flow from node {x0}: dt {dt:.6g}, {len(traj.times)} samples, max drift {traj.drift.max():.3e}, "
         f"a priori pass={report.passed}"
@@ -324,8 +357,7 @@ def cmd_flow(cfg: ExperimentConfig, out: Path, cache: bool = True) -> int:
 
 def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
     rows, reports = point_reports(run_point(**cfg.point_args()), cfg.ball["radius"])
-    path = out / "estimate_reports.json"
-    reports_to_json(reports, path)
+    path = _write_json(out / "estimate_reports.json", [rep.to_json_dict() for rep in reports])
     ok = all(r.passed for r in reports) and all(row.passed for row in rows)
     for rep in reports:
         print(f"{rep.name}: lhs={rep.lhs:.6g} rhs={rep.rhs:.6g} pass={rep.passed}")
@@ -335,33 +367,27 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
     result = sweep([cfg.point_args(eps) for eps in cfg.sweep["epsilons"]], jobs)
-    csv_path = out / "sweep.csv"
-    result.to_csv(csv_path)
-    plot_path = out / "plot_data.csv"
-    lines = ["epsilonHat,lhs,rhs"]
-    for row in result.rows:
-        lines.append(f"{row.epsilon_hat:.17g},{row.lhs:.17g},{row.rhs:.17g}")
-    plot_path.write_text("\n".join(lines) + "\n")
-    written = [csv_path, plot_path]
+    written = [
+        _write_csv(out / "sweep.csv", ["epsilon", "epsilonHat", "psi", "theta", "K", "lhs", "rhs", "margin", "pass"],
+                   [(row.epsilon, row.epsilon_hat, row.psi, row.theta, row.K, row.lhs, row.rhs, row.margin,
+                     row.passed) for row in result.rows]),
+        _write_csv(out / "plot_data.csv", ["epsilonHat", "lhs", "rhs"],
+                   [(row.epsilon_hat, row.lhs, row.rhs) for row in result.rows]),
+    ]
     by_eps: dict[float, list] = {}
     for rep in result.reports:
         by_eps.setdefault(float(rep.extras["epsilon"]), []).append(rep)
-    points_dir = out / "points"
     for eps, reps in sorted(by_eps.items()):
-        pdir = points_dir / _point_dir(eps)
+        pdir = out / "points" / _point_dir(eps)
         pdir.mkdir(parents=True, exist_ok=True)
-        rpath = pdir / "reports.json"
-        reports_to_json(reps, rpath)
-        written.append(rpath)
-    summary_path = out / "sweep_summary.json"
-    summary = {
+        written.append(_write_json(pdir / "reports.json", [rep.to_json_dict() for rep in reps]))
+    written.append(_write_json(out / "sweep_summary.json", {
         "exponent": result.exponent,
         "ratioSpread": result.ratio_spread,
         "degenerate": result.degenerate,
         "allPassed": result.all_passed,
-    }
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_manifest(cfg, out, [*written, summary_path])
+    }))
+    _write_manifest(cfg, out, written)
     print(
         f"sweep: {len(result.rows)} rows, all_passed={result.all_passed}, "
         f"degenerate={result.degenerate}, ratio_spread={result.ratio_spread}"

@@ -10,12 +10,12 @@ substitution.
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
-import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 from scipy.sparse import diags
@@ -36,7 +36,6 @@ from .operators import (
     gradient,
     hessian,
     hessian_norm,
-    interp_scalar,
     l2_average,
     laplace,
     laplacian_matrix,
@@ -107,28 +106,14 @@ class EstimateReport:
             "name": self.name,
             "lhs": self.lhs,
             "rhs": self.rhs,
-            "margin": _jsonable(self.margin),
+            "margin": self.margin,
             "pass": self.passed,
             "constants": {
                 k: {"value": v, "provenance": p} for k, (v, p) in sorted(self.constants.items())
             },
-            "extras": _jsonable(self.extras),
+            "extras": self.extras,
             "notes": list(self.notes),
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, float) and np.isinf(obj):
-        return "inf"
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +314,7 @@ def interior_l2_report(
     r = ball_r.radius
     k = field.phi.k
     inner = ball_r.concentric(max(r * (1.0 - 4.0 * eps_hat), 1e-9))
-    anchor = field.phi.evaluate(ball_r.center_position()[None, :])[0]
-    lo, hi = field.phi.branch_range(inner.members, anchor)
+    anchor, lo, hi = field.phi.value_box(inner)
     dv = field.phi.wrap_value_delta(field.phi.values_stack() - anchor)
     in_range = np.all((dv >= (lo - anchor)) & (dv <= (hi - anchor)), axis=-1)
     domain = ball_r.members & mask & in_range
@@ -446,24 +430,6 @@ class SweepRow:
     degenerate: bool
     ratio: float  # lhs / (sup|u| (sqrt(eps_hat) + psi))
 
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                f"{self.epsilon:.17g}",
-                f"{self.epsilon_hat:.17g}",
-                f"{self.psi:.17g}",
-                f"{self.theta:.17g}",
-                f"{self.K:.17g}",
-                f"{self.lhs:.17g}",
-                f"{self.rhs:.17g}",
-                f"{self.margin:.17g}" if np.isfinite(self.margin) else "inf",
-                "1" if self.passed else "0",
-            ]
-        )
-
-
-SWEEP_CSV_HEADER = "epsilon,epsilonHat,psi,theta,K,lhs,rhs,margin,pass"
-
 # rows with lhs below this fraction of rhs carry no scaling information
 DEGENERATE_LHS_FRACTION = 1e-8
 
@@ -479,10 +445,6 @@ class SweepResult:
     ratio_spread: float | None  # max/min of per-row ratio over non-degenerate rows
     degenerate: bool            # too few informative rows for scaling statements
     all_passed: bool
-
-    def to_csv(self, path: str | Path) -> None:
-        lines = [SWEEP_CSV_HEADER] + [row.csv_row() for row in self.rows]
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def point_spec(kind: str, epsilon: float, delta: float, twist: float, resolution_rule) -> FamilySpec:
@@ -608,8 +570,8 @@ def sweep(points, jobs: int = 1) -> SweepResult:
     With fewer than two informative rows the sweep is marked degenerate and
     the scaling checks pass vacuously.
 
-    Points run most grid nodes first, ties in epsilon order, whether serial
-    or with ``jobs > 1`` worker processes (at most one per point).  A point's
+    Points run most grid nodes first, ties in epsilon order, in one task list
+    that ``map`` runs, or with ``jobs > 1`` a pool's (one worker per point at most).  A point's
     cost grows with its node count, so this is longest-processing-time-first
     scheduling (Graham, SIAM J. Appl. Math. 1969): the largest point no
     longer runs alone after the others, and no smaller point runs before it
@@ -619,41 +581,24 @@ def sweep(points, jobs: int = 1) -> SweepResult:
     """
     points = sorted(points, key=lambda args: args["epsilon"])
     if len(points) < 3:
-        raise ValueError(f"sweep needs at least 3 epsilon values, got {len(points)}")
-    rows: list[SweepRow] = []
-    reports: list[EstimateReport] = []
+        raise ValueError(f"config field sweep.epsilons must list at least 3 values, got {len(points)}")
     nodes = [math.prod(args["resolution_rule"](args["kind"], args["epsilon"])) for args in points]
     order = sorted(range(len(points)), key=lambda i: -nodes[i])  # stable: ties keep epsilon order
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the call queue is FIFO, so workers take the points in submit order
-        with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
-            futures = {i: pool.submit(_sweep_point_task, points[i]) for i in order}
-            results = [futures[i].result() for i in range(len(points))]
-    else:
-        done = {i: _sweep_point_task(points[i]) for i in order}
-        results = [done[i] for i in range(len(points))]
-    for point_rows, point_reports in results:
-        rows.extend(point_rows)
-        reports.extend(point_reports)
+    # the pool's call queue is FIFO, so workers take the points in task order
+    with (concurrent.futures.ProcessPoolExecutor(min(jobs, len(points))) if jobs > 1 else nullcontext()) as pool:
+        results = dict(zip(order, (pool.map if jobs > 1 else map)(_sweep_point_task, [points[i] for i in order])))
+    rows = [row for i in range(len(points)) for row in results[i][0]]
+    reports = [rep for i in range(len(points)) for rep in results[i][1]]
     informative = [row for row in rows if not row.degenerate]
     all_passed = all(row.passed for row in rows) and all(rep.passed for rep in reports)
-    if len(informative) >= 2:
-        ratios = [row.ratio for row in informative]
-        ratio_spread = max(ratios) / min(ratios)
-        degenerate = False
-    else:
-        ratio_spread = None
-        degenerate = True
-    exponent = None
+    degenerate = len(informative) < 2
+    ratios = [row.ratio for row in informative]
+    ratio_spread = None if degenerate else max(ratios) / min(ratios)
     by_eps: dict[float, float] = {}
     for row in informative:
         by_eps[row.epsilon_hat] = max(by_eps.get(row.epsilon_hat, 0.0), row.lhs)
-    if len(by_eps) >= 3:
-        xs = np.log(np.array(sorted(by_eps)))
-        ys = np.log(np.array([by_eps[x] for x in sorted(by_eps)]))
-        exponent = float(np.polyfit(xs, ys, 1)[0])
+    xs = sorted(by_eps)
+    exponent = float(np.polyfit(np.log(xs), np.log([by_eps[x] for x in xs]), 1)[0]) if len(xs) >= 3 else None
     return SweepResult(
         rows=tuple(rows),
         reports=tuple(reports),
@@ -667,14 +612,12 @@ def sweep(points, jobs: int = 1) -> SweepResult:
 def _checked_fibers(point: dict, r: float) -> list[tuple]:
     """``(trace, 2 eps r neighborhood)`` of the fibers checked for every eigenpair:
     regular ones at k-component levels on the diagonal of the ball's value box
-    whose stencils stay in the tangential fields' mask (the configured one)."""
+    whose stencils stay in the configured mask (``FiberTrace.in_mask``)."""
     M, phi, mask, ball = point["manifold"], point["phi"], point["mask"], point["ball"]
-    anchor = phi.evaluate(ball.center_position()[None, :])[0]
-    off_mask = np.where(mask.regular & point["stats"].valid, 0.0, np.nan)   # NaN where a stencil leaves it
     fibers = []
-    for lv in np.linspace(*phi.branch_range(ball.members, anchor), FIBER_LEVELS + 2)[1:-1]:
+    for lv in np.linspace(*phi.value_box(ball)[1:], FIBER_LEVELS + 2)[1:-1]:
         trace = extract_fiber(phi, lv, lambda_threshold=mask.threshold)
-        if trace.regular and np.isfinite(interp_scalar(M, off_mask, M.grid.wrap(trace.points))).all():
+        if trace.regular and trace.in_mask:
             fibers.append((trace, fiber_neighborhood(M, trace, 2.0 * point["eps_hat"] * r)))
     return fibers
 
@@ -720,8 +663,3 @@ def _mode_reports(point: dict, pair: EigenPair, r: float, fibers: list[tuple]):
     )
     return row, reports
 
-
-def reports_to_json(reports, path: str | Path) -> None:
-    """Strict JSON: an infinite margin is written ``"inf"``, and a NaN raises."""
-    payload = [rep.to_json_dict() for rep in reports]
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -62,8 +61,9 @@ class TangentialField:
     u, each built once on first use and cached: ``grad_sq`` and ``grad_norm``
     (|grad u|^2 and |grad u|, for the report pass's K, Cheng-Yau ratio and
     cutoff terms and the fiber checks' K), ``hessian_u_norm`` (for the W22 K,
-    the Hessian bound and the fiber checks), and the stacked sample fields
-    and K field of ``fiber_apriori_check``, shared by every fiber checked.
+    the Hessian bound and the fiber checks), and the masked |grad^T u|^2 and
+    K field of ``fiber_apriori_check``, shared by every fiber checked.  The
+    map's own fiber facts come with each ``FiberTrace``.
     """
 
     manifold: DiscreteManifold
@@ -151,22 +151,12 @@ def tangential_projection(
 class FlowTrajectory:
     """Sampled integral curve of the tangential gradient inside one fiber."""
 
-    x0: tuple[int, ...]
     level: np.ndarray
     times: np.ndarray
     positions: np.ndarray      # (n, m) wrapped chart coordinates
     u_values: np.ndarray
     speed_sq: np.ndarray
     drift: np.ndarray          # max |Phi(gamma) - level| per sample
-
-    def to_csv(self, path: str | Path) -> None:
-        m = self.positions.shape[1]
-        coord_names = ["x", "y", "z"][:m]
-        header = ",".join(["t", *coord_names, "u", "tangential_speed_sq", "drift"])
-        data = np.column_stack(
-            [self.times, self.positions, self.u_values, self.speed_sq, self.drift]
-        )
-        np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
 def integrate_flow(
@@ -203,7 +193,7 @@ def integrate_flow(
         )
     n_steps = int(np.ceil(T / dt - 1e-12))
     pos = M.positions()[x0].astype(float)
-    level = phi.evaluate(pos[None, :])[0]
+    level = phi.node_value(x0)
     probe = _cached(field, "velocity_probe", lambda: stencil_probe(
         M, np.concatenate([field.grad_t, phi._stacked("psi")], axis=-1)))
     periods = [float(p) for p in M.grid.periods]
@@ -219,7 +209,7 @@ def integrate_flow(
         if not all(map(math.isfinite, v)):
             raise FlowEscapeError(
                 f"flow left the regular region at t = {t_now:.6g}",
-                _assemble_trajectory(field, x0, level, times, path, drifts),
+                _assemble_trajectory(field, level, times, path, drifts),
             )
         return v
 
@@ -243,23 +233,22 @@ def integrate_flow(
             except RuntimeError as exc:
                 raise FlowEscapeError(
                     f"reprojection failed at t = {(i + 1) * dt:.6g}: {exc}",
-                    _assemble_trajectory(field, x0, level, times, path, drifts),
+                    _assemble_trajectory(field, level, times, path, drifts),
                 ) from exc
             x, res = proj.point, proj.residual
             vals = probe(x)[0]
         times.append((i + 1) * dt)
         path.append([xi % p for xi, p in zip(x, periods)])
         drifts.append(_max_abs(res))
-    return _assemble_trajectory(field, x0, level, times, path, drifts)
+    return _assemble_trajectory(field, level, times, path, drifts)
 
 
-def _assemble_trajectory(field, x0, level, times, path, drifts) -> FlowTrajectory:
+def _assemble_trajectory(field, level, times, path, drifts) -> FlowTrajectory:
     M = field.manifold
     pts = np.asarray(path)
     speed_sq = np.where(np.isnan(field.speed_sq), 0.0, field.speed_sq)
     u_vals, w_vals = interp_scalar(M, np.stack([field.u, speed_sq], axis=-1), pts).T
     return FlowTrajectory(
-        x0=tuple(int(i) for i in np.atleast_1d(x0)),
         level=np.asarray(level, dtype=float),
         times=np.asarray(times),
         positions=pts,
@@ -294,7 +283,7 @@ class FiberBoundReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "level": [float(v) for v in np.atleast_1d(self.level)],
+            "level": self.level,
             "lambda": self.lam,
             "Lambda": self.Lam,
             "C0": self.c0,
@@ -306,7 +295,7 @@ class FiberBoundReport:
             "lhs": self.lhs,
             "rhs": self.rhs,
             "pass": bool(self.passed),
-            "margin": "inf" if np.isinf(self.margin) else self.margin,
+            "margin": self.margin,
             "counterexample": not self.passed,   # the time-bound contradiction flag
         }
 
@@ -341,30 +330,20 @@ def fiber_apriori_check(
     """Measure the fiberwise a priori bound ``r sup|grad^T u| <= RHS``.
 
     All constants come from the discrete fields: the Jacobian eigenvalue
-    range and Hessian sup on the fiber samples, and K on ``neighborhood``,
-    the fiber's ``fiber_neighborhood`` of radius ``2 eps r``, which serves
-    every field checked on that fiber.
+    range and Hessian sups the trace carries, |grad^T u| (NaN off the field's
+    mask) gathered at the fiber samples, and K on ``neighborhood``, the
+    fiber's ``fiber_neighborhood`` of radius ``2 eps r``, which serves every
+    field checked on that fiber.
     """
     M = field.manifold
     if not fiber.regular:
         raise ValueError("fiber is not regular; a priori constants are undefined")
-    stats = field.stats
-    # every field read on the fiber samples, stacked for one stencil gather; built on the
-    # first fiber checked against this tangential field and reused for the others
-    samples = _cached(field, "fiber_samples", lambda: np.stack([
-        np.where(stats.valid, stats.lam, np.nan),
-        np.where(stats.valid, stats.Lam, np.nan),
-        np.where(field.mask, field.speed_sq, np.nan),
-        *field.phi.hessian_norms(),
-    ], axis=-1))
-    lam_s, Lam_s, speed_sq, *hess_norms = interp_scalar(M, samples, M.grid.wrap(fiber.points)).T
-    lam = float(np.min(lam_s))
-    Lam = float(np.max(Lam_s))
+    lam, Lam = fiber.min_lambda, fiber.max_Lambda
     if not np.isfinite(lam) or lam <= 0:
         raise ValueError("fiber touches the singular region; lambda not positive")
-    c0 = 0.0
-    for hn in hess_norms:
-        c0 = max(c0, float(np.max(hn**2)) * r**2)
+    c0 = max([0.0, *(hess_sq * r**2 for hess_sq in fiber.hessian_sq_sup)])   # the builtin max skips a NaN
+    speed_sq = interp_scalar(M, _cached(field, "masked_speed_sq", lambda: np.where(
+        field.mask, field.speed_sq, np.nan)), M.grid.wrap(fiber.points))
     gn, hn_u = field.grad_norm(), field.hessian_u_norm()
     if not np.all(np.isfinite(gn[neighborhood])) or not np.all(np.isfinite(hn_u[neighborhood])):
         raise ValueError("fiber neighborhood exits the computed domain of u")

@@ -374,9 +374,6 @@ class GeodesicBall:
     def volume(self) -> float:
         return float(self.manifold.node_weights()[self.members].sum())
 
-    def center_position(self) -> np.ndarray:
-        return self.manifold.positions()[self.center]
-
     def concentric(self, s: float) -> "GeodesicBall":
         """The region of radius ``s`` about the same center (see ``_region``),
         from the stored distances, without a new Dijkstra."""
@@ -508,14 +505,19 @@ def _region(M: DiscreteManifold, p: tuple[int, ...], dist: np.ndarray, r: float)
 
 @dataclass(frozen=True)
 class FiberTrace:
-    """Ordered polyline sampling of one fiber (level set) of a splitting map."""
+    """Ordered polyline sampling of one fiber (level set) of a splitting map,
+    with every fact its readers take from the node fields at its samples
+    (``extract_fiber`` gathers them together)."""
 
     level: np.ndarray              # (k,)
     points: np.ndarray             # (n, m) chart coordinates, unwrapped along the chain
-    regular: bool
+    regular: bool                  # min_lambda above the trace's threshold
     length: float                  # metric length of the polyline
     diameter: float                # intrinsic diameter along the polyline (= length/2 on loops)
     min_lambda: float              # smallest Jacobian eigenvalue seen along the trace
+    max_Lambda: float              # largest Jacobian eigenvalue seen along the trace
+    hessian_sq_sup: tuple[float, ...]  # per component b, max |Hess Phi^b|^2 over the samples
+    in_mask: bool                  # every sample's stencil lies in the regular set at the threshold
     level_error: float             # max |Phi(sample) - level|
 
 
@@ -531,6 +533,18 @@ def _polyline_metric_length(M: DiscreteManifold, pts: np.ndarray) -> float:
     return float(seg.sum())
 
 
+def _fiber_fields(phi, threshold: float) -> np.ndarray:
+    """The node fields a fiber trace reads, side by side for one gather: the
+    periodic parts (k), lambda, Lambda, 0 on the regular set at ``threshold``
+    and NaN off it, and each |Hess Phi^b| (k)."""
+    from .splitting import jacobian_stats
+
+    stats = jacobian_stats(phi)
+    regular_set = np.where(stats.valid & (stats.lam > threshold), 0.0, np.nan)
+    return np.concatenate([phi._stacked("psi"), np.stack(
+        [stats.lam, stats.Lam, regular_set, *phi.hessian_norms()], axis=-1)], axis=-1)
+
+
 def extract_fiber(phi, level, *, lambda_threshold: float) -> FiberTrace:
     """Trace the fiber ``Phi^{-1}(level)`` as an ordered closed polyline.
 
@@ -538,8 +552,13 @@ def extract_fiber(phi, level, *, lambda_threshold: float) -> FiberTrace:
     charts, predictor-corrector continuation with Newton reprojection on 3-d
     charts.  Returns a trace with ``regular=False`` when the smallest Jacobian
     eigenvalue drops below the threshold anywhere along the curve.
+
+    Every fiber fact comes from one ``interp_scalar`` gather at the samples
+    of the map's ``_fiber_fields``, cached per map and threshold; a stacked
+    component keeps the bits of a gather of its own, so the level error is
+    ``level_residual``'s and the rest are the fields' own samples.
     """
-    from .splitting import SplittingMap, jacobian_stats
+    from .splitting import SplittingMap
 
     if not isinstance(phi, SplittingMap):
         raise TypeError("extract_fiber expects a SplittingMap")
@@ -572,8 +591,10 @@ def extract_fiber(phi, level, *, lambda_threshold: float) -> FiberTrace:
 
     from .operators import interp_scalar
 
-    lam = interp_scalar(M, jacobian_stats(phi).lam, M.grid.wrap(pts))
-    err = float(np.max(np.abs(phi.level_residual(pts, level))))
+    fields = _cached(phi, ("fiber_fields", lambda_threshold), lambda: _fiber_fields(phi, lambda_threshold))
+    samples = interp_scalar(M, fields, M.grid.wrap(pts))
+    lam, Lam, regular_set = samples[:, k], samples[:, k + 1], samples[:, k + 2]
+    err = float(np.max(np.abs(phi.wrap_value_delta(phi._values_at(pts, samples[:, :k]) - level))))
     length = _polyline_metric_length(M, pts)
     return FiberTrace(
         level=level,
@@ -582,6 +603,9 @@ def extract_fiber(phi, level, *, lambda_threshold: float) -> FiberTrace:
         length=length,
         diameter=0.5 * length,
         min_lambda=float(lam.min()),
+        max_Lambda=float(np.max(Lam)),
+        hessian_sq_sup=tuple(float(np.max(hn**2)) for hn in samples[:, k + 3:].T),
+        in_mask=bool(np.isfinite(regular_set).all()),
         level_error=err,
     )
 
@@ -785,8 +809,7 @@ def epsilon_proxy(M: DiscreteManifold, ball: GeodesicBall, phi, lambda_threshold
     """
     if ball.radius <= 0:
         raise ValueError("epsilon proxy needs a ball of positive radius")
-    anchor = phi.evaluate(ball.center_position()[None, :])[0]
-    lo, hi = phi.branch_range(ball.members, anchor)
+    _, lo, hi = phi.value_box(ball)
     span = hi - lo
     lo = lo + PROXY_MARGIN * span
     hi = hi - PROXY_MARGIN * span

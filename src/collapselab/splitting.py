@@ -117,8 +117,23 @@ class SplittingMap:
         """Map values at chart points (N, m) -> (N, k), continuous in pts."""
         M = self.manifold
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        psi = interp_scalar(M, self._stacked("psi"), M.grid.wrap(pts))
+        return self._values_at(pts, interp_scalar(M, self._stacked("psi"), M.grid.wrap(pts)))
+
+    def _values_at(self, pts: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """``evaluate`` at chart points ``(N, m)`` from the periodic parts ``psi`` interpolated there."""
         return np.stack([pts @ w + psi[:, a] for a, w in enumerate(self.windings)], axis=-1)
+
+    def node_value(self, node) -> np.ndarray:
+        """``evaluate`` at a grid node's position (a tuple); cached per node, read-only."""
+        pos = self.manifold.positions()[node]
+        return _cached(self, ("node_value", node), lambda: _read_only(self.evaluate(pos)[0]))
+
+    def value_box(self, ball: GeodesicBall) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(anchor, lo, hi)``: the value at the ball's center node and the
+        ``branch_range`` of the ball's nodes around it; cached per ball."""
+        anchor = self.node_value(ball.center)
+        return _cached(self, ("value_box", ball.center, ball.radius),
+                       lambda: (anchor, *map(_read_only, self.branch_range(ball.members, anchor))))
 
     def value_periods(self) -> np.ndarray:
         """Period of each component value around the chart (0 for plain fields)."""
@@ -402,8 +417,7 @@ def certify(phi: SplittingMap, ball: GeodesicBall, epsilon_hat: float) -> Certif
         for b in range(k):
             dev = np.abs(stats.gram[..., a, b] - (1.0 if a == b else 0.0))
             gram_dev = max(gram_dev, region_average(M, np.where(mask, dev, 0.0), mask))
-    center_val = phi.evaluate(ball.center_position()[None, :])[0]
-    res = phi.level_residual(M.positions()[mask].reshape(-1, M.dim), center_val)
+    res = phi.level_residual(M.positions()[mask].reshape(-1, M.dim), phi.node_value(ball.center))
     range_ok = bool(np.all(np.linalg.norm(res, axis=-1) <= 2 * r + 1e-12))
     psi = max(gram_dev, float(np.sqrt(hess_energy)))
     return Certificate(

@@ -144,6 +144,26 @@ def test_sweep_epsilons_must_be_positive_finite_numbers(tmp_path, capsys, epsilo
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "verb, given, message",
+    [
+        ("build", {"family": {"epsilon": 1.5}}, "config field family.epsilon must lie in (0, 1], got 1.5"),
+        ("sweep", {"sweep": {"epsilons": [0.2, 0.1, 1.5]}},
+         "config field sweep.epsilons must lie in (0, 1], got 1.5"),
+        ("sweep", {"sweep": {"epsilons": [0.2, 0.1]}},
+         "config field sweep.epsilons must list at least 3 values, got 2"),
+    ],
+    ids=["family.epsilon", "sweep.epsilons-range", "sweep.epsilons-count"],
+)
+def test_collapse_parameters_are_checked_by_their_key(tmp_path, capsys, verb, given, message):
+    # each used to stop with a message that named no config key: the family's
+    # "collapse parameter epsilon must lie in (0, 1]" and the sweep's "needs at
+    # least 3 epsilon values"
+    path = write_config(tmp_path, given)
+    assert main([verb, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", ["eigenmode:-1", "eigenmode:abc", "eigenmode:", "eigenmode:1.0", "fiber", 3, None])
 def test_flow_field_is_checked_when_the_config_loads(tmp_path, capsys, field):
     # eigenmode:-1 used to flow the last pair and exit 0, and eigenmode:abc
@@ -459,14 +479,34 @@ def strict_json(path):
 
 
 def test_report_files_are_strict_json(tmp_path):
-    # the exact constant mode has LHS 0, so its headline margin is infinite
+    # the exact constant mode has LHS 0, so its headline margin is infinite;
+    # certificate.json, fiber_bound_report.json and sweep_summary.json used to
+    # be written without the strict check
     path = write_config(tmp_path, SMALL_WARPED)
-    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "verify")]) == 0
-    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) in (0, 2)
+    for verb in ("build", "eig", "split", "flow", "verify", "sweep"):
+        assert main([verb, "--config", str(path), "--out", str(tmp_path / verb)]) in (0, 2)
+    written = sorted(tmp_path.glob("*/**/*.json"))
+    assert {f.name for f in written} == {"run_manifest.json", "certificate.json", "fiber_bound_report.json",
+                                         "estimate_reports.json", "reports.json", "sweep_summary.json"}
+    for f in written:
+        strict_json(f)
     files = [tmp_path / "verify" / "estimate_reports.json", *sorted((tmp_path / "sweep").glob("points/*/reports.json"))]
     assert len(files) == 4
     margins = [rep["margin"] for f in files for rep in strict_json(f) if rep["lhs"] == 0.0]
     assert margins and all(margin == "inf" for margin in margins)
+
+
+def test_a_nan_in_the_certificate_is_an_error(tmp_path, monkeypatch, capsys):
+    # split used to write "gramDev": NaN, which is not JSON, and exit 0
+    import collapselab.estimates as estimates_module
+
+    certify = estimates_module.certify
+    monkeypatch.setattr(estimates_module, "certify",
+                        lambda *args: dataclasses.replace(certify(*args), gram_dev=float("nan")))
+    path = write_config(tmp_path, SMALL_WARPED)
+    assert main(["split", "--config", str(path), "--out", str(tmp_path / "split")]) == 1
+    assert "certificate.json would not be strict JSON" in capsys.readouterr().err
+    assert not (tmp_path / "split" / "certificate.json").exists()
 
 
 def test_verify_twisted_torus_checks_two_component_fibers(tmp_path, monkeypatch):
@@ -507,6 +547,7 @@ def test_flow_writes_an_evenly_sampled_trajectory_inside_its_fiber(tmp_path, fam
     cfg = {"family": {"kind": "flat-product-torus"}} if family == "flat" else SMALL_WARPED
     path = write_config(tmp_path, cfg)
     assert main(["flow", "--config", str(path), "--out", str(tmp_path / "flow")]) == 0
+    assert (tmp_path / "flow" / "trajectory.csv").read_text().splitlines()[0] == "t,x,y,u,tangential_speed_sq,drift"
     data = np.loadtxt(tmp_path / "flow" / "trajectory.csv", delimiter=",", skiprows=1)
     t, positions, drift = data[:, 0], data[:, 1:3], data[:, -1]
     assert len(t) > 100 and t[0] == 0.0

@@ -183,10 +183,11 @@ def point_tasks(monkeypatch):
 @pytest.fixture
 def pools(monkeypatch):
     """Every process pool a sweep opens, as a stand-in that records its size and
-    runs each task when it is submitted, as a FIFO call queue hands it out."""
+    runs each task when it is submitted, as a FIFO call queue hands it out;
+    ``map`` is the executor's own, which submits every task in order."""
     opened = []
 
-    class RecordingPool:
+    class RecordingPool(concurrent.futures.Executor):
         def __init__(self, max_workers):
             self.max_workers = max_workers
             self.submitted = []

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import collapselab.cli as cli
 import collapselab.flow as flow
 from collapselab import extract_fiber, geodesic_ball
 from collapselab.manifold import graph_distances
 from collapselab.flow import (
+    FiberBoundReport,
     FlowEscapeError,
     fiber_apriori_check,
     fiber_neighborhood,
@@ -16,7 +18,8 @@ from collapselab.flow import (
     tangential_part,
     tangential_projection,
 )
-from collapselab.splitting import SplittingMap, classify_regular, jacobian_stats
+from collapselab.operators import interp_scalar, region_sup
+from collapselab.splitting import SplittingMap, classify_regular, harmonic_coordinates, jacobian_stats
 
 
 EPS = 0.1
@@ -366,12 +369,111 @@ def test_flat_flow_interpolates_at_most_four_times_per_step(monkeypatch, flat_se
 
 
 def test_trajectory_csv_export(tmp_path, flat_setup, fiber_report):
+    # the columns the flow verb writes, through the CLI's one CSV writer
     M, phi, stats, mask, field = flat_setup
     traj = integrate_flow(field, (0, 0), T=1e-3, dt=1e-5, stability_rate=flow_rate_bound(fiber_report))
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
+    columns = [traj.times, *traj.positions.T, traj.u_values, traj.speed_sq, traj.drift]
+    path = cli._write_csv(tmp_path / "traj.csv", ["t", "x", "y", "u", "tangential_speed_sq", "drift"], zip(*columns))
     header = path.read_text().splitlines()[0]
     assert header == "t,x,y,u,tangential_speed_sq,drift"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape[1] == 6
     assert data.shape[0] == len(traj.times)
+    assert np.array_equal(data, np.column_stack(columns))   # .17g round-trips every float
+
+
+# ---------------------------------------------------------------------------
+# the fiber facts of one gather against separate ones
+# ---------------------------------------------------------------------------
+
+
+def bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def separate_apriori_check(fiber, field, eps_hat, r, neighborhood):
+    """``fiber_apriori_check`` as it read the map's fields before the trace
+    carried them: every field gathered at the fiber samples from one stack."""
+    M, stats = field.manifold, field.stats
+    if not fiber.regular:
+        raise ValueError("fiber is not regular; a priori constants are undefined")
+    samples = np.stack([
+        np.where(stats.valid, stats.lam, np.nan),
+        np.where(stats.valid, stats.Lam, np.nan),
+        np.where(field.mask, field.speed_sq, np.nan),
+        *field.phi.hessian_norms(),
+    ], axis=-1)
+    lam_s, Lam_s, speed_sq, *hess_norms = interp_scalar(M, samples, M.grid.wrap(fiber.points)).T
+    lam, Lam = float(np.min(lam_s)), float(np.max(Lam_s))
+    if not np.isfinite(lam) or lam <= 0:
+        raise ValueError("fiber touches the singular region; lambda not positive")
+    c0 = 0.0
+    for hn in hess_norms:
+        c0 = max(c0, float(np.max(hn**2)) * r**2)
+    gn, hn_u = field.grad_norm(), field.hessian_u_norm()
+    if not np.all(np.isfinite(gn[neighborhood])) or not np.all(np.isfinite(hn_u[neighborhood])):
+        raise ValueError("fiber neighborhood exits the computed domain of u")
+    K = region_sup(r * gn + r**2 * hn_u, neighborhood)
+    speed = np.sqrt(np.maximum(speed_sq, 0.0))
+    if not np.all(np.isfinite(speed)):
+        raise ValueError("fiber neighborhood exits the regular region of the tangential field")
+    delta0 = float(np.max(speed))
+    k = field.phi.k
+    rhs = 2.0 * np.sqrt(1.0 + np.sqrt(Lam * k) * c0 / lam) * K * np.sqrt(eps_hat)
+    lhs = r * delta0
+    return FiberBoundReport(
+        level=fiber.level, lam=lam, Lam=Lam, c0=c0, K=float(K), delta0=delta0, eps_hat=float(eps_hat),
+        r=float(r), k=k, lhs=float(lhs), rhs=float(rhs), passed=bool(lhs <= rhs),
+        margin=float(rhs / lhs) if lhs > 0 else np.inf,
+    )
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("chart", ["flat_eig_torus", "warped_torus", "twisted_torus", "doubly_warped"])
+@pytest.mark.parametrize("cut", [False, True], ids=["all-regular", "median-cut"])
+def test_one_gather_gives_the_fiber_facts_of_separate_ones(request, chart, cut):
+    # the median-cut threshold calls half the nodes singular (all of them on the
+    # flat chart, whose lambda is 1 everywhere), so some fibers' stencils leave the set
+    M = request.getfixturevalue(chart)
+    phi = harmonic_coordinates(M)
+    if phi.k == M.dim:   # the doubly warped chart has no family: trace its first coordinate
+        phi = SplittingMap(M, phi.values[:1], phi.windings[:1])
+    stats = jacobian_stats(phi)
+    threshold = float(np.nanmedian(stats.lam)) if cut else 1e-6 * float(np.nanmedian(stats.Lam))
+    mask = classify_regular(stats, threshold)
+    regular_set = np.where(mask.regular & stats.valid, 0.0, np.nan)
+    field = tangential_projection(M, np.sin(2 * np.pi * M.positions()[..., -1]) + 0.5 * np.cos(
+        2 * np.pi * M.positions()[..., 0]), phi, stats, mask)
+    values = phi.values_stack().reshape(-1, phi.k)
+    lo, hi = values.min(axis=0), values.max(axis=0)
+    in_mask = []
+    for t in np.linspace(0.1, 0.9, 5):
+        trace = extract_fiber(phi, lo + t * (hi - lo), lambda_threshold=threshold)
+        pts = M.grid.wrap(trace.points)
+        lam = interp_scalar(M, stats.lam, pts)
+        assert bits(trace.min_lambda) == bits(lam.min())
+        assert trace.regular == bool(lam.min() > threshold)
+        assert bits(trace.max_Lambda) == bits(np.max(interp_scalar(M, stats.Lam, pts)))
+        assert bits(trace.hessian_sq_sup) == bits(
+            [np.max(interp_scalar(M, hn, pts) ** 2) for hn in phi.hessian_norms()])
+        assert trace.in_mask == bool(np.isfinite(interp_scalar(M, regular_set, pts)).all())
+        assert bits(trace.level_error) == bits(np.max(np.abs(phi.level_residual(trace.points, trace.level))))
+        in_mask.append(trace.in_mask)
+        if not trace.regular:
+            continue
+        args = (trace, field, EPS, R, fiber_neighborhood(M, trace, 2 * EPS * R))
+        got, want = outcome(fiber_apriori_check, *args), outcome(separate_apriori_check, *args)
+        assert type(got) is type(want)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        for f in dataclasses.fields(FiberBoundReport):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+    assert all(in_mask) != cut
