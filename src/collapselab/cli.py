@@ -46,7 +46,7 @@ from .estimates import (
     run_point,
     sweep,
 )
-from .flow import fiber_apriori_check, fiber_neighborhood, flow_rate_bound, integrate_flow, tangential_projection
+from .flow import fiber_apriori_check, flow_rate_bound, integrate_flow, tangential_projection
 from .manifold import FAMILIES, MIN_FIBER_NODES, FamilySpec, build_family, extract_fiber
 from .spectral import cached_eigenpairs, eigenpairs
 
@@ -64,11 +64,11 @@ _DEFAULTS = {
     "seed": 0,
 }
 
-# config fields that must hold a positive finite number, and integer fields with their least value;
-# FamilySpec rejects a fiber axis of fewer than MIN_FIBER_NODES nodes, so no lower floor makes a chart
+# config fields that must hold a positive finite number, and integer fields with their least value: a
+# chart axis needs 2 nodes, and FamilySpec rejects a fiber axis of fewer than MIN_FIBER_NODES nodes
 _POSITIVE = [("family", "epsilon"), ("ball", "radius"), ("eig", "theta_max"), ("flow", "time_over_k"),
              ("flow", "dt_factor")]
-_INTEGERS = {"eig.count": 1, "resolution.nodes_per_unit": 1, "resolution.min_fiber_nodes": MIN_FIBER_NODES,
+_INTEGERS = {"eig.count": 1, "resolution.nodes_per_unit": 2, "resolution.min_fiber_nodes": MIN_FIBER_NODES,
              "seed": 0}
 
 
@@ -267,11 +267,22 @@ def _certified_point(cfg: ExperimentConfig) -> dict:
     return certify_point(**{k: v for k, v in cfg.point_args().items() if k not in eigen_inputs})
 
 
+def _solve_args(cfg: ExperimentConfig, epsilon: float | None = None) -> dict:
+    """``point_args`` of a verb that solves for eigenpairs, whose count must
+    leave two of the chart's nodes over (``spectral.eigenpairs``)."""
+    a = cfg.point_args(epsilon)
+    shape = a["resolution_rule"](a["kind"], a["epsilon"])
+    if a["eig_count"] > math.prod(shape) - 2:
+        raise ValueError(f"config field eig.count must be at most {math.prod(shape) - 2} on the "
+                         f"{shape} grid at epsilon {a['epsilon']:g}, got {a['eig_count']!r}")
+    return a
+
+
 def _eigenpairs_cached(cfg: ExperimentConfig, M, out: Path, cache: bool):
     """The eigenpairs ``run_point`` solves for at the config's point, and the
     file under ``out/cache`` they were read from or written to (None with the
     cache off)."""
-    a = cfg.point_args()
+    a = _solve_args(cfg)
     solve = (M, a["eig_count"], a["theta_max"], a["seed"])
     return cached_eigenpairs(out / "cache", *solve) if cache else (eigenpairs(*solve), None)
 
@@ -328,7 +339,7 @@ def _flow_field(cfg: ExperimentConfig, point, out: Path, cache: bool):
         if idx >= len(pairs):
             raise ValueError(f"flow.field eigenmode index {idx} out of range ({len(pairs)} pairs)")
         u = pairs[idx].u
-    return tangential_projection(M, u, point["phi"], point["stats"], point["mask"]), cache_path
+    return tangential_projection(u, point["phi"], point["mask"]), cache_path
 
 
 def cmd_flow(cfg: ExperimentConfig, out: Path, cache: bool = True) -> int:
@@ -336,9 +347,8 @@ def cmd_flow(cfg: ExperimentConfig, out: Path, cache: bool = True) -> int:
     M = point["manifold"]
     field, cache_path = _flow_field(cfg, point, out, cache)
     x0 = point["ball"].center if cfg.flow["start"] is None else nearest_node(M, cfg.flow["start"])
-    trace = extract_fiber(field.phi, field.phi.node_value(x0), lambda_threshold=point["mask"].threshold)
-    eps_hat, r = point["eps_hat"], cfg.ball["radius"]
-    report = fiber_apriori_check(trace, field, eps_hat, r, fiber_neighborhood(M, trace, 2.0 * eps_hat * r))
+    trace = extract_fiber(field.phi, field.phi.node_value(x0), mask=point["mask"])
+    report = fiber_apriori_check(trace, field, point["eps_hat"], point["ball"].radius)
     T = cfg.flow["time_over_k"] / report.K
     rate = flow_rate_bound(report)
     # the configured step, cut to the stability gate dt * rate <= 0.1
@@ -356,7 +366,7 @@ def cmd_flow(cfg: ExperimentConfig, out: Path, cache: bool = True) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
-    rows, reports = point_reports(run_point(**cfg.point_args()), cfg.ball["radius"])
+    rows, reports = point_reports(run_point(**_solve_args(cfg)))
     path = _write_json(out / "estimate_reports.json", [rep.to_json_dict() for rep in reports])
     ok = all(r.passed for r in reports) and all(row.passed for row in rows)
     for rep in reports:
@@ -366,7 +376,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
-    result = sweep([cfg.point_args(eps) for eps in cfg.sweep["epsilons"]], jobs)
+    result = sweep([_solve_args(cfg, eps) for eps in cfg.sweep["epsilons"]], jobs)
     written = [
         _write_csv(out / "sweep.csv", ["epsilon", "epsilonHat", "psi", "theta", "K", "lhs", "rhs", "margin", "pass"],
                    [(row.epsilon, row.epsilon_hat, row.psi, row.theta, row.K, row.lhs, row.rhs, row.margin,

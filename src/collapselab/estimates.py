@@ -24,6 +24,7 @@ from .manifold import (
     FAMILIES,
     DiscreteManifold,
     FamilySpec,
+    FiberTrace,
     GeodesicBall,
     build_family,
     epsilon_proxy,
@@ -54,7 +55,7 @@ from .splitting import (
     harmonic_coordinates,
     jacobian_stats,
 )
-from .flow import TangentialField, fiber_apriori_check, fiber_neighborhood, tangential_projection
+from .flow import TangentialField, fiber_apriori_check, tangential_projection
 
 __all__ = [
     "CutoffFunction",
@@ -294,18 +295,13 @@ def hessian_l2_bound(
 # ---------------------------------------------------------------------------
 
 
-def interior_l2_report(
-    field: TangentialField,
-    mask: np.ndarray,
-    ball_r: GeodesicBall,
-    K: float,
-    C0: float,
-    eps_hat: float,
-) -> EstimateReport:
+def interior_l2_report(field: TangentialField, ball_r: GeodesicBall, K: float, C0: float,
+                       eps_hat: float) -> EstimateReport:
     """``r^2 int |grad^T u|^2 |J_k| <= C1 |B(p,r)| K^2 (sqrt(eps) + C0)``.
 
-    The integral runs over regular nodes of the ball whose map values lie in
-    the range of the inner ball ``B(p, r(1 - 4 eps))``; ``C1`` is assembled
+    The integral runs over the ball's nodes in the field's regular mask whose
+    map values lie in the value box of the inner ball ``B(p, r(1 - 4 eps))``
+    (``SplittingMap.in_value_box``, cached per ball); ``C1`` is assembled
     from ``8 k^2 (1 + C0)^(k-1)``.
     """
     if not (0.0 <= C0 < 1.0):
@@ -314,13 +310,9 @@ def interior_l2_report(
     r = ball_r.radius
     k = field.phi.k
     inner = ball_r.concentric(max(r * (1.0 - 4.0 * eps_hat), 1e-9))
-    anchor, lo, hi = field.phi.value_box(inner)
-    dv = field.phi.wrap_value_delta(field.phi.values_stack() - anchor)
-    in_range = np.all((dv >= (lo - anchor)) & (dv <= (hi - anchor)), axis=-1)
-    domain = ball_r.members & mask & in_range
+    domain = ball_r.members & field.mask & field.phi.in_value_box(inner)
     w = M.node_weights()
-    stats = field.stats
-    dens = np.where(domain, np.nan_to_num(field.speed_sq) * np.nan_to_num(stats.absdet), 0.0)
+    dens = np.where(domain, np.nan_to_num(field.speed_sq) * np.nan_to_num(field.stats.absdet), 0.0)
     lhs = r**2 * float((dens * w).sum())
     C1 = 8.0 * k**2 * (1.0 + C0) ** (k - 1)
     vol = ball_r.volume()
@@ -348,14 +340,8 @@ def interior_l2_report(
 # ---------------------------------------------------------------------------
 
 
-def main_theorem_report(
-    eig: EigenPair,
-    field: TangentialField,
-    mask: np.ndarray,
-    ball_r: GeodesicBall,
-    cert: Certificate,
-    cutoff: CutoffFunction,
-) -> EstimateReport:
+def main_theorem_report(eig: EigenPair, field: TangentialField, ball_r: GeodesicBall, cert: Certificate,
+                        cutoff: CutoffFunction) -> EstimateReport:
     """``r ||grad^T u||_{L2avg(B(p,r))} <= C(m,k,theta) sup|u| (sqrt(eps) + psi)``.
 
     ``C = C2 (1 + C_CY)`` with the Cheng-Yau constant replaced by the measured
@@ -377,8 +363,8 @@ def main_theorem_report(
     sup_u = region_sup(np.abs(eig.u), outer.members)
 
     w = M.node_weights()
-    dom = ball_r.members & mask     # not empty: certify_point checks
-    excluded = float(w[ball_r.members & ~mask].sum() / w[ball_r.members].sum())
+    dom = ball_r.members & field.mask     # not empty: certify_point checks
+    excluded = float(w[ball_r.members & ~field.mask].sum() / w[ball_r.members].sum())
     wsum = float(w[dom].sum())
     speed = np.nan_to_num(field.speed_sq)
     lhs = r * float(np.sqrt((w[dom] * speed[dom]).sum() / wsum))
@@ -477,12 +463,11 @@ def certify_point(
             "the regularity threshold; lower thresholds.lambda_min_rel"
         )
     ball2 = ball.concentric(2 * r)
-    eps_hat = epsilon_proxy(M, ball, phi, mask.threshold)
+    eps_hat = epsilon_proxy(ball, phi, mask)
     cert = certify(phi, ball, eps_hat)
     return {
         "manifold": M,
         "phi": phi,
-        "stats": stats,
         "mask": mask,
         "ball": ball,
         "ball2": ball2,
@@ -544,19 +529,19 @@ def default_resolution_rule(nodes_per_unit: int = 128, min_fiber_nodes: int = 16
     return partial(_resolution, nodes_per_unit=nodes_per_unit, min_fiber_nodes=min_fiber_nodes)
 
 
-def point_reports(point: dict, r: float) -> tuple[list[SweepRow], list[EstimateReport]]:
+def point_reports(point: dict) -> tuple[list[SweepRow], list[EstimateReport]]:
     """Sweep rows and estimate reports of every eigenpair of a ``run_point`` bundle."""
-    fibers = _checked_fibers(point, r) if any(pair.theta > 0 for pair in point["pairs"]) else []
+    fibers = _checked_fibers(point) if any(pair.theta > 0 for pair in point["pairs"]) else []
     rows, reports = [], []
     for pair in point["pairs"]:
-        row, mode_reports = _mode_reports(point, pair, r, fibers)
+        row, mode_reports = _mode_reports(point, pair, fibers)
         rows.append(row)
         reports.extend(mode_reports)
     return rows, reports
 
 
 def _sweep_point_task(args: dict) -> tuple[list, list]:
-    return point_reports(run_point(**args), args["r"])
+    return point_reports(run_point(**args))
 
 
 def sweep(points, jobs: int = 1) -> SweepResult:
@@ -609,42 +594,32 @@ def sweep(points, jobs: int = 1) -> SweepResult:
     )
 
 
-def _checked_fibers(point: dict, r: float) -> list[tuple]:
-    """``(trace, 2 eps r neighborhood)`` of the fibers checked for every eigenpair:
-    regular ones at k-component levels on the diagonal of the ball's value box
-    whose stencils stay in the configured mask (``FiberTrace.in_mask``)."""
-    M, phi, mask, ball = point["manifold"], point["phi"], point["mask"], point["ball"]
-    fibers = []
-    for lv in np.linspace(*phi.value_box(ball)[1:], FIBER_LEVELS + 2)[1:-1]:
-        trace = extract_fiber(phi, lv, lambda_threshold=mask.threshold)
-        if trace.regular and trace.in_mask:
-            fibers.append((trace, fiber_neighborhood(M, trace, 2.0 * point["eps_hat"] * r)))
-    return fibers
+def _checked_fibers(point: dict) -> list[FiberTrace]:
+    """The fibers checked for every eigenpair: regular ones at k-component
+    levels on the diagonal of the ball's value box whose stencils stay in the
+    configured mask (``FiberTrace.in_mask``)."""
+    phi, ball = point["phi"], point["ball"]
+    traces = [extract_fiber(phi, lv, mask=point["mask"])
+              for lv in np.linspace(*phi.value_box(ball)[1:], FIBER_LEVELS + 2)[1:-1]]
+    return [trace for trace in traces if trace.regular and trace.in_mask]
 
 
-def _mode_reports(point: dict, pair: EigenPair, r: float, fibers: list[tuple]):
-    M = point["manifold"]
-    phi = point["phi"]
-    stats = point["stats"]
-    mask = point["mask"]
-    ball = point["ball"]
-    ball2 = point["ball2"]
-    cert: Certificate = point["cert"]
-    cutoff: CutoffFunction = point["cutoff"]
-    field = tangential_projection(M, pair.u, phi, stats, mask)
+def _mode_reports(point: dict, pair: EigenPair, fibers: list[FiberTrace]):
+    M, ball, ball2 = point["manifold"], point["ball"], point["ball2"]
+    cert, cutoff, r = point["cert"], point["cutoff"], ball.radius
+    field = tangential_projection(pair.u, point["phi"], point["mask"])
     K_w22 = _w22_k(M, field.u, field.grad_sq(), field.hessian_u_norm(), ball2.members, r)
     rep_h = hessian_l2_bound(field, ball, ball2, cutoff, point["lambda_ric"])
-    rep_i = interior_l2_report(field, mask.regular, ball, K_w22, point["C0"], point["eps_hat"])
-    rep_m = main_theorem_report(pair, field, mask.regular, ball, cert, cutoff)
+    rep_i = interior_l2_report(field, ball, K_w22, point["C0"], point["eps_hat"])
+    rep_m = main_theorem_report(pair, field, ball, cert, cutoff)
     tag = {"epsilon": M.family.epsilon, "theta": pair.theta}
     reports = [
         dataclasses.replace(rep, extras={**rep.extras, **tag}) for rep in (rep_h, rep_i, rep_m)
     ]
     apriori_pass = True
     if pair.theta > 0:
-        for trace, neighborhood in fibers:
-            rep_f = fiber_apriori_check(trace, field, point["eps_hat"], r, neighborhood)
-            apriori_pass &= rep_f.passed
+        for trace in fibers:
+            apriori_pass &= fiber_apriori_check(trace, field, point["eps_hat"], r).passed
     denom = rep_m.constants["supU"][0] * (np.sqrt(cert.epsilon_hat) + cert.psi)
     ratio = rep_m.lhs / denom if denom > 0 else np.inf
     degenerate = rep_m.lhs <= DEGENERATE_LHS_FRACTION * rep_m.rhs

@@ -29,7 +29,7 @@ from .operators import (
     region_sup,
     stencil_probe,
 )
-from .splitting import LEVEL_TOL, JacobianStats, RegularMask, SplittingMap, _max_abs
+from .splitting import LEVEL_TOL, JacobianStats, RegularMask, SplittingMap, _max_abs, jacobian_stats
 
 __all__ = [
     "TangentialField",
@@ -55,25 +55,25 @@ class FlowEscapeError(RuntimeError):
 
 @dataclass(frozen=True)
 class TangentialField:
-    """Splitting of grad u into fiber-tangential and normal parts (regular nodes).
+    """The fiber-tangential part of grad u on the regular mask's nodes (the
+    normal part is ``grad_u - grad_t``), with the map and its Jacobian stats.
 
     It is also where the checks of one function read the derived fields of
     u, each built once on first use and cached: ``grad_sq`` and ``grad_norm``
     (|grad u|^2 and |grad u|, for the report pass's K, Cheng-Yau ratio and
     cutoff terms and the fiber checks' K), ``hessian_u_norm`` (for the W22 K,
-    the Hessian bound and the fiber checks), and the masked |grad^T u|^2 and
-    K field of ``fiber_apriori_check``, shared by every fiber checked.  The
-    map's own fiber facts come with each ``FiberTrace``.
+    the Hessian bound and the fiber checks), and the K field of
+    ``fiber_apriori_check``, shared by every fiber checked.  The map's own
+    fiber facts come with each ``FiberTrace``.
     """
 
     manifold: DiscreteManifold
     u: np.ndarray
     phi: SplittingMap
     stats: JacobianStats
-    mask: np.ndarray            # regular nodes where the split is defined
+    mask: np.ndarray            # the regular mask's nodes, where the split is defined
     grad_u: np.ndarray
     grad_t: np.ndarray          # NaN on singular nodes
-    grad_perp: np.ndarray
     speed_sq: np.ndarray        # |grad^T u|^2, NaN on singular nodes
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -87,15 +87,14 @@ class TangentialField:
         return _cached(self, "hess_u_norm", lambda: hessian_norm(self.manifold, hessian(self.manifold, self.u)))
 
 
-def tangential_part(
-    M: DiscreteManifold, stats: JacobianStats, mask: np.ndarray, X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split a vector field into fiber-tangential and grad-Phi-span parts.
+def tangential_part(stats: JacobianStats, mask: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The fiber-tangential part ``X - X_perp`` of a vector field on the nodes
+    of ``mask`` (NaN elsewhere), where ``mask`` lies inside ``stats.valid``.
 
-    Assembled in the pointwise eigenbasis of the Gram matrix:
-    ``X_perp = sum_a <X, phi_a> / lambda_a * grad phi_a``; entries outside the
-    regular mask are NaN.
+    ``X_perp``, the grad-Phi-span part, is assembled in the pointwise
+    eigenbasis of the Gram matrix: ``sum_a <X, phi_a> / lambda_a * grad phi_a``.
     """
+    M = stats.phi.manifold
     m, k = M.dim, stats.phi.k
     shape = stats.lam.shape
     idx = np.flatnonzero(mask.ravel())
@@ -106,40 +105,20 @@ def tangential_part(
     g = M.metric.reshape(-1, m, m)[idx]
     Xn = X.reshape(-1, m)[idx]
     inner = np.einsum("ni,nij,naj->na", Xn, g, rot_grads)
-    coef = inner / eigs
-    perp = np.einsum("na,nam->nm", coef, rot_grads)
-    tang = Xn - perp
     out_t = np.full((int(np.prod(shape)), m), np.nan)
-    out_p = np.full((int(np.prod(shape)), m), np.nan)
-    out_t[idx] = tang
-    out_p[idx] = perp
-    return out_t.reshape(shape + (m,)), out_p.reshape(shape + (m,))
+    out_t[idx] = Xn - np.einsum("na,nam->nm", inner / eigs, rot_grads)
+    return out_t.reshape(shape + (m,))
 
 
-def tangential_projection(
-    M: DiscreteManifold,
-    u: np.ndarray,
-    phi: SplittingMap,
-    stats: JacobianStats,
-    mask: RegularMask | np.ndarray,
-) -> TangentialField:
-    """Tangential/normal split of grad u over the regular nodes."""
-    regular = mask.regular if isinstance(mask, RegularMask) else np.asarray(mask, dtype=bool)
+def tangential_projection(u: np.ndarray, phi: SplittingMap, mask: RegularMask) -> TangentialField:
+    """The tangential part of grad u on the nodes of ``mask``, the map's ``RegularMask``."""
+    M, stats = phi.manifold, jacobian_stats(phi)
     grad_u = gradient(M, u)
-    grad_t, grad_perp = tangential_part(M, stats, regular & stats.valid, grad_u)
+    grad_t = tangential_part(stats, mask.regular, grad_u)
     speed_sq = metric_inner(M, np.where(np.isnan(grad_t), 0.0, grad_t), grad_t)
     speed_sq = np.where(np.isnan(grad_t[..., 0]), np.nan, speed_sq)
-    return TangentialField(
-        manifold=M,
-        u=np.asarray(u, dtype=float),
-        phi=phi,
-        stats=stats,
-        mask=regular & stats.valid,
-        grad_u=grad_u,
-        grad_t=grad_t,
-        grad_perp=grad_perp,
-        speed_sq=speed_sq,
-    )
+    return TangentialField(manifold=M, u=np.asarray(u, dtype=float), phi=phi, stats=stats, mask=mask.regular,
+                           grad_u=grad_u, grad_t=grad_t, speed_sq=speed_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -320,20 +299,14 @@ def fiber_neighborhood(M: DiscreteManifold, fiber: FiberTrace, radius: float) ->
     return dist.reshape(grid.shape) <= reach
 
 
-def fiber_apriori_check(
-    fiber: FiberTrace,
-    field: TangentialField,
-    eps_hat: float,
-    r: float,
-    neighborhood: np.ndarray,
-) -> FiberBoundReport:
+def fiber_apriori_check(fiber: FiberTrace, field: TangentialField, eps_hat: float, r: float) -> FiberBoundReport:
     """Measure the fiberwise a priori bound ``r sup|grad^T u| <= RHS``.
 
     All constants come from the discrete fields: the Jacobian eigenvalue
     range and Hessian sups the trace carries, |grad^T u| (NaN off the field's
-    mask) gathered at the fiber samples, and K on ``neighborhood``, the
-    fiber's ``fiber_neighborhood`` of radius ``2 eps r``, which serves every
-    field checked on that fiber.
+    mask) gathered at the fiber samples, and K on the fiber's
+    ``fiber_neighborhood`` of radius ``2 eps r``, cached on the trace, so
+    every field checked on one fiber shares one Dijkstra.
     """
     M = field.manifold
     if not fiber.regular:
@@ -342,9 +315,10 @@ def fiber_apriori_check(
     if not np.isfinite(lam) or lam <= 0:
         raise ValueError("fiber touches the singular region; lambda not positive")
     c0 = max([0.0, *(hess_sq * r**2 for hess_sq in fiber.hessian_sq_sup)])   # the builtin max skips a NaN
-    speed_sq = interp_scalar(M, _cached(field, "masked_speed_sq", lambda: np.where(
-        field.mask, field.speed_sq, np.nan)), M.grid.wrap(fiber.points))
+    speed_sq = interp_scalar(M, field.speed_sq, M.grid.wrap(fiber.points))
     gn, hn_u = field.grad_norm(), field.hessian_u_norm()
+    radius = 2.0 * eps_hat * r
+    neighborhood = _cached(fiber, ("neighborhood", radius), lambda: fiber_neighborhood(M, fiber, radius))
     if not np.all(np.isfinite(gn[neighborhood])) or not np.all(np.isfinite(hn_u[neighborhood])):
         raise ValueError("fiber neighborhood exits the computed domain of u")
     K = region_sup(_cached(field, ("apriori_K", r), lambda: r * gn + r**2 * hn_u), neighborhood)

@@ -507,18 +507,20 @@ def _region(M: DiscreteManifold, p: tuple[int, ...], dist: np.ndarray, r: float)
 class FiberTrace:
     """Ordered polyline sampling of one fiber (level set) of a splitting map,
     with every fact its readers take from the node fields at its samples
-    (``extract_fiber`` gathers them together)."""
+    (``extract_fiber`` gathers them together); the fiber's neighborhoods are
+    cached on it (``flow.fiber_apriori_check``)."""
 
     level: np.ndarray              # (k,)
     points: np.ndarray             # (n, m) chart coordinates, unwrapped along the chain
-    regular: bool                  # min_lambda above the trace's threshold
+    regular: bool                  # min_lambda above the regular mask's threshold
     length: float                  # metric length of the polyline
     diameter: float                # intrinsic diameter along the polyline (= length/2 on loops)
     min_lambda: float              # smallest Jacobian eigenvalue seen along the trace
     max_Lambda: float              # largest Jacobian eigenvalue seen along the trace
     hessian_sq_sup: tuple[float, ...]  # per component b, max |Hess Phi^b|^2 over the samples
-    in_mask: bool                  # every sample's stencil lies in the regular set at the threshold
+    in_mask: bool                  # every sample's stencil lies in the regular mask
     level_error: float             # max |Phi(sample) - level|
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _polyline_metric_length(M: DiscreteManifold, pts: np.ndarray) -> float:
@@ -533,28 +535,28 @@ def _polyline_metric_length(M: DiscreteManifold, pts: np.ndarray) -> float:
     return float(seg.sum())
 
 
-def _fiber_fields(phi, threshold: float) -> np.ndarray:
+def _fiber_fields(phi, mask) -> np.ndarray:
     """The node fields a fiber trace reads, side by side for one gather: the
-    periodic parts (k), lambda, Lambda, 0 on the regular set at ``threshold``
-    and NaN off it, and each |Hess Phi^b| (k)."""
+    periodic parts (k), lambda, Lambda, 0 on the regular mask's nodes and NaN
+    off them, and each |Hess Phi^b| (k)."""
     from .splitting import jacobian_stats
 
     stats = jacobian_stats(phi)
-    regular_set = np.where(stats.valid & (stats.lam > threshold), 0.0, np.nan)
     return np.concatenate([phi._stacked("psi"), np.stack(
-        [stats.lam, stats.Lam, regular_set, *phi.hessian_norms()], axis=-1)], axis=-1)
+        [stats.lam, stats.Lam, np.where(mask.regular, 0.0, np.nan), *phi.hessian_norms()], axis=-1)], axis=-1)
 
 
-def extract_fiber(phi, level, *, lambda_threshold: float) -> FiberTrace:
+def extract_fiber(phi, level, *, mask) -> FiberTrace:
     """Trace the fiber ``Phi^{-1}(level)`` as an ordered closed polyline.
 
     Supports one-dimensional fibers only (m - k = 1): marching squares on 2-d
     charts, predictor-corrector continuation with Newton reprojection on 3-d
-    charts.  Returns a trace with ``regular=False`` when the smallest Jacobian
-    eigenvalue drops below the threshold anywhere along the curve.
+    charts.  ``mask`` is the map's ``RegularMask``: the trace is regular when
+    the smallest Jacobian eigenvalue along the curve stays above its
+    threshold, and ``in_mask`` when every sample's stencil lies in its nodes.
 
     Every fiber fact comes from one ``interp_scalar`` gather at the samples
-    of the map's ``_fiber_fields``, cached per map and threshold; a stacked
+    of the map's ``_fiber_fields``, cached per map and mask threshold; a stacked
     component keeps the bits of a gather of its own, so the level error is
     ``level_residual``'s and the rest are the fields' own samples.
     """
@@ -591,7 +593,7 @@ def extract_fiber(phi, level, *, lambda_threshold: float) -> FiberTrace:
 
     from .operators import interp_scalar
 
-    fields = _cached(phi, ("fiber_fields", lambda_threshold), lambda: _fiber_fields(phi, lambda_threshold))
+    fields = _cached(phi, ("fiber_fields", mask.threshold), lambda: _fiber_fields(phi, mask))
     samples = interp_scalar(M, fields, M.grid.wrap(pts))
     lam, Lam, regular_set = samples[:, k], samples[:, k + 1], samples[:, k + 2]
     err = float(np.max(np.abs(phi.wrap_value_delta(phi._values_at(pts, samples[:, :k]) - level))))
@@ -599,7 +601,7 @@ def extract_fiber(phi, level, *, lambda_threshold: float) -> FiberTrace:
     return FiberTrace(
         level=level,
         points=pts,
-        regular=bool(lam.min() > lambda_threshold),
+        regular=bool(lam.min() > mask.threshold),
         length=length,
         diameter=0.5 * length,
         min_lambda=float(lam.min()),
@@ -799,13 +801,13 @@ PROXY_LEVELS = 33
 PROXY_MARGIN = 0.05
 
 
-def epsilon_proxy(M: DiscreteManifold, ball: GeodesicBall, phi, lambda_threshold: float) -> float:
+def epsilon_proxy(ball: GeodesicBall, phi, mask) -> float:
     """Measured collapse scale: max regular-fiber intrinsic diameter over 2r.
 
     Levels are sampled uniformly (per component) across the splitting map's
     range over the ball interior, trimmed by ``PROXY_MARGIN`` at both ends.
-    A fiber counts when its least Jacobian eigenvalue stays above
-    ``lambda_threshold``, the regular mask's threshold.
+    A fiber counts when its least Jacobian eigenvalue stays above the
+    threshold of ``mask``, the map's ``RegularMask``.
     """
     if ball.radius <= 0:
         raise ValueError("epsilon proxy needs a ball of positive radius")
@@ -818,7 +820,7 @@ def epsilon_proxy(M: DiscreteManifold, ball: GeodesicBall, phi, lambda_threshold
     best = -np.inf
     for level in np.stack([g.ravel() for g in axes], axis=-1):
         try:
-            trace = extract_fiber(phi, level, lambda_threshold=lambda_threshold)
+            trace = extract_fiber(phi, level, mask=mask)
         except (ValueError, RuntimeError):
             continue
         if trace.regular:

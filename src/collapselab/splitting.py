@@ -135,6 +135,17 @@ class SplittingMap:
         return _cached(self, ("value_box", ball.center, ball.radius),
                        lambda: (anchor, *map(_read_only, self.branch_range(ball.members, anchor))))
 
+    def in_value_box(self, ball: GeodesicBall) -> np.ndarray:
+        """Nodes whose value, on the branch around the anchor, lies in
+        ``value_box(ball)``; cached per ball, read-only."""
+        anchor, lo, hi = self.value_box(ball)
+
+        def build():
+            dv = self.wrap_value_delta(self.values_stack() - anchor)
+            return _read_only(np.all((dv >= (lo - anchor)) & (dv <= (hi - anchor)), axis=-1))
+
+        return _cached(self, ("in_value_box", ball.center, ball.radius), build)
+
     def value_periods(self) -> np.ndarray:
         """Period of each component value around the chart (0 for plain fields)."""
         periods = np.asarray(self.manifold.grid.periods)

@@ -94,6 +94,8 @@ def test_numeric_values_must_be_positive_finite_numbers(tmp_path, capsys, sectio
         ({"resolution": {"min_fiber_nodes": 1}}, "resolution.min_fiber_nodes", "a positive integer >= 16"),
         ({"resolution": {"min_fiber_nodes": 8}}, "resolution.min_fiber_nodes", "a positive integer >= 16"),
         ({"resolution": {"min_fiber_nodes": 15}}, "resolution.min_fiber_nodes", "a positive integer >= 16"),
+        # 1 used to exit with "need at least 2 nodes per axis", naming no config field
+        ({"resolution": {"nodes_per_unit": 1}}, "resolution.nodes_per_unit", "a positive integer >= 2"),
     ],
 )
 def test_integer_fields_and_theta_max_are_checked(tmp_path, capsys, given, key, wanted):
@@ -102,6 +104,18 @@ def test_integer_fields_and_theta_max_are_checked(tmp_path, capsys, given, key, 
     assert main(["eig", "--config", str(path), "--out", str(tmp_path / "out"), "--no-cache"]) == 1
     assert f"config field {key} must be {wanted}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "eigenvalues.csv").exists()
+
+
+@pytest.mark.parametrize("verb,extra", [("eig", {}), ("verify", {}), ("sweep", {}),
+                                        ("flow", {"flow": {"field": "eigenmode:1"}})])
+def test_an_eig_count_the_grid_cannot_hold_is_a_config_error(tmp_path, capsys, verb, extra):
+    # 3000 used to exit with "count must lie in [1, 2046]", naming no config
+    # field; the sweep's grid at epsilon 0.2, 128 x 26, holds it
+    path = write_config(tmp_path, {"eig": {"count": 3000}, **extra})
+    assert main([verb, "--config", str(path), "--out", str(tmp_path / "out"), "--no-cache"]) == 1
+    err = capsys.readouterr().err
+    assert "config field eig.count must be at most 2046 on the (128, 16) grid at epsilon 0.1, got 3000" in err
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_the_chart_minimum_is_an_accepted_fiber_floor(tmp_path):
@@ -398,9 +412,9 @@ def test_epsilon_hat_and_the_flow_fiber_use_the_mask_threshold(tmp_path, monkeyp
     # Jacobian eigenvalue, and epsilon-hat read 0.09431 instead of 0.08851
     thresholds = []
     for module in (cli, manifold):
-        def recording(phi, level, *, lambda_threshold=None, trace=module.extract_fiber):
-            thresholds.append(lambda_threshold)
-            return trace(phi, level, lambda_threshold=lambda_threshold)
+        def recording(phi, level, *, mask=None, trace=module.extract_fiber):
+            thresholds.append(mask.threshold)
+            return trace(phi, level, mask=mask)
 
         monkeypatch.setattr(module, "extract_fiber", recording)
     path = write_config(tmp_path, {**SMALL_WARPED, "thresholds": {"lambda_min_rel": 1.2}})
@@ -594,7 +608,7 @@ def test_eig_and_flow_solve_for_the_pairs_verify_reports_on(tmp_path, monkeypatc
     assert thetas.tolist() == [pair.theta for pair in pairs]
     fields = []
     project = cli.tangential_projection
-    monkeypatch.setattr(cli, "tangential_projection", lambda M, u, *args: fields.append(u) or project(M, u, *args))
+    monkeypatch.setattr(cli, "tangential_projection", lambda u, *args: fields.append(u) or project(u, *args))
     for extra in ([], ["--no-cache"]):   # read from eig's cache, then solved again
         assert main(["flow", "--config", str(path), "--out", str(tmp_path / "eig"), *extra]) == 0
     assert len(fields) == 2

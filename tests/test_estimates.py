@@ -53,7 +53,7 @@ def test_run_point_reuses_the_first_ball_distances(dijkstra_sources):
     # the interior-estimate inner ball) comes from the working ball's distances
     point = warped_point()
     assert dijkstra_sources == [1]
-    rows, reports = point_reports(point, 0.25)
+    rows, reports = point_reports(point)
     assert len(rows) == len(point["pairs"]) and len(reports) == 3 * len(rows)
     assert dijkstra_sources == [1]
 
@@ -75,7 +75,7 @@ def test_point_reports_trace_each_fiber_once(monkeypatch):
 
     monkeypatch.setattr(flow, "graph_distances", counting_dijkstra)
     monkeypatch.setattr(estimates, "fiber_apriori_check", counting_check)
-    rows, _ = point_reports(point, 0.25)
+    rows, _ = point_reports(point)
     positive = sum(pair.theta > 0 for pair in point["pairs"])
     assert positive >= 2
     assert 0 < len(neighborhoods) <= FIBER_LEVELS
@@ -106,7 +106,7 @@ def test_point_reports_differentiate_each_eigenfunction_once(monkeypatch):
     assert sum(f is cutoff.values for f in calls["gradient"]) == 1
     for name in calls:
         calls[name].clear()
-    rows, reports = point_reports(point, 0.25)
+    rows, reports = point_reports(point)
     assert len(pairs) >= 3
     for name in ("gradient", "hessian"):
         assert [sum(f is pair.u for f in calls[name]) for pair in pairs] == [1] * len(pairs)
@@ -245,10 +245,9 @@ def fiber_sine_report(epsilon: float, scale_certificate=None):
     assert residual < 6e-11
     if scale_certificate is not None:
         cert = dataclasses.replace(cert, **{key: getattr(cert, key) * f for key, f in scale_certificate.items()})
-    field = flow.tangential_projection(M, u, point["phi"], point["stats"], point["mask"])
+    field = flow.tangential_projection(u, point["phi"], point["mask"])
     cutoff = build_cutoff(point["ball"], point["ball2"], point["eps_hat"])
-    return main_theorem_report(EigenPair(theta, u, residual), field, point["mask"].regular, point["ball"], cert,
-                               cutoff)
+    return main_theorem_report(EigenPair(theta, u, residual), field, point["ball"], cert, cutoff)
 
 
 def test_the_headline_is_informative_past_the_fiber_gap():

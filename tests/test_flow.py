@@ -33,7 +33,7 @@ def regular_mask(stats):
 
 def fiber(phi, level):
     """The fiber at ``level``, regular where the default mask calls it so."""
-    return extract_fiber(phi, level, lambda_threshold=regular_mask(jacobian_stats(phi)).threshold)
+    return extract_fiber(phi, level, mask=regular_mask(jacobian_stats(phi)))
 
 
 def apriori_rate(field, x0):
@@ -41,7 +41,7 @@ def apriori_rate(field, x0):
     of the a priori check on the fiber through the start node."""
     M = field.manifold
     trace = fiber(field.phi, field.phi.evaluate(M.positions()[x0][None, :])[0])
-    return flow_rate_bound(fiber_apriori_check(trace, field, EPS, R, fiber_neighborhood(M, trace, 2 * EPS * R)))
+    return flow_rate_bound(fiber_apriori_check(trace, field, EPS, R))
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ def flat_setup(flat_torus, flat_coordinates):
     mask = regular_mask(stats)
     pos = M.positions()
     u = np.sin(2 * np.pi * pos[..., 1])  # one oscillation around the fiber circle
-    field = tangential_projection(M, u, flat_coordinates, stats, mask)
+    field = tangential_projection(u, flat_coordinates, mask)
     return M, flat_coordinates, stats, mask, field
 
 
@@ -59,7 +59,7 @@ def flat_setup(flat_torus, flat_coordinates):
 def fiber_report(flat_setup):
     M, phi, stats, mask, field = flat_setup
     trace = fiber(phi, [0.0])
-    return fiber_apriori_check(trace, field, EPS, R, fiber_neighborhood(M, trace, 2 * EPS * R))
+    return fiber_apriori_check(trace, field, EPS, R)
 
 
 def test_projection_orthogonality_and_pythagoras(flat_setup, warped_torus, warped_coordinates):
@@ -72,7 +72,8 @@ def test_projection_orthogonality_and_pythagoras(flat_setup, warped_torus, warpe
     pn = np.sqrt(metric_inner(M, phi.gradients()[0], phi.gradients()[0]))
     assert np.nanmax(np.abs(ip)) <= 1e-10 * np.nanmax(gn * pn)
     total = metric_inner(M, field.grad_u, field.grad_u)
-    parts = field.speed_sq + metric_inner(M, field.grad_perp, field.grad_perp)
+    grad_n = field.grad_u - field.grad_t
+    parts = field.speed_sq + metric_inner(M, grad_n, grad_n)
     assert np.nanmax(np.abs(total - parts)) <= 1e-10 * max(1.0, np.nanmax(total))
 
 
@@ -83,7 +84,7 @@ def test_projection_base_mode_vanishes(flat_torus, flat_coordinates):
     mask = regular_mask(stats)
     pos = M.positions()
     u = np.sin(2 * np.pi * pos[..., 0])
-    field = tangential_projection(M, u, flat_coordinates, stats, mask)
+    field = tangential_projection(u, flat_coordinates, mask)
     assert np.nanmax(np.abs(field.grad_t)) <= 1e-12 * np.nanmax(np.abs(field.grad_u))
 
 
@@ -96,7 +97,7 @@ def test_projection_fiber_mode_is_full_gradient(flat_setup):
 
 def test_projection_idempotent(flat_setup, warped_torus, warped_coordinates):
     M, phi, stats, mask, field = flat_setup
-    t2, p2 = tangential_part(M, stats, field.mask, np.nan_to_num(field.grad_t))
+    t2 = tangential_part(stats, field.mask, np.nan_to_num(field.grad_t))
     assert np.nanmax(np.abs(t2 - field.grad_t)) <= 1e-12 * max(1.0, np.nanmax(np.abs(field.grad_t)))
     stats_w = jacobian_stats(warped_coordinates)
     mask_w = regular_mask(stats_w)
@@ -104,8 +105,8 @@ def test_projection_idempotent(flat_setup, warped_torus, warped_coordinates):
     from collapselab.operators import gradient
 
     gu = gradient(warped_torus, np.sin(2 * np.pi * pos[..., 1]) * np.cos(2 * np.pi * pos[..., 0]))
-    t1, _ = tangential_part(warped_torus, stats_w, mask_w.regular, gu)
-    t2, _ = tangential_part(warped_torus, stats_w, mask_w.regular, np.nan_to_num(t1))
+    t1 = tangential_part(stats_w, mask_w.regular, gu)
+    t2 = tangential_part(stats_w, mask_w.regular, np.nan_to_num(t1))
     assert np.nanmax(np.abs(t2 - t1)) <= 1e-12 * max(1.0, np.nanmax(np.abs(t1)))
 
 
@@ -115,7 +116,7 @@ def test_fixed_point_flow(flat_torus, flat_coordinates):
     mask = regular_mask(stats)
     pos = M.positions()
     u = np.sin(2 * np.pi * pos[..., 0])
-    field = tangential_projection(M, u, flat_coordinates, stats, mask)
+    field = tangential_projection(u, flat_coordinates, mask)
     traj = integrate_flow(field, (5, 7), T=0.01, dt=1e-4, stability_rate=apriori_rate(field, (5, 7)))
     assert np.max(np.abs(traj.positions - traj.positions[0])) == 0.0
 
@@ -209,6 +210,35 @@ def test_capped_fiber_neighborhood_matches_the_uncapped_search(monkeypatch, warp
     assert np.isinf(graph_distances(M, [0], limit=limits[0])).any()
 
 
+def test_the_fiber_check_measures_its_own_neighbourhood(monkeypatch, flat_setup):
+    # K is measured on the trace's own 2 eps r neighborhood: one Dijkstra per
+    # trace, whatever the number of fields checked on it
+    M, phi, stats, mask, field = flat_setup
+    pos = M.positions()
+    other = tangential_projection(np.sin(2 * np.pi * pos[..., 1]) * np.cos(2 * np.pi * pos[..., 0]), phi, mask)
+    searches = []
+    dijkstra = flow.graph_distances
+
+    def counting(M, sources, **kwargs):
+        searches.append(len(sources))
+        return dijkstra(M, sources, **kwargs)
+
+    monkeypatch.setattr(flow, "graph_distances", counting)
+    trace = fiber(phi, [0.25])
+    reports = [fiber_apriori_check(trace, f, EPS, R) for f in (field, other)]
+    assert len(searches) == 1
+    fiber_apriori_check(fiber(phi, [0.5]), other, EPS, R)
+    assert len(searches) == 2
+    monkeypatch.undo()
+    region = fiber_neighborhood(M, trace, 2 * EPS * R)
+    for f, rep in zip((field, other), reports):
+        k_field = R * f.grad_norm() + R**2 * f.hessian_u_norm()
+        assert rep.K == region_sup(k_field, region)
+    # the cos(2 pi x) factor vanishes on the x = 1/4 fiber: its neighborhood's
+    # K is well below the whole chart's
+    assert reports[1].K < 0.5 * region_sup(R * other.grad_norm() + R**2 * other.hessian_u_norm())
+
+
 def test_apriori_check_trivial_mode(flat_torus, flat_coordinates):
     # u = sin(2 pi x): tangential gradient vanishes, infinite margin
     M = flat_torus
@@ -216,9 +246,9 @@ def test_apriori_check_trivial_mode(flat_torus, flat_coordinates):
     mask = regular_mask(stats)
     pos = M.positions()
     u = np.sin(2 * np.pi * pos[..., 0])
-    field = tangential_projection(M, u, flat_coordinates, stats, mask)
+    field = tangential_projection(u, flat_coordinates, mask)
     trace = fiber(flat_coordinates, [0.5])
-    rep = fiber_apriori_check(trace, field, EPS, R, fiber_neighborhood(M, trace, 2 * EPS * R))
+    rep = fiber_apriori_check(trace, field, EPS, R)
     assert rep.delta0 <= 1e-10
     assert rep.passed
     assert rep.margin == np.inf
@@ -261,7 +291,7 @@ def test_counterexample_flag_fires_on_mismatched_inputs(flat_setup):
     # feeding an epsilon measured on the wrong region must trip the flag
     M, phi, stats, mask, field = flat_setup
     trace = fiber(phi, [0.0])
-    rep = fiber_apriori_check(trace, field, eps_hat=1e-8, r=R, neighborhood=fiber_neighborhood(M, trace, 2e-8 * R))
+    rep = fiber_apriori_check(trace, field, eps_hat=1e-8, r=R)
     assert not rep.passed
     assert rep.to_json_dict()["counterexample"] is True
 
@@ -276,7 +306,7 @@ def sheared_warped_field(warped_torus):
     phi = SplittingMap(M, (pos[..., 0] + 0.02 * np.sin(2 * np.pi * pos[..., 1]),), (np.array([1.0, 0.0]),))
     stats = jacobian_stats(phi)
     mask = regular_mask(stats)
-    return tangential_projection(M, np.sin(2 * np.pi * pos[..., 1]), phi, stats, mask)
+    return tangential_projection(np.sin(2 * np.pi * pos[..., 1]), phi, mask)
 
 
 def record_projections(monkeypatch):
@@ -391,9 +421,10 @@ def bits(value) -> bytes:
     return np.asarray(value, dtype=float).tobytes()
 
 
-def separate_apriori_check(fiber, field, eps_hat, r, neighborhood):
+def separate_apriori_check(fiber, field, eps_hat, r):
     """``fiber_apriori_check`` as it read the map's fields before the trace
-    carried them: every field gathered at the fiber samples from one stack."""
+    carried them: every field gathered at the fiber samples from one stack,
+    and K on the fiber's 2 eps r neighborhood searched afresh."""
     M, stats = field.manifold, field.stats
     if not fiber.regular:
         raise ValueError("fiber is not regular; a priori constants are undefined")
@@ -411,6 +442,7 @@ def separate_apriori_check(fiber, field, eps_hat, r, neighborhood):
     for hn in hess_norms:
         c0 = max(c0, float(np.max(hn**2)) * r**2)
     gn, hn_u = field.grad_norm(), field.hessian_u_norm()
+    neighborhood = fiber_neighborhood(M, fiber, 2.0 * eps_hat * r)
     if not np.all(np.isfinite(gn[neighborhood])) or not np.all(np.isfinite(hn_u[neighborhood])):
         raise ValueError("fiber neighborhood exits the computed domain of u")
     K = region_sup(r * gn + r**2 * hn_u, neighborhood)
@@ -448,13 +480,13 @@ def test_one_gather_gives_the_fiber_facts_of_separate_ones(request, chart, cut):
     threshold = float(np.nanmedian(stats.lam)) if cut else 1e-6 * float(np.nanmedian(stats.Lam))
     mask = classify_regular(stats, threshold)
     regular_set = np.where(mask.regular & stats.valid, 0.0, np.nan)
-    field = tangential_projection(M, np.sin(2 * np.pi * M.positions()[..., -1]) + 0.5 * np.cos(
-        2 * np.pi * M.positions()[..., 0]), phi, stats, mask)
+    field = tangential_projection(np.sin(2 * np.pi * M.positions()[..., -1]) + 0.5 * np.cos(
+        2 * np.pi * M.positions()[..., 0]), phi, mask)
     values = phi.values_stack().reshape(-1, phi.k)
     lo, hi = values.min(axis=0), values.max(axis=0)
     in_mask = []
     for t in np.linspace(0.1, 0.9, 5):
-        trace = extract_fiber(phi, lo + t * (hi - lo), lambda_threshold=threshold)
+        trace = extract_fiber(phi, lo + t * (hi - lo), mask=mask)
         pts = M.grid.wrap(trace.points)
         lam = interp_scalar(M, stats.lam, pts)
         assert bits(trace.min_lambda) == bits(lam.min())
@@ -467,7 +499,7 @@ def test_one_gather_gives_the_fiber_facts_of_separate_ones(request, chart, cut):
         in_mask.append(trace.in_mask)
         if not trace.regular:
             continue
-        args = (trace, field, EPS, R, fiber_neighborhood(M, trace, 2 * EPS * R))
+        args = (trace, field, EPS, R)
         got, want = outcome(fiber_apriori_check, *args), outcome(separate_apriori_check, *args)
         assert type(got) is type(want)
         if isinstance(want, str):

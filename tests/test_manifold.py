@@ -26,10 +26,15 @@ from collapselab.manifold import (
     ricci_lower_bound,
 )
 from collapselab.splitting import SplittingMap
-from collapselab.splitting import harmonic_coordinates
+from collapselab.splitting import classify_regular, harmonic_coordinates, jacobian_stats
 
 # a regularity threshold far below the Jacobian eigenvalues, of order 1, of the maps traced here
 THRESHOLD = 1e-6
+
+
+def threshold_mask(phi):
+    """The regular mask of ``phi`` at ``THRESHOLD``."""
+    return classify_regular(jacobian_stats(phi), THRESHOLD)
 
 
 def test_family_kind_rejected():
@@ -347,7 +352,7 @@ def test_concentric_rejects_negative_radius(flat_ball):
 
 
 def test_flat_fiber_circle(flat_coordinates):
-    trace = extract_fiber(flat_coordinates, [0.5], lambda_threshold=THRESHOLD)
+    trace = extract_fiber(flat_coordinates, [0.5], mask=threshold_mask(flat_coordinates))
     assert trace.regular
     assert trace.length == pytest.approx(0.1, rel=1e-10)
     assert trace.diameter == pytest.approx(0.05, rel=1e-10)
@@ -355,7 +360,7 @@ def test_flat_fiber_circle(flat_coordinates):
 
 
 def test_fiber_closure_endpoints(flat_coordinates):
-    trace = extract_fiber(flat_coordinates, [0.3], lambda_threshold=THRESHOLD)
+    trace = extract_fiber(flat_coordinates, [0.3], mask=threshold_mask(flat_coordinates))
     M = flat_coordinates.manifold
     gap = M.grid.wrap_delta(trace.points[0] - trace.points[-1])
     assert np.linalg.norm(gap) <= 2 * max(M.grid.spacings)
@@ -366,13 +371,13 @@ def test_fiber_level_outside_range_errors(flat_torus):
     x = flat_torus.positions()[..., 0]
     phi = SplittingMap(flat_torus, (0.1 * np.sin(2 * np.pi * x),), (np.zeros(2),))
     with pytest.raises(ValueError, match="outside the splitting map range"):
-        extract_fiber(phi, [0.9], lambda_threshold=THRESHOLD)
+        extract_fiber(phi, [0.9], mask=threshold_mask(phi))
 
 
 def test_warped_fiber_length_analytic(warped_coordinates):
     # fiber through x = 0.25 has metric length eps * w(0.25) = 0.13
     val = warped_coordinates.evaluate(np.array([[0.25, 0.0]]))[0]
-    trace = extract_fiber(warped_coordinates, val, lambda_threshold=THRESHOLD)
+    trace = extract_fiber(warped_coordinates, val, mask=threshold_mask(warped_coordinates))
     assert trace.length == pytest.approx(0.13, rel=1e-3)
     assert trace.diameter == pytest.approx(0.065, rel=1e-3)
 
@@ -380,7 +385,7 @@ def test_warped_fiber_length_analytic(warped_coordinates):
 def test_twisted_fiber_continuation(twisted_torus):
     phi = harmonic_coordinates(twisted_torus)
     val = phi.evaluate(np.array([[0.3, 0.4, 0.0]]))[0]
-    trace = extract_fiber(phi, val, lambda_threshold=THRESHOLD)
+    trace = extract_fiber(phi, val, mask=threshold_mask(phi))
     assert trace.regular
     # fiber is the collapsed circle of metric length eps
     assert trace.length == pytest.approx(0.25, rel=1e-3)
@@ -572,8 +577,8 @@ def test_an_open_chain_is_not_returned_as_a_closed_fiber():
     pts, closed = _march_squares(phi, 0.0)
     assert not closed and len(pts) == 10
     with pytest.raises(ValueError, match="is open"):
-        extract_fiber(phi, 0.0, lambda_threshold=THRESHOLD)
-    trace = extract_fiber(phi, 1e-9, lambda_threshold=THRESHOLD)
+        extract_fiber(phi, 0.0, mask=threshold_mask(phi))
+    trace = extract_fiber(phi, 1e-9, mask=threshold_mask(phi))
     assert trace.length == pytest.approx(0.2183, abs=1e-4)
 
 
@@ -583,7 +588,7 @@ def test_an_open_chain_is_not_returned_as_a_closed_fiber():
 
 
 def test_epsilon_proxy_flat(flat_torus, flat_coordinates, flat_ball):
-    eps_hat = epsilon_proxy(flat_torus, flat_ball, flat_coordinates, THRESHOLD)
+    eps_hat = epsilon_proxy(flat_ball, flat_coordinates, threshold_mask(flat_coordinates))
     assert eps_hat == pytest.approx(0.1, rel=1e-6)
 
 
@@ -591,13 +596,13 @@ def test_epsilon_proxy_identity_scale():
     M = build_family(FamilySpec(kind="flat-product-torus", epsilon=1.0, resolution=(64, 64)))
     phi = harmonic_coordinates(M)
     ball = geodesic_ball(M, (0, 0), 0.25)
-    assert epsilon_proxy(M, ball, phi, THRESHOLD) == pytest.approx(1.0, rel=1e-6)
+    assert epsilon_proxy(ball, phi, threshold_mask(phi)) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_epsilon_proxy_warped(warped_torus, warped_coordinates):
     # ball centered on the thickest fiber: max diameter eps w(1/4) / 2 = 0.065
     ball = geodesic_ball(warped_torus, (32, 0), 0.25)
-    eps_hat = epsilon_proxy(warped_torus, ball, warped_coordinates, THRESHOLD)
+    eps_hat = epsilon_proxy(ball, warped_coordinates, threshold_mask(warped_coordinates))
     assert eps_hat == pytest.approx(0.13, rel=1e-3)
 
 
@@ -605,5 +610,5 @@ def test_epsilon_proxy_seam_straddling_ball(warped_torus, warped_coordinates):
     # ball centered on the thinnest fibers wraps the chart seam; the sampled
     # levels must stay inside the ball's branch, away from the thick fibers
     ball = geodesic_ball(warped_torus, (96, 0), 0.25)
-    eps_hat = epsilon_proxy(warped_torus, ball, warped_coordinates, THRESHOLD)
+    eps_hat = epsilon_proxy(ball, warped_coordinates, threshold_mask(warped_coordinates))
     assert eps_hat < 0.105
