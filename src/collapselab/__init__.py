@@ -16,7 +16,6 @@ from .operators import (
     gradient,
     hessian,
     hessian_norm,
-    l2_average,
     laplace,
     laplacian_matrix,
 )

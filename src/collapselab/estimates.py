@@ -35,9 +35,6 @@ from .manifold import (
 from .operators import (
     circulant_pcg,
     gradient,
-    hessian,
-    hessian_norm,
-    l2_average,
     laplace,
     laplacian_matrix,
     metric_inner,
@@ -45,7 +42,7 @@ from .operators import (
     region_average,
     region_sup,
 )
-from .spectral import RESIDUAL_TOL, EigenPair, _cheng_yau_ratio, eigenpairs
+from .spectral import RESIDUAL_TOL, EigenPair, cheng_yau_ratio, eigenpairs
 from .splitting import (
     Certificate,
     SplittingMap,
@@ -131,12 +128,10 @@ def _c1_sup(u, grad_norm, region, r) -> float:
     return region_sup(np.abs(u) + r * grad_norm, region)
 
 
-def w22_k_bound(M: DiscreteManifold, u: np.ndarray, region: np.ndarray, r: float) -> float:
-    """K with sup(|u|^2 + r^2|grad u|^2) + r^4 avg|Hess u|^2 <= K^2 on the region."""
-    return _w22_k(M, u, norm_sq(M, gradient(M, u)), hessian_norm(M, hessian(M, u)), region, r)
-
-
-def _w22_k(M, u, grad_sq, hess_norm, region, r) -> float:
+def w22_k_bound(M: DiscreteManifold, u: np.ndarray, grad_sq: np.ndarray, hess_norm: np.ndarray,
+                region: np.ndarray, r: float) -> float:
+    """K with sup(|u|^2 + r^2|grad u|^2) + r^4 avg|Hess u|^2 <= K^2 on the region,
+    from u's |grad u|^2 and |Hess u| fields (``TangentialField`` caches both)."""
     sup_part = region_sup(np.abs(u) ** 2 + r**2 * grad_sq, region)
     avg_part = region_average(M, hess_norm**2, region)
     return float(np.sqrt(sup_part + r**4 * avg_part))
@@ -177,8 +172,9 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
     return 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
 
 
-def build_cutoff(ball_r: GeodesicBall, ball_2r: GeodesicBall, eps_hat: float) -> CutoffFunction:
-    """Controlled cutoff: 1 on B(p, r + 4 eps r), 0 outside B(p, 2r), C2 transition.
+def build_cutoff(ball: GeodesicBall, eps_hat: float) -> CutoffFunction:
+    """Controlled cutoff: 1 on B(p, r + 4 eps r), 0 outside B(p, 2r), C2 transition,
+    for the ball B(p, r) and its concentric B(p, 2r).
 
     The graph distance carries lattice-scale creases whose second differences
     would pollute the measured Laplacian bound, so the distance is mollified
@@ -188,16 +184,14 @@ def build_cutoff(ball_r: GeodesicBall, ball_2r: GeodesicBall, eps_hat: float) ->
     """
     if eps_hat < 0:
         raise ValueError("eps_hat must be nonnegative")
-    r = ball_r.radius
-    r_in = r * (1.0 + 4.0 * eps_hat)
-    r_out = ball_2r.radius
+    r, outer = ball.radius, ball.concentric(2 * ball.radius)
+    r_in, r_out = r * (1.0 + 4.0 * eps_hat), outer.radius
     if not r_in < r_out:
         raise ValueError(
             f"cutoff radii overlap: inner r(1 + 4 eps) = {r_in:.6g} must be < outer {r_out:.6g}, "
             f"so eps_hat = {eps_hat:.6g} must stay below 1/4; use a larger ball radius (ball.radius)"
         )
-    M = ball_r.manifold
-    d = ball_2r.distances
+    M, d = ball.manifold, outer.distances
     L, mass = laplacian_matrix(M)
     w_s = (r_out - r_in) / 8.0
     d_s = circulant_pcg(diags(mass) + w_s**2 * L, d.shape)(mass * d.ravel()).reshape(d.shape)
@@ -224,27 +218,23 @@ def build_cutoff(ball_r: GeodesicBall, ball_2r: GeodesicBall, eps_hat: float) ->
 # ---------------------------------------------------------------------------
 
 
-def hessian_l2_bound(
-    field: TangentialField,
-    ball_r: GeodesicBall,
-    ball_2r: GeodesicBall,
-    cutoff: CutoffFunction,
-    lambda_ric: float = 0.0,
-) -> EstimateReport:
+def hessian_l2_bound(field: TangentialField, ball: GeodesicBall, cutoff: CutoffFunction,
+                     lambda_ric: float = 0.0) -> EstimateReport:
     """Cutoff-tested Hessian energy bound and its L1 consequence, for the
-    function ``field.u`` (its derivative fields are read from ``field``).
+    function ``field.u`` on the ball B(p, r) and its concentric B(p, 2r) (the
+    derivative fields of u are read from ``field``).
 
     The headline report checks the mean of |Hess u| on the inner ball against
     ``4 m C_ctf K r^-2 + 2 ||Delta u||``; the phi-weighted squared-energy
     inequality it derives from is nested under ``extras['intermediate']``.
     """
     M, u = field.manifold, field.u
-    r = ball_r.radius
+    r = ball.radius
     m = M.dim
-    reg2 = ball_2r.members
+    reg2 = ball.concentric(2 * r).members
     K = _c1_sup(u, field.grad_norm(), reg2, r)
     du = laplace(M, u)
-    du_l2 = l2_average(M, du, reg2)
+    du_l2 = math.sqrt(region_average(M, du**2, reg2))
     hn = field.hessian_u_norm()
     phi = cutoff.values
 
@@ -258,7 +248,7 @@ def hessian_l2_bound(
         + region_average(M, cross, reg2)
     )
 
-    lhs_fin = region_average(M, hn, ball_r.members)
+    lhs_fin = region_average(M, hn, ball.members)
     rhs_fin = 4.0 * m * cutoff.c_ctf * K / r**2 + 2.0 * du_l2
 
     intermediate = EstimateReport(
@@ -356,7 +346,7 @@ def main_theorem_report(eig: EigenPair, field: TangentialField, ball_r: Geodesic
     m = M.dim
     k = field.phi.k
     outer = ball_r.concentric(2 * r)
-    c_cy = _cheng_yau_ratio(eig.u, field.grad_norm(), ball_r)
+    c_cy = cheng_yau_ratio(eig.u, field.grad_norm(), ball_r)
     vol_ratio = outer.volume() / ball_r.volume()
     C2 = 48.0 * m * k**2 * cutoff.c_ctf * 2.0**k * vol_ratio
     C = C2 * (1.0 + c_cy)
@@ -495,7 +485,7 @@ def run_point(
     return {
         **point,
         "pairs": eigenpairs(M, eig_count, theta_max=theta_max, seed=seed),
-        "cutoff": build_cutoff(point["ball"], point["ball2"], point["eps_hat"]),
+        "cutoff": build_cutoff(point["ball"], point["eps_hat"]),
         "lambda_ric": ricci_lower_bound(M),
         "C0": phi_c0_bound(point["phi"], np.ones_like(point["mask"].regular), r),
     }
@@ -608,8 +598,8 @@ def _mode_reports(point: dict, pair: EigenPair, fibers: list[FiberTrace]):
     M, ball, ball2 = point["manifold"], point["ball"], point["ball2"]
     cert, cutoff, r = point["cert"], point["cutoff"], ball.radius
     field = tangential_projection(pair.u, point["phi"], point["mask"])
-    K_w22 = _w22_k(M, field.u, field.grad_sq(), field.hessian_u_norm(), ball2.members, r)
-    rep_h = hessian_l2_bound(field, ball, ball2, cutoff, point["lambda_ric"])
+    K_w22 = w22_k_bound(M, field.u, field.grad_sq(), field.hessian_u_norm(), ball2.members, r)
+    rep_h = hessian_l2_bound(field, ball, cutoff, point["lambda_ric"])
     rep_i = interior_l2_report(field, ball, K_w22, point["C0"], point["eps_hat"])
     rep_m = main_theorem_report(pair, field, ball, cert, cutoff)
     tag = {"epsilon": M.family.epsilon, "theta": pair.theta}

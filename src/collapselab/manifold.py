@@ -370,14 +370,16 @@ class GeodesicBall:
     members: np.ndarray      # bool, grid-shaped
     distances: np.ndarray    # same shape, np.inf outside computed range
     whole: bool = False      # True when the region is the whole-chart stand-in
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def volume(self) -> float:
         return float(self.manifold.node_weights()[self.members].sum())
 
     def concentric(self, s: float) -> "GeodesicBall":
         """The region of radius ``s`` about the same center (see ``_region``),
-        from the stored distances, without a new Dijkstra."""
-        return _region(self.manifold, self.center, self.distances, s)
+        from the stored distances, without a new Dijkstra; made once per radius
+        and cached on this ball, so every reader of B(p, 2r) shares one object."""
+        return _cached(self, ("concentric", s), lambda: _region(self.manifold, self.center, self.distances, s))
 
 
 def _grid_neighbor_offsets(m: int) -> list[tuple[int, ...]]:
@@ -478,7 +480,7 @@ def geodesic_ball(M: DiscreteManifold, p: tuple[int, ...] | int, r: float) -> Ge
     if r >= limit:
         raise ValueError(
             f"ball of radius {r} touches the chart cut locus "
-            f"(half smallest base period = {limit:.6g}); use a smaller r"
+            f"(half smallest base period = {limit:.6g}); use a smaller ball radius (ball.radius)"
         )
     return _region(M, *_distances_from(M, p), r)
 
@@ -632,31 +634,33 @@ _CELL_SEGMENTS = np.array([[[0, 1], [0, 1]], [[0, 3], [1, 2]], [[0, 2], [1, 3]]]
 
 def _cell_corners(phi):
     """Per cell, in row-major order: the first component at its corners 00,
-    10, 01, 11 on the cell's side of the seam, ``(n_nodes, 4)``; their mean;
-    a margin, twice the largest corner deviation from the mean (a level that
-    crosses the cell lies within it) plus ``4 eps (|mean| + period)`` for
-    round-off; the value period that picks a cell's branch (0 for a plain field);
-    and an index: the cells of finite margin sorted by their means (modulo the
-    period, if any), those sorted means, and the largest margin."""
+    10, 01, 11, ``(n_nodes, 4)``, and the jump that carries each corner to the
+    cell's side of the seam (0 off it); the mean of the carried corners; a
+    margin, twice the largest carried corner's deviation from the mean (a
+    level that crosses the cell lies within it) plus ``4 eps (|mean| +
+    period)`` for round-off; the value period that picks a cell's branch (0
+    for a plain field); and an index: the cells of finite margin sorted by
+    their means (modulo the period, if any), those sorted means, and the
+    largest margin."""
     grid = phi.manifold.grid
     f, winding = phi.component_arrays(0)
     jump1 = winding[0] * grid.periods[0]
     jump2 = winding[1] * grid.periods[1]
-    c = []
-    for d2, d1 in np.ndindex(2, 2):                    # corners 00, 10, 01, 11
-        c.append(np.roll(f, (-d1, -d2), axis=(0, 1)))
-        c[-1][len(f) - d1:, :] += jump1                # the cells whose corner lies across a seam
-        c[-1][:, f.shape[1] - d2:] += jump2
-    cmean = 0.25 * (c[0] + c[1] + c[2] + c[3]).ravel()
-    corners = np.stack(c, axis=-1).reshape(-1, 4)
+    corners = np.stack([np.roll(f, (-d1, -d2), axis=(0, 1)) for d2, d1 in np.ndindex(2, 2)], axis=-1)
+    jumps, c = np.zeros_like(corners), corners.copy()
+    for part in (c, jumps):       # across a seam: corners 10 and 11 of the last row, 01 and 11 of the last column
+        part[-1, :, 1::2] += jump1
+        part[:, -1, 2:] += jump2
+    cmean = 0.25 * (c[..., 0] + c[..., 1] + c[..., 2] + c[..., 3]).ravel()
     branch = jump1 if jump1 != 0.0 else jump2
-    margin = 2.0 * np.abs(corners - cmean[:, None]).max(axis=1)
+    margin = 2.0 * np.abs(c.reshape(-1, 4) - cmean[:, None]).max(axis=1)
     margin += 4 * np.finfo(float).eps * (np.abs(cmean) + abs(branch))
     live = np.flatnonzero(np.isfinite(margin))
     keys = cmean[live] % abs(branch) if branch != 0.0 else cmean[live]
     order = np.argsort(keys)
-    return (_read_only(corners), _read_only(cmean), _read_only(margin), branch,
-            _read_only(live[order]), _read_only(keys[order]), float(margin[live].max(initial=0.0)))
+    return (_read_only(corners.reshape(-1, 4)), _read_only(jumps.reshape(-1, 4)), _read_only(cmean),
+            _read_only(margin), branch, _read_only(live[order]), _read_only(keys[order]),
+            float(margin[live].max(initial=0.0)))
 
 
 def _level_crossings(phi, v: float) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -677,7 +681,7 @@ def _level_crossings(phi, v: float) -> tuple[np.ndarray, tuple[np.ndarray, np.nd
     on a circle-valued map), and tests it in row-major order as every cell.
     """
     grid = phi.manifold.grid
-    corners, cmean, margin, branch, cells, keys, reach = _cached(phi, "cell_corners", lambda: _cell_corners(phi))
+    corners, jumps, cmean, margin, branch, cells, keys, reach = _cached(phi, "corners", lambda: _cell_corners(phi))
     period, eps = abs(branch), np.finfo(float).eps
     width, t = 2.0 * reach + 8 * eps * (abs(v) + period), v % period if period else v
     cells = np.unique(np.concatenate([
@@ -689,7 +693,7 @@ def _level_crossings(phi, v: float) -> tuple[np.ndarray, tuple[np.ndarray, np.nd
     wraps = branch * np.round((cmean - v) / branch) if branch != 0.0 else np.zeros_like(cmean)
     test = np.abs(cmean - v - wraps) - 4 * eps * abs(v) <= margin[cells]
     cand = cells[test]
-    d = corners[cand] - (v + wraps[test, None] if branch != 0.0 else v)     # (candidates, corners)
+    d = corners[cand] - ((v + wraps[test, None]) - jumps[cand])    # keeps a seam corner's low bits
     sgn = d > 0
     active = np.isfinite(d).all(axis=1) & ~(sgn == sgn[:, :1]).all(axis=1)
     i, j = np.divmod(cand[active], grid.shape[1])

@@ -28,6 +28,9 @@ chart or of a warped product's base block, is solved through
 :func:`pinned_stiffness_solve`, which takes the matrix, its mass and either
 factor.  Its callers factor once per call and cache nothing on the manifold,
 so a factor lives only as long as the call that made it.
+
+Every volume-weighted mean over a region goes through :func:`region_average`;
+an L2 average is the square root of the mean of the squared field.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ __all__ = [
     "hessian",
     "hessian_norm",
     "christoffel_fd",
-    "l2_average",
     "region_average",
     "region_sup",
     "interp_scalar",
@@ -477,25 +479,12 @@ def hessian_norm(M: DiscreteManifold, H: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _weights_for(M: DiscreteManifold, region: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    w = M.node_weights()
-    if region is None:
-        return w, np.ones_like(w, dtype=bool)
-    region = np.asarray(region, dtype=bool)
-    if not region.any():
-        raise ValueError("empty region")
-    return w, region
-
-def l2_average(M: DiscreteManifold, f: np.ndarray, region: np.ndarray | None = None) -> float:
-    """Volume-weighted L2 average ``(sum w f^2 / sum w)^(1/2)`` over a region."""
-    w, mask = _weights_for(M, region)
-    f = np.asarray(f)
-    return float(np.sqrt(float((w[mask] * f[mask] ** 2).sum()) / float(w[mask].sum())))
-
-
 def region_average(M: DiscreteManifold, f: np.ndarray, region: np.ndarray | None = None) -> float:
-    """Volume-weighted mean of f over a region (use abs/squares upstream)."""
-    w, mask = _weights_for(M, region)
+    """Volume-weighted mean of f over a region, the whole chart by default."""
+    w = M.node_weights()
+    mask = np.ones_like(w, dtype=bool) if region is None else np.asarray(region, dtype=bool)
+    if not mask.any():
+        raise ValueError("empty region")
     f = np.asarray(f)
     return float((w[mask] * f[mask]).sum() / w[mask].sum())
 

@@ -22,6 +22,9 @@ warped products asked for pairs at or past gamma, factor the whole pinned
 stiffness.  The harmonic coordinates factor the whole pinned matrix apart, in
 COLAMD order on its stored structure, which fixes their bits.
 :func:`cached_eigenpairs` keeps each solve's pairs in one ``.npy`` file.
+:func:`cheng_yau_ratio` takes the gradient norm of u that the report pass
+already holds (``TangentialField.grad_norm``) and reads B(p, 2r) from the
+ball's cached concentric region, so it differentiates nothing itself.
 """
 
 from __future__ import annotations
@@ -40,9 +43,7 @@ from .manifold import DiscreteManifold, GeodesicBall
 from .operators import (
     factorize,
     factorize_symmetric,
-    gradient,
     laplacian_matrix,
-    norm_sq,
     pinned_stiffness_solve,
     region_sup,
 )
@@ -268,15 +269,10 @@ def _sign_anchor(v: np.ndarray) -> int:
     return int(np.argmax(a >= 0.5 * a.max()))
 
 
-def cheng_yau_ratio(M: DiscreteManifold, u: np.ndarray, ball: GeodesicBall) -> float:
-    """Measured gradient-estimate ratio ``r sup_B(p,r) |grad u| / sup_B(p,2r) |u|``."""
-    u = np.asarray(u, dtype=float)
-    return _cheng_yau_ratio(u, np.sqrt(norm_sq(M, gradient(M, u))), ball)
-
-
-def _cheng_yau_ratio(u: np.ndarray, grad_norm: np.ndarray, ball: GeodesicBall) -> float:
-    outer = ball.concentric(2 * ball.radius)
-    sup_u = region_sup(np.abs(u), outer.members)
+def cheng_yau_ratio(u: np.ndarray, grad_norm: np.ndarray, ball: GeodesicBall) -> float:
+    """Measured gradient-estimate ratio ``r sup_B(p,r) |grad u| / sup_B(p,2r) |u|``,
+    from u's gradient norm field (``TangentialField.grad_norm``)."""
+    sup_u = region_sup(np.abs(u), ball.concentric(2 * ball.radius).members)
     if sup_u == 0.0:
         raise ValueError("Cheng-Yau ratio undefined for u identically zero")
     return float(ball.radius * region_sup(grad_norm, ball.members) / sup_u)

@@ -556,6 +556,15 @@ def test_twisted_torus_runs_with_its_default_ball_radius(tmp_path, capsys):
     assert "use a larger ball radius (ball.radius)" in capsys.readouterr().err
 
 
+def test_a_ball_that_reaches_the_cut_locus_names_its_config_key(tmp_path, capsys):
+    # half the unit base period, 0.5, is where B(p, r) touches the chart cut locus
+    path = write_config(tmp_path, {**SMALL_WARPED, "ball": {"radius": 0.6}})
+    assert main(["split", "--config", str(path), "--out", str(tmp_path / "split")]) == 1
+    err = capsys.readouterr().err
+    assert "touches the chart cut locus" in err
+    assert err.rstrip().endswith("use a smaller ball radius (ball.radius)")
+
+
 @pytest.mark.parametrize("family", ["flat", "warped"])
 def test_flow_writes_an_evenly_sampled_trajectory_inside_its_fiber(tmp_path, family):
     cfg = {"family": {"kind": "flat-product-torus"}} if family == "flat" else SMALL_WARPED

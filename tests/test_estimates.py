@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -116,9 +117,45 @@ def test_point_reports_differentiate_each_eigenfunction_once(monkeypatch):
     # the values read from the cached fields are those of the public bounds
     M, ball, ball2 = point["manifold"], point["ball"], point["ball2"]
     for pair, (rep_h, rep_i, rep_m) in zip(pairs, zip(*[iter(reports)] * 3)):
+        grad_sq = operators.norm_sq(M, operators.gradient(M, pair.u))
+        hess_norm = operators.hessian_norm(M, operators.hessian(M, pair.u))
         assert rep_h.constants["K"][0] == c1_sup_bound(M, pair.u, ball2.members, 0.25)
-        assert rep_i.constants["K"][0] == w22_k_bound(M, pair.u, ball2.members, 0.25)
-        assert rep_m.constants["C_CY"][0] == cheng_yau_ratio(M, pair.u, ball)
+        assert rep_i.constants["K"][0] == w22_k_bound(M, pair.u, grad_sq, hess_norm, ball2.members, 0.25)
+        assert rep_m.constants["C_CY"][0] == cheng_yau_ratio(pair.u, np.sqrt(grad_sq), ball)
+
+
+def test_the_report_pass_reads_each_constant_and_its_outer_ball_from_one_owner(monkeypatch):
+    # K_W22 and C_CY come from the public functions, looked up on the
+    # estimates module where the tracer rebinds them, once per eigenpair; and
+    # every reader of B(p, 2r) gets the one region of the bundle's "ball2"
+    calls = {"w22_k_bound": 0, "cheng_yau_ratio": 0}
+
+    def recording(name):
+        original = getattr(estimates, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(estimates, name, recording(name))
+    regions, concentric = [], manifold.GeodesicBall.concentric
+
+    def recording_concentric(ball, s):
+        regions.append((sys._getframe(1).f_code.co_name, s, concentric(ball, s)))
+        return regions[-1][2]
+
+    monkeypatch.setattr(manifold.GeodesicBall, "concentric", recording_concentric)
+    point = warped_point()
+    rows, _ = point_reports(point)
+    assert len(rows) >= 3 and calls == {"w22_k_bound": len(rows), "cheng_yau_ratio": len(rows)}
+    outer = [(reader, region) for reader, s, region in regions if s == 2 * point["ball"].radius]
+    assert {reader for reader, _ in outer} == {
+        "certify_point", "certify", "build_cutoff", "hessian_l2_bound", "cheng_yau_ratio", "main_theorem_report",
+    }
+    assert all(region is point["ball2"] for _, region in outer)
 
 
 def test_the_cutoff_solves_where_the_residual_gate_is_out_of_reach(monkeypatch):
@@ -140,7 +177,7 @@ def test_the_cutoff_solves_where_the_residual_gate_is_out_of_reach(monkeypatch):
         default_ball_center("flat-product-torus"), 0.25,
     )
     assert point["manifold"].grid.shape == (846, 85)
-    build_cutoff(point["ball"], point["ball2"], point["eps_hat"])
+    build_cutoff(point["ball"], point["eps_hat"])
     (A, b, x), = solves
     assert 1 < len(runs) <= 5
     residual = np.linalg.norm(A @ x - b)
@@ -246,7 +283,7 @@ def fiber_sine_report(epsilon: float, scale_certificate=None):
     if scale_certificate is not None:
         cert = dataclasses.replace(cert, **{key: getattr(cert, key) * f for key, f in scale_certificate.items()})
     field = flow.tangential_projection(u, point["phi"], point["mask"])
-    cutoff = build_cutoff(point["ball"], point["ball2"], point["eps_hat"])
+    cutoff = build_cutoff(point["ball"], point["eps_hat"])
     return main_theorem_report(EigenPair(theta, u, residual), field, point["ball"], cert, cutoff)
 
 

@@ -25,6 +25,7 @@ from collapselab.manifold import (
     graph_distances,
     ricci_lower_bound,
 )
+import collapselab.manifold as manifold
 from collapselab.splitting import SplittingMap
 from collapselab.splitting import classify_regular, harmonic_coordinates, jacobian_stats
 
@@ -394,7 +395,9 @@ def test_twisted_fiber_continuation(twisted_torus):
 def per_cell_march_squares(phi, v):
     """Reference: marching squares cell by cell, edge keys ``("h", i, j)`` from
     node (i, j) to (i+1, j) and ``("v", i, j)`` to (i, j+1); the first active
-    cell in row-major order to cross an edge sets its crossing.  Returns the
+    cell in row-major order to cross an edge sets its crossing.  A corner
+    across the seam is carried by its jump for the cell mean, and is tested
+    against the level carried back, ``f - (vloc - jump)``.  Returns the
     chained polyline, the segments, the crossings and the number of saddle cells."""
     M = phi.manifold
     grid = M.grid
@@ -420,7 +423,15 @@ def per_cell_march_squares(phi, v):
         vloc = v + branch * np.round((cmean - v) / branch)
     else:
         vloc = np.full_like(cmean, v)
-    d00, d10, d01, d11 = c00 - vloc, c10 - vloc, c01 - vloc, c11 - vloc
+    j10, j01, j11 = np.zeros(f.shape), np.zeros(f.shape), np.zeros(f.shape)
+    j10[-1, :] += jump1
+    j01[:, -1] += jump2
+    j11[-1, :] += jump1
+    j11[:, -1] += jump2
+    d00 = f - vloc
+    d10 = np.roll(f, -1, axis=0) - (vloc - j10)
+    d01 = np.roll(f, -1, axis=1) - (vloc - j01)
+    d11 = np.roll(np.roll(f, -1, axis=0), -1, axis=1) - (vloc - j11)
 
     segments, crossing, saddles = [], {}, 0
 
@@ -567,19 +578,34 @@ def test_level_crossings_match_per_cell_loop(warped_coordinates):
     assert saddles and seams
 
 
-def test_an_open_chain_is_not_returned_as_a_closed_fiber():
-    # level 0 of x + 0.02 sin(2 pi y): node (0, 8) holds 2.4e-18, which the
-    # seam cell's (f + 1) - 1 rounds to 0, so the crossings chain into an
-    # open arc of 10 points; a level off that node closes
+def test_a_seam_node_within_round_off_of_the_level_closes_its_fiber():
+    # level 0 of x + 0.02 sin(2 pi y): node (0, 8) holds 2.4e-18, which a seam
+    # cell carrying it, (f + 1) - 1, rounds to 0 and so broke the chain open;
+    # tested as f - ((0 + 1) - 1) it keeps its sign, and the fiber closes with
+    # the length of a level off that node
     M = build_family(FamilySpec(kind="flat-product-torus", epsilon=0.2, resolution=(48, 16)))
     x, y = np.moveaxis(M.positions(), -1, 0)
     phi = SplittingMap(M, (x + 0.02 * np.sin(2 * np.pi * y),), (np.array([1.0, 0.0]),))
     pts, closed = _march_squares(phi, 0.0)
-    assert not closed and len(pts) == 10
+    assert closed and len(pts) == 18
+    off_node = extract_fiber(phi, 1e-9, mask=threshold_mask(phi))
+    assert off_node.length == pytest.approx(0.2183, abs=1e-4)
+    assert extract_fiber(phi, 0.0, mask=threshold_mask(phi)).length == pytest.approx(off_node.length, abs=1e-15)
+
+
+def test_an_open_chain_is_not_returned_as_a_closed_fiber(monkeypatch):
+    # NaN nodes on both level-0.3 loops of sin(2 pi x) break them into open
+    # arcs; the longest is reported open, and extract_fiber refuses it
+    M = build_family(FamilySpec(kind="flat-product-torus", epsilon=0.2, resolution=(48, 16)))
+    x = M.positions()[..., 0]
+    f = np.sin(2 * np.pi * x)
+    f[2, 5] = f[22, 5] = np.nan
+    pts, closed = _march_squares(SplittingMap(M, (f,), (np.zeros(2),)), 0.3)
+    assert not closed and len(pts) == 11
+    phi = SplittingMap(M, (np.sin(2 * np.pi * x),), (np.zeros(2),))
+    monkeypatch.setattr(manifold, "_march_squares", lambda phi, v: (pts, closed))
     with pytest.raises(ValueError, match="is open"):
-        extract_fiber(phi, 0.0, mask=threshold_mask(phi))
-    trace = extract_fiber(phi, 1e-9, mask=threshold_mask(phi))
-    assert trace.length == pytest.approx(0.2183, abs=1e-4)
+        extract_fiber(phi, 0.3, mask=threshold_mask(phi))
 
 
 # ---------------------------------------------------------------------------

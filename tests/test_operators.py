@@ -14,11 +14,11 @@ from collapselab.operators import (
     hessian,
     hessian_norm,
     interp_scalar,
-    l2_average,
     laplace,
     laplacian_matrix,
     metric_inner,
     region_average,
+    region_sup,
     stencil_probe,
     stiffness_apply,
 )
@@ -354,31 +354,31 @@ def test_gradient_hessian_compatibility_order():
     assert np.log2(errs[0] / errs[1]) >= 1.8
 
 
-def test_l2_average_constant(flat_torus):
+def test_region_average_of_a_constant_square(flat_torus):
     f = np.full(flat_torus.grid.shape, -4.0)
-    assert l2_average(flat_torus, f) == pytest.approx(4.0, abs=1e-13)
+    assert np.sqrt(region_average(flat_torus, f**2)) == pytest.approx(4.0, abs=1e-13)
 
 
-def test_l2_average_sine(flat_torus):
+def test_region_average_of_a_sine_square(flat_torus):
     # mean of sin^2 over the full torus is exactly 1/2 on alias-free grids
     pos = flat_torus.positions()
     f = np.sin(2 * np.pi * pos[..., 0])
-    assert l2_average(flat_torus, f) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+    assert np.sqrt(region_average(flat_torus, f**2)) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
 
-def test_l2_average_single_node(flat_torus):
+def test_region_average_of_a_square_on_a_single_node(flat_torus):
     pos = flat_torus.positions()
     f = np.sin(2 * np.pi * pos[..., 0])
     region = np.zeros(flat_torus.grid.shape, dtype=bool)
     region[17, 3] = True
-    assert l2_average(flat_torus, f, region) == pytest.approx(abs(f[17, 3]), abs=1e-14)
+    assert np.sqrt(region_average(flat_torus, f**2, region)) == pytest.approx(abs(f[17, 3]), abs=1e-14)
 
 
 def test_empty_region_errors(flat_torus):
     with pytest.raises(ValueError, match="empty region"):
-        l2_average(flat_torus, np.ones(flat_torus.grid.shape), np.zeros(flat_torus.grid.shape, bool))
-    with pytest.raises(ValueError, match="empty region"):
         region_average(flat_torus, np.ones(flat_torus.grid.shape), np.zeros(flat_torus.grid.shape, bool))
+    with pytest.raises(ValueError, match="empty region"):
+        region_sup(np.ones(flat_torus.grid.shape), np.zeros(flat_torus.grid.shape, bool))
 
 
 def test_interp_scalar_exact_on_nodes_and_linear(flat_torus):

@@ -118,9 +118,9 @@ def test_cutoff_matches_spsolve(request, monkeypatch, family):
     M = request.getfixturevalue(family)
     center, r = CUTOFF_BALLS[family]
     ball = geodesic_ball(M, center, r)
-    got = estimates.build_cutoff(ball, ball.concentric(2 * r), 0.05)
+    got = estimates.build_cutoff(ball, 0.05)
     monkeypatch.setattr(estimates, "circulant_pcg", lambda A, shape: spsolve_factorize(A))
-    want = estimates.build_cutoff(ball, ball.concentric(2 * r), 0.05)
+    want = estimates.build_cutoff(ball, 0.05)
     assert np.ptp(want.values) == 1.0
     assert np.max(np.abs(got.values - want.values)) <= 1e-11
     assert abs(got.c_ctf_measured - want.c_ctf_measured) <= 1e-11 * want.c_ctf_measured
