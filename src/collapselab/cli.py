@@ -12,10 +12,11 @@ keep each solve's pairs in one ``<out>/cache/eig_<key>.npy`` file, which
 ``--no-cache`` neither reads nor writes.
 
 Every verb takes its pipeline inputs from ``ExperimentConfig.point_args``:
-``split`` and ``flow`` certify the point with all but its eigen inputs,
-``eig`` and ``flow eigenmode:N`` solve for the pairs ``verify`` reports on,
-and a sweep runs the same argument sets at each of its epsilons, so a sweep
-point is exactly the ``verify`` run at that epsilon.
+``split`` and ``flow`` run a point's chart stage (``classify_regular`` of the
+harmonic coordinates) and its ball stage (``certify_ball``) as ``run_point``
+does, ``eig`` and ``flow eigenmode:N`` solve for the pairs ``verify`` reports
+on, and a sweep runs the same argument sets at each of its epsilons, so a
+sweep point is exactly the ``verify`` run at that epsilon.
 
 Exit codes: 0 all checks pass, 2 some estimate report failed, 1 execution or
 configuration error.
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .estimates import (
-    certify_point,
+    certify_ball,
     default_ball_center,
     default_resolution_rule,
     nearest_node,
@@ -49,6 +50,7 @@ from .estimates import (
 from .flow import fiber_apriori_check, flow_rate_bound, integrate_flow, tangential_projection
 from .manifold import FAMILIES, MIN_FIBER_NODES, FamilySpec, build_family, extract_fiber
 from .spectral import cached_eigenpairs, eigenpairs
+from .splitting import classify_regular, harmonic_coordinates
 
 __all__ = ["main", "ExperimentConfig", "load_config"]
 
@@ -87,7 +89,8 @@ class ExperimentConfig:
 
     def point_args(self, epsilon: float | None = None) -> dict:
         """``run_point`` keyword arguments at ``epsilon`` (the family's own by
-        default); the one place a config becomes pipeline inputs."""
+        default); the one place a config becomes pipeline inputs.  ``split``
+        and ``flow`` read only the chart and ball inputs among them."""
         fam = self.family
         return {
             "kind": fam["kind"],
@@ -260,13 +263,6 @@ def _write_manifest(cfg: ExperimentConfig, out: Path, paths) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _certified_point(cfg: ExperimentConfig) -> dict:
-    """``certify_point`` at the config's point: the certificate needs no
-    eigenpairs, cutoff or curvature bound, so the eigen inputs stay out."""
-    eigen_inputs = ("theta_max", "eig_count", "seed")
-    return certify_point(**{k: v for k, v in cfg.point_args().items() if k not in eigen_inputs})
-
-
 def _solve_args(cfg: ExperimentConfig, epsilon: float | None = None) -> dict:
     """``point_args`` of a verb that solves for eigenpairs, whose count must
     leave two of the chart's nodes over (``spectral.eigenpairs``)."""
@@ -317,17 +313,20 @@ def cmd_eig(cfg: ExperimentConfig, out: Path, cache: bool = True) -> int:
 
 
 def cmd_split(cfg: ExperimentConfig, out: Path) -> int:
-    cert = _certified_point(cfg)["cert"]
+    a = cfg.point_args()
+    mask = classify_regular(harmonic_coordinates(build_family(cfg.family_spec())), a["lambda_threshold_rel"])
+    _, cert = certify_ball(mask, a["ball_center"], a["r"])
     path = _write_json(out / "certificate.json", cert.to_json_dict())
     print(path.read_text(), end="")
     _write_manifest(cfg, out, [path])
     return 0
 
 
-def _flow_field(cfg: ExperimentConfig, point, out: Path, cache: bool):
-    """The tangential field of the configured function, and the eigen cache
-    file it read or wrote (None for a closed-form function or with the cache off)."""
-    M = point["manifold"]
+def _flow_field(cfg: ExperimentConfig, mask, out: Path, cache: bool):
+    """The tangential field of the configured function on the regular mask,
+    and the eigen cache file it read or wrote (None for a closed-form function
+    or with the cache off)."""
+    M = mask.phi.manifold
     sel = cfg.flow["field"]
     cache_path = None
     if sel == "fiber-sine":
@@ -339,20 +338,36 @@ def _flow_field(cfg: ExperimentConfig, point, out: Path, cache: bool):
         if idx >= len(pairs):
             raise ValueError(f"flow.field eigenmode index {idx} out of range ({len(pairs)} pairs)")
         u = pairs[idx].u
-    return tangential_projection(u, point["phi"], point["mask"]), cache_path
+    return tangential_projection(u, mask), cache_path
+
+
+# flow refuses a K at most this fraction of sup|u| (a constant mode's K is
+# round-off), and more steps than the cap (eigenmode:1 of the default config
+# takes 290,571 steps, about 15 s)
+FLOW_K_ROUND_OFF = 1e-10
+FLOW_MAX_STEPS = 1_000_000
 
 
 def cmd_flow(cfg: ExperimentConfig, out: Path, cache: bool = True) -> int:
-    point = _certified_point(cfg)
-    M = point["manifold"]
-    field, cache_path = _flow_field(cfg, point, out, cache)
-    x0 = point["ball"].center if cfg.flow["start"] is None else nearest_node(M, cfg.flow["start"])
-    trace = extract_fiber(field.phi, field.phi.node_value(x0), mask=point["mask"])
-    report = fiber_apriori_check(trace, field, point["eps_hat"], point["ball"].radius)
+    a = cfg.point_args()
+    mask = classify_regular(harmonic_coordinates(build_family(cfg.family_spec())), a["lambda_threshold_rel"])
+    ball, cert = certify_ball(mask, a["ball_center"], a["r"])
+    M = mask.phi.manifold
+    field, cache_path = _flow_field(cfg, mask, out, cache)
+    x0 = ball.center if cfg.flow["start"] is None else nearest_node(M, cfg.flow["start"])
+    trace = extract_fiber(mask, mask.phi.node_value(x0))
+    report = fiber_apriori_check(trace, field, cert.epsilon_hat, ball.radius)
+    sup_u = float(np.max(np.abs(field.u)))
+    if not report.K > FLOW_K_ROUND_OFF * sup_u:     # the flow time T = flow.time_over_k / K has no scale
+        raise ValueError(f"config field flow.field selects a function whose K = {report.K:.3g} is round-off against "
+                         f"sup|u| = {sup_u:.3g} (a constant mode); choose another flow.field")
     T = cfg.flow["time_over_k"] / report.K
     rate = flow_rate_bound(report)
     # the configured step, cut to the stability gate dt * rate <= 0.1
     dt = min(cfg.flow["dt_factor"] * M.family.epsilon, 0.1 / rate)
+    if T / dt > FLOW_MAX_STEPS:
+        raise ValueError(f"config fields flow.time_over_k and flow.dt_factor ask for {T / dt:.4g} flow steps, above "
+                         f"the cap of {FLOW_MAX_STEPS:,}; lower flow.time_over_k or raise flow.dt_factor")
     traj = integrate_flow(field, x0, T, dt, stability_rate=rate)
     csv_path = _write_csv(out / "trajectory.csv", ["t", *"xyz"[:M.dim], "u", "tangential_speed_sq", "drift"],
                           zip(traj.times, *traj.positions.T, traj.u_values, traj.speed_sq, traj.drift))

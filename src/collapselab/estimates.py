@@ -45,12 +45,12 @@ from .operators import (
 from .spectral import RESIDUAL_TOL, EigenPair, cheng_yau_ratio, eigenpairs
 from .splitting import (
     Certificate,
+    RegularMask,
     SplittingMap,
     _gradient_hessian_sizes,
     certify,
     classify_regular,
     harmonic_coordinates,
-    jacobian_stats,
 )
 from .flow import TangentialField, fiber_apriori_check, tangential_projection
 
@@ -60,7 +60,7 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "build_cutoff",
-    "certify_point",
+    "certify_ball",
     "hessian_l2_bound",
     "interior_l2_report",
     "main_theorem_report",
@@ -292,11 +292,14 @@ def interior_l2_report(field: TangentialField, ball_r: GeodesicBall, K: float, C
     The integral runs over the ball's nodes in the field's regular mask whose
     map values lie in the value box of the inner ball ``B(p, r(1 - 4 eps))``
     (``SplittingMap.in_value_box``, cached per ball); ``C1`` is assembled
-    from ``8 k^2 (1 + C0)^(k-1)``.
+    from ``8 k^2 (1 + C0)^(k-1)``.  A C0 outside [0, 1) is a config error
+    that names the kind's parameter and ``ball.radius``: C0 grows with both.
     """
-    if not (0.0 <= C0 < 1.0):
-        raise ValueError(f"hypothesis violation: C0 = {C0:.6g} must lie in [0, 1)")
     M = field.manifold
+    if not (0.0 <= C0 < 1.0):
+        name = M.family and FAMILIES[M.family.kind].parameter
+        keys = ([f"family.{name}"] if name else []) + ["ball.radius"]
+        raise ValueError(f"hypothesis violation: C0 = {C0:.6g} must lie in [0, 1); lower {' or '.join(keys)}")
     r = ball_r.radius
     k = field.phi.k
     inner = ball_r.concentric(max(r * (1.0 - 4.0 * eps_hat), 1e-9))
@@ -353,7 +356,7 @@ def main_theorem_report(eig: EigenPair, field: TangentialField, ball_r: Geodesic
     sup_u = region_sup(np.abs(eig.u), outer.members)
 
     w = M.node_weights()
-    dom = ball_r.members & field.mask     # not empty: certify_point checks
+    dom = ball_r.members & field.mask     # not empty: certify_ball checks
     excluded = float(w[ball_r.members & ~field.mask].sum() / w[ball_r.members].sum())
     wsum = float(w[dom].sum())
     speed = np.nan_to_num(field.speed_sq)
@@ -428,42 +431,18 @@ def point_spec(kind: str, epsilon: float, delta: float, twist: float, resolution
     return FamilySpec(kind=kind, epsilon=epsilon, delta=delta, twist=twist, resolution=resolution_rule(kind, epsilon))
 
 
-def certify_point(
-    kind: str,
-    epsilon: float,
-    delta: float,
-    twist: float,
-    resolution_rule,
-    ball_center: tuple[float, ...],
-    r: float,
-    lambda_threshold_rel: float = 1e-6,
-) -> dict:
-    """The front of ``run_point``, which is all that ``split`` and ``flow``
-    need: the chart, its harmonic coordinates and regular mask, the working
-    balls and the certificate."""
-    M = build_family(point_spec(kind, epsilon, delta, twist, resolution_rule))
-    phi = harmonic_coordinates(M)
-    stats = jacobian_stats(phi)
-    mask = classify_regular(stats, max(lambda_threshold_rel * float(np.nanmedian(stats.Lam)), 1e-300))
-    p = nearest_node(M, ball_center)
-    ball = geodesic_ball(M, p, r)
+def certify_ball(mask: RegularMask, ball_center: tuple[float, ...], r: float) -> tuple[GeodesicBall, Certificate]:
+    """The ball stage of a point on the chart of ``mask``, the chart stage:
+    B(p, r) about the node nearest ``ball_center``, and its certificate with
+    the collapse scale measured on the ball."""
+    M = mask.phi.manifold
+    ball = geodesic_ball(M, nearest_node(M, ball_center), r)
     if not (ball.members & mask.regular).any():
         raise ValueError(
             "the regular mask leaves B(p, r) empty: no node of the ball has a Jacobian eigenvalue above "
             "the regularity threshold; lower thresholds.lambda_min_rel"
         )
-    ball2 = ball.concentric(2 * r)
-    eps_hat = epsilon_proxy(ball, phi, mask)
-    cert = certify(phi, ball, eps_hat)
-    return {
-        "manifold": M,
-        "phi": phi,
-        "mask": mask,
-        "ball": ball,
-        "ball2": ball2,
-        "eps_hat": eps_hat,
-        "cert": cert,
-    }
+    return ball, certify(mask.phi, ball, epsilon_proxy(ball, mask))
 
 
 def run_point(
@@ -480,14 +459,23 @@ def run_point(
     lambda_threshold_rel: float = 1e-6,
 ):
     """Full pipeline at one collapse parameter; returns the per-point bundle."""
-    point = certify_point(kind, epsilon, delta, twist, resolution_rule, ball_center, r, lambda_threshold_rel)
-    M = point["manifold"]
+    mask = classify_regular(harmonic_coordinates(build_family(
+        point_spec(kind, epsilon, delta, twist, resolution_rule))), lambda_threshold_rel)
+    ball, cert = certify_ball(mask, ball_center, r)
+    M = mask.phi.manifold
     return {
-        **point,
+        "mask": mask,
+        "ball": ball,
+        "cert": cert,
+        # perfbench/child.py reads these three; the package reads mask.phi.manifold,
+        # ball.concentric(2 * r) and cert.epsilon_hat
+        "manifold": M,
+        "ball2": ball.concentric(2 * r),
+        "eps_hat": cert.epsilon_hat,
         "pairs": eigenpairs(M, eig_count, theta_max=theta_max, seed=seed),
-        "cutoff": build_cutoff(point["ball"], point["eps_hat"]),
+        "cutoff": build_cutoff(ball, cert.epsilon_hat),
         "lambda_ric": ricci_lower_bound(M),
-        "C0": phi_c0_bound(point["phi"], np.ones_like(point["mask"].regular), r),
+        "C0": phi_c0_bound(mask.phi, np.ones_like(mask.regular), r),
     }
 
 
@@ -588,19 +576,18 @@ def _checked_fibers(point: dict) -> list[FiberTrace]:
     """The fibers checked for every eigenpair: regular ones at k-component
     levels on the diagonal of the ball's value box whose stencils stay in the
     configured mask (``FiberTrace.in_mask``)."""
-    phi, ball = point["phi"], point["ball"]
-    traces = [extract_fiber(phi, lv, mask=point["mask"])
-              for lv in np.linspace(*phi.value_box(ball)[1:], FIBER_LEVELS + 2)[1:-1]]
+    mask, ball = point["mask"], point["ball"]
+    traces = [extract_fiber(mask, lv) for lv in np.linspace(*mask.phi.value_box(ball)[1:], FIBER_LEVELS + 2)[1:-1]]
     return [trace for trace in traces if trace.regular and trace.in_mask]
 
 
 def _mode_reports(point: dict, pair: EigenPair, fibers: list[FiberTrace]):
-    M, ball, ball2 = point["manifold"], point["ball"], point["ball2"]
-    cert, cutoff, r = point["cert"], point["cutoff"], ball.radius
-    field = tangential_projection(pair.u, point["phi"], point["mask"])
-    K_w22 = w22_k_bound(M, field.u, field.grad_sq(), field.hessian_u_norm(), ball2.members, r)
+    mask, ball, cert, cutoff = point["mask"], point["ball"], point["cert"], point["cutoff"]
+    M, r = mask.phi.manifold, ball.radius
+    field = tangential_projection(pair.u, mask)
+    K_w22 = w22_k_bound(M, field.u, field.grad_sq(), field.hessian_u_norm(), ball.concentric(2 * r).members, r)
     rep_h = hessian_l2_bound(field, ball, cutoff, point["lambda_ric"])
-    rep_i = interior_l2_report(field, ball, K_w22, point["C0"], point["eps_hat"])
+    rep_i = interior_l2_report(field, ball, K_w22, point["C0"], cert.epsilon_hat)
     rep_m = main_theorem_report(pair, field, ball, cert, cutoff)
     tag = {"epsilon": M.family.epsilon, "theta": pair.theta}
     reports = [
@@ -609,13 +596,13 @@ def _mode_reports(point: dict, pair: EigenPair, fibers: list[FiberTrace]):
     apriori_pass = True
     if pair.theta > 0:
         for trace in fibers:
-            apriori_pass &= fiber_apriori_check(trace, field, point["eps_hat"], r).passed
+            apriori_pass &= fiber_apriori_check(trace, field, cert.epsilon_hat, r).passed
     denom = rep_m.constants["supU"][0] * (np.sqrt(cert.epsilon_hat) + cert.psi)
     ratio = rep_m.lhs / denom if denom > 0 else np.inf
     degenerate = rep_m.lhs <= DEGENERATE_LHS_FRACTION * rep_m.rhs
     row = SweepRow(
         epsilon=M.family.epsilon,
-        epsilon_hat=point["eps_hat"],
+        epsilon_hat=cert.epsilon_hat,
         psi=cert.psi,
         theta=pair.theta,
         K=rep_h.constants["K"][0],

@@ -110,14 +110,14 @@ def tangential_part(stats: JacobianStats, mask: np.ndarray, X: np.ndarray) -> np
     return out_t.reshape(shape + (m,))
 
 
-def tangential_projection(u: np.ndarray, phi: SplittingMap, mask: RegularMask) -> TangentialField:
-    """The tangential part of grad u on the nodes of ``mask``, the map's ``RegularMask``."""
-    M, stats = phi.manifold, jacobian_stats(phi)
+def tangential_projection(u: np.ndarray, mask: RegularMask) -> TangentialField:
+    """The tangential part of grad u on the nodes of ``mask``, a ``RegularMask`` of the map ``mask.phi``."""
+    M, stats = mask.phi.manifold, jacobian_stats(mask.phi)
     grad_u = gradient(M, u)
     grad_t = tangential_part(stats, mask.regular, grad_u)
     speed_sq = metric_inner(M, np.where(np.isnan(grad_t), 0.0, grad_t), grad_t)
     speed_sq = np.where(np.isnan(grad_t[..., 0]), np.nan, speed_sq)
-    return TangentialField(manifold=M, u=np.asarray(u, dtype=float), phi=phi, stats=stats, mask=mask.regular,
+    return TangentialField(manifold=M, u=np.asarray(u, dtype=float), phi=mask.phi, stats=stats, mask=mask.regular,
                            grad_u=grad_u, grad_t=grad_t, speed_sq=speed_sq)
 
 

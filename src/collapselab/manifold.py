@@ -462,15 +462,8 @@ def _cut_locus_radius(M: DiscreteManifold) -> float:
     return 0.5 * min(base_period_lengths(M))
 
 
-def _distances_from(M: DiscreteManifold, p: tuple[int, ...] | int) -> tuple[tuple[int, ...], np.ndarray]:
-    """The center as a node tuple and the grid-shaped Dijkstra distances from it."""
-    grid = M.grid
-    p = p if isinstance(p, tuple) else tuple(np.unravel_index(int(p), grid.shape))
-    return p, graph_distances(M, [int(np.ravel_multi_index(p, grid.shape))]).reshape(grid.shape)
-
-
-def geodesic_ball(M: DiscreteManifold, p: tuple[int, ...] | int, r: float) -> GeodesicBall:
-    """Geodesic ball by Dijkstra distance under the metric.
+def geodesic_ball(M: DiscreteManifold, p: tuple[int, ...], r: float) -> GeodesicBall:
+    """Geodesic ball by Dijkstra distance under the metric, about the node ``p``.
 
     The radius must stay below half of the smallest base period so the ball
     does not touch the chart cut locus (wrapping fully around collapsed fiber
@@ -482,7 +475,8 @@ def geodesic_ball(M: DiscreteManifold, p: tuple[int, ...] | int, r: float) -> Ge
             f"ball of radius {r} touches the chart cut locus "
             f"(half smallest base period = {limit:.6g}); use a smaller ball radius (ball.radius)"
         )
-    return _region(M, *_distances_from(M, p), r)
+    dist = graph_distances(M, [int(np.ravel_multi_index(p, M.grid.shape))]).reshape(M.grid.shape)
+    return _region(M, p, dist, r)
 
 
 def _region(M: DiscreteManifold, p: tuple[int, ...], dist: np.ndarray, r: float) -> GeodesicBall:
@@ -537,36 +531,22 @@ def _polyline_metric_length(M: DiscreteManifold, pts: np.ndarray) -> float:
     return float(seg.sum())
 
 
-def _fiber_fields(phi, mask) -> np.ndarray:
-    """The node fields a fiber trace reads, side by side for one gather: the
-    periodic parts (k), lambda, Lambda, 0 on the regular mask's nodes and NaN
-    off them, and each |Hess Phi^b| (k)."""
-    from .splitting import jacobian_stats
-
-    stats = jacobian_stats(phi)
-    return np.concatenate([phi._stacked("psi"), np.stack(
-        [stats.lam, stats.Lam, np.where(mask.regular, 0.0, np.nan), *phi.hessian_norms()], axis=-1)], axis=-1)
-
-
-def extract_fiber(phi, level, *, mask) -> FiberTrace:
-    """Trace the fiber ``Phi^{-1}(level)`` as an ordered closed polyline.
+def extract_fiber(mask, level) -> FiberTrace:
+    """Trace the fiber ``Phi^{-1}(level)`` of the map ``mask.phi`` of a
+    ``RegularMask`` as an ordered closed polyline.
 
     Supports one-dimensional fibers only (m - k = 1): marching squares on 2-d
     charts, predictor-corrector continuation with Newton reprojection on 3-d
-    charts.  ``mask`` is the map's ``RegularMask``: the trace is regular when
-    the smallest Jacobian eigenvalue along the curve stays above its
-    threshold, and ``in_mask`` when every sample's stencil lies in its nodes.
+    charts.  The trace is regular when the smallest Jacobian eigenvalue along
+    the curve stays above the mask's threshold, and ``in_mask`` when every
+    sample's stencil lies in its nodes.
 
     Every fiber fact comes from one ``interp_scalar`` gather at the samples
-    of the map's ``_fiber_fields``, cached per map and mask threshold; a stacked
-    component keeps the bits of a gather of its own, so the level error is
+    of ``mask.fiber_fields()``, cached on the mask; a stacked component keeps
+    the bits of a gather of its own, so the level error is
     ``level_residual``'s and the rest are the fields' own samples.
     """
-    from .splitting import SplittingMap
-
-    if not isinstance(phi, SplittingMap):
-        raise TypeError("extract_fiber expects a SplittingMap")
-    M = phi.manifold
+    phi, M = mask.phi, mask.phi.manifold
     m, k = M.dim, phi.k
     if m - k != 1:
         raise ValueError(f"fiber tracing supports m - k = 1 only (m={m}, k={k})")
@@ -595,8 +575,7 @@ def extract_fiber(phi, level, *, mask) -> FiberTrace:
 
     from .operators import interp_scalar
 
-    fields = _cached(phi, ("fiber_fields", mask.threshold), lambda: _fiber_fields(phi, mask))
-    samples = interp_scalar(M, fields, M.grid.wrap(pts))
+    samples = interp_scalar(M, mask.fiber_fields(), M.grid.wrap(pts))
     lam, Lam, regular_set = samples[:, k], samples[:, k + 1], samples[:, k + 2]
     err = float(np.max(np.abs(phi.wrap_value_delta(phi._values_at(pts, samples[:, :k]) - level))))
     length = _polyline_metric_length(M, pts)
@@ -643,7 +622,7 @@ def _cell_corners(phi):
     their means (modulo the period, if any), those sorted means, and the
     largest margin."""
     grid = phi.manifold.grid
-    f, winding = phi.component_arrays(0)
+    f, winding = phi.values[0], phi.windings[0]
     jump1 = winding[0] * grid.periods[0]
     jump2 = winding[1] * grid.periods[1]
     corners = np.stack([np.roll(f, (-d1, -d2), axis=(0, 1)) for d2, d1 in np.ndindex(2, 2)], axis=-1)
@@ -693,7 +672,7 @@ def _level_crossings(phi, v: float) -> tuple[np.ndarray, tuple[np.ndarray, np.nd
     wraps = branch * np.round((cmean - v) / branch) if branch != 0.0 else np.zeros_like(cmean)
     test = np.abs(cmean - v - wraps) - 4 * eps * abs(v) <= margin[cells]
     cand = cells[test]
-    d = corners[cand] - ((v + wraps[test, None]) - jumps[cand])    # keeps a seam corner's low bits
+    d = corners[cand] - (v + (wraps[test, None] - jumps[cand]))    # a seam corner keeps its and v's low bits
     sgn = d > 0
     active = np.isfinite(d).all(axis=1) & ~(sgn == sgn[:, :1]).all(axis=1)
     i, j = np.divmod(cand[active], grid.shape[1])
@@ -805,26 +784,27 @@ PROXY_LEVELS = 33
 PROXY_MARGIN = 0.05
 
 
-def epsilon_proxy(ball: GeodesicBall, phi, mask) -> float:
+def epsilon_proxy(ball: GeodesicBall, mask) -> float:
     """Measured collapse scale: max regular-fiber intrinsic diameter over 2r.
 
-    Levels are sampled uniformly (per component) across the splitting map's
-    range over the ball interior, trimmed by ``PROXY_MARGIN`` at both ends.
-    A fiber counts when its least Jacobian eigenvalue stays above the
+    Levels are sampled uniformly (per component) across the range of the map
+    ``mask.phi`` over the ball interior, trimmed by ``PROXY_MARGIN`` at both
+    ends.  A fiber counts when its least Jacobian eigenvalue stays above the
     threshold of ``mask``, the map's ``RegularMask``.
     """
     if ball.radius <= 0:
         raise ValueError("epsilon proxy needs a ball of positive radius")
-    _, lo, hi = phi.value_box(ball)
+    k = mask.phi.k
+    _, lo, hi = mask.phi.value_box(ball)
     span = hi - lo
     lo = lo + PROXY_MARGIN * span
     hi = hi - PROXY_MARGIN * span
-    n = max(3, int(round(PROXY_LEVELS ** (1 / phi.k))))
-    axes = np.meshgrid(*[np.linspace(lo[a], hi[a], n) for a in range(phi.k)], indexing="ij")
+    n = max(3, int(round(PROXY_LEVELS ** (1 / k))))
+    axes = np.meshgrid(*[np.linspace(lo[a], hi[a], n) for a in range(k)], indexing="ij")
     best = -np.inf
     for level in np.stack([g.ravel() for g in axes], axis=-1):
         try:
-            trace = extract_fiber(phi, level, mask=mask)
+            trace = extract_fiber(mask, level)
         except (ValueError, RuntimeError):
             continue
         if trace.regular:

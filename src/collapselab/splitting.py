@@ -74,9 +74,6 @@ class SplittingMap:
     def k(self) -> int:
         return len(self.values)
 
-    def component_arrays(self, a: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.values[a], self.windings[a]
-
     def values_stack(self) -> np.ndarray:
         """The component values side by side, ``(*shape, k)``; cached, read-only."""
         return _cached(self, "values_stack", lambda: _read_only(np.stack(self.values, axis=-1)))
@@ -163,13 +160,14 @@ class SplittingMap:
         """Value range over masked nodes in the branch continuous around the anchor.
 
         Returns ``(lo, hi)`` per component; needed when the region straddles
-        the chart seam of a circle-valued component.
+        the chart seam of a circle-valued component.  NaN nodes are skipped,
+        and the default anchor is the first finite node.
         """
         vals = self.values_stack()[mask].reshape(-1, self.k)
         if anchor is None:
-            anchor = vals[0]
+            anchor = vals[np.isfinite(vals).all(axis=1).argmax()]
         dv = self.wrap_value_delta(vals - anchor)
-        return anchor + dv.min(axis=0), anchor + dv.max(axis=0)
+        return anchor + np.nanmin(dv, axis=0), anchor + np.nanmax(dv, axis=0)
 
     def level_residual(self, pts: np.ndarray, level: np.ndarray) -> np.ndarray:
         """Phi(pts) - level, wrapped to the nearest branch for winding components."""
@@ -362,21 +360,40 @@ def _jacobian_stats(phi: SplittingMap) -> JacobianStats:
 
 @dataclass(frozen=True)
 class RegularMask:
+    """The regular set of a map: a point's chart stage, which every ball on
+    the chart reads."""
+
+    phi: SplittingMap
     regular: np.ndarray
     threshold: float
     singular_fraction: float
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def fiber_fields(self) -> np.ndarray:
+        """The node fields a fiber trace reads, side by side for one gather
+        (``manifold.extract_fiber``): the map's periodic parts (k), lambda,
+        Lambda, 0 on the regular nodes and NaN off them, and each
+        |Hess Phi^b| (k); cached."""
+        def build():
+            phi, stats = self.phi, jacobian_stats(self.phi)
+            return np.concatenate([phi._stacked("psi"), np.stack(
+                [stats.lam, stats.Lam, np.where(self.regular, 0.0, np.nan), *phi.hessian_norms()], axis=-1)], axis=-1)
+
+        return _cached(self, "fiber_fields", build)
 
 
-def classify_regular(stats: JacobianStats, threshold: float) -> RegularMask:
-    """Nodes with least Jacobian eigenvalue above the threshold."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    M = stats.phi.manifold
-    w = M.node_weights()
+def classify_regular(phi: SplittingMap, lambda_min_rel: float) -> RegularMask:
+    """Nodes whose least Jacobian eigenvalue lies above the threshold
+    ``lambda_min_rel`` times the median largest one (floored at 1e-300)."""
+    if lambda_min_rel <= 0:
+        raise ValueError("lambda_min_rel must be positive")
+    stats = jacobian_stats(phi)
+    threshold = max(lambda_min_rel * float(np.nanmedian(stats.Lam)), 1e-300)
+    w = phi.manifold.node_weights()
     valid = stats.valid
     regular = valid & (stats.lam > threshold)
     frac = float(w[valid & ~regular].sum() / w[valid].sum())
-    return RegularMask(regular=regular, threshold=threshold, singular_fraction=frac)
+    return RegularMask(phi=phi, regular=regular, threshold=threshold, singular_fraction=frac)
 
 
 # ---------------------------------------------------------------------------

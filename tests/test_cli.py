@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import math
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -206,17 +210,19 @@ def test_a_negative_seed_flag_is_an_error(tmp_path, capsys, seed):
 
 
 def test_one_helper_builds_the_chart_of_every_point(tmp_path, monkeypatch):
-    # certify_point and ExperimentConfig.family_spec each used to build their own FamilySpec
+    # the certified point and ExperimentConfig.family_spec each used to build their own FamilySpec
     import collapselab.estimates as estimates_module
 
     built = []
     build = estimates_module.point_spec
     for module in (estimates_module, cli):
         monkeypatch.setattr(module, "point_spec", lambda *args: built.append(args) or build(*args))
-    cfg = load_config(write_config(tmp_path, SMALL_WARPED))
+    path = write_config(tmp_path, SMALL_WARPED)
+    cfg = load_config(path)
     spec = cfg.family_spec()
-    assert cli._certified_point(cfg)["manifold"].family == spec
-    assert [args[:4] for args in built] == [("warped-torus", 0.1, 0.3, 0.0)] * 2
+    assert run_point(**cfg.point_args())["manifold"].family == spec
+    assert main(["split", "--config", str(path), "--out", str(tmp_path / "split")]) == 0
+    assert [args[:4] for args in built] == [("warped-torus", 0.1, 0.3, 0.0)] * 3
 
 
 def test_an_empty_regular_ball_is_a_config_error(tmp_path, capsys):
@@ -412,9 +418,9 @@ def test_epsilon_hat_and_the_flow_fiber_use_the_mask_threshold(tmp_path, monkeyp
     # Jacobian eigenvalue, and epsilon-hat read 0.09431 instead of 0.08851
     thresholds = []
     for module in (cli, manifold):
-        def recording(phi, level, *, mask=None, trace=module.extract_fiber):
+        def recording(mask, level, trace=module.extract_fiber):
             thresholds.append(mask.threshold)
-            return trace(phi, level, mask=mask)
+            return trace(mask, level)
 
         monkeypatch.setattr(module, "extract_fiber", recording)
     path = write_config(tmp_path, {**SMALL_WARPED, "thresholds": {"lambda_min_rel": 1.2}})
@@ -637,3 +643,162 @@ def test_a_warp_that_reaches_zero_is_a_config_error(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["build", "--config", str(path), "--out", str(tmp_path / "build")]) == 1
     assert "family.delta must lie in (-1, 1)" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# runs that used to hang or end in a traceback
+# ---------------------------------------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+# the verbs in a fresh interpreter: each config's exit code and error output,
+# one JSON line per run, or "raised" and the traceback of an exception that
+# escaped main
+RUNNER = """
+import contextlib, io, json, sys, traceback
+from collapselab.cli import main
+
+for i, (verb, cfg) in enumerate(json.loads(sys.argv[1])):
+    path = f"{sys.argv[2]}/config_{i}.json"
+    with open(path, "w") as f:
+        json.dump(cfg, f)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([verb, "--config", path, "--out", f"{sys.argv[2]}/out_{i}"])
+    except Exception:
+        code, err = "raised", io.StringIO(traceback.format_exc())
+    print(json.dumps([code, err.getvalue()]), flush=True)
+"""
+
+
+def run_isolated(tmp_path, runs, timeout):
+    """``(exit code, error output)`` of each ``(verb, config)`` run in one
+    fresh interpreter, which is killed after ``timeout`` seconds, so that a run
+    that never ends fails the test instead of hanging it."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    try:
+        proc = subprocess.run([sys.executable, "-c", RUNNER, json.dumps(runs), str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired as exc:
+        done = len((exc.stdout or "").splitlines())
+        pytest.fail(f"run {done} of {len(runs)}, {runs[done]}, did not end within {timeout} s")
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(json.loads(line)) for line in proc.stdout.splitlines()]
+
+
+def test_a_flow_of_the_constant_mode_is_a_config_error(tmp_path):
+    # eigenmode:0 on the default flat config has K = 1.98e-12 against
+    # sup|u| = 1: T = 5.1e12 would have taken about 5e17 steps at dt = 1e-5
+    (code, err), = run_isolated(tmp_path, [("flow", {"flow": {"field": "eigenmode:0"}})], timeout=60)
+    assert code == 1
+    assert "config field flow.field selects a function whose K = 1.98e-12 is round-off" in err
+    assert not (tmp_path / "out_0" / "trajectory.csv").exists()
+
+
+def test_a_flow_with_k_zero_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # T = time_over_k / K used to raise ZeroDivisionError
+    check = cli.fiber_apriori_check
+    monkeypatch.setattr(cli, "fiber_apriori_check", lambda *args: dataclasses.replace(check(*args), K=0.0))
+    path = write_config(tmp_path, FAMILY_CONFIGS["flat"])
+    assert main(["flow", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "config field flow.field selects a function whose K = 0 is round-off" in capsys.readouterr().err
+
+
+def refuse_steps(monkeypatch):
+    """The step counts ``T / dt`` that ``flow`` asks ``integrate_flow`` for,
+    which stops the run there."""
+    asked = []
+
+    def stop(field, x0, T, dt, stability_rate):
+        asked.append(T / dt)
+        raise RuntimeError("stopped before the first step")
+
+    monkeypatch.setattr(cli, "integrate_flow", stop)
+    return asked
+
+
+def test_a_flow_past_the_step_cap_is_refused_before_its_first_step(tmp_path, capsys, monkeypatch):
+    asked = refuse_steps(monkeypatch)
+    path = write_config(tmp_path, {**FAMILY_CONFIGS["flat"], "flow": {"time_over_k": 1e6}})
+    assert main(["flow", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config fields flow.time_over_k and flow.dt_factor ask for" in err and "above the cap of 1,000,000" in err
+    assert asked == []
+
+
+@pytest.mark.parametrize("field,least", [("fiber-sine", 4_000), ("eigenmode:1", 290_000)])
+def test_the_step_cap_admits_the_default_flows(tmp_path, monkeypatch, field, least):
+    # the default config's flows: 4,106 steps for fiber-sine, and 290,571 for eigenmode:1
+    asked = refuse_steps(monkeypatch)
+    path = write_config(tmp_path, {"flow": {"field": field}})
+    assert main(["flow", "--config", str(path), "--out", str(tmp_path / "out"), "--no-cache"]) == 1
+    (steps,) = asked
+    assert least < steps <= cli.FLOW_MAX_STEPS
+
+
+def test_a_c0_out_of_range_names_its_config_keys(tmp_path, capsys):
+    # at delta = 0.6 the harmonic coordinate's gradient reaches about 2, so
+    # C0 >= 1: the error named no key
+    cfg = {"family": {"kind": "warped-torus", "epsilon": 0.2, "delta": 0.6}, "resolution": {"nodes_per_unit": 32}}
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "C0 = 1.04897 must lie in [0, 1); lower family.delta or ball.radius" in err
+
+
+CONFIG_KEYS = [f"{section}.{name}" for section, leaves in cli._DEFAULTS.items() if isinstance(leaves, dict)
+               for name in leaves]
+
+
+def random_run(rng):
+    """A random verb on a random config: a kind with its own parameter, 8-32
+    nodes per unit in 2-D and 8-12 in 3-D, and each other leaf drawn or left
+    at its default.  Flows run at most half a K time unit, so the runs stay
+    short."""
+    kind = str(rng.choice(sorted(FAMILIES)))
+    fam = FAMILIES[kind]
+    cfg = {
+        "family": {"kind": kind, "epsilon": float(rng.choice([0.05, 0.1, 0.2, 0.3]))},
+        "resolution": {"nodes_per_unit": int(rng.integers(8, 33) if fam.dim == 2 else rng.integers(8, 13))},
+        "flow": {"time_over_k": float(10 ** rng.uniform(-2, -0.3))},
+    }
+    if fam.parameter == "delta":
+        cfg["family"]["delta"] = float(rng.uniform(-0.95, 0.95))
+    elif fam.parameter == "twist":
+        cfg["family"]["twist"] = float(rng.uniform(0, 2 * math.pi))
+    point = lambda: [float(c) for c in rng.uniform(0, 1, fam.dim)]
+    leaves = {
+        ("ball", "radius"): lambda: float(rng.uniform(0.05, 0.45)),
+        ("ball", "center"): point,
+        ("eig", "count"): lambda: int(rng.integers(1, 9)),
+        ("eig", "theta_max"): lambda: float(rng.uniform(1, 100)),
+        ("flow", "field"): lambda: str(rng.choice(["fiber-sine", "eigenmode:0", "eigenmode:1", "eigenmode:3"])),
+        ("flow", "start"): point,
+        ("flow", "dt_factor"): lambda: float(10 ** rng.uniform(-4, -2)),
+        ("thresholds", "lambda_min_rel"): lambda: float(10 ** rng.uniform(-8, 0.3)),
+        ("sweep", "epsilons"): lambda: sorted(float(e) for e in rng.choice([0.05, 0.1, 0.15, 0.2, 0.3], 3,
+                                                                           replace=False)),
+    }
+    for (section, name), draw in leaves.items():
+        if rng.random() < 0.4:
+            cfg.setdefault(section, {})[name] = draw()
+    return str(rng.choice(["build", "eig", "split", "flow", "verify", "sweep"])), cfg
+
+
+def test_random_configs_run_or_stop_with_a_config_error(tmp_path):
+    # 27 seeded random runs and three that used to fail: the constant mode's
+    # endless flow, the C0 error with no key, and a flat sweep whose level
+    # within round-off of a seam node found no crossing; 13 s in all on 2 vCPUs
+    runs = [random_run(np.random.default_rng(seed)) for seed in range(27)] + [
+        ("flow", {"resolution": {"nodes_per_unit": 16}, "flow": {"field": "eigenmode:0"}}),
+        ("verify", {"family": {"kind": "warped-torus", "epsilon": 0.2, "delta": 0.6},
+                    "resolution": {"nodes_per_unit": 32}}),
+        ("sweep", {"family": {"kind": "flat-product-torus", "epsilon": 0.05}, "resolution": {"nodes_per_unit": 10},
+                   "ball": {"radius": 0.31}}),
+    ]
+    outcomes = run_isolated(tmp_path, runs, timeout=90)
+    assert len(outcomes) == len(runs)
+    for run, (code, err) in zip(runs, outcomes):
+        assert code in (0, 2) or (code == 1 and any(key in err for key in CONFIG_KEYS)), (run, code, err)
+    assert [code for code, _ in outcomes[-3:]] == [1, 1, 0]

@@ -17,7 +17,7 @@ from collapselab.estimates import (
     FIBER_LEVELS,
     build_cutoff,
     c1_sup_bound,
-    certify_point,
+    certify_ball,
     default_ball_center,
     default_resolution_rule,
     main_theorem_report,
@@ -26,6 +26,12 @@ from collapselab.estimates import (
     w22_k_bound,
 )
 from collapselab.spectral import EigenPair, cheng_yau_ratio
+
+
+def chart(kind, epsilon, delta, nodes_per_unit):
+    """The chart stage of a point at the default thresholds.lambda_min_rel."""
+    spec = estimates.point_spec(kind, epsilon, delta, 0.0, default_resolution_rule(nodes_per_unit))
+    return splitting.classify_regular(splitting.harmonic_coordinates(manifold.build_family(spec)), 1e-6)
 
 
 def warped_point():
@@ -153,7 +159,8 @@ def test_the_report_pass_reads_each_constant_and_its_outer_ball_from_one_owner(m
     assert len(rows) >= 3 and calls == {"w22_k_bound": len(rows), "cheng_yau_ratio": len(rows)}
     outer = [(reader, region) for reader, s, region in regions if s == 2 * point["ball"].radius]
     assert {reader for reader, _ in outer} == {
-        "certify_point", "certify", "build_cutoff", "hessian_l2_bound", "cheng_yau_ratio", "main_theorem_report",
+        "run_point", "certify", "build_cutoff", "_mode_reports", "hessian_l2_bound", "cheng_yau_ratio",
+        "main_theorem_report",
     }
     assert all(region is point["ball2"] for _, region in outer)
 
@@ -172,12 +179,10 @@ def test_the_cutoff_solves_where_the_residual_gate_is_out_of_reach(monkeypatch):
 
     monkeypatch.setattr(estimates, "circulant_pcg", recording)
     monkeypatch.setattr(operators, "cg", lambda *args, **kwargs: runs.append(None) or cg(*args, **kwargs))
-    point = certify_point(
-        "flat-product-torus", 0.1, 0.0, 0.0, default_resolution_rule(846, 16),
-        default_ball_center("flat-product-torus"), 0.25,
-    )
-    assert point["manifold"].grid.shape == (846, 85)
-    build_cutoff(point["ball"], point["eps_hat"])
+    mask = chart("flat-product-torus", 0.1, 0.0, 846)
+    assert mask.phi.manifold.grid.shape == (846, 85)
+    ball, cert = certify_ball(mask, default_ball_center("flat-product-torus"), 0.25)
+    build_cutoff(ball, cert.epsilon_hat)
     (A, b, x), = solves
     assert 1 < len(runs) <= 5
     residual = np.linalg.norm(A @ x - b)
@@ -185,6 +190,43 @@ def test_the_cutoff_solves_where_the_residual_gate_is_out_of_reach(monkeypatch):
     assert residual <= operators.CG_BACKWARD_TOL * (np.linalg.norm(abs(A) @ np.abs(x)) + np.linalg.norm(b))
     direct = spsolve(A.tocsc(), b)
     assert np.max(np.abs(x - direct)) <= 1e-11 * np.max(np.abs(direct))
+
+
+# ---------------------------------------------------------------------------
+# one chart, many balls
+# ---------------------------------------------------------------------------
+
+
+def assert_same_certificates(certs, tol):
+    """Every value of each certificate matches the first's to ``tol``."""
+    first = certs[0].to_json_dict()
+    for cert in certs[1:]:
+        for key, value in cert.to_json_dict().items():
+            assert value == (pytest.approx(first[key], rel=0, abs=tol) if isinstance(value, float) else first[key]), key
+
+
+def test_every_center_of_the_flat_chart_gets_one_certificate():
+    # the flat kind is invariant under every translation, so the ball stage
+    # measures one certificate and one collapse scale at every center
+    mask = chart("flat-product-torus", 0.1, 0.0, 64)
+    balls = [certify_ball(mask, center, 0.25) for center in ((0.25, 0.0), (0.5, 0.4), (0.8, 0.7))]
+    assert len({ball.center for ball, _ in balls}) == 3
+    assert_same_certificates([cert for _, cert in balls], 1e-15)
+    assert balls[0][1].epsilon_hat == pytest.approx(0.1, rel=1e-6)
+
+
+def test_centers_along_a_warped_fiber_share_one_chart_and_one_certificate(monkeypatch):
+    # the warped kind is invariant under the fiber rotation; the ball stage
+    # reads the chart stage's map and never solves for it again
+    solves = []
+    solve = splitting.harmonic_coordinates
+    for module in (estimates, splitting):
+        monkeypatch.setattr(module, "harmonic_coordinates", lambda M: solves.append(M) or solve(M))
+    mask = chart("warped-torus", 0.1, 0.3, 64)
+    balls = [certify_ball(mask, (0.75, y), 0.25) for y in (0.0, 0.25, 0.6)]
+    assert len(solves) == 1
+    assert len({ball.center for ball, _ in balls}) == 3
+    assert_same_certificates([cert for _, cert in balls], 1e-14)
 
 
 # grid shape per epsilon: the 200-node points tie, and the order is not epsilon's
@@ -271,9 +313,9 @@ def fiber_sine_report(epsilon: float, scale_certificate=None):
     """The headline report of ``u = sqrt(2) sin 2 pi y`` on the flat torus at
     128 nodes per unit, with the Rayleigh quotient as theta: a pair past the
     fiber gap, whose tangential gradient has L2 average 2 pi / eps."""
-    point = certify_point("flat-product-torus", epsilon, 0.0, 0.0, default_resolution_rule(128),
-                          default_ball_center("flat-product-torus"), 0.25)
-    M, cert = point["manifold"], point["cert"]
+    mask = chart("flat-product-torus", epsilon, 0.0, 128)
+    ball, cert = certify_ball(mask, default_ball_center("flat-product-torus"), 0.25)
+    M = mask.phi.manifold
     u = np.sqrt(2.0) * np.sin(2 * np.pi * M.positions()[..., 1])
     L, mass = operators.laplacian_matrix(M)
     Lu = L @ u.ravel()
@@ -282,9 +324,9 @@ def fiber_sine_report(epsilon: float, scale_certificate=None):
     assert residual < 6e-11
     if scale_certificate is not None:
         cert = dataclasses.replace(cert, **{key: getattr(cert, key) * f for key, f in scale_certificate.items()})
-    field = flow.tangential_projection(u, point["phi"], point["mask"])
-    cutoff = build_cutoff(point["ball"], point["eps_hat"])
-    return main_theorem_report(EigenPair(theta, u, residual), field, point["ball"], cert, cutoff)
+    field = flow.tangential_projection(u, mask)
+    cutoff = build_cutoff(ball, cert.epsilon_hat)
+    return main_theorem_report(EigenPair(theta, u, residual), field, ball, cert, cutoff)
 
 
 def test_the_headline_is_informative_past_the_fiber_gap():

@@ -26,14 +26,13 @@ EPS = 0.1
 R = 0.25
 
 
-def regular_mask(stats):
-    """The regular mask at the default thresholds.lambda_min_rel of 1e-6."""
-    return classify_regular(stats, 1e-6 * float(np.nanmedian(stats.Lam)))
+# the default thresholds.lambda_min_rel
+LAMBDA_MIN_REL = 1e-6
 
 
 def fiber(phi, level):
     """The fiber at ``level``, regular where the default mask calls it so."""
-    return extract_fiber(phi, level, mask=regular_mask(jacobian_stats(phi)))
+    return extract_fiber(classify_regular(phi, LAMBDA_MIN_REL), level)
 
 
 def apriori_rate(field, x0):
@@ -48,10 +47,10 @@ def apriori_rate(field, x0):
 def flat_setup(flat_torus, flat_coordinates):
     M = flat_torus
     stats = jacobian_stats(flat_coordinates)
-    mask = regular_mask(stats)
+    mask = classify_regular(flat_coordinates, LAMBDA_MIN_REL)
     pos = M.positions()
     u = np.sin(2 * np.pi * pos[..., 1])  # one oscillation around the fiber circle
-    field = tangential_projection(u, flat_coordinates, mask)
+    field = tangential_projection(u, mask)
     return M, flat_coordinates, stats, mask, field
 
 
@@ -80,11 +79,10 @@ def test_projection_orthogonality_and_pythagoras(flat_setup, warped_torus, warpe
 def test_projection_base_mode_vanishes(flat_torus, flat_coordinates):
     # u constant along fibers: tangential part is zero
     M = flat_torus
-    stats = jacobian_stats(flat_coordinates)
-    mask = regular_mask(stats)
+    mask = classify_regular(flat_coordinates, LAMBDA_MIN_REL)
     pos = M.positions()
     u = np.sin(2 * np.pi * pos[..., 0])
-    field = tangential_projection(u, flat_coordinates, mask)
+    field = tangential_projection(u, mask)
     assert np.nanmax(np.abs(field.grad_t)) <= 1e-12 * np.nanmax(np.abs(field.grad_u))
 
 
@@ -100,7 +98,7 @@ def test_projection_idempotent(flat_setup, warped_torus, warped_coordinates):
     t2 = tangential_part(stats, field.mask, np.nan_to_num(field.grad_t))
     assert np.nanmax(np.abs(t2 - field.grad_t)) <= 1e-12 * max(1.0, np.nanmax(np.abs(field.grad_t)))
     stats_w = jacobian_stats(warped_coordinates)
-    mask_w = regular_mask(stats_w)
+    mask_w = classify_regular(warped_coordinates, LAMBDA_MIN_REL)
     pos = warped_torus.positions()
     from collapselab.operators import gradient
 
@@ -112,11 +110,10 @@ def test_projection_idempotent(flat_setup, warped_torus, warped_coordinates):
 
 def test_fixed_point_flow(flat_torus, flat_coordinates):
     M = flat_torus
-    stats = jacobian_stats(flat_coordinates)
-    mask = regular_mask(stats)
+    mask = classify_regular(flat_coordinates, LAMBDA_MIN_REL)
     pos = M.positions()
     u = np.sin(2 * np.pi * pos[..., 0])
-    field = tangential_projection(u, flat_coordinates, mask)
+    field = tangential_projection(u, mask)
     traj = integrate_flow(field, (5, 7), T=0.01, dt=1e-4, stability_rate=apriori_rate(field, (5, 7)))
     assert np.max(np.abs(traj.positions - traj.positions[0])) == 0.0
 
@@ -215,7 +212,7 @@ def test_the_fiber_check_measures_its_own_neighbourhood(monkeypatch, flat_setup)
     # trace, whatever the number of fields checked on it
     M, phi, stats, mask, field = flat_setup
     pos = M.positions()
-    other = tangential_projection(np.sin(2 * np.pi * pos[..., 1]) * np.cos(2 * np.pi * pos[..., 0]), phi, mask)
+    other = tangential_projection(np.sin(2 * np.pi * pos[..., 1]) * np.cos(2 * np.pi * pos[..., 0]), mask)
     searches = []
     dijkstra = flow.graph_distances
 
@@ -242,11 +239,10 @@ def test_the_fiber_check_measures_its_own_neighbourhood(monkeypatch, flat_setup)
 def test_apriori_check_trivial_mode(flat_torus, flat_coordinates):
     # u = sin(2 pi x): tangential gradient vanishes, infinite margin
     M = flat_torus
-    stats = jacobian_stats(flat_coordinates)
-    mask = regular_mask(stats)
+    mask = classify_regular(flat_coordinates, LAMBDA_MIN_REL)
     pos = M.positions()
     u = np.sin(2 * np.pi * pos[..., 0])
-    field = tangential_projection(u, flat_coordinates, mask)
+    field = tangential_projection(u, mask)
     trace = fiber(flat_coordinates, [0.5])
     rep = fiber_apriori_check(trace, field, EPS, R)
     assert rep.delta0 <= 1e-10
@@ -304,9 +300,8 @@ def sheared_warped_field(warped_torus):
     M = warped_torus
     pos = M.positions()
     phi = SplittingMap(M, (pos[..., 0] + 0.02 * np.sin(2 * np.pi * pos[..., 1]),), (np.array([1.0, 0.0]),))
-    stats = jacobian_stats(phi)
-    mask = regular_mask(stats)
-    return tangential_projection(np.sin(2 * np.pi * pos[..., 1]), phi, mask)
+    mask = classify_regular(phi, LAMBDA_MIN_REL)
+    return tangential_projection(np.sin(2 * np.pi * pos[..., 1]), mask)
 
 
 def record_projections(monkeypatch):
@@ -477,16 +472,17 @@ def test_one_gather_gives_the_fiber_facts_of_separate_ones(request, chart, cut):
     if phi.k == M.dim:   # the doubly warped chart has no family: trace its first coordinate
         phi = SplittingMap(M, phi.values[:1], phi.windings[:1])
     stats = jacobian_stats(phi)
-    threshold = float(np.nanmedian(stats.lam)) if cut else 1e-6 * float(np.nanmedian(stats.Lam))
-    mask = classify_regular(stats, threshold)
+    median_cut = float(np.nanmedian(stats.lam)) / float(np.nanmedian(stats.Lam))
+    mask = classify_regular(phi, median_cut if cut else LAMBDA_MIN_REL)
+    threshold = mask.threshold
     regular_set = np.where(mask.regular & stats.valid, 0.0, np.nan)
     field = tangential_projection(np.sin(2 * np.pi * M.positions()[..., -1]) + 0.5 * np.cos(
-        2 * np.pi * M.positions()[..., 0]), phi, mask)
+        2 * np.pi * M.positions()[..., 0]), mask)
     values = phi.values_stack().reshape(-1, phi.k)
     lo, hi = values.min(axis=0), values.max(axis=0)
     in_mask = []
     for t in np.linspace(0.1, 0.9, 5):
-        trace = extract_fiber(phi, lo + t * (hi - lo), mask=mask)
+        trace = extract_fiber(mask, lo + t * (hi - lo))
         pts = M.grid.wrap(trace.points)
         lam = interp_scalar(M, stats.lam, pts)
         assert bits(trace.min_lambda) == bits(lam.min())

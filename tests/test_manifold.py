@@ -25,17 +25,12 @@ from collapselab.manifold import (
     graph_distances,
     ricci_lower_bound,
 )
-import collapselab.manifold as manifold
 from collapselab.splitting import SplittingMap
-from collapselab.splitting import classify_regular, harmonic_coordinates, jacobian_stats
+from collapselab.splitting import classify_regular, harmonic_coordinates
 
-# a regularity threshold far below the Jacobian eigenvalues, of order 1, of the maps traced here
+# a regularity threshold, relative to the median largest Jacobian eigenvalue,
+# far below the Jacobian eigenvalues, of order 1, of the maps traced here
 THRESHOLD = 1e-6
-
-
-def threshold_mask(phi):
-    """The regular mask of ``phi`` at ``THRESHOLD``."""
-    return classify_regular(jacobian_stats(phi), THRESHOLD)
 
 
 def test_family_kind_rejected():
@@ -353,7 +348,7 @@ def test_concentric_rejects_negative_radius(flat_ball):
 
 
 def test_flat_fiber_circle(flat_coordinates):
-    trace = extract_fiber(flat_coordinates, [0.5], mask=threshold_mask(flat_coordinates))
+    trace = extract_fiber(classify_regular(flat_coordinates, THRESHOLD), [0.5])
     assert trace.regular
     assert trace.length == pytest.approx(0.1, rel=1e-10)
     assert trace.diameter == pytest.approx(0.05, rel=1e-10)
@@ -361,7 +356,7 @@ def test_flat_fiber_circle(flat_coordinates):
 
 
 def test_fiber_closure_endpoints(flat_coordinates):
-    trace = extract_fiber(flat_coordinates, [0.3], mask=threshold_mask(flat_coordinates))
+    trace = extract_fiber(classify_regular(flat_coordinates, THRESHOLD), [0.3])
     M = flat_coordinates.manifold
     gap = M.grid.wrap_delta(trace.points[0] - trace.points[-1])
     assert np.linalg.norm(gap) <= 2 * max(M.grid.spacings)
@@ -372,13 +367,13 @@ def test_fiber_level_outside_range_errors(flat_torus):
     x = flat_torus.positions()[..., 0]
     phi = SplittingMap(flat_torus, (0.1 * np.sin(2 * np.pi * x),), (np.zeros(2),))
     with pytest.raises(ValueError, match="outside the splitting map range"):
-        extract_fiber(phi, [0.9], mask=threshold_mask(phi))
+        extract_fiber(classify_regular(phi, THRESHOLD), [0.9])
 
 
 def test_warped_fiber_length_analytic(warped_coordinates):
     # fiber through x = 0.25 has metric length eps * w(0.25) = 0.13
     val = warped_coordinates.evaluate(np.array([[0.25, 0.0]]))[0]
-    trace = extract_fiber(warped_coordinates, val, mask=threshold_mask(warped_coordinates))
+    trace = extract_fiber(classify_regular(warped_coordinates, THRESHOLD), val)
     assert trace.length == pytest.approx(0.13, rel=1e-3)
     assert trace.diameter == pytest.approx(0.065, rel=1e-3)
 
@@ -386,7 +381,7 @@ def test_warped_fiber_length_analytic(warped_coordinates):
 def test_twisted_fiber_continuation(twisted_torus):
     phi = harmonic_coordinates(twisted_torus)
     val = phi.evaluate(np.array([[0.3, 0.4, 0.0]]))[0]
-    trace = extract_fiber(phi, val, mask=threshold_mask(phi))
+    trace = extract_fiber(classify_regular(phi, THRESHOLD), val)
     assert trace.regular
     # fiber is the collapsed circle of metric length eps
     assert trace.length == pytest.approx(0.25, rel=1e-3)
@@ -397,13 +392,14 @@ def per_cell_march_squares(phi, v):
     node (i, j) to (i+1, j) and ``("v", i, j)`` to (i, j+1); the first active
     cell in row-major order to cross an edge sets its crossing.  A corner
     across the seam is carried by its jump for the cell mean, and is tested
-    against the level carried back, ``f - (vloc - jump)``.  Returns the
-    chained polyline, the segments, the crossings and the number of saddle cells."""
+    against the level on the cell's branch carried back, ``f - (v + (shift -
+    jump))``, which keeps the low bits of f and of v.  Returns the chained
+    polyline, the segments, the crossings and the number of saddle cells."""
     M = phi.manifold
     grid = M.grid
     n1, n2 = grid.shape
     h1, h2 = grid.spacings
-    f, winding = phi.component_arrays(0)
+    f, winding = phi.values[0], phi.windings[0]
     p1, p2 = grid.periods
     jump1 = winding[0] * p1
     jump2 = winding[1] * p2
@@ -419,19 +415,16 @@ def per_cell_march_squares(phi, v):
 
     cmean = 0.25 * (c00 + c10 + c01 + c11)
     branch = jump1 if jump1 != 0.0 else jump2
-    if branch != 0.0:
-        vloc = v + branch * np.round((cmean - v) / branch)
-    else:
-        vloc = np.full_like(cmean, v)
+    shift = branch * np.round((cmean - v) / branch) if branch != 0.0 else np.zeros_like(cmean)
     j10, j01, j11 = np.zeros(f.shape), np.zeros(f.shape), np.zeros(f.shape)
     j10[-1, :] += jump1
     j01[:, -1] += jump2
     j11[-1, :] += jump1
     j11[:, -1] += jump2
-    d00 = f - vloc
-    d10 = np.roll(f, -1, axis=0) - (vloc - j10)
-    d01 = np.roll(f, -1, axis=1) - (vloc - j01)
-    d11 = np.roll(np.roll(f, -1, axis=0), -1, axis=1) - (vloc - j11)
+    d00 = f - (v + shift)
+    d10 = np.roll(f, -1, axis=0) - (v + (shift - j10))
+    d01 = np.roll(f, -1, axis=1) - (v + (shift - j01))
+    d11 = np.roll(np.roll(f, -1, axis=0), -1, axis=1) - (v + (shift - j11))
 
     segments, crossing, saddles = [], {}, 0
 
@@ -588,24 +581,52 @@ def test_a_seam_node_within_round_off_of_the_level_closes_its_fiber():
     phi = SplittingMap(M, (x + 0.02 * np.sin(2 * np.pi * y),), (np.array([1.0, 0.0]),))
     pts, closed = _march_squares(phi, 0.0)
     assert closed and len(pts) == 18
-    off_node = extract_fiber(phi, 1e-9, mask=threshold_mask(phi))
+    off_node = extract_fiber(classify_regular(phi, THRESHOLD), 1e-9)
     assert off_node.length == pytest.approx(0.2183, abs=1e-4)
-    assert extract_fiber(phi, 0.0, mask=threshold_mask(phi)).length == pytest.approx(off_node.length, abs=1e-15)
+    assert extract_fiber(classify_regular(phi, THRESHOLD), 0.0).length == pytest.approx(off_node.length, abs=1e-15)
 
 
-def test_an_open_chain_is_not_returned_as_a_closed_fiber(monkeypatch):
-    # NaN nodes on both level-0.3 loops of sin(2 pi x) break them into open
-    # arcs; the longest is reported open, and extract_fiber refuses it
+def test_a_level_within_round_off_of_a_seam_node_closes_its_fiber():
+    # level -2^-56 at the x = 0 nodes of the coordinate x: a seam cell tested
+    # its corner there against (v + 1) - 1, which rounds to 0, so the node lay
+    # on the level in that cell and above it in the next, and no cell crossed
+    # the level (a flat sweep point at 10 nodes per unit exited on it)
+    M = build_family(FamilySpec(kind="flat-product-torus", epsilon=0.05, resolution=(10, 16)))
+    trace = extract_fiber(classify_regular(harmonic_coordinates(M), THRESHOLD), -2.0**-56)
+    assert trace.length == pytest.approx(0.05, rel=1e-12)
+
+
+def nan_sine_map():
+    """sin 2 pi x on the flat 48 x 16 chart with NaN at nodes (2, 5) and
+    (22, 5), on both loops of its 0.3 level."""
     M = build_family(FamilySpec(kind="flat-product-torus", epsilon=0.2, resolution=(48, 16)))
-    x = M.positions()[..., 0]
-    f = np.sin(2 * np.pi * x)
+    f = np.sin(2 * np.pi * M.positions()[..., 0])
     f[2, 5] = f[22, 5] = np.nan
-    pts, closed = _march_squares(SplittingMap(M, (f,), (np.zeros(2),)), 0.3)
+    return SplittingMap(M, (f,), (np.zeros(2),))
+
+
+def test_an_open_chain_is_not_returned_as_a_closed_fiber():
+    # the NaN nodes break both level-0.3 loops into open arcs; the longest is
+    # reported open, and extract_fiber refuses it
+    phi = nan_sine_map()
+    pts, closed = _march_squares(phi, 0.3)
     assert not closed and len(pts) == 11
-    phi = SplittingMap(M, (np.sin(2 * np.pi * x),), (np.zeros(2),))
-    monkeypatch.setattr(manifold, "_march_squares", lambda phi, v: (pts, closed))
     with pytest.raises(ValueError, match="is open"):
-        extract_fiber(phi, 0.3, mask=threshold_mask(phi))
+        extract_fiber(classify_regular(phi, THRESHOLD), 0.3)
+
+
+def test_a_map_with_nan_nodes_traces_its_levels():
+    # the range check skips NaN nodes, as the crossings skip NaN cells: it
+    # used to read the range [[nan], [nan]] and refuse every level
+    phi = nan_sine_map()
+    lo, hi = phi.branch_range(np.ones(phi.manifold.grid.shape, dtype=bool))
+    assert lo.tolist() == [-1.0] and hi.tolist() == [1.0]
+    mask = classify_regular(phi, THRESHOLD)
+    trace = extract_fiber(mask, -0.3)       # loops the NaN nodes do not touch
+    assert trace.regular and trace.in_mask
+    assert trace.length == pytest.approx(0.2, rel=1e-12)
+    with pytest.raises(ValueError, match="is open"):
+        extract_fiber(mask, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +635,7 @@ def test_an_open_chain_is_not_returned_as_a_closed_fiber(monkeypatch):
 
 
 def test_epsilon_proxy_flat(flat_torus, flat_coordinates, flat_ball):
-    eps_hat = epsilon_proxy(flat_ball, flat_coordinates, threshold_mask(flat_coordinates))
+    eps_hat = epsilon_proxy(flat_ball, classify_regular(flat_coordinates, THRESHOLD))
     assert eps_hat == pytest.approx(0.1, rel=1e-6)
 
 
@@ -622,13 +643,13 @@ def test_epsilon_proxy_identity_scale():
     M = build_family(FamilySpec(kind="flat-product-torus", epsilon=1.0, resolution=(64, 64)))
     phi = harmonic_coordinates(M)
     ball = geodesic_ball(M, (0, 0), 0.25)
-    assert epsilon_proxy(ball, phi, threshold_mask(phi)) == pytest.approx(1.0, rel=1e-6)
+    assert epsilon_proxy(ball, classify_regular(phi, THRESHOLD)) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_epsilon_proxy_warped(warped_torus, warped_coordinates):
     # ball centered on the thickest fiber: max diameter eps w(1/4) / 2 = 0.065
     ball = geodesic_ball(warped_torus, (32, 0), 0.25)
-    eps_hat = epsilon_proxy(ball, warped_coordinates, threshold_mask(warped_coordinates))
+    eps_hat = epsilon_proxy(ball, classify_regular(warped_coordinates, THRESHOLD))
     assert eps_hat == pytest.approx(0.13, rel=1e-3)
 
 
@@ -636,5 +657,5 @@ def test_epsilon_proxy_seam_straddling_ball(warped_torus, warped_coordinates):
     # ball centered on the thinnest fibers wraps the chart seam; the sampled
     # levels must stay inside the ball's branch, away from the thick fibers
     ball = geodesic_ball(warped_torus, (96, 0), 0.25)
-    eps_hat = epsilon_proxy(ball, warped_coordinates, threshold_mask(warped_coordinates))
+    eps_hat = epsilon_proxy(ball, classify_regular(warped_coordinates, THRESHOLD))
     assert eps_hat < 0.105

@@ -15,14 +15,13 @@ from collapselab.splitting import (
 from collapselab.flow import tangential_part
 
 
-def regular_mask(stats):
-    """The regular mask at the default thresholds.lambda_min_rel of 1e-6."""
-    return classify_regular(stats, 1e-6 * float(np.nanmedian(stats.Lam)))
+# the default thresholds.lambda_min_rel
+LAMBDA_MIN_REL = 1e-6
 
 
 def certified(phi, ball):
-    """The certificate with the collapse scale measured as ``certify_point`` does."""
-    return certify(phi, ball, epsilon_proxy(ball, phi, regular_mask(jacobian_stats(phi))))
+    """The certificate with the collapse scale measured as ``certify_ball`` does."""
+    return certify(phi, ball, epsilon_proxy(ball, classify_regular(phi, LAMBDA_MIN_REL)))
 
 
 def test_flat_global_coordinate_exact(flat_torus, flat_coordinates):
@@ -138,23 +137,22 @@ def test_determinant_identity(warped_coordinates, twisted_torus):
 
 
 def test_classify_regular_all_regular(flat_coordinates):
-    stats = jacobian_stats(flat_coordinates)
-    mask = regular_mask(stats)
+    mask = classify_regular(flat_coordinates, LAMBDA_MIN_REL)
     assert mask.regular.all()
     assert mask.singular_fraction == 0.0
 
 
 def test_classify_regular_degenerate_threshold(flat_coordinates):
     stats = jacobian_stats(flat_coordinates)
-    mask = classify_regular(stats, float(np.nanmax(stats.lam)) * 2.0)
+    mask = classify_regular(flat_coordinates, 2.0 * float(np.nanmax(stats.lam)) / float(np.nanmedian(stats.Lam)))
+    assert mask.threshold == 2.0 * float(np.nanmax(stats.lam))
     assert not mask.regular.any()
     assert mask.singular_fraction == 1.0
 
 
 def test_threshold_must_be_positive(flat_coordinates):
-    stats = jacobian_stats(flat_coordinates)
     with pytest.raises(ValueError, match="positive"):
-        classify_regular(stats, 0.0)
+        classify_regular(flat_coordinates, 0.0)
 
 
 def test_morse_map_singular_fraction_refines():
@@ -164,8 +162,7 @@ def test_morse_map_singular_fraction_refines():
         M = build_family(FamilySpec(kind="flat-product-torus", epsilon=0.5, resolution=(n, 16)))
         # sin(2 pi x) / 2 pi: non-degenerate critical circles
         x = M.positions()[..., 0]
-        stats = jacobian_stats(SplittingMap(M, (np.sin(2 * np.pi * x) / (2 * np.pi),), (np.zeros(2),)))
-        mask = regular_mask(stats)
+        mask = classify_regular(SplittingMap(M, (np.sin(2 * np.pi * x) / (2 * np.pi),), (np.zeros(2),)), LAMBDA_MIN_REL)
         fractions.append(mask.singular_fraction)
         assert mask.singular_fraction == pytest.approx(2.0 / n, abs=1e-12)
     assert fractions[0] > fractions[1] > fractions[2]
@@ -230,7 +227,7 @@ def _field_pair(M, phi):
     pos = M.positions()
     u = np.sin(2 * np.pi * pos[..., M.dim - 1]) + 0.3 * np.sin(2 * np.pi * pos[..., 0])
     stats = jacobian_stats(phi)
-    mask = regular_mask(stats)
+    mask = classify_regular(phi, LAMBDA_MIN_REL)
     from collapselab.operators import gradient
 
     grad_u = gradient(M, u)
