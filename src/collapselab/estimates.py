@@ -26,9 +26,9 @@ from .manifold import (
     FamilySpec,
     FiberTrace,
     GeodesicBall,
+    _traced_fibers,
     build_family,
     epsilon_proxy,
-    extract_fiber,
     geodesic_ball,
     ricci_lower_bound,
 )
@@ -251,31 +251,25 @@ def hessian_l2_bound(field: TangentialField, ball: GeodesicBall, cutoff: CutoffF
     lhs_fin = region_average(M, hn, ball.members)
     rhs_fin = 4.0 * m * cutoff.c_ctf * K / r**2 + 2.0 * du_l2
 
+    constants = {
+        "C_ctf": (cutoff.c_ctf, "measured"),
+        "K": (K, "measured (sup |u| + r|grad u| on B2r)"),
+        "norm_laplace_u": (du_l2, "measured"),
+        "r": (r, "input"),
+        "m": (m, "input"),
+    }
     intermediate = EstimateReport(
         name="hessian-energy-cutoff",
         lhs=float(lhs_int),
         rhs=float(rhs_int),
-        constants={
-            "C_ctf": (cutoff.c_ctf, "measured"),
-            "K": (K, "measured (sup |u| + r|grad u| on B2r)"),
-            "lambda_ric": (lambda_ric, "analytic family curvature bound"),
-            "norm_laplace_u": (du_l2, "measured"),
-            "r": (r, "input"),
-            "m": (m, "input"),
-        },
+        constants={**constants, "lambda_ric": (lambda_ric, "analytic family curvature bound")},
         extras={"fieldLevelRhs": float(line1)},
     )
     return EstimateReport(
         name="hessian-l1-average",
         lhs=float(lhs_fin),
         rhs=float(rhs_fin),
-        constants={
-            "C_ctf": (cutoff.c_ctf, "measured"),
-            "K": (K, "measured (sup |u| + r|grad u| on B2r)"),
-            "norm_laplace_u": (du_l2, "measured"),
-            "r": (r, "input"),
-            "m": (m, "input"),
-        },
+        constants=constants,
         extras={"intermediate": intermediate.to_json_dict()},
     )
 
@@ -358,11 +352,9 @@ def main_theorem_report(eig: EigenPair, field: TangentialField, ball_r: Geodesic
     w = M.node_weights()
     dom = ball_r.members & field.mask     # not empty: certify_ball checks
     excluded = float(w[ball_r.members & ~field.mask].sum() / w[ball_r.members].sum())
-    wsum = float(w[dom].sum())
     speed = np.nan_to_num(field.speed_sq)
-    lhs = r * float(np.sqrt((w[dom] * speed[dom]).sum() / wsum))
-    dens_w = speed * np.nan_to_num(field.stats.absdet)
-    lhs_weighted = r * float(np.sqrt((w[dom] * dens_w[dom]).sum() / wsum))
+    lhs = r * math.sqrt(region_average(M, speed, dom))
+    lhs_weighted = r * math.sqrt(region_average(M, speed * np.nan_to_num(field.stats.absdet), dom))
     rhs = C * sup_u * (np.sqrt(cert.epsilon_hat) + cert.psi)
     return EstimateReport(
         name="main-theorem-tangential-l2",
@@ -575,10 +567,11 @@ def sweep(points, jobs: int = 1) -> SweepResult:
 def _checked_fibers(point: dict) -> list[FiberTrace]:
     """The fibers checked for every eigenpair: regular ones at k-component
     levels on the diagonal of the ball's value box whose stencils stay in the
-    configured mask (``FiberTrace.in_mask``)."""
+    configured mask (``FiberTrace.in_mask``); a level that does not trace is
+    skipped, as ``epsilon_proxy`` skips it."""
     mask, ball = point["mask"], point["ball"]
-    traces = [extract_fiber(mask, lv) for lv in np.linspace(*mask.phi.value_box(ball)[1:], FIBER_LEVELS + 2)[1:-1]]
-    return [trace for trace in traces if trace.regular and trace.in_mask]
+    levels = np.linspace(*mask.phi.value_box(ball)[1:], FIBER_LEVELS + 2)[1:-1]
+    return [trace for trace in _traced_fibers(mask, levels) if trace.regular and trace.in_mask]
 
 
 def _mode_reports(point: dict, pair: EigenPair, fibers: list[FiberTrace]):

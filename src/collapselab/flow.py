@@ -41,16 +41,7 @@ __all__ = [
     "flow_rate_bound",
     "fiber_neighborhood",
     "fiber_apriori_check",
-    "FlowEscapeError",
 ]
-
-
-class FlowEscapeError(RuntimeError):
-    """Raised when a trajectory leaves the regular region; carries the last valid state."""
-
-    def __init__(self, message: str, trajectory: "FlowTrajectory | None" = None):
-        super().__init__(message)
-        self.trajectory = trajectory
 
 
 @dataclass(frozen=True)
@@ -157,8 +148,7 @@ def integrate_flow(
     ``SplittingMap.project_to_level``; a step within it costs four probes:
     three stage velocities, and one at the new point that gives its residual,
     its drift and the next step's first stage.  If reprojection fails, or a
-    stage velocity is not finite, the error carries the last valid partial
-    trajectory.
+    stage velocity is not finite, a RuntimeError names the time it happened.
     """
     M = field.manifold
     m = M.dim
@@ -186,10 +176,7 @@ def integrate_flow(
 
     def finite(v):
         if not all(map(math.isfinite, v)):
-            raise FlowEscapeError(
-                f"flow left the regular region at t = {t_now:.6g}",
-                _assemble_trajectory(field, level, times, path, drifts),
-            )
+            raise RuntimeError(f"flow left the regular region at t = {t_now:.6g}")
         return v
 
     def stage(pts):
@@ -210,10 +197,7 @@ def integrate_flow(
             try:
                 proj = phi.project_to_level(x, level_f)
             except RuntimeError as exc:
-                raise FlowEscapeError(
-                    f"reprojection failed at t = {(i + 1) * dt:.6g}: {exc}",
-                    _assemble_trajectory(field, level, times, path, drifts),
-                ) from exc
+                raise RuntimeError(f"reprojection failed at t = {(i + 1) * dt:.6g}: {exc}") from exc
             x, res = proj.point, proj.residual
             vals = probe(x)[0]
         times.append((i + 1) * dt)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -203,14 +203,15 @@ class DiscreteManifold:
 
     ``metric`` holds covariant components per node, ``(*grid.shape, m, m)``,
     and ``volume_element`` one value per node, ``grid.shape``.
-    ``christoffel`` is an optional analytic closure mapping chart points
-    ``(N, m)`` to ``(N, m, m, m)`` symbols ``Gamma^i_{jk}``.
+    ``christoffel`` optionally holds the symbols ``Gamma^i_{jk}`` per node,
+    ``(*grid.shape, m, m, m)``; without it ``christoffel_fd`` differences
+    the metric.
     """
 
     grid: PeriodicGrid
     metric: np.ndarray
     volume_element: np.ndarray
-    christoffel: Callable[[np.ndarray], np.ndarray] | None = None
+    christoffel: np.ndarray | None = None
     family: FamilySpec | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -222,6 +223,12 @@ class DiscreteManifold:
             raise ValueError(f"metric shape {g.shape} does not match the grid: expected {shape + (m, m)}")
         if w.shape != shape:
             raise ValueError(f"volume_element shape {w.shape} does not match the grid: expected {shape}")
+        if self.christoffel is not None:
+            gam = np.asarray(self.christoffel, dtype=float)
+            if gam.shape != shape + (m, m, m):
+                raise ValueError(
+                    f"christoffel shape {gam.shape} does not match the grid: expected {shape + (m, m, m)}")
+            object.__setattr__(self, "christoffel", _read_only(gam))
         if not np.all(np.isfinite(g)):
             raise ValueError("metric contains non-finite entries")
         if np.max(np.abs(g - np.swapaxes(g, -1, -2))) > 0:
@@ -270,14 +277,11 @@ class DiscreteManifold:
 # ---------------------------------------------------------------------------
 
 
-def _warp(delta: float):
-    def w(x):
-        return 1.0 + delta * np.sin(2 * np.pi * x)
-
-    def wp(x):
-        return delta * 2 * np.pi * np.cos(2 * np.pi * x)
-
-    return w, wp
+def _warp(delta: float, x: np.ndarray):
+    """The warp ``w(x) = 1 + delta sin(2 pi x)`` and its derivatives w' and w''
+    at ``x``: the one copy of the warp formula."""
+    s = np.sin(2 * np.pi * x)
+    return 1.0 + delta * s, delta * 2 * np.pi * np.cos(2 * np.pi * x), -delta * (2 * np.pi) ** 2 * s
 
 
 def build_family(spec: FamilySpec) -> DiscreteManifold:
@@ -297,7 +301,8 @@ def build_family(spec: FamilySpec) -> DiscreteManifold:
     * ``twisted-3-torus``: k = 2, delta = 0: a constant metric whose
       off-diagonal entry ``eps^2 sigma`` couples x_0 and the fiber.
 
-    A warped metric (delta != 0) carries its analytic Christoffel closure.
+    A warped metric (delta != 0) carries its analytic Christoffel symbols
+    at the nodes, ``Gamma^x_yy = -eps^2 w w'`` and ``Gamma^y_xy = w'/w``.
     A constant one (delta = 0, w = 1) carries none: ``christoffel_fd`` gives
     its symbols, exact zeros.
     """
@@ -305,9 +310,13 @@ def build_family(spec: FamilySpec) -> DiscreteManifold:
     grid = PeriodicGrid(shape, (1.0,) * m)
     sigma = spec.twist / (2 * np.pi)
     if spec.delta:
-        w, _ = _warp(spec.delta)
-        wx = np.broadcast_to(w(grid.axes()[0].reshape((-1,) + (1,) * (m - 1))), shape)
-        gamma = _warped_christoffel(eps, spec.delta)
+        column = (-1,) + (1,) * (m - 1)
+        w, wp, _ = (f.reshape(column) for f in _warp(spec.delta, grid.axes()[0]))
+        wx = np.broadcast_to(w, shape)
+        gamma = np.zeros(w.shape + (m, m, m))    # one column, broadcast along the other axes
+        gamma[..., 0, -1, -1] = -(eps**2) * w * wp
+        gamma[..., -1, 0, -1] = gamma[..., -1, -1, 0] = wp / w
+        gamma = np.broadcast_to(gamma, shape + (m, m, m))
     else:
         # a Python float: the constant entries keep the bits of eps**2, which
         # NumPy's square of an array differs from by an ulp at some eps
@@ -321,21 +330,6 @@ def build_family(spec: FamilySpec) -> DiscreteManifold:
     return DiscreteManifold(grid=grid, metric=g, volume_element=vol, christoffel=gamma, family=spec)
 
 
-def _warped_christoffel(eps: float, delta: float):
-    w, wp = _warp(delta)
-
-    def gamma(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts)
-        x = pts[..., 0]
-        out = np.zeros(pts.shape[:-1] + (2, 2, 2))
-        out[..., 0, 1, 1] = -(eps**2) * w(x) * wp(x)   # Gamma^x_yy
-        out[..., 1, 0, 1] = wp(x) / w(x)               # Gamma^y_xy
-        out[..., 1, 1, 0] = out[..., 1, 0, 1]
-        return out
-
-    return gamma
-
-
 def ricci_lower_bound(M: DiscreteManifold) -> float:
     """Analytic lambda with Ric >= -(m-1) lambda g for the built-in families.
 
@@ -345,11 +339,7 @@ def ricci_lower_bound(M: DiscreteManifold) -> float:
     """
     if M.family is None:
         return 0.0
-    # K_G = -w''/w with w'' = -delta (2 pi)^2 sin(2 pi x); scan the chart.
-    delta = M.family.delta
-    x = np.linspace(0.0, 1.0, 4097)
-    w = 1.0 + delta * np.sin(2 * np.pi * x)
-    wpp = -delta * (2 * np.pi) ** 2 * np.sin(2 * np.pi * x)
+    w, _, wpp = _warp(M.family.delta, np.linspace(0.0, 1.0, 4097))    # scan the chart
     kg = -wpp / w
     return float(max(0.0, -kg.min()))
 
@@ -593,6 +583,16 @@ def extract_fiber(mask, level) -> FiberTrace:
     )
 
 
+def _traced_fibers(mask, levels):
+    """The fibers of ``mask.phi`` at ``levels`` that trace, in level order; a level whose
+    trace raises ValueError or RuntimeError (open, under-resolved, Newton failure) is dropped."""
+    for level in levels:
+        try:
+            yield extract_fiber(mask, level)
+        except (ValueError, RuntimeError):
+            pass
+
+
 def _march_squares(phi, v: float) -> tuple[np.ndarray, bool]:
     """Marching squares for one periodic scalar level set, chained by edge ids;
     the polyline and whether its chain closed."""
@@ -802,11 +802,7 @@ def epsilon_proxy(ball: GeodesicBall, mask) -> float:
     n = max(3, int(round(PROXY_LEVELS ** (1 / k))))
     axes = np.meshgrid(*[np.linspace(lo[a], hi[a], n) for a in range(k)], indexing="ij")
     best = -np.inf
-    for level in np.stack([g.ravel() for g in axes], axis=-1):
-        try:
-            trace = extract_fiber(mask, level)
-        except (ValueError, RuntimeError):
-            continue
+    for trace in _traced_fibers(mask, np.stack([g.ravel() for g in axes], axis=-1)):
         if trace.regular:
             best = max(best, trace.diameter)
     if best == -np.inf:

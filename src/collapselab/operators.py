@@ -433,19 +433,16 @@ def christoffel_fd(M: DiscreteManifold) -> np.ndarray:
 
 
 def _christoffel_at_nodes(M: DiscreteManifold) -> np.ndarray:
-    def build():
-        if M.christoffel is None:
-            return christoffel_fd(M)
-        return M.christoffel(M.positions().reshape(-1, M.dim)).reshape(M.grid.shape + (M.dim,) * 3)
-
-    return _cached(M, "christoffel_nodes", lambda: _read_only(build()))
+    if M.christoffel is not None:
+        return M.christoffel
+    return _cached(M, "christoffel_fd", lambda: _read_only(christoffel_fd(M)))
 
 
 def hessian(M: DiscreteManifold, f: np.ndarray, winding=None) -> np.ndarray:
     """Covariant Hessian ``Hess_ij = d_i d_j f - Gamma^k_ij d_k f``.
 
-    Requires Christoffel data: the analytic closure when the manifold carries
-    one, otherwise finite differences of the metric field.
+    The symbols are the manifold's node array ``M.christoffel`` when it
+    carries one, otherwise finite differences of the metric field.
     """
     grid = M.grid
     m = grid.dim

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from collapselab import FamilySpec, build_family, geodesic_ball
 from collapselab.manifold import DiscreteManifold, PeriodicGrid
@@ -93,3 +96,39 @@ def warped_coordinates(warped_torus):
 @pytest.fixture(scope="session")
 def flat_ball(flat_torus):
     return geodesic_ball(flat_torus, (0, 0), 0.25)
+
+
+@pytest.fixture(scope="session")
+def warped_oracle():
+    """``oracle(delta, r)``: the closed-form certificate of the warped kind
+    g = dx^2 + eps^2 w(x)^2 dy^2, w = 1 + delta sin 2 pi x, on a ball whose
+    B(p, 2r) is the whole chart, as a dict of ``sup_grad``, ``gram_dev``,
+    ``sqrt_hess`` (sqrt of hessEnergy) and ``psi``.
+
+    The harmonic coordinate solves (w Phi')' = 0 with Phi(x + 1) = Phi(x) + 1,
+    so Phi' = c/w with c = 1 / int dx/w, |grad Phi|^2 = c^2/w^2 and, with the
+    Gamma^x_yy term, |Hess Phi|^2 = 2 (c w'/w^2)^2.  Every value is
+    independent of eps: the volume element eps w cancels from each average.
+    """
+
+    def oracle(delta, r):
+        def w(x):
+            return 1.0 + delta * math.sin(2 * math.pi * x)
+
+        def wp(x):
+            return 2 * math.pi * delta * math.cos(2 * math.pi * x)
+
+        def average(f, points=None):
+            integral = quad(lambda x: f(x) * w(x), 0.0, 1.0, points=points, limit=200, epsabs=1e-14)[0]
+            return integral / quad(w, 0.0, 1.0)[0]
+
+        c = 1.0 / quad(lambda x: 1.0 / w(x), 0.0, 1.0, epsabs=1e-14)[0]
+        # |c^2/w^2 - 1| has its kinks where w = c, and 1 - |delta| < c < 1
+        x0 = math.asin((c - 1.0) / delta) / (2 * math.pi)
+        kinks = [x0 % 1.0, (0.5 - x0) % 1.0]
+        gram_dev = average(lambda x: abs(c**2 / w(x) ** 2 - 1.0), kinks)
+        sqrt_hess = r * math.sqrt(average(lambda x: 2 * (c * wp(x) / w(x) ** 2) ** 2))
+        return {"sup_grad": c / (1.0 - abs(delta)), "gram_dev": gram_dev, "sqrt_hess": sqrt_hess,
+                "psi": max(gram_dev, sqrt_hess)}
+
+    return oracle

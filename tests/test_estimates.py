@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -87,6 +88,36 @@ def test_point_reports_trace_each_fiber_once(monkeypatch):
     assert positive >= 2
     assert 0 < len(neighborhoods) <= FIBER_LEVELS
     assert len(checks) == positive * len(neighborhoods)
+
+
+def test_a_level_that_does_not_trace_drops_out_of_the_fiber_checks(monkeypatch):
+    # a fiber check takes the level-failure policy of epsilon_proxy: the
+    # middle level's trace raises, and the other fibers are checked for
+    # every pair with a row per pair
+    point = warped_point()
+    levels = np.linspace(*point["mask"].phi.value_box(point["ball"])[1:], FIBER_LEVELS + 2)[1:-1]
+    middle = levels[FIBER_LEVELS // 2]
+    failed, checked = [], []
+    trace, check = manifold.extract_fiber, estimates.fiber_apriori_check
+
+    def failing(mask, level):
+        if np.array_equal(level, middle):
+            failed.append(level)
+            raise ValueError(f"fiber at level {level} is under-resolved (got 0 samples)")
+        return trace(mask, level)
+
+    def recording(fiber, *args):
+        checked.append(tuple(fiber.level))
+        return check(fiber, *args)
+
+    monkeypatch.setattr(manifold, "extract_fiber", failing)
+    monkeypatch.setattr(estimates, "fiber_apriori_check", recording)
+    rows, reports = point_reports(point)
+    positive = sum(pair.theta > 0 for pair in point["pairs"])
+    assert len(failed) == 1 and positive >= 2
+    assert len(rows) == len(point["pairs"]) and len(reports) == 3 * len(rows)
+    assert sorted(set(checked)) == sorted(tuple(lv) for lv in levels if not np.array_equal(lv, middle))
+    assert len(checked) == positive * (FIBER_LEVELS - 1)
 
 
 def test_point_reports_differentiate_each_eigenfunction_once(monkeypatch):
@@ -227,6 +258,66 @@ def test_centers_along_a_warped_fiber_share_one_chart_and_one_certificate(monkey
     assert len(solves) == 1
     assert len({ball.center for ball, _ in balls}) == 3
     assert_same_certificates([cert for _, cert in balls], 1e-14)
+
+
+# ---------------------------------------------------------------------------
+# closed-form oracles for the warped kind
+# ---------------------------------------------------------------------------
+
+
+# certify_ball's error against the closed forms at delta 0.3, eps 0.1 and the
+# default ball, per nodes per unit (128 x 16 and 256 x 26 grids): second order
+# in h for psi (= sqrt hessEnergy) and sup_grad; gramDev's integrand has kinks
+ORACLE_ERRORS = {
+    128: {"psi": -1.040e-4, "gram_dev": -2.550e-4, "sup_grad": -3.111e-4},
+    256: {"psi": -2.601e-5, "gram_dev": -5.431e-5, "sup_grad": -7.780e-5},
+}
+# a value passes within this multiple of its measured error
+ORACLE_SLACK = 1.5
+
+
+@pytest.fixture(scope="module")
+def warped_certificates():
+    """certify_ball on the default warped ball at each resolution of ``ORACLE_ERRORS``."""
+    center = default_ball_center("warped-torus")
+    return {npu: certify_ball(chart("warped-torus", 0.1, 0.3, npu), center, 0.25)[1] for npu in ORACLE_ERRORS}
+
+
+def oracle_misses(cert, exact, npu):
+    """The certificate values farther from the closed forms than the slack allows."""
+    return [name for name, err in ORACLE_ERRORS[npu].items()
+            if not abs(getattr(cert, name) - exact[name]) <= ORACLE_SLACK * abs(err)]
+
+
+@pytest.mark.parametrize("npu", sorted(ORACLE_ERRORS))
+def test_the_warped_certificate_matches_its_closed_forms(warped_certificates, warped_oracle, npu):
+    exact = warped_oracle(0.3, 0.25)
+    assert exact["psi"] == pytest.approx(0.4824816311, abs=1e-10)
+    assert exact["gram_dev"] == pytest.approx(0.3804657887, abs=1e-10)
+    assert exact["sup_grad"] == pytest.approx(1.3627702877, abs=1e-10)
+    cert = warped_certificates[npu]
+    assert oracle_misses(cert, exact, npu) == []
+    assert math.sqrt(cert.hess_energy) == cert.psi
+
+
+def test_the_warped_certificate_converges_at_second_order(warped_certificates, warped_oracle):
+    exact = warped_oracle(0.3, 0.25)
+    coarse, fine = (warped_certificates[npu] for npu in sorted(ORACLE_ERRORS))
+    for name in ("psi", "sup_grad"):
+        assert abs(getattr(coarse, name) - exact[name]) >= 3 * abs(getattr(fine, name) - exact[name])
+
+
+def test_a_hessian_without_the_fiber_christoffel_term_misses_the_oracle(warped_oracle):
+    # drop Gamma^x_yy: |Hess Phi|^2 loses half its value and psi falls to gramDev
+    mask = chart("warped-torus", 0.1, 0.3, 128)
+    gamma = mask.phi.manifold.christoffel.copy()
+    gamma[..., 0, 1, 1] = 0.0
+    M = dataclasses.replace(mask.phi.manifold, christoffel=gamma)
+    _, cert = certify_ball(splitting.classify_regular(splitting.harmonic_coordinates(M), 1e-6),
+                          default_ball_center("warped-torus"), 0.25)
+    exact = warped_oracle(0.3, 0.25)
+    assert cert.psi - exact["psi"] == pytest.approx(-0.102, abs=1e-3)
+    assert "psi" in oracle_misses(cert, exact, 128)
 
 
 # grid shape per epsilon: the 200-node points tie, and the order is not epsilon's

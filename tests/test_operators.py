@@ -280,7 +280,7 @@ def test_hessian_of_chart_linear_function(flat_torus):
 
 def test_hessian_warped_christoffel_vs_fd():
     # f = y on the warped torus: Hess_xy = -Gamma^y_xy = -w'/w analytically;
-    # the finite-difference Christoffel fallback must converge to the closure
+    # the finite-difference Christoffel fallback must converge to the node symbols
     errs = []
     for res in ((64, 16), (128, 32)):
         M = build_family(FamilySpec(kind="warped-torus", epsilon=0.1, delta=0.3, resolution=res))
@@ -289,7 +289,7 @@ def test_hessian_warped_christoffel_vs_fd():
         w = 1.0 + 0.3 * np.sin(2 * np.pi * x)
         wp = 0.3 * 2 * np.pi * np.cos(2 * np.pi * x)
         H = hessian(M, pos[..., 1], winding=(0, 1))
-        assert np.max(np.abs(H[..., 0, 1] + wp / w)) <= 1e-10  # analytic closure is exact here
+        assert np.max(np.abs(H[..., 0, 1] + wp / w)) <= 1e-10  # analytic symbols are exact here
         M_fd = dataclasses.replace(M, christoffel=None)
         H_fd = hessian(M_fd, pos[..., 1], winding=(0, 1))
         errs.append(np.max(np.abs(H_fd - H)))
@@ -298,23 +298,30 @@ def test_hessian_warped_christoffel_vs_fd():
 
 @pytest.mark.parametrize("name", ["flat_eig_torus", "flat_torus", "twisted_torus"])
 def test_constant_metrics_take_exact_zero_christoffels_from_differences(request, name):
-    # flat and twisted charts carry no closure: differences of a constant
-    # metric are +0.0, so their Hessians keep the bits of an all-zero closure
+    # flat and twisted charts carry no symbols: differences of a constant
+    # metric are +0.0, so their Hessians keep the bits of all-zero symbols
     M = request.getfixturevalue(name)
     assert M.christoffel is None
     gam = christoffel_fd(M)
     assert not np.any(gam) and not np.any(np.signbit(gam))
     m = M.dim
-    zero = dataclasses.replace(M, christoffel=lambda pts: np.zeros(np.shape(pts)[:-1] + (m, m, m)))
+    zero = dataclasses.replace(M, christoffel=np.zeros(M.grid.shape + (m, m, m)))
     f = np.random.default_rng(3).standard_normal(M.grid.shape)
     assert hessian(M, f).tobytes() == hessian(zero, f).tobytes()
 
 
-def test_christoffel_fd_matches_closure(warped_torus):
+def test_christoffel_fd_matches_the_analytic_symbols(warped_torus):
     gam_fd = christoffel_fd(warped_torus)
-    gam = warped_torus.christoffel(warped_torus.positions().reshape(-1, 2)).reshape(gam_fd.shape)
     h = max(warped_torus.grid.spacings)
-    assert np.max(np.abs(gam_fd - gam)) <= 50 * h**2
+    assert np.max(np.abs(gam_fd - warped_torus.christoffel)) <= 50 * h**2
+
+
+def test_a_christoffel_array_off_the_grid_is_refused(warped_torus):
+    M = warped_torus
+    for shape in (M.grid.shape + (2, 2), M.grid.shape[::-1] + (2, 2, 2), (M.grid.n_nodes, 2, 2, 2)):
+        with pytest.raises(ValueError, match="christoffel shape .* does not match the grid"):
+            dataclasses.replace(M, christoffel=np.zeros(shape))
+    assert not M.christoffel.flags.writeable
 
 
 def test_hessian_trace_identity_order():
@@ -346,8 +353,7 @@ def test_gradient_hessian_compatibility_order():
         hvv = np.einsum("...ij,...i,...j->...", H, V, V)
         dV = np.stack([chart_gradient(M, V[..., c]) for c in range(2)], axis=-2)  # (.., comp, axis)
         advect = np.einsum("...j,...ij->...i", V, dV)
-        gam = M.christoffel(pos.reshape(-1, 2)).reshape(M.grid.shape + (2, 2, 2))
-        nabla_vv = advect + np.einsum("...ijk,...j,...k->...i", gam, V, V)
+        nabla_vv = advect + np.einsum("...ijk,...j,...k->...i", M.christoffel, V, V)
         g_lower = np.einsum("...ij,...j->...i", M.metric, gf)
         rhs = hvv + np.einsum("...i,...i->...", g_lower, nabla_vv)
         errs.append(np.max(np.abs(lhs - rhs)))
