@@ -39,6 +39,7 @@ import numpy as np
 from . import __version__
 from .estimates import (
     certify_ball,
+    checked_fibers,
     default_ball_center,
     default_resolution_rule,
     nearest_node,
@@ -48,7 +49,7 @@ from .estimates import (
     sweep,
 )
 from .flow import fiber_apriori_check, flow_rate_bound, integrate_flow, tangential_projection
-from .manifold import FAMILIES, MIN_FIBER_NODES, FamilySpec, build_family, extract_fiber
+from .manifold import FAMILIES, MIN_FIBER_NODES, FamilySpec, build_family
 from .spectral import cached_eigenpairs, eigenpairs
 from .splitting import classify_regular, harmonic_coordinates
 
@@ -354,9 +355,13 @@ def cmd_flow(cfg: ExperimentConfig, out: Path, cache: bool = True) -> int:
     ball, cert = certify_ball(mask, a["ball_center"], a["r"])
     M = mask.phi.manifold
     field, cache_path = _flow_field(cfg, mask, out, cache)
+    start = "ball.center" if cfg.flow["start"] is None else "flow.start"
     x0 = ball.center if cfg.flow["start"] is None else nearest_node(M, cfg.flow["start"])
-    trace = extract_fiber(mask, mask.phi.node_value(x0))
-    report = fiber_apriori_check(trace, field, cert.epsilon_hat, ball.radius)
+    traces = checked_fibers(mask, [mask.phi.node_value(x0)])
+    if not traces:
+        raise ValueError(f"the fiber through the flow's start node {x0} is not a traced regular fiber inside the "
+                         f"regular mask; move {start} or lower thresholds.lambda_min_rel")
+    report = fiber_apriori_check(traces[0], field, cert.epsilon_hat, ball.radius)
     sup_u = float(np.max(np.abs(field.u)))
     if not report.K > FLOW_K_ROUND_OFF * sup_u:     # the flow time T = flow.time_over_k / K has no scale
         raise ValueError(f"config field flow.field selects a function whose K = {report.K:.3g} is round-off against "

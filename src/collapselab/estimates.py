@@ -61,6 +61,7 @@ __all__ = [
     "SweepResult",
     "build_cutoff",
     "certify_ball",
+    "checked_fibers",
     "hessian_l2_bound",
     "interior_l2_report",
     "main_theorem_report",
@@ -299,7 +300,7 @@ def interior_l2_report(field: TangentialField, ball_r: GeodesicBall, K: float, C
     inner = ball_r.concentric(max(r * (1.0 - 4.0 * eps_hat), 1e-9))
     domain = ball_r.members & field.mask & field.phi.in_value_box(inner)
     w = M.node_weights()
-    dens = np.where(domain, np.nan_to_num(field.speed_sq) * np.nan_to_num(field.stats.absdet), 0.0)
+    dens = np.where(domain, np.nan_to_num(field.speed_sq) * field.stats.absdet, 0.0)
     lhs = r**2 * float((dens * w).sum())
     C1 = 8.0 * k**2 * (1.0 + C0) ** (k - 1)
     vol = ball_r.volume()
@@ -354,7 +355,7 @@ def main_theorem_report(eig: EigenPair, field: TangentialField, ball_r: Geodesic
     excluded = float(w[ball_r.members & ~field.mask].sum() / w[ball_r.members].sum())
     speed = np.nan_to_num(field.speed_sq)
     lhs = r * math.sqrt(region_average(M, speed, dom))
-    lhs_weighted = r * math.sqrt(region_average(M, speed * np.nan_to_num(field.stats.absdet), dom))
+    lhs_weighted = r * math.sqrt(region_average(M, speed * field.stats.absdet, dom))
     rhs = C * sup_u * (np.sqrt(cert.epsilon_hat) + cert.psi)
     return EstimateReport(
         name="main-theorem-tangential-l2",
@@ -501,7 +502,9 @@ def default_resolution_rule(nodes_per_unit: int = 128, min_fiber_nodes: int = 16
 
 def point_reports(point: dict) -> tuple[list[SweepRow], list[EstimateReport]]:
     """Sweep rows and estimate reports of every eigenpair of a ``run_point`` bundle."""
-    fibers = _checked_fibers(point) if any(pair.theta > 0 for pair in point["pairs"]) else []
+    mask, ball = point["mask"], point["ball"]
+    levels = np.linspace(*mask.phi.value_box(ball)[1:], FIBER_LEVELS + 2)[1:-1]    # the value box's diagonal
+    fibers = checked_fibers(mask, levels) if any(pair.theta > 0 for pair in point["pairs"]) else []
     rows, reports = [], []
     for pair in point["pairs"]:
         row, mode_reports = _mode_reports(point, pair, fibers)
@@ -564,13 +567,11 @@ def sweep(points, jobs: int = 1) -> SweepResult:
     )
 
 
-def _checked_fibers(point: dict) -> list[FiberTrace]:
-    """The fibers checked for every eigenpair: regular ones at k-component
-    levels on the diagonal of the ball's value box whose stencils stay in the
-    configured mask (``FiberTrace.in_mask``); a level that does not trace is
-    skipped, as ``epsilon_proxy`` skips it."""
-    mask, ball = point["mask"], point["ball"]
-    levels = np.linspace(*mask.phi.value_box(ball)[1:], FIBER_LEVELS + 2)[1:-1]
+def checked_fibers(mask: RegularMask, levels) -> list[FiberTrace]:
+    """The fibers of ``mask.phi`` at k-component ``levels`` that an a priori
+    check reads: regular ones whose stencils stay in the mask
+    (``FiberTrace.in_mask``); a level that does not trace is skipped, as
+    ``epsilon_proxy`` skips it."""
     return [trace for trace in _traced_fibers(mask, levels) if trace.regular and trace.in_mask]
 
 

@@ -80,7 +80,7 @@ class TangentialField:
 
 def tangential_part(stats: JacobianStats, mask: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The fiber-tangential part ``X - X_perp`` of a vector field on the nodes
-    of ``mask`` (NaN elsewhere), where ``mask`` lies inside ``stats.valid``.
+    of ``mask`` (NaN elsewhere), where every Gram eigenvalue is positive.
 
     ``X_perp``, the grad-Phi-span part, is assembled in the pointwise
     eigenbasis of the Gram matrix: ``sum_a <X, phi_a> / lambda_a * grad phi_a``.
@@ -295,9 +295,7 @@ def fiber_apriori_check(fiber: FiberTrace, field: TangentialField, eps_hat: floa
     M = field.manifold
     if not fiber.regular:
         raise ValueError("fiber is not regular; a priori constants are undefined")
-    lam, Lam = fiber.min_lambda, fiber.max_Lambda
-    if not np.isfinite(lam) or lam <= 0:
-        raise ValueError("fiber touches the singular region; lambda not positive")
+    lam, Lam = fiber.min_lambda, fiber.max_Lambda     # lam > the mask's threshold >= 1e-300
     c0 = max([0.0, *(hess_sq * r**2 for hess_sq in fiber.hessian_sq_sup)])   # the builtin max skips a NaN
     speed_sq = interp_scalar(M, field.speed_sq, M.grid.wrap(fiber.points))
     gn, hn_u = field.grad_norm(), field.hessian_u_norm()

@@ -544,16 +544,6 @@ def extract_fiber(mask, level) -> FiberTrace:
     if level.shape != (k,):
         raise ValueError(f"level must have {k} components")
 
-    lo, hi = _cached(phi, "chart_range", lambda: phi.branch_range(np.ones(M.grid.shape, dtype=bool)))
-    periods = phi.value_periods()
-    for a in range(k):
-        if periods[a] > 0:
-            continue  # degree-one circle-valued component on the closed chart: surjective
-        if not (lo[a] - 1e-12 <= level[a] <= hi[a] + 1e-12):
-            raise ValueError(
-                f"level {level} outside the splitting map range [{lo}, {hi}] (component {a})"
-            )
-
     if m == 2:
         pts, closed = _march_squares(phi, float(level[0]))
     else:
@@ -617,10 +607,9 @@ def _cell_corners(phi):
     cell's side of the seam (0 off it); the mean of the carried corners; a
     margin, twice the largest carried corner's deviation from the mean (a
     level that crosses the cell lies within it) plus ``4 eps (|mean| +
-    period)`` for round-off; the value period that picks a cell's branch (0
-    for a plain field); and an index: the cells of finite margin sorted by
-    their means (modulo the period, if any), those sorted means, and the
-    largest margin."""
+    period)`` for round-off; the signed value period that picks a cell's
+    branch; and an index: the cells sorted by their means modulo the period,
+    those sorted means, and the largest margin."""
     grid = phi.manifold.grid
     f, winding = phi.values[0], phi.windings[0]
     jump1 = winding[0] * grid.periods[0]
@@ -634,12 +623,10 @@ def _cell_corners(phi):
     branch = jump1 if jump1 != 0.0 else jump2
     margin = 2.0 * np.abs(c.reshape(-1, 4) - cmean[:, None]).max(axis=1)
     margin += 4 * np.finfo(float).eps * (np.abs(cmean) + abs(branch))
-    live = np.flatnonzero(np.isfinite(margin))
-    keys = cmean[live] % abs(branch) if branch != 0.0 else cmean[live]
+    keys = cmean % abs(branch)
     order = np.argsort(keys)
     return (_read_only(corners.reshape(-1, 4)), _read_only(jumps.reshape(-1, 4)), _read_only(cmean),
-            _read_only(margin), branch, _read_only(live[order]), _read_only(keys[order]),
-            float(margin[live].max(initial=0.0)))
+            _read_only(margin), branch, _read_only(order), _read_only(keys[order]), float(margin.max()))
 
 
 def _level_crossings(phi, v: float) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -656,25 +643,25 @@ def _level_crossings(phi, v: float) -> tuple[np.ndarray, tuple[np.ndarray, np.nd
     Only a cell whose corner mean on the level's branch lies within its margin
     (``_cell_corners``), plus ``4 eps |v|``, of the level can cross it and is
     tested.  Binary search in the index finds a superset, the cells within twice
-    the largest margin plus ``8 eps (|v| + period)`` of the level (cyclically
-    on a circle-valued map), and tests it in row-major order as every cell.
+    the largest margin plus ``8 eps (|v| + period)`` of the level, cyclically,
+    and tests it in row-major order as every cell.
     """
     grid = phi.manifold.grid
     corners, jumps, cmean, margin, branch, cells, keys, reach = _cached(phi, "corners", lambda: _cell_corners(phi))
     period, eps = abs(branch), np.finfo(float).eps
-    width, t = 2.0 * reach + 8 * eps * (abs(v) + period), v % period if period else v
+    width, t = 2.0 * reach + 8 * eps * (abs(v) + period), v % period
     cells = np.unique(np.concatenate([
         cells[np.searchsorted(keys, c - width):np.searchsorted(keys, c + width, side="right")]
         for c in (t - period, t, t + period)
     ]))
     cmean = cmean[cells]
-    # pick the value branch nearest each cell (circle-valued maps)
-    wraps = branch * np.round((cmean - v) / branch) if branch != 0.0 else np.zeros_like(cmean)
+    # pick the value branch nearest each cell
+    wraps = branch * np.round((cmean - v) / branch)
     test = np.abs(cmean - v - wraps) - 4 * eps * abs(v) <= margin[cells]
     cand = cells[test]
     d = corners[cand] - (v + (wraps[test, None] - jumps[cand]))    # a seam corner keeps its and v's low bits
     sgn = d > 0
-    active = np.isfinite(d).all(axis=1) & ~(sgn == sgn[:, :1]).all(axis=1)
+    active = ~(sgn == sgn[:, :1]).all(axis=1)
     i, j = np.divmod(cand[active], grid.shape[1])
     dc = d[active]                                     # (cells, corners)
     a, b = dc[:, _EDGE_CORNERS[:, 0]], dc[:, _EDGE_CORNERS[:, 1]]

@@ -1,10 +1,11 @@
 """Harmonic almost-splitting maps and their Jacobian analytics.
 
-A :class:`SplittingMap` bundles k scalar components, each a periodic node
-array plus a winding vector (circle-valued coordinates wind once around a
-base axis).  Maps come from one construction, the global degree-one harmonic
-coordinates of a periodic family (the discrete analogue of the coordinate
-projection; exact on flat families).
+A :class:`SplittingMap` bundles k circle-valued components, each a node
+array of finite values and a nonzero winding vector: the component winds
+once around a base axis, so every level has a fiber.  Maps come from one
+construction, the global degree-one harmonic coordinates of a periodic
+family (the discrete analogue of the coordinate projection; exact on flat
+families), and the map refuses any other input.
 
 The pointwise analytics are the Gram matrix J of the component gradients,
 its eigenvalue fields and eigenframes, and the Jacobian density
@@ -56,7 +57,8 @@ NEWTON_MAX_ITER = 5
 
 @dataclass(frozen=True)
 class SplittingMap:
-    """k harmonic component fields with winding-aware evaluation."""
+    """k harmonic component fields with winding-aware evaluation: finite
+    node values and a nonzero winding per component, or a ValueError."""
 
     manifold: DiscreteManifold
     values: tuple[np.ndarray, ...]         # principal values at nodes, one per component
@@ -69,6 +71,10 @@ class SplittingMap:
             raise ValueError("a splitting map needs at least one component (k = 0 rejected)")
         object.__setattr__(self, "values", tuple(_read_only(np.asarray(v, dtype=float)) for v in self.values))
         object.__setattr__(self, "windings", tuple(_read_only(np.asarray(w, dtype=float)) for w in self.windings))
+        if not all(np.any(w != 0) for w in self.windings):
+            raise ValueError("every component of a splitting map needs a nonzero winding vector")
+        if not all(np.isfinite(v).all() for v in self.values):
+            raise ValueError("a splitting map needs finite values at every node")
 
     @property
     def k(self) -> int:
@@ -144,7 +150,7 @@ class SplittingMap:
         return _cached(self, ("in_value_box", ball.center, ball.radius), build)
 
     def value_periods(self) -> np.ndarray:
-        """Period of each component value around the chart (0 for plain fields)."""
+        """Period of each component value around the chart, positive by the winding."""
         periods = np.asarray(self.manifold.grid.periods)
         return np.array([float(np.abs(w) @ periods) for w in self.windings])
 
@@ -152,25 +158,20 @@ class SplittingMap:
         """Per-component value difference wrapped to the nearest branch."""
         dv = np.array(dv, dtype=float, copy=True)
         for a, p in enumerate(self.value_periods()):
-            if p > 0:
-                dv[..., a] = (dv[..., a] + p / 2) % p - p / 2
+            dv[..., a] = (dv[..., a] + p / 2) % p - p / 2
         return dv
 
-    def branch_range(self, mask: np.ndarray, anchor: np.ndarray | None = None):
+    def branch_range(self, mask: np.ndarray, anchor: np.ndarray):
         """Value range over masked nodes in the branch continuous around the anchor.
 
         Returns ``(lo, hi)`` per component; needed when the region straddles
-        the chart seam of a circle-valued component.  NaN nodes are skipped,
-        and the default anchor is the first finite node.
+        a component's chart seam.
         """
-        vals = self.values_stack()[mask].reshape(-1, self.k)
-        if anchor is None:
-            anchor = vals[np.isfinite(vals).all(axis=1).argmax()]
-        dv = self.wrap_value_delta(vals - anchor)
-        return anchor + np.nanmin(dv, axis=0), anchor + np.nanmax(dv, axis=0)
+        dv = self.wrap_value_delta(self.values_stack()[mask].reshape(-1, self.k) - anchor)
+        return anchor + dv.min(axis=0), anchor + dv.max(axis=0)
 
     def level_residual(self, pts: np.ndarray, level: np.ndarray) -> np.ndarray:
-        """Phi(pts) - level, wrapped to the nearest branch for winding components."""
+        """Phi(pts) - level, wrapped to the nearest branch."""
         return self.wrap_value_delta(self.evaluate(pts) - np.asarray(level, dtype=float))
 
     def _point_residual(self, x, psi, level) -> list[float]:
@@ -180,7 +181,7 @@ class SplittingMap:
         out = []
         for (w, p), psi_a, level_a in zip(self._branches(), psi, level):
             dv = _dot(x, w) + psi_a - level_a
-            out.append((dv + p / 2) % p - p / 2 if p > 0 else dv)
+            out.append((dv + p / 2) % p - p / 2)
         return out
 
     def _branches(self) -> list[tuple[list[float], float]]:
@@ -315,7 +316,8 @@ def harmonic_coordinates(M: DiscreteManifold) -> SplittingMap:
 
 @dataclass(frozen=True)
 class JacobianStats:
-    """Pointwise Gram matrix of the splitting map and its eigen-structure."""
+    """Pointwise Gram matrix of the splitting map and its eigen-structure,
+    finite at every node as the map's values are."""
 
     phi: SplittingMap
     gram: np.ndarray       # (*shape, k, k)
@@ -324,7 +326,6 @@ class JacobianStats:
     absdet: np.ndarray     # |J_k| = sqrt(det J)
     frames: np.ndarray     # (*shape, k, k) eigenvectors, J = V diag(eigs) V^T
     eigs: np.ndarray       # (*shape, k) ascending
-    valid: np.ndarray      # where all component gradients are defined
 
 
 def jacobian_stats(phi: SplittingMap) -> JacobianStats:
@@ -341,20 +342,16 @@ def _jacobian_stats(phi: SplittingMap) -> JacobianStats:
         for b in range(a, k):
             J[..., a, b] = metric_inner(M, grads[a], grads[b])
             J[..., b, a] = J[..., a, b]
-    valid = np.all(np.isfinite(J.reshape(shape + (k * k,))), axis=-1)
-    Jc = np.where(valid[..., None, None], J, np.eye(k))
-    eigs, frames = np.linalg.eigh(Jc)
-    eigs = np.where(valid[..., None], eigs, np.nan)
+    eigs, frames = np.linalg.eigh(J)
     det = np.prod(np.maximum(eigs, 0.0), axis=-1)
     return JacobianStats(
         phi=phi,
-        gram=np.where(valid[..., None, None], J, np.nan),
+        gram=J,
         lam=eigs[..., 0],
         Lam=eigs[..., -1],
         absdet=np.sqrt(det),
         frames=frames,
         eigs=eigs,
-        valid=valid,
     )
 
 
@@ -388,11 +385,10 @@ def classify_regular(phi: SplittingMap, lambda_min_rel: float) -> RegularMask:
     if lambda_min_rel <= 0:
         raise ValueError("lambda_min_rel must be positive")
     stats = jacobian_stats(phi)
-    threshold = max(lambda_min_rel * float(np.nanmedian(stats.Lam)), 1e-300)
+    threshold = max(lambda_min_rel * float(np.median(stats.Lam)), 1e-300)
     w = phi.manifold.node_weights()
-    valid = stats.valid
-    regular = valid & (stats.lam > threshold)
-    frac = float(w[valid & ~regular].sum() / w[valid].sum())
+    regular = stats.lam > threshold
+    frac = float(w[~regular].sum() / w.sum())
     return RegularMask(phi=phi, regular=regular, threshold=threshold, singular_fraction=frac)
 
 
@@ -435,9 +431,7 @@ def certify(phi: SplittingMap, ball: GeodesicBall, epsilon_hat: float) -> Certif
     r = ball.radius
     region2 = ball.concentric(2 * r)
     stats = jacobian_stats(phi)
-    mask = region2.members & stats.valid
-    if not mask.any():
-        raise ValueError("certificate region carries no valid derivative data")
+    mask = region2.members
     sup_grad, hess_energy = _gradient_hessian_sizes(phi, mask, r)
     k = phi.k
     gram_dev = 0.0

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from collapselab import FamilySpec, build_family, geodesic_ball
-from collapselab.manifold import DiscreteManifold, PeriodicGrid
+from collapselab.manifold import PROXY_LEVELS, PROXY_MARGIN, DiscreteManifold, PeriodicGrid
 from collapselab.splitting import harmonic_coordinates
 
 
@@ -132,3 +133,34 @@ def warped_oracle():
                 "psi": max(gram_dev, sqrt_hess)}
 
     return oracle
+
+
+@pytest.fixture(scope="session")
+def warped_epsilon_hat():
+    """``epsilon_hat(delta, eps, center, r)``: the closed-form collapse scale
+    of the warped kind on the ball of radius r about x = ``center``, as
+    ``epsilon_proxy`` samples it.
+
+    The ball's values span [Phi(center - r), Phi(center + r)], with Phi(x) =
+    c int_0^x dt/w; ``PROXY_LEVELS`` levels spread over that span, trimmed by
+    ``PROXY_MARGIN``, are inverted to x = Phi^-1(level).  The fiber there is
+    a circle of length eps w(x) and intrinsic diameter eps w(x) / 2, so
+    epsilon-hat is eps max w(x) / (4 r), proportional to eps.
+    """
+
+    def epsilon_hat(delta, eps, center, r):
+        def w(x):
+            return 1.0 + delta * math.sin(2 * math.pi * x)
+
+        c = 1.0 / quad(lambda x: 1.0 / w(x), 0.0, 1.0, epsabs=1e-14)[0]
+
+        def phi(x):
+            return c * quad(lambda t: 1.0 / w(t), 0.0, x, epsabs=1e-14)[0]
+
+        lo, hi = phi(center - r), phi(center + r)
+        span = hi - lo
+        levels = np.linspace(lo + PROXY_MARGIN * span, hi - PROXY_MARGIN * span, PROXY_LEVELS)
+        xs = [brentq(lambda x: phi(x) - level, center - r, center + r, xtol=1e-15) for level in levels]
+        return eps * max(w(x) for x in xs) / (4 * r)
+
+    return epsilon_hat

@@ -417,12 +417,13 @@ def test_epsilon_hat_and_the_flow_fiber_use_the_mask_threshold(tmp_path, monkeyp
     # flow traces its fiber against it; both used a fixed 1e-6 of the median
     # Jacobian eigenvalue, and epsilon-hat read 0.09431 instead of 0.08851
     thresholds = []
-    for module in (cli, manifold):
-        def recording(mask, level, trace=module.extract_fiber):
-            thresholds.append(mask.threshold)
-            return trace(mask, level)
+    trace = manifold.extract_fiber
 
-        monkeypatch.setattr(module, "extract_fiber", recording)
+    def recording(mask, level):
+        thresholds.append(mask.threshold)
+        return trace(mask, level)
+
+    monkeypatch.setattr(manifold, "extract_fiber", recording)
     path = write_config(tmp_path, {**SMALL_WARPED, "thresholds": {"lambda_min_rel": 1.2}})
     assert main(["split", "--config", str(path), "--out", str(tmp_path / "split")]) == 0
     eps_hat = json.loads((tmp_path / "split" / "certificate.json").read_text())["epsilonHat"]
@@ -787,18 +788,26 @@ def random_run(rng):
 
 
 def test_random_configs_run_or_stop_with_a_config_error(tmp_path):
-    # 27 seeded random runs and three that used to fail: the constant mode's
-    # endless flow, the C0 error with no key, and a flat sweep whose level
-    # within round-off of a seam node found no crossing; 13 s in all on 2 vCPUs
+    # 27 seeded random runs and five that used to fail: the constant mode's
+    # endless flow, the C0 error with no key, a flat sweep whose level within
+    # round-off of a seam node found no crossing, and two flows whose start
+    # fiber (from flow.start, then from ball.center) leaves the regular set;
+    # 9 s in all on 2 vCPUs
+    irregular_start = {"family": {"kind": "warped-torus", "epsilon": 0.2, "delta": 0.3},
+                       "resolution": {"nodes_per_unit": 32}, "thresholds": {"lambda_min_rel": 0.8},
+                       "flow": {"time_over_k": 0.05}}
     runs = [random_run(np.random.default_rng(seed)) for seed in range(27)] + [
         ("flow", {"resolution": {"nodes_per_unit": 16}, "flow": {"field": "eigenmode:0"}}),
         ("verify", {"family": {"kind": "warped-torus", "epsilon": 0.2, "delta": 0.6},
                     "resolution": {"nodes_per_unit": 32}}),
         ("sweep", {"family": {"kind": "flat-product-torus", "epsilon": 0.05}, "resolution": {"nodes_per_unit": 10},
                    "ball": {"radius": 0.31}}),
+        ("flow", {**irregular_start, "flow": {"time_over_k": 0.05, "start": [0.25, 0.0]}}),
+        ("flow", {**irregular_start, "ball": {"center": [0.25, 0.0]}}),
     ]
     outcomes = run_isolated(tmp_path, runs, timeout=90)
     assert len(outcomes) == len(runs)
     for run, (code, err) in zip(runs, outcomes):
         assert code in (0, 2) or (code == 1 and any(key in err for key in CONFIG_KEYS)), (run, code, err)
-    assert [code for code, _ in outcomes[-3:]] == [1, 1, 0]
+    assert [code for code, _ in outcomes[-5:]] == [1, 1, 0, 1, 1]
+    assert "flow.start" in outcomes[-2][1] and "ball.center" in outcomes[-1][1]

@@ -320,6 +320,36 @@ def test_a_hessian_without_the_fiber_christoffel_term_misses_the_oracle(warped_o
     assert "psi" in oracle_misses(cert, exact, 128)
 
 
+# certify_ball's epsilon-hat error against its closed form at delta 0.3, eps
+# 0.1 and the default ball, per nodes per unit; 4.608e-7 at 512
+EPSILON_HAT_ERRORS = {128: 3.043e-6, 256: 1.298e-6}
+
+
+@pytest.mark.parametrize("npu", sorted(EPSILON_HAT_ERRORS))
+def test_the_warped_epsilon_hat_matches_its_closed_form(warped_certificates, warped_epsilon_hat, npu):
+    exact = warped_epsilon_hat(0.3, 0.1, default_ball_center("warped-torus")[0], 0.25)
+    assert exact == pytest.approx(0.094306655956, abs=1e-12)
+    assert abs(warped_certificates[npu].epsilon_hat - exact) <= ORACLE_SLACK * EPSILON_HAT_ERRORS[npu]
+
+
+def test_the_warped_epsilon_hat_converges(warped_certificates, warped_epsilon_hat):
+    # the error falls 2.34x from 128 to 256 nodes per unit and 2.82x from 256 to 512
+    center = default_ball_center("warped-torus")
+    exact = warped_epsilon_hat(0.3, 0.1, center[0], 0.25)
+    finest = certify_ball(chart("warped-torus", 0.1, 0.3, 512), center, 0.25)[1]
+    errors = [abs(cert.epsilon_hat - exact) for cert in (warped_certificates[128], warped_certificates[256], finest)]
+    assert errors[0] >= 2 * errors[1] >= 4 * errors[2] > 0
+
+
+def test_the_warped_epsilon_hat_is_proportional_to_epsilon():
+    # the ball wraps the fiber, so epsilon-hat / eps depends on delta and the
+    # ball alone (measured spread 2.4e-15 at 128 nodes per unit)
+    center = default_ball_center("warped-torus")
+    ratios = [certify_ball(chart("warped-torus", eps, 0.3, 128), center, 0.25)[1].epsilon_hat / eps
+              for eps in (0.05, 0.1, 0.2)]
+    assert max(ratios) - min(ratios) <= 1e-14
+
+
 # grid shape per epsilon: the 200-node points tie, and the order is not epsilon's
 SWEEP_NODES = {0.05: (10, 5), 0.1: (10, 20), 0.2: (20, 10), 0.4: (10, 10)}
 LARGEST_FIRST = [0.1, 0.2, 0.4, 0.05]

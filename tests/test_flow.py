@@ -422,15 +422,13 @@ def separate_apriori_check(fiber, field, eps_hat, r):
     if not fiber.regular:
         raise ValueError("fiber is not regular; a priori constants are undefined")
     samples = np.stack([
-        np.where(stats.valid, stats.lam, np.nan),
-        np.where(stats.valid, stats.Lam, np.nan),
+        stats.lam,
+        stats.Lam,
         np.where(field.mask, field.speed_sq, np.nan),
         *field.phi.hessian_norms(),
     ], axis=-1)
     lam_s, Lam_s, speed_sq, *hess_norms = interp_scalar(M, samples, M.grid.wrap(fiber.points)).T
     lam, Lam = float(np.min(lam_s)), float(np.max(Lam_s))
-    if not np.isfinite(lam) or lam <= 0:
-        raise ValueError("fiber touches the singular region; lambda not positive")
     c0 = 0.0
     for hn in hess_norms:
         c0 = max(c0, float(np.max(hn**2)) * r**2)
@@ -473,7 +471,7 @@ def test_one_gather_gives_the_fiber_facts_of_separate_ones(request, chart, cut):
     median_cut = float(np.nanmedian(stats.lam)) / float(np.nanmedian(stats.Lam))
     mask = classify_regular(phi, median_cut if cut else LAMBDA_MIN_REL)
     threshold = mask.threshold
-    regular_set = np.where(mask.regular & stats.valid, 0.0, np.nan)
+    regular_set = np.where(mask.regular, 0.0, np.nan)
     field = tangential_projection(np.sin(2 * np.pi * M.positions()[..., -1]) + 0.5 * np.cos(
         2 * np.pi * M.positions()[..., 0]), mask)
     values = phi.values_stack().reshape(-1, phi.k)

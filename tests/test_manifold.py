@@ -11,10 +11,12 @@ from collapselab import (
     extract_fiber,
     geodesic_ball,
 )
+import collapselab.manifold as manifold
 from collapselab.manifold import (
     FAMILIES,
     DiscreteManifold,
     PeriodicGrid,
+    _chain_segments,
     _grid_adjacency,
     _grid_neighbor_offsets,
     _level_crossings,
@@ -362,14 +364,6 @@ def test_fiber_closure_endpoints(flat_coordinates):
     assert np.linalg.norm(gap) <= 2 * max(M.grid.spacings)
 
 
-def test_fiber_level_outside_range_errors(flat_torus):
-    # a plain (non-winding) component takes values in [-0.1, 0.1] only
-    x = flat_torus.positions()[..., 0]
-    phi = SplittingMap(flat_torus, (0.1 * np.sin(2 * np.pi * x),), (np.zeros(2),))
-    with pytest.raises(ValueError, match="outside the splitting map range"):
-        extract_fiber(classify_regular(phi, THRESHOLD), [0.9])
-
-
 def test_warped_fiber_length_analytic(warped_coordinates):
     # fiber through x = 0.25 has metric length eps * w(0.25) = 0.13
     val = warped_coordinates.evaluate(np.array([[0.25, 0.0]]))[0]
@@ -415,7 +409,7 @@ def per_cell_march_squares(phi, v):
 
     cmean = 0.25 * (c00 + c10 + c01 + c11)
     branch = jump1 if jump1 != 0.0 else jump2
-    shift = branch * np.round((cmean - v) / branch) if branch != 0.0 else np.zeros_like(cmean)
+    shift = branch * np.round((cmean - v) / branch)
     j10, j01, j11 = np.zeros(f.shape), np.zeros(f.shape), np.zeros(f.shape)
     j10[-1, :] += jump1
     j01[:, -1] += jump2
@@ -438,8 +432,7 @@ def per_cell_march_squares(phi, v):
             crossing[key] = ((key[1] * h1) % p1, ((cell_j + t) * h2) % p2)
 
     sgn = (d00 > 0, d10 > 0, d01 > 0, d11 > 0)
-    finite = np.isfinite(d00) & np.isfinite(d10) & np.isfinite(d01) & np.isfinite(d11)
-    active = finite & ~((sgn[0] == sgn[1]) & (sgn[1] == sgn[2]) & (sgn[2] == sgn[3]))
+    active = ~((sgn[0] == sgn[1]) & (sgn[1] == sgn[2]) & (sgn[2] == sgn[3]))
     for i, j in zip(*np.nonzero(active)):
         i, j = int(i), int(j)
         kb, kt = ("h", i, j), ("h", i, (j + 1) % n2)
@@ -497,54 +490,50 @@ def per_cell_march_squares(phi, v):
 
 def tight_levels(phi):
     """Levels where few cells cross or a cell's test is tight: the map's
-    extremes, node values (on the seam rows too) and, for a circle-valued map,
-    half a period from a cell's corner mean, where the branch choice ties."""
+    extremes, node values (on the seam rows too) and half a period from a
+    cell's corner mean, where the branch choice ties."""
     f = phi.values[0]
-    finite = f[np.isfinite(f)]
-    levels = [finite.min(), finite.max(), f[0, 0], f[-1, 3], f[5, -1], f[17, 9]]
+    levels = [f.min(), f.max(), f[0, 0], f[-1, 3], f[5, -1], f[17, 9]]
     period = phi.value_periods()[0]
-    if period:
-        mean = 0.25 * (f[9, 4] + f[10, 4] + f[9, 5] + f[10, 5])
-        for v in (mean + 0.5 * period, mean - 0.5 * period):
-            levels += [v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]
+    mean = 0.25 * (f[9, 4] + f[10, 4] + f[9, 5] + f[10, 5])
+    for v in (mean + 0.5 * period, mean - 0.5 * period):
+        levels += [v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]
     return [float(v) for v in levels]
 
 
 def indexed_search_levels(phi):
     """Levels for the index's binary search: a sweep past both ends of the
-    values, the extremes and their neighbors, node values, and on a
-    circle-valued map levels half a period (and an ulp either side) from
-    cell means and levels outside one period."""
+    values, the extremes and their neighbors, node values, levels half a
+    period (and an ulp either side) from cell means and levels outside one
+    period."""
     f = phi.values[0]
-    finite = np.sort(f[np.isfinite(f)])
-    lo, hi = finite[0], finite[-1]
+    values = np.sort(f.ravel())
+    lo, hi = values[0], values[-1]
     levels = list(np.linspace(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 15))
     levels += [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf), np.nextafter(hi, np.inf)]
-    levels += list(finite[:: len(finite) // 9])
+    levels += list(values[:: len(values) // 9])
     period = phi.value_periods()[0]
-    if period:
-        n1, n2 = f.shape
-        for i, j in ((0, 0), (n1 // 3, n2 // 2), (n1 - 1, n2 - 1), (n1 // 2, 0)):
-            i1, j1 = (i + 1) % n1, (j + 1) % n2
-            mean = 0.25 * (f[i, j] + f[i1, j] + f[i, j1] + f[i1, j1])
-            for v in (mean + 0.5 * period, mean - 0.5 * period):
-                levels += [v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]
-        levels += [f[5, 5] + period, f[9, 3] - 2 * period]
+    n1, n2 = f.shape
+    for i, j in ((0, 0), (n1 // 3, n2 // 2), (n1 - 1, n2 - 1), (n1 // 2, 0)):
+        i1, j1 = (i + 1) % n1, (j + 1) % n2
+        mean = 0.25 * (f[i, j] + f[i1, j] + f[i, j1] + f[i1, j1])
+        for v in (mean + 0.5 * period, mean - 0.5 * period):
+            levels += [v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]
+    levels += [f[5, 5] + period, f[9, 3] - 2 * period]
     return [float(v) for v in levels]
 
 
 def march_squares_cases(warped):
-    """(map, levels) on a warped map, a plain field with saddles and a NaN
-    node, and a curved circle-valued component, with levels on the seam, the
-    ``tight_levels`` and the ``indexed_search_levels`` of each map."""
+    """(map, levels) on a warped map, a noisy winding map with saddles, and a
+    curved winding map, with levels on the seam, the ``tight_levels`` and the
+    ``indexed_search_levels`` of each map."""
     M = build_family(FamilySpec(kind="flat-product-torus", epsilon=0.2, resolution=(48, 16)))
     x, y = np.moveaxis(M.positions(), -1, 0)
-    plain = np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) + 0.5 * np.random.default_rng(1).standard_normal(x.shape)
-    plain[7, 3] = np.nan
+    noisy = x + np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) + 0.5 * np.random.default_rng(1).standard_normal(x.shape)
     curved = x + 0.02 * np.sin(2 * np.pi * y)
     cases = [
         (warped, [0.0, 1e-4, 0.37, 0.5, 0.999, -0.25]),
-        (SplittingMap(M, (plain,), (np.zeros(2),)), [0.0, 0.2, -0.45, 0.7]),
+        (SplittingMap(M, (noisy,), (np.array([1.0, 0.0]),)), [0.0, 0.2, -0.45, 0.7]),
         (SplittingMap(M, (curved,), (np.array([1.0, 0.0]),)), [0.0, 0.01, 0.5, 0.995, 1.3]),
     ]
     return [(phi, levels + tight_levels(phi) + indexed_search_levels(phi)) for phi, levels in cases]
@@ -596,37 +585,18 @@ def test_a_level_within_round_off_of_a_seam_node_closes_its_fiber():
     assert trace.length == pytest.approx(0.05, rel=1e-12)
 
 
-def nan_sine_map():
-    """sin 2 pi x on the flat 48 x 16 chart with NaN at nodes (2, 5) and
-    (22, 5), on both loops of its 0.3 level."""
+def test_an_open_chain_is_not_returned_as_a_closed_fiber(monkeypatch):
+    # the level-0.3 loop of x with one segment cut out chains into an open
+    # arc; it is reported open, and extract_fiber refuses it
     M = build_family(FamilySpec(kind="flat-product-torus", epsilon=0.2, resolution=(48, 16)))
-    f = np.sin(2 * np.pi * M.positions()[..., 0])
-    f[2, 5] = f[22, 5] = np.nan
-    return SplittingMap(M, (f,), (np.zeros(2),))
-
-
-def test_an_open_chain_is_not_returned_as_a_closed_fiber():
-    # the NaN nodes break both level-0.3 loops into open arcs; the longest is
-    # reported open, and extract_fiber refuses it
-    phi = nan_sine_map()
-    pts, closed = _march_squares(phi, 0.3)
-    assert not closed and len(pts) == 11
+    phi = harmonic_coordinates(M)
+    segments, (edges, points) = _level_crossings(phi, 0.3)
+    assert _chain_segments(M.grid, segments, edges, points)[1]
+    pts, closed = _chain_segments(M.grid, segments[1:], edges, points)
+    assert not closed and len(pts) == len(segments) == 16
+    monkeypatch.setattr(manifold, "_march_squares", lambda phi, v: (pts, closed))
     with pytest.raises(ValueError, match="is open"):
         extract_fiber(classify_regular(phi, THRESHOLD), 0.3)
-
-
-def test_a_map_with_nan_nodes_traces_its_levels():
-    # the range check skips NaN nodes, as the crossings skip NaN cells: it
-    # used to read the range [[nan], [nan]] and refuse every level
-    phi = nan_sine_map()
-    lo, hi = phi.branch_range(np.ones(phi.manifold.grid.shape, dtype=bool))
-    assert lo.tolist() == [-1.0] and hi.tolist() == [1.0]
-    mask = classify_regular(phi, THRESHOLD)
-    trace = extract_fiber(mask, -0.3)       # loops the NaN nodes do not touch
-    assert trace.regular and trace.in_mask
-    assert trace.length == pytest.approx(0.2, rel=1e-12)
-    with pytest.raises(ValueError, match="is open"):
-        extract_fiber(mask, 0.3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from collapselab import FamilySpec, build_family, epsilon_proxy, geodesic_ball
 from collapselab.operators import interp_scalar, metric_inner, region_sup
 from collapselab.splitting import (
     SplittingMap,
+    _max_abs,
     certify,
     classify_regular,
     harmonic_coordinates,
@@ -35,33 +37,44 @@ def test_empty_map_rejected(flat_torus):
         SplittingMap(flat_torus, (), ())
 
 
+def test_a_map_refuses_a_zero_winding_and_a_nonfinite_value(flat_torus):
+    # harmonic_coordinates builds neither: every component winds once and is
+    # finite at every node, so every level has a fiber
+    x = flat_torus.positions()[..., 0]
+    for values, winding, message in [
+        (np.sin(2 * np.pi * x), [0.0, 0.0], "nonzero winding"),       # a plain field
+        (np.where(x <= 0.2, x, np.nan), [1.0, 0.0], "finite values"),  # NaN off a band of nodes
+        (np.where(x <= 0.2, x, np.inf), [1.0, 0.0], "finite values"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            SplittingMap(flat_torus, (values,), (np.array(winding),))
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
 def test_projection_off_the_map_domain_raises():
-    # a map that is NaN off a band of nodes: Newton must fail, not return NaN points
+    # a diverging Newton step can hand the projection a NaN point: it must
+    # fail, not return NaN points
     M = build_family(FamilySpec(kind="flat-product-torus", epsilon=0.1, resolution=(64, 16)))
-    x = M.positions()[..., 0]
-    phi = SplittingMap(M, (np.where(x <= 0.2, x, np.nan),), (np.zeros(2),))
+    phi = harmonic_coordinates(M)
     level = phi.evaluate(np.array([[0.1, 0.0]]))[0]
-    assert np.isfinite(level).all()
     with pytest.raises(RuntimeError, match="residual nan"):
-        phi.project_to_level(np.array([[0.5, 0.5]]), level)
+        phi.project_to_level([np.nan, 0.5], level)
 
 
 def test_projection_nan_in_a_later_component_raises(twisted_torus):
     # component 0 is met exactly and component 1 is NaN: the NaN must fail
-    # the tolerance however the residual components are ordered
-    M = twisted_torus
-    phi = harmonic_coordinates(M)
-    second = phi.values[1].copy()
-    second[:, :, 6:10] = np.nan
-    broken = SplittingMap(M, (phi.values[0], second), phi.windings)
-    good, bad = M.positions()[5, 7, 2], M.positions()[5, 7, 8]
-    level = broken.evaluate(good[None, :])[0]
-    assert np.isfinite(level).all()
-    assert broken._point_residual(bad.tolist(), [0.0, np.nan], level)[0] == 0.0
+    # the tolerance however the residual components are ordered (the builtin
+    # max skips a NaN that does not come first)
+    phi = harmonic_coordinates(twisted_torus)
+    good = twisted_torus.positions()[5, 7, 2]
+    level = phi.evaluate(good[None, :])[0]
+    res = phi._point_residual(good.tolist(), [level[0] - good[0], math.nan], level)
+    assert res[0] == 0.0 and math.isnan(res[1])
+    assert max(abs(v) for v in res) == 0.0
+    assert math.isnan(_max_abs(res)) and math.isnan(_max_abs([0.0, math.nan]))
     with pytest.raises(RuntimeError, match="residual nan"):
-        broken.project_to_level(bad, level)
-    assert broken.project_to_level(good, level).newton_steps == 0
+        phi.project_to_level([good[0], good[1], math.nan], level)
+    assert phi.project_to_level(good, level).newton_steps == 0
 
 
 def test_projection_converges_quadratically_on_a_curved_level_set(warped_torus):
@@ -156,13 +169,17 @@ def test_threshold_must_be_positive(flat_coordinates):
 
 
 def test_morse_map_singular_fraction_refines():
-    # critical circles at x = 1/4, 3/4 hit grid columns: fraction = 2/n exactly
+    # critical circles at x = 3/8, 5/8 hit grid columns: fraction = 2/n exactly
     fractions = []
     for n in (64, 128, 256):
         M = build_family(FamilySpec(kind="flat-product-torus", epsilon=0.5, resolution=(n, 16)))
-        # sin(2 pi x) / 2 pi: non-degenerate critical circles
-        x = M.positions()[..., 0]
-        mask = classify_regular(SplittingMap(M, (np.sin(2 * np.pi * x) / (2 * np.pi),), (np.zeros(2),)), LAMBDA_MIN_REL)
+        # x + A sin(2 pi x) / 2 pi winds once; its centred difference 1 + A cos(2 pi x) sin(2 pi h) / (2 pi h)
+        # vanishes where cos(2 pi x) = -1/sqrt 2 for this A: non-degenerate critical circles
+        h, x = 1.0 / n, M.positions()[..., 0]
+        A = math.sqrt(2) * 2 * np.pi * h / math.sin(2 * np.pi * h)
+        phi = SplittingMap(M, (x + A * np.sin(2 * np.pi * x) / (2 * np.pi),), (np.array([1.0, 0.0]),))
+        mask = classify_regular(phi, LAMBDA_MIN_REL)
+        assert not mask.regular[[3 * n // 8, 5 * n // 8]].any()
         fractions.append(mask.singular_fraction)
         assert mask.singular_fraction == pytest.approx(2.0 / n, abs=1e-12)
     assert fractions[0] > fractions[1] > fractions[2]
@@ -231,8 +248,8 @@ def _field_pair(M, phi):
     from collapselab.operators import gradient
 
     grad_u = gradient(M, u)
-    grad_t = tangential_part(stats, mask.regular & stats.valid, grad_u)
-    return stats, mask.regular & stats.valid, grad_u, grad_t
+    grad_t = tangential_part(stats, mask.regular, grad_u)
+    return stats, mask.regular, grad_u, grad_t
 
 
 def _rotate_map(phi, Q):
