@@ -337,7 +337,8 @@ def _flow_field(cfg: ExperimentConfig, mask, out: Path, cache: bool):
         idx = int(sel.split(":", 1)[1])
         pairs, cache_path = _eigenpairs_cached(cfg, M, out, cache)
         if idx >= len(pairs):
-            raise ValueError(f"flow.field eigenmode index {idx} out of range ({len(pairs)} pairs)")
+            raise ValueError(f"flow.field eigenmode index {idx} out of range: {len(pairs)} pairs have theta <= "
+                             f"eig.theta_max = {cfg.eig['theta_max']:g}; lower flow.field or raise eig.theta_max")
         u = pairs[idx].u
     return tangential_projection(u, mask), cache_path
 

@@ -300,7 +300,7 @@ def interior_l2_report(field: TangentialField, ball_r: GeodesicBall, K: float, C
     inner = ball_r.concentric(max(r * (1.0 - 4.0 * eps_hat), 1e-9))
     domain = ball_r.members & field.mask & field.phi.in_value_box(inner)
     w = M.node_weights()
-    dens = np.where(domain, np.nan_to_num(field.speed_sq) * field.stats.absdet, 0.0)
+    dens = np.where(domain, field.speed_sq * field.phi.absdet(), 0.0)
     lhs = r**2 * float((dens * w).sum())
     C1 = 8.0 * k**2 * (1.0 + C0) ** (k - 1)
     vol = ball_r.volume()
@@ -353,9 +353,8 @@ def main_theorem_report(eig: EigenPair, field: TangentialField, ball_r: Geodesic
     w = M.node_weights()
     dom = ball_r.members & field.mask     # not empty: certify_ball checks
     excluded = float(w[ball_r.members & ~field.mask].sum() / w[ball_r.members].sum())
-    speed = np.nan_to_num(field.speed_sq)
-    lhs = r * math.sqrt(region_average(M, speed, dom))
-    lhs_weighted = r * math.sqrt(region_average(M, speed * field.stats.absdet, dom))
+    lhs = r * math.sqrt(region_average(M, field.speed_sq, dom))
+    lhs_weighted = r * math.sqrt(region_average(M, field.speed_sq * field.phi.absdet(), dom))
     rhs = C * sup_u * (np.sqrt(cert.epsilon_hat) + cert.psi)
     return EstimateReport(
         name="main-theorem-tangential-l2",

@@ -29,7 +29,7 @@ from .operators import (
     region_sup,
     stencil_probe,
 )
-from .splitting import LEVEL_TOL, JacobianStats, RegularMask, SplittingMap, _max_abs, jacobian_stats
+from .splitting import LEVEL_TOL, RegularMask, SplittingMap, _max_abs
 
 __all__ = [
     "TangentialField",
@@ -47,7 +47,8 @@ __all__ = [
 @dataclass(frozen=True)
 class TangentialField:
     """The fiber-tangential part of grad u on the regular mask's nodes (the
-    normal part is ``grad_u - grad_t``), with the map and its Jacobian stats.
+    normal part is ``grad_u - grad_t``), with the map it splits against; the
+    map's Jacobian fields (|J_k| and the rest) are read from ``phi``.
 
     It is also where the checks of one function read the derived fields of
     u, each built once on first use and cached: ``grad_sq`` and ``grad_norm``
@@ -61,7 +62,6 @@ class TangentialField:
     manifold: DiscreteManifold
     u: np.ndarray
     phi: SplittingMap
-    stats: JacobianStats
     mask: np.ndarray            # the regular mask's nodes, where the split is defined
     grad_u: np.ndarray
     grad_t: np.ndarray          # NaN on singular nodes
@@ -78,37 +78,36 @@ class TangentialField:
         return _cached(self, "hess_u_norm", lambda: hessian_norm(self.manifold, hessian(self.manifold, self.u)))
 
 
-def tangential_part(stats: JacobianStats, mask: np.ndarray, X: np.ndarray) -> np.ndarray:
+def tangential_part(phi: SplittingMap, mask: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The fiber-tangential part ``X - X_perp`` of a vector field on the nodes
     of ``mask`` (NaN elsewhere), where every Gram eigenvalue is positive.
 
     ``X_perp``, the grad-Phi-span part, is assembled in the pointwise
     eigenbasis of the Gram matrix: ``sum_a <X, phi_a> / lambda_a * grad phi_a``.
     """
-    M = stats.phi.manifold
-    m, k = M.dim, stats.phi.k
-    shape = stats.lam.shape
+    M, eigs, V = phi.manifold, *phi.eigh()
+    m, k = M.dim, phi.k
     idx = np.flatnonzero(mask.ravel())
-    eigs = stats.eigs.reshape(-1, k)[idx]
-    V = stats.frames.reshape(-1, k, k)[idx]
-    grads = np.stack([g.reshape(-1, m) for g in stats.phi.gradients()], axis=1)[idx]   # (N, k, m)
+    eigs = eigs.reshape(-1, k)[idx]
+    V = V.reshape(-1, k, k)[idx]
+    grads = np.stack([g.reshape(-1, m) for g in phi.gradients()], axis=1)[idx]   # (N, k, m)
     rot_grads = np.einsum("nba,nbm->nam", V, grads)
     g = M.metric.reshape(-1, m, m)[idx]
     Xn = X.reshape(-1, m)[idx]
     inner = np.einsum("ni,nij,naj->na", Xn, g, rot_grads)
-    out_t = np.full((int(np.prod(shape)), m), np.nan)
+    out_t = np.full((M.grid.n_nodes, m), np.nan)
     out_t[idx] = Xn - np.einsum("na,nam->nm", inner / eigs, rot_grads)
-    return out_t.reshape(shape + (m,))
+    return out_t.reshape(M.grid.shape + (m,))
 
 
 def tangential_projection(u: np.ndarray, mask: RegularMask) -> TangentialField:
     """The tangential part of grad u on the nodes of ``mask``, a ``RegularMask`` of the map ``mask.phi``."""
-    M, stats = mask.phi.manifold, jacobian_stats(mask.phi)
+    M = mask.phi.manifold
     grad_u = gradient(M, u)
-    grad_t = tangential_part(stats, mask.regular, grad_u)
+    grad_t = tangential_part(mask.phi, mask.regular, grad_u)
     speed_sq = metric_inner(M, np.where(np.isnan(grad_t), 0.0, grad_t), grad_t)
     speed_sq = np.where(np.isnan(grad_t[..., 0]), np.nan, speed_sq)
-    return TangentialField(manifold=M, u=np.asarray(u, dtype=float), phi=mask.phi, stats=stats, mask=mask.regular,
+    return TangentialField(manifold=M, u=np.asarray(u, dtype=float), phi=mask.phi, mask=mask.regular,
                            grad_u=grad_u, grad_t=grad_t, speed_sq=speed_sq)
 
 

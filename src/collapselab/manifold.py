@@ -199,10 +199,10 @@ def _per_metric(fn, g: np.ndarray, runs: tuple[np.ndarray, np.ndarray]) -> np.nd
 
 @dataclass(frozen=True)
 class DiscreteManifold:
-    """A discrete Riemannian manifold: periodic grid chart + metric + volume element.
+    """A discrete Riemannian manifold: periodic grid chart + metric.
 
-    ``metric`` holds covariant components per node, ``(*grid.shape, m, m)``,
-    and ``volume_element`` one value per node, ``grid.shape``.
+    ``metric`` holds covariant components per node, ``(*grid.shape, m, m)``;
+    ``volume_element``, sqrt(det g) per node, is derived from it.
     ``christoffel`` optionally holds the symbols ``Gamma^i_{jk}`` per node,
     ``(*grid.shape, m, m, m)``; without it ``christoffel_fd`` differences
     the metric.
@@ -210,19 +210,16 @@ class DiscreteManifold:
 
     grid: PeriodicGrid
     metric: np.ndarray
-    volume_element: np.ndarray
     christoffel: np.ndarray | None = None
     family: FamilySpec | None = None
+    volume_element: np.ndarray = field(init=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.metric, dtype=float)
-        w = np.asarray(self.volume_element, dtype=float)
         shape, m = self.grid.shape, self.grid.dim
         if g.shape != shape + (m, m):
             raise ValueError(f"metric shape {g.shape} does not match the grid: expected {shape + (m, m)}")
-        if w.shape != shape:
-            raise ValueError(f"volume_element shape {w.shape} does not match the grid: expected {shape}")
         if self.christoffel is not None:
             gam = np.asarray(self.christoffel, dtype=float)
             if gam.shape != shape + (m, m, m):
@@ -238,11 +235,8 @@ class DiscreteManifold:
         if eig.min() <= 0:
             bad = tuple(int(i) for i in np.unravel_index(int(np.argmin(eig[..., 0])), eig[..., 0].shape))
             raise ValueError(f"metric not positive definite at node {bad}")
-        det = _per_metric(np.linalg.det, g, runs)
-        if np.max(np.abs(np.sqrt(det) - w)) > 1e-12 * max(1.0, float(np.max(w))):
-            raise ValueError("volume_element inconsistent with sqrt(det(metric))")
         object.__setattr__(self, "metric", _read_only(g))
-        object.__setattr__(self, "volume_element", _read_only(w))
+        object.__setattr__(self, "volume_element", _read_only(np.sqrt(_per_metric(np.linalg.det, g, runs))))
 
     # -- basic measure ------------------------------------------------------
 
@@ -326,8 +320,7 @@ def build_family(spec: FamilySpec) -> DiscreteManifold:
     g[..., 0, 0] = 1.0 + (eps * sigma) ** 2
     g[..., 0, -1] = g[..., -1, 0] = eps**2 * sigma * wx
     g[..., -1, -1] = (eps * wx) ** 2
-    vol = np.sqrt(_per_metric(np.linalg.det, g, _metric_runs(g)))
-    return DiscreteManifold(grid=grid, metric=g, volume_element=vol, christoffel=gamma, family=spec)
+    return DiscreteManifold(grid=grid, metric=g, christoffel=gamma, family=spec)
 
 
 def ricci_lower_bound(M: DiscreteManifold) -> float:

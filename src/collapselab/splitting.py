@@ -7,9 +7,10 @@ construction, the global degree-one harmonic coordinates of a periodic
 family (the discrete analogue of the coordinate projection; exact on flat
 families), and the map refuses any other input.
 
-The pointwise analytics are the Gram matrix J of the component gradients,
-its eigenvalue fields and eigenframes, and the Jacobian density
-|J_k| = sqrt(det J) taken from the nonnegative eigenvalues.
+The map owns its pointwise Jacobian analytics: the Gram matrix J of the
+component gradients (``gram``), its ascending eigenvalues, whose first and
+last are lambda and Lambda, with its eigenframes (``eigh``), and the density
+|J_k| = sqrt(det J) from the nonnegative eigenvalues (``absdet``).
 """
 
 from __future__ import annotations
@@ -40,11 +41,9 @@ from .operators import (
 __all__ = [
     "SplittingMap",
     "LevelProjection",
-    "JacobianStats",
     "Certificate",
     "RegularMask",
     "harmonic_coordinates",
-    "jacobian_stats",
     "certify",
     "classify_regular",
 ]
@@ -57,8 +56,9 @@ NEWTON_MAX_ITER = 5
 
 @dataclass(frozen=True)
 class SplittingMap:
-    """k harmonic component fields with winding-aware evaluation: finite
-    node values and a nonzero winding per component, or a ValueError."""
+    """k harmonic component fields with winding-aware evaluation (finite node
+    values and a nonzero winding per component, or a ValueError) and every
+    node field derived from them, each computed once and cached on the map."""
 
     manifold: DiscreteManifold
     values: tuple[np.ndarray, ...]         # principal values at nodes, one per component
@@ -98,6 +98,27 @@ class SplittingMap:
     def hessian_norms(self) -> list[np.ndarray]:
         M = self.manifold
         return _cached(self, "hessian_norms", lambda: [hessian_norm(M, H) for H in self.hessians()])
+
+    def gram(self) -> np.ndarray:
+        """The Gram matrix ``J_ab = <grad Phi^a, grad Phi^b>`` per node, ``(*shape, k, k)``."""
+        def build():
+            grads, k = self.gradients(), self.k
+            J = np.zeros(grads[0].shape[:-1] + (k, k))
+            for a in range(k):
+                for b in range(a, k):
+                    J[..., a, b] = J[..., b, a] = metric_inner(self.manifold, grads[a], grads[b])
+            return _read_only(J)
+
+        return _cached(self, "gram", build)
+
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(eigs, frames)``: J's ascending eigenvalues ``(*shape, k)`` and
+        eigenvectors, ``J = V diag(eigs) V^T``."""
+        return _cached(self, "eigh", lambda: tuple(map(_read_only, np.linalg.eigh(self.gram()))))
+
+    def absdet(self) -> np.ndarray:
+        """The Jacobian density ``|J_k| = sqrt(det J)`` from the nonnegative eigenvalues."""
+        return _cached(self, "absdet", lambda: _read_only(np.sqrt(np.prod(np.maximum(self.eigh()[0], 0.0), axis=-1))))
 
     def periodic_parts(self) -> list[np.ndarray]:
         pos = self.manifold.positions()
@@ -310,49 +331,8 @@ def harmonic_coordinates(M: DiscreteManifold) -> SplittingMap:
 
 
 # ---------------------------------------------------------------------------
-# Jacobian analytics
+# regular set
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JacobianStats:
-    """Pointwise Gram matrix of the splitting map and its eigen-structure,
-    finite at every node as the map's values are."""
-
-    phi: SplittingMap
-    gram: np.ndarray       # (*shape, k, k)
-    lam: np.ndarray        # least eigenvalue field
-    Lam: np.ndarray        # largest eigenvalue field
-    absdet: np.ndarray     # |J_k| = sqrt(det J)
-    frames: np.ndarray     # (*shape, k, k) eigenvectors, J = V diag(eigs) V^T
-    eigs: np.ndarray       # (*shape, k) ascending
-
-
-def jacobian_stats(phi: SplittingMap) -> JacobianStats:
-    return _cached(phi, "jacobian_stats", lambda: _jacobian_stats(phi))
-
-
-def _jacobian_stats(phi: SplittingMap) -> JacobianStats:
-    M = phi.manifold
-    grads = phi.gradients()
-    k = phi.k
-    shape = grads[0].shape[:-1]
-    J = np.zeros(shape + (k, k))
-    for a in range(k):
-        for b in range(a, k):
-            J[..., a, b] = metric_inner(M, grads[a], grads[b])
-            J[..., b, a] = J[..., a, b]
-    eigs, frames = np.linalg.eigh(J)
-    det = np.prod(np.maximum(eigs, 0.0), axis=-1)
-    return JacobianStats(
-        phi=phi,
-        gram=J,
-        lam=eigs[..., 0],
-        Lam=eigs[..., -1],
-        absdet=np.sqrt(det),
-        frames=frames,
-        eigs=eigs,
-    )
 
 
 @dataclass(frozen=True)
@@ -372,9 +352,10 @@ class RegularMask:
         Lambda, 0 on the regular nodes and NaN off them, and each
         |Hess Phi^b| (k); cached."""
         def build():
-            phi, stats = self.phi, jacobian_stats(self.phi)
+            phi, eigs = self.phi, self.phi.eigh()[0]
             return np.concatenate([phi._stacked("psi"), np.stack(
-                [stats.lam, stats.Lam, np.where(self.regular, 0.0, np.nan), *phi.hessian_norms()], axis=-1)], axis=-1)
+                [eigs[..., 0], eigs[..., -1], np.where(self.regular, 0.0, np.nan), *phi.hessian_norms()], axis=-1)],
+                axis=-1)
 
         return _cached(self, "fiber_fields", build)
 
@@ -384,10 +365,10 @@ def classify_regular(phi: SplittingMap, lambda_min_rel: float) -> RegularMask:
     ``lambda_min_rel`` times the median largest one (floored at 1e-300)."""
     if lambda_min_rel <= 0:
         raise ValueError("lambda_min_rel must be positive")
-    stats = jacobian_stats(phi)
-    threshold = max(lambda_min_rel * float(np.median(stats.Lam)), 1e-300)
+    eigs = phi.eigh()[0]
+    threshold = max(lambda_min_rel * float(np.median(eigs[..., -1])), 1e-300)
     w = phi.manifold.node_weights()
-    regular = stats.lam > threshold
+    regular = eigs[..., 0] > threshold
     frac = float(w[~regular].sum() / w.sum())
     return RegularMask(phi=phi, regular=regular, threshold=threshold, singular_fraction=frac)
 
@@ -429,16 +410,14 @@ def certify(phi: SplittingMap, ball: GeodesicBall, epsilon_hat: float) -> Certif
     """
     M = phi.manifold
     r = ball.radius
-    region2 = ball.concentric(2 * r)
-    stats = jacobian_stats(phi)
-    mask = region2.members
+    mask = ball.concentric(2 * r).members
     sup_grad, hess_energy = _gradient_hessian_sizes(phi, mask, r)
-    k = phi.k
+    gram, k = phi.gram(), phi.k
     gram_dev = 0.0
     for a in range(k):
         for b in range(k):
-            dev = np.abs(stats.gram[..., a, b] - (1.0 if a == b else 0.0))
-            gram_dev = max(gram_dev, region_average(M, np.where(mask, dev, 0.0), mask))
+            dev = np.abs(gram[..., a, b] - (1.0 if a == b else 0.0))
+            gram_dev = max(gram_dev, region_average(M, dev, mask))
     res = phi.level_residual(M.positions()[mask].reshape(-1, M.dim), phi.node_value(ball.center))
     range_ok = bool(np.all(np.linalg.norm(res, axis=-1) <= 2 * r + 1e-12))
     psi = max(gram_dev, float(np.sqrt(hess_energy)))
@@ -457,5 +436,5 @@ def _gradient_hessian_sizes(phi: SplittingMap, region: np.ndarray, r: float) -> 
     region: what the certificate and the C0 bound of the estimates read."""
     M = phi.manifold
     sup_grad = max(region_sup(np.sqrt(norm_sq(M, g)), region) for g in phi.gradients())
-    hess = r**2 * sum(region_average(M, np.where(region, hn**2, 0.0), region) for hn in phi.hessian_norms())
+    hess = r**2 * sum(region_average(M, hn**2, region) for hn in phi.hessian_norms())
     return sup_grad, hess

@@ -47,7 +47,7 @@ def doubly_warped():
     g = np.zeros(grid.shape + (2, 2))
     g[..., 0, 0] = (1.0 + 0.3 * np.sin(2 * np.pi * y)) ** 2
     g[..., 1, 1] = (0.5 + 0.1 * np.cos(2 * np.pi * x)) ** 2
-    return DiscreteManifold(grid=grid, metric=g, volume_element=np.sqrt(np.linalg.det(g)))
+    return DiscreteManifold(grid=grid, metric=g)
 
 
 def random_full_metric(shape, seed):
@@ -59,7 +59,7 @@ def random_full_metric(shape, seed):
     g = np.eye(m) + a @ np.swapaxes(a, -1, -2)
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
     grid = PeriodicGrid(shape, tuple(float(p) for p in rng.uniform(0.5, 2.0, m)))
-    return DiscreteManifold(grid=grid, metric=g, volume_element=np.sqrt(np.linalg.det(g)))
+    return DiscreteManifold(grid=grid, metric=g)
 
 
 # charts with 2 or 3 nodes along an axis, where every stencil row, or every

@@ -18,7 +18,7 @@ from collapselab.flow import (
     tangential_projection,
 )
 from collapselab.operators import interp_scalar, region_sup
-from collapselab.splitting import SplittingMap, classify_regular, harmonic_coordinates, jacobian_stats
+from collapselab.splitting import SplittingMap, classify_regular, harmonic_coordinates
 
 
 EPS = 0.1
@@ -45,17 +45,16 @@ def apriori_rate(field, x0):
 @pytest.fixture(scope="module")
 def flat_setup(flat_torus, flat_coordinates):
     M = flat_torus
-    stats = jacobian_stats(flat_coordinates)
     mask = classify_regular(flat_coordinates, LAMBDA_MIN_REL)
     pos = M.positions()
     u = np.sin(2 * np.pi * pos[..., 1])  # one oscillation around the fiber circle
     field = tangential_projection(u, mask)
-    return M, flat_coordinates, stats, mask, field
+    return M, flat_coordinates, mask, field
 
 
 @pytest.fixture(scope="module")
 def fiber_report(flat_setup):
-    M, phi, stats, mask, field = flat_setup
+    M, phi, mask, field = flat_setup
     trace = fiber(phi, [0.0])
     return fiber_apriori_check(trace, field, EPS, R)
 
@@ -64,7 +63,7 @@ def test_projection_orthogonality_and_pythagoras(flat_setup, warped_torus, warpe
     from collapselab.operators import gradient, metric_inner
     from collapselab.spectral import eigenpairs
 
-    M, phi, stats, mask, field = flat_setup
+    M, phi, mask, field = flat_setup
     ip = metric_inner(M, field.grad_t, phi.gradients()[0])
     gn = np.sqrt(metric_inner(M, field.grad_u, field.grad_u))
     pn = np.sqrt(metric_inner(M, phi.gradients()[0], phi.gradients()[0]))
@@ -86,24 +85,23 @@ def test_projection_base_mode_vanishes(flat_torus, flat_coordinates):
 
 
 def test_projection_fiber_mode_is_full_gradient(flat_setup):
-    M, phi, stats, mask, field = flat_setup
+    M, phi, mask, field = flat_setup
     assert np.nanmax(np.abs(field.grad_t - field.grad_u)) <= 1e-12 * np.nanmax(np.abs(field.grad_u))
     # |grad^T u| = (2 pi / eps)|cos(2 pi y)| up to the difference sinc factor
     assert np.nanmax(field.speed_sq) == pytest.approx((2 * np.pi / EPS) ** 2, rel=2e-2)
 
 
 def test_projection_idempotent(flat_setup, warped_torus, warped_coordinates):
-    M, phi, stats, mask, field = flat_setup
-    t2 = tangential_part(stats, field.mask, np.nan_to_num(field.grad_t))
+    M, phi, mask, field = flat_setup
+    t2 = tangential_part(phi, field.mask, np.nan_to_num(field.grad_t))
     assert np.nanmax(np.abs(t2 - field.grad_t)) <= 1e-12 * max(1.0, np.nanmax(np.abs(field.grad_t)))
-    stats_w = jacobian_stats(warped_coordinates)
     mask_w = classify_regular(warped_coordinates, LAMBDA_MIN_REL)
     pos = warped_torus.positions()
     from collapselab.operators import gradient
 
     gu = gradient(warped_torus, np.sin(2 * np.pi * pos[..., 1]) * np.cos(2 * np.pi * pos[..., 0]))
-    t1 = tangential_part(stats_w, mask_w.regular, gu)
-    t2 = tangential_part(stats_w, mask_w.regular, np.nan_to_num(t1))
+    t1 = tangential_part(warped_coordinates, mask_w.regular, gu)
+    t2 = tangential_part(warped_coordinates, mask_w.regular, np.nan_to_num(t1))
     assert np.nanmax(np.abs(t2 - t1)) <= 1e-12 * max(1.0, np.nanmax(np.abs(t1)))
 
 
@@ -118,7 +116,7 @@ def test_fixed_point_flow(flat_torus, flat_coordinates):
 
 
 def test_flow_criterion_drift_monotone(flat_setup, fiber_report):
-    M, phi, stats, mask, field = flat_setup
+    M, phi, mask, field = flat_setup
     rep = fiber_report
     T = 10.0 / rep.K
     dt = 1e-4 * EPS
@@ -133,7 +131,7 @@ def test_flow_criterion_drift_monotone(flat_setup, fiber_report):
 
 def test_flow_positions_match_ode_oracle(flat_setup, fiber_report):
     # independent oracle: the 1-d chart ODE dy/dt = eps^-2 2 pi cos(2 pi y)
-    M, phi, stats, mask, field = flat_setup
+    M, phi, mask, field = flat_setup
     rep = fiber_report
     T = 10.0 / rep.K
     dt = 1e-4 * EPS
@@ -155,13 +153,13 @@ def test_flow_positions_match_ode_oracle(flat_setup, fiber_report):
 
 
 def test_flow_step_size_violation(flat_setup, fiber_report):
-    M, phi, stats, mask, field = flat_setup
+    M, phi, mask, field = flat_setup
     with pytest.raises(ValueError, match="step size violation"):
         integrate_flow(field, (0, 0), T=0.01, dt=1.0, stability_rate=flow_rate_bound(fiber_report))
 
 
 def test_flow_requires_regular_start(flat_setup):
-    M, phi, stats, mask, field = flat_setup
+    M, phi, mask, field = flat_setup
     bad_mask = np.zeros_like(field.mask)
     broken = dataclasses.replace(field, mask=bad_mask)
     with pytest.raises(ValueError, match="not regular"):
@@ -169,7 +167,7 @@ def test_flow_requires_regular_start(flat_setup):
 
 
 def test_flow_escape_raises_a_runtime_error_naming_t(flat_setup):
-    M, phi, stats, mask, field = flat_setup
+    M, phi, mask, field = flat_setup
     # poison the tangential field away from the start so interpolation hits NaN
     grad_t = field.grad_t.copy()
     grad_t[:, 8:12, :] = np.nan
@@ -208,7 +206,7 @@ def test_capped_fiber_neighborhood_matches_the_uncapped_search(monkeypatch, warp
 def test_the_fiber_check_measures_its_own_neighbourhood(monkeypatch, flat_setup):
     # K is measured on the trace's own 2 eps r neighborhood: one Dijkstra per
     # trace, whatever the number of fields checked on it
-    M, phi, stats, mask, field = flat_setup
+    M, phi, mask, field = flat_setup
     pos = M.positions()
     other = tangential_projection(np.sin(2 * np.pi * pos[..., 1]) * np.cos(2 * np.pi * pos[..., 0]), mask)
     searches = []
@@ -251,7 +249,7 @@ def test_apriori_check_trivial_mode(flat_torus, flat_coordinates):
 
 def test_apriori_check_fiber_mode_recomputed(flat_setup, fiber_report):
     # independent recomputation of both sides from the raw fields
-    M, phi, stats, mask, field = flat_setup
+    M, phi, mask, field = flat_setup
     rep = fiber_report
     assert rep.lam == pytest.approx(1.0, abs=1e-10)
     assert rep.Lam == pytest.approx(1.0, abs=1e-10)
@@ -283,7 +281,7 @@ def test_apriori_scaling_with_fiber_oscillation(flat_setup, fiber_report):
 
 def test_counterexample_flag_fires_on_mismatched_inputs(flat_setup):
     # feeding an epsilon measured on the wrong region must trip the flag
-    M, phi, stats, mask, field = flat_setup
+    M, phi, mask, field = flat_setup
     trace = fiber(phi, [0.0])
     rep = fiber_apriori_check(trace, field, eps_hat=1e-8, r=R)
     assert not rep.passed
@@ -321,7 +319,7 @@ def record_projections(monkeypatch):
 def test_drift_column_is_level_residual_at_recorded_positions(
     monkeypatch, flat_setup, sheared_warped_field, family
 ):
-    field = flat_setup[4] if family == "flat" else sheared_warped_field
+    field = flat_setup[3] if family == "flat" else sheared_warped_field
     steps, moves = record_projections(monkeypatch)
     rate = apriori_rate(field, (5, 3))
     dt = 0.1 / rate
@@ -375,9 +373,9 @@ def count_probe_evaluations(monkeypatch):
 
 
 def test_flat_flow_interpolates_at_most_four_times_per_step(monkeypatch, flat_setup, fiber_report):
-    field = dataclasses.replace(flat_setup[4])     # a fresh probe cache
+    field = dataclasses.replace(flat_setup[3])     # a fresh probe cache
     rate = flow_rate_bound(fiber_report)
-    traj_ref = integrate_flow(flat_setup[4], (0, 0), T=2e-4, dt=1e-5, stability_rate=rate)
+    traj_ref = integrate_flow(flat_setup[3], (0, 0), T=2e-4, dt=1e-5, stability_rate=rate)
     calls = count_probe_evaluations(monkeypatch)
     steps, _ = record_projections(monkeypatch)
     traj = integrate_flow(field, (0, 0), T=2e-4, dt=1e-5, stability_rate=rate)
@@ -393,7 +391,7 @@ def test_flat_flow_interpolates_at_most_four_times_per_step(monkeypatch, flat_se
 
 def test_trajectory_csv_export(tmp_path, flat_setup, fiber_report):
     # the columns the flow verb writes, through the CLI's one CSV writer
-    M, phi, stats, mask, field = flat_setup
+    M, phi, mask, field = flat_setup
     traj = integrate_flow(field, (0, 0), T=1e-3, dt=1e-5, stability_rate=flow_rate_bound(fiber_report))
     columns = [traj.times, *traj.positions.T, traj.u_values, traj.speed_sq, traj.drift]
     path = cli._write_csv(tmp_path / "traj.csv", ["t", "x", "y", "u", "tangential_speed_sq", "drift"], zip(*columns))
@@ -418,12 +416,12 @@ def separate_apriori_check(fiber, field, eps_hat, r):
     """``fiber_apriori_check`` as it read the map's fields before the trace
     carried them: every field gathered at the fiber samples from one stack,
     and K on the fiber's 2 eps r neighborhood searched afresh."""
-    M, stats = field.manifold, field.stats
+    M, eigs = field.manifold, field.phi.eigh()[0]
     if not fiber.regular:
         raise ValueError("fiber is not regular; a priori constants are undefined")
     samples = np.stack([
-        stats.lam,
-        stats.Lam,
+        eigs[..., 0],
+        eigs[..., -1],
         np.where(field.mask, field.speed_sq, np.nan),
         *field.phi.hessian_norms(),
     ], axis=-1)
@@ -467,8 +465,9 @@ def test_one_gather_gives_the_fiber_facts_of_separate_ones(request, chart, cut):
     phi = harmonic_coordinates(M)
     if phi.k == M.dim:   # the doubly warped chart has no family: trace its first coordinate
         phi = SplittingMap(M, phi.values[:1], phi.windings[:1])
-    stats = jacobian_stats(phi)
-    median_cut = float(np.nanmedian(stats.lam)) / float(np.nanmedian(stats.Lam))
+    eigs = phi.eigh()[0]
+    lam_field, Lam_field = eigs[..., 0], eigs[..., -1]
+    median_cut = float(np.nanmedian(lam_field)) / float(np.nanmedian(Lam_field))
     mask = classify_regular(phi, median_cut if cut else LAMBDA_MIN_REL)
     threshold = mask.threshold
     regular_set = np.where(mask.regular, 0.0, np.nan)
@@ -480,10 +479,10 @@ def test_one_gather_gives_the_fiber_facts_of_separate_ones(request, chart, cut):
     for t in np.linspace(0.1, 0.9, 5):
         trace = extract_fiber(mask, lo + t * (hi - lo))
         pts = M.grid.wrap(trace.points)
-        lam = interp_scalar(M, stats.lam, pts)
+        lam = interp_scalar(M, lam_field, pts)
         assert bits(trace.min_lambda) == bits(lam.min())
         assert trace.regular == bool(lam.min() > threshold)
-        assert bits(trace.max_Lambda) == bits(np.max(interp_scalar(M, stats.Lam, pts)))
+        assert bits(trace.max_Lambda) == bits(np.max(interp_scalar(M, Lam_field, pts)))
         assert bits(trace.hessian_sq_sup) == bits(
             [np.max(interp_scalar(M, hn, pts) ** 2) for hn in phi.hessian_norms()])
         assert trace.in_mask == bool(np.isfinite(interp_scalar(M, regular_set, pts)).all())

@@ -87,7 +87,7 @@ def test_metric_invariants_checked():
     grid_spec = FamilySpec(kind="flat-product-torus", epsilon=0.5, resolution=(8, 16))
     M = build_family(grid_spec)
     with pytest.raises(ValueError, match="positive definite"):
-        DiscreteManifold(grid=M.grid, metric=bad, volume_element=np.ones((8, 16)))
+        DiscreteManifold(grid=M.grid, metric=bad)
 
 
 @pytest.mark.parametrize(
@@ -112,29 +112,22 @@ def test_one_evaluation_per_distinct_metric_keeps_every_bit(request, family, run
 def test_a_single_bad_node_is_named(request, family):
     # the node sits inside a run of equal metrics along the fiber
     M = request.getfixturevalue(family)
-    g, w = M.metric.copy(), M.volume_element.copy()
+    g = M.metric.copy()
     g[37, 5] = [[1.0, 0.0], [0.0, -1e-3]]
     with pytest.raises(ValueError, match=r"not positive definite at node \(37, 5\)"):
-        DiscreteManifold(grid=M.grid, metric=g, volume_element=w)
-    w[37, 5] *= 1.0 + 1e-9
-    with pytest.raises(ValueError, match="volume_element inconsistent"):
-        DiscreteManifold(grid=M.grid, metric=M.metric, volume_element=w)
+        DiscreteManifold(grid=M.grid, metric=g)
 
 
-@pytest.mark.parametrize(
-    "metric_shape, volume_shape, field",
-    [((16, 2, 2), (8, 16), "metric"), ((8, 16, 3, 3), (8, 16), "metric"), ((8, 16, 2, 2), (16,), "volume_element")],
-    ids=["metric-one-axis", "metric-3x3", "volume-one-axis"],
-)
-def test_fields_must_match_the_grid(metric_shape, volume_shape, field):
-    # the dimension comes from the grid, and node fields of another shape
-    # are rejected even where NumPy would broadcast them
+@pytest.mark.parametrize("metric_shape", [(16, 2, 2), (8, 16, 3, 3)], ids=["metric-one-axis", "metric-3x3"])
+def test_fields_must_match_the_grid(metric_shape):
+    # the dimension comes from the grid, and a metric of another shape is
+    # rejected even where NumPy would broadcast it
     grid = PeriodicGrid((8, 16), (1.0, 1.0))
-    M = DiscreteManifold(grid=grid, metric=np.broadcast_to(np.eye(2), (8, 16, 2, 2)), volume_element=np.ones((8, 16)))
-    assert M.dim == 2
+    M = DiscreteManifold(grid=grid, metric=np.broadcast_to(np.eye(2), (8, 16, 2, 2)))
+    assert M.dim == 2 and M.volume_element.shape == (8, 16)
     metric = np.broadcast_to(np.eye(metric_shape[-1]), metric_shape)
-    with pytest.raises(ValueError, match=f"{field} shape"):
-        DiscreteManifold(grid=grid, metric=metric, volume_element=np.ones(volume_shape))
+    with pytest.raises(ValueError, match="metric shape"):
+        DiscreteManifold(grid=grid, metric=metric)
 
 
 def test_periodicity_of_fields(warped_torus):

@@ -302,7 +302,7 @@ def sheared_warped():
     g[..., 0, 0] = 1.0 + (0.3 * 2.0) ** 2
     g[..., 0, 1] = g[..., 1, 0] = 0.3**2 * 2.0 * w
     g[..., 1, 1] = (0.3 * w) ** 2
-    return DiscreteManifold(grid=grid, metric=g, volume_element=np.sqrt(np.linalg.det(g)))
+    return DiscreteManifold(grid=grid, metric=g)
 
 
 def fiber_gap(M):

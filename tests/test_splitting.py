@@ -12,7 +12,6 @@ from collapselab.splitting import (
     certify,
     classify_regular,
     harmonic_coordinates,
-    jacobian_stats,
 )
 from collapselab.flow import tangential_part
 
@@ -126,27 +125,25 @@ def test_warped_coordinate_derivative_converges_at_order_two():
 
 
 def test_jacobian_identity_flat(flat_coordinates):
-    stats = jacobian_stats(flat_coordinates)
-    assert np.max(np.abs(stats.gram[..., 0, 0] - 1.0)) <= 1e-12
-    assert np.max(np.abs(stats.lam - 1.0)) <= 1e-12
-    assert np.max(np.abs(stats.Lam - 1.0)) <= 1e-12
-    assert np.max(np.abs(stats.absdet - 1.0)) <= 1e-12
+    eigs, _ = flat_coordinates.eigh()
+    assert np.max(np.abs(flat_coordinates.gram()[..., 0, 0] - 1.0)) <= 1e-12
+    assert np.max(np.abs(eigs[..., 0] - 1.0)) <= 1e-12
+    assert np.max(np.abs(eigs[..., -1] - 1.0)) <= 1e-12
+    assert np.max(np.abs(flat_coordinates.absdet() - 1.0)) <= 1e-12
 
 
 def test_jacobian_identity_twisted(twisted_torus):
     phi = harmonic_coordinates(twisted_torus)
     assert phi.k == 2
-    stats = jacobian_stats(phi)
-    eye_dev = np.max(np.abs(stats.gram - np.eye(2)))
+    eye_dev = np.max(np.abs(phi.gram() - np.eye(2)))
     assert eye_dev <= 1e-10
-    assert np.max(np.abs(stats.absdet - 1.0)) <= 1e-10
+    assert np.max(np.abs(phi.absdet() - 1.0)) <= 1e-10
 
 
 def test_determinant_identity(warped_coordinates, twisted_torus):
     for phi in (warped_coordinates, harmonic_coordinates(twisted_torus)):
-        stats = jacobian_stats(phi)
-        det = np.linalg.det(stats.gram)
-        assert np.nanmax(np.abs(stats.absdet**2 - det)) <= 1e-12 * max(1.0, np.nanmax(det))
+        det = np.linalg.det(phi.gram())
+        assert np.nanmax(np.abs(phi.absdet()**2 - det)) <= 1e-12 * max(1.0, np.nanmax(det))
 
 
 def test_classify_regular_all_regular(flat_coordinates):
@@ -156,9 +153,10 @@ def test_classify_regular_all_regular(flat_coordinates):
 
 
 def test_classify_regular_degenerate_threshold(flat_coordinates):
-    stats = jacobian_stats(flat_coordinates)
-    mask = classify_regular(flat_coordinates, 2.0 * float(np.nanmax(stats.lam)) / float(np.nanmedian(stats.Lam)))
-    assert mask.threshold == 2.0 * float(np.nanmax(stats.lam))
+    eigs, _ = flat_coordinates.eigh()
+    lam_max = float(np.nanmax(eigs[..., 0]))
+    mask = classify_regular(flat_coordinates, 2.0 * lam_max / float(np.nanmedian(eigs[..., -1])))
+    assert mask.threshold == 2.0 * lam_max
     assert not mask.regular.any()
     assert mask.singular_fraction == 1.0
 
@@ -243,13 +241,12 @@ def _synthetic_k2_map(M):
 def _field_pair(M, phi):
     pos = M.positions()
     u = np.sin(2 * np.pi * pos[..., M.dim - 1]) + 0.3 * np.sin(2 * np.pi * pos[..., 0])
-    stats = jacobian_stats(phi)
     mask = classify_regular(phi, LAMBDA_MIN_REL)
     from collapselab.operators import gradient
 
     grad_u = gradient(M, u)
-    grad_t = tangential_part(stats, mask.regular, grad_u)
-    return stats, mask.regular, grad_u, grad_t
+    grad_t = tangential_part(phi, mask.regular, grad_u)
+    return mask.regular, grad_u, grad_t
 
 
 def _rotate_map(phi, Q):
@@ -281,16 +278,15 @@ def test_orthogonal_invariance_20_rotations(k, warped_torus, warped_coordinates,
         phi = _synthetic_k2_map(M)
     # |J_k| and the tangential part of grad u depend on the span of the
     # component gradients only, not on the basis
-    stats, mask, grad_u, grad_t = _field_pair(M, phi)
-    J0 = stats.absdet
+    mask, grad_u, grad_t = _field_pair(M, phi)
+    J0 = phi.absdet()
     rng = np.random.default_rng(42)
     scale_t = max(1.0, np.nanmax(np.abs(grad_t)))
     for _ in range(20):
         Q = _random_orthogonal(rng, k)
         phi_q = _rotate_map(phi, Q)
-        stats_q = jacobian_stats(phi_q)
-        grad_t_q = tangential_part(stats_q, mask, grad_u)
-        assert np.nanmax(np.abs(stats_q.absdet - J0)) <= 1e-10 * max(1.0, np.nanmax(J0))
+        grad_t_q = tangential_part(phi_q, mask, grad_u)
+        assert np.nanmax(np.abs(phi_q.absdet() - J0)) <= 1e-10 * max(1.0, np.nanmax(J0))
         assert np.array_equal(np.isnan(grad_t_q), np.isnan(grad_t))
         assert np.nanmax(np.abs(grad_t_q - grad_t)) <= 1e-10 * scale_t
 
@@ -299,7 +295,7 @@ def test_jacobian_density_derivative_along_curves(warped_torus, warped_coordinat
     # |d/ds |J_k|(gamma)| <= k (1+C0)^{k-1} |gamma'| sum|Hess_Phi| by finite differences
     M = warped_torus
     phi = warped_coordinates
-    stats = jacobian_stats(phi)
+    J = phi.absdet()
     sup_grad = region_sup(np.sqrt(metric_inner(M, phi.gradients()[0], phi.gradients()[0])))
     C0 = max(sup_grad - 1.0, 0.0)
     hess_sum = sum(phi.hessian_norms())
@@ -307,7 +303,7 @@ def test_jacobian_density_derivative_along_curves(warped_torus, warped_coordinat
     # the smooth density by O(h |J|''), which dominates where both sides vanish
     h_max = max(M.grid.spacings)
     d2j = max(
-        float(np.max(np.abs(np.roll(stats.absdet, -1, ax) - 2 * stats.absdet + np.roll(stats.absdet, 1, ax))))
+        float(np.max(np.abs(np.roll(J, -1, ax) - 2 * J + np.roll(J, 1, ax))))
         / M.grid.spacings[ax] ** 2
         for ax in range(M.dim)
     )
@@ -318,7 +314,7 @@ def test_jacobian_density_derivative_along_curves(warped_torus, warped_coordinat
         curve = np.stack(
             [cx + a * np.cos(2 * np.pi * s), cy + b * np.sin(4 * np.pi * s)], axis=-1
         )
-        jvals = interp_scalar(M, stats.absdet, M.grid.wrap(curve))
+        jvals = interp_scalar(M, J, M.grid.wrap(curve))
         ds = s[1] - s[0]
         dj = (np.roll(jvals, -1) - np.roll(jvals, 1)) / (2 * ds)
         mid_speed = (np.roll(curve, -1, axis=0) - np.roll(curve, 1, axis=0)) / (2 * ds)
