@@ -300,8 +300,6 @@ def fiber_apriori_check(fiber: FiberTrace, field: TangentialField, eps_hat: floa
     gn, hn_u = field.grad_norm(), field.hessian_u_norm()
     radius = 2.0 * eps_hat * r
     neighborhood = _cached(fiber, ("neighborhood", radius), lambda: fiber_neighborhood(M, fiber, radius))
-    if not np.all(np.isfinite(gn[neighborhood])) or not np.all(np.isfinite(hn_u[neighborhood])):
-        raise ValueError("fiber neighborhood exits the computed domain of u")
     K = region_sup(_cached(field, ("apriori_K", r), lambda: r * gn + r**2 * hn_u), neighborhood)
     speed = np.sqrt(np.maximum(speed_sq, 0.0))
     if not np.all(np.isfinite(speed)):

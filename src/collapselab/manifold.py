@@ -600,9 +600,8 @@ def _cell_corners(phi):
     cell's side of the seam (0 off it); the mean of the carried corners; a
     margin, twice the largest carried corner's deviation from the mean (a
     level that crosses the cell lies within it) plus ``4 eps (|mean| +
-    period)`` for round-off; the signed value period that picks a cell's
-    branch; and an index: the cells sorted by their means modulo the period,
-    those sorted means, and the largest margin."""
+    period)`` for round-off; and the signed value period that picks a cell's
+    branch."""
     grid = phi.manifold.grid
     f, winding = phi.values[0], phi.windings[0]
     jump1 = winding[0] * grid.periods[0]
@@ -616,10 +615,8 @@ def _cell_corners(phi):
     branch = jump1 if jump1 != 0.0 else jump2
     margin = 2.0 * np.abs(c.reshape(-1, 4) - cmean[:, None]).max(axis=1)
     margin += 4 * np.finfo(float).eps * (np.abs(cmean) + abs(branch))
-    keys = cmean % abs(branch)
-    order = np.argsort(keys)
     return (_read_only(corners.reshape(-1, 4)), _read_only(jumps.reshape(-1, 4)), _read_only(cmean),
-            _read_only(margin), branch, _read_only(order), _read_only(keys[order]), float(margin.max()))
+            _read_only(margin), branch)
 
 
 def _level_crossings(phi, v: float) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -634,24 +631,15 @@ def _level_crossings(phi, v: float) -> tuple[np.ndarray, tuple[np.ndarray, np.nd
     in that order to cross it, so adjacent cells chain exactly.
 
     Only a cell whose corner mean on the level's branch lies within its margin
-    (``_cell_corners``), plus ``4 eps |v|``, of the level can cross it and is
-    tested.  Binary search in the index finds a superset, the cells within twice
-    the largest margin plus ``8 eps (|v| + period)`` of the level, cyclically,
-    and tests it in row-major order as every cell.
+    (``_cell_corners``), plus ``4 eps |v|``, of the level can cross it; every
+    cell's margin is tested, in row-major order.
     """
     grid = phi.manifold.grid
-    corners, jumps, cmean, margin, branch, cells, keys, reach = _cached(phi, "corners", lambda: _cell_corners(phi))
-    period, eps = abs(branch), np.finfo(float).eps
-    width, t = 2.0 * reach + 8 * eps * (abs(v) + period), v % period
-    cells = np.unique(np.concatenate([
-        cells[np.searchsorted(keys, c - width):np.searchsorted(keys, c + width, side="right")]
-        for c in (t - period, t, t + period)
-    ]))
-    cmean = cmean[cells]
+    corners, jumps, cmean, margin, branch = _cached(phi, "corners", lambda: _cell_corners(phi))
     # pick the value branch nearest each cell
     wraps = branch * np.round((cmean - v) / branch)
-    test = np.abs(cmean - v - wraps) - 4 * eps * abs(v) <= margin[cells]
-    cand = cells[test]
+    test = np.abs(cmean - v - wraps) - 4 * np.finfo(float).eps * abs(v) <= margin
+    cand = np.flatnonzero(test)
     d = corners[cand] - (v + (wraps[test, None] - jumps[cand]))    # a seam corner keeps its and v's low bits
     sgn = d > 0
     active = ~(sgn == sgn[:, :1]).all(axis=1)

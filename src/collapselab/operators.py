@@ -35,7 +35,6 @@ an L2 average is the square root of the mean of the squared field.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -262,9 +261,9 @@ def stiffness_apply(M: DiscreteManifold, f: np.ndarray, winding=None) -> np.ndar
     return out.reshape(M.grid.shape)
 
 
-def laplace(M: DiscreteManifold, f: np.ndarray, winding=None) -> np.ndarray:
+def laplace(M: DiscreteManifold, f: np.ndarray) -> np.ndarray:
     """Pointwise ``Delta f = -div grad f`` (positive spectrum convention)."""
-    return stiffness_apply(M, f, winding) / M.node_weights()
+    return stiffness_apply(M, f) / M.node_weights()
 
 
 def factorize(A):
@@ -476,24 +475,23 @@ def hessian_norm(M: DiscreteManifold, H: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def region_average(M: DiscreteManifold, f: np.ndarray, region: np.ndarray | None = None) -> float:
-    """Volume-weighted mean of f over a region, the whole chart by default."""
+def region_average(M: DiscreteManifold, f: np.ndarray, region: np.ndarray) -> float:
+    """Volume-weighted mean of f over a region (a boolean node mask)."""
     w = M.node_weights()
-    mask = np.ones_like(w, dtype=bool) if region is None else np.asarray(region, dtype=bool)
+    mask = np.asarray(region, dtype=bool)
     if not mask.any():
         raise ValueError("empty region")
     f = np.asarray(f)
     return float((w[mask] * f[mask]).sum() / w[mask].sum())
 
 
-def region_sup(f: np.ndarray, region: np.ndarray | None = None) -> float:
-    f = np.asarray(f)
-    if region is None:
-        return float(np.nanmax(f))
+def region_sup(f: np.ndarray, region: np.ndarray) -> float:
+    """The largest value of f over a region (a boolean node mask); NaN if
+    any value there is NaN."""
     region = np.asarray(region, dtype=bool)
     if not region.any():
         raise ValueError("empty region")
-    return float(np.nanmax(f[region]))
+    return float(np.max(np.asarray(f)[region]))
 
 
 # ---------------------------------------------------------------------------
@@ -501,34 +499,22 @@ def region_sup(f: np.ndarray, region: np.ndarray | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-# points per interpolation pass: keeps the per-corner temporaries cache-sized
-_INTERP_BLOCK = 2048
-
-
-@functools.lru_cache(maxsize=32)
 def _stencil_layout(grid: PeriodicGrid):
     """Per-grid constants of the multilinear interpolation stencil.
 
-    Node total, periods, node counts ``(m, 1)``, spacings, flat node strides
-    ``(m, 1)``, and one index per axis.  That index takes the axis's
-    ``(lower, upper)`` pair from a ``(2, m, n)`` array and spreads it over the
-    axis's own dimension of a ``(2,) * m + (n,)`` block, so that the flattened
-    block lists the cell corners in ``np.ndindex`` order.
+    Periods, node counts ``(m, 1)``, spacings, flat node strides ``(m, 1)``,
+    and one index per axis.  That index takes the axis's ``(lower, upper)``
+    pair from a ``(2, m, n)`` array and spreads it over the axis's own
+    dimension of a ``(2,) * m + (n,)`` array, so that the flattened array
+    lists the cell corners in ``np.ndindex`` order.
     """
     m = grid.dim
     strides = [int(np.prod(grid.shape[ax + 1:])) for ax in range(m)]
     spread = tuple(
         tuple(slice(None) if a == ax else None for a in range(m)) + (ax, slice(None)) for ax in range(m)
     )
-    arrays = (
-        np.asarray(grid.periods),
-        np.asarray(grid.shape)[:, None],
-        np.asarray(grid.spacings),
-        np.asarray(strides)[:, None],
-    )
-    for a in arrays:
-        a.setflags(write=False)      # shared by every caller through the cache
-    return (grid.n_nodes, *arrays, spread)
+    return (np.asarray(grid.periods), np.asarray(grid.shape)[:, None], np.asarray(grid.spacings),
+            np.asarray(strides)[:, None], spread)
 
 
 def interp_scalar(M: DiscreteManifold, f: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -549,32 +535,30 @@ def interp_scalar(M: DiscreteManifold, f: np.ndarray, pts: np.ndarray) -> np.nda
     Python floats, without the array set-up that dominates a one-point call.
     """
     grid = M.grid
-    n_nodes, periods, nodes, h, strides, spread = _stencil_layout(grid)
+    periods, nodes, h, strides, spread = _stencil_layout(grid)
     f = np.asarray(f)
-    values = f.reshape(n_nodes, -1)
+    values = f.reshape(grid.n_nodes, -1)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    out = np.zeros((len(pts), values.shape[1]))
-    for start in range(0, len(pts), _INTERP_BLOCK):
-        block = pts[start:start + _INTERP_BLOCK]
-        n = len(block)
-        u = np.mod(block, periods) / h                            # the arithmetic of grid.wrap
-        cell = np.floor(u)
-        frac = (u - cell).T
-        # per axis (rows): the lower and upper neighbor's node index and 1-D weight
-        lower = cell.T.astype(np.intp, order="C") % nodes
-        upper = lower + 1
-        upper[upper == nodes] = 0
-        offsets = np.array([lower, upper]) * strides              # (2, m, n)
-        axis_wgt = np.array([1.0 - frac, frac])                   # (2, m, n)
-        flat, wgt = 0, 1.0
-        for sel in spread:
-            flat = flat + offsets[sel]
-            wgt = wgt * axis_wgt[sel]
-        corners = np.take(values, flat.reshape(-1, n), axis=0)   # (2^m, n, C)
-        acc = out[start:start + n]
-        for term in wgt.reshape(-1, n, 1) * corners:
-            acc += term
-    return out.reshape((len(pts),) + f.shape[grid.dim:])
+    n = len(pts)
+    u = np.mod(pts, periods) / h                                  # the arithmetic of grid.wrap
+    cell = np.floor(u)
+    frac = (u - cell).T
+    # per axis (rows): the lower and upper neighbor's node index and 1-D weight
+    lower = cell.T.astype(np.intp, order="C") % nodes
+    upper = lower + 1
+    upper[upper == nodes] = 0
+    offsets = np.array([lower, upper]) * strides                  # (2, m, n)
+    axis_wgt = np.array([1.0 - frac, frac])                       # (2, m, n)
+    flat, wgt = 0, 1.0
+    for sel in spread:
+        flat = flat + offsets[sel]
+        wgt = wgt * axis_wgt[sel]
+    n_corners = 2**grid.dim
+    corners = np.take(values, flat.reshape(n_corners, n), axis=0)    # (2^m, n, C)
+    out = np.zeros((n, values.shape[1]))
+    for term in wgt.reshape(n_corners, n, 1) * corners:
+        out += term
+    return out.reshape((n,) + f.shape[grid.dim:])
 
 
 def _dot(a, b) -> float:

@@ -4,7 +4,9 @@ Eigenproblems solve the symmetric pencil ``L u = theta mass u`` by
 shift-invert Lanczos with a sparse factorization and a deterministic
 (seeded) start vector, so repeated runs are bit-reproducible.  Eigenvalues
 follow the ``Delta = -div grad`` convention (theta >= 0, constants in the
-kernel on closed charts).
+kernel on closed charts).  A solve answers one question, every pair with
+``theta <= theta_max``: the estimate's constant depends on a bound on the
+eigenvalue, so that bound is what a run configures.
 
 The factorization depends on the chart.  Where the metric is constant (flat
 and twisted tori), the eigensolve factors ``L - sigma mass``.  Where it
@@ -12,13 +14,13 @@ varies, it factors a stiffness with node 0 pinned, its stored zeros dropped
 and its columns in minimum-degree order, and runs at shift 0 on the
 mass-orthogonal complement of the constants; the constant pair is exact.
 That stiffness is the base block when the chart is a warped product over its
-fiber axis (the warped torus) and the pairs asked for lie below the fiber gap
+fiber axis (the warped torus) and ``theta_max`` lies below the fiber gap
 gamma: the fiber modes of such a chart have Rayleigh quotients of at least
 gamma, so every pair below it is constant along the fiber and solves the base
 block, the discrete form of Fukaya's limit problem on the collapsed base.  On
 512 x 102 that is a 512-node solve in place of a 52,224-node one.  Other
 varying charts (a metric that changes along the fiber, a cross term), and
-warped products asked for pairs at or past gamma, factor the whole pinned
+warped products with ``theta_max`` at or past gamma, factor the whole pinned
 stiffness.  The harmonic coordinates factor the whole pinned matrix apart, in
 COLAMD order on its stored structure, which fixes their bits.
 :func:`cached_eigenpairs` keeps each solve's pairs in one ``.npy`` file.
@@ -73,17 +75,13 @@ def _solver_scale(L, mass) -> float:
     return float(np.max(L.diagonal() / mass))
 
 
-def eigenpairs(
-    M: DiscreteManifold,
-    count: int,
-    theta_max: float | None = None,
-    seed: int = 0,
-) -> list[EigenPair]:
-    """Lowest eigenpairs of the Laplace-Beltrami operator on the closed chart.
+def eigenpairs(M: DiscreteManifold, count: int, theta_max: float, seed: int = 0) -> list[EigenPair]:
+    """Every eigenpair of the Laplace-Beltrami operator on the closed chart
+    with ``theta <= theta_max``, ascending.
 
-    With ``theta_max`` given, the count doubles until the spectrum is
-    exhausted up to the threshold and all eigenvalues <= theta_max are
-    returned.  Every round reuses one factorization.
+    The first round asks for the lowest ``max(count, 8)`` pairs; the count
+    doubles, up to ``n - 2``, until the top theta of a round exceeds
+    ``theta_max``.  Every round reuses one factorization.
 
     Which factorization depends on the metric.  Where it is constant (flat and
     twisted tori), ``L - sigma mass`` (sigma slightly negative) is factored by
@@ -91,47 +89,45 @@ def eigenpairs(
     at ``sigma = 0`` through the pinned stiffness
     (:func:`~collapselab.operators.pinned_stiffness_solve`), factored by
     :func:`~collapselab.operators.factorize_symmetric`: on the
-    mass-orthogonal complement of the constants it applies ``L^-1``, so the
-    solver is asked for the other ``count - 1`` pairs and the exact constant
-    pair (theta = 0, u = 1) comes first.
+    mass-orthogonal complement of the constants it applies ``L^-1``, so each
+    round asks the solver for one pair fewer and the exact constant pair
+    (theta = 0, u = 1) comes first.
 
     On a warped product over the fiber axis (:func:`_fiber_base`: the warped
     torus) that solve runs on the base block, whose pairs, repeated along the
     fiber, are pairs of ``L``.  Every pair of ``L`` below the fiber gap gamma
     is one of them, so the base block answers exactly when ``theta_max <
-    gamma``, or without ``theta_max``, when its ``count``-th theta is below
-    gamma; otherwise, and on every other varying chart, the pinned solve runs
-    on the whole of ``L``.  Either way the residual gate reads the whole
+    gamma``; otherwise, and on every other varying chart, the pinned solve
+    runs on the whole of ``L``.  Either way the residual gate reads the whole
     ``L``.
     """
     L, mass = laplacian_matrix(M)
     n = L.shape[0]
-    k = count if theta_max is None else max(count, 8)
-    if not (0 < k <= n - 2):
+    k = max(count, 8)
+    if not (0 < count and k <= n - 2):
         raise ValueError(f"count must lie in [1, {n - 2}]")
     if not _metric_varies(M):
         pairs = _lowest_pairs(M, L, mass, _shift_invert(L, mass, seed, pinned=False), k, n - 2, theta_max)
     else:
         pairs = (_base_block_pairs(M, L, mass, k, theta_max, seed)
                  or _lowest_pairs(M, L, mass, _shift_invert(L, mass, seed, pinned=True), k, n - 2, theta_max))
-    return pairs if theta_max is None else [p for p in pairs if p.theta <= theta_max]
+    return [p for p in pairs if p.theta <= theta_max]
 
 
-def _base_block_pairs(M: DiscreteManifold, L, mass, k: int, theta_max: float | None,
-                      seed: int) -> list[EigenPair] | None:
+def _base_block_pairs(M: DiscreteManifold, L, mass, k: int, theta_max: float, seed: int) -> list[EigenPair] | None:
     """The pairs of ``L`` from its base block (:func:`_fiber_base`), or None
-    where the chart is no warped product or they might not be the lowest."""
+    where the chart is no warped product or ``theta_max`` is not below its
+    fiber gap."""
     base = _fiber_base(M, L, mass)
     if base is None:
         return None
     L0, m0, gamma = base
     n0 = L0.shape[0]
-    if k > n0 - 2 or (theta_max is not None and not theta_max < gamma):
+    if k > n0 - 2 or not theta_max < gamma:
         return None
     pairs = _lowest_pairs(M, L, mass, _shift_invert(L0, m0, seed, pinned=True), k, n0 - 2, theta_max,
                           lift=lambda vecs: np.repeat(vecs, L.shape[0] // n0, axis=1))
-    exact = pairs[-1].theta < gamma if theta_max is None else pairs[-1].theta > theta_max
-    return pairs if exact else None
+    return pairs if pairs[-1].theta > theta_max else None
 
 
 def _shift_invert(A, mass: np.ndarray, seed: int, pinned: bool):
@@ -161,18 +157,15 @@ def _shift_invert(A, mass: np.ndarray, seed: int, pinned: bool):
         OPinv = LinearOperator((n, n), matvec=factorize(A - sigma * Mmat), dtype=float)
 
     def lowest(k: int) -> tuple[np.ndarray, np.ndarray]:
-        theta, vecs = np.zeros(0), np.zeros((0, n))
-        if k > constants:
-            try:
-                theta, vecs = eigsh(A, k=k - constants, M=Mmat, sigma=sigma, which="LM", v0=v0, tol=0,
-                                    OPinv=OPinv)
-            except ArpackNoConvergence as exc:
-                raise RuntimeError(
-                    f"eigensolver failed to converge: got {len(exc.eigenvalues)} of {k - constants} pairs"
-                ) from exc
-            order = np.argsort(theta)
-            # M-orthonormal -> L2-average norm 1
-            theta, vecs = theta[order], (vecs[:, order] * np.sqrt(total)).T
+        try:
+            theta, vecs = eigsh(A, k=k - constants, M=Mmat, sigma=sigma, which="LM", v0=v0, tol=0, OPinv=OPinv)
+        except ArpackNoConvergence as exc:
+            raise RuntimeError(
+                f"eigensolver failed to converge: got {len(exc.eigenvalues)} of {k - constants} pairs"
+            ) from exc
+        order = np.argsort(theta)
+        # M-orthonormal -> L2-average norm 1
+        theta, vecs = theta[order], (vecs[:, order] * np.sqrt(total)).T
         if constants:
             theta, vecs = np.append(0.0, theta), np.vstack([np.ones(n), vecs])
         return theta, vecs
@@ -180,15 +173,15 @@ def _shift_invert(A, mass: np.ndarray, seed: int, pinned: bool):
     return lowest
 
 
-def _lowest_pairs(M: DiscreteManifold, L, mass, lowest, k: int, k_max: int, theta_max: float | None,
+def _lowest_pairs(M: DiscreteManifold, L, mass, lowest, k: int, k_max: int, theta_max: float,
                   lift=None) -> list[EigenPair]:
-    """The gated pairs of ``lowest(k)``; with ``theta_max``, of the first
-    round whose top theta exceeds it, ``k`` doubling up to ``k_max``.
-    ``lift`` maps the rows of ``lowest`` to nodes of ``M``."""
+    """The gated pairs of ``lowest(k)`` of the first round whose top theta
+    exceeds ``theta_max``, ``k`` doubling up to ``k_max``.  ``lift`` maps the
+    rows of ``lowest`` to nodes of ``M``."""
     while True:
         theta, vecs = lowest(k)
         pairs = _gated_pairs(M, L, mass, theta, vecs if lift is None else lift(vecs))
-        if theta_max is None or pairs[-1].theta > theta_max or k >= k_max:
+        if pairs[-1].theta > theta_max or k >= k_max:
             return pairs
         k = min(2 * k, k_max)
 
@@ -286,7 +279,7 @@ def cheng_yau_ratio(u: np.ndarray, grad_norm: np.ndarray, ball: GeodesicBall) ->
 _VERSION = 5
 
 
-def cached_eigenpairs(directory: str | Path, M: DiscreteManifold, count: int, theta_max: float | None = None,
+def cached_eigenpairs(directory: str | Path, M: DiscreteManifold, count: int, theta_max: float,
                       seed: int = 0) -> tuple[list[EigenPair], Path]:
     """``eigenpairs(M, count, theta_max, seed)`` and the path of its file
     ``<directory>/eig_<key>.npy``, keyed by a hash of the family, the solve

@@ -229,7 +229,8 @@ def test_the_fiber_check_measures_its_own_neighbourhood(monkeypatch, flat_setup)
         assert rep.K == region_sup(k_field, region)
     # the cos(2 pi x) factor vanishes on the x = 1/4 fiber: its neighborhood's
     # K is well below the whole chart's
-    assert reports[1].K < 0.5 * region_sup(R * other.grad_norm() + R**2 * other.hessian_u_norm())
+    whole = np.ones(M.grid.shape, bool)
+    assert reports[1].K < 0.5 * region_sup(R * other.grad_norm() + R**2 * other.hessian_u_norm(), whole)
 
 
 def test_apriori_check_trivial_mode(flat_torus, flat_coordinates):
@@ -432,8 +433,6 @@ def separate_apriori_check(fiber, field, eps_hat, r):
         c0 = max(c0, float(np.max(hn**2)) * r**2)
     gn, hn_u = field.grad_norm(), field.hessian_u_norm()
     neighborhood = fiber_neighborhood(M, fiber, 2.0 * eps_hat * r)
-    if not np.all(np.isfinite(gn[neighborhood])) or not np.all(np.isfinite(hn_u[neighborhood])):
-        raise ValueError("fiber neighborhood exits the computed domain of u")
     K = region_sup(r * gn + r**2 * hn_u, neighborhood)
     speed = np.sqrt(np.maximum(speed_sq, 0.0))
     if not np.all(np.isfinite(speed)):

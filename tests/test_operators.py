@@ -358,14 +358,14 @@ def test_gradient_hessian_compatibility_order():
 
 def test_region_average_of_a_constant_square(flat_torus):
     f = np.full(flat_torus.grid.shape, -4.0)
-    assert np.sqrt(region_average(flat_torus, f**2)) == pytest.approx(4.0, abs=1e-13)
+    assert np.sqrt(region_average(flat_torus, f**2, np.ones(f.shape, bool))) == pytest.approx(4.0, abs=1e-13)
 
 
 def test_region_average_of_a_sine_square(flat_torus):
     # mean of sin^2 over the full torus is exactly 1/2 on alias-free grids
     pos = flat_torus.positions()
     f = np.sin(2 * np.pi * pos[..., 0])
-    assert np.sqrt(region_average(flat_torus, f**2)) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+    assert np.sqrt(region_average(flat_torus, f**2, np.ones(f.shape, bool))) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
 
 def test_region_average_of_a_square_on_a_single_node(flat_torus):
@@ -381,6 +381,17 @@ def test_empty_region_errors(flat_torus):
         region_average(flat_torus, np.ones(flat_torus.grid.shape), np.zeros(flat_torus.grid.shape, bool))
     with pytest.raises(ValueError, match="empty region"):
         region_sup(np.ones(flat_torus.grid.shape), np.zeros(flat_torus.grid.shape, bool))
+
+
+def test_a_nan_inside_the_region_is_the_sup(flat_torus):
+    # a NaN is not skipped: the sup reads NaN, which the report writer refuses
+    f = np.ones(flat_torus.grid.shape)
+    f[17, 3] = np.nan
+    region = np.zeros(flat_torus.grid.shape, dtype=bool)
+    region[16:19, 2:5] = True
+    assert np.isnan(region_sup(f, region))
+    region[17, 3] = False
+    assert region_sup(f, region) == 1.0
 
 
 def test_interp_scalar_exact_on_nodes_and_linear(flat_torus):

@@ -205,7 +205,7 @@ def test_circulant_pcg_rejects_nan_and_indefinite_input(small_flat):
     "family, kwargs",
     [
         ("small_flat", {"count": 3, "theta_max": 700.0}),   # two rounds: 8 then 16 pairs
-        ("warped_torus", {"count": 6}),
+        ("warped_torus", {"count": 6, "theta_max": 360.0}),
         ("small_twisted", {"count": 4, "theta_max": 50.0}),
     ],
 )
@@ -346,8 +346,8 @@ def test_a_varying_chart_factors_once_for_coordinates_and_pairs(request, monkeyp
     "family, kwargs",
     [
         ("warped_torus", {"count": 3, "theta_max": 700.0}),   # two rounds: 8 then 16 pairs
-        ("warped_torus", {"count": 6}),
-        ("thick_warped", {"count": 5}),                       # theta_5 ~ 158 < gamma ~ 256
+        ("warped_torus", {"count": 6, "theta_max": 360.0}),
+        ("thick_warped", {"count": 5, "theta_max": 160.0}),   # theta_5 ~ 158 < gamma ~ 256
         ("thick_warped", {"count": 3, "theta_max": 250.0}),
     ],
 )
@@ -393,19 +393,6 @@ def test_a_theta_max_at_the_fiber_gap_takes_the_whole_chart(monkeypatch, warped_
     assert factored_sizes(calls) == [n, n // fiber]
     assert len(base) > 8 and whole[-1].theta < gamma
     assert_pairs_agree(base, whole)
-
-
-def test_a_count_past_the_fiber_gap_takes_the_whole_chart(monkeypatch, thick_warped):
-    # the base block's 6th theta (~ 355) is not below gamma ~ 256, so a fiber
-    # mode may come first: the whole chart is solved, and its 6th pair (~ 303)
-    # is one
-    n, fiber = thick_warped.grid.n_nodes, thick_warped.grid.shape[-1]
-    calls = count_factorizations(monkeypatch)
-    pairs = eigenpairs(fresh(thick_warped), 6)
-    assert factored_sizes(calls) == [n // fiber, n]
-    assert fiber_gap(thick_warped) < pairs[5].theta == pytest.approx(302.776, rel=1e-5)
-    assert fiber_variation(pairs[5].u) > 0.1
-    assert all(fiber_variation(p.u) <= 1e-12 for p in pairs[:5])
 
 
 def test_a_cross_term_takes_the_whole_chart(monkeypatch, sheared_warped):

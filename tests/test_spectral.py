@@ -55,7 +55,7 @@ def twisted_metric_inverse(eps: float, twist: float) -> np.ndarray:
 
 def test_flat_spectrum_is_the_stencil_symbol(flat_eig_torus):
     # (2 - 2 cos 2 pi p / N_x) / h_x^2 + (2 - 2 cos 2 pi q / N_y) / (eps^2 h_y^2)
-    pairs = eigenpairs(flat_eig_torus, 10)
+    pairs = eigenpairs(flat_eig_torus, 10, theta_max=1000.0)
     exact = np.sort(stencil_symbol(flat_eig_torus, np.diag([1.0, 1.0 / 0.1**2])).ravel())[:10]
     for p, e in zip(pairs, exact):
         assert abs(p.theta - e) <= 1e-10 * max(e, 1.0)
@@ -80,14 +80,14 @@ def test_twisted_stiffness_acts_by_its_symbol(twisted_torus):
 
 
 def test_collapsed_spectrum_oracle(flat_eig_torus):
-    pairs = eigenpairs(flat_eig_torus, 10)
+    pairs = eigenpairs(flat_eig_torus, 10, theta_max=1000.0)
     exact = torus_spectrum_oracle(0.1, count=10)
     for p, e in zip(pairs, exact):
         assert abs(p.theta - e) <= 1e-2 * max(e, 1.0)
 
 
 def test_unit_spectrum_oracle(unit_torus):
-    pairs = eigenpairs(unit_torus, 10)
+    pairs = eigenpairs(unit_torus, 10, theta_max=160.0)
     exact = torus_spectrum_oracle(1.0, count=10)
     for p, e in zip(pairs, exact):
         assert abs(p.theta - e) <= 1e-2 * max(e, 1.0)
@@ -98,14 +98,14 @@ def test_spectrum_convergence_order():
     errs = []
     for res in ((128, 16), (256, 32)):
         M = build_family(FamilySpec(kind="flat-product-torus", epsilon=0.1, resolution=res))
-        pairs = eigenpairs(M, 10)
+        pairs = eigenpairs(M, 10, theta_max=1000.0)
         errs.append(max(abs(p.theta - e) / max(e, 1.0) for p, e in zip(pairs, exact)))
     assert np.log2(errs[0] / errs[1]) >= 1.8
 
 
 def test_twisted_spectrum_oracle(twisted_torus):
     sigma = (np.pi / 2) / (2 * np.pi)
-    pairs = eigenpairs(twisted_torus, 5)
+    pairs = eigenpairs(twisted_torus, 5, theta_max=40.0)
     exact = torus_spectrum_oracle(0.25, sigma=sigma, count=5)
     for p, e in zip(pairs, exact):
         assert abs(p.theta - e) <= 1e-2 * max(e, 1.0)
@@ -116,7 +116,7 @@ def test_twisted_spectrum_oracle(twisted_torus):
 
 
 def test_ground_state_constant(flat_eig_torus):
-    pairs = eigenpairs(flat_eig_torus, 3)
+    pairs = eigenpairs(flat_eig_torus, 3, theta_max=40.0)
     assert abs(pairs[0].theta) <= 1e-8
     u0 = pairs[0].u
     assert np.max(np.abs(u0 - u0.mean())) <= 1e-8 * max(1.0, np.abs(u0).max())
@@ -130,7 +130,7 @@ def test_fiber_mode_absent_below_threshold(flat_eig_torus):
 
 
 def test_eigen_orthogonality(flat_eig_torus):
-    pairs = eigenpairs(flat_eig_torus, 8)
+    pairs = eigenpairs(flat_eig_torus, 8, theta_max=630.0)
     w = flat_eig_torus.node_weights().ravel()
     U = np.stack([p.u.ravel() for p in pairs])
     gram = (U * w) @ U.T / w.sum()
@@ -140,16 +140,17 @@ def test_eigen_orthogonality(flat_eig_torus):
 def test_residual_invariant_and_normalization(flat_eig_torus):
     from collapselab.operators import region_average
 
-    pairs = eigenpairs(flat_eig_torus, 6)
+    pairs = eigenpairs(flat_eig_torus, 6, theta_max=360.0)
+    whole = np.ones(flat_eig_torus.grid.shape, bool)
     for p in pairs:
         assert p.residual <= 1e-8 * (1.0 + p.theta)
-        assert np.sqrt(region_average(flat_eig_torus, p.u**2)) == pytest.approx(1.0, abs=1e-10)
+        assert np.sqrt(region_average(flat_eig_torus, p.u**2, whole)) == pytest.approx(1.0, abs=1e-10)
     thetas = [p.theta for p in pairs]
     assert thetas == sorted(thetas)
 
 
 def test_clusters_group_degenerate_pairs(flat_eig_torus):
-    pairs = eigenpairs(flat_eig_torus, 5)
+    pairs = eigenpairs(flat_eig_torus, 5, theta_max=40.0)
     assert pairs[1].cluster == pairs[2].cluster
     assert pairs[0].cluster != pairs[1].cluster
 
@@ -157,10 +158,10 @@ def test_clusters_group_degenerate_pairs(flat_eig_torus):
 def test_k_bound_reproducibility(flat_eig_torus):
     # K := sup(|u| + r |grad u|) bit-reproducible across solves
     def k_bound():
-        pair = eigenpairs(flat_eig_torus, 2)[1]
+        pair = eigenpairs(flat_eig_torus, 2, theta_max=40.0)[1]
         g = gradient(flat_eig_torus, pair.u)
         gn = np.sqrt(np.maximum(metric_inner(flat_eig_torus, g, g), 0.0))
-        return region_sup(np.abs(pair.u) + 0.25 * gn)
+        return region_sup(np.abs(pair.u) + 0.25 * gn, np.ones(flat_eig_torus.grid.shape, bool))
 
     a, b = k_bound(), k_bound()
     assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
@@ -192,7 +193,7 @@ def test_cheng_yau_zero_field_errors(flat_eig_torus):
 
 def test_cheng_yau_eigenmode_matches_base_mode(flat_eig_torus):
     # the first nonzero cluster consists of sin/cos(2 pi x) mixtures
-    pair = eigenpairs(flat_eig_torus, 2)[1]
+    pair = eigenpairs(flat_eig_torus, 2, theta_max=40.0)[1]
     ball = geodesic_ball(flat_eig_torus, (0, 0), 0.25)
     assert cheng_yau_ratio(pair.u, grad_norm(flat_eig_torus, pair.u), ball) == pytest.approx(np.pi / 2, rel=2e-2)
 
@@ -214,19 +215,19 @@ def assert_same_pairs(a, b):
 
 def test_eigen_cache_roundtrip(tmp_path, flat_eig_torus, monkeypatch):
     solves = count_solves(monkeypatch)
-    pairs, path = cached_eigenpairs(tmp_path, flat_eig_torus, 5)
+    pairs, path = cached_eigenpairs(tmp_path, flat_eig_torus, 5, 200.0)
     assert solves == [1] and path.parent == tmp_path and path.name.startswith("eig_") and path.suffix == ".npy"
-    assert_same_pairs(pairs, eigenpairs(flat_eig_torus, 5))
+    assert_same_pairs(pairs, eigenpairs(flat_eig_torus, 5, 200.0))
     # one float64 row per pair: theta, then u in C order
     rows = np.load(path)
     assert rows.dtype == np.float64 and rows.shape == (5, 1 + flat_eig_torus.grid.n_nodes)
     assert rows[:, 0].tolist() == [p.theta for p in pairs]
     assert rows[:, 1:].tobytes() == np.stack([p.u.ravel() for p in pairs]).tobytes()
-    loaded, again = cached_eigenpairs(tmp_path, flat_eig_torus, 5)
+    loaded, again = cached_eigenpairs(tmp_path, flat_eig_torus, 5, 200.0)
     assert solves == [1] and again == path     # a hit runs no solve
     assert_same_pairs(pairs, loaded)
     # every solve setting has a file of its own
-    assert cached_eigenpairs(tmp_path, flat_eig_torus, 5, seed=1)[1] != path
+    assert cached_eigenpairs(tmp_path, flat_eig_torus, 5, 200.0, seed=1)[1] != path
     assert cached_eigenpairs(tmp_path, flat_eig_torus, 5, theta_max=50.0)[1] != path
     assert solves == [1, 1, 1]
 
@@ -257,14 +258,14 @@ def corrupted(data: bytes, rows: np.ndarray, pairs, how: str, path) -> None:
 
 
 def test_eigen_cache_detects_corruption(tmp_path, flat_eig_torus, monkeypatch):
-    pairs, path = cached_eigenpairs(tmp_path, flat_eig_torus, 5)
+    pairs, path = cached_eigenpairs(tmp_path, flat_eig_torus, 5, 200.0)
     data = path.read_bytes()
     solves = count_solves(monkeypatch)
     kinds = ["truncated", "empty", "garbage", "pickle", "object array", "npz", "float32", "one row", "flipped"]
     for n, how in enumerate(kinds, start=1):
         corrupted(data, np.load(path), pairs, how, path)
         assert path.read_bytes() != data, how
-        again, same_path = cached_eigenpairs(tmp_path, flat_eig_torus, 5)
+        again, same_path = cached_eigenpairs(tmp_path, flat_eig_torus, 5, 200.0)
         assert len(solves) == n and same_path == path, how
         assert_same_pairs(pairs, again)
         assert path.read_bytes() == data, how    # overwritten by the fresh solve
@@ -274,7 +275,7 @@ def test_eigen_cache_uses_solver_residual_gate(tmp_path, flat_eig_torus, monkeyp
     # a theta off by 1e-7 (1 + theta) leaves a residual between the solver's
     # gate and 100x that gate: the cache must reject it rather than hand the
     # reports a pair they refuse
-    pairs, path = cached_eigenpairs(tmp_path, flat_eig_torus, 3)
+    pairs, path = cached_eigenpairs(tmp_path, flat_eig_torus, 3, 40.0)
     bad = dataclasses.replace(pairs[2], theta=pairs[2].theta + 1e-7 * (1.0 + pairs[2].theta))
     L, mass = laplacian_matrix(flat_eig_torus)
     v = bad.u.ravel()
@@ -284,24 +285,26 @@ def test_eigen_cache_uses_solver_residual_gate(tmp_path, flat_eig_torus, monkeyp
     rows[2, 0] = bad.theta
     np.save(path, rows)
     solves = count_solves(monkeypatch)
-    assert_same_pairs(pairs, cached_eigenpairs(tmp_path, flat_eig_torus, 3)[0])
+    assert_same_pairs(pairs, cached_eigenpairs(tmp_path, flat_eig_torus, 3, 40.0)[0])
     assert solves == [1]
 
 
 def test_eigen_cache_wrong_shape_rejected(tmp_path, flat_eig_torus, flat_torus, monkeypatch):
     # the pairs of a 128 x 16 grid in the file of the 256 x 32 one
-    pairs, path = cached_eigenpairs(tmp_path, flat_torus, 3)
+    pairs, path = cached_eigenpairs(tmp_path, flat_torus, 3, 40.0)
     data = path.read_bytes()
-    other = cached_eigenpairs(tmp_path, flat_eig_torus, 3)[1]
+    other = cached_eigenpairs(tmp_path, flat_eig_torus, 3, 40.0)[1]
     path.write_bytes(other.read_bytes())
     solves = count_solves(monkeypatch)
-    assert_same_pairs(pairs, cached_eigenpairs(tmp_path, flat_torus, 3)[0])
+    assert_same_pairs(pairs, cached_eigenpairs(tmp_path, flat_torus, 3, 40.0)[0])
     assert solves == [1] and path.read_bytes() == data
 
 
 def test_count_out_of_range(flat_eig_torus):
-    with pytest.raises(ValueError, match="count"):
-        eigenpairs(flat_eig_torus, 0)
+    # n = 2048 nodes: a first round of up to n - 2 pairs
+    for count in (0, 2047):
+        with pytest.raises(ValueError, match="count"):
+            eigenpairs(flat_eig_torus, count, theta_max=50.0)
 
 
 def sturm_liouville_limit(delta: float, n: int = 16384, count: int = 2) -> np.ndarray:
@@ -328,7 +331,7 @@ def test_warped_base_modes_converge_to_the_sturm_liouville_limit():
     errors = []
     for resolution in ((128, 16), (256, 26)):
         M = build_family(FamilySpec(kind="warped-torus", epsilon=0.1, delta=0.3, resolution=resolution))
-        pairs = eigenpairs(M, 3)
+        pairs = eigenpairs(M, 3, theta_max=50.0)
         assert pairs[0].theta == 0.0
         errors.append(limit - np.array([p.theta for p in pairs[1:]]))
     coarse, fine = errors
@@ -341,7 +344,7 @@ def test_round_off_at_a_tied_peak_keeps_the_sign(warped_torus):
     # the warped theta ~ 39.16 mode is odd about x = 1/4: it peaks at + and -
     # the same magnitude, up to round-off, so its largest entry cannot set its sign
     L, mass = laplacian_matrix(warped_torus)
-    pair = eigenpairs(warped_torus, 2)[1]
+    pair = eigenpairs(warped_torus, 2, theta_max=40.0)[1]
     u = pair.u.ravel()
     top, bottom = int(np.argmax(u)), int(np.argmin(u))
     assert abs(u[top] + u[bottom]) <= 1e-12 * u[top]

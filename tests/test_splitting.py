@@ -296,7 +296,7 @@ def test_jacobian_density_derivative_along_curves(warped_torus, warped_coordinat
     M = warped_torus
     phi = warped_coordinates
     J = phi.absdet()
-    sup_grad = region_sup(np.sqrt(metric_inner(M, phi.gradients()[0], phi.gradients()[0])))
+    sup_grad = region_sup(np.sqrt(metric_inner(M, phi.gradients()[0], phi.gradients()[0])), np.ones(M.grid.shape, bool))
     C0 = max(sup_grad - 1.0, 0.0)
     hess_sum = sum(phi.hessian_norms())
     # discretization allowance: the bilinear interpolant's slope deviates from
