@@ -405,10 +405,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, jobs: int = 1) -> int:
         _write_csv(out / "plot_data.csv", ["epsilonHat", "lhs", "rhs"],
                    [(row.epsilon_hat, row.lhs, row.rhs) for row in result.rows]),
     ]
-    by_eps: dict[float, list] = {}
-    for rep in result.reports:
-        by_eps.setdefault(float(rep.extras["epsilon"]), []).append(rep)
-    for eps, reps in sorted(by_eps.items()):
+    for eps, reps in zip(sorted(cfg.sweep["epsilons"]), result.reports):
         pdir = out / "points" / _point_dir(eps)
         pdir.mkdir(parents=True, exist_ok=True)
         written.append(_write_json(pdir / "reports.json", [rep.to_json_dict() for rep in reps]))

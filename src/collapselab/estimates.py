@@ -411,7 +411,7 @@ FIBER_LEVELS = 5
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
-    reports: tuple[EstimateReport, ...]
+    reports: tuple[tuple[EstimateReport, ...], ...]    # each point's own, ascending epsilon
     exponent: float | None      # log-log slope of lhs vs eps_hat (None when degenerate)
     ratio_spread: float | None  # max/min of per-row ratio over non-degenerate rows
     degenerate: bool            # too few informative rows for scaling statements
@@ -472,10 +472,11 @@ def run_point(
 
 
 def nearest_node(M: DiscreteManifold, chart_point) -> tuple[int, ...]:
-    """The grid node nearest a chart point, as an index tuple."""
-    grid = M.grid
-    h = np.asarray(grid.spacings)
-    ij = np.round(np.asarray(chart_point, dtype=float) / h).astype(int) % np.asarray(grid.shape)
+    """The grid node nearest a chart point of ``M.dim`` finite coordinates, as an index tuple."""
+    x = np.asarray(chart_point, dtype=float)
+    if x.shape != (M.dim,) or not np.isfinite(x).all():
+        raise ValueError(f"chart point {chart_point!r} is not {M.dim} finite coordinates: it has no nearest node")
+    ij = np.round(x / np.asarray(M.grid.spacings)).astype(int) % np.asarray(M.grid.shape)
     return tuple(int(i) for i in ij)
 
 
@@ -545,9 +546,9 @@ def sweep(points, jobs: int = 1) -> SweepResult:
     with (concurrent.futures.ProcessPoolExecutor(min(jobs, len(points))) if jobs > 1 else nullcontext()) as pool:
         results = dict(zip(order, (pool.map if jobs > 1 else map)(_sweep_point_task, [points[i] for i in order])))
     rows = [row for i in range(len(points)) for row in results[i][0]]
-    reports = [rep for i in range(len(points)) for rep in results[i][1]]
+    reports = tuple(tuple(results[i][1]) for i in range(len(points)))
     informative = [row for row in rows if not row.degenerate]
-    all_passed = all(row.passed for row in rows) and all(rep.passed for rep in reports)
+    all_passed = all(row.passed for row in rows) and all(rep.passed for reps in reports for rep in reps)
     degenerate = len(informative) < 2
     ratios = [row.ratio for row in informative]
     ratio_spread = None if degenerate else max(ratios) / min(ratios)
@@ -558,7 +559,7 @@ def sweep(points, jobs: int = 1) -> SweepResult:
     exponent = float(np.polyfit(np.log(xs), np.log([by_eps[x] for x in xs]), 1)[0]) if len(xs) >= 3 else None
     return SweepResult(
         rows=tuple(rows),
-        reports=tuple(reports),
+        reports=reports,
         exponent=exponent,
         ratio_spread=ratio_spread,
         degenerate=degenerate,

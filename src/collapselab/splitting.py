@@ -129,13 +129,13 @@ class SplittingMap:
     def _stacked(self, name: str) -> np.ndarray:
         """Cached node fields that are interpolated together: ``psi`` the
         periodic parts ``(*shape, k)``, ``newton`` the periodic parts and the
-        metric flattened side by side: all that one Newton iteration reads."""
+        metric inverse flattened side by side: all one Newton iteration reads."""
         M = self.manifold
         psi = _cached(self, "stacked_psi", lambda: np.stack(self.periodic_parts(), axis=-1))
         if name == "psi":
             return psi
-        metric = M.metric.reshape(M.grid.shape + (-1,))
-        return _cached(self, "stacked_newton", lambda: np.concatenate([psi, metric], axis=-1))
+        ginv = M.metric_inverse().reshape(M.grid.shape + (-1,))
+        return _cached(self, "stacked_newton", lambda: np.concatenate([psi, ginv], axis=-1))
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         """Map values at chart points (N, m) -> (N, k), continuous in pts."""
@@ -219,8 +219,8 @@ class SplittingMap:
         interpolant in the current cell (the winding vectors plus the cell
         derivative of the periodic parts), so the iteration converges
         quadratically to the level set that ``evaluate`` defines.  Each
-        iteration reads values, Jacobian and metric from one probe of the
-        stacked ``newton`` field; the small inverses are closed-form.  A
+        iteration reads values, Jacobian and g^-1 from one probe of the
+        stacked ``newton`` field; the k x k inverse is closed-form.  A
         residual that misses ``LEVEL_TOL`` after ``NEWTON_MAX_ITER`` steps, or
         is NaN, raises ``RuntimeError``.
         """
@@ -237,8 +237,8 @@ class SplittingMap:
                 return LevelProjection(x, res, step, jac)
             if step == NEWTON_MAX_ITER:
                 break
-            ginv = _inverse([vals[k + i * m:k + (i + 1) * m] for i in range(m)])
-            jg = [[_dot(row, col) for col in ginv] for row in jac]     # J g^-1 (g symmetric)
+            ginv = [vals[k + i * m:k + (i + 1) * m] for i in range(m)]
+            jg = [[_dot(row, col) for col in ginv] for row in jac]     # J g^-1 (g^-1 symmetric)
             gram_inv = _inverse([[_dot(a, b) for b in jac] for a in jg])
             if gram_inv is None:                                       # singular Jacobian
                 break
@@ -256,24 +256,13 @@ def _max_abs(values: list[float]) -> float:
 
 
 def _inverse(A: list[list[float]]) -> list[list[float]] | None:
-    """Closed-form inverse of a 1x1, 2x2 or 3x3 matrix (adjugate over the
+    """Closed-form inverse of a 1x1 or 2x2 matrix (adjugate over the
     determinant); ``None`` when the determinant is exactly zero."""
-    n = len(A)
-    if n == 1:
-        det = A[0][0]
-        adj = [[1.0]]
-    elif n == 2:
-        (a, b), (c, d) = A
-        det = a * d - b * c
-        adj = [[d, -b], [-c, a]]
+    if len(A) == 1:
+        det, adj = A[0][0], [[1.0]]
     else:
-        (a, b, c), (d, e, f), (g, h, i) = A
-        adj = [
-            [e * i - f * h, c * h - b * i, b * f - c * e],
-            [f * g - d * i, a * i - c * g, c * d - a * f],
-            [d * h - e * g, b * g - a * h, a * e - b * d],
-        ]
-        det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+        (a, b), (c, d) = A
+        det, adj = a * d - b * c, [[d, -b], [-c, a]]
     if det == 0:
         return None
     return [[v / det for v in row] for row in adj]

@@ -466,3 +466,60 @@ def test_the_headline_is_informative_past_the_fiber_gap():
 def test_a_too_small_certificate_fails_the_headline(eps):
     rep = fiber_sine_report(eps, scale_certificate={"epsilon_hat": 1e-12, "psi": 1e-6})
     assert rep.lhs > rep.rhs and not rep.passed
+
+
+# ---------------------------------------------------------------------------
+# the headline's inputs, recomputed on the warped kind
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def warped_headline():
+    """The headline report of ``u = sin 2 pi y (1 + cos(2 pi x) / 2)`` on the
+    default warped ball at 128 nodes per unit, passed as a pair with residual
+    0: its tangential gradient varies across B(p, r) at x = 3/4, and so does
+    the volume element eps w(x)."""
+    mask = chart("warped-torus", 0.1, 0.3, 128)
+    ball, cert = certify_ball(mask, default_ball_center("warped-torus"), 0.25)
+    x, y = np.moveaxis(mask.phi.manifold.positions(), -1, 0)
+    u = np.sin(2 * np.pi * y) * (1.0 + 0.5 * np.cos(2 * np.pi * x))
+    field = flow.tangential_projection(u, mask)
+    cutoff = build_cutoff(ball, cert.epsilon_hat)
+    rep = main_theorem_report(EigenPair(1.0, u, 0.0), field, ball, cert, cutoff)
+    return {"mask": mask, "ball": ball, "field": field, "cutoff": cutoff, "rep": rep}
+
+
+def test_the_headline_lhs_is_a_volume_weighted_average(warped_headline):
+    # the plain node mean of |grad^T u|^2 reads 0.75 % higher here
+    mask, ball, field = warped_headline["mask"], warped_headline["ball"], warped_headline["field"]
+    dom = ball.members & mask.regular
+    w, s = mask.phi.manifold.node_weights()[dom], field.speed_sq[dom]
+    assert dom.sum() > 1000 and np.ptp(w) > 0.2 * w.max()
+    assert warped_headline["rep"].lhs == pytest.approx(0.25 * math.sqrt((w * s).sum() / w.sum()), rel=1e-13)
+
+
+def test_the_headline_rhs_and_c2_follow_their_formulas(warped_headline, warped_oracle, warped_epsilon_hat):
+    # C2 = 48 m k^2 C_ctf 2^k |B2r| / |Br| with the volumes summed here (B2r
+    # is the whole-chart stand-in), and RHS = C2 (1 + C_CY) sup|u| (sqrt(eps_hat)
+    # + psi) with psi and eps_hat from the closed forms, within their h^2 errors
+    ball, field, cutoff, rep = (warped_headline[key] for key in ("ball", "field", "cutoff", "rep"))
+    M = field.manifold
+    assert ball.concentric(0.5).whole
+    w = M.node_weights()
+    C2 = 48.0 * 2 * 1**2 * cutoff.c_ctf * 2.0**1 * (w.sum() / w[ball.members].sum())
+    assert rep.constants["C2"][0] == pytest.approx(C2, rel=1e-13)
+    scale = C2 * (1.0 + cheng_yau_ratio(field.u, field.grad_norm(), ball)) * np.max(np.abs(field.u))
+    eps_hat = warped_epsilon_hat(0.3, 0.1, default_ball_center("warped-torus")[0], 0.25)
+    exact = math.sqrt(eps_hat) + warped_oracle(0.3, 0.25)["psi"]
+    tol = ORACLE_SLACK * (abs(ORACLE_ERRORS[128]["psi"]) + EPSILON_HAT_ERRORS[128] / (2 * math.sqrt(eps_hat)))
+    assert abs(rep.rhs / scale - exact) <= tol
+
+
+@pytest.mark.parametrize("point", [None, (math.nan, 0.0), (0.75, math.inf), (0.75,), (0.75, 0.0, 0.0)])
+def test_a_chart_point_without_two_finite_coordinates_has_no_nearest_node(point):
+    # the first four went to nodes (0, 0), (0, 0), (48, 0) and (48, 12) of
+    # the warped 64-per-unit chart, the last to a broadcasting error
+    M = manifold.build_family(estimates.point_spec("warped-torus", 0.1, 0.3, 0.0, default_resolution_rule(64)))
+    assert estimates.nearest_node(M, (0.75, 0.0)) == (48, 0)
+    with pytest.raises(ValueError, match=r"is not 2 finite coordinates"):
+        estimates.nearest_node(M, point)

@@ -97,6 +97,39 @@ def test_projection_converges_quadratically_on_a_curved_level_set(warped_torus):
     assert np.allclose(proj.jacobian[0], fd, rtol=1e-6)
 
 
+def test_projection_converges_quadratically_on_a_curved_3d_level_set(twisted_torus):
+    # two sheared components on the twisted kind, whose metric couples x_0
+    # and the fiber: the 2 x 2 Gram J g^-1 J^T has an off-diagonal entry, and
+    # the step from a 1e-3 offset lands on the level set in one iteration,
+    # g-orthogonal to the level set, as a step along g^-1 J^T is
+    M = twisted_torus
+    pos = M.positions()
+    y = pos[..., 2]
+    phi = SplittingMap(M, (pos[..., 0] + 0.02 * np.sin(2 * np.pi * y), pos[..., 1] + 0.01 * np.sin(2 * np.pi * y)),
+                       (np.eye(3)[0], np.eye(3)[1]))
+    node = pos[5, 7, 2]
+    start = node + np.array([1e-3, -1e-3, 0.3 * M.grid.spacings[2]])
+    level = phi.evaluate(node[None, :])[0]
+    proj = phi.project_to_level(start, level)
+    assert proj.newton_steps == 1
+    assert max(abs(v) for v in proj.residual) <= 1e-14
+    assert np.array_equal(phi.level_residual(np.array([proj.point]), level)[0], proj.residual)
+    J, g = np.array(proj.jacobian), M.metric[0, 0, 0]
+    gram = J @ np.linalg.inv(g) @ J.T
+    assert abs(gram[0, 1]) > 0.02
+    tangent = np.linalg.svd(J)[2][-1]                 # spans the kernel of J
+    step = np.array(proj.point) - start
+    assert abs(tangent @ g @ step) <= 1e-14 * np.linalg.norm(step)
+    assert abs(tangent @ step) > 0.1 * np.linalg.norm(step)        # not a Euclidean normal step
+    x = np.array(proj.point)
+    fd = np.stack([(phi.evaluate((x + d)[None, :]) - phi.evaluate((x - d)[None, :]))[0] / (2 * d.sum())
+                   for d in np.diag(1e-7 * np.asarray(M.grid.spacings))], axis=-1)
+    assert np.allclose(J, fd, rtol=1e-6, atol=1e-9)
+    # from several cells away the first step lands in another cell, the second on the level set
+    far = phi.project_to_level(node + np.array([0.1, -0.08, 0.3]), level)
+    assert far.newton_steps == 2 and max(abs(v) for v in far.residual) <= 1e-14
+
+
 def test_warped_global_solve_matches_quadrature_oracle(warped_torus, warped_coordinates):
     # oracle: phi' = c / w with c = 1 / int dx/w = sqrt(1 - delta^2)
     from scipy.integrate import quad
