@@ -548,7 +548,6 @@ def sweep(points, jobs: int = 1) -> SweepResult:
     rows = [row for i in range(len(points)) for row in results[i][0]]
     reports = tuple(tuple(results[i][1]) for i in range(len(points)))
     informative = [row for row in rows if not row.degenerate]
-    all_passed = all(row.passed for row in rows) and all(rep.passed for reps in reports for rep in reps)
     degenerate = len(informative) < 2
     ratios = [row.ratio for row in informative]
     ratio_spread = None if degenerate else max(ratios) / min(ratios)
@@ -563,7 +562,7 @@ def sweep(points, jobs: int = 1) -> SweepResult:
         exponent=exponent,
         ratio_spread=ratio_spread,
         degenerate=degenerate,
-        all_passed=all_passed,
+        all_passed=all(row.passed for row in rows),
     )
 
 

@@ -54,7 +54,7 @@ class _KindTable(dict):
     def __getitem__(self, kind):
         if isinstance(kind, str) and kind in self.keys():
             return super().__getitem__(kind)
-        raise ValueError(f"unknown family kind {kind!r}; expected one of {tuple(self)}")
+        raise ValueError(f"unknown family kind {kind!r}: family.kind must be one of {tuple(self)}")
 
 
 # Every per-kind fact.  The warped torus's ball sits where its fibers are
@@ -143,7 +143,7 @@ class FamilySpec:
     A nonzero value that the kind does not read is an error: in the one
     family metric of ``build_family`` it would change the metric.  So is
     ``|delta| >= 1``: the warp ``1 + delta sin 2 pi x`` then reaches zero and
-    the fiber collapses to a point.
+    the fiber collapses to a point.  So is ``|twist| > 2 pi``, past one turn.
     """
 
     kind: str
@@ -161,6 +161,8 @@ class FamilySpec:
                 raise ValueError(f"{self.kind} does not read family.{name}; set it to 0, got {getattr(self, name)}")
         if not abs(self.delta) < 1.0:
             raise ValueError(f"family.delta must lie in (-1, 1), where the warp stays positive, got {self.delta}")
+        if not abs(self.twist) <= 2 * math.pi:
+            raise ValueError(f"family.twist must lie in [-2 pi, 2 pi], a turn either way, got {self.twist}")
         m = self.dim
         if len(self.resolution) != m:
             raise ValueError(f"{self.kind} needs {m} resolution entries, got {len(self.resolution)}")

@@ -11,8 +11,9 @@ The Laplace-Beltrami operator uses the sign convention ``Delta = -div grad``
 form with corner quadrature per cell, which makes it exactly symmetric,
 positive semidefinite, and zero-row-sum, with no spurious checkerboard kernel;
 on a flat metric it reduces to the classical compact second-order stencil.
-The stiffness action on a coordinate-like scalar is ``L`` applied to its
-periodic part plus one precomputed vector per winding axis.
+:func:`stiffness_apply` applies ``L`` to a periodic field.  The action on a
+winding field ``f`` is ``stiffness_apply(M, f - x . w)`` plus
+``sum_a w_a coordinate_actions(M)[a]``, one vector per unwrapped coordinate.
 
 Sparse solves go through SuperLU, or through the fill-free
 :func:`circulant_pcg` (CG with an FFT-inverted circulant preconditioner) for
@@ -50,6 +51,7 @@ __all__ = [
     "norm_sq",
     "laplacian_matrix",
     "laplace",
+    "coordinate_actions",
     "factorize",
     "factorize_symmetric",
     "pinned_stiffness_solve",
@@ -244,21 +246,16 @@ def _stiffness_and_coordinate_actions(M: DiscreteManifold) -> tuple[csr_matrix, 
     return M._cache["stiffness"], M._cache["coordinate_actions"]
 
 
-def stiffness_apply(M: DiscreteManifold, f: np.ndarray, winding=None) -> np.ndarray:
-    """Apply the stiffness to a (possibly winding) scalar field, grid-shaped result.
+def coordinate_actions(M: DiscreteManifold) -> list[np.ndarray]:
+    """Per axis, the stiffness action on that chart coordinate unwrapped
+    across its seam, as a vector over the nodes in flat order, made and cached
+    with ``L`` (:func:`_grid_stiffness`)."""
+    return _stiffness_and_coordinate_actions(M)[1]
 
-    A winding field is its periodic part ``f - x . winding`` plus a linear
-    combination of unwrapped chart coordinates; the result is the stiffness
-    action on the unwrapped function.
-    """
-    L, coord_actions = _stiffness_and_coordinate_actions(M)
-    if winding is None or not np.any(winding):
-        return (L @ f.ravel()).reshape(M.grid.shape)
-    w = np.asarray(winding, dtype=float)
-    out = L @ (f - M.positions() @ w).ravel()
-    for ax in np.flatnonzero(w):
-        out = out + w[ax] * coord_actions[ax]
-    return out.reshape(M.grid.shape)
+
+def stiffness_apply(M: DiscreteManifold, f: np.ndarray) -> np.ndarray:
+    """The stiffness ``L`` applied to a periodic scalar field, grid-shaped result."""
+    return (_stiffness_and_coordinate_actions(M)[0] @ f.ravel()).reshape(M.grid.shape)
 
 
 def laplace(M: DiscreteManifold, f: np.ndarray) -> np.ndarray:

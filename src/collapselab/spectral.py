@@ -8,21 +8,20 @@ kernel on closed charts).  A solve answers one question, every pair with
 ``theta <= theta_max``: the estimate's constant depends on a bound on the
 eigenvalue, so that bound is what a run configures.
 
-The factorization depends on the chart.  Where the metric is constant (flat
-and twisted tori), the eigensolve factors ``L - sigma mass``.  Where it
-varies, it factors a stiffness with node 0 pinned, its stored zeros dropped
-and its columns in minimum-degree order, and runs at shift 0 on the
-mass-orthogonal complement of the constants; the constant pair is exact.
-That stiffness is the base block when the chart is a warped product over its
-fiber axis (the warped torus) and ``theta_max`` lies below the fiber gap
-gamma: the fiber modes of such a chart have Rayleigh quotients of at least
-gamma, so every pair below it is constant along the fiber and solves the base
-block, the discrete form of Fukaya's limit problem on the collapsed base.  On
-512 x 102 that is a 512-node solve in place of a 52,224-node one.  Other
-varying charts (a metric that changes along the fiber, a cross term), and
-warped products with ``theta_max`` at or past gamma, factor the whole pinned
-stiffness.  The harmonic coordinates factor the whole pinned matrix apart, in
-COLAMD order on its stored structure, which fixes their bits.
+One driver, :func:`eigenpairs`, picks the solve, base block first and then
+the whole chart.  On a warped product over its fiber axis (the warped torus)
+with ``theta_max`` below the fiber gap gamma, it solves the base block: the
+fiber modes of such a chart have Rayleigh quotients of at least gamma, so
+every pair below it is constant along the fiber and solves the base block,
+the discrete form of Fukaya's limit problem on the collapsed base.  On
+512 x 102 that is a 512-node solve in place of a 52,224-node one.  Every
+other chart, and a base block whose pairs stop short of ``theta_max``, takes
+one solve on the whole ``L``.  A varying metric factors a stiffness with node
+0 pinned, its stored zeros dropped and its columns in minimum-degree order,
+and runs at shift 0 on the mass-orthogonal complement of the constants; the
+constant pair is exact.  A constant metric (flat and twisted tori) factors
+``L - sigma mass``.  The harmonic coordinates factor the whole pinned matrix
+apart, in COLAMD order on its stored structure, which fixes their bits.
 :func:`cached_eigenpairs` keeps each solve's pairs in one ``.npy`` file.
 :func:`cheng_yau_ratio` takes the gradient norm of u that the report pass
 already holds (``TangentialField.grad_norm``) and reads B(p, 2r) from the
@@ -83,51 +82,40 @@ def eigenpairs(M: DiscreteManifold, count: int, theta_max: float, seed: int = 0)
     doubles, up to ``n - 2``, until the top theta of a round exceeds
     ``theta_max``.  Every round reuses one factorization.
 
-    Which factorization depends on the metric.  Where it is constant (flat and
-    twisted tori), ``L - sigma mass`` (sigma slightly negative) is factored by
-    :func:`~collapselab.operators.factorize`.  Where it varies, Lanczos runs
+    The base block comes first: on a warped product over the fiber axis
+    (:func:`_fiber_base`: the warped torus) with ``theta_max`` below its
+    fiber gap gamma, the pinned solve runs on the base block, whose pairs,
+    repeated along the fiber, are every pair of ``L`` below gamma.  They are
+    returned when their top theta exceeds ``theta_max``; otherwise one solve
+    runs on the whole of ``L``.  Either way the residual gate reads the whole
+    ``L``.
+
+    Which factorization depends on the metric.  Where it varies, Lanczos runs
     at ``sigma = 0`` through the pinned stiffness
     (:func:`~collapselab.operators.pinned_stiffness_solve`), factored by
     :func:`~collapselab.operators.factorize_symmetric`: on the
     mass-orthogonal complement of the constants it applies ``L^-1``, so each
     round asks the solver for one pair fewer and the exact constant pair
-    (theta = 0, u = 1) comes first.
-
-    On a warped product over the fiber axis (:func:`_fiber_base`: the warped
-    torus) that solve runs on the base block, whose pairs, repeated along the
-    fiber, are pairs of ``L``.  Every pair of ``L`` below the fiber gap gamma
-    is one of them, so the base block answers exactly when ``theta_max <
-    gamma``; otherwise, and on every other varying chart, the pinned solve
-    runs on the whole of ``L``.  Either way the residual gate reads the whole
-    ``L``.
+    (theta = 0, u = 1) comes first.  Where it is constant (flat and twisted
+    tori), ``L - sigma mass`` (sigma slightly negative) is factored by
+    :func:`~collapselab.operators.factorize`.
     """
     L, mass = laplacian_matrix(M)
     n = L.shape[0]
     k = max(count, 8)
     if not (0 < count and k <= n - 2):
         raise ValueError(f"count must lie in [1, {n - 2}]")
-    if not _metric_varies(M):
-        pairs = _lowest_pairs(M, L, mass, _shift_invert(L, mass, seed, pinned=False), k, n - 2, theta_max)
-    else:
-        pairs = (_base_block_pairs(M, L, mass, k, theta_max, seed)
-                 or _lowest_pairs(M, L, mass, _shift_invert(L, mass, seed, pinned=True), k, n - 2, theta_max))
+    pinned = _metric_varies(M)
+    base = _fiber_base(M, L, mass) if pinned else None
+    if base is not None and k <= base[0].shape[0] - 2 and theta_max < base[2]:
+        L0, m0, _ = base
+        n0 = L0.shape[0]
+        pairs = _lowest_pairs(M, L, mass, _shift_invert(L0, m0, seed, pinned=True), k, n0 - 2, theta_max,
+                              lift=lambda vecs: np.repeat(vecs, n // n0, axis=1))
+        if pairs[-1].theta > theta_max:
+            return [p for p in pairs if p.theta <= theta_max]
+    pairs = _lowest_pairs(M, L, mass, _shift_invert(L, mass, seed, pinned=pinned), k, n - 2, theta_max)
     return [p for p in pairs if p.theta <= theta_max]
-
-
-def _base_block_pairs(M: DiscreteManifold, L, mass, k: int, theta_max: float, seed: int) -> list[EigenPair] | None:
-    """The pairs of ``L`` from its base block (:func:`_fiber_base`), or None
-    where the chart is no warped product or ``theta_max`` is not below its
-    fiber gap."""
-    base = _fiber_base(M, L, mass)
-    if base is None:
-        return None
-    L0, m0, gamma = base
-    n0 = L0.shape[0]
-    if k > n0 - 2 or not theta_max < gamma:
-        return None
-    pairs = _lowest_pairs(M, L, mass, _shift_invert(L0, m0, seed, pinned=True), k, n0 - 2, theta_max,
-                          lift=lambda vecs: np.repeat(vecs, L.shape[0] // n0, axis=1))
-    return pairs if pairs[-1].theta > theta_max else None
 
 
 def _shift_invert(A, mass: np.ndarray, seed: int, pinned: bool):

@@ -23,6 +23,7 @@ import numpy as np
 from .manifold import DiscreteManifold, GeodesicBall, _cached, _read_only
 from .operators import (
     _dot,
+    coordinate_actions,
     factorize,
     gradient,
     hessian,
@@ -286,12 +287,13 @@ class LevelProjection:
 def harmonic_coordinates(M: DiscreteManifold) -> SplittingMap:
     """Global degree-one harmonic coordinates on a closed periodic chart.
 
-    Solves ``Delta (x_a + psi_a) = 0`` for a periodic correction psi_a with
-    mean zero, one component per base axis ``a``; on flat families psi
-    vanishes identically and the coordinate is returned exactly.  The axes
-    that need a solve share one pinned stiffness factor
-    (:func:`~collapselab.operators.pinned_stiffness_solve`), made on the first
-    of them and dropped on return.  It is COLAMD on the stored structure
+    Solves ``L psi_a = -c_a``, that is ``Delta (x_a + psi_a) = 0``, for a
+    periodic psi_a with mean zero, one component per base axis ``a``; ``c_a``
+    is the stiffness action on the unwrapped coordinate
+    (:func:`~collapselab.operators.coordinate_actions`).  On flat families it
+    vanishes and the coordinate is returned exactly.  The axes that need a
+    solve share one pinned stiffness factor, made on the first of them and
+    dropped on return: COLAMD on the stored structure
     (:func:`~collapselab.operators.factorize`), whose round-off the
     references pin.
     """
@@ -301,17 +303,16 @@ def harmonic_coordinates(M: DiscreteManifold) -> SplittingMap:
     mass = M.node_weights().ravel()
     comps, winds, resid, pinned = [], [], [], None
     for ax in M.base_axes:
-        w = np.zeros(grid.dim)
-        w[ax] = 1.0
+        w = np.eye(grid.dim)[ax]
         coord = pos[..., ax]
-        rhs = -stiffness_apply(M, coord, w).ravel()
-        if np.max(np.abs(rhs)) < 1e-12 * np.max(np.abs(L.diagonal())):
+        action = coordinate_actions(M)[ax]
+        if np.max(np.abs(action)) < 1e-12 * np.max(np.abs(L.diagonal())):
             psi = np.zeros(grid.n_nodes)
         else:
             pinned = pinned or pinned_stiffness_solve(L, mass, factorize)
-            psi = pinned(rhs)
+            psi = pinned(-action)
         vals = coord + psi.reshape(grid.shape)
-        res = (stiffness_apply(M, vals, w).ravel() / mass)
+        res = (stiffness_apply(M, vals - coord).ravel() + action) / mass
         r = float(np.sqrt((mass * res**2).sum() / mass.sum()))
         comps.append(vals)
         winds.append(w)

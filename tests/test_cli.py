@@ -700,6 +700,28 @@ def run_isolated(tmp_path, runs, timeout):
     return [tuple(json.loads(line)) for line in proc.stdout.splitlines()]
 
 
+def test_every_config_leaf_set_to_a_mapping_stops_with_an_error_that_names_it(tmp_path):
+    # family.delta and family.twist used to end in a TypeError traceback, an
+    # unknown kind's error named no key, twist true ran as 1 rad, and twist 1e4
+    # stopped with "eigenpair 0 residual 3.903e-07 exceeds 1e-08 * (1 + theta)"
+    reader = {FAMILIES[kind].parameter: kind for kind in FAMILIES}
+    runs, keys = [], []
+    for section, leaves in cli._DEFAULTS.items():
+        for name in leaves if isinstance(leaves, dict) else [None]:
+            cfg = {section: {}} if name is None else {section: {name: {}}}
+            if section == "family" and name in reader:     # the kind that reads the parameter
+                cfg["family"]["kind"] = reader[name]
+            runs.append(("build", cfg))
+            keys.append(section if name is None else f"{section}.{name}")
+    for twist in (1e4, True):
+        runs.append(("build", {"family": {"kind": "twisted-3-torus", "twist": twist}}))
+        keys.append("family.twist")
+    outcomes = run_isolated(tmp_path, runs, timeout=60)
+    assert len(outcomes) == len(runs) == 19
+    for key, run, (code, err) in zip(keys, runs, outcomes):
+        assert code == 1 and key in err and "Traceback" not in err, (run, code, err)
+
+
 def test_a_flow_of_the_constant_mode_is_a_config_error(tmp_path):
     # eigenmode:0 on the default flat config has K = 1.98e-12 against
     # sup|u| = 1: T = 5.1e12 would have taken about 5e17 steps at dt = 1e-5

@@ -7,9 +7,13 @@ REF's committed files are exported (``git archive``) to a temporary
 directory; the other side is the checkout this script sits in, uncommitted
 edits included.  Both sides run one fixed matrix: every verb on a small flat,
 warped and twisted config, ``flow`` with ``eigenmode:1`` on the warped one,
-and the warped ``sweep`` with ``--jobs 2``.  Each run is a fresh interpreter
-with the side's ``src`` on PYTHONPATH and the BLAS/OpenMP threads pinned
-to 1.
+and the warped ``sweep`` with ``--jobs 2``.  They then run the benchmark's
+own configs and CLI arguments, read from this checkout's
+``perfbench/workloads.py``: ``sweep-warped-2d`` (``sweep --jobs 2
+--no-cache``), ``flow-flat-2d`` (``flow --no-cache``) and
+``point-twisted-3d``, which the benchmark runs in process and this script
+runs as ``verify``.  Each run is a fresh interpreter with the side's ``src``
+on PYTHONPATH and the BLAS/OpenMP threads pinned to 1.
 
 A run matches when its exit code, its stdout and stderr (its output
 directory written as ``OUT``) and every file it writes agree byte for byte.
@@ -33,6 +37,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 THREAD_PINS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 VERBS = ("build", "eig", "split", "flow", "verify", "sweep")
 WARPED = {
@@ -55,6 +61,10 @@ RUNS = [(f"{verb}-{name}", name, (verb,)) for name in ("flat", "warped", "twiste
     ("flow-eigenmode1-warped", "warped-eigenmode", ("flow",)),
     ("sweep-jobs2-warped", "warped", ("sweep", "--jobs", "2")),
 ]
+# (run name, config name, CLI arguments before --config) of each benchmark
+# workload; kept out of RUNS, so tools/verb_coverage.py does not trace them
+BENCH_RUNS = [(f"bench-{w.name}", f"bench-{w.name}", (w.verb or "verify", *w.cli_args)) for w in WORKLOADS.values()]
+BENCH_CONFIGS = {f"bench-{w.name}": w.config for w in WORKLOADS.values()}
 RUN_TIMEOUT_S = 900
 
 
@@ -74,7 +84,7 @@ def run_side(tree: Path, work: Path, configs: Path) -> dict:
     """``{run name: (exit code, stdout, stderr, {path: bytes})}`` for one tree."""
     env = {**os.environ, **THREAD_PINS, "PYTHONPATH": str(tree / "src")}
     results = {}
-    for name, config, args in RUNS:
+    for name, config, args in RUNS + BENCH_RUNS:
         out = work / name
         proc = subprocess.run(
             [sys.executable, "-m", "collapselab.cli", *args, "--config", str(configs / f"{config}.json"),
@@ -91,7 +101,7 @@ def run_side(tree: Path, work: Path, configs: Path) -> dict:
 
 def differences(ref: dict, new: dict) -> list[str]:
     found = []
-    for name, _, _ in RUNS:
+    for name, _, _ in RUNS + BENCH_RUNS:
         (code_a, out_a, err_a, files_a), (code_b, out_b, err_b, files_b) = ref[name], new[name]
         if code_a != code_b:
             found.append(f"{name}: exit code {code_a} (ref) != {code_b} (checkout)")
@@ -116,7 +126,7 @@ def main() -> int:
     try:
         configs = tmp / "configs"
         configs.mkdir()
-        for name, cfg in CONFIGS.items():
+        for name, cfg in {**CONFIGS, **BENCH_CONFIGS}.items():
             (configs / f"{name}.json").write_text(json.dumps(cfg))
         export(args.ref, tmp / "ref-tree")
         results = {}
@@ -129,7 +139,7 @@ def main() -> int:
         shutil.rmtree(tmp, ignore_errors=True)
     for line in found:
         print(line)
-    print(f"{len(RUNS)} runs, {len(found)} differences against {args.ref}")
+    print(f"{len(RUNS) + len(BENCH_RUNS)} runs, {len(found)} differences against {args.ref}")
     return 1 if found else 0
 
 
