@@ -42,7 +42,7 @@ from .operators import (
     region_average,
     region_sup,
 )
-from .spectral import RESIDUAL_TOL, EigenPair, cheng_yau_ratio, eigenpairs
+from .spectral import RESIDUAL_TOL, EigenPair, _metric_varies, cheng_yau_ratio, eigenpairs
 from .splitting import (
     Certificate,
     RegularMask,
@@ -95,9 +95,7 @@ class EstimateReport:
 
     @property
     def margin(self) -> float:
-        if self.lhs == 0.0:
-            return float("inf")
-        return float(self.rhs / self.lhs)
+        return float("inf") if self.lhs == 0.0 else float(self.rhs / self.lhs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -295,8 +293,7 @@ def interior_l2_report(field: TangentialField, ball_r: GeodesicBall, K: float, C
         name = M.family and FAMILIES[M.family.kind].parameter
         keys = ([f"family.{name}"] if name else []) + ["ball.radius"]
         raise ValueError(f"hypothesis violation: C0 = {C0:.6g} must lie in [0, 1); lower {' or '.join(keys)}")
-    r = ball_r.radius
-    k = field.phi.k
+    r, k = ball_r.radius, field.phi.k
     inner = ball_r.concentric(max(r * (1.0 - 4.0 * eps_hat), 1e-9))
     domain = ball_r.members & field.mask & field.phi.in_value_box(inner)
     w = M.node_weights()
@@ -340,9 +337,7 @@ def main_theorem_report(eig: EigenPair, field: TangentialField, ball_r: Geodesic
     M = field.manifold
     if not eig.residual <= RESIDUAL_TOL * (1.0 + abs(eig.theta)):
         raise ValueError(f"eigenpair residual {eig.residual:.3e} too large for a certified report")
-    r = ball_r.radius
-    m = M.dim
-    k = field.phi.k
+    r, m, k = ball_r.radius, M.dim, field.phi.k
     outer = ball_r.concentric(2 * r)
     c_cy = cheng_yau_ratio(eig.u, field.grad_norm(), ball_r)
     vol_ratio = outer.volume() / ball_r.volume()
@@ -450,11 +445,16 @@ def run_point(
     seed: int,
     lambda_threshold_rel: float = 1e-6,
 ):
-    """Full pipeline at one collapse parameter; returns the per-point bundle."""
-    mask = classify_regular(harmonic_coordinates(build_family(
-        point_spec(kind, epsilon, delta, twist, resolution_rule))), lambda_threshold_rel)
+    """Full pipeline at one collapse parameter; returns the per-point bundle.
+
+    A point's peak memory is its whole-chart factor plus what lies under it,
+    so that factor comes first: the pairs' ``L - sigma mass`` on a constant
+    metric (flat, twisted), the chart stage's psi on a varying one (warped)."""
+    M = build_family(point_spec(kind, epsilon, delta, twist, resolution_rule))
+    solve_pairs = partial(eigenpairs, M, eig_count, theta_max=theta_max, seed=seed)
+    pairs = None if _metric_varies(M) else solve_pairs()
+    mask = classify_regular(harmonic_coordinates(M), lambda_threshold_rel)
     ball, cert = certify_ball(mask, ball_center, r)
-    M = mask.phi.manifold
     return {
         "mask": mask,
         "ball": ball,
@@ -464,7 +464,7 @@ def run_point(
         "manifold": M,
         "ball2": ball.concentric(2 * r),
         "eps_hat": cert.epsilon_hat,
-        "pairs": eigenpairs(M, eig_count, theta_max=theta_max, seed=seed),
+        "pairs": solve_pairs() if pairs is None else pairs,
         "cutoff": build_cutoff(ball, cert.epsilon_hat),
         "lambda_ric": ricci_lower_bound(M),
         "C0": phi_c0_bound(mask.phi, np.ones_like(mask.regular), r),

@@ -21,7 +21,6 @@ from collapselab.estimates import (
     certify_ball,
     default_ball_center,
     default_resolution_rule,
-    main_theorem_report,
     point_reports,
     run_point,
     w22_k_bound,
@@ -64,6 +63,62 @@ def test_run_point_reuses_the_first_ball_distances(dijkstra_sources):
     rows, reports = point_reports(point)
     assert len(rows) == len(point["pairs"]) and len(reports) == 3 * len(rows)
     assert dijkstra_sources == [1]
+
+
+# (epsilon, delta, twist, ball radius) of a small point per kind
+SMALL_POINTS = {"twisted-3-torus": (0.25, 0.0, math.pi / 2, 0.3), "warped-torus": (0.1, 0.3, 0.0, 0.25)}
+
+
+def small_point(kind):
+    epsilon, delta, twist, r = SMALL_POINTS[kind]
+    return run_point(kind, epsilon, delta, twist, default_resolution_rule(64, 16), default_ball_center(kind),
+                     r, 50.0, 4, 0)
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """The names of the ``eigenpairs`` and ``harmonic_coordinates`` calls
+    made through the estimates module, in call order."""
+    calls = []
+
+    def recording(name):
+        original = getattr(estimates, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("eigenpairs", "harmonic_coordinates"):
+        monkeypatch.setattr(estimates, name, recording(name))
+    return calls
+
+
+@pytest.mark.parametrize("kind, first", [("twisted-3-torus", "eigenpairs"), ("warped-torus", "harmonic_coordinates")])
+def test_run_point_runs_the_whole_chart_factor_first(stage_calls, kind, first):
+    # the twisted pairs factor all of L - sigma mass while its coordinates
+    # solve nothing; the warped psi factors the whole chart, its pairs a
+    # base block
+    small_point(kind)
+    assert stage_calls[0] == first and sorted(stage_calls) == ["eigenpairs", "harmonic_coordinates"]
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_POINTS))
+def test_the_stage_order_leaves_the_point_bit_identical(monkeypatch, stage_calls, kind):
+    points = [small_point(kind)]
+    varies = estimates._metric_varies(points[0]["manifold"])
+    monkeypatch.setattr(estimates, "_metric_varies", lambda M: not varies)
+    points.append(small_point(kind))
+    assert stage_calls[2:] == stage_calls[:2][::-1]    # the flipped predicate swapped the stages
+    a, b = points
+    assert len(a["pairs"]) == len(b["pairs"]) > 1
+    for p, q in zip(a["pairs"], b["pairs"]):
+        assert np.float64(p.theta).tobytes() == np.float64(q.theta).tobytes()
+        assert p.u.tobytes() == q.u.tobytes()
+    assert a["cert"].to_json_dict() == b["cert"].to_json_dict()
+    assert a["cutoff"].values.tobytes() == b["cutoff"].values.tobytes()
+    assert (a["C0"], a["lambda_ric"]) == (b["C0"], b["lambda_ric"])
 
 
 def test_point_reports_trace_each_fiber_once(monkeypatch):
@@ -447,10 +502,10 @@ def fiber_sine_report(epsilon: float, scale_certificate=None):
         cert = dataclasses.replace(cert, **{key: getattr(cert, key) * f for key, f in scale_certificate.items()})
     field = flow.tangential_projection(u, mask)
     cutoff = build_cutoff(ball, cert.epsilon_hat)
-    return main_theorem_report(EigenPair(theta, u, residual), field, ball, cert, cutoff)
+    return estimates.main_theorem_report(EigenPair(theta, u, residual), field, ball, cert, cutoff)
 
 
-def test_the_headline_is_informative_past_the_fiber_gap():
+def check_the_headline_is_informative_past_the_fiber_gap():
     # r ||grad^T u|| = r 2 pi / eps, less the ball's discretization: 1.557,
     # 1.529 and 1.532 times 1 / eps measured
     scaled = []
@@ -460,6 +515,10 @@ def test_the_headline_is_informative_past_the_fiber_gap():
         scaled.append(rep.lhs * eps)
     assert max(scaled) <= 1.05 * min(scaled)
     assert scaled[0] == pytest.approx(np.pi / 2, rel=0.05)
+
+
+def test_the_headline_is_informative_past_the_fiber_gap():
+    check_the_headline_is_informative_past_the_fiber_gap()
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
@@ -473,8 +532,7 @@ def test_a_too_small_certificate_fails_the_headline(eps):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def warped_headline():
+def warped_headline_parts():
     """The headline report of ``u = sin 2 pi y (1 + cos(2 pi x) / 2)`` on the
     default warped ball at 128 nodes per unit, passed as a pair with residual
     0: its tangential gradient varies across B(p, r) at x = 3/4, and so does
@@ -485,11 +543,16 @@ def warped_headline():
     u = np.sin(2 * np.pi * y) * (1.0 + 0.5 * np.cos(2 * np.pi * x))
     field = flow.tangential_projection(u, mask)
     cutoff = build_cutoff(ball, cert.epsilon_hat)
-    rep = main_theorem_report(EigenPair(1.0, u, 0.0), field, ball, cert, cutoff)
+    rep = estimates.main_theorem_report(EigenPair(1.0, u, 0.0), field, ball, cert, cutoff)
     return {"mask": mask, "ball": ball, "field": field, "cutoff": cutoff, "rep": rep}
 
 
-def test_the_headline_lhs_is_a_volume_weighted_average(warped_headline):
+@pytest.fixture(scope="module")
+def warped_headline():
+    return warped_headline_parts()
+
+
+def check_the_headline_lhs_is_a_volume_weighted_average(warped_headline):
     # the plain node mean of |grad^T u|^2 reads 0.75 % higher here
     mask, ball, field = warped_headline["mask"], warped_headline["ball"], warped_headline["field"]
     dom = ball.members & mask.regular
@@ -498,7 +561,11 @@ def test_the_headline_lhs_is_a_volume_weighted_average(warped_headline):
     assert warped_headline["rep"].lhs == pytest.approx(0.25 * math.sqrt((w * s).sum() / w.sum()), rel=1e-13)
 
 
-def test_the_headline_rhs_and_c2_follow_their_formulas(warped_headline, warped_oracle, warped_epsilon_hat):
+def test_the_headline_lhs_is_a_volume_weighted_average(warped_headline):
+    check_the_headline_lhs_is_a_volume_weighted_average(warped_headline)
+
+
+def check_the_headline_rhs_and_c2_follow_their_formulas(warped_headline, warped_oracle, warped_epsilon_hat):
     # C2 = 48 m k^2 C_ctf 2^k |B2r| / |Br| with the volumes summed here (B2r
     # is the whole-chart stand-in), and RHS = C2 (1 + C_CY) sup|u| (sqrt(eps_hat)
     # + psi) with psi and eps_hat from the closed forms, within their h^2 errors
@@ -513,6 +580,10 @@ def test_the_headline_rhs_and_c2_follow_their_formulas(warped_headline, warped_o
     exact = math.sqrt(eps_hat) + warped_oracle(0.3, 0.25)["psi"]
     tol = ORACLE_SLACK * (abs(ORACLE_ERRORS[128]["psi"]) + EPSILON_HAT_ERRORS[128] / (2 * math.sqrt(eps_hat)))
     assert abs(rep.rhs / scale - exact) <= tol
+
+
+def test_the_headline_rhs_and_c2_follow_their_formulas(warped_headline, warped_oracle, warped_epsilon_hat):
+    check_the_headline_rhs_and_c2_follow_their_formulas(warped_headline, warped_oracle, warped_epsilon_hat)
 
 
 @pytest.mark.parametrize("point", [None, (math.nan, 0.0), (0.75, math.inf), (0.75,), (0.75, 0.0, 0.0)])

@@ -17,7 +17,7 @@ from collapselab.flow import (
     tangential_part,
     tangential_projection,
 )
-from collapselab.operators import interp_scalar, region_sup
+from collapselab.operators import interp_scalar, metric_inner, region_sup
 from collapselab.splitting import SplittingMap, classify_regular, harmonic_coordinates
 
 
@@ -42,14 +42,16 @@ def apriori_rate(field, x0):
     return flow_rate_bound(fiber_apriori_check(trace, field, EPS, R))
 
 
+def fiber_mode_field(mask):
+    """The tangential projection of one oscillation around the fiber circle of ``mask``'s chart."""
+    u = np.sin(2 * np.pi * mask.phi.manifold.positions()[..., 1])
+    return flow.tangential_projection(u, mask)
+
+
 @pytest.fixture(scope="module")
 def flat_setup(flat_torus, flat_coordinates):
-    M = flat_torus
     mask = classify_regular(flat_coordinates, LAMBDA_MIN_REL)
-    pos = M.positions()
-    u = np.sin(2 * np.pi * pos[..., 1])  # one oscillation around the fiber circle
-    field = tangential_projection(u, mask)
-    return M, flat_coordinates, mask, field
+    return flat_torus, flat_coordinates, mask, fiber_mode_field(mask)
 
 
 @pytest.fixture(scope="module")
@@ -59,11 +61,8 @@ def fiber_report(flat_setup):
     return fiber_apriori_check(trace, field, EPS, R)
 
 
-def test_projection_orthogonality_and_pythagoras(flat_setup, warped_torus, warped_coordinates):
-    from collapselab.operators import gradient, metric_inner
-    from collapselab.spectral import eigenpairs
-
-    M, phi, mask, field = flat_setup
+def check_projection_orthogonality_and_pythagoras(field):
+    M, phi = field.manifold, field.phi
     ip = metric_inner(M, field.grad_t, phi.gradients()[0])
     gn = np.sqrt(metric_inner(M, field.grad_u, field.grad_u))
     pn = np.sqrt(metric_inner(M, phi.gradients()[0], phi.gradients()[0]))
@@ -72,6 +71,10 @@ def test_projection_orthogonality_and_pythagoras(flat_setup, warped_torus, warpe
     grad_n = field.grad_u - field.grad_t
     parts = field.speed_sq + metric_inner(M, grad_n, grad_n)
     assert np.nanmax(np.abs(total - parts)) <= 1e-10 * max(1.0, np.nanmax(total))
+
+
+def test_projection_orthogonality_and_pythagoras(flat_setup):
+    check_projection_orthogonality_and_pythagoras(flat_setup[3])
 
 
 def test_projection_base_mode_vanishes(flat_torus, flat_coordinates):
@@ -84,11 +87,15 @@ def test_projection_base_mode_vanishes(flat_torus, flat_coordinates):
     assert np.nanmax(np.abs(field.grad_t)) <= 1e-12 * np.nanmax(np.abs(field.grad_u))
 
 
-def test_projection_fiber_mode_is_full_gradient(flat_setup):
-    M, phi, mask, field = flat_setup
+def check_projection_fiber_mode_is_full_gradient(field):
+    """``field``: ``fiber_mode_field`` on the flat chart at ``EPS``."""
     assert np.nanmax(np.abs(field.grad_t - field.grad_u)) <= 1e-12 * np.nanmax(np.abs(field.grad_u))
     # |grad^T u| = (2 pi / eps)|cos(2 pi y)| up to the difference sinc factor
     assert np.nanmax(field.speed_sq) == pytest.approx((2 * np.pi / EPS) ** 2, rel=2e-2)
+
+
+def test_projection_fiber_mode_is_full_gradient(flat_setup):
+    check_projection_fiber_mode_is_full_gradient(flat_setup[3])
 
 
 def test_projection_idempotent(flat_setup, warped_torus, warped_coordinates):

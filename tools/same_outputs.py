@@ -18,8 +18,10 @@ on PYTHONPATH and the BLAS/OpenMP threads pinned to 1.
 A run matches when its exit code, its stdout and stderr (its output
 directory written as ``OUT``) and every file it writes agree byte for byte.
 ``run_manifest.json`` is left out: it records the time of the run.  The
-script prints each difference, removes the exported tree and exits 1 if any
-run differs, else 0.
+script prints each run's peak resident memory on both sides (``ru_maxrss``
+of ``os.wait4``, which covers the sweep workers the run reaped; never a
+difference), then each difference, removes the exported tree and exits 1 if
+any run differs, else 0.
 """
 
 from __future__ import annotations
@@ -30,10 +32,12 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,32 +81,53 @@ def export(ref: str, dest: Path) -> None:
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit.stdout.strip()],
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, filter="data")
+        # the extraction filters came in Python 3.10.12 and 3.11.4; the
+        # archive is this repository's own
+        archive.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+
+
+def run_cli(argv: list[str], cwd: Path, env: dict) -> tuple[int, str, str, float]:
+    """``(exit code, stdout, stderr, peak RSS in MB)`` of one CLI process.
+
+    The process is reaped with ``os.wait4``: its ``ru_maxrss`` is the largest
+    of the process and the children it reaped (the sweep's pool workers).
+    A run past ``RUN_TIMEOUT_S`` is killed."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=out, stderr=err)
+        deadline = time.monotonic() + RUN_TIMEOUT_S
+        while not (reaped := os.wait4(proc.pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(proc.pid, signal.SIGKILL)   # not proc.kill(): its poll() would reap the run
+            time.sleep(0.02)
+        # reaped here, so Popen must not wait for it again
+        proc.returncode = os.waitstatus_to_exitcode(reaped[1])
+        streams = []
+        for f in (out, err):
+            f.seek(0)
+            streams.append(f.read().decode())
+        return proc.returncode, *streams, reaped[2].ru_maxrss / 1024
 
 
 def run_side(tree: Path, work: Path, configs: Path) -> dict:
-    """``{run name: (exit code, stdout, stderr, {path: bytes})}`` for one tree."""
+    """``{run name: (exit code, stdout, stderr, {path: bytes}, peak MB)}`` for one tree."""
     env = {**os.environ, **THREAD_PINS, "PYTHONPATH": str(tree / "src")}
     results = {}
     for name, config, args in RUNS + BENCH_RUNS:
         out = work / name
-        proc = subprocess.run(
+        code, stdout, stderr, peak_mb = run_cli(
             [sys.executable, "-m", "collapselab.cli", *args, "--config", str(configs / f"{config}.json"),
-             "--out", str(out)],
-            cwd=work, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
-        )
+             "--out", str(out)], work, env)
         files = {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*"))
                  if f.is_file() and f.name != "run_manifest.json"}
-        results[name] = (proc.returncode, proc.stdout.replace(str(out), "OUT"),
-                         proc.stderr.replace(str(out), "OUT"), files)
-        print(f"  {name}: exit {proc.returncode}, {len(files)} files", flush=True)
+        results[name] = (code, stdout.replace(str(out), "OUT"), stderr.replace(str(out), "OUT"), files, peak_mb)
+        print(f"  {name}: exit {code}, {len(files)} files, peak {peak_mb:.1f} MB", flush=True)
     return results
 
 
 def differences(ref: dict, new: dict) -> list[str]:
     found = []
     for name, _, _ in RUNS + BENCH_RUNS:
-        (code_a, out_a, err_a, files_a), (code_b, out_b, err_b, files_b) = ref[name], new[name]
+        (code_a, out_a, err_a, files_a, _), (code_b, out_b, err_b, files_b, _) = ref[name], new[name]
         if code_a != code_b:
             found.append(f"{name}: exit code {code_a} (ref) != {code_b} (checkout)")
         for stream, a, b in (("stdout", out_a, out_b), ("stderr", err_a, err_b)):
@@ -137,6 +162,9 @@ def main() -> int:
         found = differences(results["ref"], results["checkout"])
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+    print("peak RSS, ref -> checkout:")
+    for name, _, _ in RUNS + BENCH_RUNS:
+        print(f"  {name}: {results['ref'][name][4]:.1f} -> {results['checkout'][name][4]:.1f} MB")
     for line in found:
         print(line)
     print(f"{len(RUNS) + len(BENCH_RUNS)} runs, {len(found)} differences against {args.ref}")
